@@ -5,9 +5,11 @@ Three bound families are computed for the uplink localization problem:
 * the CRB of the clean model evaluated analytically from closed-form
   derivatives of its mean (what a receiver ignoring the impairments would
   predict for itself);
-* the CRB of the impaired model evaluated numerically, differentiating the
-  full impaired chain by central differences (the genie bound that knows
-  the realization);
+* the CRB of the impaired model (the genie bound that knows the
+  realization), also in closed form: each transmission's phase-noise/CFO
+  sandwich is unitary and does not depend on theta, so it drops out of the
+  Fisher information, which is then the clean-model one with rows
+  W C_full and the PA-distorted pilots;
 * the misspecified bound for the mismatched receiver: the estimator that
   fits the clean model to impaired data concentrates around the pseudo-true
   parameter, and its covariance about the true parameter is bounded by
@@ -36,7 +38,7 @@ from .model import (
     steering_derivatives,
     steering_vector,
 )
-from .observation import mu_m1, mu_m2
+from .observation import mu_m1, mu_m2, transmit_pilots
 
 N_PARAMS = 4
 
@@ -84,34 +86,34 @@ class BoundsReport:
 
 
 # ---------------------------------------------------------------------------
-# closed-form derivatives of the clean model
+# closed-form derivatives of the link mean
 
 
-def model_derivatives(
+def link_derivatives(
     theta: ChannelParams,
     cfg: SystemConfig,
-    block: PilotBlock,
-    coupling: tuple = (),
+    combiners: np.ndarray,
+    coupling_mat: np.ndarray,
+    pilots: np.ndarray,
 ) -> ModelDerivatives:
-    """All first and second derivatives of the clean-model mean.
+    """All first and second derivatives of a phase-rotation-free link mean.
 
     The mean factorizes per sample as alpha * b_g(aoa) * d_k(delay) *
-    x_{g,k} with b_g = w_g^T C~ a(aoa), so every derivative is an outer
-    product of per-transmission scalars, per-subcarrier phasors and the
-    pilot symbols. Gain derivatives use alpha = gain_amp *
-    exp(-1j*gain_phase): d alpha/d amp = exp(-1j*phase), d alpha/d phase =
-    -1j*alpha, and the amp-amp second derivative vanishes.
+    x_{g,k} with row gains b_g = w_g^T C a(aoa), so every derivative is an
+    outer product of per-transmission scalars, per-subcarrier phasors and
+    the pilot symbols. The rows W C come as their two factors and are
+    applied right to left, rounding as the mean builders do. Gain
+    derivatives use alpha = gain_amp * exp(-1j*gain_phase): d alpha/d amp =
+    exp(-1j*phase), d alpha/d phase = -1j*alpha, and the amp-amp second
+    derivative vanishes.
     """
     if theta.delay < 0:
         raise ValueError("delay must be non-negative")
-    n = cfg.n_antennas
-    ctilde = mc_matrix(coupling, None, n)
-    a = steering_vector(theta.aoa, n)
-    da, dda = steering_derivatives(theta.aoa, n)
-    w = block.combiners
-    b = w @ (ctilde @ a)  # (G,)
-    bd = w @ (ctilde @ da)
-    bdd = w @ (ctilde @ dda)
+    a = steering_vector(theta.aoa, cfg.n_antennas)
+    da, dda = steering_derivatives(theta.aoa, cfg.n_antennas)
+    b = combiners @ (coupling_mat @ a)  # (G,)
+    bd = combiners @ (coupling_mat @ da)
+    bdd = combiners @ (coupling_mat @ dda)
 
     k = np.arange(1, cfg.n_subcarriers + 1)
     ring = -2j * np.pi * k * cfg.subcarrier_spacing_hz  # d/d delay phase factors
@@ -119,13 +121,12 @@ def model_derivatives(
     dd = ring * d
     ddd = ring**2 * d
 
-    x = block.symbols
     alpha = theta.gain
     d_amp = np.exp(-1j * theta.gain_phase)  # d alpha / d gain_amp
     d_phase = -1j * alpha  # d alpha / d gain_phase
 
     def outer(bg: np.ndarray, dk: np.ndarray) -> np.ndarray:
-        return bg[:, None] * (dk[None, :] * x)
+        return bg[:, None] * (dk[None, :] * pilots)
 
     e00 = outer(b, d)  # the gain-free mean
     e_a = outer(bd, d)  # aoa direction
@@ -153,6 +154,17 @@ def model_derivatives(
         for j in range(i + 1, N_PARAMS):
             second[j, i] = second[i, j]
     return ModelDerivatives(first=first, second=second)
+
+
+def model_derivatives(
+    theta: ChannelParams,
+    cfg: SystemConfig,
+    block: PilotBlock,
+    coupling: tuple = (),
+) -> ModelDerivatives:
+    """Derivatives of the clean-model mean: rows W C~, pilots x."""
+    ctilde = mc_matrix(coupling, None, cfg.n_antennas)
+    return link_derivatives(theta, cfg, block.combiners, ctilde, block.symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +271,8 @@ def scalar_bounds(fim: np.ndarray, crb: np.ndarray | None) -> ScalarBounds:
     return ScalarBounds(aeb_rad=aeb, deb_s=deb, peb_m=peb)
 
 
-def crb_m2_report(
-    theta: ChannelParams,
-    cfg: SystemConfig,
-    sigma_n: float,
-    block: PilotBlock | None = None,
-    coupling: tuple = (),
-) -> BoundsReport:
-    """Analytic clean-model CRB report at theta."""
-    fim = fim_theta(theta, cfg, sigma_n, block, coupling)
+def _crb_report(fim: np.ndarray, theta: ChannelParams) -> BoundsReport:
+    """Matched-bound report from a channel-coordinate FIM at theta."""
     try:
         crb = crb_state(fim, jacobian_state(theta))
     except NumericError:
@@ -278,24 +283,19 @@ def crb_m2_report(
     )
 
 
+def crb_m2_report(
+    theta: ChannelParams,
+    cfg: SystemConfig,
+    sigma_n: float,
+    block: PilotBlock | None = None,
+    coupling: tuple = (),
+) -> BoundsReport:
+    """Analytic clean-model CRB report at theta."""
+    return _crb_report(fim_theta(theta, cfg, sigma_n, block, coupling), theta)
+
+
 # ---------------------------------------------------------------------------
-# numeric CRB of the impaired model
-
-
-def _fd_steps(theta: ChannelParams, fd_step: float) -> np.ndarray:
-    """Per-component central-difference steps: relative for the scaled
-    components (delay, amplitude), absolute-capped for the angles."""
-    t = theta.as_array()
-    if t[1] <= 0 or t[2] <= 0:
-        raise ValueError("delay and gain amplitude must be positive to differentiate")
-    return np.array(
-        [
-            fd_step * max(abs(t[0]), 1.0),
-            fd_step * abs(t[1]),
-            fd_step * abs(t[2]),
-            fd_step * max(abs(t[3]), 1.0),
-        ]
-    )
+# CRB of the impaired model
 
 
 def fim_m1_numeric(
@@ -305,20 +305,22 @@ def fim_m1_numeric(
     imp: ImpairmentConfig,
     real: ImpairmentRealization,
     sigma_n: float,
-    fd_step: float = 1e-6,
 ) -> np.ndarray:
-    """Impaired-model Fisher information by central differences of its mean."""
-    steps = _fd_steps(theta, fd_step)
-    base = theta.as_array()
-    first = np.empty((N_PARAMS, cfg.n_transmissions, cfg.n_subcarriers), dtype=complex)
-    for i in range(N_PARAMS):
-        tp, tm = base.copy(), base.copy()
-        tp[i] += steps[i]
-        tm[i] -= steps[i]
-        mp = mu_m1(ChannelParams.from_array(tp), cfg, block, imp, real)
-        mm = mu_m1(ChannelParams.from_array(tm), cfg, block, imp, real)
-        first[i] = (mp - mm) / (2.0 * steps[i])
-    return fim_from_first_derivatives(first, sigma_n)
+    """Impaired-model Fisher information in channel coordinates, (4, 4).
+
+    The impaired mean is M_g v_g(theta) per transmission, with M_g the
+    phase-noise/CFO sandwich. M_g is unitary and does not depend on theta,
+    so <M_g dv_i, M_g dv_j> = <dv_i, dv_j>: the information is the clean
+    closed form with rows W C_full and the PA-distorted pilots, and the
+    sandwich is never built. The delay must be positive, as for the
+    position-domain bound built on top.
+    """
+    if theta.delay <= 0:
+        raise ValueError("delay must be positive")
+    c_full = mc_matrix(imp.coupling, real.mc_residual, cfg.n_antennas)
+    pilots = transmit_pilots(block, imp, cfg)
+    derivs = link_derivatives(theta, cfg, block.combiners, c_full, pilots)
+    return fim_from_first_derivatives(derivs.first, sigma_n)
 
 
 def crb_m1_numeric(
@@ -328,18 +330,10 @@ def crb_m1_numeric(
     imp: ImpairmentConfig,
     real: ImpairmentRealization,
     sigma_n: float,
-    fd_step: float = 1e-6,
 ) -> BoundsReport:
-    """Numeric impaired-model CRB report at theta (one realization)."""
-    fim = fim_m1_numeric(theta, cfg, block, imp, real, sigma_n, fd_step)
-    try:
-        crb = crb_state(fim, jacobian_state(theta))
-    except NumericError:
-        crb = None
-    sc = scalar_bounds(fim, crb)
-    return BoundsReport(
-        fim=fim, crb=crb, aeb_rad=sc.aeb_rad, deb_s=sc.deb_s, peb_m=sc.peb_m
-    )
+    """Impaired-model CRB report at theta (one realization), from the
+    closed-form :func:`fim_m1_numeric`."""
+    return _crb_report(fim_m1_numeric(theta, cfg, block, imp, real, sigma_n), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +351,21 @@ def pseudo_true(
     imp: ImpairmentConfig,
     real: ImpairmentRealization,
     est: EstimatorConfig | None = None,
+    ybar: np.ndarray | None = None,
 ) -> ChannelParams:
     """Parameter the mismatched receiver converges to without noise.
 
     Minimizes the clean-model projection objective against the noise-free
-    impaired mean, descending from the true parameter (the mismatch offsets
-    are small, so the global basin is the local one). The gain pair comes
-    from the plug-in estimate at the refined position; its phase is
-    unwrapped to the branch nearest the true phase so downstream bias terms
-    stay wrap-free.
+    impaired mean ybar (built from theta_bar when not given), descending
+    from the true parameter (the mismatch offsets are small, so the global
+    basin is the local one). The gain pair comes from the plug-in estimate
+    at the refined position; its phase is unwrapped to the branch nearest
+    the true phase so downstream bias terms stay wrap-free.
     """
     if est is None:
         est = EstimatorConfig(max_iterations=1000)
-    ybar = mu_m1(theta_bar, cfg, block, imp, real)
+    if ybar is None:
+        ybar = mu_m1(theta_bar, cfg, block, imp, real)
     model = ProjectionModel.clean(cfg, block, coupling=imp.coupling)
     p_bar = params_to_state(theta_bar).position
     p0, _, _, _ = refine(ybar, model, p_bar, est)
@@ -467,9 +463,10 @@ def lb_report(
     caller can form inflation ratios from a single object.
     """
     base = crb_m2_report(theta_bar, cfg, sigma_n, block, imp.coupling)
-    theta0 = pseudo_true(theta_bar, cfg, block, imp, real, est)
+    ybar = mu_m1(theta_bar, cfg, block, imp, real)
+    theta0 = pseudo_true(theta_bar, cfg, block, imp, real, est, ybar)
     derivs = model_derivatives(theta0, cfg, block, imp.coupling)
-    eps = mu_m1(theta_bar, cfg, block, imp, real) - mu_m2(theta0, cfg, block, imp.coupling)
+    eps = ybar - mu_m2(theta0, cfg, block, imp.coupling)
     a_mat = matrix_a(derivs, eps, sigma_n)
     b_mat = matrix_b(derivs, eps, sigma_n)
     mcrb = mismatch_covariance(a_mat, b_mat)

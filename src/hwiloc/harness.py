@@ -210,16 +210,13 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
         n_ok += 1
         for key in samples:
             samples[key].append(_bound_scalar(key[0], key[1], rep, m1_rep))
+    if n_ok == 0:
+        # a failed realization drops every metric at once
+        logger.warning("bounds: no surviving realizations at sweep value %r", value)
+        raise NumericError(f"no surviving realizations at sweep value {value!r}")
     rows: list[ResultRow] = []
     for (family, scalar), vals in samples.items():
         metric = f"{family}_{scalar}"
-        if not vals:
-            logger.warning(
-                "bounds: no surviving realizations for %s at sweep value %r",
-                metric,
-                value,
-            )
-            continue
         arr = np.asarray(vals)
         for stat, v in (("mean", arr.mean()), ("min", arr.min()), ("max", arr.max())):
             rows.append(
@@ -266,11 +263,12 @@ def _trials_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
                 logger.warning(
                     "trials: sweep value %r trial %d %s did not converge", value, t, m
                 )
+    empty = ", ".join(m for m in metrics if not squared[m])
+    if empty:
+        logger.warning("trials: no converged trials for %s at %r", empty, value)
+        raise NumericError(f"no converged trials for {empty} at sweep value {value!r}")
     rows: list[ResultRow] = []
     for m in metrics:
-        if not squared[m]:
-            logger.warning("trials: no converged trials for %s at %r", m, value)
-            continue
         rows.append(
             ResultRow(
                 sweep_value=float(value),

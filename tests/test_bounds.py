@@ -3,12 +3,16 @@
 Derivative oracles are central finite differences: first derivatives are
 checked against differences of the model mean, second derivatives against
 differences of the analytic first derivatives (differencing the mean twice
-loses too many digits to roundoff). The single-sample information matrix is
-checked against a hand-expanded closed form. Mismatch machinery is checked
+loses too many digits to roundoff). The closed-form impaired information
+matrix is checked against central differences of the impaired mean. The
+single-sample information matrix is checked against a hand-expanded closed
+form. Mismatch machinery is checked
 through its exact degenerate limits: with no impairments the pseudo-true
 parameter is the true one, A and B collapse to -I and +I, and every
 misspecified bound equals its matched counterpart.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -48,7 +52,7 @@ from hwiloc.model import (
     params_to_state,
     state_to_params,
 )
-from hwiloc.observation import mu_m1, mu_m2
+from hwiloc.observation import mu_m1, mu_m2, transmit_pilots
 
 SMALL = SystemConfig(n_antennas=5, n_transmissions=3, n_subcarriers=8, cp_length=2)
 DESK = SystemConfig(n_antennas=10, n_transmissions=5, n_subcarriers=32, cp_length=7)
@@ -312,12 +316,28 @@ def test_scalar_bounds_degenerate_inputs():
 
 
 # ---------------------------------------------------------------------------
-# numeric information matrix of the impaired chain
+# closed-form information matrix of the impaired chain
 
 
 def _normalized_gap(fim_a: np.ndarray, fim_b: np.ndarray) -> float:
     d = np.sqrt(np.diag(fim_b))
     return float(np.max(np.abs(fim_a - fim_b) / np.outer(d, d)))
+
+
+def fd_fim_m1(theta, cfg, block, imp, real, sigma_n, step=1e-6):
+    """Oracle: impaired-model FIM from central differences of mu_m1, which
+    builds the phase-noise/CFO sandwich the closed form leaves out."""
+    t = theta.as_array()
+    first = []
+    for i in range(4):
+        h = component_step(t, i, step)
+        tp, tm = t.copy(), t.copy()
+        tp[i] += h
+        tm[i] -= h
+        mp = mu_m1(ChannelParams.from_array(tp), cfg, block, imp, real)
+        mm = mu_m1(ChannelParams.from_array(tm), cfg, block, imp, real)
+        first.append((mp - mm) / (2.0 * h))
+    return fim_from_first_derivatives(np.stack(first), sigma_n)
 
 
 def test_numeric_fim_matches_analytic_without_impairments():
@@ -337,9 +357,53 @@ def test_numeric_fim_step_stability():
     sigma = noise_std(DESK)
     imp = ImpairmentConfig()
     real = sample_realization(imp, DESK, np.random.default_rng(12))
-    f1 = fim_m1_numeric(theta, DESK, block, imp, real, sigma, fd_step=1e-6)
-    f2 = fim_m1_numeric(theta, DESK, block, imp, real, sigma, fd_step=5e-7)
-    assert _normalized_gap(f1, f2) < 1e-5
+    closed = fim_m1_numeric(theta, DESK, block, imp, real, sigma)
+    for step in (1e-6, 5e-7):
+        oracle = fd_fim_m1(theta, DESK, block, imp, real, sigma, step)
+        assert _normalized_gap(closed, oracle) < 1e-5
+
+
+def test_numeric_fim_matches_oracle_with_all_impairments():
+    cfg = replace(DESK, tx_power_dbm=30.0)
+    block = PilotBlock.from_config(cfg)
+    theta = geometric_params(np.array([3.0, 2.0]), 0.3, cfg)
+    sigma = noise_std(cfg)
+    imp = ImpairmentConfig()
+    real = sample_realization(imp, cfg, np.random.default_rng(5))
+    # every impairment is active: nonlinear PA, phase noise, CFO, residual
+    assert not imp.pa_is_linear
+    assert np.abs(transmit_pilots(block, imp, cfg) - block.symbols).max() > 1e-3
+    assert np.abs(real.pn_phases).max() > 0 and real.cfo != 0
+    assert np.abs(real.mc_residual).max() > 0
+    closed = fim_m1_numeric(theta, cfg, block, imp, real, sigma)
+    oracle = fd_fim_m1(theta, cfg, block, imp, real, sigma)
+    assert _normalized_gap(closed, oracle) < 1e-6
+
+
+def test_impaired_fim_invariant_under_phase_rotations():
+    """Phase noise and CFO enter as a unitary, theta-free rotation per
+    transmission, so they move the impaired mean but not its information."""
+    block = PilotBlock.from_config(DESK)
+    theta = geometric_params(np.array([3.0, 2.0]), 0.3, DESK)
+    sigma = noise_std(DESK)
+    imp = ImpairmentConfig()
+    real = sample_realization(imp, DESK, np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    rotated = replace(
+        real,
+        pn_phases=rng.normal(0.0, 0.5, real.pn_phases.shape),
+        cfo=real.cfo + 0.2,
+    )
+    mean = mu_m1(theta, DESK, block, imp, real)
+    moved = mu_m1(theta, DESK, block, imp, rotated)
+    assert np.linalg.norm(moved - mean) > 0.1 * np.linalg.norm(mean)
+    npt.assert_array_equal(
+        fim_m1_numeric(theta, DESK, block, imp, rotated, sigma),
+        fim_m1_numeric(theta, DESK, block, imp, real, sigma),
+    )
+    oracle = fd_fim_m1(theta, DESK, block, imp, real, sigma)
+    oracle_rotated = fd_fim_m1(theta, DESK, block, imp, rotated, sigma)
+    assert _normalized_gap(oracle_rotated, oracle) < 1e-6
 
 
 def test_numeric_fim_rejects_zero_delay():

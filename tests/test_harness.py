@@ -1,5 +1,7 @@
 """Tests for configuration handling, the sweep harness and the CLI."""
 
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -312,6 +314,16 @@ def test_estimator_trials_schema_and_determinism():
     assert rows_to_csv(run_estimator_trials(spec)) == rows_to_csv(rows)
 
 
+def test_estimator_trials_without_converged_trials_raise(monkeypatch):
+    def boom(*args, **kwargs):
+        raise NumericError("synthetic failure")
+
+    monkeypatch.setattr("hwiloc.harness.mmle_m2", boom)
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    with pytest.raises(NumericError, match="no converged trials for mmle_rmse"):
+        run_estimator_trials(desk_spec(outputs="mmle_rmse,mle_m1_rmse"))
+
+
 def test_estimator_trials_require_estimator_outputs():
     with pytest.raises(ConfigError, match="estimator metric"):
         run_estimator_trials(desk_spec(outputs="crb_m2,peb"))
@@ -402,6 +414,20 @@ def test_cli_numeric_failure_exits_2(tmp_path, monkeypatch, capsys):
     cfg = _write_cfg(tmp_path)
     assert main(["bounds", "--config", cfg]) == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_no_surviving_realizations_exits_2(tmp_path, monkeypatch, capsys):
+    # infinite phase-noise spread makes every realization fail numerically
+    desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+    keys = parse_config_text(desk.read_text(encoding="utf-8"))
+    keys.update(sigma_pn_deg="inf", n_realizations="3", sweep_values="0,10")
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in keys.items()), encoding="utf-8")
+    out = tmp_path / "r.csv"
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "no surviving realizations" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_negative_seed(tmp_path, capsys):
