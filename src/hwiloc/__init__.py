@@ -7,194 +7,70 @@ mismatched maximum-likelihood position estimators against it, and computes
 the corresponding theoretical bounds: the Cramer-Rao bound of either
 model and the misspecified bound of the clean-model estimator on impaired
 data. A CLI drives seeded sweeps and Monte-Carlo trials to CSV.
+
+Both receiver chains are one link model, :class:`ProjectionModel`; the
+estimators and bounds take it. The submodules hold the lower-level pieces.
 """
 
-from .bounds import (
-    BoundsReport,
-    ModelDerivatives,
-    ScalarBounds,
-    bias_vector,
-    crb_m1_numeric,
-    crb_m2_report,
-    crb_state,
-    fim_m1_numeric,
-    fim_theta,
-    jacobian_state,
-    lb_matrix,
-    lb_position,
-    lb_report,
-    matrix_a,
-    matrix_b,
-    mismatch_covariance,
-    model_derivatives,
-    pseudo_true,
-    scalar_bounds,
-)
+from .bounds import BoundsReport, crb_m1_numeric, crb_m2_report, fim, lb_report, pseudo_true
 from .config_io import (
-    BOUND_FAMILIES,
-    BOUND_SCALARS,
-    ESTIMATOR_METRICS,
-    OUTPUT_TOKENS,
     SWEEP_AXES,
     ExperimentSpec,
     load_spec,
     parse_config_text,
-    read_config,
     resolve_spec,
     spec_to_text,
 )
-from .estimation import (
-    Estimate,
-    EstimatorConfig,
-    NumericError,
-    ProjectionModel,
-    grid_search,
-    mle_m1,
-    mmle_m2,
-    plug_in_gain,
-    projection_objective,
-    refine,
-    scan_ranges,
-)
-from .harness import (
-    CSV_HEADER,
-    ResultRow,
-    apply_sweep_value,
-    metric_units,
-    rows_to_csv,
-    run_bounds_sweep,
-    run_estimator_trials,
-    sort_rows,
-    write_csv,
-)
-from .impairments import (
-    MEASURED_COUPLING,
-    MEASURED_PA_COEFFS,
-    ImpairmentConfig,
-    ImpairmentRealization,
-    cfo_matrix,
-    mc_matrix,
-    pa_apply,
-    pn_matrix,
-    sample_realization,
-)
+from .estimation import Estimate, EstimatorConfig, NumericError, mle_m1, mmle_m2
+from .harness import rows_to_csv, run_bounds_sweep, run_estimator_trials
+from .impairments import ImpairmentConfig, ImpairmentRealization, sample_realization
 from .model import (
     SPEED_OF_LIGHT,
     ChannelParams,
     ConfigError,
     PilotBlock,
     SystemConfig,
-    UeState,
-    delay_vector,
-    dft_matrix,
-    gain_from_geometry,
-    generate_combiners,
-    generate_pilots,
     geometric_params,
     noise_std,
-    params_to_state,
-    state_to_params,
-    steering_derivatives,
-    steering_vector,
 )
-from .observation import (
-    ObservationSet,
-    eta_m1,
-    eta_m2,
-    mu_m1,
-    mu_m2,
-    observe,
-    sandwich_matrices,
-    transmit_pilots,
-)
+from .observation import ProjectionModel, mu_m1, observe
 from .validation import validate_build
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUND_FAMILIES",
-    "BOUND_SCALARS",
     "BoundsReport",
-    "CSV_HEADER",
     "ChannelParams",
     "ConfigError",
-    "ESTIMATOR_METRICS",
     "Estimate",
     "EstimatorConfig",
     "ExperimentSpec",
     "ImpairmentConfig",
     "ImpairmentRealization",
-    "ModelDerivatives",
     "NumericError",
-    "OUTPUT_TOKENS",
-    "ObservationSet",
     "PilotBlock",
     "ProjectionModel",
-    "ResultRow",
     "SPEED_OF_LIGHT",
     "SWEEP_AXES",
-    "ScalarBounds",
     "SystemConfig",
-    "MEASURED_COUPLING",
-    "MEASURED_PA_COEFFS",
-    "UeState",
-    "apply_sweep_value",
-    "bias_vector",
-    "cfo_matrix",
     "crb_m1_numeric",
     "crb_m2_report",
-    "crb_state",
-    "delay_vector",
-    "dft_matrix",
-    "eta_m1",
-    "eta_m2",
-    "fim_m1_numeric",
-    "fim_theta",
-    "gain_from_geometry",
-    "generate_combiners",
-    "generate_pilots",
+    "fim",
     "geometric_params",
-    "grid_search",
-    "jacobian_state",
-    "lb_matrix",
-    "lb_position",
     "lb_report",
     "load_spec",
-    "matrix_a",
-    "matrix_b",
-    "mc_matrix",
-    "metric_units",
-    "mismatch_covariance",
     "mle_m1",
     "mmle_m2",
-    "model_derivatives",
     "mu_m1",
-    "mu_m2",
     "noise_std",
     "observe",
-    "pa_apply",
-    "params_to_state",
     "parse_config_text",
-    "plug_in_gain",
-    "pn_matrix",
-    "projection_objective",
     "pseudo_true",
-    "read_config",
-    "refine",
     "resolve_spec",
     "rows_to_csv",
     "run_bounds_sweep",
     "run_estimator_trials",
     "sample_realization",
-    "sandwich_matrices",
-    "scalar_bounds",
-    "scan_ranges",
-    "sort_rows",
     "spec_to_text",
-    "state_to_params",
-    "steering_derivatives",
-    "steering_vector",
-    "transmit_pilots",
     "validate_build",
-    "write_csv",
 ]

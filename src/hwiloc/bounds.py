@@ -15,6 +15,9 @@ Three bound families are computed for the uplink localization problem:
   parameter, and its covariance about the true parameter is bounded by
   A^-1 B A^-1 plus the squared pseudo-true bias.
 
+Every bound takes the link models (:class:`ProjectionModel`) it needs,
+built once per pilot block and realization by the caller.
+
 Parameters are ordered theta = [aoa, delay, gain_amp, gain_phase]
 throughout; positional bounds use the state s = [p_x, p_y, gain_amp,
 gain_phase] through the chain-rule Jacobian d theta / d s.
@@ -27,25 +30,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import EstimatorConfig, NumericError, ProjectionModel, plug_in_gain, refine
-from .impairments import ImpairmentConfig, ImpairmentRealization, mc_matrix
+from .estimation import EstimatorConfig, NumericError, plug_in_gain, refine
 from .model import (
     SPEED_OF_LIGHT,
     ChannelParams,
-    PilotBlock,
-    SystemConfig,
     params_to_state,
     steering_derivatives,
     steering_vector,
 )
-from .observation import mu_m1, mu_m2, transmit_pilots
+from .observation import ProjectionModel
 
 N_PARAMS = 4
 
 
 @dataclass
 class ModelDerivatives:
-    """Closed-form derivatives of the clean-model mean at one parameter point.
+    """Closed-form derivatives of a link mean at one parameter point.
 
     first[i] is d mu / d theta_i, second[i, j] the symmetric second
     derivative, both as (G, K) arrays.
@@ -89,34 +89,31 @@ class BoundsReport:
 # closed-form derivatives of the link mean
 
 
-def link_derivatives(
-    theta: ChannelParams,
-    cfg: SystemConfig,
-    combiners: np.ndarray,
-    coupling_mat: np.ndarray,
-    pilots: np.ndarray,
-) -> ModelDerivatives:
-    """All first and second derivatives of a phase-rotation-free link mean.
+def model_derivatives(theta: ChannelParams, model: ProjectionModel) -> ModelDerivatives:
+    """All first and second derivatives of the link mean before its sandwich.
 
     The mean factorizes per sample as alpha * b_g(aoa) * d_k(delay) *
-    x_{g,k} with row gains b_g = w_g^T C a(aoa), so every derivative is an
+    x~_{g,k} with row gains b_g = w_g^T C a(aoa), so every derivative is an
     outer product of per-transmission scalars, per-subcarrier phasors and
-    the pilot symbols. The rows W C come as their two factors and are
-    applied right to left, rounding as the mean builders do. Gain
-    derivatives use alpha = gain_amp * exp(-1j*gain_phase): d alpha/d amp =
-    exp(-1j*phase), d alpha/d phase = -1j*alpha, and the amp-amp second
-    derivative vanishes.
+    the effective pilots. For the clean model these are the derivatives of
+    its mean; the impaired mean is M_g times this one, with M_g unitary and
+    theta-free. Rows are applied as W (C a), rounding as the mean does.
+    Gain derivatives use alpha = gain_amp * exp(-1j*gain_phase): d alpha/d
+    amp = exp(-1j*phase), d alpha/d phase = -1j*alpha, and the amp-amp
+    second derivative vanishes.
     """
     if theta.delay < 0:
         raise ValueError("delay must be non-negative")
-    a = steering_vector(theta.aoa, cfg.n_antennas)
-    da, dda = steering_derivatives(theta.aoa, cfg.n_antennas)
+    combiners, coupling_mat, pilots = model.combiners, model.coupling, model.eff_pilots
+    n_antennas = coupling_mat.shape[0]
+    a = steering_vector(theta.aoa, n_antennas)
+    da, dda = steering_derivatives(theta.aoa, n_antennas)
     b = combiners @ (coupling_mat @ a)  # (G,)
     bd = combiners @ (coupling_mat @ da)
     bdd = combiners @ (coupling_mat @ dda)
 
-    k = np.arange(1, cfg.n_subcarriers + 1)
-    ring = -2j * np.pi * k * cfg.subcarrier_spacing_hz  # d/d delay phase factors
+    k = np.arange(1, model.cfg.n_subcarriers + 1)
+    ring = -2j * np.pi * k * model.cfg.subcarrier_spacing_hz  # d/d delay phase factors
     d = np.exp(ring * theta.delay)
     dd = ring * d
     ddd = ring**2 * d
@@ -156,17 +153,6 @@ def link_derivatives(
     return ModelDerivatives(first=first, second=second)
 
 
-def model_derivatives(
-    theta: ChannelParams,
-    cfg: SystemConfig,
-    block: PilotBlock,
-    coupling: tuple = (),
-) -> ModelDerivatives:
-    """Derivatives of the clean-model mean: rows W C~, pilots x."""
-    ctilde = mc_matrix(coupling, None, cfg.n_antennas)
-    return link_derivatives(theta, cfg, block.combiners, ctilde, block.symbols)
-
-
 # ---------------------------------------------------------------------------
 # information matrices and the CRB
 
@@ -180,34 +166,25 @@ def fim_from_first_derivatives(first: np.ndarray, sigma_n: float) -> np.ndarray:
     return (2.0 / sigma_n**2) * gram.real
 
 
-def fim_theta(
-    theta: ChannelParams,
-    cfg: SystemConfig,
-    sigma_n: float,
-    block: PilotBlock | None = None,
-    coupling: tuple = (),
-) -> np.ndarray:
-    """Clean-model Fisher information in channel coordinates, (4, 4).
+def fim(theta: ChannelParams, model: ProjectionModel, sigma_n: float) -> np.ndarray:
+    """Fisher information of a link model in channel coordinates, (4, 4).
 
-    Singular matrices are legitimate (e.g. a single antenna carries no
-    angle information) and are returned as-is.
+    The impaired mean is M_g v_g(theta) per transmission, with M_g the
+    phase-noise/CFO sandwich. M_g is unitary and does not depend on theta,
+    so <M_g dv_i, M_g dv_j> = <dv_i, dv_j>: the derivatives of v_g give the
+    information of either chain, and the sandwich is never built. Singular
+    matrices are legitimate (e.g. a single antenna carries no angle
+    information) and are returned as-is.
     """
-    if block is None:
-        block = PilotBlock.from_config(cfg)
-    derivs = model_derivatives(theta, cfg, block, coupling)
-    return fim_from_first_derivatives(derivs.first, sigma_n)
+    return fim_from_first_derivatives(model_derivatives(theta, model).first, sigma_n)
 
 
-def jacobian_state(theta: ChannelParams, dimension_corrected: bool = True) -> np.ndarray:
+def jacobian_state(theta: ChannelParams) -> np.ndarray:
     """Chain-rule Jacobian J[i, j] = d theta_i / d s_j, (4, 4).
 
     With p = c*delay*(cos aoa, sin aoa):
         d aoa / d p   = (-sin aoa, cos aoa) / (c*delay)
         d delay / d p = (cos aoa, sin aoa) / c
-    dimension_corrected=False keeps the delay row as the dimensionless
-    (cos aoa, sin aoa) variant for auditing against older conventions; the
-    corrected form is the one consistent with finite differences of the
-    position-to-channel map.
     """
     if theta.delay <= 0:
         raise ValueError("delay must be positive")
@@ -216,20 +193,16 @@ def jacobian_state(theta: ChannelParams, dimension_corrected: bool = True) -> np
     jac = np.zeros((N_PARAMS, N_PARAMS))
     jac[0, 0] = -sa / (c * tau)
     jac[0, 1] = ca / (c * tau)
-    if dimension_corrected:
-        jac[1, 0] = ca / c
-        jac[1, 1] = sa / c
-    else:
-        jac[1, 0] = ca
-        jac[1, 1] = sa
+    jac[1, 0] = ca / c
+    jac[1, 1] = sa / c
     jac[2, 2] = 1.0
     jac[3, 3] = 1.0
     return jac
 
 
-def crb_state(fim: np.ndarray, jac: np.ndarray) -> np.ndarray:
+def crb_state(info: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """CRB in state coordinates: inv(J^T I J). Raises on singularity."""
-    info_s = jac.T @ fim @ jac
+    info_s = jac.T @ info @ jac
     try:
         return np.linalg.inv(info_s)
     except np.linalg.LinAlgError as exc:
@@ -238,102 +211,53 @@ def crb_state(fim: np.ndarray, jac: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-@dataclass
-class ScalarBounds:
-    """Root bounds on angle (rad), delay (s) and position (m)."""
-
-    aeb_rad: float
-    deb_s: float
-    peb_m: float
-
-    @property
-    def aeb_deg(self) -> float:
-        return float(np.rad2deg(self.aeb_rad))
-
-    @property
-    def deb_m(self) -> float:
-        return float(self.deb_s * SPEED_OF_LIGHT)
-
-
-def scalar_bounds(fim: np.ndarray, crb: np.ndarray | None) -> ScalarBounds:
-    """AEB/DEB from the channel-coordinate bound, PEB from the state one.
+def scalar_bounds(info: np.ndarray, crb: np.ndarray | None) -> tuple[float, float, float]:
+    """Root bounds (aeb rad, deb s, peb m): AEB/DEB from the
+    channel-coordinate bound, PEB from the state one.
 
     A singular information matrix means some component is unidentifiable;
     the affected scalars come out infinite rather than raising.
     """
     try:
-        cov = np.linalg.inv(fim)
+        cov = np.linalg.inv(info)
         aeb = float(np.sqrt(cov[0, 0]))
         deb = float(np.sqrt(cov[1, 1]))
     except np.linalg.LinAlgError:
         aeb = deb = np.inf
     peb = float(np.sqrt(np.trace(crb[:2, :2]))) if crb is not None else np.inf
-    return ScalarBounds(aeb_rad=aeb, deb_s=deb, peb_m=peb)
+    return aeb, deb, peb
 
 
-def _crb_report(fim: np.ndarray, theta: ChannelParams) -> BoundsReport:
+def _crb_report(info: np.ndarray, theta: ChannelParams) -> BoundsReport:
     """Matched-bound report from a channel-coordinate FIM at theta."""
     try:
-        crb = crb_state(fim, jacobian_state(theta))
+        crb = crb_state(info, jacobian_state(theta))
     except NumericError:
         crb = None
-    sc = scalar_bounds(fim, crb)
-    return BoundsReport(
-        fim=fim, crb=crb, aeb_rad=sc.aeb_rad, deb_s=sc.deb_s, peb_m=sc.peb_m
-    )
+    return BoundsReport(info, crb, *scalar_bounds(info, crb))
 
 
-def crb_m2_report(
-    theta: ChannelParams,
-    cfg: SystemConfig,
-    sigma_n: float,
-    block: PilotBlock | None = None,
-    coupling: tuple = (),
-) -> BoundsReport:
+def crb_m2_report(theta: ChannelParams, clean: ProjectionModel, sigma_n: float) -> BoundsReport:
     """Analytic clean-model CRB report at theta."""
-    return _crb_report(fim_theta(theta, cfg, sigma_n, block, coupling), theta)
+    return _crb_report(fim(theta, clean, sigma_n), theta)
 
 
 # ---------------------------------------------------------------------------
 # CRB of the impaired model
 
 
-def fim_m1_numeric(
-    theta: ChannelParams,
-    cfg: SystemConfig,
-    block: PilotBlock,
-    imp: ImpairmentConfig,
-    real: ImpairmentRealization,
-    sigma_n: float,
-) -> np.ndarray:
-    """Impaired-model Fisher information in channel coordinates, (4, 4).
-
-    The impaired mean is M_g v_g(theta) per transmission, with M_g the
-    phase-noise/CFO sandwich. M_g is unitary and does not depend on theta,
-    so <M_g dv_i, M_g dv_j> = <dv_i, dv_j>: the information is the clean
-    closed form with rows W C_full and the PA-distorted pilots, and the
-    sandwich is never built. The delay must be positive, as for the
-    position-domain bound built on top.
-    """
+def fim_m1_numeric(theta: ChannelParams, impaired: ProjectionModel, sigma_n: float) -> np.ndarray:
+    """Impaired-model Fisher information, (4, 4): the closed form of
+    :func:`fim` with rows W C_full and the PA-distorted pilots. The delay
+    must be positive, as for the position-domain bound built on top."""
     if theta.delay <= 0:
         raise ValueError("delay must be positive")
-    c_full = mc_matrix(imp.coupling, real.mc_residual, cfg.n_antennas)
-    pilots = transmit_pilots(block, imp, cfg)
-    derivs = link_derivatives(theta, cfg, block.combiners, c_full, pilots)
-    return fim_from_first_derivatives(derivs.first, sigma_n)
+    return fim(theta, impaired, sigma_n)
 
 
-def crb_m1_numeric(
-    theta: ChannelParams,
-    cfg: SystemConfig,
-    block: PilotBlock,
-    imp: ImpairmentConfig,
-    real: ImpairmentRealization,
-    sigma_n: float,
-) -> BoundsReport:
-    """Impaired-model CRB report at theta (one realization), from the
-    closed-form :func:`fim_m1_numeric`."""
-    return _crb_report(fim_m1_numeric(theta, cfg, block, imp, real, sigma_n), theta)
+def crb_m1_numeric(theta: ChannelParams, impaired: ProjectionModel, sigma_n: float) -> BoundsReport:
+    """Impaired-model CRB report at theta (one realization)."""
+    return _crb_report(fim_m1_numeric(theta, impaired, sigma_n), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -346,32 +270,26 @@ def _wrap_phase(x: float) -> float:
 
 def pseudo_true(
     theta_bar: ChannelParams,
-    cfg: SystemConfig,
-    block: PilotBlock,
-    imp: ImpairmentConfig,
-    real: ImpairmentRealization,
+    clean: ProjectionModel,
+    ybar: np.ndarray,
     est: EstimatorConfig | None = None,
-    ybar: np.ndarray | None = None,
 ) -> ChannelParams:
     """Parameter the mismatched receiver converges to without noise.
 
-    Minimizes the clean-model projection objective against the noise-free
-    impaired mean ybar (built from theta_bar when not given), descending
-    from the true parameter (the mismatch offsets are small, so the global
-    basin is the local one). The gain pair comes from the plug-in estimate
-    at the refined position; its phase is unwrapped to the branch nearest
-    the true phase so downstream bias terms stay wrap-free.
+    Minimizes the clean model's projection objective against the noise-free
+    impaired mean ybar at theta_bar, descending from the true parameter
+    (the mismatch offsets are small, so the global basin is the local one).
+    The gain pair comes from the plug-in estimate at the refined position;
+    its phase is unwrapped to the branch nearest the true phase so
+    downstream bias terms stay wrap-free.
     """
     if est is None:
         est = EstimatorConfig(max_iterations=1000)
-    if ybar is None:
-        ybar = mu_m1(theta_bar, cfg, block, imp, real)
-    model = ProjectionModel.clean(cfg, block, coupling=imp.coupling)
     p_bar = params_to_state(theta_bar).position
-    p0, _, _, _ = refine(ybar, model, p_bar, est)
+    p0, _, _, _ = refine(ybar, clean, p_bar, est)
     aoa = float(np.arctan2(p0[1], p0[0]))
     delay = float(np.hypot(p0[0], p0[1])) / SPEED_OF_LIGHT
-    alpha = plug_in_gain(ybar, model.eta(aoa, delay))
+    alpha = plug_in_gain(ybar, clean.eta(aoa, delay))
     phase = theta_bar.gain_phase + _wrap_phase(-np.angle(alpha) - theta_bar.gain_phase)
     return ChannelParams(aoa=aoa, delay=delay, gain_amp=abs(alpha), gain_phase=float(phase))
 
@@ -450,23 +368,22 @@ def lb_position(
 
 def lb_report(
     theta_bar: ChannelParams,
-    cfg: SystemConfig,
-    block: PilotBlock,
-    imp: ImpairmentConfig,
-    real: ImpairmentRealization,
+    clean: ProjectionModel,
+    impaired: ProjectionModel,
     sigma_n: float,
     est: EstimatorConfig | None = None,
 ) -> BoundsReport:
     """Full misspecified-bound report for one impairment realization.
 
+    The data follow the impaired model, the receiver fits the clean one.
     Also carries the clean-model CRB evaluated at the true parameter so the
     caller can form inflation ratios from a single object.
     """
-    base = crb_m2_report(theta_bar, cfg, sigma_n, block, imp.coupling)
-    ybar = mu_m1(theta_bar, cfg, block, imp, real)
-    theta0 = pseudo_true(theta_bar, cfg, block, imp, real, est, ybar)
-    derivs = model_derivatives(theta0, cfg, block, imp.coupling)
-    eps = ybar - mu_m2(theta0, cfg, block, imp.coupling)
+    base = crb_m2_report(theta_bar, clean, sigma_n)
+    ybar = impaired.mean(theta_bar)
+    theta0 = pseudo_true(theta_bar, clean, ybar, est)
+    derivs = model_derivatives(theta0, clean)
+    eps = ybar - clean.mean(theta0)
     a_mat = matrix_a(derivs, eps, sigma_n)
     b_mat = matrix_b(derivs, eps, sigma_n)
     mcrb = mismatch_covariance(a_mat, b_mat)

@@ -26,7 +26,7 @@ for the chosen axis is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -114,6 +114,8 @@ class ExperimentSpec:
         self.outputs = tuple(self.outputs)
         if len(self.ue_position) != 2:
             raise ConfigError("ue position must be a 2-vector")
+        if not np.all(np.isfinite(self.ue_position + self.sweep_values + (self.gain_phase,))):
+            raise ConfigError("ue_x, ue_y, gain_phase and sweep_values must be finite")
         if self.ue_position[0] <= 0.0:
             raise ConfigError("ue position must lie in the front half-plane (ue_x > 0)")
         if self.sweep_axis not in SWEEP_AXES:
@@ -126,6 +128,9 @@ class ExperimentSpec:
             raise ConfigError("pa sweep values must be 0 or 1")
         if self.sweep_axis.startswith("sigma") and any(v < 0 for v in self.sweep_values):
             raise ConfigError("impairment spread sweep values must be non-negative")
+        if self.sweep_axis == "tx_power_dbm":
+            for v in self.sweep_values:
+                replace(self.system, tx_power_dbm=v)  # checks the pilot amplitude
         if self.n_realizations < 1:
             raise ConfigError("n_realizations must be at least 1")
         if self.n_trials < 1:

@@ -5,33 +5,44 @@ projection objective over position alone:
 
     L(p) = ||y||^2 - |eta(p)^H y|^2 / ||eta(p)||^2
 
-where eta(p) is the gain-free model mean at position p. The matched
-estimator builds eta from the impaired chain (it knows the realization), the
-mismatched estimator from the clean chain. Both minimize L(p) the same way:
-a coarse polar grid, then gradient descent on p with central-difference
-gradients and Armijo backtracking.
+where eta(p) is the gain-free mean of a :class:`ProjectionModel` at
+position p. The matched estimator fits the impaired model (it knows the
+realization), the mismatched estimator the clean one. Both minimize L(p)
+the same way: a coarse polar grid, then gradient descent on p with
+central-difference gradients and Armijo backtracking.
 
-The grid stage exploits the factorization eta_{g,k} = b_g(aoa) d_k(delay)
-x~_{g,k} (after pulling the unitary phase-noise/CFO sandwich onto the
-observation), which makes the objective separable in angle and range and
-lets one pilot block be scanned over the whole grid with three matrix
-products.
+The grid stage uses the model's factorization eta_{g,k} = b_g(aoa)
+d_k(delay) x~_{g,k} (after pulling the unitary phase-noise/CFO sandwich
+onto the observation), which makes the objective separable in angle and
+range and lets one pilot block be scanned over the whole grid with three
+matrix products (:meth:`ProjectionModel.objective_grid`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .impairments import ImpairmentConfig, ImpairmentRealization, mc_matrix
+from .impairments import ImpairmentConfig, ImpairmentRealization
 from .model import (
     SPEED_OF_LIGHT,
     ChannelParams,
     PilotBlock,
     SystemConfig,
 )
-from .observation import sandwich_matrices, transmit_pilots
+from .observation import ProjectionModel
+
+# scanned ranges, metres
+RANGE_MIN_M = 0.5
+RANGE_MAX_M = 30.0
+# descent settings
+FD_STEP = 1e-6  # relative central-difference step
+ARMIJO_SLOPE = 1e-4
+ARMIJO_SHRINK = 0.5
+INITIAL_STEP_M = 0.1
+GRAD_TOLERANCE = 1e-9  # on the gradient of the normalized objective
+STEP_FLOOR_M = 1e-12  # line-search stall threshold
 
 
 class NumericError(RuntimeError):
@@ -40,25 +51,17 @@ class NumericError(RuntimeError):
 
 @dataclass
 class EstimatorConfig:
-    """Grid and descent settings for the projection estimators."""
+    """Grid size and iteration cap of the projection estimators."""
 
     n_grid_angles: int = 181  # angles strictly inside (-pi/2, pi/2)
     n_grid_ranges: int = 60
-    range_min_m: float = 0.5
-    range_max_m: float = 30.0
-    fd_step: float = 1e-6  # relative central-difference step
-    armijo_slope: float = 1e-4
-    armijo_shrink: float = 0.5
-    initial_step_m: float = 0.1
     max_iterations: int = 200
-    grad_tolerance: float = 1e-9  # on the gradient of the normalized objective
-    step_floor_m: float = 1e-12  # line-search stall threshold
 
     def grid_angles(self) -> np.ndarray:
         return np.linspace(-np.pi / 2, np.pi / 2, self.n_grid_angles + 2)[1:-1]
 
     def grid_ranges(self) -> np.ndarray:
-        return np.linspace(self.range_min_m, self.range_max_m, self.n_grid_ranges)
+        return np.linspace(RANGE_MIN_M, RANGE_MAX_M, self.n_grid_ranges)
 
 
 @dataclass
@@ -93,111 +96,6 @@ def plug_in_gain(y: np.ndarray, eta: np.ndarray) -> complex:
     return complex(np.vdot(eta, y) / ee)
 
 
-@dataclass
-class ProjectionModel:
-    """Gain-free model mean in factorized form, ready for grid scans.
-
-    row_matrix holds w_g^T C (one row per transmission), eff_pilots the
-    frequency-domain pilots after any transmit-side distortion, and sandwich
-    the per-transmission unitary phase rotations (None for the clean chain).
-    """
-
-    row_matrix: np.ndarray  # (G, N)
-    eff_pilots: np.ndarray  # (G, K)
-    sandwich: np.ndarray | None  # (G, K, K) unitary slices, or None
-    n_subcarriers: int
-    subcarrier_spacing_hz: float
-    pilot_energies: np.ndarray = field(init=False)  # (G,)
-
-    def __post_init__(self) -> None:
-        self.pilot_energies = np.sum(np.abs(self.eff_pilots) ** 2, axis=1)
-
-    @staticmethod
-    def clean(cfg: SystemConfig, block: PilotBlock, coupling: tuple = ()) -> "ProjectionModel":
-        ctilde = mc_matrix(coupling, None, cfg.n_antennas)
-        return ProjectionModel(
-            row_matrix=block.combiners @ ctilde,
-            eff_pilots=block.symbols.copy(),
-            sandwich=None,
-            n_subcarriers=cfg.n_subcarriers,
-            subcarrier_spacing_hz=cfg.subcarrier_spacing_hz,
-        )
-
-    @staticmethod
-    def impaired(
-        cfg: SystemConfig,
-        block: PilotBlock,
-        imp: ImpairmentConfig,
-        real: ImpairmentRealization,
-    ) -> "ProjectionModel":
-        c_full = mc_matrix(imp.coupling, real.mc_residual, cfg.n_antennas)
-        return ProjectionModel(
-            row_matrix=block.combiners @ c_full,
-            eff_pilots=transmit_pilots(block, imp, cfg),
-            sandwich=sandwich_matrices(real, cfg),
-            n_subcarriers=cfg.n_subcarriers,
-            subcarrier_spacing_hz=cfg.subcarrier_spacing_hz,
-        )
-
-    # -- model mean ---------------------------------------------------------
-
-    def _steering(self, aoas: np.ndarray) -> np.ndarray:
-        n = np.arange(self.row_matrix.shape[1])
-        return np.exp(1j * np.pi * np.outer(n, np.sin(aoas)))  # (N, n_angles)
-
-    def _delay_conj(self, ranges_m: np.ndarray) -> np.ndarray:
-        k = np.arange(1, self.n_subcarriers + 1)
-        tau = np.asarray(ranges_m) / SPEED_OF_LIGHT
-        return np.exp(2j * np.pi * self.subcarrier_spacing_hz * np.outer(k, tau))  # (K, n_r)
-
-    def eta(self, aoa: float, delay: float) -> np.ndarray:
-        """Gain-free mean, (G, K); matches the observation-module builders."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        b = self.row_matrix @ self._steering(np.array([aoa]))[:, 0]
-        d = np.conj(self._delay_conj(np.array([delay * SPEED_OF_LIGHT]))[:, 0])
-        v = b[:, None] * (d[None, :] * self.eff_pilots)
-        if self.sandwich is None:
-            return v
-        return np.einsum("gij,gj->gi", self.sandwich, v)
-
-    # -- objective machinery ------------------------------------------------
-
-    def pulled_observation(self, y: np.ndarray) -> np.ndarray:
-        """Pull the unitary sandwich onto the observation: u_g = M_g^H y_g."""
-        y = np.asarray(y, dtype=complex)
-        if self.sandwich is None:
-            return y
-        return np.einsum("gji,gj->gi", np.conj(self.sandwich), y)
-
-    def objective_grid(
-        self, u: np.ndarray, aoas: np.ndarray, ranges_m: np.ndarray
-    ) -> np.ndarray:
-        """Projection objective on the (angle, range) grid, shape (n_a, n_r).
-
-        u is the pulled observation. Uses the separable structure: the
-        captured energy is |sum_k conj(d_k) z_k(aoa)|^2 / den(aoa) with
-        z(aoa) = sum_g conj(b_g x~_g) u_g and den = sum_g |b_g|^2 ||x~_g||^2.
-        """
-        b = self.row_matrix @ self._steering(aoas)  # (G, n_a)
-        w = np.conj(self.eff_pilots) * u  # (G, K)
-        z = b.conj().T @ w  # (n_a, K)
-        s = z @ self._delay_conj(ranges_m)  # (n_a, n_r)
-        den = (np.abs(b) ** 2).T @ self.pilot_energies  # (n_a,)
-        yy = np.vdot(u, u).real
-        captured = np.zeros_like(s, dtype=float)
-        np.divide(np.abs(s) ** 2, den[:, None], out=captured, where=den[:, None] > 0)
-        return yy - captured
-
-    def objective_at(self, u: np.ndarray, position: np.ndarray) -> float:
-        """Projection objective at one Cartesian position."""
-        px, py = float(position[0]), float(position[1])
-        rng = float(np.hypot(px, py))
-        aoa = float(np.arctan2(py, px))
-        grid = self.objective_grid(u, np.array([aoa]), np.array([rng]))
-        return float(grid[0, 0])
-
-
 def scan_ranges(model: ProjectionModel, est: EstimatorConfig) -> np.ndarray:
     """Grid ranges clipped to one delay-ambiguity period c/df above range_min.
 
@@ -205,8 +103,8 @@ def scan_ranges(model: ProjectionModel, est: EstimatorConfig) -> np.ndarray:
     duplicate basins would shadow the true one during the scan.
     """
     ranges = est.grid_ranges()
-    span = SPEED_OF_LIGHT / model.subcarrier_spacing_hz
-    kept = ranges[ranges < est.range_min_m + span]
+    span = SPEED_OF_LIGHT / model.cfg.subcarrier_spacing_hz
+    kept = ranges[ranges < RANGE_MIN_M + span]
     return kept if kept.size else ranges[:1]
 
 
@@ -237,7 +135,7 @@ def refine(
 
     The objective is normalized by ||y||^2 so the gradient tolerance is
     scale-free. Gradients come from central differences with relative step
-    est.fd_step. Stops when the gradient norm drops below tolerance, when
+    FD_STEP. Stops when the gradient norm drops below tolerance, when
     the line search stalls below the step floor (the numerical minimum), or
     after max_iterations. The objective sequence is non-increasing.
 
@@ -256,13 +154,13 @@ def refine(
     if not np.isfinite(fp):
         raise NumericError("objective is non-finite at the starting point")
 
-    step = est.initial_step_m
+    step = INITIAL_STEP_M
     converged = False
     iters = 0
     for iters in range(1, est.max_iterations + 1):
         grad = np.empty(2)
         for i in range(2):
-            h = est.fd_step * max(abs(p[i]), 1.0)
+            h = FD_STEP * max(abs(p[i]), 1.0)
             pp, pm = p.copy(), p.copy()
             pp[i] += h
             pm[i] -= h
@@ -270,21 +168,21 @@ def refine(
         gnorm = float(np.linalg.norm(grad))
         if not np.isfinite(gnorm):
             raise NumericError("gradient is non-finite during refinement")
-        if gnorm < est.grad_tolerance:
+        if gnorm < GRAD_TOLERANCE:
             converged = True
             break
         direction = -grad / gnorm
-        s = min(est.initial_step_m, 2.0 * step)
+        s = min(INITIAL_STEP_M, 2.0 * step)
         accepted = False
-        while s >= est.step_floor_m:
+        while s >= STEP_FLOOR_M:
             cand = p + s * direction
             fc = f(cand)
-            if np.isfinite(fc) and fc <= fp - est.armijo_slope * s * gnorm:
+            if np.isfinite(fc) and fc <= fp - ARMIJO_SLOPE * s * gnorm:
                 p, fp = cand, fc
                 step = s
                 accepted = True
                 break
-            s *= est.armijo_shrink
+            s *= ARMIJO_SHRINK
         if not accepted:
             # no decrease at any resolvable step: numerical minimum reached
             converged = True

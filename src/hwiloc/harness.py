@@ -50,7 +50,7 @@ from .model import (
     noise_std,
     params_to_state,
 )
-from .observation import mu_m1, observe
+from .observation import ProjectionModel, mu_m1, observe
 
 logger = logging.getLogger(__name__)
 
@@ -105,11 +105,6 @@ def metric_units(metric: str) -> str:
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_line() for r in rows]) + "\n"
-
-
-def write_csv(rows: list[ResultRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_csv(rows))
 
 
 def sort_rows(rows: list[ResultRow]) -> list[ResultRow]:
@@ -192,16 +187,14 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
         rng = _rng(spec.master_seed, r, _REALIZATION_STREAM)
         block = _block_for(spec, sys_cfg, rng)
         real = sample_realization(imp, sys_cfg, rng)
+        clean = ProjectionModel.clean(sys_cfg, block, imp.coupling)
+        impaired = ProjectionModel.impaired(sys_cfg, block, imp, real)
         try:
             if "lb" in families:
-                rep = lb_report(theta, sys_cfg, block, imp, real, sigma)
+                rep = lb_report(theta, clean, impaired, sigma)
             else:
-                rep = crb_m2_report(theta, sys_cfg, sigma, block, imp.coupling)
-            m1_rep = (
-                crb_m1_numeric(theta, sys_cfg, block, imp, real, sigma)
-                if "crb_m1" in families
-                else None
-            )
+                rep = crb_m2_report(theta, clean, sigma)
+            m1_rep = crb_m1_numeric(theta, impaired, sigma) if "crb_m1" in families else None
         except NumericError as exc:
             logger.warning(
                 "bounds: sweep value %r realization %d failed: %s", value, r, exc

@@ -14,7 +14,8 @@ Four impairments distort the nominal uplink pilot model:
   continuous clipping, applied to non-oversampled time-domain samples.
 
 The random parts are bundled per Monte-Carlo draw in ImpairmentRealization;
-levels live in ImpairmentConfig. Zero levels reproduce the clean model.
+levels live in ImpairmentConfig. The phase-noise and CFO rotations are
+applied by :func:`hwiloc.observation.sandwich_matrices`. Zero levels reproduce the clean model.
 """
 
 from __future__ import annotations
@@ -44,14 +45,16 @@ class ImpairmentConfig:
     pa_clip: float = 25.0  # clipping amplitude, V
 
     def __post_init__(self) -> None:
-        if self.sigma_pn < 0 or self.sigma_cfo < 0 or self.sigma_mc < 0:
-            raise ConfigError("impairment spreads must be non-negative")
-        if self.pa_clip <= 0:
-            raise ConfigError("PA clip level must be positive")
+        if not all(0 <= s < np.inf for s in (self.sigma_pn, self.sigma_cfo, self.sigma_mc)):
+            raise ConfigError("impairment spreads must be finite and non-negative")
+        if not self.pa_clip > 0:
+            raise ConfigError("PA clip level must be positive (inf disables clipping)")
         if len(self.pa_coeffs) < 1:
             raise ConfigError("PA polynomial needs at least one coefficient")
         self.coupling = tuple(complex(c) for c in self.coupling)
         self.pa_coeffs = tuple(complex(b) for b in self.pa_coeffs)
+        if not np.all(np.isfinite(self.coupling + self.pa_coeffs)):
+            raise ConfigError("coupling taps and PA coefficients must be finite")
 
     @staticmethod
     def neutral() -> "ImpairmentConfig":
@@ -102,25 +105,6 @@ def sample_realization(
     cfo = float(rng.normal(0.0, 1.0)) * imp.sigma_cfo
     mc = rng.normal(0.0, 1.0, size=(cfg.n_antennas, cfg.n_antennas)) * imp.sigma_mc
     return ImpairmentRealization(pn_phases=pn, cfo=cfo, mc_residual=mc)
-
-
-def pn_matrix(pn_phases_g: np.ndarray) -> np.ndarray:
-    """Diagonal time-domain phase-noise rotation diag(exp(1j * omega))."""
-    return np.diag(np.exp(1j * np.asarray(pn_phases_g)))
-
-
-def cfo_matrix(cfo: float, g_index: int, n_subcarriers: int, cp_length: int) -> np.ndarray:
-    """Diagonal CFO rotation for the g-th transmission (g_index is 1-based).
-
-    The diagonal carries the intra-symbol ramp exp(1j*2*pi*cfo*k/K) for
-    k = 0 .. K-1; the whole matrix is scaled by the inter-symbol phase
-    exp(1j*2*pi*cfo*g*(K + K_cp)/K) accumulated over previous symbols and
-    their cyclic prefixes.
-    """
-    k = np.arange(n_subcarriers)
-    total = n_subcarriers + cp_length
-    common = np.exp(1j * 2 * np.pi * cfo * g_index * total / n_subcarriers)
-    return common * np.diag(np.exp(1j * 2 * np.pi * cfo * k / n_subcarriers))
 
 
 def mc_matrix(

@@ -54,10 +54,25 @@ class SystemConfig:
             raise ConfigError("array/transmission/subcarrier counts must be positive")
         if self.cp_length < 0:
             raise ConfigError("cyclic prefix length must be non-negative")
+        levels = (
+            self.carrier_freq_hz, self.bandwidth_hz, self.load_impedance_ohm,
+            self.noise_psd_dbm_hz, self.noise_figure_db, self.tx_power_dbm,
+        )
+        if not np.all(np.isfinite(levels)):
+            raise ConfigError("frequencies, load impedance and power levels must be finite")
         if self.carrier_freq_hz <= 0 or self.bandwidth_hz <= 0:
             raise ConfigError("carrier frequency and bandwidth must be positive")
         if self.load_impedance_ohm <= 0:
             raise ConfigError("load impedance must be positive")
+        try:
+            scales = (noise_std(self), self.pilot_amplitude)
+        except OverflowError:
+            scales = (np.inf,)
+        if not all(0.0 < s < np.inf for s in scales):
+            raise ConfigError(
+                "noise level and pilot amplitude must be positive and finite "
+                "(check noise_psd_dbm_hz, noise_figure_db, bandwidth_hz and tx_power_dbm)"
+            )
 
     @property
     def subcarrier_spacing_hz(self) -> float:

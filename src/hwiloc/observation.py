@@ -1,36 +1,42 @@
-"""Received-signal models for the uplink pilot block.
+"""The link model of the uplink pilot block, for both receiver chains.
 
-Two mean models are built from the same geometry:
+Every mean in the package comes from one factorized model,
 
-* the impaired chain (the signal the hardware actually produces): pilots are
-  PA-distorted in the time domain, the array response passes through the full
-  coupling matrix (known Toeplitz part plus unknown residual), and each
-  transmission is wrapped in the unitary time-domain phase-noise/CFO sandwich
-  F E_g Xi_g F^H;
-* the clean chain assumed by a mismatched receiver: no PA distortion, no
-  residual coupling, no phase rotations, only the known Toeplitz coupling.
+    y_g = alpha * M_g (b_g(aoa) * d(delay) * x~_g),    b_g = w_g^T C a(aoa),
 
-Both produce (G, K) arrays of subcarrier-domain means for one pilot block.
+held by :class:`ProjectionModel`:
+
+* the impaired chain (the signal the hardware actually produces): x~ are
+  the pilots after the PA (time-domain distortion), C is the full coupling
+  matrix (known Toeplitz part plus unknown residual), and M_g is the
+  unitary time-domain phase-noise/CFO sandwich F E_g Xi_g F^H of one
+  impairment realization;
+* the clean chain assumed by a mismatched receiver: x~ are the pilots
+  themselves, C is only the known Toeplitz coupling and M_g is the identity.
+
+Means are (G, K) arrays of subcarrier-domain samples for one pilot block.
 Flattening row-major gives the g-major stacked vector used by estimators and
-bounds. eta_* variants are the means with the complex path gain divided out,
-which is what the projection-based estimators search over.
+bounds. The gain-free mean (alpha = 1) is what the projection-based
+estimators search over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .impairments import ImpairmentConfig, ImpairmentRealization, mc_matrix, pa_apply
-from .model import ChannelParams, PilotBlock, SystemConfig, delay_vector, dft_matrix, steering_vector
-
-
-def _row_gains(aoa: float, combiners: np.ndarray, coupling_mat: np.ndarray) -> np.ndarray:
-    """Per-transmission scalar w_g^T C a(aoa), shape (G,). Plain transpose,
-    no conjugation: the combiner acts as a linear functional on the array."""
-    a = steering_vector(aoa, coupling_mat.shape[0])
-    return combiners @ (coupling_mat @ a)
+from .model import (
+    SPEED_OF_LIGHT,
+    ChannelParams,
+    PilotBlock,
+    SystemConfig,
+    delay_vector,
+    dft_matrix,
+    steering_vector,
+)
 
 
 def transmit_pilots(block: PilotBlock, imp: ImpairmentConfig, cfg: SystemConfig) -> np.ndarray:
@@ -50,8 +56,11 @@ def transmit_pilots(block: PilotBlock, imp: ImpairmentConfig, cfg: SystemConfig)
 def sandwich_matrices(real: ImpairmentRealization, cfg: SystemConfig) -> np.ndarray:
     """Per-transmission unitary phase-noise/CFO sandwich F E_g Xi_g F^H, (G, K, K).
 
-    E_g and Xi_g are diagonal unit-modulus rotations, so each slice is
-    unitary and preserves per-transmission energy.
+    E_g Xi_g is the diagonal time-domain rotation exp(1j*(common_g + ramp +
+    pn_g)): the CFO ramp 2*pi*cfo*k/K over samples k = 0 .. K-1, the common
+    CFO phase 2*pi*cfo*g*(K + K_cp)/K accumulated over the g previous
+    symbols and their cyclic prefixes (g is 1-based), and the phase noise.
+    Each slice is unitary and preserves per-transmission energy.
     """
     k = cfg.n_subcarriers
     f = dft_matrix(k)
@@ -67,54 +76,116 @@ def sandwich_matrices(real: ImpairmentRealization, cfg: SystemConfig) -> np.ndar
     return out
 
 
-def eta_m2(
-    aoa: float,
-    delay: float,
-    cfg: SystemConfig,
-    block: PilotBlock,
-    coupling: tuple = (),
-) -> np.ndarray:
-    """Clean-model mean with unit gain: eta_g = (w_g^T C~ a) d(delay) * x_g."""
-    if delay < 0:
-        raise ValueError("delay must be non-negative")
-    ctilde = mc_matrix(coupling, None, cfg.n_antennas)
-    b = _row_gains(aoa, block.combiners, ctilde)
-    d = delay_vector(delay, cfg.n_subcarriers, cfg.subcarrier_spacing_hz)
-    return b[:, None] * (d[None, :] * block.symbols)
+@dataclass
+class ProjectionModel:
+    """The factorized link model of one pilot block and one receiver chain.
 
-
-def mu_m2(
-    theta: ChannelParams,
-    cfg: SystemConfig,
-    block: PilotBlock,
-    coupling: tuple = (),
-) -> np.ndarray:
-    """Clean-model mean, (G, K): gain times :func:`eta_m2`."""
-    return theta.gain * eta_m2(theta.aoa, theta.delay, cfg, block, coupling)
-
-
-def eta_m1(
-    aoa: float,
-    delay: float,
-    cfg: SystemConfig,
-    block: PilotBlock,
-    imp: ImpairmentConfig,
-    real: ImpairmentRealization,
-) -> np.ndarray:
-    """Impaired-chain mean with unit gain, (G, K).
-
-    Chain per transmission: PA-distorted pilots, full coupling in the array
-    response, delay phasing, then the time-domain phase-noise/CFO sandwich.
+    Holds the combiners W, the coupling C, the effective pilots x~ and,
+    for the impaired chain, the realization whose phase noise and CFO make
+    up the sandwich (None for the clean chain). It gives the mean, the
+    pulled observation and the projection objective; the derivatives and
+    the information matrix are in :mod:`hwiloc.bounds`.
     """
-    if delay < 0:
-        raise ValueError("delay must be non-negative")
-    c_full = mc_matrix(imp.coupling, real.mc_residual, cfg.n_antennas)
-    b = _row_gains(aoa, block.combiners, c_full)
-    d = delay_vector(delay, cfg.n_subcarriers, cfg.subcarrier_spacing_hz)
-    xt = transmit_pilots(block, imp, cfg)
-    v = b[:, None] * (d[None, :] * xt)
-    m = sandwich_matrices(real, cfg)
-    return np.einsum("gij,gj->gi", m, v)
+
+    cfg: SystemConfig
+    combiners: np.ndarray  # W, (G, N)
+    coupling: np.ndarray  # C, (N, N)
+    eff_pilots: np.ndarray  # x~, (G, K)
+    realization: ImpairmentRealization | None = None
+    # eta rounds as W (C a), as observations are drawn; scans keep W C, as the reference bounds were
+    row_matrix: np.ndarray = field(init=False)  # W C, (G, N)
+    pilot_energies: np.ndarray = field(init=False)  # (G,)
+
+    def __post_init__(self) -> None:
+        self.row_matrix = self.combiners @ self.coupling
+        self.pilot_energies = np.sum(np.abs(self.eff_pilots) ** 2, axis=1)
+
+    @staticmethod
+    def clean(cfg: SystemConfig, block: PilotBlock, coupling: tuple = ()) -> "ProjectionModel":
+        """The receiver's model: known coupling taps only, pilots as sent."""
+        return ProjectionModel(
+            cfg, block.combiners, mc_matrix(coupling, None, cfg.n_antennas), block.symbols
+        )
+
+    @staticmethod
+    def impaired(
+        cfg: SystemConfig,
+        block: PilotBlock,
+        imp: ImpairmentConfig,
+        real: ImpairmentRealization,
+    ) -> "ProjectionModel":
+        """The hardware's model for one realization."""
+        c_full = mc_matrix(imp.coupling, real.mc_residual, cfg.n_antennas)
+        return ProjectionModel(cfg, block.combiners, c_full, transmit_pilots(block, imp, cfg), real)
+
+    @cached_property
+    def sandwich(self) -> np.ndarray | None:
+        """The dense (G, K, K) sandwich, built on first use; None if clean."""
+        if self.realization is None:
+            return None
+        return sandwich_matrices(self.realization, self.cfg)
+
+    # -- model mean ---------------------------------------------------------
+
+    def eta(self, aoa: float, delay: float) -> np.ndarray:
+        """Gain-free mean, (G, K)."""
+        if delay < 0:
+            raise ValueError("delay must be non-negative")
+        b = self.combiners @ (self.coupling @ steering_vector(aoa, self.coupling.shape[0]))
+        d = delay_vector(delay, self.cfg.n_subcarriers, self.cfg.subcarrier_spacing_hz)
+        v = b[:, None] * (d[None, :] * self.eff_pilots)
+        if self.sandwich is None:
+            return v
+        return np.einsum("gij,gj->gi", self.sandwich, v)
+
+    def mean(self, theta: ChannelParams) -> np.ndarray:
+        """Noise-free mean at theta, (G, K): gain times :meth:`eta`."""
+        return theta.gain * self.eta(theta.aoa, theta.delay)
+
+    # -- objective machinery ------------------------------------------------
+
+    def _steering(self, aoas: np.ndarray) -> np.ndarray:
+        n = np.arange(self.row_matrix.shape[1])
+        return np.exp(1j * np.pi * np.outer(n, np.sin(aoas)))  # (N, n_angles)
+
+    def _delay_conj(self, ranges_m: np.ndarray) -> np.ndarray:
+        k = np.arange(1, self.cfg.n_subcarriers + 1)
+        tau = np.asarray(ranges_m) / SPEED_OF_LIGHT
+        return np.exp(2j * np.pi * self.cfg.subcarrier_spacing_hz * np.outer(k, tau))  # (K, n_r)
+
+    def pulled_observation(self, y: np.ndarray) -> np.ndarray:
+        """Pull the unitary sandwich onto the observation: u_g = M_g^H y_g."""
+        y = np.asarray(y, dtype=complex)
+        if self.sandwich is None:
+            return y
+        return np.einsum("gji,gj->gi", np.conj(self.sandwich), y)
+
+    def objective_grid(
+        self, u: np.ndarray, aoas: np.ndarray, ranges_m: np.ndarray
+    ) -> np.ndarray:
+        """Projection objective on the (angle, range) grid, shape (n_a, n_r).
+
+        u is the pulled observation. Uses the separable structure: the
+        captured energy is |sum_k conj(d_k) z_k(aoa)|^2 / den(aoa) with
+        z(aoa) = sum_g conj(b_g x~_g) u_g and den = sum_g |b_g|^2 ||x~_g||^2.
+        """
+        b = self.row_matrix @ self._steering(aoas)  # (G, n_a)
+        w = np.conj(self.eff_pilots) * u  # (G, K)
+        z = b.conj().T @ w  # (n_a, K)
+        s = z @ self._delay_conj(ranges_m)  # (n_a, n_r)
+        den = (np.abs(b) ** 2).T @ self.pilot_energies  # (n_a,)
+        yy = np.vdot(u, u).real
+        captured = np.zeros_like(s, dtype=float)
+        np.divide(np.abs(s) ** 2, den[:, None], out=captured, where=den[:, None] > 0)
+        return yy - captured
+
+    def objective_at(self, u: np.ndarray, position: np.ndarray) -> float:
+        """Projection objective at one Cartesian position."""
+        px, py = float(position[0]), float(position[1])
+        rng = float(np.hypot(px, py))
+        aoa = float(np.arctan2(py, px))
+        grid = self.objective_grid(u, np.array([aoa]), np.array([rng]))
+        return float(grid[0, 0])
 
 
 def mu_m1(
@@ -124,8 +195,8 @@ def mu_m1(
     imp: ImpairmentConfig,
     real: ImpairmentRealization,
 ) -> np.ndarray:
-    """Impaired-chain mean, (G, K): gain times :func:`eta_m1`."""
-    return theta.gain * eta_m1(theta.aoa, theta.delay, cfg, block, imp, real)
+    """Impaired-chain mean, (G, K), of one realization."""
+    return ProjectionModel.impaired(cfg, block, imp, real).mean(theta)
 
 
 def observe(mu: np.ndarray, sigma_n: float, rng: np.random.Generator) -> np.ndarray:
@@ -141,13 +212,3 @@ def observe(mu: np.ndarray, sigma_n: float, rng: np.random.Generator) -> np.ndar
         return mu.copy()
     noise = rng.normal(0.0, 1.0, mu.shape) + 1j * rng.normal(0.0, 1.0, mu.shape)
     return mu + (sigma_n / np.sqrt(2.0)) * noise
-
-
-@dataclass
-class ObservationSet:
-    """A received pilot block plus the metadata needed to interpret it."""
-
-    y: np.ndarray  # (G, K) complex received subcarrier samples
-    sigma_n: float
-    model: str  # "impaired" or "clean", which chain generated the mean
-    realization: ImpairmentRealization | None = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import crb_m2_report, fim_theta, lb_report, model_derivatives
+from .bounds import crb_m2_report, fim, lb_report, model_derivatives
 from .config_io import resolve_spec
 from .estimation import mmle_m2
 from .harness import rows_to_csv, run_bounds_sweep, run_estimator_trials
@@ -25,7 +25,7 @@ from .model import (
     noise_std,
     params_to_state,
 )
-from .observation import mu_m2
+from .observation import ProjectionModel
 
 _DESK = dict(n_antennas=10, n_transmissions=5, n_subcarriers=32, cp_length=7)
 
@@ -43,10 +43,10 @@ def _check_mismatch_free_degeneration() -> str:
     cfg = SystemConfig(**_DESK)
     block = PilotBlock.from_config(cfg)
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, cfg)
-    rep = lb_report(
-        theta, cfg, block, ImpairmentConfig.neutral(), ImpairmentRealization.neutral(cfg),
-        noise_std(cfg),
+    impaired = ProjectionModel.impaired(
+        cfg, block, ImpairmentConfig.neutral(), ImpairmentRealization.neutral(cfg)
     )
+    rep = lb_report(theta, ProjectionModel.clean(cfg, block), impaired, noise_std(cfg))
     drift = np.max(
         np.abs(rep.theta0.as_array() - theta.as_array())
         / np.maximum(np.abs(theta.as_array()), 1e-300)
@@ -64,7 +64,7 @@ def _check_mismatch_free_degeneration() -> str:
 
 def _check_derivative_consistency() -> str:
     cfg = SystemConfig(n_antennas=5, n_transmissions=3, n_subcarriers=8, cp_length=2)
-    block = PilotBlock.from_config(cfg)
+    model = ProjectionModel.clean(cfg, PilotBlock.from_config(cfg))
     worst = 0.0
     for seed in (1, 2):
         rng = np.random.default_rng(seed)
@@ -75,21 +75,20 @@ def _check_derivative_consistency() -> str:
             gain_phase=float(rng.uniform(-np.pi, np.pi)),
         )
         t = theta.as_array()
-        derivs = model_derivatives(theta, cfg, block)
+        derivs = model_derivatives(theta, model)
         steps = [1e-6 * max(abs(t[0]), 1.0), 1e-6 * t[1], 1e-6 * t[2], 1e-6]
         for i in range(4):
             tp, tm = t.copy(), t.copy()
             tp[i] += steps[i]
             tm[i] -= steps[i]
             fd1 = (
-                mu_m2(ChannelParams.from_array(tp), cfg, block)
-                - mu_m2(ChannelParams.from_array(tm), cfg, block)
+                model.mean(ChannelParams.from_array(tp)) - model.mean(ChannelParams.from_array(tm))
             ) / (2 * steps[i])
             rel = np.linalg.norm(fd1 - derivs.first[i]) / np.linalg.norm(derivs.first[i])
             worst = max(worst, rel)
             fd2 = (
-                model_derivatives(ChannelParams.from_array(tp), cfg, block).first
-                - model_derivatives(ChannelParams.from_array(tm), cfg, block).first
+                model_derivatives(ChannelParams.from_array(tp), model).first
+                - model_derivatives(ChannelParams.from_array(tm), model).first
             ) / (2 * steps[i])
             for j in range(4):
                 ref = np.linalg.norm(derivs.second[i, j])
@@ -105,13 +104,14 @@ def _check_scaling_laws() -> str:
     tiled = PilotBlock(
         symbols=np.tile(block.symbols, (4, 1)), combiners=np.tile(block.combiners, (4, 1))
     )
+    model = ProjectionModel.clean(cfg, block)
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, cfg)
     sigma = noise_std(cfg)
-    base = crb_m2_report(theta, cfg, sigma, block)
-    quad = crb_m2_report(theta, cfg, sigma, tiled)
+    base = crb_m2_report(theta, model, sigma)
+    quad = crb_m2_report(theta, ProjectionModel.clean(cfg, tiled), sigma)
     ratio = base.aeb_rad / quad.aeb_rad
     _require(abs(ratio - 2.0) < 0.02, f"4x transmissions gave AEB ratio {ratio:.6f}")
-    doubled = crb_m2_report(theta, cfg, 2.0 * sigma, block)
+    doubled = crb_m2_report(theta, model, 2.0 * sigma)
     for name, a, b in (
         ("aeb", doubled.aeb_rad, base.aeb_rad),
         ("deb", doubled.deb_s, base.deb_s),
@@ -125,7 +125,7 @@ def _check_noise_free_recovery() -> str:
     cfg = SystemConfig(**_DESK)
     block = PilotBlock.from_config(cfg)
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, cfg)
-    est = mmle_m2(mu_m2(theta, cfg, block), cfg, block)
+    est = mmle_m2(ProjectionModel.clean(cfg, block).mean(theta), cfg, block)
     err = float(np.linalg.norm(est.position - params_to_state(theta).position))
     _require(err < 1e-4, f"noise-free position error {err:.3e} m exceeds 1e-4")
     return f"noise-free position error {err:.2e} m"
@@ -139,8 +139,8 @@ def _check_single_sample_information() -> str:
     expected = 4.0 * np.array(
         [[0, 0, 0, 0], [0, w**2, 0, w], [0, 0, 1, 0], [0, w, 0, 1]], dtype=float
     )
-    fim = fim_theta(theta, cfg, np.sqrt(2.0), block)
-    gap = np.max(np.abs(fim - expected)) / np.max(expected)
+    info = fim(theta, ProjectionModel.clean(cfg, block), np.sqrt(2.0))
+    gap = np.max(np.abs(info - expected)) / np.max(expected)
     _require(gap < 1e-12, f"single-sample information off by {gap:.3e}")
     return "hand-expanded information matrix reproduced"
 

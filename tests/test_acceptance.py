@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from hwiloc.bounds import (
-    fim_theta,
+    fim,
     lb_report,
     matrix_a,
     matrix_b,
@@ -38,7 +38,7 @@ from hwiloc.model import (
     geometric_params,
     noise_std,
 )
-from hwiloc.observation import mu_m1, mu_m2, observe
+from hwiloc.observation import ProjectionModel, mu_m1, observe
 
 DESK = SystemConfig(n_antennas=10, n_transmissions=5, n_subcarriers=32, cp_length=7)
 DESK_KEYS = {
@@ -107,12 +107,14 @@ def test_1_no_impairment_degeneration():
     block = PilotBlock.from_config(DESK)
     theta_bar = geometric_params(UE, GAIN_PHASE, DESK)
 
-    theta0 = pseudo_true(theta_bar, DESK, block, imp, real)
+    clean = ProjectionModel.clean(DESK, block)
+    impaired = ProjectionModel.impaired(DESK, block, imp, real)
+    theta0 = pseudo_true(theta_bar, clean, impaired.mean(theta_bar))
     tb = theta_bar.as_array()
     scales = np.array([max(abs(tb[0]), 1.0), abs(tb[1]), abs(tb[2]), 1.0])
     drift = float(np.max(np.abs(theta0.as_array() - tb) / scales))
 
-    rep = lb_report(theta_bar, DESK, block, imp, real, noise_std(DESK))
+    rep = lb_report(theta_bar, clean, impaired, noise_std(DESK))
     crb = np.linalg.inv(rep.fim)
     d = np.sqrt(np.diag(crb))
     # element-wise relative, with the natural row/column scale standing in
@@ -146,7 +148,8 @@ def test_2_derivatives_match_finite_differences():
         coupling = MEASURED_COUPLING if seed % 2 else ()
         theta = _random_params(seed)
         t = theta.as_array()
-        derivs = model_derivatives(theta, DESK, block, coupling)
+        model = ProjectionModel.clean(DESK, block, coupling)
+        derivs = model_derivatives(theta, model)
         scale = max(
             np.linalg.norm(derivs.second[i, j]) for i in range(4) for j in range(4)
         )
@@ -156,16 +159,15 @@ def test_2_derivatives_match_finite_differences():
             tp[i] += h
             tm[i] -= h
             fd_mu = (
-                mu_m2(ChannelParams.from_array(tp), DESK, block, coupling)
-                - mu_m2(ChannelParams.from_array(tm), DESK, block, coupling)
+                model.mean(ChannelParams.from_array(tp)) - model.mean(ChannelParams.from_array(tm))
             ) / (2.0 * h)
             worst_first = max(
                 worst_first,
                 np.linalg.norm(fd_mu - derivs.first[i]) / np.linalg.norm(derivs.first[i]),
             )
             fd_first = (
-                model_derivatives(ChannelParams.from_array(tp), DESK, block, coupling).first
-                - model_derivatives(ChannelParams.from_array(tm), DESK, block, coupling).first
+                model_derivatives(ChannelParams.from_array(tp), model).first
+                - model_derivatives(ChannelParams.from_array(tm), model).first
             ) / (2.0 * h)
             for j in range(4):
                 err = np.linalg.norm(fd_first[j] - derivs.second[i, j])
@@ -197,10 +199,12 @@ def test_3_sandwich_matrices_match_monte_carlo():
     real = sample_realization(imp, cfg, np.random.default_rng(np.random.SeedSequence((999, 0))))
     sigma = noise_std(cfg)
 
-    theta0 = pseudo_true(theta_bar, cfg, block, imp, real)
-    ybar = mu_m1(theta_bar, cfg, block, imp, real).ravel()
-    eps = ybar - mu_m2(theta0, cfg, block, imp.coupling).ravel()
-    derivs = model_derivatives(theta0, cfg, block, imp.coupling)
+    clean = ProjectionModel.clean(cfg, block, imp.coupling)
+    ybar = mu_m1(theta_bar, cfg, block, imp, real)
+    theta0 = pseudo_true(theta_bar, clean, ybar)
+    ybar = ybar.ravel()
+    eps = ybar - clean.mean(theta0).ravel()
+    derivs = model_derivatives(theta0, clean)
     a_ref = matrix_a(derivs, eps, sigma)
     b_ref = matrix_b(derivs, eps, sigma)
 
@@ -219,7 +223,7 @@ def test_3_sandwich_matrices_match_monte_carlo():
 
     def mean_objective(tv: np.ndarray) -> float:
         th = ChannelParams.from_array(tv)
-        eps_p = ybar - mu_m2(th, cfg, block, imp.coupling).ravel()
+        eps_p = ybar - clean.mean(th).ravel()
         return float((eps_p.conj() @ eps_p).real) + 2.0 * float(
             (eps_p.conj() @ noise_mean).real
         )
@@ -414,7 +418,7 @@ def test_7_scaling_laws():
     theta = geometric_params(UE, GAIN_PHASE, DESK)
     block = PilotBlock.from_config(DESK)
     sigma = noise_std(DESK)
-    sb1 = scalar_bounds(fim_theta(theta, DESK, sigma, block), None)
+    aeb1, deb1, _ = scalar_bounds(fim(theta, ProjectionModel.clean(DESK, block), sigma), None)
 
     from dataclasses import replace
 
@@ -422,13 +426,14 @@ def test_7_scaling_laws():
     block4 = PilotBlock(
         symbols=np.tile(block.symbols, (4, 1)), combiners=np.tile(block.combiners, (4, 1))
     )
-    sb4 = scalar_bounds(fim_theta(theta, cfg4, sigma, block4), None)
-    tile_aeb = sb1.aeb_rad / sb4.aeb_rad
-    tile_deb = sb1.deb_s / sb4.deb_s
+    aeb4, deb4, _ = scalar_bounds(fim(theta, ProjectionModel.clean(cfg4, block4), sigma), None)
+    tile_aeb = aeb1 / aeb4
+    tile_deb = deb1 / deb4
 
-    sb2 = scalar_bounds(fim_theta(theta, DESK, 2.0 * sigma, block), None)
-    noise_aeb = sb2.aeb_rad / sb1.aeb_rad
-    noise_deb = sb2.deb_s / sb1.deb_s
+    info2 = fim(theta, ProjectionModel.clean(DESK, block), 2.0 * sigma)
+    aeb2, deb2, _ = scalar_bounds(info2, None)
+    noise_aeb = aeb2 / aeb1
+    noise_deb = deb2 / deb1
     dt = time.perf_counter() - t0
     ok = (
         abs(tile_aeb - 2.0) <= 0.02
@@ -456,10 +461,11 @@ def test_8_matched_estimator_is_efficient_on_clean_data():
     theta = geometric_params(UE, GAIN_PHASE, cfg)
     block = PilotBlock.from_config(cfg)
     sigma = noise_std(cfg)
-    mu = mu_m2(theta, cfg, block)
+    clean = ProjectionModel.clean(cfg, block)
+    mu = clean.mean(theta)
     from hwiloc.bounds import crb_m2_report
 
-    peb = crb_m2_report(theta, cfg, sigma, block).peb_m
+    peb = crb_m2_report(theta, clean, sigma).peb_m
 
     squares = []
     n_converged = 0

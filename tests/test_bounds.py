@@ -20,14 +20,13 @@ import pytest
 
 from hwiloc.bounds import (
     BoundsReport,
-    ScalarBounds,
     bias_vector,
     crb_m1_numeric,
     crb_m2_report,
     crb_state,
     fim_from_first_derivatives,
+    fim,
     fim_m1_numeric,
-    fim_theta,
     jacobian_state,
     lb_matrix,
     lb_position,
@@ -52,10 +51,14 @@ from hwiloc.model import (
     params_to_state,
     state_to_params,
 )
-from hwiloc.observation import mu_m1, mu_m2, transmit_pilots
+from hwiloc.observation import ProjectionModel, mu_m1, transmit_pilots
 
 SMALL = SystemConfig(n_antennas=5, n_transmissions=3, n_subcarriers=8, cp_length=2)
 DESK = SystemConfig(n_antennas=10, n_transmissions=5, n_subcarriers=32, cp_length=7)
+
+
+def clean_model(cfg=DESK, block=None, coupling=()):
+    return ProjectionModel.clean(cfg, block or PilotBlock.from_config(cfg), coupling)
 
 
 def random_params(seed: int) -> ChannelParams:
@@ -86,15 +89,15 @@ def test_first_derivatives_match_mean_differences(seed):
     block = PilotBlock.from_config(SMALL)
     theta = random_params(seed)
     t = theta.as_array()
-    derivs = model_derivatives(theta, SMALL, block, coupling)
+    model = clean_model(SMALL, block, coupling)
+    derivs = model_derivatives(theta, model)
     for i in range(4):
         h = component_step(t, i)
         tp, tm = t.copy(), t.copy()
         tp[i] += h
         tm[i] -= h
         fd = (
-            mu_m2(ChannelParams.from_array(tp), SMALL, block, coupling)
-            - mu_m2(ChannelParams.from_array(tm), SMALL, block, coupling)
+            model.mean(ChannelParams.from_array(tp)) - model.mean(ChannelParams.from_array(tm))
         ) / (2.0 * h)
         err = np.linalg.norm(fd - derivs.first[i])
         assert err <= 1e-6 * np.linalg.norm(derivs.first[i])
@@ -106,7 +109,8 @@ def test_second_derivatives_match_first_derivative_differences(seed):
     block = PilotBlock.from_config(SMALL)
     theta = random_params(seed)
     t = theta.as_array()
-    derivs = model_derivatives(theta, SMALL, block, coupling)
+    model = clean_model(SMALL, block, coupling)
+    derivs = model_derivatives(theta, model)
     scale = max(
         np.linalg.norm(derivs.second[i, j]) for i in range(4) for j in range(4)
     )
@@ -116,8 +120,8 @@ def test_second_derivatives_match_first_derivative_differences(seed):
         tp[i] += h
         tm[i] -= h
         fd_all = (
-            model_derivatives(ChannelParams.from_array(tp), SMALL, block, coupling).first
-            - model_derivatives(ChannelParams.from_array(tm), SMALL, block, coupling).first
+            model_derivatives(ChannelParams.from_array(tp), model).first
+            - model_derivatives(ChannelParams.from_array(tm), model).first
         ) / (2.0 * h)
         for j in range(4):
             err = np.linalg.norm(fd_all[j] - derivs.second[i, j])
@@ -135,15 +139,16 @@ def test_derivative_identities(seed):
     mu == gain_amp * d mu/d amp and d mu/d phase == -1j * mu exactly."""
     block = PilotBlock.from_config(SMALL)
     theta = random_params(seed)
-    derivs = model_derivatives(theta, SMALL, block)
-    mu = mu_m2(theta, SMALL, block)
+    model = clean_model(SMALL, block)
+    derivs = model_derivatives(theta, model)
+    mu = model.mean(theta)
     npt.assert_allclose(theta.gain_amp * derivs.first[2], mu, rtol=1e-14)
     npt.assert_allclose(derivs.first[3], -1j * mu, rtol=1e-14)
 
 
 def test_second_derivative_symmetry():
     block = PilotBlock.from_config(SMALL)
-    derivs = model_derivatives(random_params(5), SMALL, block, MEASURED_COUPLING)
+    derivs = model_derivatives(random_params(5), clean_model(SMALL, block, MEASURED_COUPLING))
     for i in range(4):
         for j in range(4):
             npt.assert_array_equal(derivs.second[i, j], derivs.second[j, i])
@@ -176,8 +181,8 @@ def test_fim_hand_computed_single_sample():
             [0.0, w, 0.0, 1.0],
         ]
     )
-    fim = fim_theta(theta, cfg, sigma, block)
-    npt.assert_allclose(fim, expected, rtol=1e-12, atol=1e-4)
+    info = fim(theta, clean_model(cfg, block), sigma)
+    npt.assert_allclose(info, expected, rtol=1e-12, atol=1e-4)
 
 
 def test_fim_phase_diagonal_equals_mean_energy():
@@ -185,10 +190,11 @@ def test_fim_phase_diagonal_equals_mean_energy():
     block = PilotBlock.from_config(DESK)
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, DESK)
     sigma = noise_std(DESK)
-    fim = fim_theta(theta, DESK, sigma, block)
-    mu = mu_m2(theta, DESK, block)
+    model = clean_model(DESK, block)
+    info = fim(theta, model, sigma)
+    mu = model.mean(theta)
     npt.assert_allclose(
-        fim[3, 3], 2.0 / sigma**2 * np.linalg.norm(mu) ** 2, rtol=1e-12
+        info[3, 3], 2.0 / sigma**2 * np.linalg.norm(mu) ** 2, rtol=1e-12
     )
 
 
@@ -200,8 +206,8 @@ def test_fim_block_tiling_doubles_information():
     )
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, DESK)
     sigma = noise_std(DESK)
-    fim1 = fim_theta(theta, DESK, sigma, block)
-    fim2 = fim_theta(theta, DESK, sigma, tiled)
+    fim1 = fim(theta, clean_model(DESK, block), sigma)
+    fim2 = fim(theta, clean_model(DESK, tiled), sigma)
     # near-zero cross terms only need to agree relative to the matrix scale
     npt.assert_allclose(fim2, 2.0 * fim1, rtol=1e-13, atol=1e-13 * np.abs(fim1).max())
 
@@ -210,13 +216,12 @@ def test_fim_noise_scaling_exact():
     block = PilotBlock.from_config(DESK)
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, DESK)
     sigma = noise_std(DESK)
+    model = clean_model(DESK, block)
     npt.assert_allclose(
-        fim_theta(theta, DESK, sigma, block),
-        4.0 * fim_theta(theta, DESK, 2.0 * sigma, block),
-        rtol=1e-15,
+        fim(theta, model, sigma), 4.0 * fim(theta, model, 2.0 * sigma), rtol=1e-15
     )
-    rep1 = crb_m2_report(theta, DESK, sigma, block)
-    rep2 = crb_m2_report(theta, DESK, 2.0 * sigma, block)
+    rep1 = crb_m2_report(theta, model, sigma)
+    rep2 = crb_m2_report(theta, model, 2.0 * sigma)
     npt.assert_allclose(rep2.aeb_rad, 2.0 * rep1.aeb_rad, rtol=1e-12)
     npt.assert_allclose(rep2.deb_s, 2.0 * rep1.deb_s, rtol=1e-12)
     npt.assert_allclose(rep2.peb_m, 2.0 * rep1.peb_m, rtol=1e-12)
@@ -240,8 +245,6 @@ def test_jacobian_broadside_values():
     npt.assert_allclose(jac[1], [3.3356409519815204e-09, 0.0, 0.0, 0.0], atol=1e-24)
     npt.assert_array_equal(jac[2], [0.0, 0.0, 1.0, 0.0])
     npt.assert_array_equal(jac[3], [0.0, 0.0, 0.0, 1.0])
-    legacy = jacobian_state(theta, dimension_corrected=False)
-    npt.assert_allclose(legacy[1], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_jacobian_matches_position_differences():
@@ -287,32 +290,33 @@ def test_peb_invariant_under_rotation():
     block = PilotBlock.from_config(DESK)
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, DESK)
     sigma = noise_std(DESK)
-    fim = fim_theta(theta, DESK, sigma, block)
+    info = fim(theta, clean_model(DESK, block), sigma)
     rotated = ChannelParams(
         aoa=theta.aoa + 0.4,
         delay=theta.delay,
         gain_amp=theta.gain_amp,
         gain_phase=theta.gain_phase,
     )
-    peb = np.sqrt(np.trace(crb_state(fim, jacobian_state(theta))[:2, :2]))
-    peb_rot = np.sqrt(np.trace(crb_state(fim, jacobian_state(rotated))[:2, :2]))
+    peb = np.sqrt(np.trace(crb_state(info, jacobian_state(theta))[:2, :2]))
+    peb_rot = np.sqrt(np.trace(crb_state(info, jacobian_state(rotated))[:2, :2]))
     npt.assert_allclose(peb_rot, peb, rtol=1e-12)
 
 
 def test_scalar_bounds_frozen_diagonal():
     fim = np.diag([4.0, 9.0, 16.0, 25.0])
     crb = np.diag([0.09, 0.16, 1.0, 1.0])
-    sc = scalar_bounds(fim, crb)
-    npt.assert_allclose(sc.aeb_rad, 0.5, rtol=1e-15)
-    npt.assert_allclose(sc.deb_s, 1.0 / 3.0, rtol=1e-15)
-    npt.assert_allclose(sc.peb_m, 0.5, rtol=1e-15)
-    npt.assert_allclose(sc.aeb_deg, np.rad2deg(0.5), rtol=1e-15)
-    npt.assert_allclose(sc.deb_m, SPEED_OF_LIGHT / 3.0, rtol=1e-15)
+    aeb, deb, peb = scalar_bounds(fim, crb)
+    npt.assert_allclose(aeb, 0.5, rtol=1e-15)
+    npt.assert_allclose(deb, 1.0 / 3.0, rtol=1e-15)
+    npt.assert_allclose(peb, 0.5, rtol=1e-15)
+    rep = BoundsReport(fim, crb, aeb, deb, peb)
+    npt.assert_allclose(rep.aeb_deg, np.rad2deg(0.5), rtol=1e-15)
+    npt.assert_allclose(rep.deb_m, SPEED_OF_LIGHT / 3.0, rtol=1e-15)
 
 
 def test_scalar_bounds_degenerate_inputs():
-    sc = scalar_bounds(np.diag([0.0, 1.0, 1.0, 1.0]), None)
-    assert np.isinf(sc.aeb_rad) and np.isinf(sc.deb_s) and np.isinf(sc.peb_m)
+    aeb, deb, peb = scalar_bounds(np.diag([0.0, 1.0, 1.0, 1.0]), None)
+    assert np.isinf(aeb) and np.isinf(deb) and np.isinf(peb)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +350,8 @@ def test_numeric_fim_matches_analytic_without_impairments():
     sigma = noise_std(DESK)
     imp = ImpairmentConfig.neutral()
     real = ImpairmentRealization.neutral(DESK)
-    numeric = fim_m1_numeric(theta, DESK, block, imp, real, sigma)
-    analytic = fim_theta(theta, DESK, sigma, block)
+    numeric = fim_m1_numeric(theta, ProjectionModel.impaired(DESK, block, imp, real), sigma)
+    analytic = fim(theta, clean_model(DESK, block), sigma)
     assert _normalized_gap(numeric, analytic) < 1e-5
 
 
@@ -357,7 +361,7 @@ def test_numeric_fim_step_stability():
     sigma = noise_std(DESK)
     imp = ImpairmentConfig()
     real = sample_realization(imp, DESK, np.random.default_rng(12))
-    closed = fim_m1_numeric(theta, DESK, block, imp, real, sigma)
+    closed = fim_m1_numeric(theta, ProjectionModel.impaired(DESK, block, imp, real), sigma)
     for step in (1e-6, 5e-7):
         oracle = fd_fim_m1(theta, DESK, block, imp, real, sigma, step)
         assert _normalized_gap(closed, oracle) < 1e-5
@@ -375,7 +379,7 @@ def test_numeric_fim_matches_oracle_with_all_impairments():
     assert np.abs(transmit_pilots(block, imp, cfg) - block.symbols).max() > 1e-3
     assert np.abs(real.pn_phases).max() > 0 and real.cfo != 0
     assert np.abs(real.mc_residual).max() > 0
-    closed = fim_m1_numeric(theta, cfg, block, imp, real, sigma)
+    closed = fim_m1_numeric(theta, ProjectionModel.impaired(cfg, block, imp, real), sigma)
     oracle = fd_fim_m1(theta, cfg, block, imp, real, sigma)
     assert _normalized_gap(closed, oracle) < 1e-6
 
@@ -398,8 +402,8 @@ def test_impaired_fim_invariant_under_phase_rotations():
     moved = mu_m1(theta, DESK, block, imp, rotated)
     assert np.linalg.norm(moved - mean) > 0.1 * np.linalg.norm(mean)
     npt.assert_array_equal(
-        fim_m1_numeric(theta, DESK, block, imp, rotated, sigma),
-        fim_m1_numeric(theta, DESK, block, imp, real, sigma),
+        fim_m1_numeric(theta, ProjectionModel.impaired(DESK, block, imp, rotated), sigma),
+        fim_m1_numeric(theta, ProjectionModel.impaired(DESK, block, imp, real), sigma),
     )
     oracle = fd_fim_m1(theta, DESK, block, imp, real, sigma)
     oracle_rotated = fd_fim_m1(theta, DESK, block, imp, rotated, sigma)
@@ -412,7 +416,7 @@ def test_numeric_fim_rejects_zero_delay():
     imp = ImpairmentConfig.neutral()
     real = ImpairmentRealization.neutral(DESK)
     with pytest.raises(ValueError):
-        fim_m1_numeric(theta, DESK, block, imp, real, noise_std(DESK))
+        fim_m1_numeric(theta, ProjectionModel.impaired(DESK, block, imp, real), noise_std(DESK))
 
 
 def test_crb_m1_report_fields():
@@ -421,7 +425,7 @@ def test_crb_m1_report_fields():
     sigma = noise_std(DESK)
     imp = ImpairmentConfig()
     real = sample_realization(imp, DESK, np.random.default_rng(3))
-    rep = crb_m1_numeric(theta, DESK, block, imp, real, sigma)
+    rep = crb_m1_numeric(theta, ProjectionModel.impaired(DESK, block, imp, real), sigma)
     assert isinstance(rep, BoundsReport)
     assert rep.fim.shape == (4, 4)
     assert rep.crb is not None and rep.crb.shape == (4, 4)
@@ -438,7 +442,8 @@ def test_pseudo_true_degenerates_without_mismatch():
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, DESK)
     imp = ImpairmentConfig.neutral()
     real = ImpairmentRealization.neutral(DESK)
-    theta0 = pseudo_true(theta, DESK, block, imp, real)
+    ybar = mu_m1(theta, DESK, block, imp, real)
+    theta0 = pseudo_true(theta, clean_model(DESK, block), ybar)
     npt.assert_allclose(theta0.as_array(), theta.as_array(), rtol=1e-8, atol=1e-14)
 
 
@@ -446,14 +451,15 @@ def test_ab_matrices_reduce_to_information():
     block = PilotBlock.from_config(DESK)
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, DESK)
     sigma = noise_std(DESK)
-    derivs = model_derivatives(theta, DESK, block)
-    fim = fim_theta(theta, DESK, sigma, block)
+    model = clean_model(DESK, block)
+    derivs = model_derivatives(theta, model)
+    info = fim(theta, model, sigma)
     eps = np.zeros((DESK.n_transmissions, DESK.n_subcarriers), dtype=complex)
     a_mat = matrix_a(derivs, eps, sigma)
     b_mat = matrix_b(derivs, eps, sigma)
-    npt.assert_allclose(a_mat, -fim, rtol=1e-12)
-    npt.assert_allclose(b_mat, fim, rtol=1e-12)
-    inv = np.linalg.inv(fim)
+    npt.assert_allclose(a_mat, -info, rtol=1e-12)
+    npt.assert_allclose(b_mat, info, rtol=1e-12)
+    inv = np.linalg.inv(info)
     npt.assert_allclose(
         mismatch_covariance(a_mat, b_mat), inv, rtol=1e-9, atol=1e-12 * np.abs(inv).max()
     )
@@ -483,7 +489,8 @@ def test_lb_report_zero_mismatch_equals_matched_bounds():
     sigma = noise_std(DESK)
     imp = ImpairmentConfig.neutral()
     real = ImpairmentRealization.neutral(DESK)
-    rep = lb_report(theta, DESK, block, imp, real, sigma)
+    impaired = ProjectionModel.impaired(DESK, block, imp, real)
+    rep = lb_report(theta, clean_model(DESK, block), impaired, sigma)
     npt.assert_allclose(rep.theta0.as_array(), theta.as_array(), rtol=1e-8, atol=1e-14)
     npt.assert_allclose(rep.lb_aeb_rad, rep.aeb_rad, rtol=1e-8)
     npt.assert_allclose(rep.lb_deb_s, rep.deb_s, rtol=1e-8)
@@ -505,7 +512,8 @@ def test_lb_report_with_impairments_is_sane():
     sigma = noise_std(cfg)
     imp = ImpairmentConfig()
     real = sample_realization(imp, cfg, np.random.default_rng(21))
-    rep = lb_report(theta, cfg, block, imp, real, sigma)
+    impaired = ProjectionModel.impaired(cfg, block, imp, real)
+    rep = lb_report(theta, clean_model(cfg, block, imp.coupling), impaired, sigma)
     p_bar = params_to_state(theta).position
     p0 = params_to_state(rep.theta0).position
     offset = float(np.linalg.norm(p_bar - p0))

@@ -17,7 +17,7 @@ from hwiloc.estimation import (
     projection_objective,
     refine,
 )
-from hwiloc.impairments import ImpairmentConfig, sample_realization
+from hwiloc.impairments import ImpairmentConfig, mc_matrix, pa_apply, sample_realization
 from hwiloc.model import (
     SPEED_OF_LIGHT,
     ChannelParams,
@@ -26,7 +26,7 @@ from hwiloc.model import (
     UeState,
     state_to_params,
 )
-from hwiloc.observation import mu_m1, mu_m2, observe
+from hwiloc.observation import mu_m1, observe
 
 
 def desk_cfg(**kw):
@@ -97,32 +97,51 @@ def test_residual_energy_identity():
 # factorized model vs direct evaluation
 
 
+def literal_chain(aoa, delay, cfg, blk, coupling_mat, pilots, rotations=None):
+    """Gain-free mean written out: b_g = w_g^T C a(aoa), delay phasors over
+    k = 1..K, and each optional time-domain rotation applied with FFTs."""
+    n = np.arange(cfg.n_antennas)
+    k = np.arange(1, cfg.n_subcarriers + 1)
+    b = blk.combiners @ (coupling_mat @ np.exp(1j * np.pi * n * np.sin(aoa)))
+    v = b[:, None] * np.exp(-2j * np.pi * k * cfg.subcarrier_spacing_hz * delay) * pilots
+    if rotations is None:
+        return v
+    return np.fft.fft(rotations * np.fft.ifft(v, axis=1, norm="ortho"), axis=1, norm="ortho")
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_clean_model_eta_matches_observation_builder(seed):
-    from hwiloc.observation import eta_m2
-
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     rng = np.random.default_rng(seed)
     aoa, rng_m = rng.uniform(-1.2, 1.2), rng.uniform(1.0, 20.0)
+    th = ChannelParams(aoa=aoa, delay=rng_m / SPEED_OF_LIGHT, gain_amp=2.0, gain_phase=0.4)
     model = ProjectionModel.clean(cfg, blk, coupling=(0.3 + 0.2j,))
-    direct = eta_m2(aoa, rng_m / SPEED_OF_LIGHT, cfg, blk, coupling=(0.3 + 0.2j,))
-    assert np.allclose(model.eta(aoa, rng_m / SPEED_OF_LIGHT), direct, rtol=1e-12)
+    n = cfg.n_antennas
+    coupling_mat = np.eye(n) + (0.3 + 0.2j) * (np.eye(n, k=1) + np.eye(n, k=-1))  # one tap
+    direct = th.gain * literal_chain(aoa, th.delay, cfg, blk, coupling_mat, blk.symbols)
+    assert np.allclose(model.mean(th), direct, rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_impaired_model_eta_matches_observation_builder(seed):
-    from hwiloc.observation import eta_m1
-
     cfg = desk_cfg(tx_power_dbm=40.0)
     blk = PilotBlock.from_config(cfg)
     imp = ImpairmentConfig()
     real = sample_realization(imp, cfg, np.random.default_rng(100 + seed))
     rng = np.random.default_rng(seed)
     aoa, rng_m = rng.uniform(-1.2, 1.2), rng.uniform(1.0, 20.0)
+    th = ChannelParams(aoa=aoa, delay=rng_m / SPEED_OF_LIGHT, gain_amp=2.0, gain_phase=0.4)
     model = ProjectionModel.impaired(cfg, blk, imp, real)
-    direct = eta_m1(aoa, rng_m / SPEED_OF_LIGHT, cfg, blk, imp, real)
-    assert np.allclose(model.eta(aoa, rng_m / SPEED_OF_LIGHT), direct, rtol=1e-11)
+    time = np.fft.ifft(blk.symbols, axis=1, norm="ortho")
+    pilots = np.fft.fft(pa_apply(time, imp.pa_coeffs, imp.pa_clip), axis=1, norm="ortho")
+    k, g = np.arange(cfg.n_subcarriers), np.arange(1, cfg.n_transmissions + 1)
+    total = cfg.n_subcarriers + cfg.cp_length
+    phases = 2 * np.pi * real.cfo * (g[:, None] * total + k[None, :]) / cfg.n_subcarriers
+    rotations = np.exp(1j * (phases + real.pn_phases))
+    coupling_mat = mc_matrix(imp.coupling, real.mc_residual, cfg.n_antennas)
+    direct = th.gain * literal_chain(aoa, th.delay, cfg, blk, coupling_mat, pilots, rotations)
+    assert np.allclose(model.mean(th), direct, rtol=1e-11)
 
 
 @pytest.mark.parametrize("impaired", [False, True])
@@ -138,7 +157,7 @@ def test_grid_objective_matches_direct_projection(impaired):
         )
     else:
         model = ProjectionModel.clean(cfg, blk)
-        y = observe(mu_m2(true_state(cfg), cfg, blk), 1e-6, np.random.default_rng(9))
+        y = observe(model.mean(true_state(cfg)), 1e-6, np.random.default_rng(9))
     aoas = np.array([-0.7, 0.1, 0.9])
     ranges = np.array([2.0, 7.5, 18.0])
     u = model.pulled_observation(y)
@@ -162,7 +181,7 @@ def test_grid_search_recovers_grid_node():
     th = ChannelParams(
         aoa=aoa, delay=rng_m / SPEED_OF_LIGHT, gain_amp=1e-4, gain_phase=0.1
     )
-    y = mu_m2(th, cfg, blk)
+    y = ProjectionModel.clean(cfg, blk).mean(th)
     p0, obj0 = grid_search(y, ProjectionModel.clean(cfg, blk), est)
     assert np.allclose(p0, rng_m * np.array([np.cos(aoa), np.sin(aoa)]), atol=1e-9)
     assert obj0 == pytest.approx(0.0, abs=1e-12 * np.vdot(y, y).real)
@@ -175,7 +194,7 @@ def test_grid_search_matches_brute_force_argmin():
     blk = PilotBlock.from_config(cfg)
     est = EstimatorConfig(n_grid_angles=31, n_grid_ranges=20)
     th = true_state(cfg, pos=(4.3, -1.7))
-    y = observe(mu_m2(th, cfg, blk), 5e-6, np.random.default_rng(11))
+    y = observe(ProjectionModel.clean(cfg, blk).mean(th), 5e-6, np.random.default_rng(11))
     model = ProjectionModel.clean(cfg, blk)
     p0, _ = grid_search(y, model, est)
     best, best_p = np.inf, None
@@ -193,7 +212,7 @@ def test_grid_search_tie_breaks_to_lowest_angle_index():
     cfg = desk_cfg(n_antennas=1)
     blk = PilotBlock.from_config(cfg)
     th = ChannelParams(aoa=0.0, delay=2e-8, gain_amp=1e-4, gain_phase=0.0)
-    y = mu_m2(th, cfg, blk)
+    y = ProjectionModel.clean(cfg, blk).mean(th)
     est = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15)
     p0, _ = grid_search(y, ProjectionModel.clean(cfg, blk), est)
     aoa0 = float(np.arctan2(p0[1], p0[0]))
@@ -208,7 +227,7 @@ def test_refine_at_optimum_stops_immediately():
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     th = true_state(cfg)
-    y = mu_m2(th, cfg, blk)
+    y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     p_true = np.array([3.0, 2.0])
     p_hat, obj, converged, iters = refine(y, model, p_true, EstimatorConfig())
@@ -221,7 +240,7 @@ def test_refine_improves_on_grid_point():
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     th = true_state(cfg, pos=(3.1, 1.9))
-    y = mu_m2(th, cfg, blk)
+    y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     est = EstimatorConfig()
     p0, obj0 = grid_search(y, model, est)
@@ -235,7 +254,7 @@ def test_refine_noise_free_reaches_truth():
     blk = PilotBlock.from_config(cfg)
     p_true = np.array([2.7, 1.4])
     th = true_state(cfg, pos=p_true)
-    y = mu_m2(th, cfg, blk)
+    y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     est = EstimatorConfig()
     p0, _ = grid_search(y, model, est)
@@ -252,7 +271,7 @@ def test_mmle_recovers_clean_truth():
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     th = true_state(cfg)
-    y = mu_m2(th, cfg, blk)
+    y = ProjectionModel.clean(cfg, blk).mean(th)
     out = mmle_m2(y, cfg, blk)
     assert isinstance(out, Estimate)
     assert np.linalg.norm(out.position - [3.0, 2.0]) < 1e-4
@@ -277,7 +296,7 @@ def test_mmle_under_noise_stays_near_truth():
     cfg = desk_cfg(tx_power_dbm=30.0)
     blk = PilotBlock.from_config(cfg)
     th = true_state(cfg)
-    mu = mu_m2(th, cfg, blk)
+    mu = ProjectionModel.clean(cfg, blk).mean(th)
     # strong signal: noise 40 dB below the per-sample mean power
     sigma = float(np.sqrt(np.mean(np.abs(mu) ** 2) * 1e-4))
     y = observe(mu, sigma, np.random.default_rng(31))
@@ -297,7 +316,7 @@ def test_estimate_records_grid_start():
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     th = true_state(cfg)
-    y = mu_m2(th, cfg, blk)
+    y = ProjectionModel.clean(cfg, blk).mean(th)
     out = mmle_m2(y, cfg, blk)
     assert out.grid_point.shape == (2,)
     assert out.objective <= projection_objective(

@@ -1,5 +1,6 @@
 """Tests for configuration handling, the sweep harness and the CLI."""
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -416,18 +417,91 @@ def test_cli_numeric_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_cli_no_surviving_realizations_exits_2(tmp_path, monkeypatch, capsys):
-    # infinite phase-noise spread makes every realization fail numerically
+def _desk_cfg(tmp_path, **overrides):
+    """configs/desk.cfg with some keys replaced, written to tmp_path."""
     desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
     keys = parse_config_text(desk.read_text(encoding="utf-8"))
-    keys.update(sigma_pn_deg="inf", n_realizations="3", sweep_values="0,10")
-    cfg = tmp_path / "inf.cfg"
+    keys.update(overrides)
+    cfg = tmp_path / "desk_variant.cfg"
     cfg.write_text("".join(f"{k}={v}\n" for k, v in keys.items()), encoding="utf-8")
+    return str(cfg)
+
+
+def test_cli_no_surviving_realizations_exits_2(tmp_path, monkeypatch, capsys):
+    # every realization fails numerically
+    def singular(*args, **kwargs):
+        raise NumericError("curvature matrix A is singular")
+
+    monkeypatch.setattr("hwiloc.harness.lb_report", singular)
+    cfg = _desk_cfg(tmp_path, n_realizations="3", sweep_values="0,10")
     out = tmp_path / "r.csv"
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
-    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 2
     assert "no surviving realizations" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        pytest.param(key, value, message, id=f"{key}={value}")
+        for key, value, message in (
+            ("noise_psd_dbm_hz", "1e308", "noise level"),
+            ("tx_power_dbm", "1e308", "pilot amplitude"),
+            ("ue_y", "nan", "must be finite"),
+            ("sweep_values", "0,inf", "must be finite"),
+            ("sigma_cfo", "inf", "spreads must be finite"),
+            ("sigma_pn_deg", "inf", "spreads must be finite"),
+            ("mc_c1", "nan+0j", "must be finite"),
+            ("pa_clip", "nan", "clip level"),
+        )
+    ],
+)
+def test_cli_rejects_non_finite_values(tmp_path, monkeypatch, capsys, key, value, message):
+    cfg = _desk_cfg(tmp_path, **{key: value})
+    out = tmp_path / "r.csv"
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+def test_cli_accepts_infinite_pa_clip(tmp_path, monkeypatch, capsys):
+    cfg = _desk_cfg(tmp_path, pa_clip="inf", sweep_values="20", n_realizations="1")
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    assert main(["bounds", "--config", cfg]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 27
+
+
+def test_cli_validate_passes_every_check(capsys):
+    assert main(["validate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "6/6 checks passed"
+    assert all(line.startswith("ok ") for line in lines[:-1])
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_every_layer(tmp_path, monkeypatch):
+    """The benchmark tracer wraps package functions by name; every layer it
+    times must still exist and be reached by a bounds and an estimate run."""
+    tracer = _load_tracer()
+    cfg = _desk_cfg(tmp_path, sweep_values="20", n_realizations="1", n_trials="1")
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    with tracer.Tracer("hwiloc") as t:
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 0
+    assert t.absent == []
+    assert t.leftovers() == []
+    assert [name for name in tracer.SPAN_TARGETS if name not in t.names] == []
+    assert t.counts[tracer.OBJECTIVE] > 0
 
 
 def test_cli_rejects_negative_seed(tmp_path, capsys):

@@ -6,13 +6,12 @@ import pytest
 from hwiloc.impairments import (
     ImpairmentConfig,
     ImpairmentRealization,
-    cfo_matrix,
     mc_matrix,
     pa_apply,
-    pn_matrix,
     sample_realization,
 )
-from hwiloc.model import ConfigError, SystemConfig
+from hwiloc.model import ConfigError, SystemConfig, dft_matrix
+from hwiloc.observation import sandwich_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -41,39 +40,57 @@ def test_negative_spread_rejected():
 
 
 # ---------------------------------------------------------------------------
-# phase noise
+# phase noise and CFO: the time-domain rotation inside the sandwich
 
 
-def test_pn_matrix_zero_phase_is_identity():
-    assert np.allclose(pn_matrix(np.zeros(6)), np.eye(6))
+def time_domain_rotations(real, cfg):
+    """F^H M_g F per transmission: the diagonal rotation of each sandwich."""
+    f = dft_matrix(cfg.n_subcarriers)
+    return f.conj().T @ sandwich_matrices(real, cfg) @ f
 
 
-def test_pn_matrix_is_unit_modulus_diagonal():
-    m = pn_matrix(np.array([0.1, -0.4, 2.0]))
-    assert np.allclose(np.abs(np.diag(m)), 1.0)
-    assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
+def test_sandwich_zero_phases_is_identity():
+    cfg = SystemConfig(n_antennas=2, n_transmissions=1, n_subcarriers=6)
+    m = sandwich_matrices(ImpairmentRealization.neutral(cfg), cfg)
+    assert np.allclose(m, np.eye(6))
 
 
-# ---------------------------------------------------------------------------
-# CFO
+def test_sandwich_is_time_domain_phase_diagonal():
+    cfg = SystemConfig(n_antennas=2, n_transmissions=3, n_subcarriers=8, cp_length=2)
+    real = sample_realization(ImpairmentConfig(sigma_cfo=0.1), cfg, np.random.default_rng(4))
+    k, total = np.arange(8), 8 + 2
+    for g, rot in enumerate(time_domain_rotations(real, cfg)):
+        common = 2 * np.pi * real.cfo * (g + 1) * total / 8
+        diag = np.exp(1j * (common + 2 * np.pi * real.cfo * k / 8 + real.pn_phases[g]))
+        assert np.allclose(rot, np.diag(diag), atol=1e-12)
+        assert np.allclose(np.abs(np.diag(rot)), 1.0)
 
 
 def test_cfo_zero_is_identity():
-    assert np.allclose(cfo_matrix(0.0, 3, 8, 2), np.eye(8))
+    # without CFO only the phase noise rotates the time-domain samples
+    cfg = SystemConfig(n_antennas=2, n_transmissions=3, n_subcarriers=8, cp_length=2)
+    real = sample_realization(ImpairmentConfig(sigma_cfo=0.0), cfg, np.random.default_rng(6))
+    assert real.cfo == 0.0
+    for g, rot in enumerate(time_domain_rotations(real, cfg)):
+        assert np.allclose(rot, np.diag(np.exp(1j * real.pn_phases[g])))
 
 
-def test_cfo_matrix_frozen_example():
+def test_cfo_frozen_example():
     # eps = 0.5, first transmission, K = 4, cp 1: common phase 2*pi*0.5*5/4,
     # ramp phases pi*k/4
-    e = cfo_matrix(0.5, 1, 4, 1)
+    cfg = SystemConfig(n_antennas=2, n_transmissions=1, n_subcarriers=4, cp_length=1)
+    real = ImpairmentRealization(pn_phases=np.zeros((1, 4)), cfo=0.5, mc_residual=np.zeros((2, 2)))
     common = np.exp(1j * 2 * np.pi * 0.5 * 5 / 4)
     ramp = np.exp(1j * np.pi * np.arange(4) / 4)
-    assert np.allclose(e, common * np.diag(ramp), atol=1e-12)
+    assert np.allclose(time_domain_rotations(real, cfg)[0], common * np.diag(ramp), atol=1e-12)
 
 
 def test_cfo_common_phase_accumulates_over_transmissions():
-    e1 = cfo_matrix(0.01, 1, 16, 4)
-    e2 = cfo_matrix(0.01, 2, 16, 4)
+    cfg = SystemConfig(n_antennas=2, n_transmissions=2, n_subcarriers=16, cp_length=4)
+    real = ImpairmentRealization(
+        pn_phases=np.zeros((2, 16)), cfo=0.01, mc_residual=np.zeros((2, 2))
+    )
+    e1, e2 = sandwich_matrices(real, cfg)
     step = np.exp(1j * 2 * np.pi * 0.01 * 20 / 16)
     assert np.allclose(e2, step * e1)
 

@@ -1,4 +1,4 @@
-"""Unit tests for the clean and impaired received-signal models."""
+"""Unit tests for the clean and impaired chains of the link model."""
 
 import cmath
 from dataclasses import replace
@@ -9,11 +9,8 @@ import pytest
 from hwiloc.impairments import ImpairmentConfig, ImpairmentRealization, sample_realization
 from hwiloc.model import ChannelParams, PilotBlock, SystemConfig
 from hwiloc.observation import (
-    ObservationSet,
-    eta_m1,
-    eta_m2,
+    ProjectionModel,
     mu_m1,
-    mu_m2,
     observe,
     sandwich_matrices,
     transmit_pilots,
@@ -35,7 +32,7 @@ def test_mu_m2_all_ones_degenerate_case():
     cfg = tiny_cfg(n=1, g=1, k=4)
     blk = PilotBlock(symbols=np.ones((1, 4)), combiners=np.ones((1, 1)))
     th = ChannelParams(aoa=0.3, delay=0.0, gain_amp=1.0, gain_phase=0.0)
-    assert np.allclose(mu_m2(th, cfg, blk), np.ones((1, 4)))
+    assert np.allclose(ProjectionModel.clean(cfg, blk).mean(th), np.ones((1, 4)))
 
 
 def test_mu_m2_hand_expansion_two_subcarriers():
@@ -53,7 +50,7 @@ def test_mu_m2_hand_expansion_two_subcarriers():
         alpha * b * cmath.exp(-2j * cmath.pi * 1 * df * tau) * x1,
         alpha * b * cmath.exp(-2j * cmath.pi * 2 * df * tau) * x2,
     ]
-    assert np.allclose(mu_m2(th, cfg, blk), [expect], rtol=1e-12)
+    assert np.allclose(ProjectionModel.clean(cfg, blk).mean(th), [expect], rtol=1e-12)
 
 
 def test_mu_m2_known_coupling_enters_row_gain():
@@ -61,7 +58,7 @@ def test_mu_m2_known_coupling_enters_row_gain():
     blk = PilotBlock(symbols=np.ones((1, 2)), combiners=np.array([[1.0, 0.0]]))
     th = ChannelParams(aoa=0.0, delay=0.0, gain_amp=1.0, gain_phase=0.0)
     # with taps (c1,), w = e_0: b = (C a)[0] = 1 + c1 at broadside
-    got = mu_m2(th, cfg, blk, coupling=(0.2 + 0.1j,))
+    got = ProjectionModel.clean(cfg, blk, coupling=(0.2 + 0.1j,)).mean(th)
     assert np.allclose(got, (1.2 + 0.1j) * np.ones((1, 2)))
 
 
@@ -69,7 +66,7 @@ def test_mu_m2_negative_delay_rejected():
     cfg = tiny_cfg()
     blk = PilotBlock(symbols=np.ones((1, 2)), combiners=np.ones((1, 2)) / np.sqrt(2))
     with pytest.raises(ValueError):
-        eta_m2(0.1, -1e-9, cfg, blk)
+        ProjectionModel.clean(cfg, blk).eta(0.1, -1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +81,7 @@ def test_mu_m1_neutral_equals_mu_m2():
     cfg = SystemConfig(n_antennas=4, n_transmissions=3, n_subcarriers=8)
     blk = PilotBlock.from_config(cfg)
     th = ChannelParams(aoa=-0.4, delay=1.1e-8, gain_amp=3e-4, gain_phase=1.2)
-    clean = mu_m2(th, cfg, blk)
+    clean = ProjectionModel.clean(cfg, blk).mean(th)
     impaired = mu_m1(th, cfg, blk, ImpairmentConfig.neutral(), neutral_real(cfg))
     assert np.allclose(impaired, clean, rtol=1e-11)
 
@@ -131,7 +128,7 @@ def test_pn_cfo_preserve_per_transmission_energy():
     th = ChannelParams(aoa=0.2, delay=0.9e-8, gain_amp=1e-4, gain_phase=0.5)
     imp = replace(ImpairmentConfig.neutral(), sigma_pn=np.deg2rad(20), sigma_cfo=0.02)
     real = sample_realization(imp, cfg, np.random.default_rng(9))
-    clean = mu_m2(th, cfg, blk)
+    clean = ProjectionModel.clean(cfg, blk).mean(th)
     impaired = mu_m1(th, cfg, blk, imp, real)
     assert np.allclose(
         np.linalg.norm(impaired, axis=1), np.linalg.norm(clean, axis=1), rtol=1e-11
@@ -163,7 +160,7 @@ def test_mc_residual_changes_row_gains_only():
         pn_phases=np.zeros((2, 4)), cfo=0.0, mc_residual=0.05 * np.ones((3, 3))
     )
     got = mu_m1(th, cfg, blk, imp, real)
-    ref = mu_m2(th, cfg, blk)
+    ref = ProjectionModel.clean(cfg, blk).mean(th)
     ratios = got / ref
     # constant ratio within each transmission row
     assert np.allclose(ratios, ratios[:, :1], rtol=1e-10)
@@ -194,8 +191,3 @@ def test_observe_reproducible():
     a = observe(mu, 0.5, np.random.default_rng(7))
     b = observe(mu, 0.5, np.random.default_rng(7))
     assert np.array_equal(a, b)
-
-
-def test_observation_set_container():
-    obs = ObservationSet(y=np.ones((1, 2), dtype=complex), sigma_n=0.1, model="clean")
-    assert obs.model == "clean" and obs.realization is None
