@@ -8,18 +8,22 @@ projection objective over position alone:
 where eta(p) is the gain-free mean of a :class:`ProjectionModel` at
 position p. The matched estimator fits the impaired model (it knows the
 realization), the mismatched estimator the clean one. Both minimize L(p)
-the same way: a coarse polar grid, then gradient descent on p with
-central-difference gradients and Armijo backtracking.
+the same way: a coarse polar grid, then a damped Newton fit in
+(aoa, range) on the exact gradient and Hessian of the captured energy,
+the variable-projection form of separable least squares (Golub & Pereyra,
+Inverse Problems 19, 2003).
 
-The grid stage uses the model's factorization eta_{g,k} = b_g(aoa)
-d_k(delay) x~_{g,k} (after pulling the unitary phase-noise/CFO sandwich
-onto the observation), which makes the objective separable in angle and
-range and lets one pilot block be scanned over the whole grid with three
-matrix products (:meth:`ProjectionModel.objective_grid`).
+Both stages use the model's factorization eta_{g,k} = b_g(aoa) d_k(delay)
+x~_{g,k} (after pulling the unitary phase-noise/CFO sandwich onto the
+observation), which makes the objective separable in angle and range: one
+pilot block is scanned over the whole grid with three matrix products
+(:meth:`ProjectionModel.objective_grid`), and every derivative the Newton
+fit needs comes from two (:meth:`ProjectionModel.captured_energy`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +40,14 @@ from .observation import ProjectionModel
 # scanned ranges, metres
 RANGE_MIN_M = 0.5
 RANGE_MAX_M = 30.0
-# descent settings
-FD_STEP = 1e-6  # relative central-difference step
-ARMIJO_SLOPE = 1e-4
-ARMIJO_SHRINK = 0.5
-INITIAL_STEP_M = 0.1
-GRAD_TOLERANCE = 1e-9  # on the gradient of the normalized objective
-STEP_FLOOR_M = 1e-12  # line-search stall threshold
+# Newton fit settings
+INITIAL_STEP_M = 0.1  # steepest-descent step where the Hessian is not definite
+GRAD_TOLERANCE = 1e-9  # on the Cartesian gradient of the normalized objective
+DECREMENT_TOLERANCE = 1e-14  # Newton decrement g^T H^-1 g / 2, normalized objective
+SUFFICIENT_DECREASE = 1e-4  # Armijo slope
+MAX_BACKTRACKS = 40  # step halvings before the line search counts as stalled
+# stop reasons of refine that count as converged
+CONVERGED_STOPS = ("gradient", "decrement")
 
 
 class NumericError(RuntimeError):
@@ -66,14 +71,18 @@ class EstimatorConfig:
 
 @dataclass
 class Estimate:
-    """Result of one grid + descent run."""
+    """Result of one grid + Newton fit run."""
 
     params: ChannelParams
     position: np.ndarray  # (2,) refined position
     objective: float  # projection objective at the optimum (unnormalized)
-    converged: bool
+    stop: str  # gradient | decrement | stalled | max_iter
     n_iterations: int
-    grid_point: np.ndarray  # (2,) coarse grid argmin the descent started from
+    grid_point: np.ndarray  # (2,) coarse grid argmin the fit started from
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in CONVERGED_STOPS
 
 
 def projection_objective(y: np.ndarray, eta: np.ndarray) -> float:
@@ -130,64 +139,84 @@ def grid_search(
 
 def refine(
     y: np.ndarray, model: ProjectionModel, p_start: np.ndarray, est: EstimatorConfig
-) -> tuple[np.ndarray, float, bool, int]:
-    """Gradient descent on position with Armijo backtracking.
+) -> tuple[np.ndarray, float, str, int]:
+    """Damped Newton fit of the projection objective in (aoa, range).
 
-    The objective is normalized by ||y||^2 so the gradient tolerance is
-    scale-free. Gradients come from central differences with relative step
-    FD_STEP. Stops when the gradient norm drops below tolerance, when
-    the line search stalls below the step floor (the numerical minimum), or
-    after max_iterations. The objective sequence is non-increasing.
+    The objective is normalized by ||y||^2 so the tolerances are scale-free;
+    its exact gradient and Hessian come from
+    :meth:`ProjectionModel.captured_energy`. Where the Hessian is positive
+    definite the step is the Newton step, elsewhere a steepest-descent step
+    of INITIAL_STEP_M metres; either is halved until the Armijo condition
+    holds at a positive range. The fit stops with one of these reasons:
 
-    Returns (position, unnormalized objective, converged flag, iterations).
+    * ``gradient``: the Cartesian gradient is below GRAD_TOLERANCE;
+    * ``decrement``: the Newton decrement is below DECREMENT_TOLERANCE,
+      a decrease too small to test, so the last full step is taken as is;
+    * ``stalled``: no step passed the line search in MAX_BACKTRACKS halvings;
+    * ``max_iter``: est.max_iterations iterations ran out.
+
+    Only the first two count as converged. Except for the final full Newton
+    step, the objective sequence is non-increasing.
+
+    Returns (position, unnormalized objective, stop reason, iterations).
     """
     u = model.pulled_observation(y)
     yy = float(np.vdot(u, u).real)
     if not np.isfinite(yy) or yy <= 0.0:
         raise NumericError("observation energy must be positive and finite")
+    w = np.conj(model.eff_pilots) * u
 
-    def f(p: np.ndarray) -> float:
-        return model.objective_at(u, p) / yy
+    def at(aoa: float, rng: float):
+        e, (e_a, e_r), (e_aa, e_ar, e_rr) = model.captured_energy(w, aoa, rng)
+        return 1.0 - e / yy, (-e_a / yy, -e_r / yy), (-e_aa / yy, -e_ar / yy, -e_rr / yy)
 
-    p = np.asarray(p_start, dtype=float).copy()
-    fp = f(p)
-    if not np.isfinite(fp):
+    aoa = float(np.arctan2(p_start[1], p_start[0]))
+    rng = float(np.hypot(p_start[0], p_start[1]))
+    f, grad, hess = at(aoa, rng)
+    if not np.isfinite(f):
         raise NumericError("objective is non-finite at the starting point")
 
-    step = INITIAL_STEP_M
-    converged = False
+    stop = "max_iter"
     iters = 0
     for iters in range(1, est.max_iterations + 1):
-        grad = np.empty(2)
-        for i in range(2):
-            h = FD_STEP * max(abs(p[i]), 1.0)
-            pp, pm = p.copy(), p.copy()
-            pp[i] += h
-            pm[i] -= h
-            grad[i] = (f(pp) - f(pm)) / (2.0 * h)
-        gnorm = float(np.linalg.norm(grad))
-        if not np.isfinite(gnorm):
+        g_a, g_r = grad
+        gnorm = math.hypot(g_a / rng, g_r)  # the Cartesian gradient, rotated to polar
+        if not math.isfinite(gnorm):
             raise NumericError("gradient is non-finite during refinement")
         if gnorm < GRAD_TOLERANCE:
-            converged = True
+            stop = "gradient"
             break
-        direction = -grad / gnorm
-        s = min(INITIAL_STEP_M, 2.0 * step)
-        accepted = False
-        while s >= STEP_FLOOR_M:
-            cand = p + s * direction
-            fc = f(cand)
-            if np.isfinite(fc) and fc <= fp - ARMIJO_SLOPE * s * gnorm:
-                p, fp = cand, fc
-                step = s
-                accepted = True
+        h_aa, h_ar, h_rr = hess
+        det = h_aa * h_rr - h_ar * h_ar
+        if h_aa > 0.0 and det > 0.0:
+            d_a = (h_ar * g_r - h_rr * g_a) / det
+            d_r = (h_ar * g_a - h_aa * g_r) / det
+            if -0.5 * (g_a * d_a + g_r * d_r) <= DECREMENT_TOLERANCE and rng + d_r > 0.0:
+                cand = at(aoa + d_a, rng + d_r)
+                if np.isfinite(cand[0]):
+                    aoa, rng, f = aoa + d_a, rng + d_r, cand[0]
+                stop = "decrement"
                 break
-            s *= ARMIJO_SHRINK
-        if not accepted:
-            # no decrease at any resolvable step: numerical minimum reached
-            converged = True
+        else:
+            # a Cartesian step of INITIAL_STEP_M against the gradient
+            d_a = -INITIAL_STEP_M * g_a / (rng * rng * gnorm)
+            d_r = -INITIAL_STEP_M * g_r / gnorm
+        slope = g_a * d_a + g_r * d_r
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            c_a, c_r = aoa + t * d_a, rng + t * d_r
+            if c_r > 0.0:
+                cand = at(c_a, c_r)
+                if cand[0] <= f + SUFFICIENT_DECREASE * t * slope:
+                    break
+            t *= 0.5
+        else:
+            stop = "stalled"
             break
-    return p, fp * yy, converged, iters
+        aoa, rng = c_a, c_r
+        f, grad, hess = cand
+    position = rng * np.array([math.cos(aoa), math.sin(aoa)])
+    return position, f * yy, stop, iters
 
 
 def _finish(
@@ -197,7 +226,7 @@ def _finish(
     if not np.all(np.isfinite(y)):
         raise ValueError("observation contains non-finite samples")
     p0, _ = grid_search(y, model, est)
-    p_hat, obj, converged, iters = refine(y, model, p0, est)
+    p_hat, obj, stop, iters = refine(y, model, p0, est)
     rng_m = float(np.hypot(p_hat[0], p_hat[1]))
     aoa = float(np.arctan2(p_hat[1], p_hat[0]))
     delay = rng_m / SPEED_OF_LIGHT
@@ -212,7 +241,7 @@ def _finish(
         params=params,
         position=p_hat,
         objective=obj,
-        converged=converged,
+        stop=stop,
         n_iterations=iters,
         grid_point=p0,
     )

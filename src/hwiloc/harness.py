@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -37,7 +38,7 @@ from .config_io import (
     ESTIMATOR_METRICS,
     ExperimentSpec,
 )
-from .estimation import NumericError, mle_m1, mmle_m2
+from .estimation import RANGE_MAX_M, RANGE_MIN_M, NumericError, mle_m1, mmle_m2
 from .impairments import ImpairmentConfig, sample_realization
 from .model import (
     SPEED_OF_LIGHT,
@@ -234,6 +235,7 @@ def _trials_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     p_true = params_to_state(theta).position
     metrics = [m for m in ESTIMATOR_METRICS if m in spec.outputs]
     squared: dict[str, list[float]] = {m: [] for m in metrics}
+    stops: dict[str, Counter] = {m: Counter() for m in metrics}
     for t in range(spec.n_trials):
         rng = _rng(spec.master_seed, t, _TRIAL_STREAM)
         block = _block_for(spec, sys_cfg, rng)
@@ -246,16 +248,22 @@ def _trials_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
                 else:
                     est = mle_m1(y, sys_cfg, block, imp, real)
             except NumericError as exc:
-                logger.warning(
-                    "trials: sweep value %r trial %d %s failed: %s", value, t, m, exc
-                )
+                logger.debug("trials: sweep value %r trial %d %s failed: %s", value, t, m, exc)
+                stops[m]["failed"] += 1
                 continue
+            stops[m][est.stop] += 1
             if est.converged:
                 squared[m].append(float(np.sum((est.position - p_true) ** 2)))
-            else:
-                logger.warning(
-                    "trials: sweep value %r trial %d %s did not converge", value, t, m
-                )
+    all_converged = all(sum(stops[m].values()) == len(squared[m]) for m in metrics)
+    logger.log(
+        logging.INFO if all_converged else logging.WARNING,
+        "trials: sweep value %r stops: %s",
+        value,
+        "; ".join(
+            f"{m} " + " ".join(f"{reason}={n}" for reason, n in sorted(stops[m].items()))
+            for m in metrics
+        ),
+    )
     empty = ", ".join(m for m in metrics if not squared[m])
     if empty:
         logger.warning("trials: no converged trials for %s at %r", empty, value)
@@ -311,7 +319,21 @@ def run_bounds_sweep(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def run_estimator_trials(spec: ExperimentSpec) -> list[ResultRow]:
-    """Monte-Carlo position RMSE of the requested estimators per sweep point."""
+    """Monte-Carlo position RMSE of the requested estimators per sweep point.
+
+    The UE must sit inside the estimators' range scan: from RANGE_MIN_M up
+    to RANGE_MAX_M or one delay-ambiguity span c/df above RANGE_MIN_M,
+    whichever is nearer. Beyond the span the delay phasors repeat, so a fit
+    lands on an alias of the true range.
+    """
     if not any(m in spec.outputs for m in ESTIMATOR_METRICS):
         raise ConfigError("outputs request no estimator metric (mmle_rmse, mle_m1_rmse)")
+    ue_range = float(np.hypot(*spec.ue_position))
+    span = SPEED_OF_LIGHT / spec.system.subcarrier_spacing_hz
+    top = min(RANGE_MAX_M, RANGE_MIN_M + span)
+    if not RANGE_MIN_M <= ue_range < top:
+        raise ConfigError(
+            f"UE range {ue_range:.6g} m is outside the estimators' scan "
+            f"[{RANGE_MIN_M:g}, {top:.6g}) m"
+        )
     return _run_points(spec, _trials_point)

@@ -35,6 +35,7 @@ from .model import (
     SystemConfig,
     delay_vector,
     dft_matrix,
+    steering_derivatives,
     steering_vector,
 )
 
@@ -83,7 +84,8 @@ class ProjectionModel:
     Holds the combiners W, the coupling C, the effective pilots x~ and,
     for the impaired chain, the realization whose phase noise and CFO make
     up the sandwich (None for the clean chain). It gives the mean, the
-    pulled observation and the projection objective; the derivatives and
+    pulled observation, the projection objective and the exact (aoa, range)
+    derivatives of its captured energy; the derivatives of the mean and
     the information matrix are in :mod:`hwiloc.bounds`.
     """
 
@@ -186,6 +188,49 @@ class ProjectionModel:
         aoa = float(np.arctan2(py, px))
         grid = self.objective_grid(u, np.array([aoa]), np.array([rng]))
         return float(grid[0, 0])
+
+    def captured_energy(
+        self, w: np.ndarray, aoa: float, range_m: float
+    ) -> tuple[float, tuple[float, float], tuple[float, float, float]]:
+        """Captured energy |s|^2 / D and its exact derivatives in (aoa, range).
+
+        w = conj(x~) * u is the pulled observation weighted by the pilots,
+        s = eta^H u = sum_{g,k} conj(b_g) w_{g,k} conj(d_k) and D = ||eta||^2
+        = sum_g |b_g|^2 ||x~_g||^2. The rows [b, b', b''] (aoa derivatives of
+        the row gains) and the columns [conj d, conj d', conj d''] (range
+        derivatives of the conjugate delay phasors) give every mixed
+        derivative of s with two matrix products; D does not depend on range.
+        Returns (energy, (e_a, e_r), (e_aa, e_ar, e_rr)); the energy is NaN
+        when D vanishes.
+        """
+        n_antennas = self.row_matrix.shape[1]
+        steer = np.stack(
+            (steering_vector(aoa, n_antennas), *steering_derivatives(aoa, n_antennas)), axis=1
+        )
+        b = self.row_matrix @ steer  # (G, 3): b, b', b''
+        ring = (2j * np.pi * self.cfg.subcarrier_spacing_hz / SPEED_OF_LIGHT) * np.arange(
+            1, self.cfg.n_subcarriers + 1
+        )
+        dc = np.exp(ring * range_m)
+        (s, s_r, s_rr), (s_a, s_ar, _), (s_aa, _, _) = (
+            b.conj().T @ w @ np.stack((dc, ring * dc, ring * ring * dc), axis=1)
+        ).tolist()
+        (q00, q01, q02), (_, q11, _) = ((b.conj().T[:2] * self.pilot_energies) @ b).real.tolist()
+        den, den_a, den_aa = q00, 2.0 * q01, 2.0 * (q11 + q02)
+        if not den > 0.0:
+            return float("nan"), (0.0, 0.0), (0.0, 0.0, 0.0)
+        sc = s.conjugate()
+        p = (sc * s).real  # |s|^2 and its derivatives
+        p_a, p_r = 2.0 * (sc * s_a).real, 2.0 * (sc * s_r).real
+        p_aa = 2.0 * ((s_a.conjugate() * s_a).real + (sc * s_aa).real)
+        p_ar = 2.0 * (s_a.conjugate() * s_r + sc * s_ar).real
+        p_rr = 2.0 * ((s_r.conjugate() * s_r).real + (sc * s_rr).real)
+        e = p / den
+        rel_a = den_a / den
+        e_a = p_a / den - e * rel_a
+        e_aa = (p_aa - 2.0 * p_a * rel_a) / den - e * (den_aa / den - 2.0 * rel_a * rel_a)
+        e_ar = (p_ar - p_r * rel_a) / den
+        return e, (e_a, p_r / den), (e_aa, e_ar, p_rr / den)
 
 
 def mu_m1(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hwiloc.estimation import (
+    CONVERGED_STOPS,
     Estimate,
     EstimatorConfig,
     NumericError,
@@ -230,8 +231,8 @@ def test_refine_at_optimum_stops_immediately():
     y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     p_true = np.array([3.0, 2.0])
-    p_hat, obj, converged, iters = refine(y, model, p_true, EstimatorConfig())
-    assert converged
+    p_hat, obj, stop, iters = refine(y, model, p_true, EstimatorConfig())
+    assert stop == "gradient"
     assert iters == 1
     assert np.allclose(p_hat, p_true)
 
@@ -244,7 +245,8 @@ def test_refine_improves_on_grid_point():
     model = ProjectionModel.clean(cfg, blk)
     est = EstimatorConfig()
     p0, obj0 = grid_search(y, model, est)
-    p_hat, obj, converged, _ = refine(y, model, p0, est)
+    p_hat, obj, stop, _ = refine(y, model, p0, est)
+    assert stop in CONVERGED_STOPS
     assert obj <= obj0 + 1e-15
     assert np.linalg.norm(p_hat - [3.1, 1.9]) < np.linalg.norm(p0 - [3.1, 1.9]) + 1e-12
 
@@ -258,9 +260,82 @@ def test_refine_noise_free_reaches_truth():
     model = ProjectionModel.clean(cfg, blk)
     est = EstimatorConfig()
     p0, _ = grid_search(y, model, est)
-    p_hat, obj, converged, _ = refine(y, model, p0, est)
-    assert converged
+    p_hat, obj, stop, _ = refine(y, model, p0, est)
+    assert stop in CONVERGED_STOPS
     assert np.linalg.norm(p_hat - p_true) < 1e-4
+
+
+def test_refine_iteration_cap_is_not_converged():
+    cfg = desk_cfg()
+    blk = PilotBlock.from_config(cfg)
+    th = true_state(cfg)
+    model = ProjectionModel.clean(cfg, blk)
+    y = model.mean(th)
+    far = np.array([3.3, 1.6])  # 0.5 m off, inside the same basin
+    est = EstimatorConfig(max_iterations=1)
+    p_hat, obj, stop, iters = refine(y, model, far, est)
+    assert (stop, iters) == ("max_iter", 1)
+    assert obj < model.objective_at(model.pulled_observation(y), far)
+    # a coarse grid starts the estimator far off too
+    coarse = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15, max_iterations=1)
+    out = mmle_m2(y, cfg, blk, coarse)
+    assert out.stop == "max_iter" and not out.converged
+
+
+def fd_objective_derivatives(model, u, aoa, rng_m, h=1e-5):
+    """Central differences of objective_at in (aoa, range): gradient and
+    Hessian (aa, ar, rr)."""
+
+    def obj(a, r):
+        return model.objective_at(u, r * np.array([np.cos(a), np.sin(a)]))
+
+    f0 = obj(aoa, rng_m)
+    fa = (obj(aoa + h, rng_m) - obj(aoa - h, rng_m)) / (2 * h)
+    fr = (obj(aoa, rng_m + h) - obj(aoa, rng_m - h)) / (2 * h)
+    faa = (obj(aoa + h, rng_m) - 2 * f0 + obj(aoa - h, rng_m)) / h**2
+    frr = (obj(aoa, rng_m + h) - 2 * f0 + obj(aoa, rng_m - h)) / h**2
+    far = (
+        obj(aoa + h, rng_m + h)
+        - obj(aoa + h, rng_m - h)
+        - obj(aoa - h, rng_m + h)
+        + obj(aoa - h, rng_m - h)
+    ) / (4 * h * h)
+    return f0, np.array([fa, fr]), np.array([faa, far, frr])
+
+
+@pytest.mark.parametrize("impaired", [False, True])
+def test_captured_energy_derivatives_match_objective_differences(impaired):
+    cfg = desk_cfg()
+    blk = PilotBlock.from_config(cfg)
+    imp = ImpairmentConfig()
+    real = sample_realization(imp, cfg, np.random.default_rng(8))
+    th = true_state(cfg)
+    if impaired:
+        model = ProjectionModel.impaired(cfg, blk, imp, real)
+    else:
+        model = ProjectionModel.clean(cfg, blk, coupling=(0.3 + 0.2j,))
+    mu = model.mean(th)
+    sigma = float(np.sqrt(np.mean(np.abs(mu) ** 2) * 1e-2))
+    y = observe(mu, sigma, np.random.default_rng(9))
+    u = model.pulled_observation(y)
+    w = np.conj(model.eff_pilots) * u
+    # off the grid and off the optimum, so gradient and Hessian are generic
+    aoa, rng_m = float(th.aoa) + 0.0123, float(th.delay * SPEED_OF_LIGHT) + 0.0217
+    energy, grad, hess = model.captured_energy(w, aoa, rng_m)
+    f0, fd_grad, fd_hess = fd_objective_derivatives(model, u, aoa, rng_m)
+    yy = np.vdot(u, u).real
+    assert yy - energy == pytest.approx(f0, rel=1e-12)
+    # the objective is ||u||^2 minus the captured energy
+    assert np.max(np.abs(-np.array(grad) - fd_grad)) <= 1e-7 * np.max(np.abs(fd_grad))
+    assert np.max(np.abs(-np.array(hess) - fd_hess)) <= 1e-5 * np.max(np.abs(fd_hess))
+
+
+def test_captured_energy_is_nan_without_row_gain():
+    cfg = desk_cfg()
+    blk = PilotBlock.from_config(cfg)
+    model = ProjectionModel(cfg, np.zeros_like(blk.combiners), np.eye(cfg.n_antennas), blk.symbols)
+    energy, _, _ = model.captured_energy(np.ones_like(blk.symbols), 0.2, 3.0)
+    assert np.isnan(energy)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +362,12 @@ def test_mle_m1_recovers_impaired_truth():
     th = true_state(cfg)
     y = mu_m1(th, cfg, blk, imp, real)
     out = mle_m1(y, cfg, blk, imp, real)
-    # the wide-beam toy geometry leaves a slow diagonal valley, so the
-    # 200-iteration default lands within half a millimetre rather than exactly
-    assert np.linalg.norm(out.position - [3.0, 2.0]) < 5e-4
+    # the wide-beam toy geometry leaves a slow diagonal valley (Cartesian
+    # curvature 0.57 of the normalized objective), where the gradient stop
+    # alone bounds the error by 1e-9 / 0.57 = 1.8e-9 m; the Newton fit
+    # lands within 2e-15 m
+    assert out.converged
+    assert np.linalg.norm(out.position - [3.0, 2.0]) < 1e-8
 
 
 def test_mmle_under_noise_stays_near_truth():

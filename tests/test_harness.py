@@ -1,12 +1,15 @@
 """Tests for configuration handling, the sweep harness and the CLI."""
 
 import importlib.util
+import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import hwiloc.harness
 from hwiloc.cli import main
 from hwiloc.config_io import (
     DEFAULT_SWEEP_VALUES,
@@ -325,6 +328,46 @@ def test_estimator_trials_without_converged_trials_raise(monkeypatch):
         run_estimator_trials(desk_spec(outputs="mmle_rmse,mle_m1_rmse"))
 
 
+def test_estimator_trials_log_one_stop_count_line_per_point(monkeypatch, caplog):
+    # the mismatched fit reports its iteration cap on every trial, the
+    # matched one fails numerically: one warning line per point counts both
+    real_mmle = hwiloc.harness.mmle_m2
+
+    def capped(*args, **kwargs):
+        return replace(real_mmle(*args, **kwargs), stop="max_iter")
+
+    def boom(*args, **kwargs):
+        raise NumericError("synthetic failure")
+
+    monkeypatch.setattr("hwiloc.harness.mmle_m2", capped)
+    monkeypatch.setattr("hwiloc.harness.mle_m1", boom)
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    with caplog.at_level(logging.INFO, logger="hwiloc.harness"):
+        with pytest.raises(NumericError, match="no converged trials for mmle_rmse, mle_m1_rmse"):
+            run_estimator_trials(desk_spec(outputs="mmle_rmse,mle_m1_rmse", sweep_values="10"))
+    stops = [r for r in caplog.records if "stops:" in r.getMessage()]
+    assert [r.getMessage() for r in stops] == [
+        "trials: sweep value 10.0 stops: mmle_rmse max_iter=2; mle_m1_rmse failed=2"
+    ]
+    assert stops[0].levelno == logging.WARNING
+    assert not [r for r in caplog.records if r.levelno == logging.WARNING and "trial 0" in r.getMessage()]
+
+
+def test_estimator_trials_stop_counts_cover_every_trial(monkeypatch, caplog):
+    spec = desk_spec(outputs="mmle_rmse,mle_m1_rmse")
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")  # worker processes log elsewhere
+    with caplog.at_level(logging.INFO, logger="hwiloc.harness"):
+        rows = run_estimator_trials(spec)
+    lines = [r.getMessage() for r in caplog.records if "stops:" in r.getMessage()]
+    assert len(lines) == len(spec.sweep_values)
+    for line in lines:
+        for m in ("mmle_rmse", "mle_m1_rmse"):
+            counts = line.split(f"{m} ")[1].split(";")[0].split()
+            assert sum(int(c.split("=")[1]) for c in counts) == spec.n_trials
+    assert all(r.levelno == logging.INFO for r in caplog.records if "stops:" in r.getMessage())
+    assert sum(r.trials for r in rows) == 2 * len(spec.sweep_values) * spec.n_trials
+
+
 def test_estimator_trials_require_estimator_outputs():
     with pytest.raises(ConfigError, match="estimator metric"):
         run_estimator_trials(desk_spec(outputs="crb_m2,peb"))
@@ -465,6 +508,32 @@ def test_cli_rejects_non_finite_values(tmp_path, monkeypatch, capsys, key, value
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert not out.exists()
+
+
+def test_cli_estimate_rejects_ue_outside_range_scan(tmp_path, monkeypatch, capsys):
+    # 50 m is past the 9.6 m delay-ambiguity span of desk.cfg: every fit
+    # would land on an alias of the true range
+    cfg = _desk_cfg(tmp_path, ue_x="50", sweep_values="20", n_trials="5", n_realizations="1")
+    out = tmp_path / "r.csv"
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "outside the estimators' scan" in err
+    assert not out.exists()
+    # the bounds need no scan and still run there
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("ue_x,ok", [("0.4", False), ("0.6", True), ("10.0", True), ("10.2", False)])
+def test_estimator_trials_range_window_edges(ue_x, ok):
+    # desk scale: c/df = 9.59 m, so the window is [0.5, 0.5 + 9.59) m
+    spec = desk_spec(outputs="mmle_rmse", ue_x=ue_x, ue_y="0", sweep_values="30")
+    if ok:
+        assert len(run_estimator_trials(spec)) == 1
+    else:
+        with pytest.raises(ConfigError, match="outside the estimators' scan"):
+            run_estimator_trials(spec)
 
 
 def test_cli_accepts_infinite_pa_clip(tmp_path, monkeypatch, capsys):
