@@ -16,7 +16,10 @@ Three bound families are computed for the uplink localization problem:
   A^-1 B A^-1 plus the squared pseudo-true bias.
 
 Every bound takes the link models (:class:`ProjectionModel`) it needs,
-built once per pilot block and realization by the caller.
+built once per pilot block and realization by the caller. The first and
+second derivatives of a mean (:func:`model_derivatives`) are products of the
+model's factor derivatives (:meth:`ProjectionModel.factors`) and a gain
+factor; the FIM and both MCRB matrices A and B are contractions of them.
 
 Parameters are ordered theta = [aoa, delay, gain_amp, gain_phase]
 throughout; positional bounds use the state s = [p_x, p_y, gain_amp,
@@ -26,27 +29,19 @@ gain_phase] through the chain-rule Jacobian d theta / d s.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import (
-    GRAD_TOLERANCE,
-    INITIAL_STEP_M,
-    EstimatorConfig,
-    NumericError,
-    plug_in_gain,
-)
-from .model import (
-    SPEED_OF_LIGHT,
-    ChannelParams,
-    params_to_state,
-    steering_derivatives,
-    steering_vector,
-)
+from .estimation import GRAD_TOLERANCE, INITIAL_STEP_M, NumericError, plug_in_gain
+from .model import SPEED_OF_LIGHT, ChannelParams, params_to_state
 from .observation import ProjectionModel
 
 N_PARAMS = 4
+# orders in (aoa, delay, amp, phase) of each first derivative, [order, i],
+# and each second derivative, [order, i, j]
+_FIRST_ORDERS = np.eye(N_PARAMS, dtype=int)
+_SECOND_ORDERS = _FIRST_ORDERS[:, :, None] + _FIRST_ORDERS[:, None, :]
 
 
 @dataclass
@@ -99,64 +94,30 @@ def model_derivatives(theta: ChannelParams, model: ProjectionModel) -> ModelDeri
     """All first and second derivatives of the link mean before its sandwich.
 
     The mean factorizes per sample as alpha * b_g(aoa) * d_k(delay) *
-    x~_{g,k} with row gains b_g = w_g^T C a(aoa), so every derivative is an
-    outer product of per-transmission scalars, per-subcarrier phasors and
-    the effective pilots. For the clean model these are the derivatives of
-    its mean; the impaired mean is M_g times this one, with M_g unitary and
-    theta-free. Rows are applied as W (C a), rounding as the mean does.
-    Gain derivatives use alpha = gain_amp * exp(-1j*gain_phase): d alpha/d
-    amp = exp(-1j*phase), d alpha/d phase = -1j*alpha, and the amp-amp
-    second derivative vanishes.
+    x~_{g,k}, so a derivative of orders (n_aoa, n_delay, n_amp, n_phase)
+    is the gain factor times e[n_aoa, n_delay] = b^(n_aoa) d^(n_delay) x~,
+    built from :meth:`ProjectionModel.factors`. For the clean model these
+    are the derivatives of its mean; the impaired mean is M_g times this
+    one, with M_g unitary and theta-free. With alpha = gain_amp *
+    exp(-1j*gain_phase) the gain factor is (gain_amp, 1, 0)[n_amp] *
+    (1, -1j, -1)[n_phase] * exp(-1j*gain_phase), read from tables so the
+    amp-amp derivative is exactly zero and second is exactly symmetric.
     """
     if theta.delay < 0:
         raise ValueError("delay must be non-negative")
-    combiners, coupling_mat, pilots = model.combiners, model.coupling, model.eff_pilots
-    n_antennas = coupling_mat.shape[0]
-    a = steering_vector(theta.aoa, n_antennas)
-    da, dda = steering_derivatives(theta.aoa, n_antennas)
-    b = combiners @ (coupling_mat @ a)  # (G,)
-    bd = combiners @ (coupling_mat @ da)
-    bdd = combiners @ (coupling_mat @ dda)
+    b, d = model.factors(theta.aoa, theta.delay)
+    e = b.T[:, None, :, None] * (d.T[:, None, :] * model.eff_pilots)  # (3, 3, G, K)
+    amp = np.array([theta.gain_amp, 1.0, 0.0])
+    phase = np.array([1.0, -1j, -1.0])
+    rotation = np.exp(-1j * theta.gain_phase)
 
-    k = np.arange(1, model.cfg.n_subcarriers + 1)
-    ring = -2j * np.pi * k * model.cfg.subcarrier_spacing_hz  # d/d delay phase factors
-    d = np.exp(ring * theta.delay)
-    dd = ring * d
-    ddd = ring**2 * d
+    def derivative(orders: np.ndarray) -> np.ndarray:
+        n_aoa, n_delay, n_amp, n_phase = orders
+        gain = amp[n_amp] * phase[n_phase] * rotation
+        out = e[n_aoa, n_delay]  # a copy: advanced indexing
+        return np.multiply(gain[..., None, None], out, out=out)
 
-    alpha = theta.gain
-    d_amp = np.exp(-1j * theta.gain_phase)  # d alpha / d gain_amp
-    d_phase = -1j * alpha  # d alpha / d gain_phase
-
-    def outer(bg: np.ndarray, dk: np.ndarray) -> np.ndarray:
-        return bg[:, None] * (dk[None, :] * pilots)
-
-    e00 = outer(b, d)  # the gain-free mean
-    e_a = outer(bd, d)  # aoa direction
-    e_t = outer(b, dd)  # delay direction
-    e_aa = outer(bdd, d)
-    e_at = outer(bd, dd)
-    e_tt = outer(b, ddd)
-
-    first = np.stack(
-        [alpha * e_a, alpha * e_t, d_amp * e00, d_phase * e00]
-    )
-
-    second = np.zeros((N_PARAMS, N_PARAMS) + e00.shape, dtype=complex)
-    second[0, 0] = alpha * e_aa
-    second[0, 1] = alpha * e_at
-    second[0, 2] = d_amp * e_a
-    second[0, 3] = d_phase * e_a
-    second[1, 1] = alpha * e_tt
-    second[1, 2] = d_amp * e_t
-    second[1, 3] = d_phase * e_t
-    # amp-amp derivative is exactly zero
-    second[2, 3] = -1j * d_amp * e00
-    second[3, 3] = -alpha * e00
-    for i in range(N_PARAMS):
-        for j in range(i + 1, N_PARAMS):
-            second[j, i] = second[i, j]
-    return ModelDerivatives(first=first, second=second)
+    return ModelDerivatives(first=derivative(_FIRST_ORDERS), second=derivative(_SECOND_ORDERS))
 
 
 # ---------------------------------------------------------------------------
@@ -280,23 +241,23 @@ def _wrap_phase(x: float) -> float:
 # 1e-6 gate). It is deleted once that reference is regenerated from a
 # converged fit (ROADMAP item 2).
 FD_STEP = 1e-6  # relative central-difference step
+MAX_DESCENT_ITERATIONS = 1000
 ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
 STEP_FLOOR_M = 1e-12  # line-search stall threshold
 
 
 def _descend(
-    y: np.ndarray, model: ProjectionModel, p_start: np.ndarray, est: EstimatorConfig
-) -> tuple[np.ndarray, float, bool, int]:
+    y: np.ndarray, model: ProjectionModel, p_start: np.ndarray
+) -> np.ndarray:
     """Gradient descent on position with Armijo backtracking.
 
     The objective is normalized by ||y||^2 so the gradient tolerance is
     scale-free. Gradients come from central differences with relative step
     FD_STEP. Stops when the gradient norm drops below tolerance, when
     the line search stalls below the step floor (the numerical minimum), or
-    after max_iterations. The objective sequence is non-increasing.
-
-    Returns (position, unnormalized objective, converged flag, iterations).
+    after MAX_DESCENT_ITERATIONS. The objective sequence is non-increasing.
+    Returns the final position.
     """
     u = model.pulled_observation(y)
     yy = float(np.vdot(u, u).real)
@@ -312,9 +273,7 @@ def _descend(
         raise NumericError("objective is non-finite at the starting point")
 
     step = INITIAL_STEP_M
-    converged = False
-    iters = 0
-    for iters in range(1, est.max_iterations + 1):
+    for _ in range(MAX_DESCENT_ITERATIONS):
         grad = np.empty(2)
         for i in range(2):
             h = FD_STEP * max(abs(p[i]), 1.0)
@@ -326,32 +285,24 @@ def _descend(
         if not np.isfinite(gnorm):
             raise NumericError("gradient is non-finite during refinement")
         if gnorm < GRAD_TOLERANCE:
-            converged = True
             break
         direction = -grad / gnorm
         s = min(INITIAL_STEP_M, 2.0 * step)
-        accepted = False
         while s >= STEP_FLOOR_M:
             cand = p + s * direction
             fc = f(cand)
             if np.isfinite(fc) and fc <= fp - ARMIJO_SLOPE * s * gnorm:
                 p, fp = cand, fc
                 step = s
-                accepted = True
                 break
             s *= ARMIJO_SHRINK
-        if not accepted:
-            # no decrease at any resolvable step: numerical minimum reached
-            converged = True
-            break
-    return p, fp * yy, converged, iters
+        else:
+            break  # no decrease at any resolvable step: numerical minimum reached
+    return p
 
 
 def pseudo_true(
-    theta_bar: ChannelParams,
-    clean: ProjectionModel,
-    ybar: np.ndarray,
-    est: EstimatorConfig | None = None,
+    theta_bar: ChannelParams, clean: ProjectionModel, ybar: np.ndarray
 ) -> ChannelParams:
     """Parameter the mismatched receiver converges to without noise.
 
@@ -362,10 +313,8 @@ def pseudo_true(
     its phase is unwrapped to the branch nearest the true phase so
     downstream bias terms stay wrap-free.
     """
-    if est is None:
-        est = EstimatorConfig(max_iterations=1000)
     p_bar = params_to_state(theta_bar).position
-    p0, _, _, _ = _descend(ybar, clean, p_bar, est)
+    p0 = _descend(ybar, clean, p_bar)
     aoa = float(np.arctan2(p0[1], p0[0]))
     delay = float(np.hypot(p0[0], p0[1])) / SPEED_OF_LIGHT
     alpha = plug_in_gain(ybar, clean.eta(aoa, delay))
@@ -380,14 +329,8 @@ def matrix_a(derivs: ModelDerivatives, eps: np.ndarray, sigma_n: float) -> np.nd
     <u, v> = sum conj(u) v and eps the noise-free model mismatch. At zero
     mismatch this is minus the information matrix.
     """
-    e = np.asarray(eps).ravel()
-    flat1 = derivs.first.reshape(N_PARAMS, -1)
-    gram = (flat1.conj() @ flat1.T).real
-    curv = np.empty((N_PARAMS, N_PARAMS))
-    for i in range(N_PARAMS):
-        for j in range(i, N_PARAMS):
-            curv[i, j] = curv[j, i] = np.vdot(derivs.second[i, j].ravel(), e).real
-    return (2.0 / sigma_n**2) * (curv - gram)
+    curv = (derivs.second.reshape(N_PARAMS, N_PARAMS, -1) @ np.conj(eps).ravel()).real
+    return (2.0 / sigma_n**2) * curv - fim_from_first_derivatives(derivs.first, sigma_n)
 
 
 def matrix_b(derivs: ModelDerivatives, eps: np.ndarray, sigma_n: float) -> np.ndarray:
@@ -397,11 +340,10 @@ def matrix_b(derivs: ModelDerivatives, eps: np.ndarray, sigma_n: float) -> np.nd
          + (2/sigma^2) Re<d mu_i, d mu_j>; at zero mismatch this is the
     information matrix.
     """
-    e = np.asarray(eps).ravel()
-    flat1 = derivs.first.reshape(N_PARAMS, -1)
-    gram = (flat1.conj() @ flat1.T).real
-    score = (flat1.conj() @ e).real
-    return (4.0 / sigma_n**4) * np.outer(score, score) + (2.0 / sigma_n**2) * gram
+    score = (derivs.first.reshape(N_PARAMS, -1) @ np.conj(eps).ravel()).real
+    return (4.0 / sigma_n**4) * np.outer(score, score) + fim_from_first_derivatives(
+        derivs.first, sigma_n
+    )
 
 
 def mismatch_covariance(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
@@ -450,7 +392,6 @@ def lb_report(
     clean: ProjectionModel,
     impaired: ProjectionModel,
     sigma_n: float,
-    est: EstimatorConfig | None = None,
 ) -> BoundsReport:
     """Full misspecified-bound report for one impairment realization.
 
@@ -460,7 +401,7 @@ def lb_report(
     """
     base = crb_m2_report(theta_bar, clean, sigma_n)
     ybar = impaired.mean(theta_bar)
-    theta0 = pseudo_true(theta_bar, clean, ybar, est)
+    theta0 = pseudo_true(theta_bar, clean, ybar)
     derivs = model_derivatives(theta0, clean)
     eps = ybar - clean.mean(theta0)
     a_mat = matrix_a(derivs, eps, sigma_n)
@@ -469,12 +410,8 @@ def lb_report(
     total = lb_matrix(theta_bar, theta0, mcrb)
     if total[0, 0] < 0 or total[1, 1] < 0:
         warnings.warn("negative diagonal in the misspecified bound", RuntimeWarning)
-    return BoundsReport(
-        fim=base.fim,
-        crb=base.crb,
-        aeb_rad=base.aeb_rad,
-        deb_s=base.deb_s,
-        peb_m=base.peb_m,
+    return replace(
+        base,
         theta0=theta0,
         mcrb=mcrb,
         lb_matrix=total,

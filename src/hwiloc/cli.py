@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config_io import SWEEP_AXES, ExperimentSpec, parse_config_text, resolve_spec, spec_to_text
+from .config_io import SWEEP_AXES, ExperimentSpec, read_config, resolve_spec, spec_to_text
 from .estimation import NumericError
 from .harness import rows_to_csv, run_bounds_sweep, run_estimator_trials
 from .model import ConfigError
@@ -63,10 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
-    overrides: dict[str, str] = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = parse_config_text(fh.read())
+    overrides = read_config(args.config) if args.config is not None else {}
     if args.sweep is not None:
         overrides["sweep_axis"] = args.sweep
         # the axis's built-in default values replace any configured list

@@ -168,6 +168,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def read_config(path: str) -> dict[str, str]:
+    """Overrides from a config file; raises OSError or ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
 
@@ -275,6 +276,16 @@ def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
+def _fmt_degrees(rad: float) -> str:
+    """rad in degrees, as the float next to rad2deg(rad) that deg2rad maps
+    back to rad exactly (rad2deg alone misses it for about 1 value in 20)."""
+    deg = float(np.rad2deg(rad))
+    for cand in (deg, np.nextafter(deg, -np.inf), np.nextafter(deg, np.inf)):
+        if float(np.deg2rad(cand)) == rad:
+            return _fmt_float(cand)
+    return _fmt_float(deg)
+
+
 def _fmt_complex(v: complex) -> str:
     s = repr(complex(v))
     return s[1:-1] if s.startswith("(") else s
@@ -303,7 +314,7 @@ def spec_to_text(spec: ExperimentSpec) -> str:
         ("tx_power_dbm", _fmt_float(sys_cfg.tx_power_dbm)),
         ("pilot_seed", str(sys_cfg.pilot_seed)),
         ("combiner_seed", str(sys_cfg.combiner_seed)),
-        ("sigma_pn_deg", _fmt_float(np.rad2deg(imp.sigma_pn))),
+        ("sigma_pn_deg", _fmt_degrees(imp.sigma_pn)),
         ("sigma_cfo", _fmt_float(imp.sigma_cfo)),
         ("mc_c1", _fmt_complex(taps[0])),
         ("mc_c2", _fmt_complex(taps[1])),

@@ -17,7 +17,10 @@ held by :class:`ProjectionModel`:
 Means are (G, K) arrays of subcarrier-domain samples for one pilot block.
 Flattening row-major gives the g-major stacked vector used by estimators and
 bounds. The gain-free mean (alpha = 1) is what the projection-based
-estimators search over.
+estimators search over. Its factors b_g and d_k, with their first two
+derivatives in aoa and delay (:meth:`ProjectionModel.factors`), are the one
+source of derivatives for the Newton fit, the Fisher information and the
+misspecified bound.
 """
 
 from __future__ import annotations
@@ -84,9 +87,9 @@ class ProjectionModel:
     Holds the combiners W, the coupling C, the effective pilots x~ and,
     for the impaired chain, the realization whose phase noise and CFO make
     up the sandwich (None for the clean chain). It gives the mean, the
-    pulled observation, the projection objective and the exact (aoa, range)
-    derivatives of its captured energy; the derivatives of the mean and
-    the information matrix are in :mod:`hwiloc.bounds`.
+    pulled observation, the projection objective and the factor derivatives
+    (:meth:`factors`) that both the Newton fit (:meth:`captured_energy`)
+    and the derivatives of the mean in :mod:`hwiloc.bounds` build on.
     """
 
     cfg: SystemConfig
@@ -94,13 +97,23 @@ class ProjectionModel:
     coupling: np.ndarray  # C, (N, N)
     eff_pilots: np.ndarray  # x~, (G, K)
     realization: ImpairmentRealization | None = None
-    # eta rounds as W (C a), as observations are drawn; scans keep W C, as the reference bounds were
+    # eta and factors round as W (C a), one steering vector at a time; the
+    # scans round as (W C) a. The benchmark's lb reference was computed this
+    # way: stacking eta's product (W (C S) or (W C) a) moves full.cfg lb rows
+    # by 8.45e-6 or 2.0e-5, past its 1e-6 gate. Both stay until that
+    # reference is regenerated.
     row_matrix: np.ndarray = field(init=False)  # W C, (G, N)
     pilot_energies: np.ndarray = field(init=False)  # (G,)
+    # [1, r, r^2], r = -2j*pi*k*df in delay_vector's order: r^n d is the
+    # n-th delay derivative of the phasors d, (K, 3)
+    ring_powers: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.row_matrix = self.combiners @ self.coupling
         self.pilot_energies = np.sum(np.abs(self.eff_pilots) ** 2, axis=1)
+        k = np.arange(1, self.cfg.n_subcarriers + 1)
+        ring = -2j * np.pi * k * self.cfg.subcarrier_spacing_hz
+        self.ring_powers = np.stack((np.ones_like(ring), ring, ring * ring), axis=1)
 
     @staticmethod
     def clean(cfg: SystemConfig, block: PilotBlock, coupling: tuple = ()) -> "ProjectionModel":
@@ -189,6 +202,17 @@ class ProjectionModel:
         grid = self.objective_grid(u, np.array([aoa]), np.array([rng]))
         return float(grid[0, 0])
 
+    def factors(self, aoa: float, delay: float) -> tuple[np.ndarray, np.ndarray]:
+        """The mean's factors and their derivatives: the row gains [b, b', b'']
+        in aoa, (G, 3), and the delay phasors [d, d', d''] in delay, (K, 3).
+
+        Each column of b is one product W (C v), rounding as :meth:`eta` does.
+        """
+        n_antennas = self.coupling.shape[0]
+        steer = (steering_vector(aoa, n_antennas), *steering_derivatives(aoa, n_antennas))
+        b = np.array([self.combiners @ (self.coupling @ v) for v in steer]).T
+        return b, self.ring_powers * np.exp(self.ring_powers[:, 1] * delay)[:, None]
+
     def captured_energy(
         self, w: np.ndarray, aoa: float, range_m: float
     ) -> tuple[float, tuple[float, float], tuple[float, float, float]]:
@@ -196,25 +220,16 @@ class ProjectionModel:
 
         w = conj(x~) * u is the pulled observation weighted by the pilots,
         s = eta^H u = sum_{g,k} conj(b_g) w_{g,k} conj(d_k) and D = ||eta||^2
-        = sum_g |b_g|^2 ||x~_g||^2. The rows [b, b', b''] (aoa derivatives of
-        the row gains) and the columns [conj d, conj d', conj d''] (range
-        derivatives of the conjugate delay phasors) give every mixed
-        derivative of s with two matrix products; D does not depend on range.
+        = sum_g |b_g|^2 ||x~_g||^2. One product b^H w conj(d) of the
+        :meth:`factors` gives every mixed derivative of s in (aoa, delay);
+        range derivatives divide by c per order. D does not depend on range.
         Returns (energy, (e_a, e_r), (e_aa, e_ar, e_rr)); the energy is NaN
         when D vanishes.
         """
-        n_antennas = self.row_matrix.shape[1]
-        steer = np.stack(
-            (steering_vector(aoa, n_antennas), *steering_derivatives(aoa, n_antennas)), axis=1
-        )
-        b = self.row_matrix @ steer  # (G, 3): b, b', b''
-        ring = (2j * np.pi * self.cfg.subcarrier_spacing_hz / SPEED_OF_LIGHT) * np.arange(
-            1, self.cfg.n_subcarriers + 1
-        )
-        dc = np.exp(ring * range_m)
-        (s, s_r, s_rr), (s_a, s_ar, _), (s_aa, _, _) = (
-            b.conj().T @ w @ np.stack((dc, ring * dc, ring * ring * dc), axis=1)
-        ).tolist()
+        c = SPEED_OF_LIGHT
+        b, d = self.factors(aoa, range_m / c)
+        (s, s_t, s_tt), (s_a, s_at, _), (s_aa, _, _) = (b.conj().T @ w @ d.conj()).tolist()
+        s_r, s_rr, s_ar = s_t / c, s_tt / (c * c), s_at / c
         (q00, q01, q02), (_, q11, _) = ((b.conj().T[:2] * self.pilot_energies) @ b).real.tolist()
         den, den_a, den_aa = q00, 2.0 * q01, 2.0 * (q11 + q02)
         if not den > 0.0:

@@ -8,11 +8,15 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hwiloc.harness
 from hwiloc.cli import main
 from hwiloc.config_io import (
     DEFAULT_SWEEP_VALUES,
+    OUTPUT_TOKENS,
+    SWEEP_AXES,
     ExperimentSpec,
     parse_config_text,
     resolve_spec,
@@ -111,6 +115,80 @@ def test_spec_roundtrips_through_text():
     spec = desk_spec(sweep_axis="sigma_pn_deg", sweep_values="1,10,30")
     again = resolve_spec(parse_config_text(spec_to_text(spec)))
     assert again == spec
+
+
+def _text(value) -> str:
+    text = repr(value)
+    return text[1:-1] if text.startswith("(") else text
+
+
+_NUMERIC_KEYS = {
+    "n_antennas": st.integers(1, 16),
+    "n_transmissions": st.integers(1, 16),
+    "n_subcarriers": st.integers(1, 128),
+    "cp_length": st.integers(0, 16),
+    "carrier_freq_hz": st.floats(1e6, 1e12),
+    "bandwidth_hz": st.floats(1e3, 1e10),
+    "load_impedance_ohm": st.floats(1e-3, 1e4),
+    "noise_psd_dbm_hz": st.floats(-200.0, -100.0),
+    "noise_figure_db": st.floats(0.0, 30.0),
+    "tx_power_dbm": st.floats(-50.0, 60.0),
+    "pilot_seed": st.integers(0, 2**32 - 1),
+    "combiner_seed": st.integers(0, 2**32 - 1),
+    "sigma_pn_deg": st.floats(0.0, 360.0),
+    "sigma_cfo": st.floats(0.0, 1.0),
+    "sigma_mc": st.floats(0.0, 1.0),
+    "pa_clip": st.floats(1e-3, 1e3) | st.just(float("inf")),
+    "ue_x": st.floats(1e-3, 100.0),
+    "ue_y": st.floats(-100.0, 100.0),
+    "gain_phase": st.floats(-10.0, 10.0),
+    "n_realizations": st.integers(1, 1000),
+    "n_trials": st.integers(1, 1000),
+    "master_seed": st.integers(0, 2**64 - 1),
+}
+_COMPLEX = st.just(0j) | st.complex_numbers(
+    max_magnitude=10.0, allow_nan=False, allow_infinity=False
+)
+_SWEEP_VALUES = {
+    "tx_power_dbm": st.floats(-50.0, 60.0),
+    "sigma_pn_deg": st.floats(0.0, 360.0),
+    "sigma_cfo": st.floats(0.0, 1.0),
+    "sigma_mc": st.floats(0.0, 1.0),
+    "pa": st.sampled_from([0.0, 1.0]),
+}
+
+
+@st.composite
+def _config_overrides(draw) -> dict[str, str]:
+    """Valid overrides over the numeric, complex and list keys, each key
+    present or left at its default."""
+    optional = {k: v.map(_text) for k, v in _NUMERIC_KEYS.items()}
+    optional.update(
+        {k: _COMPLEX.map(_text) for k in ("mc_c1", "mc_c2", "pa_beta0", "pa_beta1", "pa_beta2")}
+    )
+    optional["outputs"] = st.lists(
+        st.sampled_from(OUTPUT_TOKENS), min_size=1, unique=True
+    ).map(",".join)
+    overrides = draw(st.fixed_dictionaries({}, optional=optional))
+    if draw(st.booleans()):
+        axis = draw(st.sampled_from(SWEEP_AXES))
+        overrides["sweep_axis"] = axis
+        if draw(st.booleans()):
+            values = draw(st.lists(_SWEEP_VALUES[axis], min_size=1, max_size=6))
+            overrides["sweep_values"] = ",".join(_text(v) for v in values)
+    return overrides
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_overrides())
+@example({"sigma_pn_deg": "48.79621435201634"})
+def test_spec_text_roundtrip_property(overrides):
+    """show-config text parses back to the same spec, and is a fixed point."""
+    spec = resolve_spec(overrides)
+    text = spec_to_text(spec)
+    again = resolve_spec(parse_config_text(text))
+    assert again == spec
+    assert spec_to_text(again) == text
 
 
 @pytest.mark.parametrize(
@@ -251,14 +329,26 @@ def test_bounds_sweep_fixed_pilots_make_crb_m2_degenerate():
 
 
 def test_bounds_sweep_pa_axis_resamples_pilots():
-    spec = desk_spec(sweep_axis="pa", sweep_values="0,1", n_realizations="3")
-    rows = run_bounds_sweep(spec)
-    stats = {
-        r.statistic: r.value
-        for r in rows
-        if r.sweep_value == 1.0 and r.metric == "crb_m2_peb"
-    }
-    assert stats["max"] > stats["min"], "pilot resampling should move the clean bound"
+    """With every random impairment off, the nonlinear PA's bound (value 1)
+    varies across draws only because the amplifier axis redraws the pilots;
+    the bounds that see the constant-modulus pilots only through |x|^2 (the
+    clean model, and the impaired one with a linear PA) do not vary."""
+    spec = desk_spec(
+        sweep_axis="pa",
+        sweep_values="0,1",
+        n_realizations="3",
+        sigma_pn_deg="0",
+        sigma_cfo="0",
+        sigma_mc="0",
+        outputs="crb_m2,crb_m1,peb",
+    )
+    stats = {(r.sweep_value, r.metric, r.statistic): r.value for r in run_bounds_sweep(spec)}
+    lo, hi, mean = (stats[(1.0, "crb_m1_peb", k)] for k in ("min", "max", "mean"))
+    assert (hi - lo) / mean > 1e-4, "pilot resampling should move the impaired bound"
+    for value, metric in ((0.0, "crb_m2_peb"), (1.0, "crb_m2_peb"), (0.0, "crb_m1_peb")):
+        npt.assert_allclose(
+            stats[(value, metric, "min")], stats[(value, metric, "max")], rtol=1e-12
+        )
 
 
 def test_bounds_sweep_lb_dominates_crb():
@@ -426,6 +516,16 @@ def test_cli_show_config_roundtrips(tmp_path, capsys):
     assert resolve_spec(parse_config_text(printed)) == resolve_spec(
         parse_config_text((tmp_path / "exp.cfg").read_text())
     )
+
+
+def test_cli_bounds_on_show_config_output_is_byte_identical(tmp_path):
+    cfg = _write_cfg(tmp_path, sigma_pn_deg="48.79621435201634", outputs="lb,peb")
+    shown = tmp_path / "shown.cfg"
+    assert main(["show-config", "--config", cfg, "--out", str(shown)]) == 0
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["bounds", "--config", cfg, "--out", str(a)]) == 0
+    assert main(["bounds", "--config", str(shown), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_cli_missing_config_exits_1(capsys):
