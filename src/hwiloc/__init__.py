@@ -16,7 +16,6 @@ from .bounds import BoundsReport, crb_m1_numeric, crb_m2_report, fim, lb_report,
 from .config_io import (
     SWEEP_AXES,
     ExperimentSpec,
-    load_spec,
     parse_config_text,
     resolve_spec,
     spec_to_text,
@@ -58,7 +57,6 @@ __all__ = [
     "fim",
     "geometric_params",
     "lb_report",
-    "load_spec",
     "mle_m1",
     "mmle_m2",
     "mu_m1",

@@ -28,12 +28,11 @@ gain_phase] through the chain-rule Jacobian d theta / d s.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import GRAD_TOLERANCE, INITIAL_STEP_M, NumericError, plug_in_gain
+from .estimation import GRAD_TOLERANCE, INITIAL_STEP_M, NumericError, fitted_params
 from .model import SPEED_OF_LIGHT, ChannelParams, params_to_state
 from .observation import ProjectionModel
 
@@ -178,20 +177,27 @@ def crb_state(info: np.ndarray, jac: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def root_bound(v: float) -> float:
+    """sqrt(v) when the variance v is finite and positive, else inf: an
+    inverse of a numerically singular information matrix can carry NaN or
+    non-positive diagonals, and the component is then unidentifiable."""
+    return float(np.sqrt(v)) if np.isfinite(v) and v > 0.0 else np.inf
+
+
 def scalar_bounds(info: np.ndarray, crb: np.ndarray | None) -> tuple[float, float, float]:
     """Root bounds (aeb rad, deb s, peb m): AEB/DEB from the
     channel-coordinate bound, PEB from the state one.
 
     A singular information matrix means some component is unidentifiable;
-    the affected scalars come out infinite rather than raising.
+    the affected scalars come out infinite (see :func:`root_bound`) rather
+    than raising.
     """
     try:
         cov = np.linalg.inv(info)
-        aeb = float(np.sqrt(cov[0, 0]))
-        deb = float(np.sqrt(cov[1, 1]))
+        aeb, deb = root_bound(cov[0, 0]), root_bound(cov[1, 1])
     except np.linalg.LinAlgError:
         aeb = deb = np.inf
-    peb = float(np.sqrt(np.trace(crb[:2, :2]))) if crb is not None else np.inf
+    peb = root_bound(np.trace(crb[:2, :2])) if crb is not None else np.inf
     return aeb, deb, peb
 
 
@@ -314,12 +320,9 @@ def pseudo_true(
     downstream bias terms stay wrap-free.
     """
     p_bar = params_to_state(theta_bar).position
-    p0 = _descend(ybar, clean, p_bar)
-    aoa = float(np.arctan2(p0[1], p0[0]))
-    delay = float(np.hypot(p0[0], p0[1])) / SPEED_OF_LIGHT
-    alpha = plug_in_gain(ybar, clean.eta(aoa, delay))
-    phase = theta_bar.gain_phase + _wrap_phase(-np.angle(alpha) - theta_bar.gain_phase)
-    return ChannelParams(aoa=aoa, delay=delay, gain_amp=abs(alpha), gain_phase=float(phase))
+    fit = fitted_params(ybar, clean, _descend(ybar, clean, p_bar))
+    phase = theta_bar.gain_phase + _wrap_phase(fit.gain_phase - theta_bar.gain_phase)
+    return replace(fit, gain_phase=float(phase))
 
 
 def matrix_a(derivs: ModelDerivatives, eps: np.ndarray, sigma_n: float) -> np.ndarray:
@@ -384,7 +387,7 @@ def lb_position(
     pos_cov = t @ mcrb[:2, :2] @ t.T
     p_bar = params_to_state(theta_bar).position
     p0 = params_to_state(theta0).position
-    return float(np.sqrt(np.trace(pos_cov) + np.sum((p_bar - p0) ** 2)))
+    return root_bound(np.trace(pos_cov) + np.sum((p_bar - p0) ** 2))
 
 
 def lb_report(
@@ -408,14 +411,12 @@ def lb_report(
     b_mat = matrix_b(derivs, eps, sigma_n)
     mcrb = mismatch_covariance(a_mat, b_mat)
     total = lb_matrix(theta_bar, theta0, mcrb)
-    if total[0, 0] < 0 or total[1, 1] < 0:
-        warnings.warn("negative diagonal in the misspecified bound", RuntimeWarning)
     return replace(
         base,
         theta0=theta0,
         mcrb=mcrb,
         lb_matrix=total,
-        lb_aeb_rad=float(np.sqrt(max(total[0, 0], 0.0))),
-        lb_deb_s=float(np.sqrt(max(total[1, 1], 0.0))),
+        lb_aeb_rad=root_bound(total[0, 0]),
+        lb_deb_s=root_bound(total[1, 1]),
         lb_peb_m=lb_position(theta_bar, theta0, mcrb),
     )

@@ -267,11 +267,6 @@ def resolve_spec(overrides: Mapping[str, str] | None = None) -> ExperimentSpec:
     )
 
 
-def load_spec(path: str | None = None) -> ExperimentSpec:
-    """Spec from a config file, or the all-defaults spec when path is None."""
-    return resolve_spec(read_config(path) if path is not None else {})
-
-
 def _fmt_float(v: float) -> str:
     return repr(float(v))
 

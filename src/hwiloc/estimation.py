@@ -6,17 +6,19 @@ projection objective over position alone:
     L(p) = ||y||^2 - |eta(p)^H y|^2 / ||eta(p)||^2
 
 where eta(p) is the gain-free mean of a :class:`ProjectionModel` at
-position p. The matched estimator fits the impaired model (it knows the
-realization), the mismatched estimator the clean one. Both minimize L(p)
-the same way: a coarse polar grid, then a damped Newton fit in
-(aoa, range) on the exact gradient and Hessian of the captured energy,
+position p. Each estimator takes the model it fits: the matched
+``mle_m1(y, impaired)`` knows the impairment realization, the mismatched
+``mmle_m2(y, clean)`` fits the clean chain to whatever y holds. Both
+minimize L(p) the same way: a coarse polar grid, then a damped Newton fit
+in (aoa, range) on the exact gradient and Hessian of the captured energy,
 the variable-projection form of separable least squares (Golub & Pereyra,
 Inverse Problems 19, 2003).
 
-Both stages use the model's factorization eta_{g,k} = b_g(aoa) d_k(delay)
-x~_{g,k} (after pulling the unitary phase-noise/CFO sandwich onto the
-observation), which makes the objective separable in angle and range: one
-pilot block is scanned over the whole grid with three matrix products
+Both stages work on the pulled observation u_g = M_g^H y_g (the unitary
+phase-noise/CFO sandwich moved onto the data once per estimate) and use
+the model's factorization eta_{g,k} = b_g(aoa) d_k(delay) x~_{g,k}, which
+makes the objective separable in angle and range: one pilot block is
+scanned over the whole grid with three matrix products
 (:meth:`ProjectionModel.objective_grid`), and every derivative the Newton
 fit needs comes from two (:meth:`ProjectionModel.captured_energy`).
 """
@@ -28,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impairments import ImpairmentConfig, ImpairmentRealization
-from .model import (
-    SPEED_OF_LIGHT,
-    ChannelParams,
-    PilotBlock,
-    SystemConfig,
-)
+from .model import SPEED_OF_LIGHT, ChannelParams
 from .observation import ProjectionModel
 
 # scanned ranges, metres
@@ -105,27 +101,32 @@ def plug_in_gain(y: np.ndarray, eta: np.ndarray) -> complex:
     return complex(np.vdot(eta, y) / ee)
 
 
-def scan_ranges(model: ProjectionModel, est: EstimatorConfig) -> np.ndarray:
-    """Grid ranges clipped to one delay-ambiguity period c/df above range_min.
+def scan_limit_m(subcarrier_spacing_hz: float) -> float:
+    """Open upper end of the estimators' range window: RANGE_MAX_M, or one
+    delay-ambiguity period c/df above RANGE_MIN_M where that is nearer.
 
-    Beyond that window the subcarrier phasors repeat exactly, so farther
+    Beyond the period the subcarrier phasors repeat exactly, so farther
     duplicate basins would shadow the true one during the scan.
     """
+    return min(RANGE_MAX_M, RANGE_MIN_M + SPEED_OF_LIGHT / subcarrier_spacing_hz)
+
+
+def scan_ranges(model: ProjectionModel, est: EstimatorConfig) -> np.ndarray:
+    """Grid ranges below :func:`scan_limit_m` (at least the first one)."""
     ranges = est.grid_ranges()
-    span = SPEED_OF_LIGHT / model.cfg.subcarrier_spacing_hz
-    kept = ranges[ranges < RANGE_MIN_M + span]
+    kept = ranges[ranges < scan_limit_m(model.cfg.subcarrier_spacing_hz)]
     return kept if kept.size else ranges[:1]
 
 
 def grid_search(
-    y: np.ndarray, model: ProjectionModel, est: EstimatorConfig
+    u: np.ndarray, model: ProjectionModel, est: EstimatorConfig
 ) -> tuple[np.ndarray, float]:
-    """Coarse polar scan; returns (position, objective) of the grid argmin.
+    """Coarse polar scan of the pulled observation u; returns (position,
+    objective) of the grid argmin.
 
     Ties break deterministically to the lowest angle index, then the lowest
     range index (row-major argmin). Ranges come from :func:`scan_ranges`.
     """
-    u = model.pulled_observation(y)
     aoas = est.grid_angles()
     ranges = scan_ranges(model, est)
     obj = model.objective_grid(u, aoas, ranges)
@@ -138,9 +139,10 @@ def grid_search(
 
 
 def refine(
-    y: np.ndarray, model: ProjectionModel, p_start: np.ndarray, est: EstimatorConfig
+    u: np.ndarray, model: ProjectionModel, p_start: np.ndarray, est: EstimatorConfig
 ) -> tuple[np.ndarray, float, str, int]:
-    """Damped Newton fit of the projection objective in (aoa, range).
+    """Damped Newton fit of the projection objective of the pulled
+    observation u in (aoa, range).
 
     The objective is normalized by ||y||^2 so the tolerances are scale-free;
     its exact gradient and Hessian come from
@@ -160,7 +162,6 @@ def refine(
 
     Returns (position, unnormalized objective, stop reason, iterations).
     """
-    u = model.pulled_observation(y)
     yy = float(np.vdot(u, u).real)
     if not np.isfinite(yy) or yy <= 0.0:
         raise NumericError("observation energy must be positive and finite")
@@ -219,26 +220,26 @@ def refine(
     return position, f * yy, stop, iters
 
 
-def _finish(
-    y: np.ndarray, model: ProjectionModel, est: EstimatorConfig
-) -> Estimate:
+def fitted_params(y: np.ndarray, model: ProjectionModel, position: np.ndarray) -> ChannelParams:
+    """Channel parameters of a fitted position: its (aoa, delay) and the
+    plug-in gain of y against the model's mean there."""
+    aoa = float(np.arctan2(position[1], position[0]))
+    delay = float(np.hypot(position[0], position[1])) / SPEED_OF_LIGHT
+    alpha = plug_in_gain(y, model.eta(aoa, delay))
+    return ChannelParams(
+        aoa=aoa, delay=delay, gain_amp=abs(alpha), gain_phase=float(-np.angle(alpha))
+    )
+
+
+def _finish(y: np.ndarray, model: ProjectionModel, est: EstimatorConfig) -> Estimate:
     y = np.asarray(y, dtype=complex)
     if not np.all(np.isfinite(y)):
         raise ValueError("observation contains non-finite samples")
-    p0, _ = grid_search(y, model, est)
-    p_hat, obj, stop, iters = refine(y, model, p0, est)
-    rng_m = float(np.hypot(p_hat[0], p_hat[1]))
-    aoa = float(np.arctan2(p_hat[1], p_hat[0]))
-    delay = rng_m / SPEED_OF_LIGHT
-    alpha = plug_in_gain(y, model.eta(aoa, delay))
-    params = ChannelParams(
-        aoa=aoa,
-        delay=delay,
-        gain_amp=abs(alpha),
-        gain_phase=float(-np.angle(alpha)),
-    )
+    u = model.pulled_observation(y)
+    p0, _ = grid_search(u, model, est)
+    p_hat, obj, stop, iters = refine(u, model, p0, est)
     return Estimate(
-        params=params,
+        params=fitted_params(y, model, p_hat),
         position=p_hat,
         objective=obj,
         stop=stop,
@@ -248,25 +249,15 @@ def _finish(
 
 
 def mmle_m2(
-    y: np.ndarray,
-    cfg: SystemConfig,
-    block: PilotBlock,
-    est: EstimatorConfig | None = None,
-    coupling: tuple = (),
+    y: np.ndarray, clean: ProjectionModel, est: EstimatorConfig | None = None
 ) -> Estimate:
-    """Mismatched estimator: fits the clean chain to whatever y contains."""
-    return _finish(y, ProjectionModel.clean(cfg, block, coupling), est or EstimatorConfig())
+    """Mismatched estimator: fits the clean model to whatever y contains."""
+    return _finish(y, clean, est or EstimatorConfig())
 
 
 def mle_m1(
-    y: np.ndarray,
-    cfg: SystemConfig,
-    block: PilotBlock,
-    imp: ImpairmentConfig,
-    real: ImpairmentRealization,
-    est: EstimatorConfig | None = None,
+    y: np.ndarray, impaired: ProjectionModel, est: EstimatorConfig | None = None
 ) -> Estimate:
-    """Matched estimator: knows the impairment realization it fits."""
-    return _finish(
-        y, ProjectionModel.impaired(cfg, block, imp, real), est or EstimatorConfig()
-    )
+    """Matched estimator: fits the impaired model of the realization that
+    made y."""
+    return _finish(y, impaired, est or EstimatorConfig())

@@ -38,8 +38,8 @@ from .config_io import (
     ESTIMATOR_METRICS,
     ExperimentSpec,
 )
-from .estimation import RANGE_MAX_M, RANGE_MIN_M, NumericError, mle_m1, mmle_m2
-from .impairments import ImpairmentConfig, sample_realization
+from .estimation import RANGE_MIN_M, NumericError, mle_m1, mmle_m2, scan_limit_m
+from .impairments import ImpairmentConfig, ImpairmentRealization, sample_realization
 from .model import (
     SPEED_OF_LIGHT,
     ConfigError,
@@ -159,6 +159,23 @@ def _block_for(spec: ExperimentSpec, sys_cfg: SystemConfig, rng: np.random.Gener
     return PilotBlock.from_config(sys_cfg)
 
 
+def _draw(
+    spec: ExperimentSpec, sys_cfg: SystemConfig, imp: ImpairmentConfig, index: int, stream: int
+) -> tuple[np.random.Generator, PilotBlock, ImpairmentRealization, ProjectionModel, ProjectionModel]:
+    """One draw: its generator, pilot block, hardware realization and the
+    clean and impaired models built on them.
+
+    The generator is returned after the block and the realization have
+    been drawn from it, so noise drawn next stays in the same order.
+    """
+    rng = _rng(spec.master_seed, index, stream)
+    block = _block_for(spec, sys_cfg, rng)
+    real = sample_realization(imp, sys_cfg, rng)
+    clean = ProjectionModel.clean(sys_cfg, block, imp.coupling)
+    impaired = ProjectionModel.impaired(sys_cfg, block, imp, real)
+    return rng, block, real, clean, impaired
+
+
 def _bound_scalar(family: str, scalar: str, rep, m1_rep) -> float:
     if family == "crb_m2":
         aeb, deb, peb = rep.aeb_rad, rep.deb_s, rep.peb_m
@@ -185,11 +202,7 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     }
     n_ok = 0
     for r in range(spec.n_realizations):
-        rng = _rng(spec.master_seed, r, _REALIZATION_STREAM)
-        block = _block_for(spec, sys_cfg, rng)
-        real = sample_realization(imp, sys_cfg, rng)
-        clean = ProjectionModel.clean(sys_cfg, block, imp.coupling)
-        impaired = ProjectionModel.impaired(sys_cfg, block, imp, real)
+        _, _, _, clean, impaired = _draw(spec, sys_cfg, imp, r, _REALIZATION_STREAM)
         try:
             if "lb" in families:
                 rep = lb_report(theta, clean, impaired, sigma)
@@ -237,16 +250,12 @@ def _trials_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     squared: dict[str, list[float]] = {m: [] for m in metrics}
     stops: dict[str, Counter] = {m: Counter() for m in metrics}
     for t in range(spec.n_trials):
-        rng = _rng(spec.master_seed, t, _TRIAL_STREAM)
-        block = _block_for(spec, sys_cfg, rng)
-        real = sample_realization(imp, sys_cfg, rng)
+        rng, block, real, clean, impaired = _draw(spec, sys_cfg, imp, t, _TRIAL_STREAM)
+        # mu_m1 equals impaired.mean(theta); the benchmark's tracer counts it
         y = observe(mu_m1(theta, sys_cfg, block, imp, real), sigma, rng)
         for m in metrics:
             try:
-                if m == "mmle_rmse":
-                    est = mmle_m2(y, sys_cfg, block, coupling=imp.coupling)
-                else:
-                    est = mle_m1(y, sys_cfg, block, imp, real)
+                est = mmle_m2(y, clean) if m == "mmle_rmse" else mle_m1(y, impaired)
             except NumericError as exc:
                 logger.debug("trials: sweep value %r trial %d %s failed: %s", value, t, m, exc)
                 stops[m]["failed"] += 1
@@ -321,16 +330,15 @@ def run_bounds_sweep(spec: ExperimentSpec) -> list[ResultRow]:
 def run_estimator_trials(spec: ExperimentSpec) -> list[ResultRow]:
     """Monte-Carlo position RMSE of the requested estimators per sweep point.
 
-    The UE must sit inside the estimators' range scan: from RANGE_MIN_M up
-    to RANGE_MAX_M or one delay-ambiguity span c/df above RANGE_MIN_M,
-    whichever is nearer. Beyond the span the delay phasors repeat, so a fit
-    lands on an alias of the true range.
+    The UE must sit inside the estimators' range scan, from RANGE_MIN_M up
+    to :func:`~hwiloc.estimation.scan_limit_m`. Beyond one delay-ambiguity
+    span the delay phasors repeat, so a fit lands on an alias of the true
+    range.
     """
     if not any(m in spec.outputs for m in ESTIMATOR_METRICS):
         raise ConfigError("outputs request no estimator metric (mmle_rmse, mle_m1_rmse)")
     ue_range = float(np.hypot(*spec.ue_position))
-    span = SPEED_OF_LIGHT / spec.system.subcarrier_spacing_hz
-    top = min(RANGE_MAX_M, RANGE_MIN_M + span)
+    top = scan_limit_m(spec.system.subcarrier_spacing_hz)
     if not RANGE_MIN_M <= ue_range < top:
         raise ConfigError(
             f"UE range {ue_range:.6g} m is outside the estimators' scan "

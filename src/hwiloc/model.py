@@ -186,8 +186,10 @@ def steering_vector(aoa: float, n_antennas: int) -> np.ndarray:
     return np.exp(1j * np.pi * n * np.sin(aoa))
 
 
-def steering_derivatives(aoa: float, n_antennas: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives of the steering vector w.r.t. aoa.
+def steering_derivatives(
+    aoa: float, n_antennas: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The steering vector a with its first and second derivatives w.r.t. aoa.
 
     With phase(n) = n * pi * sin(aoa):
         da  = (1j * n * pi * cos(aoa)) * a
@@ -200,7 +202,7 @@ def steering_derivatives(aoa: float, n_antennas: int) -> tuple[np.ndarray, np.nd
     fac = 1j * np.pi * n * np.cos(aoa)
     da = fac * a
     dda = (fac**2 - 1j * np.pi * n * np.sin(aoa)) * a
-    return da, dda
+    return a, da, dda
 
 
 def delay_vector(delay: float, n_subcarriers: int, subcarrier_spacing_hz: float) -> np.ndarray:

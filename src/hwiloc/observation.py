@@ -208,8 +208,7 @@ class ProjectionModel:
 
         Each column of b is one product W (C v), rounding as :meth:`eta` does.
         """
-        n_antennas = self.coupling.shape[0]
-        steer = (steering_vector(aoa, n_antennas), *steering_derivatives(aoa, n_antennas))
+        steer = steering_derivatives(aoa, self.coupling.shape[0])
         b = np.array([self.combiners @ (self.coupling @ v) for v in steer]).T
         return b, self.ring_powers * np.exp(self.ring_powers[:, 1] * delay)[:, None]
 

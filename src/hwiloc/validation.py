@@ -125,7 +125,8 @@ def _check_noise_free_recovery() -> str:
     cfg = SystemConfig(**_DESK)
     block = PilotBlock.from_config(cfg)
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, cfg)
-    est = mmle_m2(ProjectionModel.clean(cfg, block).mean(theta), cfg, block)
+    clean = ProjectionModel.clean(cfg, block)
+    est = mmle_m2(clean.mean(theta), clean)
     err = float(np.linalg.norm(est.position - params_to_state(theta).position))
     _require(err < 1e-4, f"noise-free position error {err:.3e} m exceeds 1e-4")
     return f"noise-free position error {err:.2e} m"

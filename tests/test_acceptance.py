@@ -471,7 +471,7 @@ def test_8_matched_estimator_is_efficient_on_clean_data():
     n_converged = 0
     for trial in range(500):
         rng = np.random.default_rng(np.random.SeedSequence((77, trial)))
-        est = mmle_m2(observe(mu, sigma, rng), cfg, block)
+        est = mmle_m2(observe(mu, sigma, rng), clean)
         if est.converged:
             n_converged += 1
             squares.append(float(np.sum((est.position - np.asarray(UE)) ** 2)))

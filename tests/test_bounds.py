@@ -12,6 +12,7 @@ parameter is the true one, A and B collapse to -I and +I, and every
 misspecified bound equals its matched counterpart.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -317,6 +318,18 @@ def test_scalar_bounds_frozen_diagonal():
 def test_scalar_bounds_degenerate_inputs():
     aeb, deb, peb = scalar_bounds(np.diag([0.0, 1.0, 1.0, 1.0]), None)
     assert np.isinf(aeb) and np.isinf(deb) and np.isinf(peb)
+
+
+def test_scalar_bounds_indefinite_matrix_gives_inf_not_nan():
+    # a numerically singular inverse can carry negative diagonals: the
+    # component is unidentifiable, not NaN, and no sqrt warning is raised
+    fim = np.diag([-4.0, 9.0, 16.0, 25.0])
+    crb = np.diag([-0.09, -0.16, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        aeb, deb, peb = scalar_bounds(fim, crb)
+    assert np.isinf(aeb) and np.isinf(peb)
+    npt.assert_allclose(deb, 1.0 / 3.0, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ def test_refine_iteration_cap_is_not_converged():
     assert obj < model.objective_at(model.pulled_observation(y), far)
     # a coarse grid starts the estimator far off too
     coarse = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15, max_iterations=1)
-    out = mmle_m2(y, cfg, blk, coarse)
+    out = mmle_m2(y, model, coarse)
     assert out.stop == "max_iter" and not out.converged
 
 
@@ -347,7 +347,7 @@ def test_mmle_recovers_clean_truth():
     blk = PilotBlock.from_config(cfg)
     th = true_state(cfg)
     y = ProjectionModel.clean(cfg, blk).mean(th)
-    out = mmle_m2(y, cfg, blk)
+    out = mmle_m2(y, ProjectionModel.clean(cfg, blk))
     assert isinstance(out, Estimate)
     assert np.linalg.norm(out.position - [3.0, 2.0]) < 1e-4
     assert out.params.gain_amp == pytest.approx(th.gain_amp, rel=1e-3)
@@ -361,7 +361,7 @@ def test_mle_m1_recovers_impaired_truth():
     real = sample_realization(imp, cfg, np.random.default_rng(21))
     th = true_state(cfg)
     y = mu_m1(th, cfg, blk, imp, real)
-    out = mle_m1(y, cfg, blk, imp, real)
+    out = mle_m1(y, ProjectionModel.impaired(cfg, blk, imp, real))
     # the wide-beam toy geometry leaves a slow diagonal valley (Cartesian
     # curvature 0.57 of the normalized objective), where the gradient stop
     # alone bounds the error by 1e-9 / 0.57 = 1.8e-9 m; the Newton fit
@@ -378,7 +378,7 @@ def test_mmle_under_noise_stays_near_truth():
     # strong signal: noise 40 dB below the per-sample mean power
     sigma = float(np.sqrt(np.mean(np.abs(mu) ** 2) * 1e-4))
     y = observe(mu, sigma, np.random.default_rng(31))
-    out = mmle_m2(y, cfg, blk)
+    out = mmle_m2(y, ProjectionModel.clean(cfg, blk))
     assert np.linalg.norm(out.position - [3.0, 2.0]) < 0.1
 
 
@@ -387,7 +387,7 @@ def test_estimators_reject_non_finite_observations():
     blk = PilotBlock.from_config(cfg)
     y = np.full((cfg.n_transmissions, cfg.n_subcarriers), np.nan, dtype=complex)
     with pytest.raises(ValueError):
-        mmle_m2(y, cfg, blk)
+        mmle_m2(y, ProjectionModel.clean(cfg, blk))
 
 
 def test_estimate_records_grid_start():
@@ -395,7 +395,7 @@ def test_estimate_records_grid_start():
     blk = PilotBlock.from_config(cfg)
     th = true_state(cfg)
     y = ProjectionModel.clean(cfg, blk).mean(th)
-    out = mmle_m2(y, cfg, blk)
+    out = mmle_m2(y, ProjectionModel.clean(cfg, blk))
     assert out.grid_point.shape == (2,)
     assert out.objective <= projection_objective(
         y, ProjectionModel.clean(cfg, blk).eta(

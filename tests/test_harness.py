@@ -2,13 +2,14 @@
 
 import importlib.util
 import logging
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hwiloc.harness
@@ -641,6 +642,78 @@ def test_cli_accepts_infinite_pa_clip(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     assert main(["bounds", "--config", cfg]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 27
+
+
+def _assert_csv_values_positive(path: Path) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) > 1
+    for line in lines[1:]:
+        sweep_value, _, _, value, _, realizations, trials = line.split(",")
+        assert not np.isnan(float(sweep_value))
+        assert int(realizations) >= 0 and int(trials) >= 0
+        assert float(value) > 0, line  # NaN fails this too
+
+
+@pytest.mark.parametrize("key", ["n_transmissions", "n_subcarriers"])
+def test_cli_bounds_unidentifiable_parameter_is_infinite(tmp_path, monkeypatch, key):
+    # one transmission leaves the angle unidentifiable, one subcarrier the
+    # delay: the affected bounds are inf, never NaN or a clipped zero
+    cfg = _desk_cfg(tmp_path, **{key: "1"}, n_realizations="2", sweep_values="0,20")
+    out = tmp_path / "r.csv"
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+    _assert_csv_values_positive(out)
+    assert ",inf," in out.read_text(encoding="utf-8")
+
+
+@st.composite
+def _small_run(draw) -> dict[str, str]:
+    """A valid small run: N <= 6, G <= 4, K <= 16, one sweep value, 1-3
+    realizations and trials, random hardware and UE position."""
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    ue_range = draw(st.floats(0.3, 6.0))
+    ue_aoa = draw(st.floats(-1.5, 1.5))
+    keys = {
+        "n_antennas": st.integers(1, 6),
+        "n_transmissions": st.integers(1, 4),
+        "n_subcarriers": st.integers(1, 16),
+        "cp_length": st.integers(0, 4),
+        "n_realizations": st.integers(1, 3),
+        "n_trials": st.integers(1, 3),
+        "master_seed": st.integers(0, 2**32 - 1),
+        "mc_c1": _COMPLEX,
+        "mc_c2": _COMPLEX,
+        **{
+            k: _NUMERIC_KEYS[k]
+            for k in ("tx_power_dbm", "sigma_pn_deg", "sigma_cfo", "sigma_mc", "pa_clip")
+        },
+    }
+    run = {k: _text(draw(v)) for k, v in keys.items()}
+    run.update(
+        sweep_axis=axis,
+        sweep_values=_text(draw(_SWEEP_VALUES[axis])),
+        ue_x=_text(ue_range * math.cos(ue_aoa)),
+        ue_y=_text(ue_range * math.sin(ue_aoa)),
+    )
+    return run
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_small_run())
+def test_cli_small_random_configs_never_raise(tmp_path, run):
+    """Every valid small config ends in a documented exit code, and a
+    successful run writes only positive, non-NaN values."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in run.items()), encoding="utf-8")
+    for command in ("bounds", "estimate"):
+        out = tmp_path / f"{command}.csv"
+        out.unlink(missing_ok=True)
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 0:
+            _assert_csv_values_positive(out)
 
 
 def test_cli_validate_passes_every_check(capsys):

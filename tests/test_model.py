@@ -48,7 +48,8 @@ def test_steering_unit_modulus_and_conj_symmetry(aoa):
 
 @pytest.mark.parametrize("aoa", RNG.uniform(-1.4, 1.4, 4))
 def test_steering_derivatives_match_finite_differences(aoa):
-    da, dda = steering_derivatives(aoa, 12)
+    a, da, dda = steering_derivatives(aoa, 12)
+    assert np.array_equal(a, steering_vector(aoa, 12))
     h1 = 1e-6
     fd1 = (steering_vector(aoa + h1, 12) - steering_vector(aoa - h1, 12)) / (2 * h1)
     # second difference needs a larger step: roundoff grows like eps/h^2
