@@ -41,6 +41,11 @@ N_PARAMS = 4
 # and each second derivative, [order, i, j]
 _FIRST_ORDERS = np.eye(N_PARAMS, dtype=int)
 _SECOND_ORDERS = _FIRST_ORDERS[:, :, None] + _FIRST_ORDERS[:, None, :]
+# the (aoa, delay) orders i + j <= 2 that those derivatives read, and the
+# slot of each order pair among them
+_PRODUCT_AOA, _PRODUCT_DELAY = np.nonzero(np.add.outer(np.arange(3), np.arange(3)) <= 2)
+_PRODUCT_SLOT = np.zeros((3, 3), dtype=int)
+_PRODUCT_SLOT[_PRODUCT_AOA, _PRODUCT_DELAY] = np.arange(_PRODUCT_AOA.size)
 
 
 @dataclass
@@ -95,7 +100,8 @@ def model_derivatives(theta: ChannelParams, model: ProjectionModel) -> ModelDeri
     The mean factorizes per sample as alpha * b_g(aoa) * d_k(delay) *
     x~_{g,k}, so a derivative of orders (n_aoa, n_delay, n_amp, n_phase)
     is the gain factor times e[n_aoa, n_delay] = b^(n_aoa) d^(n_delay) x~,
-    built from :meth:`ProjectionModel.factors`. For the clean model these
+    built from :meth:`ProjectionModel.factors` for the six pairs n_aoa +
+    n_delay <= 2 that a second derivative reaches. For the clean model these
     are the derivatives of its mean; the impaired mean is M_g times this
     one, with M_g unitary and theta-free. With alpha = gain_amp *
     exp(-1j*gain_phase) the gain factor is (gain_amp, 1, 0)[n_amp] *
@@ -105,7 +111,8 @@ def model_derivatives(theta: ChannelParams, model: ProjectionModel) -> ModelDeri
     if theta.delay < 0:
         raise ValueError("delay must be non-negative")
     b, d = model.factors(theta.aoa, theta.delay)
-    e = b.T[:, None, :, None] * (d.T[:, None, :] * model.eff_pilots)  # (3, 3, G, K)
+    dx = d.T[:, None, :] * model.eff_pilots  # (3, G, K)
+    e = b.T[_PRODUCT_AOA, :, None] * dx[_PRODUCT_DELAY]  # (6, G, K)
     amp = np.array([theta.gain_amp, 1.0, 0.0])
     phase = np.array([1.0, -1j, -1.0])
     rotation = np.exp(-1j * theta.gain_phase)
@@ -113,7 +120,7 @@ def model_derivatives(theta: ChannelParams, model: ProjectionModel) -> ModelDeri
     def derivative(orders: np.ndarray) -> np.ndarray:
         n_aoa, n_delay, n_amp, n_phase = orders
         gain = amp[n_amp] * phase[n_phase] * rotation
-        out = e[n_aoa, n_delay]  # a copy: advanced indexing
+        out = e[_PRODUCT_SLOT[n_aoa, n_delay]]  # a copy: advanced indexing
         return np.multiply(gain[..., None, None], out, out=out)
 
     return ModelDerivatives(first=derivative(_FIRST_ORDERS), second=derivative(_SECOND_ORDERS))
@@ -244,8 +251,10 @@ def _wrap_phase(x: float) -> float:
 # The pseudo-true fit keeps the estimators' former central-difference
 # descent, because perfbench/reference/bounds_full.csv encodes the point
 # where it stalls (a converged fit moves lb rows by up to 4.5e-6, past the
-# 1e-6 gate). It is deleted once that reference is regenerated from a
-# converged fit (ROADMAP item 2).
+# 1e-6 gate). Its objective is ProjectionModel.position_objective, which
+# rounds as a 1x1 grid scan: a 1-ulp change there moves the stall. The
+# descent and position_objective are deleted once that reference is
+# regenerated from a converged fit (ROADMAP item 2).
 FD_STEP = 1e-6  # relative central-difference step
 MAX_DESCENT_ITERATIONS = 1000
 ARMIJO_SLOPE = 1e-4
@@ -258,7 +267,8 @@ def _descend(
 ) -> np.ndarray:
     """Gradient descent on position with Armijo backtracking.
 
-    The objective is normalized by ||y||^2 so the gradient tolerance is
+    The objective is :meth:`ProjectionModel.position_objective`, built
+    once per fit and normalized by ||y||^2 so the gradient tolerance is
     scale-free. Gradients come from central differences with relative step
     FD_STEP. Stops when the gradient norm drops below tolerance, when
     the line search stalls below the step floor (the numerical minimum), or
@@ -269,9 +279,10 @@ def _descend(
     yy = float(np.vdot(u, u).real)
     if not np.isfinite(yy) or yy <= 0.0:
         raise NumericError("observation energy must be positive and finite")
+    objective = model.position_objective(u)
 
     def f(p: np.ndarray) -> float:
-        return model.objective_at(u, p) / yy
+        return objective(p[0], p[1]) / yy
 
     p = np.asarray(p_start, dtype=float).copy()
     fp = f(p)

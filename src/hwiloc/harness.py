@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import crb_m1_numeric, crb_m2_report, lb_report
+from .bounds import BoundsReport, crb_m1_numeric, crb_m2_report, lb_report
 from .config_io import (
     BOUND_FAMILIES,
     BOUND_SCALARS,
@@ -42,6 +42,7 @@ from .estimation import RANGE_MIN_M, NumericError, mle_m1, mmle_m2, scan_limit_m
 from .impairments import ImpairmentConfig, ImpairmentRealization, sample_realization
 from .model import (
     SPEED_OF_LIGHT,
+    ChannelParams,
     ConfigError,
     PilotBlock,
     SystemConfig,
@@ -176,13 +177,11 @@ def _draw(
     return rng, block, real, clean, impaired
 
 
-def _bound_scalar(family: str, scalar: str, rep, m1_rep) -> float:
-    if family == "crb_m2":
-        aeb, deb, peb = rep.aeb_rad, rep.deb_s, rep.peb_m
-    elif family == "crb_m1":
-        aeb, deb, peb = m1_rep.aeb_rad, m1_rep.deb_s, m1_rep.peb_m
-    else:
+def _bound_scalar(family: str, scalar: str, rep: BoundsReport) -> float:
+    if family == "lb":
         aeb, deb, peb = rep.lb_aeb_rad, rep.lb_deb_s, rep.lb_peb_m
+    else:
+        aeb, deb, peb = rep.aeb_rad, rep.deb_s, rep.peb_m
     if scalar == "aeb":
         return float(np.rad2deg(aeb))
     if scalar == "deb":
@@ -190,37 +189,57 @@ def _bound_scalar(family: str, scalar: str, rep, m1_rep) -> float:
     return float(peb)
 
 
+def _family_report(
+    family: str,
+    theta: ChannelParams,
+    clean: ProjectionModel,
+    impaired: ProjectionModel,
+    sigma: float,
+    lb_rep: BoundsReport | None,
+) -> BoundsReport:
+    """One bound family's report on one draw. The clean CRB is taken from
+    the draw's lb report when there is one, which carries it."""
+    if family == "lb":
+        return lb_report(theta, clean, impaired, sigma)
+    if family == "crb_m2":
+        return lb_rep if lb_rep is not None else crb_m2_report(theta, clean, sigma)
+    return crb_m1_numeric(theta, impaired, sigma)
+
+
 def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
+    """Bound rows of one sweep point. A draw whose bound fails drops out of
+    that family only: each family counts its own surviving draws."""
     value = spec.sweep_values[axis_index]
     sys_cfg, imp = apply_sweep_value(spec, value)
     sigma = noise_std(sys_cfg)
     theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
-    families = [f for f in BOUND_FAMILIES if f in spec.outputs]
+    # lb first, so the clean CRB can come from its report
+    families = [f for f in ("lb", "crb_m2", "crb_m1") if f in spec.outputs]
     scalars = [s for s in BOUND_SCALARS if s in spec.outputs]
     samples: dict[tuple[str, str], list[float]] = {
         (f, s): [] for f in families for s in scalars
     }
-    n_ok = 0
+    n_ok = dict.fromkeys(families, 0)
     for r in range(spec.n_realizations):
         _, _, _, clean, impaired = _draw(spec, sys_cfg, imp, r, _REALIZATION_STREAM)
-        try:
-            if "lb" in families:
-                rep = lb_report(theta, clean, impaired, sigma)
-            else:
-                rep = crb_m2_report(theta, clean, sigma)
-            m1_rep = crb_m1_numeric(theta, impaired, sigma) if "crb_m1" in families else None
-        except NumericError as exc:
-            logger.warning(
-                "bounds: sweep value %r realization %d failed: %s", value, r, exc
-            )
-            continue
-        n_ok += 1
-        for key in samples:
-            samples[key].append(_bound_scalar(key[0], key[1], rep, m1_rep))
-    if n_ok == 0:
-        # a failed realization drops every metric at once
-        logger.warning("bounds: no surviving realizations at sweep value %r", value)
-        raise NumericError(f"no surviving realizations at sweep value {value!r}")
+        reports: dict[str, BoundsReport] = {}
+        for family in families:
+            try:
+                reports[family] = _family_report(
+                    family, theta, clean, impaired, sigma, reports.get("lb")
+                )
+            except NumericError as exc:
+                logger.warning(
+                    "bounds: sweep value %r realization %d %s failed: %s", value, r, family, exc
+                )
+                continue
+            n_ok[family] += 1
+            for s in scalars:
+                samples[family, s].append(_bound_scalar(family, s, reports[family]))
+    empty = ", ".join(f for f in families if n_ok[f] == 0)
+    if empty:
+        logger.warning("bounds: no surviving realizations for %s at %r", empty, value)
+        raise NumericError(f"no surviving realizations for {empty} at sweep value {value!r}")
     rows: list[ResultRow] = []
     for (family, scalar), vals in samples.items():
         metric = f"{family}_{scalar}"
@@ -233,7 +252,7 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
                     statistic=stat,
                     value=float(v),
                     units=metric_units(metric),
-                    realizations=n_ok,
+                    realizations=n_ok[family],
                     trials=0,
                 )
             )

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -234,13 +235,17 @@ def geometric_params(position: np.ndarray, gain_phase: float, cfg: SystemConfig)
     return ChannelParams(aoa=th.aoa, delay=th.delay, gain_amp=abs(alpha), gain_phase=gain_phase)
 
 
+@lru_cache(maxsize=16)
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix, entry (r, c) = exp(-2j*pi*r*c/n) / sqrt(n).
 
-    Symmetric (F == F.T) and unitary (F @ F.conj().T == I).
+    Symmetric (F == F.T) and unitary (F @ F.conj().T == I). Built once per
+    size and shared, so the returned array is read-only.
     """
     idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    f = np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    f.flags.writeable = False
+    return f
 
 
 def generate_pilots(cfg: SystemConfig, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -25,6 +25,7 @@ misspecified bound.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -87,7 +88,9 @@ class ProjectionModel:
     Holds the combiners W, the coupling C, the effective pilots x~ and,
     for the impaired chain, the realization whose phase noise and CFO make
     up the sandwich (None for the clean chain). It gives the mean, the
-    pulled observation, the projection objective and the factor derivatives
+    pulled observation, the projection objective on a grid
+    (:meth:`objective_grid`) and at one position (:meth:`position_objective`,
+    for the pseudo-true descent), and the factor derivatives
     (:meth:`factors`) that both the Newton fit (:meth:`captured_energy`)
     and the derivatives of the mean in :mod:`hwiloc.bounds` build on.
     """
@@ -98,10 +101,10 @@ class ProjectionModel:
     eff_pilots: np.ndarray  # x~, (G, K)
     realization: ImpairmentRealization | None = None
     # eta and factors round as W (C a), one steering vector at a time; the
-    # scans round as (W C) a. The benchmark's lb reference was computed this
-    # way: stacking eta's product (W (C S) or (W C) a) moves full.cfg lb rows
-    # by 8.45e-6 or 2.0e-5, past its 1e-6 gate. Both stay until that
-    # reference is regenerated.
+    # scans and position_objective round as (W C) a. The benchmark's lb
+    # reference was computed this way: stacking eta's product (W (C S) or
+    # (W C) a) moves full.cfg lb rows by 8.45e-6 or 2.0e-5, past its 1e-6
+    # gate. Both stay until that reference is regenerated.
     row_matrix: np.ndarray = field(init=False)  # W C, (G, N)
     pilot_energies: np.ndarray = field(init=False)  # (G,)
     # [1, r, r^2], r = -2j*pi*k*df in delay_vector's order: r^n d is the
@@ -194,13 +197,36 @@ class ProjectionModel:
         np.divide(np.abs(s) ** 2, den[:, None], out=captured, where=den[:, None] > 0)
         return yy - captured
 
-    def objective_at(self, u: np.ndarray, position: np.ndarray) -> float:
-        """Projection objective at one Cartesian position."""
-        px, py = float(position[0]), float(position[1])
-        rng = float(np.hypot(px, py))
-        aoa = float(np.arctan2(py, px))
-        grid = self.objective_grid(u, np.array([aoa]), np.array([rng]))
-        return float(grid[0, 0])
+    def position_objective(self, u: np.ndarray) -> Callable[[float, float], float]:
+        """The projection objective as f(px, py) -> float at one Cartesian
+        position, for a fit against the pulled observation u.
+
+        What stays fixed during a fit (w = conj(x~) u, ||u||^2, the index
+        columns and the phase constants) is computed once here. f rounds as
+        a 1x1 :meth:`objective_grid` at (arctan2(py, px), hypot(px, py)),
+        bit for bit: the same products on the same 2-D shapes, and ||u||^2
+        where den is not positive. It takes one point per call: stacking
+        several points into one (N, n) product rounds differently.
+        """
+        row, energies = self.row_matrix, self.pilot_energies
+        w = np.conj(self.eff_pilots) * u  # (G, K)
+        yy = np.vdot(u, u).real
+        n = np.arange(row.shape[1])[:, None]
+        k = np.arange(1, self.cfg.n_subcarriers + 1)[:, None]
+        steer_phase = 1j * np.pi
+        delay_phase = 2j * np.pi * self.cfg.subcarrier_spacing_hz
+
+        def f(px: float, py: float) -> float:
+            aoa = np.arctan2(py, px)
+            tau = np.hypot(px, py) / SPEED_OF_LIGHT
+            b = row @ np.exp(steer_phase * (n * np.sin(aoa)))  # (G, 1)
+            s = (b.conj().T @ w) @ np.exp(delay_phase * (k * tau))  # (1, 1)
+            den = (np.abs(b) ** 2).T @ energies  # (1,)
+            if not den[0] > 0:
+                return float(yy)
+            return float(yy - (np.abs(s) ** 2 / den)[0, 0])
+
+        return f
 
     def factors(self, aoa: float, delay: float) -> tuple[np.ndarray, np.ndarray]:
         """The mean's factors and their derivatives: the row gains [b, b', b'']

@@ -155,6 +155,41 @@ def test_second_derivative_symmetry():
             npt.assert_array_equal(derivs.second[i, j], derivs.second[j, i])
 
 
+def full_table_derivatives(theta: ChannelParams, model: ProjectionModel):
+    """Oracle: first and second derivatives read from the full (3, 3, G, K)
+    table of factor products b^(i) d^(j) x~, every (aoa, delay) order pair."""
+    b, d = model.factors(theta.aoa, theta.delay)
+    e = b.T[:, None, :, None] * (d.T[:, None, :] * model.eff_pilots)
+    amp = np.array([theta.gain_amp, 1.0, 0.0])
+    phase = np.array([1.0, -1j, -1.0])
+    rotation = np.exp(-1j * theta.gain_phase)
+    eye = np.eye(4, dtype=int)
+
+    def derivative(orders):
+        n_aoa, n_delay, n_amp, n_phase = orders
+        gain = amp[n_amp] * phase[n_phase] * rotation
+        return gain[..., None, None] * e[n_aoa, n_delay]
+
+    return derivative(eye), derivative(eye[:, :, None] + eye[:, None, :])
+
+
+@pytest.mark.parametrize("impaired", [False, True])
+def test_model_derivatives_match_full_product_table_bitwise(impaired):
+    block = PilotBlock.from_config(DESK)
+    imp = ImpairmentConfig()
+    if impaired:
+        real = sample_realization(imp, DESK, np.random.default_rng(4))
+        model = ProjectionModel.impaired(DESK, block, imp, real)
+    else:
+        model = clean_model(DESK, block, MEASURED_COUPLING)
+    for seed in range(20):
+        theta = random_params(100 + seed)
+        derivs = model_derivatives(theta, model)
+        first, second = full_table_derivatives(theta, model)
+        assert np.array_equal(derivs.first, first)
+        assert np.array_equal(derivs.second, second)
+
+
 # ---------------------------------------------------------------------------
 # information matrix
 

@@ -169,6 +169,38 @@ def test_grid_objective_matches_direct_projection(impaired):
             assert grid[i, j] == pytest.approx(direct, rel=1e-9, abs=1e-18)
 
 
+@pytest.mark.parametrize("impaired", [False, True])
+def test_position_objective_matches_grid_bitwise(impaired):
+    """The pseudo-true descent's objective rounds exactly as a 1x1 grid scan
+    at its (angle, range), at points from 1e-9 m to 100 m off the truth."""
+    cfg = desk_cfg()
+    blk = PilotBlock.from_config(cfg)
+    imp = ImpairmentConfig()
+    real = sample_realization(imp, cfg, np.random.default_rng(8))
+    if impaired:
+        model = ProjectionModel.impaired(cfg, blk, imp, real)
+    else:
+        model = ProjectionModel.clean(cfg, blk, coupling=(0.3 + 0.2j,))
+    y = observe(mu_m1(true_state(cfg), cfg, blk, imp, real), 1e-6, np.random.default_rng(9))
+    u = model.pulled_observation(y)
+    objective = model.position_objective(u)
+    rng = np.random.default_rng(10)
+    for _ in range(500):
+        p = np.array([3.0, 2.0]) + 10 ** rng.uniform(-9.0, 2.0) * rng.normal(size=2)
+        grid = model.objective_grid(u, np.arctan2(p[1:], p[:1]), np.hypot(p[:1], p[1:]))
+        assert objective(p[0], p[1]) == grid[0, 0]
+
+
+def test_position_objective_without_row_gain_is_observation_energy():
+    cfg = desk_cfg()
+    blk = PilotBlock.from_config(cfg)
+    model = ProjectionModel(cfg, np.zeros_like(blk.combiners), np.eye(cfg.n_antennas), blk.symbols)
+    u = observe(blk.symbols, 1.0, np.random.default_rng(3))
+    energy = np.vdot(u, u).real
+    assert model.position_objective(u)(3.0, 2.0) == energy
+    assert model.objective_grid(u, np.array([0.5]), np.array([3.6]))[0, 0] == energy
+
+
 # ---------------------------------------------------------------------------
 # grid search
 
@@ -275,7 +307,7 @@ def test_refine_iteration_cap_is_not_converged():
     est = EstimatorConfig(max_iterations=1)
     p_hat, obj, stop, iters = refine(y, model, far, est)
     assert (stop, iters) == ("max_iter", 1)
-    assert obj < model.objective_at(model.pulled_observation(y), far)
+    assert obj < model.position_objective(model.pulled_observation(y))(*far)
     # a coarse grid starts the estimator far off too
     coarse = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15, max_iterations=1)
     out = mmle_m2(y, model, coarse)
@@ -283,11 +315,12 @@ def test_refine_iteration_cap_is_not_converged():
 
 
 def fd_objective_derivatives(model, u, aoa, rng_m, h=1e-5):
-    """Central differences of objective_at in (aoa, range): gradient and
-    Hessian (aa, ar, rr)."""
+    """Central differences of position_objective in (aoa, range): gradient
+    and Hessian (aa, ar, rr)."""
+    objective = model.position_objective(u)
 
     def obj(a, r):
-        return model.objective_at(u, r * np.array([np.cos(a), np.sin(a)]))
+        return objective(r * np.cos(a), r * np.sin(a))
 
     f0 = obj(aoa, rng_m)
     fa = (obj(aoa + h, rng_m) - obj(aoa - h, rng_m)) / (2 * h)

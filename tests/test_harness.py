@@ -585,6 +585,25 @@ def test_cli_no_surviving_realizations_exits_2(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_cli_lb_failure_drops_the_draw_from_lb_only(tmp_path, monkeypatch, caplog):
+    # with one transmission the lb curvature matrix A of some draws is
+    # singular; the clean and impaired CRBs stay defined on every draw
+    cfg = _desk_cfg(tmp_path, n_transmissions="1")
+    out = tmp_path / "g1.csv"
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    with caplog.at_level(logging.WARNING, logger="hwiloc.harness"):
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+
+    def realizations(family):
+        return {int(r[5]) for r in rows if r[1].rsplit("_", 1)[0] == family}
+
+    assert realizations("crb_m2") == {10}
+    assert realizations("crb_m1") == {10}
+    assert min(realizations("lb")) < 10
+    assert "lb failed: curvature matrix A is singular" in caplog.text
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [

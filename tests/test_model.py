@@ -164,6 +164,18 @@ def test_dft_matrix_parseval():
     assert np.linalg.norm(f @ x) == pytest.approx(np.linalg.norm(x))
 
 
+def test_dft_matrix_cached_read_only():
+    n = 12
+    f = dft_matrix(n)
+    idx = np.arange(n)
+    fresh = np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    assert dft_matrix(n) is f
+    assert np.array_equal(f, fresh)
+    with pytest.raises(ValueError):
+        f[0, 0] = 0.0
+    assert np.array_equal(dft_matrix(n), fresh)
+
+
 # ---------------------------------------------------------------------------
 # pilots and combiners
 
