@@ -69,8 +69,6 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
         # the axis's built-in default values replace any configured list
         overrides.pop("sweep_values", None)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be non-negative")
         overrides["master_seed"] = str(args.seed)
     return resolve_spec(overrides)
 

@@ -1,9 +1,12 @@
 """Experiment configuration: flat key=value files and the resolved spec.
 
-The config format is a plain text file of `key=value` lines. Blank lines
-and `#` comments are ignored, keys may appear at most once, and unknown
-keys are rejected. Every key has a default, so an empty file (or no file
-at all) resolves to the full-scale profile. The key set:
+The config format is a plain text file of `key=value` lines in UTF-8.
+Blank lines and `#` comments are ignored, keys may appear at most once,
+and unknown keys are rejected. Every key has a default, so an empty file
+(or no file at all) resolves to the full-scale profile. The defaults live
+on the dataclasses (`SystemConfig`, `ImpairmentConfig` and
+`ExperimentSpec`): `ExperimentSpec()` is the default experiment, and
+`DEFAULTS` is that spec written as config keys. The key set:
 
 system:
     n_antennas, n_transmissions, n_subcarriers, cp_length,
@@ -26,8 +29,8 @@ for the chosen axis is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -51,44 +54,10 @@ DEFAULT_SWEEP_VALUES: dict[str, tuple[float, ...]] = {
     "pa": (0.0, 1.0),
 }
 
-# canonical key order; values are default strings (None = depends on axis)
-DEFAULTS: dict[str, str | None] = {
-    "n_antennas": "10",
-    "n_transmissions": "10",
-    "n_subcarriers": "100",
-    "cp_length": "7",
-    "carrier_freq_hz": "140e9",
-    "bandwidth_hz": "1e9",
-    "load_impedance_ohm": "50.0",
-    "noise_psd_dbm_hz": "-173.855",
-    "noise_figure_db": "10.0",
-    "tx_power_dbm": "20.0",
-    "pilot_seed": "101",
-    "combiner_seed": "202",
-    "sigma_pn_deg": "10.0",
-    "sigma_cfo": "0.01",
-    "mc_c1": "0.6+0.5j",
-    "mc_c2": "0.4054-0.128j",
-    "sigma_mc": "0.02",
-    "pa_beta0": "0.9798+0.0286j",
-    "pa_beta1": "0.0122-0.0043j",
-    "pa_beta2": "-0.0007+0.0001j",
-    "pa_clip": "25.0",
-    "ue_x": "3.0",
-    "ue_y": "2.0",
-    "gain_phase": "0.3",
-    "sweep_axis": "tx_power_dbm",
-    "sweep_values": None,
-    "n_realizations": "25",
-    "n_trials": "200",
-    "master_seed": "1234",
-    "outputs": ",".join(OUTPUT_TOKENS),
-}
-
 
 @dataclass
 class ExperimentSpec:
-    """Resolved experiment description.
+    """Resolved experiment description; `ExperimentSpec()` is the default.
 
     sweep_axis picks which knob varies (transmit power, one of the
     impairment spreads, or the amplifier on/off switch); sweep_values are
@@ -97,16 +66,16 @@ class ExperimentSpec:
     sweep points so curves are paired (common random numbers).
     """
 
-    system: SystemConfig
-    impairments: ImpairmentConfig
-    ue_position: tuple[float, float]  # metres
-    gain_phase: float
-    sweep_axis: str
-    sweep_values: tuple[float, ...]
-    n_realizations: int
-    n_trials: int
-    master_seed: int
-    outputs: tuple[str, ...]
+    system: SystemConfig = field(default_factory=SystemConfig)
+    impairments: ImpairmentConfig = field(default_factory=ImpairmentConfig)
+    ue_position: tuple[float, float] = (3.0, 2.0)  # metres
+    gain_phase: float = 0.3
+    sweep_axis: str = "tx_power_dbm"
+    sweep_values: tuple[float, ...] = DEFAULT_SWEEP_VALUES["tx_power_dbm"]
+    n_realizations: int = 25
+    n_trials: int = 200
+    master_seed: int = 1234
+    outputs: tuple[str, ...] = OUTPUT_TOKENS
 
     def __post_init__(self) -> None:
         self.ue_position = tuple(float(v) for v in np.asarray(self.ue_position, dtype=float))
@@ -146,6 +115,121 @@ class ExperimentSpec:
             raise ConfigError("outputs must be non-empty")
 
 
+def _degrees(rad: float) -> float:
+    """rad in degrees, as the float next to rad2deg(rad) that deg2rad maps
+    back to rad exactly (rad2deg alone misses it for about 1 value in 20)."""
+    deg = float(np.rad2deg(rad))
+    for cand in (deg, np.nextafter(deg, -np.inf), np.nextafter(deg, np.inf)):
+        if float(np.deg2rad(cand)) == rad:
+            return float(cand)
+    return deg
+
+
+def _padded(values: tuple, size: int, what: str) -> tuple[complex, ...]:
+    if len(values) > size:
+        raise ConfigError(f"config format carries at most {what}")
+    return tuple(values) + (0j,) * (size - len(values))
+
+
+def _trimmed(values: tuple, keep_at_least: int) -> tuple[complex, ...]:
+    """values without trailing zeros, keeping the first keep_at_least."""
+    values = list(values)
+    while len(values) > keep_at_least and values[-1] == 0:
+        values.pop()
+    return tuple(values)
+
+
+# The one key map. Every field of ExperimentSpec, SystemConfig and
+# ImpairmentConfig is the config key of the same name, in field order,
+# except these: field -> (keys, field value -> key values, key values ->
+# field value).
+_FIELD_KEYS: dict[str, tuple[tuple[str, ...], Any, Any]] = {
+    "sigma_pn": (
+        ("sigma_pn_deg",),
+        lambda rad: (_degrees(rad),),
+        lambda deg: float(np.deg2rad(deg)),
+    ),
+    "coupling": (
+        ("mc_c1", "mc_c2"),
+        lambda taps: _padded(taps, 2, "two coupling taps"),
+        lambda *taps: _trimmed(taps, keep_at_least=0),
+    ),
+    "pa_coeffs": (
+        ("pa_beta0", "pa_beta1", "pa_beta2"),
+        lambda betas: _padded(betas, 3, "three PA coefficients"),
+        lambda *betas: _trimmed(betas, keep_at_least=1),
+    ),
+    "ue_position": (("ue_x", "ue_y"), tuple, lambda x, y: (x, y)),
+}
+
+
+def _key_values(config: Any) -> dict[str, Any]:
+    """A spec (or one of its configs) as {config key: typed value}, in
+    canonical key order."""
+    values: dict[str, Any] = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            values.update(_key_values(value))
+        elif f.name in _FIELD_KEYS:
+            keys, to_keys, _ = _FIELD_KEYS[f.name]
+            values.update(zip(keys, to_keys(value)))
+        else:
+            values[f.name] = value
+    return values
+
+
+def _from_key_values(cls: type, values: Mapping[str, Any]) -> Any:
+    """Inverse of _key_values: build cls from {config key: typed value}."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in values:
+            kwargs[f.name] = values[f.name]
+        elif f.name in _FIELD_KEYS:
+            keys, _, from_keys = _FIELD_KEYS[f.name]
+            kwargs[f.name] = from_keys(*(values[k] for k in keys))
+        else:  # a sub-config, whose default_factory is its class
+            kwargs[f.name] = _from_key_values(f.default_factory, values)
+    return cls(**kwargs)
+
+
+# canonical key order, each key's default and (by its type) how it parses
+DEFAULTS: dict[str, Any] = _key_values(ExperimentSpec())
+
+_READERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    complex: (lambda text: complex(text.replace(" ", "")), "a complex number"),
+    str: (str, "text"),
+}
+
+
+def _parse(key: str, text: str) -> Any:
+    """Config text for key, as a value of the type of its default."""
+    default = DEFAULTS[key]
+    is_list = isinstance(default, tuple)
+    read, what = _READERS[type(default[0] if is_list else default)]
+    try:
+        if is_list:
+            return tuple(read(t.strip()) for t in text.split(",") if t.strip())
+        return read(text)
+    except ValueError:
+        what = "a comma-separated number list" if is_list else what
+        raise ConfigError(f"'{key}' must be {what}, got '{text}'") from None
+
+
+def _format(value: Any, default: Any) -> str:
+    """Config text for value, written as the type of default."""
+    if isinstance(default, tuple):
+        return ",".join(_format(v, default[0]) for v in value)
+    if isinstance(default, complex):
+        text = repr(complex(value))
+        return text[1:-1] if text.startswith("(") else text
+    if isinstance(default, float):
+        return repr(float(value))
+    return str(value)
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse key=value lines into a mapping of overrides (strings)."""
     mapping: dict[str, str] = {}
@@ -170,162 +254,27 @@ def parse_config_text(text: str) -> dict[str, str]:
 def read_config(path: str) -> dict[str, str]:
     """Overrides from a config file; raises OSError or ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
-def _as_int(raw: Mapping[str, str], key: str) -> int:
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigError(f"'{key}' must be an integer, got '{raw[key]}'") from None
-
-
-def _as_float(raw: Mapping[str, str], key: str) -> float:
-    try:
-        return float(raw[key])
-    except ValueError:
-        raise ConfigError(f"'{key}' must be a number, got '{raw[key]}'") from None
-
-
-def _as_complex(raw: Mapping[str, str], key: str) -> complex:
-    try:
-        return complex(raw[key].replace(" ", ""))
-    except ValueError:
-        raise ConfigError(f"'{key}' must be a complex number, got '{raw[key]}'") from None
-
-
-def _as_float_list(raw: Mapping[str, str], key: str) -> tuple[float, ...]:
-    toks = [t.strip() for t in raw[key].split(",") if t.strip()]
-    try:
-        return tuple(float(t) for t in toks)
-    except ValueError:
-        raise ConfigError(f"'{key}' must be a comma-separated number list, got '{raw[key]}'") from None
-
-
-def _trim_trailing_zeros(values: list[complex], keep_at_least: int) -> tuple[complex, ...]:
-    while len(values) > keep_at_least and values[-1] == 0:
-        values.pop()
-    return tuple(values)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    return parse_config_text(text)
 
 
 def resolve_spec(overrides: Mapping[str, str] | None = None) -> ExperimentSpec:
     """Merge overrides onto the defaults and build the typed spec."""
-    overrides = dict(overrides or {})
-    raw: dict[str, str] = {k: v for k, v in DEFAULTS.items() if v is not None}
-    raw.update(overrides)
-
-    axis = raw["sweep_axis"]
-    if "sweep_values" in overrides:
-        sweep_values = _as_float_list(raw, "sweep_values")
-    else:
-        if axis not in DEFAULT_SWEEP_VALUES:
-            raise ConfigError(
-                f"unknown sweep axis '{axis}' (choose from {', '.join(SWEEP_AXES)})"
-            )
-        sweep_values = DEFAULT_SWEEP_VALUES[axis]
-
-    system = SystemConfig(
-        n_antennas=_as_int(raw, "n_antennas"),
-        n_transmissions=_as_int(raw, "n_transmissions"),
-        n_subcarriers=_as_int(raw, "n_subcarriers"),
-        cp_length=_as_int(raw, "cp_length"),
-        carrier_freq_hz=_as_float(raw, "carrier_freq_hz"),
-        bandwidth_hz=_as_float(raw, "bandwidth_hz"),
-        load_impedance_ohm=_as_float(raw, "load_impedance_ohm"),
-        noise_psd_dbm_hz=_as_float(raw, "noise_psd_dbm_hz"),
-        noise_figure_db=_as_float(raw, "noise_figure_db"),
-        tx_power_dbm=_as_float(raw, "tx_power_dbm"),
-        pilot_seed=_as_int(raw, "pilot_seed"),
-        combiner_seed=_as_int(raw, "combiner_seed"),
-    )
-    coupling = _trim_trailing_zeros(
-        [_as_complex(raw, "mc_c1"), _as_complex(raw, "mc_c2")], keep_at_least=0
-    )
-    pa_coeffs = _trim_trailing_zeros(
-        [_as_complex(raw, "pa_beta0"), _as_complex(raw, "pa_beta1"), _as_complex(raw, "pa_beta2")],
-        keep_at_least=1,
-    )
-    impairments = ImpairmentConfig(
-        sigma_pn=float(np.deg2rad(_as_float(raw, "sigma_pn_deg"))),
-        sigma_cfo=_as_float(raw, "sigma_cfo"),
-        coupling=coupling,
-        sigma_mc=_as_float(raw, "sigma_mc"),
-        pa_coeffs=pa_coeffs,
-        pa_clip=_as_float(raw, "pa_clip"),
-    )
-    return ExperimentSpec(
-        system=system,
-        impairments=impairments,
-        ue_position=(_as_float(raw, "ue_x"), _as_float(raw, "ue_y")),
-        gain_phase=_as_float(raw, "gain_phase"),
-        sweep_axis=axis,
-        sweep_values=sweep_values,
-        n_realizations=_as_int(raw, "n_realizations"),
-        n_trials=_as_int(raw, "n_trials"),
-        master_seed=_as_int(raw, "master_seed"),
-        outputs=tuple(t.strip() for t in raw["outputs"].split(",") if t.strip()),
-    )
-
-
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
-def _fmt_degrees(rad: float) -> str:
-    """rad in degrees, as the float next to rad2deg(rad) that deg2rad maps
-    back to rad exactly (rad2deg alone misses it for about 1 value in 20)."""
-    deg = float(np.rad2deg(rad))
-    for cand in (deg, np.nextafter(deg, -np.inf), np.nextafter(deg, np.inf)):
-        if float(np.deg2rad(cand)) == rad:
-            return _fmt_float(cand)
-    return _fmt_float(deg)
-
-
-def _fmt_complex(v: complex) -> str:
-    s = repr(complex(v))
-    return s[1:-1] if s.startswith("(") else s
+    overrides = overrides or {}
+    values = dict(DEFAULTS)
+    for key, text in overrides.items():
+        if key not in DEFAULTS:
+            raise ConfigError(f"unknown key '{key}'")
+        values[key] = _parse(key, text)
+    if "sweep_values" not in overrides:
+        # ExperimentSpec rejects an unknown axis
+        values["sweep_values"] = DEFAULT_SWEEP_VALUES.get(values["sweep_axis"], ())
+    return _from_key_values(ExperimentSpec, values)
 
 
 def spec_to_text(spec: ExperimentSpec) -> str:
     """Serialize a spec to canonical config text (parses back to itself)."""
-    imp = spec.impairments
-    if len(imp.coupling) > 2:
-        raise ConfigError("config format carries at most two coupling taps")
-    if len(imp.pa_coeffs) > 3:
-        raise ConfigError("config format carries at most three PA coefficients")
-    taps = list(imp.coupling) + [0.0] * (2 - len(imp.coupling))
-    betas = list(imp.pa_coeffs) + [0.0] * (3 - len(imp.pa_coeffs))
-    sys_cfg = spec.system
-    pairs = [
-        ("n_antennas", str(sys_cfg.n_antennas)),
-        ("n_transmissions", str(sys_cfg.n_transmissions)),
-        ("n_subcarriers", str(sys_cfg.n_subcarriers)),
-        ("cp_length", str(sys_cfg.cp_length)),
-        ("carrier_freq_hz", _fmt_float(sys_cfg.carrier_freq_hz)),
-        ("bandwidth_hz", _fmt_float(sys_cfg.bandwidth_hz)),
-        ("load_impedance_ohm", _fmt_float(sys_cfg.load_impedance_ohm)),
-        ("noise_psd_dbm_hz", _fmt_float(sys_cfg.noise_psd_dbm_hz)),
-        ("noise_figure_db", _fmt_float(sys_cfg.noise_figure_db)),
-        ("tx_power_dbm", _fmt_float(sys_cfg.tx_power_dbm)),
-        ("pilot_seed", str(sys_cfg.pilot_seed)),
-        ("combiner_seed", str(sys_cfg.combiner_seed)),
-        ("sigma_pn_deg", _fmt_degrees(imp.sigma_pn)),
-        ("sigma_cfo", _fmt_float(imp.sigma_cfo)),
-        ("mc_c1", _fmt_complex(taps[0])),
-        ("mc_c2", _fmt_complex(taps[1])),
-        ("sigma_mc", _fmt_float(imp.sigma_mc)),
-        ("pa_beta0", _fmt_complex(betas[0])),
-        ("pa_beta1", _fmt_complex(betas[1])),
-        ("pa_beta2", _fmt_complex(betas[2])),
-        ("pa_clip", _fmt_float(imp.pa_clip)),
-        ("ue_x", _fmt_float(spec.ue_position[0])),
-        ("ue_y", _fmt_float(spec.ue_position[1])),
-        ("gain_phase", _fmt_float(spec.gain_phase)),
-        ("sweep_axis", spec.sweep_axis),
-        ("sweep_values", ",".join(_fmt_float(v) for v in spec.sweep_values)),
-        ("n_realizations", str(spec.n_realizations)),
-        ("n_trials", str(spec.n_trials)),
-        ("master_seed", str(spec.master_seed)),
-        ("outputs", ",".join(spec.outputs)),
-    ]
-    return "\n".join(f"{k}={v}" for k, v in pairs) + "\n"
+    return "".join(f"{k}={_format(v, DEFAULTS[k])}\n" for k, v in _key_values(spec).items())

@@ -66,7 +66,9 @@ class SystemConfig:
         if self.load_impedance_ohm <= 0:
             raise ConfigError("load impedance must be positive")
         try:
-            scales = (noise_std(self), self.pilot_amplitude)
+            sigma_n = noise_std(self)
+            quartic = sigma_n**4  # the lb bound scales by 4 / sigma_n**4
+            scales = (sigma_n, self.pilot_amplitude, quartic, 4.0 / quartic if quartic > 0 else 0.0)
         except OverflowError:
             scales = (np.inf,)
         if not all(0.0 < s < np.inf for s in scales):

@@ -34,7 +34,8 @@ from hwiloc.harness import (
     run_estimator_trials,
     sort_rows,
 )
-from hwiloc.model import ConfigError
+from hwiloc.impairments import ImpairmentConfig
+from hwiloc.model import ConfigError, SystemConfig
 
 DESK_OVERRIDES = {
     "n_antennas": "10",
@@ -88,6 +89,71 @@ def test_defaults_resolve_to_full_scale_profile():
     npt.assert_array_equal(spec.ue_position, [3.0, 2.0])
     assert spec.sweep_axis == "tx_power_dbm"
     assert spec.sweep_values == DEFAULT_SWEEP_VALUES["tx_power_dbm"]
+
+
+def test_defaults_are_the_dataclass_defaults():
+    spec = resolve_spec({})
+    assert spec == ExperimentSpec()
+    assert spec.system == SystemConfig()
+    assert spec.impairments == ImpairmentConfig()
+
+
+DEFAULT_CONFIG_TEXT = """\
+n_antennas=10
+n_transmissions=10
+n_subcarriers=100
+cp_length=7
+carrier_freq_hz=140000000000.0
+bandwidth_hz=1000000000.0
+load_impedance_ohm=50.0
+noise_psd_dbm_hz=-173.855
+noise_figure_db=10.0
+tx_power_dbm=20.0
+pilot_seed=101
+combiner_seed=202
+sigma_pn_deg=10.0
+sigma_cfo=0.01
+mc_c1=0.6+0.5j
+mc_c2=0.4054-0.128j
+sigma_mc=0.02
+pa_beta0=0.9798+0.0286j
+pa_beta1=0.0122-0.0043j
+pa_beta2=-0.0007+0.0001j
+pa_clip=25.0
+ue_x=3.0
+ue_y=2.0
+gain_phase=0.3
+sweep_axis=tx_power_dbm
+sweep_values=-10.0,0.0,10.0,20.0,30.0,40.0
+n_realizations=25
+n_trials=200
+master_seed=1234
+outputs=crb_m2,crb_m1,lb,aeb,deb,peb,mmle_rmse,mle_m1_rmse
+"""
+
+
+def test_cli_show_config_defaults_text(capsys):
+    # pins the canonical key order and the number formatting
+    assert main(["show-config"]) == 0
+    assert capsys.readouterr().out == DEFAULT_CONFIG_TEXT
+
+
+@pytest.mark.parametrize(
+    "impairments,fragment",
+    [
+        (ImpairmentConfig(coupling=(0.5, 0.2, 0.1)), "two coupling taps"),
+        (ImpairmentConfig(pa_coeffs=(1.0, 0.1, 0.01, 0.001)), "three PA coefficients"),
+    ],
+)
+def test_spec_to_text_rejects_what_the_format_cannot_carry(impairments, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        spec_to_text(ExperimentSpec(impairments=impairments))
+
+
+@pytest.mark.parametrize("key", ["n_antenas", "sigma_pn"])
+def test_resolve_spec_rejects_unknown_keys(key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        resolve_spec({"n_antennas": "4", key: "30"})
 
 
 @pytest.mark.parametrize("axis", sorted(DEFAULT_SWEEP_VALUES))
@@ -541,6 +607,14 @@ def test_cli_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_cli_non_utf8_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"n_antennas=10\n\xff=3\n")
+    assert main(["show-config", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "UTF-8" in err
+
+
 def test_cli_unknown_flag_exits_1(capsys):
     assert main(["bounds", "--frobnicate"]) == 1
     err = capsys.readouterr().err
@@ -628,6 +702,28 @@ def test_cli_rejects_non_finite_values(tmp_path, monkeypatch, capsys, key, value
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, ok",
+    [
+        ("bandwidth_hz", "1e-300", False),  # sigma_n**4 underflows to 0
+        ("bandwidth_hz", "1e-140", False),  # 4 / sigma_n**4 overflows
+        ("bandwidth_hz", "1e-130", True),
+        ("noise_psd_dbm_hz", "1500", False),  # sigma_n**4 overflows
+    ],
+)
+def test_cli_noise_level_must_keep_lb_finite(tmp_path, monkeypatch, capsys, key, value, ok):
+    cfg = _desk_cfg(tmp_path, sweep_values="20", n_realizations="2", **{key: value})
+    out = tmp_path / "r.csv"
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    code = main(["bounds", "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    if ok:
+        assert code == 0 and out.exists()
+    else:
+        assert code == 1 and err.startswith("config error:") and "noise level" in err
+        assert not out.exists()
 
 
 def test_cli_estimate_rejects_ue_outside_range_scan(tmp_path, monkeypatch, capsys):
