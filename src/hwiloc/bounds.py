@@ -174,14 +174,21 @@ def jacobian_state(theta: ChannelParams) -> np.ndarray:
 
 
 def crb_state(info: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """CRB in state coordinates: inv(J^T I J). Raises on singularity."""
-    info_s = jac.T @ info @ jac
+    """CRB in state coordinates, inv(J^T I J), formed as T inv(I) T^T with
+    T = inv(J): for :func:`jacobian_state`, the inverse polar Jacobian that
+    :func:`lb_position` maps the MCRB with. Inverting the channel-coordinate
+    information first keeps the bound when the angle and delay information
+    lie many orders of magnitude apart (a very narrow band), where J^T I J
+    mixes them into a numerically singular matrix. Raises on singularity.
+    """
     try:
-        return np.linalg.inv(info_s)
+        t = np.linalg.inv(jac)
+        cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
-            f"state information matrix is singular (cond {np.linalg.cond(info_s):.3e})"
+            f"information matrix is singular (cond {np.linalg.cond(info):.3e})"
         ) from exc
+    return t @ cov @ t.T
 
 
 def root_bound(v: float) -> float:

@@ -15,23 +15,32 @@ the variable-projection form of separable least squares (Golub & Pereyra,
 Inverse Problems 19, 2003).
 
 Both stages work on the pulled observation u_g = M_g^H y_g (the unitary
-phase-noise/CFO sandwich moved onto the data once per estimate) and use
+phase-noise/CFO sandwich moved onto the data once per observation) and use
 the model's factorization eta_{g,k} = b_g(aoa) d_k(delay) x~_{g,k}, which
 makes the objective separable in angle and range: one pilot block is
 scanned over the whole grid with three matrix products
-(:meth:`ProjectionModel.objective_grid`), and every derivative the Newton
-fit needs comes from two (:meth:`ProjectionModel.captured_energy`).
+(:meth:`ProjectionModel.objective_grid`) on bases built once per grid
+(:class:`ScanGrid`), and every derivative the Newton fit needs comes from
+two (:meth:`FitData.captured_energy`).
+
+The Newton fit runs on many observations at once. A :class:`TrialBatch`
+takes observations one at a time, each with the model that fits it: it
+scans the grid at once and keeps only what the fit reads
+(:class:`FitData`) and the grid start, so no model outlives its
+observation. :func:`refine` then fits every kept observation together on
+(T,) arrays, each with its own stop rules and line search; a fit that stops
+leaves the active set. The sweep harness batches all trials of a sweep
+point, and ``mmle_m2``/``mle_m1`` are a batch of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SPEED_OF_LIGHT, ChannelParams
-from .observation import ProjectionModel
+from .model import SPEED_OF_LIGHT, ChannelParams, SystemConfig
+from .observation import FitData, ProjectionModel, ScanGrid
 
 # scanned ranges, metres
 RANGE_MIN_M = 0.5
@@ -44,6 +53,7 @@ SUFFICIENT_DECREASE = 1e-4  # Armijo slope
 MAX_BACKTRACKS = 40  # step halvings before the line search counts as stalled
 # stop reasons of refine that count as converged
 CONVERGED_STOPS = ("gradient", "decrement")
+FAILED = "failed"  # the stop of a fit that ended in a NumericError
 
 
 class NumericError(RuntimeError):
@@ -81,6 +91,54 @@ class Estimate:
         return self.stop in CONVERGED_STOPS
 
 
+@dataclass
+class Fits:
+    """Results of T fits, in the order their observations were added. A
+    failed fit has NaN position and objective; its NumericError message is
+    in ``errors``."""
+
+    positions: np.ndarray  # (T, 2) refined positions
+    objectives: np.ndarray  # (T,) projection objective at the optimum (unnormalized)
+    stops: np.ndarray  # (T,) str: gradient | decrement | stalled | max_iter | failed
+    n_iterations: np.ndarray  # (T,) int
+    starts: np.ndarray  # (T, 2) starting positions: the grid argmins, for a TrialBatch
+    errors: list[str | None]
+
+    @staticmethod
+    def empty(n: int) -> "Fits":
+        return Fits(
+            positions=np.full((n, 2), np.nan),
+            objectives=np.full(n, np.nan),
+            stops=np.full(n, FAILED, dtype="<U9"),
+            n_iterations=np.zeros(n, dtype=int),
+            starts=np.full((n, 2), np.nan),
+            errors=[None] * n,
+        )
+
+    @property
+    def converged(self) -> np.ndarray:
+        return np.isin(self.stops, CONVERGED_STOPS)
+
+    def fail(self, index: np.ndarray, message: str) -> None:
+        self.stops[index] = FAILED
+        for i in np.atleast_1d(index):
+            self.errors[i] = message
+
+    def settle(self, index: np.ndarray, pos: np.ndarray, objective: np.ndarray, stop: str) -> None:
+        """Record fits that stopped at polar positions pos = (aoa, range), (2, k)."""
+        aoa, rng = pos
+        self.positions[index] = (rng * np.array([np.cos(aoa), np.sin(aoa)])).T
+        self.objectives[index] = objective
+        self.stops[index] = stop
+
+    def put(self, index: np.ndarray, other: "Fits") -> None:
+        """Write the fits of other into the slots index."""
+        for name in ("positions", "objectives", "stops", "n_iterations", "starts"):
+            getattr(self, name)[index] = getattr(other, name)
+        for i, message in zip(index, other.errors):
+            self.errors[i] = message
+
+
 def projection_objective(y: np.ndarray, eta: np.ndarray) -> float:
     """||y||^2 minus the energy of y captured by the eta direction."""
     y = np.asarray(y).ravel()
@@ -111,45 +169,50 @@ def scan_limit_m(subcarrier_spacing_hz: float) -> float:
     return min(RANGE_MAX_M, RANGE_MIN_M + SPEED_OF_LIGHT / subcarrier_spacing_hz)
 
 
-def scan_ranges(model: ProjectionModel, est: EstimatorConfig) -> np.ndarray:
-    """Grid ranges below :func:`scan_limit_m` (at least the first one)."""
+def scan_grid(cfg: SystemConfig, est: EstimatorConfig) -> ScanGrid:
+    """The estimators' scan grid for a link: est's angles, and its ranges
+    below :func:`scan_limit_m` (at least the first one)."""
     ranges = est.grid_ranges()
-    kept = ranges[ranges < scan_limit_m(model.cfg.subcarrier_spacing_hz)]
-    return kept if kept.size else ranges[:1]
+    kept = ranges[ranges < scan_limit_m(cfg.subcarrier_spacing_hz)]
+    return ScanGrid.build(cfg, est.grid_angles(), kept if kept.size else ranges[:1])
 
 
 def grid_search(
-    u: np.ndarray, model: ProjectionModel, est: EstimatorConfig
+    u: np.ndarray, model: ProjectionModel, grid: ScanGrid
 ) -> tuple[np.ndarray, float]:
     """Coarse polar scan of the pulled observation u; returns (position,
     objective) of the grid argmin.
 
     Ties break deterministically to the lowest angle index, then the lowest
-    range index (row-major argmin). Ranges come from :func:`scan_ranges`.
+    range index (row-major argmin).
     """
-    aoas = est.grid_angles()
-    ranges = scan_ranges(model, est)
-    obj = model.objective_grid(u, aoas, ranges)
+    obj = model.objective_grid(u, grid)
     if not np.any(np.isfinite(obj)):
         raise NumericError("projection objective is non-finite over the whole grid")
     flat = np.argmin(obj)  # first minimum in row-major order
     ia, ir = np.unravel_index(flat, obj.shape)
-    p0 = ranges[ir] * np.array([np.cos(aoas[ia]), np.sin(aoas[ia])])
+    p0 = grid.ranges_m[ir] * np.array([np.cos(grid.aoas[ia]), np.sin(grid.aoas[ia])])
     return p0, float(obj[ia, ir])
 
 
-def refine(
-    u: np.ndarray, model: ProjectionModel, p_start: np.ndarray, est: EstimatorConfig
-) -> tuple[np.ndarray, float, str, int]:
-    """Damped Newton fit of the projection objective of the pulled
-    observation u in (aoa, range).
+def _normalized(data: FitData, aoa: np.ndarray, rng: np.ndarray) -> np.ndarray:
+    """The objective normalized by ||u||^2 with its gradient and Hessian in
+    (aoa, range): rows (f, g_a, g_r, h_aa, h_ar, h_rr), (6, T)."""
+    out = data.captured_energy(aoa, rng) / -data.yy
+    out[0] += 1.0
+    return out
 
-    The objective is normalized by ||y||^2 so the tolerances are scale-free;
-    its exact gradient and Hessian come from
-    :meth:`ProjectionModel.captured_energy`. Where the Hessian is positive
-    definite the step is the Newton step, elsewhere a steepest-descent step
-    of INITIAL_STEP_M metres; either is halved until the Armijo condition
-    holds at a positive range. The fit stops with one of these reasons:
+
+def refine(data: FitData, starts: np.ndarray, est: EstimatorConfig) -> Fits:
+    """Damped Newton fits of the projection objectives of T pulled
+    observations in (aoa, range), from their starting positions (T, 2).
+
+    Each objective is normalized by ||u||^2 so the tolerances are
+    scale-free; its exact gradient and Hessian come from
+    :meth:`FitData.captured_energy`. Where the Hessian is positive definite
+    the step is the Newton step, elsewhere a steepest-descent step of
+    INITIAL_STEP_M metres; either is halved until the Armijo condition holds
+    at a positive range. A fit stops with one of these reasons:
 
     * ``gradient``: the Cartesian gradient is below GRAD_TOLERANCE;
     * ``decrement``: the Newton decrement is below DECREMENT_TOLERANCE,
@@ -158,66 +221,89 @@ def refine(
     * ``max_iter``: est.max_iterations iterations ran out.
 
     Only the first two count as converged. Except for the final full Newton
-    step, the objective sequence is non-increasing.
+    step, each objective sequence is non-increasing.
 
-    Returns (position, unnormalized objective, stop reason, iterations).
+    The fits share array operations but not their steps: each follows the
+    rules above on its own, and one that stops leaves the active set. A fit
+    whose observation has no energy, or whose objective or gradient turns
+    non-finite, ends as ``failed`` with the reason in ``errors``; the others
+    go on.
     """
-    yy = float(np.vdot(u, u).real)
-    if not np.isfinite(yy) or yy <= 0.0:
-        raise NumericError("observation energy must be positive and finite")
-    w = np.conj(model.eff_pilots) * u
+    starts = np.asarray(starts, dtype=float)
+    out = Fits.empty(data.yy.size)
+    out.starts[:] = starts
+    ids = np.arange(data.yy.size)
+    usable = np.isfinite(data.yy) & (data.yy > 0.0)
+    if not usable.all():
+        out.fail(ids[~usable], "observation energy must be positive and finite")
+        ids, data = ids[usable], data.take(usable)
+    # per active fit: pos = (aoa, range), val = (f, g_a, g_r, h_aa, h_ar, h_rr)
+    pos = np.array([np.arctan2(starts[ids, 1], starts[ids, 0]), np.hypot(*starts[ids].T)])
+    val = _normalized(data, *pos)
+    ok = np.isfinite(val[0])
+    if not ok.all():
+        out.fail(ids[~ok], "objective is non-finite at the starting point")
+        ids, data, pos, val = ids[ok], data.take(ok), pos[:, ok], val[:, ok]
 
-    def at(aoa: float, rng: float):
-        e, (e_a, e_r), (e_aa, e_ar, e_rr) = model.captured_energy(w, aoa, rng)
-        return 1.0 - e / yy, (-e_a / yy, -e_r / yy), (-e_aa / yy, -e_ar / yy, -e_rr / yy)
-
-    aoa = float(np.arctan2(p_start[1], p_start[0]))
-    rng = float(np.hypot(p_start[0], p_start[1]))
-    f, grad, hess = at(aoa, rng)
-    if not np.isfinite(f):
-        raise NumericError("objective is non-finite at the starting point")
-
-    stop = "max_iter"
-    iters = 0
-    for iters in range(1, est.max_iterations + 1):
-        g_a, g_r = grad
-        gnorm = math.hypot(g_a / rng, g_r)  # the Cartesian gradient, rotated to polar
-        if not math.isfinite(gnorm):
-            raise NumericError("gradient is non-finite during refinement")
-        if gnorm < GRAD_TOLERANCE:
-            stop = "gradient"
+    for it in range(1, est.max_iterations + 1):
+        if not ids.size:
             break
-        h_aa, h_ar, h_rr = hess
+        out.n_iterations[ids] = it
+        rng = pos[1]
+        f, g_a, g_r, h_aa, h_ar, h_rr = val
+        gnorm = np.hypot(g_a / rng, g_r)  # the Cartesian gradient, rotated to polar
+        broken = ~np.isfinite(gnorm)
+        if broken.any():
+            out.fail(ids[broken], "gradient is non-finite during refinement")
+        small = gnorm < GRAD_TOLERANCE
+        if small.any():
+            out.settle(ids[small], pos[:, small], f[small] * data.yy[small], "gradient")
         det = h_aa * h_rr - h_ar * h_ar
-        if h_aa > 0.0 and det > 0.0:
-            d_a = (h_ar * g_r - h_rr * g_a) / det
-            d_r = (h_ar * g_a - h_aa * g_r) / det
-            if -0.5 * (g_a * d_a + g_r * d_r) <= DECREMENT_TOLERANCE and rng + d_r > 0.0:
-                cand = at(aoa + d_a, rng + d_r)
-                if np.isfinite(cand[0]):
-                    aoa, rng, f = aoa + d_a, rng + d_r, cand[0]
-                stop = "decrement"
-                break
-        else:
-            # a Cartesian step of INITIAL_STEP_M against the gradient
-            d_a = -INITIAL_STEP_M * g_a / (rng * rng * gnorm)
-            d_r = -INITIAL_STEP_M * g_r / gnorm
-        slope = g_a * d_a + g_r * d_r
+        newton = (h_aa > 0.0) & (det > 0.0)
+        # each fit reads only the branch its Hessian selects, so the other
+        # branch may divide by zero
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.where(
+                newton,
+                np.array([h_ar * g_r - h_rr * g_a, h_ar * g_a - h_aa * g_r]) / det,
+                -INITIAL_STEP_M * np.array([g_a, g_r]) / np.array([rng * rng * gnorm, gnorm]),
+            )
+        slope = g_a * step[0] + g_r * step[1]
+        last = (
+            newton & ~(broken | small)
+            & (-0.5 * slope <= DECREMENT_TOLERANCE) & (rng + step[1] > 0.0)
+        )
+        if last.any():
+            j = np.flatnonzero(last)
+            cand = pos[:, j] + step[:, j]
+            c_f = _normalized(data.take(j), *cand)[0]
+            moved = np.isfinite(c_f)
+            pos[:, j[moved]], val[0, j[moved]] = cand[:, moved], c_f[moved]
+            out.settle(ids[j], pos[:, j], val[0, j] * data.yy[j], "decrement")
+
+        # backtracking line search: every fit still searching halves the
+        # same step length t, so one t serves them all
+        pending = ~(broken | small | last)
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
-            c_a, c_r = aoa + t * d_a, rng + t * d_r
-            if c_r > 0.0:
-                cand = at(c_a, c_r)
-                if cand[0] <= f + SUFFICIENT_DECREASE * t * slope:
-                    break
+            j = np.flatnonzero(pending)
+            if not j.size:
+                break
+            cand = pos[:, j] + t * step[:, j]
+            c_val = _normalized(data if j.size == ids.size else data.take(j), *cand)
+            ok = (cand[1] > 0.0) & (c_val[0] <= f[j] + SUFFICIENT_DECREASE * t * slope[j])
+            pos[:, j[ok]], val[:, j[ok]] = cand[:, ok], c_val[:, ok]
+            pending[j[ok]] = False
             t *= 0.5
-        else:
-            stop = "stalled"
-            break
-        aoa, rng = c_a, c_r
-        f, grad, hess = cand
-    position = rng * np.array([math.cos(aoa), math.sin(aoa)])
-    return position, f * yy, stop, iters
+        if pending.any():
+            out.settle(ids[pending], pos[:, pending], f[pending] * data.yy[pending], "stalled")
+
+        done = broken | small | last | pending
+        if done.any():
+            keep = ~done
+            ids, data, pos, val = ids[keep], data.take(keep), pos[:, keep], val[:, keep]
+    out.settle(ids, pos, val[0] * data.yy, "max_iter")
+    return out
 
 
 def fitted_params(y: np.ndarray, model: ProjectionModel, position: np.ndarray) -> ChannelParams:
@@ -231,20 +317,72 @@ def fitted_params(y: np.ndarray, model: ProjectionModel, position: np.ndarray) -
     )
 
 
-def _finish(y: np.ndarray, model: ProjectionModel, est: EstimatorConfig) -> Estimate:
-    y = np.asarray(y, dtype=complex)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation contains non-finite samples")
-    u = model.pulled_observation(y)
-    p0, _ = grid_search(u, model, est)
-    p_hat, obj, stop, iters = refine(u, model, p0, est)
+class TrialBatch:
+    """Up to size observations, gathered one at a time for one Newton fit
+    over all of them.
+
+    :meth:`add` pulls each observation through the model that fits it,
+    scans the grid and keeps only what the fit reads (a slot of
+    :class:`FitData`) and the grid start, so the model can go once add
+    returns. :meth:`fit` runs :func:`refine` on every observation whose
+    scan succeeded. A NumericError of one scan or fit fails that
+    observation only.
+    """
+
+    def __init__(self, cfg: SystemConfig, size: int, est: EstimatorConfig | None = None) -> None:
+        self.est = est or EstimatorConfig()
+        self.grid = scan_grid(cfg, self.est)
+        self._data = FitData.empty(cfg, size)
+        self._starts = np.full((size, 2), np.nan)
+        self._errors: list[str | None] = []  # one per observation added: its scan's error
+
+    def add(self, y: np.ndarray, model: ProjectionModel) -> None:
+        """Add the observation y, to be fitted with model."""
+        y = np.asarray(y, dtype=complex)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("observation contains non-finite samples")
+        index = len(self._errors)
+        u = model.pulled_observation(y)
+        try:
+            self._starts[index], _ = grid_search(u, model, self.grid)
+        except NumericError as exc:
+            self._errors.append(str(exc))
+            return
+        self._data.put(index, model, u)
+        self._errors.append(None)
+
+    def fit(self) -> Fits:
+        """The fits of every observation added, in order. This spends the
+        batch: refine takes over its storage and frees what it is done with."""
+        out = Fits.empty(len(self._errors))
+        kept = np.array([i for i, e in enumerate(self._errors) if e is None], dtype=int)
+        for i, message in enumerate(self._errors):
+            if message is not None:
+                out.fail(i, message)
+        if kept.size:
+            out.put(kept, refine(self._spend(kept), self._starts[kept], self.est))
+        return out
+
+    def _spend(self, kept: np.ndarray) -> FitData:
+        data, self._data = self._data, None
+        return data if kept.size == data.yy.size else data.take(kept)
+
+
+def _estimate(y: np.ndarray, model: ProjectionModel, est: EstimatorConfig | None) -> Estimate:
+    """One observation's fit: a batch of one."""
+    batch = TrialBatch(model.cfg, 1, est)
+    batch.add(y, model)
+    fit = batch.fit()
+    if fit.errors[0] is not None:
+        raise NumericError(fit.errors[0])
+    position = fit.positions[0]
     return Estimate(
-        params=fitted_params(y, model, p_hat),
-        position=p_hat,
-        objective=obj,
-        stop=stop,
-        n_iterations=iters,
-        grid_point=p0,
+        params=fitted_params(y, model, position),
+        position=position,
+        objective=float(fit.objectives[0]),
+        stop=str(fit.stops[0]),
+        n_iterations=int(fit.n_iterations[0]),
+        grid_point=fit.starts[0],
     )
 
 
@@ -252,7 +390,7 @@ def mmle_m2(
     y: np.ndarray, clean: ProjectionModel, est: EstimatorConfig | None = None
 ) -> Estimate:
     """Mismatched estimator: fits the clean model to whatever y contains."""
-    return _finish(y, clean, est or EstimatorConfig())
+    return _estimate(y, clean, est)
 
 
 def mle_m1(
@@ -260,4 +398,4 @@ def mle_m1(
 ) -> Estimate:
     """Matched estimator: fits the impaired model of the realization that
     made y."""
-    return _finish(y, impaired, est or EstimatorConfig())
+    return _estimate(y, impaired, est)

@@ -5,6 +5,9 @@ the amplifier switch) across its value list. At each point the bounds
 runner draws hardware realizations and reports mean/min/max of every
 requested bound scalar across them; the trials runner draws full
 observations and reports the position RMSE of the requested estimators.
+Both build a point's pilot block and clean model once (per draw on the
+amplifier axis, which resamples the pilots), and the trials runner fits
+all trials of a point together, in one batch per estimator.
 
 Determinism: every random draw derives from
 SeedSequence((master_seed, draw_index, stream_tag)), so output is
@@ -38,8 +41,15 @@ from .config_io import (
     ESTIMATOR_METRICS,
     ExperimentSpec,
 )
-from .estimation import RANGE_MIN_M, NumericError, mle_m1, mmle_m2, scan_limit_m
-from .impairments import ImpairmentConfig, ImpairmentRealization, sample_realization
+from .estimation import (
+    RANGE_MIN_M,
+    EstimatorConfig,
+    Fits,
+    NumericError,
+    TrialBatch,
+    scan_limit_m,
+)
+from .impairments import ImpairmentConfig, sample_realization
 from .model import (
     SPEED_OF_LIGHT,
     ChannelParams,
@@ -52,7 +62,7 @@ from .model import (
     noise_std,
     params_to_state,
 )
-from .observation import ProjectionModel, mu_m1, observe
+from .observation import ProjectionModel, observe
 
 logger = logging.getLogger(__name__)
 
@@ -145,8 +155,11 @@ def _rng(master_seed: int, draw_index: int, stream: int) -> np.random.Generator:
     )
 
 
-def _block_for(spec: ExperimentSpec, sys_cfg: SystemConfig, rng: np.random.Generator) -> PilotBlock:
-    """Pilot block for one draw.
+def _shared_models(
+    spec: ExperimentSpec, sys_cfg: SystemConfig, imp: ImpairmentConfig
+) -> tuple[PilotBlock, ProjectionModel] | None:
+    """The pilot block and clean model that every draw of a sweep point
+    shares, built once per point; None on the amplifier axis.
 
     The amplifier axis resamples the pilot symbols per draw (the
     nonlinearity's effect depends on the transmitted waveform); every other
@@ -154,27 +167,35 @@ def _block_for(spec: ExperimentSpec, sys_cfg: SystemConfig, rng: np.random.Gener
     Combiners stay fixed either way.
     """
     if spec.sweep_axis == "pa":
-        return PilotBlock(
-            symbols=generate_pilots(sys_cfg, rng), combiners=generate_combiners(sys_cfg)
-        )
-    return PilotBlock.from_config(sys_cfg)
+        return None
+    block = PilotBlock.from_config(sys_cfg)
+    return block, ProjectionModel.clean(sys_cfg, block, imp.coupling)
 
 
 def _draw(
-    spec: ExperimentSpec, sys_cfg: SystemConfig, imp: ImpairmentConfig, index: int, stream: int
-) -> tuple[np.random.Generator, PilotBlock, ImpairmentRealization, ProjectionModel, ProjectionModel]:
-    """One draw: its generator, pilot block, hardware realization and the
-    clean and impaired models built on them.
+    spec: ExperimentSpec,
+    sys_cfg: SystemConfig,
+    imp: ImpairmentConfig,
+    shared: tuple[PilotBlock, ProjectionModel] | None,
+    index: int,
+    stream: int,
+) -> tuple[np.random.Generator, ProjectionModel, ProjectionModel]:
+    """One draw: its generator and the clean and impaired models of its
+    pilot block and hardware realization (see :func:`_shared_models`).
 
-    The generator is returned after the block and the realization have
+    The generator is returned after the pilots and the realization have
     been drawn from it, so noise drawn next stays in the same order.
     """
     rng = _rng(spec.master_seed, index, stream)
-    block = _block_for(spec, sys_cfg, rng)
+    if shared is None:
+        block = PilotBlock(
+            symbols=generate_pilots(sys_cfg, rng), combiners=generate_combiners(sys_cfg)
+        )
+        clean = ProjectionModel.clean(sys_cfg, block, imp.coupling)
+    else:
+        block, clean = shared
     real = sample_realization(imp, sys_cfg, rng)
-    clean = ProjectionModel.clean(sys_cfg, block, imp.coupling)
-    impaired = ProjectionModel.impaired(sys_cfg, block, imp, real)
-    return rng, block, real, clean, impaired
+    return rng, clean, ProjectionModel.impaired(sys_cfg, block, imp, real)
 
 
 def _bound_scalar(family: str, scalar: str, rep: BoundsReport) -> float:
@@ -220,8 +241,9 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
         (f, s): [] for f in families for s in scalars
     }
     n_ok = dict.fromkeys(families, 0)
+    shared = _shared_models(spec, sys_cfg, imp)
     for r in range(spec.n_realizations):
-        _, _, _, clean, impaired = _draw(spec, sys_cfg, imp, r, _REALIZATION_STREAM)
+        _, clean, impaired = _draw(spec, sys_cfg, imp, shared, r, _REALIZATION_STREAM)
         reports: dict[str, BoundsReport] = {}
         for family in families:
             try:
@@ -259,30 +281,51 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     return rows
 
 
+def _fit_point(
+    spec: ExperimentSpec,
+    sys_cfg: SystemConfig,
+    imp: ImpairmentConfig,
+    metrics: list[str],
+    est: EstimatorConfig,
+) -> dict[str, Fits]:
+    """Every trial of one sweep point, fitted by each requested estimator.
+
+    Each trial observes its impaired model's mean plus noise. The
+    observation joins one batch per estimator, with the model that
+    estimator fits: the clean one for ``mmle_rmse``, the trial's impaired
+    one for ``mle_m1_rmse``. Each batch keeps only what its fit reads, so a
+    trial's impaired model lives only while the trial is drawn; then each
+    batch runs one Newton fit over all trials.
+    """
+    sigma = noise_std(sys_cfg)
+    theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
+    shared = _shared_models(spec, sys_cfg, imp)
+    batches = {m: TrialBatch(sys_cfg, spec.n_trials, est) for m in metrics}
+    for t in range(spec.n_trials):
+        rng, clean, impaired = _draw(spec, sys_cfg, imp, shared, t, _TRIAL_STREAM)
+        y = observe(impaired.mean(theta), sigma, rng)
+        for m, batch in batches.items():
+            batch.add(y, clean if m == "mmle_rmse" else impaired)
+    return {m: batch.fit() for m, batch in batches.items()}
+
+
 def _trials_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     value = spec.sweep_values[axis_index]
     sys_cfg, imp = apply_sweep_value(spec, value)
-    sigma = noise_std(sys_cfg)
     theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
     p_true = params_to_state(theta).position
     metrics = [m for m in ESTIMATOR_METRICS if m in spec.outputs]
-    squared: dict[str, list[float]] = {m: [] for m in metrics}
-    stops: dict[str, Counter] = {m: Counter() for m in metrics}
-    for t in range(spec.n_trials):
-        rng, block, real, clean, impaired = _draw(spec, sys_cfg, imp, t, _TRIAL_STREAM)
-        # mu_m1 equals impaired.mean(theta); the benchmark's tracer counts it
-        y = observe(mu_m1(theta, sys_cfg, block, imp, real), sigma, rng)
-        for m in metrics:
-            try:
-                est = mmle_m2(y, clean) if m == "mmle_rmse" else mle_m1(y, impaired)
-            except NumericError as exc:
-                logger.debug("trials: sweep value %r trial %d %s failed: %s", value, t, m, exc)
-                stops[m]["failed"] += 1
-                continue
-            stops[m][est.stop] += 1
-            if est.converged:
-                squared[m].append(float(np.sum((est.position - p_true) ** 2)))
-    all_converged = all(sum(stops[m].values()) == len(squared[m]) for m in metrics)
+    fits = _fit_point(spec, sys_cfg, imp, metrics, EstimatorConfig())
+    squared: dict[str, np.ndarray] = {}
+    stops: dict[str, Counter] = {}
+    for m in metrics:
+        fit = fits[m]
+        for t, error in enumerate(fit.errors):
+            if error is not None:
+                logger.debug("trials: sweep value %r trial %d %s failed: %s", value, t, m, error)
+        stops[m] = Counter(fit.stops.tolist())
+        squared[m] = np.sum((fit.positions[fit.converged] - p_true) ** 2, axis=1)
+    all_converged = all(sum(stops[m].values()) == squared[m].size for m in metrics)
     logger.log(
         logging.INFO if all_converged else logging.WARNING,
         "trials: sweep value %r stops: %s",
@@ -292,7 +335,7 @@ def _trials_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
             for m in metrics
         ),
     )
-    empty = ", ".join(m for m in metrics if not squared[m])
+    empty = ", ".join(m for m in metrics if not squared[m].size)
     if empty:
         logger.warning("trials: no converged trials for %s at %r", empty, value)
         raise NumericError(f"no converged trials for {empty} at sweep value {value!r}")
@@ -306,7 +349,7 @@ def _trials_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
                 value=float(np.sqrt(np.mean(squared[m]))),
                 units="m",
                 realizations=spec.n_trials,
-                trials=len(squared[m]),
+                trials=squared[m].size,
             )
         )
     return rows

@@ -190,7 +190,7 @@ def steering_vector(aoa: float, n_antennas: int) -> np.ndarray:
 
 
 def steering_derivatives(
-    aoa: float, n_antennas: int
+    aoa: float | np.ndarray, n_antennas: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The steering vector a with its first and second derivatives w.r.t. aoa.
 
@@ -198,7 +198,8 @@ def steering_derivatives(
         da  = (1j * n * pi * cos(aoa)) * a
         dda = ((1j * n * pi * cos(aoa))**2 - 1j * n * pi * sin(aoa)) * a
     The second term of dda is the product-rule contribution from the
-    aoa-dependence of the first-derivative factor.
+    aoa-dependence of the first-derivative factor. An aoa column of shape
+    (T, 1) gives T vectors of each, (T, N).
     """
     a = steering_vector(aoa, n_antennas)
     n = np.arange(n_antennas)

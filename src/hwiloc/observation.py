@@ -18,9 +18,13 @@ Means are (G, K) arrays of subcarrier-domain samples for one pilot block.
 Flattening row-major gives the g-major stacked vector used by estimators and
 bounds. The gain-free mean (alpha = 1) is what the projection-based
 estimators search over. Its factors b_g and d_k, with their first two
-derivatives in aoa and delay (:meth:`ProjectionModel.factors`), are the one
-source of derivatives for the Newton fit, the Fisher information and the
-misspecified bound.
+derivatives in aoa and delay (:meth:`ProjectionModel.factors`), are the
+source of derivatives for the Fisher information and the misspecified
+bound. The estimators read a model through two reductions of a pulled
+observation: a scan over an (angle, range) grid whose bases are built once
+per grid (:class:`ScanGrid`), and the captured energy with its exact
+derivatives, on the same factors, for many observations at once
+(:class:`FitData`).
 """
 
 from __future__ import annotations
@@ -81,6 +85,14 @@ def sandwich_matrices(real: ImpairmentRealization, cfg: SystemConfig) -> np.ndar
     return out
 
 
+def ring_powers(cfg: SystemConfig) -> np.ndarray:
+    """[1, r, r^2] with r = -2j*pi*k*df in delay_vector's order, (K, 3):
+    r^n d is the n-th delay derivative of the delay phasors d."""
+    k = np.arange(1, cfg.n_subcarriers + 1)
+    ring = -2j * np.pi * k * cfg.subcarrier_spacing_hz
+    return np.stack((np.ones_like(ring), ring, ring * ring), axis=1)
+
+
 @dataclass
 class ProjectionModel:
     """The factorized link model of one pilot block and one receiver chain.
@@ -91,8 +103,9 @@ class ProjectionModel:
     pulled observation, the projection objective on a grid
     (:meth:`objective_grid`) and at one position (:meth:`position_objective`,
     for the pseudo-true descent), and the factor derivatives
-    (:meth:`factors`) that both the Newton fit (:meth:`captured_energy`)
-    and the derivatives of the mean in :mod:`hwiloc.bounds` build on.
+    (:meth:`factors`) that the derivatives of the mean in
+    :mod:`hwiloc.bounds` build on. What the Newton fit reads of it is a
+    slot of :class:`FitData`.
     """
 
     cfg: SystemConfig
@@ -101,22 +114,18 @@ class ProjectionModel:
     eff_pilots: np.ndarray  # x~, (G, K)
     realization: ImpairmentRealization | None = None
     # eta and factors round as W (C a), one steering vector at a time; the
-    # scans and position_objective round as (W C) a. The benchmark's lb
-    # reference was computed this way: stacking eta's product (W (C S) or
-    # (W C) a) moves full.cfg lb rows by 8.45e-6 or 2.0e-5, past its 1e-6
-    # gate. Both stay until that reference is regenerated.
+    # scans, the Newton fit and position_objective round as (W C) a. The
+    # benchmark's lb reference was computed this way: stacking eta's product
+    # (W (C S) or (W C) a) moves full.cfg lb rows by 8.45e-6 or 2.0e-5, past
+    # its 1e-6 gate. Both stay until that reference is regenerated.
     row_matrix: np.ndarray = field(init=False)  # W C, (G, N)
     pilot_energies: np.ndarray = field(init=False)  # (G,)
-    # [1, r, r^2], r = -2j*pi*k*df in delay_vector's order: r^n d is the
-    # n-th delay derivative of the phasors d, (K, 3)
-    ring_powers: np.ndarray = field(init=False)
+    ring_powers: np.ndarray = field(init=False)  # see ring_powers(), (K, 3)
 
     def __post_init__(self) -> None:
         self.row_matrix = self.combiners @ self.coupling
         self.pilot_energies = np.sum(np.abs(self.eff_pilots) ** 2, axis=1)
-        k = np.arange(1, self.cfg.n_subcarriers + 1)
-        ring = -2j * np.pi * k * self.cfg.subcarrier_spacing_hz
-        self.ring_powers = np.stack((np.ones_like(ring), ring, ring * ring), axis=1)
+        self.ring_powers = ring_powers(self.cfg)
 
     @staticmethod
     def clean(cfg: SystemConfig, block: PilotBlock, coupling: tuple = ()) -> "ProjectionModel":
@@ -162,15 +171,6 @@ class ProjectionModel:
 
     # -- objective machinery ------------------------------------------------
 
-    def _steering(self, aoas: np.ndarray) -> np.ndarray:
-        n = np.arange(self.row_matrix.shape[1])
-        return np.exp(1j * np.pi * np.outer(n, np.sin(aoas)))  # (N, n_angles)
-
-    def _delay_conj(self, ranges_m: np.ndarray) -> np.ndarray:
-        k = np.arange(1, self.cfg.n_subcarriers + 1)
-        tau = np.asarray(ranges_m) / SPEED_OF_LIGHT
-        return np.exp(2j * np.pi * self.cfg.subcarrier_spacing_hz * np.outer(k, tau))  # (K, n_r)
-
     def pulled_observation(self, y: np.ndarray) -> np.ndarray:
         """Pull the unitary sandwich onto the observation: u_g = M_g^H y_g."""
         y = np.asarray(y, dtype=complex)
@@ -178,19 +178,17 @@ class ProjectionModel:
             return y
         return np.einsum("gji,gj->gi", np.conj(self.sandwich), y)
 
-    def objective_grid(
-        self, u: np.ndarray, aoas: np.ndarray, ranges_m: np.ndarray
-    ) -> np.ndarray:
+    def objective_grid(self, u: np.ndarray, grid: "ScanGrid") -> np.ndarray:
         """Projection objective on the (angle, range) grid, shape (n_a, n_r).
 
         u is the pulled observation. Uses the separable structure: the
         captured energy is |sum_k conj(d_k) z_k(aoa)|^2 / den(aoa) with
         z(aoa) = sum_g conj(b_g x~_g) u_g and den = sum_g |b_g|^2 ||x~_g||^2.
         """
-        b = self.row_matrix @ self._steering(aoas)  # (G, n_a)
+        b = self.row_matrix @ grid.steering  # (G, n_a)
         w = np.conj(self.eff_pilots) * u  # (G, K)
         z = b.conj().T @ w  # (n_a, K)
-        s = z @ self._delay_conj(ranges_m)  # (n_a, n_r)
+        s = z @ grid.delay_conj  # (n_a, n_r)
         den = (np.abs(b) ** 2).T @ self.pilot_energies  # (n_a,)
         yy = np.vdot(u, u).real
         captured = np.zeros_like(s, dtype=float)
@@ -238,39 +236,113 @@ class ProjectionModel:
         b = np.array([self.combiners @ (self.coupling @ v) for v in steer]).T
         return b, self.ring_powers * np.exp(self.ring_powers[:, 1] * delay)[:, None]
 
-    def captured_energy(
-        self, w: np.ndarray, aoa: float, range_m: float
-    ) -> tuple[float, tuple[float, float], tuple[float, float, float]]:
-        """Captured energy |s|^2 / D and its exact derivatives in (aoa, range).
 
-        w = conj(x~) * u is the pulled observation weighted by the pilots,
+@dataclass(frozen=True)
+class ScanGrid:
+    """An (angle, range) grid with the scan bases that depend only on it and
+    the link: the steering columns a(aoa), (N, n_a), and the conjugate delay
+    phasors conj(d(range / c)), (K, n_r). Built once, it serves every scan of
+    a sweep point, on either chain."""
+
+    aoas: np.ndarray  # (n_a,) rad
+    ranges_m: np.ndarray  # (n_r,)
+    steering: np.ndarray  # (N, n_a)
+    delay_conj: np.ndarray  # (K, n_r)
+
+    @staticmethod
+    def build(cfg: SystemConfig, aoas: np.ndarray, ranges_m: np.ndarray) -> "ScanGrid":
+        aoas, ranges_m = np.asarray(aoas, dtype=float), np.asarray(ranges_m, dtype=float)
+        n = np.arange(cfg.n_antennas)
+        k = np.arange(1, cfg.n_subcarriers + 1)
+        tau = ranges_m / SPEED_OF_LIGHT
+        return ScanGrid(
+            aoas,
+            ranges_m,
+            np.exp(1j * np.pi * np.outer(n, np.sin(aoas))),
+            np.exp(2j * np.pi * cfg.subcarrier_spacing_hz * np.outer(k, tau)),
+        )
+
+
+@dataclass
+class FitData:
+    """Pulled observations u reduced to what the projection objective reads
+    at any position, stacked over T fits: the row matrix W C and the pilot
+    energies ||x~_g||^2 of the model each is fitted with, w = conj(x~) * u
+    and ||u||^2. The sandwich is not kept: it acted once, when u was pulled,
+    so T of these weigh a few rows each, not T models.
+    """
+
+    rows: np.ndarray  # W C, (T, G, N)
+    energies: np.ndarray  # (T, G)
+    w: np.ndarray  # (T, G, K)
+    yy: np.ndarray  # (T,)
+    ring_powers: np.ndarray  # (K, 3), shared: see ring_powers()
+
+    @staticmethod
+    def empty(cfg: SystemConfig, size: int) -> "FitData":
+        """Room for size fits on the link cfg, to be filled by :meth:`put`."""
+        g, n, k = cfg.n_transmissions, cfg.n_antennas, cfg.n_subcarriers
+        return FitData(
+            np.empty((size, g, n), dtype=complex),
+            np.empty((size, g)),
+            np.empty((size, g, k), dtype=complex),
+            np.empty(size),
+            ring_powers(cfg),
+        )
+
+    def put(self, index: int, model: ProjectionModel, u: np.ndarray) -> None:
+        """Fill slot index with the pulled observation u, fitted with model."""
+        self.rows[index] = model.row_matrix
+        self.energies[index] = model.pilot_energies
+        np.multiply(np.conj(model.eff_pilots), u, out=self.w[index])
+        self.yy[index] = np.vdot(u, u).real
+
+    def take(self, index: np.ndarray) -> "FitData":
+        """The fits selected by an index or mask array."""
+        return FitData(
+            self.rows[index], self.energies[index], self.w[index], self.yy[index], self.ring_powers
+        )
+
+    def captured_energy(self, aoa: np.ndarray, range_m: np.ndarray) -> np.ndarray:
+        """Captured energies |s|^2 / D of the T fits at positions (aoa,
+        range_m), both (T,), with their exact derivatives in (aoa, range).
+
         s = eta^H u = sum_{g,k} conj(b_g) w_{g,k} conj(d_k) and D = ||eta||^2
-        = sum_g |b_g|^2 ||x~_g||^2. One product b^H w conj(d) of the
-        :meth:`factors` gives every mixed derivative of s in (aoa, delay);
-        range derivatives divide by c per order. D does not depend on range.
-        Returns (energy, (e_a, e_r), (e_aa, e_ar, e_rr)); the energy is NaN
-        when D vanishes.
+        = sum_g |b_g|^2 ||x~_g||^2, with b = W C [a, a', a''] and d = [d, d',
+        d''] the factors of :meth:`ProjectionModel.factors`. One product
+        b^H w conj(d) per fit gives every mixed derivative of s in (aoa,
+        delay); range derivatives divide by c per order. D does not depend on
+        range. Returns the rows (e, e_a, e_r, e_aa, e_ar, e_rr), (6, T): the
+        energy, its gradient and its Hessian; all NaN for a fit whose D
+        vanishes.
         """
         c = SPEED_OF_LIGHT
-        b, d = self.factors(aoa, range_m / c)
-        (s, s_t, s_tt), (s_a, s_at, _), (s_aa, _, _) = (b.conj().T @ w @ d.conj()).tolist()
-        s_r, s_rr, s_ar = s_t / c, s_tt / (c * c), s_at / c
-        (q00, q01, q02), (_, q11, _) = ((b.conj().T[:2] * self.pilot_energies) @ b).real.tolist()
-        den, den_a, den_aa = q00, 2.0 * q01, 2.0 * (q11 + q02)
-        if not den > 0.0:
-            return float("nan"), (0.0, 0.0), (0.0, 0.0, 0.0)
-        sc = s.conjugate()
-        p = (sc * s).real  # |s|^2 and its derivatives
-        p_a, p_r = 2.0 * (sc * s_a).real, 2.0 * (sc * s_r).real
-        p_aa = 2.0 * ((s_a.conjugate() * s_a).real + (sc * s_aa).real)
-        p_ar = 2.0 * (s_a.conjugate() * s_r + sc * s_ar).real
-        p_rr = 2.0 * ((s_r.conjugate() * s_r).real + (sc * s_rr).real)
-        e = p / den
+        steer = np.stack(steering_derivatives(aoa[:, None], self.rows.shape[-1]), axis=-1)
+        b = self.rows @ steer  # (T, G, 3)
+        # d = [d, d', d''], (T, K, 3); einsum's product needs no broadcast
+        # buffers, which for a batch outweigh the result
+        d = np.einsum(
+            "tk,kn->tkn", np.exp(self.ring_powers[:, 1] * (range_m / c)[:, None]), self.ring_powers
+        )
+        bh = b.conj().swapaxes(-1, -2)  # (T, 3, G)
+        # [aoa order, range order], the delay orders divided by c per order
+        prods = bh @ (self.w @ np.conjugate(d, out=d)) / np.array([1.0, c, c * c])
+        # s, s_a, s_r, s_aa, s_ar, s_rr
+        s = prods[:, (0, 1, 0, 2, 1, 0), (0, 0, 1, 0, 1, 2)]
+        # |s|^2 and Re(conj(s) s_x) for the others; |s_a|^2, Re(conj(s_a) s_r), |s_r|^2
+        p = (s[:, :1].conj() * s).real
+        cross = (s[:, (1, 1, 2)].conj() * s[:, (1, 2, 2)]).real
+        p_a, p_r = 2.0 * p[:, 1], 2.0 * p[:, 2]
+        p_aa, p_ar, p_rr = (2.0 * (cross + p[:, 3:])).T
+        q = ((bh[:, :2] * self.energies[:, None, :]) @ b).real  # (T, 2, 3)
+        den = np.where(q[:, 0, 0] > 0.0, q[:, 0, 0], np.nan)
+        den_a, den_aa = 2.0 * q[:, 0, 1], 2.0 * (q[:, 1, 1] + q[:, 0, 2])
+        e = p[:, 0] / den
         rel_a = den_a / den
         e_a = p_a / den - e * rel_a
         e_aa = (p_aa - 2.0 * p_a * rel_a) / den - e * (den_aa / den - 2.0 * rel_a * rel_a)
         e_ar = (p_ar - p_r * rel_a) / den
-        return e, (e_a, p_r / den), (e_aa, e_ar, p_rr / den)
+        return np.array([e, e_a, p_r / den, e_aa, e_ar, p_rr / den])
 
 
 def mu_m1(

@@ -17,6 +17,7 @@ from hwiloc.estimation import (
     plug_in_gain,
     projection_objective,
     refine,
+    scan_grid,
 )
 from hwiloc.impairments import ImpairmentConfig, mc_matrix, pa_apply, sample_realization
 from hwiloc.model import (
@@ -27,7 +28,7 @@ from hwiloc.model import (
     UeState,
     state_to_params,
 )
-from hwiloc.observation import mu_m1, observe
+from hwiloc.observation import FitData, ScanGrid, mu_m1, observe
 
 
 def desk_cfg(**kw):
@@ -44,6 +45,27 @@ def true_state(cfg, pos=(3.0, 2.0), phase=0.3):
     th = state_to_params(st)
     amp = cfg.wavelength_m / (4 * np.pi * SPEED_OF_LIGHT * th.delay)
     return ChannelParams(aoa=th.aoa, delay=th.delay, gain_amp=amp, gain_phase=phase)
+
+
+def fit_data(model, u):
+    """FitData of the one pulled observation u, fitted with model."""
+    data = FitData.empty(model.cfg, 1)
+    data.put(0, model, u)
+    return data
+
+
+def refine_one(y, model, p_start, est):
+    """refine on one observation: (position, objective, stop, iterations)."""
+    fit = refine(fit_data(model, model.pulled_observation(y)), np.asarray(p_start)[None], est)
+    return fit.positions[0], fit.objectives[0], fit.stops[0], fit.n_iterations[0]
+
+
+def captured_energy_one(model, u, aoa, rng_m):
+    """FitData.captured_energy of one observation at one position, as floats."""
+    e, e_a, e_r, e_aa, e_ar, e_rr = fit_data(model, u).captured_energy(
+        np.array([aoa]), np.array([rng_m])
+    )[:, 0]
+    return e, (e_a, e_r), (e_aa, e_ar, e_rr)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +184,7 @@ def test_grid_objective_matches_direct_projection(impaired):
     aoas = np.array([-0.7, 0.1, 0.9])
     ranges = np.array([2.0, 7.5, 18.0])
     u = model.pulled_observation(y)
-    grid = model.objective_grid(u, aoas, ranges)
+    grid = model.objective_grid(u, ScanGrid.build(cfg, aoas, ranges))
     for i, a in enumerate(aoas):
         for j, r in enumerate(ranges):
             direct = projection_objective(y, model.eta(a, r / SPEED_OF_LIGHT))
@@ -187,7 +209,9 @@ def test_position_objective_matches_grid_bitwise(impaired):
     rng = np.random.default_rng(10)
     for _ in range(500):
         p = np.array([3.0, 2.0]) + 10 ** rng.uniform(-9.0, 2.0) * rng.normal(size=2)
-        grid = model.objective_grid(u, np.arctan2(p[1:], p[:1]), np.hypot(p[:1], p[1:]))
+        grid = model.objective_grid(
+            u, ScanGrid.build(cfg, np.arctan2(p[1:], p[:1]), np.hypot(p[:1], p[1:]))
+        )
         assert objective(p[0], p[1]) == grid[0, 0]
 
 
@@ -198,7 +222,7 @@ def test_position_objective_without_row_gain_is_observation_energy():
     u = observe(blk.symbols, 1.0, np.random.default_rng(3))
     energy = np.vdot(u, u).real
     assert model.position_objective(u)(3.0, 2.0) == energy
-    assert model.objective_grid(u, np.array([0.5]), np.array([3.6]))[0, 0] == energy
+    assert model.objective_grid(u, ScanGrid.build(cfg, [0.5], [3.6]))[0, 0] == energy
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +239,23 @@ def test_grid_search_recovers_grid_node():
         aoa=aoa, delay=rng_m / SPEED_OF_LIGHT, gain_amp=1e-4, gain_phase=0.1
     )
     y = ProjectionModel.clean(cfg, blk).mean(th)
-    p0, obj0 = grid_search(y, ProjectionModel.clean(cfg, blk), est)
+    p0, obj0 = grid_search(y, ProjectionModel.clean(cfg, blk), scan_grid(cfg, est))
     assert np.allclose(p0, rng_m * np.array([np.cos(aoa), np.sin(aoa)]), atol=1e-9)
     assert obj0 == pytest.approx(0.0, abs=1e-12 * np.vdot(y, y).real)
 
 
 def test_grid_search_matches_brute_force_argmin():
-    from hwiloc.estimation import scan_ranges
-
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     est = EstimatorConfig(n_grid_angles=31, n_grid_ranges=20)
     th = true_state(cfg, pos=(4.3, -1.7))
     y = observe(ProjectionModel.clean(cfg, blk).mean(th), 5e-6, np.random.default_rng(11))
     model = ProjectionModel.clean(cfg, blk)
-    p0, _ = grid_search(y, model, est)
+    grid = scan_grid(cfg, est)
+    p0, _ = grid_search(y, model, grid)
     best, best_p = np.inf, None
     for a in est.grid_angles():
-        for r in scan_ranges(model, est):
+        for r in grid.ranges_m:
             val = projection_objective(y, model.eta(a, r / SPEED_OF_LIGHT))
             if val < best - 1e-15:
                 best, best_p = val, r * np.array([np.cos(a), np.sin(a)])
@@ -247,7 +270,7 @@ def test_grid_search_tie_breaks_to_lowest_angle_index():
     th = ChannelParams(aoa=0.0, delay=2e-8, gain_amp=1e-4, gain_phase=0.0)
     y = ProjectionModel.clean(cfg, blk).mean(th)
     est = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15)
-    p0, _ = grid_search(y, ProjectionModel.clean(cfg, blk), est)
+    p0, _ = grid_search(y, ProjectionModel.clean(cfg, blk), scan_grid(cfg, est))
     aoa0 = float(np.arctan2(p0[1], p0[0]))
     assert aoa0 == pytest.approx(est.grid_angles()[0])
 
@@ -263,7 +286,7 @@ def test_refine_at_optimum_stops_immediately():
     y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     p_true = np.array([3.0, 2.0])
-    p_hat, obj, stop, iters = refine(y, model, p_true, EstimatorConfig())
+    p_hat, obj, stop, iters = refine_one(y, model, p_true, EstimatorConfig())
     assert stop == "gradient"
     assert iters == 1
     assert np.allclose(p_hat, p_true)
@@ -276,8 +299,8 @@ def test_refine_improves_on_grid_point():
     y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     est = EstimatorConfig()
-    p0, obj0 = grid_search(y, model, est)
-    p_hat, obj, stop, _ = refine(y, model, p0, est)
+    p0, obj0 = grid_search(y, model, scan_grid(cfg, est))
+    p_hat, obj, stop, _ = refine_one(y, model, p0, est)
     assert stop in CONVERGED_STOPS
     assert obj <= obj0 + 1e-15
     assert np.linalg.norm(p_hat - [3.1, 1.9]) < np.linalg.norm(p0 - [3.1, 1.9]) + 1e-12
@@ -291,8 +314,8 @@ def test_refine_noise_free_reaches_truth():
     y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     est = EstimatorConfig()
-    p0, _ = grid_search(y, model, est)
-    p_hat, obj, stop, _ = refine(y, model, p0, est)
+    p0, _ = grid_search(y, model, scan_grid(cfg, est))
+    p_hat, obj, stop, _ = refine_one(y, model, p0, est)
     assert stop in CONVERGED_STOPS
     assert np.linalg.norm(p_hat - p_true) < 1e-4
 
@@ -305,7 +328,7 @@ def test_refine_iteration_cap_is_not_converged():
     y = model.mean(th)
     far = np.array([3.3, 1.6])  # 0.5 m off, inside the same basin
     est = EstimatorConfig(max_iterations=1)
-    p_hat, obj, stop, iters = refine(y, model, far, est)
+    p_hat, obj, stop, iters = refine_one(y, model, far, est)
     assert (stop, iters) == ("max_iter", 1)
     assert obj < model.position_objective(model.pulled_observation(y))(*far)
     # a coarse grid starts the estimator far off too
@@ -351,10 +374,9 @@ def test_captured_energy_derivatives_match_objective_differences(impaired):
     sigma = float(np.sqrt(np.mean(np.abs(mu) ** 2) * 1e-2))
     y = observe(mu, sigma, np.random.default_rng(9))
     u = model.pulled_observation(y)
-    w = np.conj(model.eff_pilots) * u
     # off the grid and off the optimum, so gradient and Hessian are generic
     aoa, rng_m = float(th.aoa) + 0.0123, float(th.delay * SPEED_OF_LIGHT) + 0.0217
-    energy, grad, hess = model.captured_energy(w, aoa, rng_m)
+    energy, grad, hess = captured_energy_one(model, u, aoa, rng_m)
     f0, fd_grad, fd_hess = fd_objective_derivatives(model, u, aoa, rng_m)
     yy = np.vdot(u, u).real
     assert yy - energy == pytest.approx(f0, rel=1e-12)
@@ -367,7 +389,7 @@ def test_captured_energy_is_nan_without_row_gain():
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     model = ProjectionModel(cfg, np.zeros_like(blk.combiners), np.eye(cfg.n_antennas), blk.symbols)
-    energy, _, _ = model.captured_energy(np.ones_like(blk.symbols), 0.2, 3.0)
+    energy, _, _ = captured_energy_one(model, np.ones_like(blk.symbols), 0.2, 3.0)
     assert np.isnan(energy)
 
 

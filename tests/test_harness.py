@@ -3,7 +3,7 @@
 import importlib.util
 import logging
 import math
-from dataclasses import replace
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import hwiloc.estimation
 import hwiloc.harness
 from hwiloc.cli import main
 from hwiloc.config_io import (
@@ -23,7 +24,7 @@ from hwiloc.config_io import (
     resolve_spec,
     spec_to_text,
 )
-from hwiloc.estimation import NumericError
+from hwiloc.estimation import EstimatorConfig, NumericError, mle_m1, mmle_m2
 from hwiloc.harness import (
     CSV_HEADER,
     ResultRow,
@@ -35,7 +36,7 @@ from hwiloc.harness import (
     sort_rows,
 )
 from hwiloc.impairments import ImpairmentConfig
-from hwiloc.model import ConfigError, SystemConfig
+from hwiloc.model import ConfigError, SystemConfig, geometric_params, noise_std
 
 DESK_OVERRIDES = {
     "n_antennas": "10",
@@ -475,11 +476,24 @@ def test_estimator_trials_schema_and_determinism():
     assert rows_to_csv(run_estimator_trials(spec)) == rows_to_csv(rows)
 
 
-def test_estimator_trials_without_converged_trials_raise(monkeypatch):
-    def boom(*args, **kwargs):
-        raise NumericError("synthetic failure")
+def _patch_point_fit(monkeypatch, edit):
+    """Run the real per-point fit, then let edit(fits) change its results."""
+    real_fit = hwiloc.harness._fit_point
 
-    monkeypatch.setattr("hwiloc.harness.mmle_m2", boom)
+    def patched(*args, **kwargs):
+        fits = real_fit(*args, **kwargs)
+        edit(fits)
+        return fits
+
+    monkeypatch.setattr("hwiloc.harness._fit_point", patched)
+
+
+def _fail_all(fit):
+    fit.fail(np.arange(fit.stops.size), "synthetic failure")
+
+
+def test_estimator_trials_without_converged_trials_raise(monkeypatch):
+    _patch_point_fit(monkeypatch, lambda fits: _fail_all(fits["mmle_rmse"]))
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     with pytest.raises(NumericError, match="no converged trials for mmle_rmse"):
         run_estimator_trials(desk_spec(outputs="mmle_rmse,mle_m1_rmse"))
@@ -488,16 +502,11 @@ def test_estimator_trials_without_converged_trials_raise(monkeypatch):
 def test_estimator_trials_log_one_stop_count_line_per_point(monkeypatch, caplog):
     # the mismatched fit reports its iteration cap on every trial, the
     # matched one fails numerically: one warning line per point counts both
-    real_mmle = hwiloc.harness.mmle_m2
+    def edit(fits):
+        fits["mmle_rmse"].stops[:] = "max_iter"
+        _fail_all(fits["mle_m1_rmse"])
 
-    def capped(*args, **kwargs):
-        return replace(real_mmle(*args, **kwargs), stop="max_iter")
-
-    def boom(*args, **kwargs):
-        raise NumericError("synthetic failure")
-
-    monkeypatch.setattr("hwiloc.harness.mmle_m2", capped)
-    monkeypatch.setattr("hwiloc.harness.mle_m1", boom)
+    _patch_point_fit(monkeypatch, edit)
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     with caplog.at_level(logging.INFO, logger="hwiloc.harness"):
         with pytest.raises(NumericError, match="no converged trials for mmle_rmse, mle_m1_rmse"):
@@ -508,6 +517,32 @@ def test_estimator_trials_log_one_stop_count_line_per_point(monkeypatch, caplog)
     ]
     assert stops[0].levelno == logging.WARNING
     assert not [r for r in caplog.records if r.levelno == logging.WARNING and "trial 0" in r.getMessage()]
+
+
+def test_estimator_trials_numeric_error_fails_one_trial_only(monkeypatch, caplog):
+    # the third scan of the point (trial 1 of the mismatched fit) fails;
+    # the other trials of both estimators still fit and count
+    real_scan = hwiloc.estimation.grid_search
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NumericError("synthetic failure")
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr("hwiloc.estimation.grid_search", third_fails)
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    spec = desk_spec(outputs="mmle_rmse,mle_m1_rmse", sweep_values="30")
+    with caplog.at_level(logging.DEBUG, logger="hwiloc.harness"):
+        rows = run_estimator_trials(spec)
+    assert {r.metric: (r.realizations, r.trials) for r in rows} == {
+        "mmle_rmse": (2, 1),
+        "mle_m1_rmse": (2, 2),
+    }
+    line = next(r.getMessage() for r in caplog.records if "stops:" in r.getMessage())
+    assert "mmle_rmse failed=1 " in line and "mle_m1_rmse failed" not in line
+    assert "trial 1 mmle_rmse failed: synthetic failure" in caplog.text
 
 
 def test_estimator_trials_stop_counts_cover_every_trial(monkeypatch, caplog):
@@ -523,6 +558,74 @@ def test_estimator_trials_stop_counts_cover_every_trial(monkeypatch, caplog):
             assert sum(int(c.split("=")[1]) for c in counts) == spec.n_trials
     assert all(r.levelno == logging.INFO for r in caplog.records if "stops:" in r.getMessage())
     assert sum(r.trials for r in rows) == 2 * len(spec.sweep_values) * spec.n_trials
+
+
+@pytest.mark.parametrize("axis, value", [("tx_power_dbm", -10.0), ("pa", 1.0)])
+@pytest.mark.parametrize(
+    "max_iterations, backtracks, forced",
+    [(200, 40, "gradient"), (3, 40, "max_iter"), (3, 2, "stalled")],
+)
+def test_point_fit_matches_one_observation_estimators(
+    monkeypatch, axis, value, max_iterations, backtracks, forced
+):
+    """The per-point fit gives each trial the stop, iteration count and
+    position (within 1e-9 m) that mmle_m2 and mle_m1 give it alone, on
+    desk.cfg draws. Trial 2 observes nothing, so both its fits end in a
+    NumericError, and only its fits."""
+    monkeypatch.setattr("hwiloc.estimation.MAX_BACKTRACKS", backtracks)
+    desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+    keys = parse_config_text(desk.read_text(encoding="utf-8"))
+    keys.update(sweep_axis=axis, sweep_values=repr(value), n_trials="10")
+    spec = resolve_spec(keys)
+    sys_cfg, imp = apply_sweep_value(spec, value)
+    est = EstimatorConfig(max_iterations=max_iterations)
+    blank = 2
+    real_observe = hwiloc.harness.observe
+    observed = []
+
+    def observe_with_blank(mu, sigma, rng):
+        y = real_observe(mu, sigma, rng)
+        observed.append(y)
+        return 0.0 * y if len(observed) == blank + 1 else y
+
+    monkeypatch.setattr("hwiloc.harness.observe", observe_with_blank)
+    metrics = ["mmle_rmse", "mle_m1_rmse"]
+    fits = hwiloc.harness._fit_point(spec, sys_cfg, imp, metrics, est)
+
+    theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
+    shared = hwiloc.harness._shared_models(spec, sys_cfg, imp)
+    for t in range(spec.n_trials):
+        rng, clean, impaired = hwiloc.harness._draw(
+            spec, sys_cfg, imp, shared, t, hwiloc.harness._TRIAL_STREAM
+        )
+        y = real_observe(impaired.mean(theta), noise_std(sys_cfg), rng)
+        npt.assert_array_equal(y, observed[t])
+        if t == blank:
+            y = 0.0 * y
+        for m in metrics:
+            fit = fits[m]
+            try:
+                one = mmle_m2(y, clean, est) if m == "mmle_rmse" else mle_m1(y, impaired, est)
+            except NumericError as exc:
+                assert t == blank
+                assert (fit.stops[t], fit.errors[t]) == ("failed", str(exc))
+                continue
+            assert (fit.stops[t], fit.n_iterations[t]) == (one.stop, one.n_iterations)
+            assert np.linalg.norm(fit.positions[t] - one.position) <= 1e-9
+            npt.assert_array_equal(fit.starts[t], one.grid_point)
+    for m in metrics:
+        assert [t for t, e in enumerate(fits[m].errors) if e is not None] == [blank]
+    assert forced in np.concatenate([fits[m].stops for m in metrics])
+
+
+@pytest.mark.parametrize("axis, values", [("tx_power_dbm", "10,30"), ("pa", "0,1")])
+def test_estimator_trials_parallel_matches_serial(monkeypatch, axis, values):
+    spec = desk_spec(outputs="mmle_rmse,mle_m1_rmse", sweep_axis=axis, sweep_values=values)
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    serial = rows_to_csv(run_estimator_trials(spec))
+    monkeypatch.setenv("HWI_LOC_THREADS", "2")
+    parallel = rows_to_csv(run_estimator_trials(spec))
+    assert serial == parallel
 
 
 def test_estimator_trials_require_estimator_outputs():
@@ -726,6 +829,26 @@ def test_cli_noise_level_must_keep_lb_finite(tmp_path, monkeypatch, capsys, key,
         assert not out.exists()
 
 
+def test_cli_narrow_band_position_bound_is_finite(tmp_path, monkeypatch):
+    # at 1e-130 Hz the delay information sits ~1e270 below the angle
+    # information: the position bound must come out finite, not inf. It is
+    # at least the delay bound, up to rounding: with the angle term ~1e-138
+    # of it, the two agree to the last digits.
+    cfg = _desk_cfg(tmp_path, sweep_values="20", n_realizations="2", bandwidth_hz="1e-130")
+    out = tmp_path / "r.csv"
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+    rows = {
+        (r[1], r[2]): float(r[3])
+        for r in (line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:])
+    }
+    for family in ("crb_m2", "crb_m1"):
+        for stat in ("mean", "min", "max"):
+            peb, deb = rows[(f"{family}_peb", stat)], rows[(f"{family}_deb", stat)]
+            assert math.isfinite(peb), (family, stat, peb)
+            assert peb >= deb * (1.0 - 1e-12), (family, stat, peb, deb)
+
+
 def test_cli_estimate_rejects_ue_outside_range_scan(tmp_path, monkeypatch, capsys):
     # 50 m is past the 9.6 m delay-ambiguity span of desk.cfg: every fit
     # would land on an alias of the true range
@@ -850,15 +973,28 @@ def test_benchmark_tracer_finds_every_layer(tmp_path, monkeypatch):
     """The benchmark tracer wraps package functions by name; every layer it
     times must still exist and be reached by a bounds and an estimate run."""
     tracer = _load_tracer()
-    cfg = _desk_cfg(tmp_path, sweep_values="20", n_realizations="1", n_trials="1")
+    cfg = _desk_cfg(tmp_path, sweep_values="20,30", n_realizations="1", n_trials="3")
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     with tracer.Tracer("hwiloc") as t:
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+        first = len(t.names)
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 0
     assert t.absent == []
     assert t.leftovers() == []
-    assert [name for name in tracer.SPAN_TARGETS if name not in t.names] == []
+    # the estimate run draws each observation from the trial's impaired
+    # model and fits all trials of a point in one batch per estimator: it
+    # never calls mu_m1 or the one-observation estimators, and nothing else does
+    skipped = ("observation.mu_m1", "estimation.mmle_m2", "estimation.mle_m1")
+    estimate = Counter(t.names[first:])
+    assert {name: estimate[name] for name in skipped} == dict.fromkeys(skipped, 0)
+    assert [n for n in tracer.SPAN_TARGETS if n not in t.names and n not in skipped] == []
     assert t.counts[tracer.OBJECTIVE] > 0
+    # one impaired model per trial (2 points x 3 trials), one scan per trial
+    # and estimator, one Newton fit per point and estimator
+    assert estimate["observation.transmit_pilots"] == 6
+    assert estimate["observation.sandwich_matrices"] == 6
+    assert estimate["estimation.grid_search"] == 12
+    assert estimate["estimation.refine"] == 4
 
 
 def test_cli_rejects_negative_seed(tmp_path, capsys):
