@@ -28,13 +28,14 @@ gain_phase] through the chain-rule Jacobian d theta / d s.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimation import GRAD_TOLERANCE, INITIAL_STEP_M, NumericError, fitted_params
+from .estimation import GRAD_TOLERANCE, INITIAL_STEP_M, Fits, NumericError, fitted_params
 from .model import SPEED_OF_LIGHT, ChannelParams, params_to_state
-from .observation import ProjectionModel
+from .observation import FitData, ProjectionModel
 
 N_PARAMS = 4
 # orders in (aoa, delay, amp, phase) of each first derivative, [order, i],
@@ -66,7 +67,7 @@ class BoundsReport:
 
     The matched/clean CRB part is always present. The mismatch part
     (pseudo-true parameter, misspecified covariance and total lower bound)
-    is filled only by :func:`lb_report`.
+    is filled only by :func:`mismatch_report` (through :func:`lb_report`).
     """
 
     fim: np.ndarray  # (4, 4) information matrix in channel coordinates
@@ -258,10 +259,10 @@ def _wrap_phase(x: float) -> float:
 # The pseudo-true fit keeps the estimators' former central-difference
 # descent, because perfbench/reference/bounds_full.csv encodes the point
 # where it stalls (a converged fit moves lb rows by up to 4.5e-6, past the
-# 1e-6 gate). Its objective is ProjectionModel.position_objective, which
-# rounds as a 1x1 grid scan: a 1-ulp change there moves the stall. The
-# descent and position_objective are deleted once that reference is
-# regenerated from a converged fit (ROADMAP item 2).
+# 1e-6 gate). Its objective is FitData.objective, which rounds as a 1x1 grid
+# scan: a 1-ulp change there moves the stall. The descent goes once that
+# reference is regenerated from a converged fit (ROADMAP item 1); the same
+# FitData then goes to estimation.refine.
 FD_STEP = 1e-6  # relative central-difference step
 MAX_DESCENT_ITERATIONS = 1000
 ARMIJO_SLOPE = 1e-4
@@ -269,65 +270,98 @@ ARMIJO_SHRINK = 0.5
 STEP_FLOOR_M = 1e-12  # line-search stall threshold
 
 
-def _descend(
-    y: np.ndarray, model: ProjectionModel, p_start: np.ndarray
-) -> np.ndarray:
-    """Gradient descent on position with Armijo backtracking.
+def _descend(data: FitData, starts: np.ndarray) -> Fits:
+    """Gradient descents on position with Armijo backtracking for T fits in
+    lockstep, from their starting positions (T, 2).
 
-    The objective is :meth:`ProjectionModel.position_objective`, built
-    once per fit and normalized by ||y||^2 so the gradient tolerance is
-    scale-free. Gradients come from central differences with relative step
-    FD_STEP. Stops when the gradient norm drops below tolerance, when
-    the line search stalls below the step floor (the numerical minimum), or
-    after MAX_DESCENT_ITERATIONS. The objective sequence is non-increasing.
-    Returns the final position.
+    Each objective is :meth:`FitData.objective` normalized by ||u||^2 so
+    the gradient tolerance is scale-free. Gradients come from central
+    differences with relative step FD_STEP, the four points of every fit in
+    one evaluation. A fit stops with one of these reasons:
+
+    * ``gradient``: the gradient norm is below GRAD_TOLERANCE;
+    * ``stalled``: the line search found no decrease at any step down to
+      STEP_FLOOR_M, the numerical minimum;
+    * ``max_iter``: MAX_DESCENT_ITERATIONS iterations ran out.
+
+    Each fit keeps its own line-search step and leaves the active set when
+    it stops; its iterates are bit for bit those of a descent on it alone,
+    and its objective sequence is non-increasing. A fit whose observation
+    has no energy, or whose objective or gradient turns non-finite, ends as
+    ``failed`` with the reason in ``errors``; the others go on.
     """
-    u = model.pulled_observation(y)
-    yy = float(np.vdot(u, u).real)
-    if not np.isfinite(yy) or yy <= 0.0:
-        raise NumericError("observation energy must be positive and finite")
-    objective = model.position_objective(u)
+    out = Fits.empty(data.yy.size)
+    out.starts[:] = starts
+    ids = np.arange(data.yy.size)
+    usable = np.isfinite(data.yy) & (data.yy > 0.0)
+    if not usable.all():
+        out.fail(ids[~usable], "observation energy must be positive and finite")
+        ids, data = ids[usable], data.take(usable)
+    p = out.starts[ids]  # (T, 2), a copy
+    fp = data.objective(*p.T) / data.yy
+    ok = np.isfinite(fp)
+    if not ok.all():
+        out.fail(ids[~ok], "objective is non-finite at the starting point")
+        ids, data, p, fp = ids[ok], data.take(ok), p[ok], fp[ok]
+    step = np.full(ids.size, INITIAL_STEP_M)
 
-    def f(p: np.ndarray) -> float:
-        return objective(p[0], p[1]) / yy
+    def settle(done: np.ndarray, reason: str) -> None:
+        out.positions[ids[done]] = p[done]
+        out.objectives[ids[done]] = fp[done] * data.yy[done]
+        out.stops[ids[done]] = reason
 
-    p = np.asarray(p_start, dtype=float).copy()
-    fp = f(p)
-    if not np.isfinite(fp):
-        raise NumericError("objective is non-finite at the starting point")
-
-    step = INITIAL_STEP_M
-    for _ in range(MAX_DESCENT_ITERATIONS):
-        grad = np.empty(2)
-        for i in range(2):
-            h = FD_STEP * max(abs(p[i]), 1.0)
-            pp, pm = p.copy(), p.copy()
-            pp[i] += h
-            pm[i] -= h
-            grad[i] = (f(pp) - f(pm)) / (2.0 * h)
-        gnorm = float(np.linalg.norm(grad))
-        if not np.isfinite(gnorm):
-            raise NumericError("gradient is non-finite during refinement")
-        if gnorm < GRAD_TOLERANCE:
+    for it in range(1, MAX_DESCENT_ITERATIONS + 1):
+        if not ids.size:
             break
-        direction = -grad / gnorm
-        s = min(INITIAL_STEP_M, 2.0 * step)
-        while s >= STEP_FLOOR_M:
-            cand = p + s * direction
-            fc = f(cand)
-            if np.isfinite(fc) and fc <= fp - ARMIJO_SLOPE * s * gnorm:
-                p, fp = cand, fc
-                step = s
-                break
-            s *= ARMIJO_SHRINK
-        else:
-            break  # no decrease at any resolvable step: numerical minimum reached
-    return p
+        out.n_iterations[ids] = it
+        h = FD_STEP * np.maximum(np.abs(p), 1.0)
+        (px, py), (hx, hy) = p.T, h.T
+        f = data.objective(
+            np.array([px + hx, px - hx, px, px]), np.array([py, py, py + hy, py - hy])
+        ) / data.yy
+        # contiguous (T, 2) rows: each (1, 2) @ (2, 1) product is the
+        # unit-stride BLAS dot that np.linalg.norm takes, so gnorm is the
+        # norm of a descent on one fit (g0*g0 + g1*g1 can round differently)
+        grad = np.ascontiguousarray(((f[0::2] - f[1::2]) / (2.0 * h.T)).T)
+        gnorm = np.sqrt(grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
+        broken = ~np.isfinite(gnorm)
+        if broken.any():
+            out.fail(ids[broken], "gradient is non-finite during refinement")
+        small = gnorm < GRAD_TOLERANCE
+        if small.any():
+            settle(small, "gradient")
+        done = broken | small
+        if done.any():
+            keep = ~done
+            ids, data, p, fp = ids[keep], data.take(keep), p[keep], fp[keep]
+            step, grad, gnorm = step[keep], grad[keep], gnorm[keep]
+        direction = -grad / gnorm[:, None]
+        # each fit halves its own trial step s until the Armijo condition
+        # holds; one that reaches the floor has stalled
+        s = np.minimum(INITIAL_STEP_M, 2.0 * step)
+        pending = np.ones(ids.size, dtype=bool)
+        while (j := np.flatnonzero(pending & (s >= STEP_FLOOR_M))).size:
+            cand = p[j] + s[j, None] * direction[j]
+            c_data = data if j.size == ids.size else data.take(j)
+            fc = c_data.objective(*cand.T) / c_data.yy
+            ok = np.isfinite(fc) & (fc <= fp[j] - ARMIJO_SLOPE * s[j] * gnorm[j])
+            moved = j[ok]
+            p[moved], fp[moved], step[moved] = cand[ok], fc[ok], s[moved]
+            pending[moved] = False
+            s[j[~ok]] *= ARMIJO_SHRINK
+        if pending.any():
+            settle(pending, "stalled")
+            keep = ~pending
+            ids, data, p, fp, step = ids[keep], data.take(keep), p[keep], fp[keep], step[keep]
+    settle(np.ones(ids.size, dtype=bool), "max_iter")
+    return out
 
 
 def pseudo_true(
-    theta_bar: ChannelParams, clean: ProjectionModel, ybar: np.ndarray
-) -> ChannelParams:
+    theta_bar: ChannelParams,
+    clean: ProjectionModel | Sequence[ProjectionModel],
+    ybar: np.ndarray | Sequence[np.ndarray],
+) -> ChannelParams | tuple[list[ChannelParams | None], Fits]:
     """Parameter the mismatched receiver converges to without noise.
 
     Minimizes the clean model's projection objective against the noise-free
@@ -336,11 +370,31 @@ def pseudo_true(
     The gain pair comes from the plug-in estimate at the refined position;
     its phase is unwrapped to the branch nearest the true phase so
     downstream bias terms stay wrap-free.
+
+    For one draw, clean is its model and ybar its mean; returns the
+    pseudo-true, or raises NumericError if the fit fails. R draws are fitted
+    together in one descent (:func:`_descend`) when clean and ybar are
+    sequences of R models and means: returns the R pseudo-trues, None for a
+    failed fit, and the descent's :class:`~hwiloc.estimation.Fits`, whose
+    stops and errors say how each fit ended. One draw is a batch of one.
     """
-    p_bar = params_to_state(theta_bar).position
-    fit = fitted_params(ybar, clean, _descend(ybar, clean, p_bar))
-    phase = theta_bar.gain_phase + _wrap_phase(fit.gain_phase - theta_bar.gain_phase)
-    return replace(fit, gain_phase=float(phase))
+    one = isinstance(clean, ProjectionModel)
+    cleans, ybars = ([clean], [ybar]) if one else (clean, ybar)
+    data = FitData.empty(cleans[0].cfg, len(cleans))
+    for i, (model, y) in enumerate(zip(cleans, ybars)):
+        data.put(i, model, model.pulled_observation(y))
+    fits = _descend(data, np.tile(params_to_state(theta_bar).position, (len(cleans), 1)))
+    params: list[ChannelParams | None] = [None] * len(cleans)
+    for i, (model, y, error) in enumerate(zip(cleans, ybars, fits.errors)):
+        if error is None:
+            fit = fitted_params(y, model, fits.positions[i])
+            phase = theta_bar.gain_phase + _wrap_phase(fit.gain_phase - theta_bar.gain_phase)
+            params[i] = replace(fit, gain_phase=float(phase))
+    if not one:
+        return params, fits
+    if params[0] is None:
+        raise NumericError(fits.errors[0])
+    return params[0]
 
 
 def matrix_a(derivs: ModelDerivatives, eps: np.ndarray, sigma_n: float) -> np.ndarray:
@@ -408,21 +462,20 @@ def lb_position(
     return root_bound(np.trace(pos_cov) + np.sum((p_bar - p0) ** 2))
 
 
-def lb_report(
+def mismatch_report(
     theta_bar: ChannelParams,
+    theta0: ChannelParams,
     clean: ProjectionModel,
-    impaired: ProjectionModel,
+    ybar: np.ndarray,
     sigma_n: float,
 ) -> BoundsReport:
-    """Full misspecified-bound report for one impairment realization.
-
-    The data follow the impaired model, the receiver fits the clean one.
-    Also carries the clean-model CRB evaluated at the true parameter so the
-    caller can form inflation ratios from a single object.
+    """Misspecified-bound report of one draw whose impaired mean ybar and
+    pseudo-true theta0 are known: the matrices A and B at theta0, the MCRB
+    and the total lower bound about theta_bar. Also carries the clean-model
+    CRB at the true parameter so the caller can form inflation ratios from a
+    single object.
     """
     base = crb_m2_report(theta_bar, clean, sigma_n)
-    ybar = impaired.mean(theta_bar)
-    theta0 = pseudo_true(theta_bar, clean, ybar)
     derivs = model_derivatives(theta0, clean)
     eps = ybar - clean.mean(theta0)
     a_mat = matrix_a(derivs, eps, sigma_n)
@@ -438,3 +491,18 @@ def lb_report(
         lb_deb_s=root_bound(total[1, 1]),
         lb_peb_m=lb_position(theta_bar, theta0, mcrb),
     )
+
+
+def lb_report(
+    theta_bar: ChannelParams,
+    clean: ProjectionModel,
+    impaired: ProjectionModel,
+    sigma_n: float,
+) -> BoundsReport:
+    """Full misspecified-bound report for one impairment realization.
+
+    The data follow the impaired model, the receiver fits the clean one:
+    :func:`mismatch_report` at the pseudo-true of the impaired mean.
+    """
+    ybar = impaired.mean(theta_bar)
+    return mismatch_report(theta_bar, pseudo_true(theta_bar, clean, ybar), clean, ybar, sigma_n)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import BoundsReport, crb_m1_numeric, crb_m2_report, lb_report
+from .bounds import BoundsReport, crb_m1_numeric, crb_m2_report, mismatch_report, pseudo_true
 from .config_io import (
     BOUND_FAMILIES,
     BOUND_SCALARS,
@@ -210,74 +210,96 @@ def _bound_scalar(family: str, scalar: str, rep: BoundsReport) -> float:
     return float(peb)
 
 
-def _family_report(
-    family: str,
-    theta: ChannelParams,
-    clean: ProjectionModel,
-    impaired: ProjectionModel,
-    sigma: float,
-    lb_rep: BoundsReport | None,
-) -> BoundsReport:
-    """One bound family's report on one draw. The clean CRB is taken from
-    the draw's lb report when there is one, which carries it."""
-    if family == "lb":
-        return lb_report(theta, clean, impaired, sigma)
-    if family == "crb_m2":
-        return lb_rep if lb_rep is not None else crb_m2_report(theta, clean, sigma)
-    return crb_m1_numeric(theta, impaired, sigma)
-
-
 def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     """Bound rows of one sweep point. A draw whose bound fails drops out of
-    that family only: each family counts its own surviving draws."""
+    that family only: each family counts its own surviving draws.
+
+    Two passes. Each draw builds its models, takes its impaired CRB and
+    keeps only its clean model and impaired mean for the misspecified bound,
+    so no impaired model (with its dense sandwich) outlives its draw. Then
+    one descent fits the pseudo-trues of all draws together, and each
+    draw's lb follows from its own. The clean CRB is taken from the draw's
+    lb report when there is one, which carries it.
+    """
     value = spec.sweep_values[axis_index]
     sys_cfg, imp = apply_sweep_value(spec, value)
     sigma = noise_std(sys_cfg)
     theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
-    # lb first, so the clean CRB can come from its report
     families = [f for f in ("lb", "crb_m2", "crb_m1") if f in spec.outputs]
     scalars = [s for s in BOUND_SCALARS if s in spec.outputs]
-    samples: dict[tuple[str, str], list[float]] = {
-        (f, s): [] for f in families for s in scalars
-    }
-    n_ok = dict.fromkeys(families, 0)
+    reports: dict[str, list[BoundsReport]] = {f: [] for f in families}
+
+    def failed(family: str, r: int, error) -> None:
+        logger.warning(
+            "bounds: sweep value %r realization %d %s failed: %s", value, r, family, error
+        )
+
+    def attempt(family: str, r: int, bound, *args) -> BoundsReport | None:
+        try:
+            rep = bound(*args)
+        except NumericError as exc:
+            failed(family, r, exc)
+            return None
+        reports[family].append(rep)
+        return rep
+
     shared = _shared_models(spec, sys_cfg, imp)
+    # the draws' impaired means in one block: one (G, K) array per draw,
+    # interleaved with the sandwich builds, raised full.cfg's peak RSS by
+    # about 0.2 MB
+    cleans = []
+    means = np.empty(
+        (spec.n_realizations, sys_cfg.n_transmissions, sys_cfg.n_subcarriers), dtype=complex
+    )
     for r in range(spec.n_realizations):
         _, clean, impaired = _draw(spec, sys_cfg, imp, shared, r, _REALIZATION_STREAM)
-        reports: dict[str, BoundsReport] = {}
-        for family in families:
-            try:
-                reports[family] = _family_report(
-                    family, theta, clean, impaired, sigma, reports.get("lb")
-                )
-            except NumericError as exc:
-                logger.warning(
-                    "bounds: sweep value %r realization %d %s failed: %s", value, r, family, exc
-                )
-                continue
-            n_ok[family] += 1
-            for s in scalars:
-                samples[family, s].append(_bound_scalar(family, s, reports[family]))
-    empty = ", ".join(f for f in families if n_ok[f] == 0)
+        cleans.append(clean)
+        if "crb_m1" in families:
+            attempt("crb_m1", r, crb_m1_numeric, theta, impaired, sigma)
+        if "lb" in families:
+            means[r] = impaired.mean(theta)
+        del impaired  # with its cached sandwich, before the next draw
+    if "lb" in families:
+        theta0s, fits = pseudo_true(theta, cleans, means)
+        stops = Counter(fits.stops.tolist())
+        logger.info(
+            "bounds: sweep value %r pseudo-true stops: %s",
+            value,
+            " ".join(f"{reason}={n}" for reason, n in sorted(stops.items())),
+        )
+    for r, clean in enumerate(cleans):
+        lb = None
+        if "lb" in families:
+            if theta0s[r] is None:
+                failed("lb", r, fits.errors[r])
+            else:
+                lb = attempt("lb", r, mismatch_report, theta, theta0s[r], clean, means[r], sigma)
+        if "crb_m2" in families:
+            if lb is None:
+                attempt("crb_m2", r, crb_m2_report, theta, clean, sigma)
+            else:
+                reports["crb_m2"].append(lb)
+    empty = ", ".join(f for f in families if not reports[f])
     if empty:
         logger.warning("bounds: no surviving realizations for %s at %r", empty, value)
         raise NumericError(f"no surviving realizations for {empty} at sweep value {value!r}")
     rows: list[ResultRow] = []
-    for (family, scalar), vals in samples.items():
-        metric = f"{family}_{scalar}"
-        arr = np.asarray(vals)
-        for stat, v in (("mean", arr.mean()), ("min", arr.min()), ("max", arr.max())):
-            rows.append(
-                ResultRow(
-                    sweep_value=float(value),
-                    metric=metric,
-                    statistic=stat,
-                    value=float(v),
-                    units=metric_units(metric),
-                    realizations=n_ok[family],
-                    trials=0,
+    for family in families:
+        for scalar in scalars:
+            metric = f"{family}_{scalar}"
+            arr = np.array([_bound_scalar(family, scalar, rep) for rep in reports[family]])
+            for stat, v in (("mean", arr.mean()), ("min", arr.min()), ("max", arr.max())):
+                rows.append(
+                    ResultRow(
+                        sweep_value=float(value),
+                        metric=metric,
+                        statistic=stat,
+                        value=float(v),
+                        units=metric_units(metric),
+                        realizations=len(reports[family]),
+                        trials=0,
+                    )
                 )
-            )
     return rows
 
 
@@ -395,10 +417,25 @@ def run_estimator_trials(spec: ExperimentSpec) -> list[ResultRow]:
     The UE must sit inside the estimators' range scan, from RANGE_MIN_M up
     to :func:`~hwiloc.estimation.scan_limit_m`. Beyond one delay-ambiguity
     span the delay phasors repeat, so a fit lands on an alias of the true
-    range.
+    range. The link must identify both coordinates: with one antenna or one
+    transmission the projection objective is flat in angle (the row gain
+    |b_g|^2 cancels between the captured energy and its norm), and with one
+    subcarrier it is flat in range (|d_1| = 1), so a fit would report an
+    arbitrary point.
     """
     if not any(m in spec.outputs for m in ESTIMATOR_METRICS):
         raise ConfigError("outputs request no estimator metric (mmle_rmse, mle_m1_rmse)")
+    cfg = spec.system
+    if min(cfg.n_antennas, cfg.n_transmissions) < 2:
+        raise ConfigError(
+            "the estimators need n_antennas >= 2 and n_transmissions >= 2: with one "
+            "antenna or one transmission the projection objective is flat in angle"
+        )
+    if cfg.n_subcarriers < 2:
+        raise ConfigError(
+            "the estimators need n_subcarriers >= 2: with one subcarrier the "
+            "projection objective is flat in range"
+        )
     ue_range = float(np.hypot(*spec.ue_position))
     top = scan_limit_m(spec.system.subcarrier_spacing_hz)
     if not RANGE_MIN_M <= ue_range < top:

@@ -29,8 +29,7 @@ derivatives, on the same factors, for many observations at once
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -101,11 +100,10 @@ class ProjectionModel:
     for the impaired chain, the realization whose phase noise and CFO make
     up the sandwich (None for the clean chain). It gives the mean, the
     pulled observation, the projection objective on a grid
-    (:meth:`objective_grid`) and at one position (:meth:`position_objective`,
-    for the pseudo-true descent), and the factor derivatives
-    (:meth:`factors`) that the derivatives of the mean in
-    :mod:`hwiloc.bounds` build on. What the Newton fit reads of it is a
-    slot of :class:`FitData`.
+    (:meth:`objective_grid`), and the factor derivatives (:meth:`factors`)
+    that the derivatives of the mean in :mod:`hwiloc.bounds` build on. What
+    the Newton fit and the pseudo-true descent read of it is a slot of
+    :class:`FitData`.
     """
 
     cfg: SystemConfig
@@ -114,10 +112,11 @@ class ProjectionModel:
     eff_pilots: np.ndarray  # x~, (G, K)
     realization: ImpairmentRealization | None = None
     # eta and factors round as W (C a), one steering vector at a time; the
-    # scans, the Newton fit and position_objective round as (W C) a. The
-    # benchmark's lb reference was computed this way: stacking eta's product
-    # (W (C S) or (W C) a) moves full.cfg lb rows by 8.45e-6 or 2.0e-5, past
-    # its 1e-6 gate. Both stay until that reference is regenerated.
+    # scans, the Newton fit and the pseudo-true descent (FitData) round as
+    # (W C) a. The benchmark's lb reference was computed this way: stacking
+    # eta's product (W (C S) or (W C) a) moves full.cfg lb rows by 8.45e-6
+    # or 2.0e-5, past its 1e-6 gate. Both stay until that reference is
+    # regenerated.
     row_matrix: np.ndarray = field(init=False)  # W C, (G, N)
     pilot_energies: np.ndarray = field(init=False)  # (G,)
     ring_powers: np.ndarray = field(init=False)  # see ring_powers(), (K, 3)
@@ -195,37 +194,6 @@ class ProjectionModel:
         np.divide(np.abs(s) ** 2, den[:, None], out=captured, where=den[:, None] > 0)
         return yy - captured
 
-    def position_objective(self, u: np.ndarray) -> Callable[[float, float], float]:
-        """The projection objective as f(px, py) -> float at one Cartesian
-        position, for a fit against the pulled observation u.
-
-        What stays fixed during a fit (w = conj(x~) u, ||u||^2, the index
-        columns and the phase constants) is computed once here. f rounds as
-        a 1x1 :meth:`objective_grid` at (arctan2(py, px), hypot(px, py)),
-        bit for bit: the same products on the same 2-D shapes, and ||u||^2
-        where den is not positive. It takes one point per call: stacking
-        several points into one (N, n) product rounds differently.
-        """
-        row, energies = self.row_matrix, self.pilot_energies
-        w = np.conj(self.eff_pilots) * u  # (G, K)
-        yy = np.vdot(u, u).real
-        n = np.arange(row.shape[1])[:, None]
-        k = np.arange(1, self.cfg.n_subcarriers + 1)[:, None]
-        steer_phase = 1j * np.pi
-        delay_phase = 2j * np.pi * self.cfg.subcarrier_spacing_hz
-
-        def f(px: float, py: float) -> float:
-            aoa = np.arctan2(py, px)
-            tau = np.hypot(px, py) / SPEED_OF_LIGHT
-            b = row @ np.exp(steer_phase * (n * np.sin(aoa)))  # (G, 1)
-            s = (b.conj().T @ w) @ np.exp(delay_phase * (k * tau))  # (1, 1)
-            den = (np.abs(b) ** 2).T @ energies  # (1,)
-            if not den[0] > 0:
-                return float(yy)
-            return float(yy - (np.abs(s) ** 2 / den)[0, 0])
-
-        return f
-
     def factors(self, aoa: float, delay: float) -> tuple[np.ndarray, np.ndarray]:
         """The mean's factors and their derivatives: the row gains [b, b', b'']
         in aoa, (G, 3), and the delay phasors [d, d', d''] in delay, (K, 3).
@@ -277,6 +245,7 @@ class FitData:
     w: np.ndarray  # (T, G, K)
     yy: np.ndarray  # (T,)
     ring_powers: np.ndarray  # (K, 3), shared: see ring_powers()
+    spacing_hz: float  # subcarrier spacing
 
     @staticmethod
     def empty(cfg: SystemConfig, size: int) -> "FitData":
@@ -288,6 +257,7 @@ class FitData:
             np.empty((size, g, k), dtype=complex),
             np.empty(size),
             ring_powers(cfg),
+            cfg.subcarrier_spacing_hz,
         )
 
     def put(self, index: int, model: ProjectionModel, u: np.ndarray) -> None:
@@ -299,9 +269,36 @@ class FitData:
 
     def take(self, index: np.ndarray) -> "FitData":
         """The fits selected by an index or mask array."""
-        return FitData(
-            self.rows[index], self.energies[index], self.w[index], self.yy[index], self.ring_powers
+        return replace(
+            self,
+            rows=self.rows[index],
+            energies=self.energies[index],
+            w=self.w[index],
+            yy=self.yy[index],
         )
+
+    def objective(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+        """Projection objectives ||u||^2 - |s|^2 / D of the T fits at the
+        Cartesian positions (px, py), both (..., T): one position per fit in
+        each leading slice.
+
+        Each value rounds as a 1x1 :meth:`ProjectionModel.objective_grid` at
+        (arctan2(py, px), hypot(px, py)), bit for bit: each slot is the same
+        matrix-vector and dot products on the same shapes, and ||u||^2 where
+        D is not positive. Stacking several positions of one fit into one
+        (N, n) product would round differently.
+        """
+        k = self.ring_powers.shape[0]
+        aoa = np.arctan2(py, px)[..., None]
+        tau = (np.hypot(px, py) / SPEED_OF_LIGHT)[..., None]
+        steer = np.exp(1j * np.pi * (np.arange(self.rows.shape[-1]) * np.sin(aoa)))
+        b = self.rows @ steer[..., None]  # (..., T, G, 1)
+        delay = np.exp(2j * np.pi * self.spacing_hz * (np.arange(1, k + 1) * tau))
+        s = (b.conj().swapaxes(-1, -2) @ self.w) @ delay[..., None]  # (..., T, 1, 1)
+        den = (np.abs(b) ** 2).swapaxes(-1, -2) @ self.energies[:, :, None]  # (..., T, 1, 1)
+        captured = np.zeros_like(den)
+        np.divide(np.abs(s) ** 2, den, out=captured, where=den > 0)
+        return self.yy - captured[..., 0, 0]
 
     def captured_energy(self, aoa: np.ndarray, range_m: np.ndarray) -> np.ndarray:
         """Captured energies |s|^2 / D of the T fits at positions (aoa,

@@ -495,6 +495,48 @@ def test_pseudo_true_degenerates_without_mismatch():
     npt.assert_allclose(theta0.as_array(), theta.as_array(), rtol=1e-8, atol=1e-14)
 
 
+def _pseudo_true_batch(n: int, seed: int):
+    """theta, the clean models and the impaired means of n draws at 30 dBm;
+    every other draw fits the clean model without the known coupling, so
+    the slots of the batch hold different models."""
+    cfg = replace(DESK, tx_power_dbm=30.0)
+    block = PilotBlock.from_config(cfg)
+    theta = geometric_params(np.array([3.0, 2.0]), 0.3, cfg)
+    imp = ImpairmentConfig()
+    rng = np.random.default_rng(seed)
+    cleans = [clean_model(cfg, block, imp.coupling if r % 2 else ()) for r in range(n)]
+    means = [
+        ProjectionModel.impaired(cfg, block, imp, sample_realization(imp, cfg, rng)).mean(theta)
+        for _ in range(n)
+    ]
+    return theta, cleans, means
+
+
+def test_pseudo_true_batch_matches_batches_of_one_bitwise():
+    """R draws fitted in lockstep land bit for bit where R batches of one
+    land, although their descents take different numbers of iterations."""
+    theta, cleans, means = _pseudo_true_batch(6, 21)
+    theta0s, fits = pseudo_true(theta, cleans, means)
+    assert fits.errors == [None] * 6
+    assert set(fits.stops) <= {"gradient", "stalled", "max_iter"}
+    assert len(set(fits.n_iterations)) > 1
+    for theta0, clean, ybar in zip(theta0s, cleans, means):
+        assert np.array_equal(theta0.as_array(), pseudo_true(theta, clean, ybar).as_array())
+
+
+def test_pseudo_true_batch_fails_a_draw_without_energy_alone():
+    theta, cleans, means = _pseudo_true_batch(4, 22)
+    alone = [pseudo_true(theta, clean, ybar) for clean, ybar in zip(cleans, means)]
+    means[2] = np.zeros_like(means[2])
+    theta0s, fits = pseudo_true(theta, cleans, means)
+    assert theta0s[2] is None and fits.stops[2] == "failed"
+    assert fits.errors == [None, None, "observation energy must be positive and finite", None]
+    for r in (0, 1, 3):
+        assert np.array_equal(theta0s[r].as_array(), alone[r].as_array())
+    with pytest.raises(NumericError, match="observation energy must be positive"):
+        pseudo_true(theta, cleans[2], means[2])
+
+
 def test_ab_matrices_reduce_to_information():
     block = PilotBlock.from_config(DESK)
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, DESK)

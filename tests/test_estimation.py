@@ -192,9 +192,10 @@ def test_grid_objective_matches_direct_projection(impaired):
 
 
 @pytest.mark.parametrize("impaired", [False, True])
-def test_position_objective_matches_grid_bitwise(impaired):
+def test_fit_objective_matches_grid_bitwise(impaired):
     """The pseudo-true descent's objective rounds exactly as a 1x1 grid scan
-    at its (angle, range), at points from 1e-9 m to 100 m off the truth."""
+    at its (angle, range), at points from 1e-9 m to 100 m off the truth,
+    evaluated all at once."""
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     imp = ImpairmentConfig()
@@ -205,24 +206,45 @@ def test_position_objective_matches_grid_bitwise(impaired):
         model = ProjectionModel.clean(cfg, blk, coupling=(0.3 + 0.2j,))
     y = observe(mu_m1(true_state(cfg), cfg, blk, imp, real), 1e-6, np.random.default_rng(9))
     u = model.pulled_observation(y)
-    objective = model.position_objective(u)
     rng = np.random.default_rng(10)
-    for _ in range(500):
-        p = np.array([3.0, 2.0]) + 10 ** rng.uniform(-9.0, 2.0) * rng.normal(size=2)
+    points = [
+        np.array([3.0, 2.0]) + 10 ** rng.uniform(-9.0, 2.0) * rng.normal(size=2)
+        for _ in range(500)
+    ]
+    px, py = np.array(points)[:, :, None].transpose(1, 0, 2)  # (500, T=1) each
+    values = fit_data(model, u).objective(px, py)[:, 0]
+    for p, value in zip(points, values):
         grid = model.objective_grid(
             u, ScanGrid.build(cfg, np.arctan2(p[1:], p[:1]), np.hypot(p[:1], p[1:]))
         )
-        assert objective(p[0], p[1]) == grid[0, 0]
+        assert value == grid[0, 0]
 
 
-def test_position_objective_without_row_gain_is_observation_energy():
+def test_fit_objective_without_row_gain_is_observation_energy():
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     model = ProjectionModel(cfg, np.zeros_like(blk.combiners), np.eye(cfg.n_antennas), blk.symbols)
     u = observe(blk.symbols, 1.0, np.random.default_rng(3))
     energy = np.vdot(u, u).real
-    assert model.position_objective(u)(3.0, 2.0) == energy
+    assert fit_data(model, u).objective(np.array([3.0]), np.array([2.0]))[0] == energy
     assert model.objective_grid(u, ScanGrid.build(cfg, [0.5], [3.6]))[0, 0] == energy
+
+
+@pytest.mark.parametrize(
+    "sizes, flat_axis",
+    [({"n_transmissions": 1}, 0), ({"n_antennas": 1}, 0), ({"n_subcarriers": 1}, 1)],
+)
+def test_objective_is_flat_in_an_unidentifiable_coordinate(sizes, flat_axis):
+    """One transmission or one antenna leaves no angle information in the
+    projection objective, one subcarrier no range information: the scan is
+    constant along that axis up to rounding, and varies along the other."""
+    cfg = desk_cfg(**sizes)
+    model = ProjectionModel.clean(cfg, PilotBlock.from_config(cfg))
+    y = observe(model.mean(true_state(cfg)), 1e-6, np.random.default_rng(4))
+    grid = ScanGrid.build(cfg, np.linspace(-1.2, 1.2, 7), np.linspace(1.0, 6.0, 7))
+    obj = model.objective_grid(y, grid) / np.vdot(y, y).real
+    assert np.ptp(obj, axis=flat_axis).max() < 1e-12
+    assert np.ptp(obj, axis=1 - flat_axis).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +352,8 @@ def test_refine_iteration_cap_is_not_converged():
     est = EstimatorConfig(max_iterations=1)
     p_hat, obj, stop, iters = refine_one(y, model, far, est)
     assert (stop, iters) == ("max_iter", 1)
-    assert obj < model.position_objective(model.pulled_observation(y))(*far)
+    start = fit_data(model, model.pulled_observation(y)).objective(far[:1], far[1:])[0]
+    assert obj < start
     # a coarse grid starts the estimator far off too
     coarse = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15, max_iterations=1)
     out = mmle_m2(y, model, coarse)
@@ -338,12 +361,12 @@ def test_refine_iteration_cap_is_not_converged():
 
 
 def fd_objective_derivatives(model, u, aoa, rng_m, h=1e-5):
-    """Central differences of position_objective in (aoa, range): gradient
+    """Central differences of FitData.objective in (aoa, range): gradient
     and Hessian (aa, ar, rr)."""
-    objective = model.position_objective(u)
+    data = fit_data(model, u)
 
     def obj(a, r):
-        return objective(r * np.cos(a), r * np.sin(a))
+        return data.objective(np.array([r * np.cos(a)]), np.array([r * np.sin(a)]))[0]
 
     f0 = obj(aoa, rng_m)
     fa = (obj(aoa + h, rng_m) - obj(aoa - h, rng_m)) / (2 * h)

@@ -753,7 +753,7 @@ def test_cli_no_surviving_realizations_exits_2(tmp_path, monkeypatch, capsys):
     def singular(*args, **kwargs):
         raise NumericError("curvature matrix A is singular")
 
-    monkeypatch.setattr("hwiloc.harness.lb_report", singular)
+    monkeypatch.setattr("hwiloc.harness.mismatch_report", singular)
     cfg = _desk_cfg(tmp_path, n_realizations="3", sweep_values="0,10")
     out = tmp_path / "r.csv"
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
@@ -779,6 +779,40 @@ def test_cli_lb_failure_drops_the_draw_from_lb_only(tmp_path, monkeypatch, caplo
     assert realizations("crb_m1") == {10}
     assert min(realizations("lb")) < 10
     assert "lb failed: curvature matrix A is singular" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "overrides, coordinate",
+    [
+        ({"n_transmissions": "1"}, "angle"),
+        ({"n_antennas": "1", "mc_c1": "0", "mc_c2": "0"}, "angle"),
+        ({"n_subcarriers": "1", "bandwidth_hz": "1e7"}, "range"),
+    ],
+)
+def test_cli_estimate_rejects_an_unidentifiable_coordinate(
+    tmp_path, monkeypatch, capsys, overrides, coordinate
+):
+    cfg = _desk_cfg(tmp_path, sweep_values="20", n_trials="3", **overrides)
+    out = tmp_path / "e.csv"
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the estimators need n_")
+    assert f"objective is flat in {coordinate}" in err
+    assert not out.exists()
+
+
+def test_cli_bounds_logs_pseudo_true_stops_once_per_point(tmp_path, monkeypatch, caplog):
+    cfg = _desk_cfg(tmp_path, n_realizations="4", sweep_values="0,20")
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    with caplog.at_level(logging.INFO, logger="hwiloc.harness"):
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+    lines = [r.getMessage() for r in caplog.records if "pseudo-true stops" in r.getMessage()]
+    assert len(lines) == 2
+    for line in lines:
+        counts = dict(item.split("=") for item in line.split(": ")[-1].split())
+        assert set(counts) <= {"gradient", "stalled", "max_iter", "failed"}
+        assert sum(map(int, counts.values())) == 4
 
 
 @pytest.mark.parametrize(
@@ -973,7 +1007,7 @@ def test_benchmark_tracer_finds_every_layer(tmp_path, monkeypatch):
     """The benchmark tracer wraps package functions by name; every layer it
     times must still exist and be reached by a bounds and an estimate run."""
     tracer = _load_tracer()
-    cfg = _desk_cfg(tmp_path, sweep_values="20,30", n_realizations="1", n_trials="3")
+    cfg = _desk_cfg(tmp_path, sweep_values="20,30", n_realizations="2", n_trials="3")
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     with tracer.Tracer("hwiloc") as t:
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
@@ -981,12 +1015,19 @@ def test_benchmark_tracer_finds_every_layer(tmp_path, monkeypatch):
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 0
     assert t.absent == []
     assert t.leftovers() == []
+    # the bounds run fits the pseudo-trues of all draws of a point in one
+    # call and takes each draw's lb from its own; lb_report, the one-draw
+    # form, is not called
+    bounds = Counter(t.names[:first])
+    assert bounds["bounds.pseudo_true"] == 2
     # the estimate run draws each observation from the trial's impaired
     # model and fits all trials of a point in one batch per estimator: it
     # never calls mu_m1 or the one-observation estimators, and nothing else does
-    skipped = ("observation.mu_m1", "estimation.mmle_m2", "estimation.mle_m1")
+    skipped = (
+        "observation.mu_m1", "estimation.mmle_m2", "estimation.mle_m1", "bounds.lb_report"
+    )
     estimate = Counter(t.names[first:])
-    assert {name: estimate[name] for name in skipped} == dict.fromkeys(skipped, 0)
+    assert {name: bounds[name] + estimate[name] for name in skipped} == dict.fromkeys(skipped, 0)
     assert [n for n in tracer.SPAN_TARGETS if n not in t.names and n not in skipped] == []
     assert t.counts[tracer.OBJECTIVE] > 0
     # one impaired model per trial (2 points x 3 trials), one scan per trial
