@@ -259,8 +259,8 @@ def _wrap_phase(x: float) -> float:
 # The pseudo-true fit keeps the estimators' former central-difference
 # descent, because perfbench/reference/bounds_full.csv encodes the point
 # where it stalls (a converged fit moves lb rows by up to 4.5e-6, past the
-# 1e-6 gate). Its objective is FitData.objective, which rounds as a 1x1 grid
-# scan: a 1-ulp change there moves the stall. The descent goes once that
+# 1e-6 gate). Its objective is FitData.objective, whose rounding is fixed
+# with it: a 1-ulp change there moves the stall. The descent goes once that
 # reference is regenerated from a converged fit (ROADMAP item 1); the same
 # FitData then goes to estimation.refine.
 FD_STEP = 1e-6  # relative central-difference step
@@ -468,14 +468,15 @@ def mismatch_report(
     clean: ProjectionModel,
     ybar: np.ndarray,
     sigma_n: float,
+    clean_crb: BoundsReport,
 ) -> BoundsReport:
     """Misspecified-bound report of one draw whose impaired mean ybar and
     pseudo-true theta0 are known: the matrices A and B at theta0, the MCRB
-    and the total lower bound about theta_bar. Also carries the clean-model
-    CRB at the true parameter so the caller can form inflation ratios from a
-    single object.
+    and the total lower bound about theta_bar. Also carries clean_crb, the
+    clean model's CRB report at theta_bar (:func:`crb_m2_report`), so the
+    caller can form inflation ratios from a single object; draws that share
+    a clean model share it.
     """
-    base = crb_m2_report(theta_bar, clean, sigma_n)
     derivs = model_derivatives(theta0, clean)
     eps = ybar - clean.mean(theta0)
     a_mat = matrix_a(derivs, eps, sigma_n)
@@ -483,7 +484,7 @@ def mismatch_report(
     mcrb = mismatch_covariance(a_mat, b_mat)
     total = lb_matrix(theta_bar, theta0, mcrb)
     return replace(
-        base,
+        clean_crb,
         theta0=theta0,
         mcrb=mcrb,
         lb_matrix=total,
@@ -505,4 +506,7 @@ def lb_report(
     :func:`mismatch_report` at the pseudo-true of the impaired mean.
     """
     ybar = impaired.mean(theta_bar)
-    return mismatch_report(theta_bar, pseudo_true(theta_bar, clean, ybar), clean, ybar, sigma_n)
+    theta0 = pseudo_true(theta_bar, clean, ybar)
+    return mismatch_report(
+        theta_bar, theta0, clean, ybar, sigma_n, crb_m2_report(theta_bar, clean, sigma_n)
+    )

@@ -11,14 +11,15 @@ omitted), --seed U64 (overrides master_seed), --out PATH (stdout when
 omitted), --sweep AXIS (switches the sweep axis to its default value
 list), --format csv.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 numeric failure
-(or failed validation).
+Exit codes: 0 success, 1 configuration/usage error, 2 numeric failure,
+failed validation, or a run that lost a worker process or ran out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .config_io import SWEEP_AXES, ExperimentSpec, read_config, resolve_spec, spec_to_text
 from .estimation import NumericError
@@ -124,6 +125,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
+        return 2
+    except (BrokenProcessPool, MemoryError) as exc:
+        # a sweep worker died or memory ran out: no rows to trust
+        name, detail = type(exc).__name__, " ".join(str(exc).split())
+        sys.stderr.write(f"run failure: {name}: {detail}\n" if detail else f"run failure: {name}\n")
         return 2
 
 

@@ -19,9 +19,10 @@ phase-noise/CFO sandwich moved onto the data once per observation) and use
 the model's factorization eta_{g,k} = b_g(aoa) d_k(delay) x~_{g,k}, which
 makes the objective separable in angle and range: one pilot block is
 scanned over the whole grid with three matrix products
-(:meth:`ProjectionModel.objective_grid`) on bases built once per grid
-(:class:`ScanGrid`), and every derivative the Newton fit needs comes from
-two (:meth:`FitData.captured_energy`).
+(:meth:`ProjectionModel.objective_grid`: the row gains for every angle, the
+subcarrier sums for every range, then their combination over transmissions)
+on bases built once per grid (:class:`ScanGrid`), and every derivative the
+Newton fit needs comes from two (:meth:`FitData.captured_energy`).
 
 The Newton fit runs on many observations at once. A :class:`TrialBatch`
 takes observations one at a time, each with the model that fits it: it

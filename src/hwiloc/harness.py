@@ -5,9 +5,10 @@ the amplifier switch) across its value list. At each point the bounds
 runner draws hardware realizations and reports mean/min/max of every
 requested bound scalar across them; the trials runner draws full
 observations and reports the position RMSE of the requested estimators.
-Both build a point's pilot block and clean model once (per draw on the
-amplifier axis, which resamples the pilots), and the trials runner fits
-all trials of a point together, in one batch per estimator.
+Both build a point's pilot block, its clean model and its pilots after the
+PA once (per draw on the amplifier axis, which resamples the pilots), the
+bounds runner takes the clean CRB once per clean model, and the trials
+runner fits all trials of a point together, in one batch per estimator.
 
 Determinism: every random draw derives from
 SeedSequence((master_seed, draw_index, stream_tag)), so output is
@@ -62,7 +63,7 @@ from .model import (
     noise_std,
     params_to_state,
 )
-from .observation import ProjectionModel, observe
+from .observation import ProjectionModel, observe, transmit_pilots
 
 logger = logging.getLogger(__name__)
 
@@ -157,26 +158,29 @@ def _rng(master_seed: int, draw_index: int, stream: int) -> np.random.Generator:
 
 def _shared_models(
     spec: ExperimentSpec, sys_cfg: SystemConfig, imp: ImpairmentConfig
-) -> tuple[PilotBlock, ProjectionModel] | None:
-    """The pilot block and clean model that every draw of a sweep point
-    shares, built once per point; None on the amplifier axis.
+) -> tuple[PilotBlock, ProjectionModel, np.ndarray] | None:
+    """What every draw of a sweep point shares, built once per point: the
+    pilot block, its clean model and its pilots after the PA (read-only);
+    None on the amplifier axis.
 
     The amplifier axis resamples the pilot symbols per draw (the
     nonlinearity's effect depends on the transmitted waveform); every other
-    axis keeps the seeded pilot block fixed and varies only the hardware.
-    Combiners stay fixed either way.
+    axis keeps the seeded pilot block fixed and varies only the hardware, and
+    the PA is deterministic in the pilots. Combiners stay fixed either way.
     """
     if spec.sweep_axis == "pa":
         return None
     block = PilotBlock.from_config(sys_cfg)
-    return block, ProjectionModel.clean(sys_cfg, block, imp.coupling)
+    sent = transmit_pilots(block, imp, sys_cfg)
+    sent.flags.writeable = False
+    return block, ProjectionModel.clean(sys_cfg, block, imp.coupling), sent
 
 
 def _draw(
     spec: ExperimentSpec,
     sys_cfg: SystemConfig,
     imp: ImpairmentConfig,
-    shared: tuple[PilotBlock, ProjectionModel] | None,
+    shared: tuple[PilotBlock, ProjectionModel, np.ndarray] | None,
     index: int,
     stream: int,
 ) -> tuple[np.random.Generator, ProjectionModel, ProjectionModel]:
@@ -192,10 +196,11 @@ def _draw(
             symbols=generate_pilots(sys_cfg, rng), combiners=generate_combiners(sys_cfg)
         )
         clean = ProjectionModel.clean(sys_cfg, block, imp.coupling)
+        sent = None  # the draw's own pilots go through the PA in impaired()
     else:
-        block, clean = shared
+        block, clean, sent = shared
     real = sample_realization(imp, sys_cfg, rng)
-    return rng, clean, ProjectionModel.impaired(sys_cfg, block, imp, real)
+    return rng, clean, ProjectionModel.impaired(sys_cfg, block, imp, real, sent)
 
 
 def _bound_scalar(family: str, scalar: str, rep: BoundsReport) -> float:
@@ -218,8 +223,8 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     keeps only its clean model and impaired mean for the misspecified bound,
     so no impaired model (with its dense sandwich) outlives its draw. Then
     one descent fits the pseudo-trues of all draws together, and each
-    draw's lb follows from its own. The clean CRB is taken from the draw's
-    lb report when there is one, which carries it.
+    draw's lb follows from its own and from the clean CRB, which is taken
+    once per clean model: once per point off the amplifier axis.
     """
     value = spec.sweep_values[axis_index]
     sys_cfg, imp = apply_sweep_value(spec, value)
@@ -267,22 +272,28 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
             value,
             " ".join(f"{reason}={n}" for reason, n in sorted(stops.items())),
         )
-    for r, clean in enumerate(cleans):
-        lb = None
-        if "lb" in families:
-            if theta0s[r] is None:
-                failed("lb", r, fits.errors[r])
-            else:
-                lb = attempt("lb", r, mismatch_report, theta, theta0s[r], clean, means[r], sigma)
-        if "crb_m2" in families:
-            if lb is None:
-                attempt("crb_m2", r, crb_m2_report, theta, clean, sigma)
-            else:
-                reports["crb_m2"].append(lb)
-    empty = ", ".join(f for f in families if not reports[f])
+    if "lb" in families or "crb_m2" in families:
+        shared_crb = None if shared is None else crb_m2_report(theta, shared[1], sigma)
+        for r, clean in enumerate(cleans):
+            crb = crb_m2_report(theta, clean, sigma) if shared_crb is None else shared_crb
+            if "crb_m2" in families:
+                reports["crb_m2"].append(crb)
+            if "lb" in families:
+                if theta0s[r] is None:
+                    failed("lb", r, fits.errors[r])
+                else:
+                    attempt(
+                        "lb", r, mismatch_report, theta, theta0s[r], clean, means[r], sigma, crb
+                    )
+    empty = [f for f in families if not reports[f]]
+    if "lb" in empty:
+        # every draw's lb failing on a link that cannot identify a
+        # coordinate is the configuration's doing, not a numeric failure
+        _require_identifiable(sys_cfg, "the misspecified bound lb needs")
     if empty:
-        logger.warning("bounds: no surviving realizations for %s at %r", empty, value)
-        raise NumericError(f"no surviving realizations for {empty} at sweep value {value!r}")
+        names = ", ".join(empty)
+        logger.warning("bounds: no surviving realizations for %s at %r", names, value)
+        raise NumericError(f"no surviving realizations for {names} at sweep value {value!r}")
     rows: list[ResultRow] = []
     for family in families:
         for scalar in scalars:
@@ -402,8 +413,32 @@ def _run_points(spec: ExperimentSpec, worker) -> list[ResultRow]:
     return sort_rows([row for rows in per_point for row in rows])
 
 
+def _require_identifiable(cfg: SystemConfig, subject: str) -> None:
+    """Raise ConfigError, led by subject ("the estimators need"), when the
+    link cfg cannot identify both coordinates: with one antenna or one
+    transmission the projection objective is flat in angle (the row gain
+    |b_g|^2 cancels between the captured energy and its norm), and with one
+    subcarrier it is flat in range (|d_1| = 1)."""
+    if min(cfg.n_antennas, cfg.n_transmissions) < 2:
+        raise ConfigError(
+            f"{subject} n_antennas >= 2 and n_transmissions >= 2: with one "
+            "antenna or one transmission the projection objective is flat in angle"
+        )
+    if cfg.n_subcarriers < 2:
+        raise ConfigError(
+            f"{subject} n_subcarriers >= 2: with one subcarrier the "
+            "projection objective is flat in range"
+        )
+
+
 def run_bounds_sweep(spec: ExperimentSpec) -> list[ResultRow]:
-    """Bound statistics over hardware realizations at each sweep point."""
+    """Bound statistics over hardware realizations at each sweep point.
+
+    A draw whose bound fails drops out of that family. When no draw of a
+    point has an lb and the link cannot identify a coordinate
+    (:func:`_require_identifiable`), the run is a ConfigError naming it; the
+    matched bounds of such a link are finite where defined and inf where not.
+    """
     if not any(f in spec.outputs for f in BOUND_FAMILIES):
         raise ConfigError("outputs request no bound family (crb_m2, crb_m1, lb)")
     if not any(s in spec.outputs for s in BOUND_SCALARS):
@@ -417,25 +452,12 @@ def run_estimator_trials(spec: ExperimentSpec) -> list[ResultRow]:
     The UE must sit inside the estimators' range scan, from RANGE_MIN_M up
     to :func:`~hwiloc.estimation.scan_limit_m`. Beyond one delay-ambiguity
     span the delay phasors repeat, so a fit lands on an alias of the true
-    range. The link must identify both coordinates: with one antenna or one
-    transmission the projection objective is flat in angle (the row gain
-    |b_g|^2 cancels between the captured energy and its norm), and with one
-    subcarrier it is flat in range (|d_1| = 1), so a fit would report an
-    arbitrary point.
+    range. The link must identify both coordinates
+    (:func:`_require_identifiable`), or a fit would report an arbitrary point.
     """
     if not any(m in spec.outputs for m in ESTIMATOR_METRICS):
         raise ConfigError("outputs request no estimator metric (mmle_rmse, mle_m1_rmse)")
-    cfg = spec.system
-    if min(cfg.n_antennas, cfg.n_transmissions) < 2:
-        raise ConfigError(
-            "the estimators need n_antennas >= 2 and n_transmissions >= 2: with one "
-            "antenna or one transmission the projection objective is flat in angle"
-        )
-    if cfg.n_subcarriers < 2:
-        raise ConfigError(
-            "the estimators need n_subcarriers >= 2: with one subcarrier the "
-            "projection objective is flat in range"
-        )
+    _require_identifiable(spec.system, "the estimators need")
     ue_range = float(np.hypot(*spec.ue_position))
     top = scan_limit_m(spec.system.subcarrier_spacing_hz)
     if not RANGE_MIN_M <= ue_range < top:

@@ -30,7 +30,7 @@ derivatives, on the same factors, for many observations at once
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,27 +69,33 @@ def sandwich_matrices(real: ImpairmentRealization, cfg: SystemConfig) -> np.ndar
     CFO phase 2*pi*cfo*g*(K + K_cp)/K accumulated over the g previous
     symbols and their cyclic prefixes (g is 1-based), and the phase noise.
     Each slice is unitary and preserves per-transmission energy.
+
+    The (G, K) rotations are built at once, then one (K, K) product per
+    transmission: one stacked (G, K, K) product ran slower at K = 100 and
+    needed a second (G, K, K) buffer.
     """
     k = cfg.n_subcarriers
     f = dft_matrix(k)
     fh = f.conj().T
+    ramp = 2 * np.pi * real.cfo * np.arange(k) / k
+    common = 2 * np.pi * real.cfo * np.arange(1, cfg.n_transmissions + 1) * (k + cfg.cp_length) / k
+    rotation = np.exp(1j * (common[:, None] + ramp + real.pn_phases))
     out = np.empty((cfg.n_transmissions, k, k), dtype=complex)
-    samples = np.arange(k)
-    total = k + cfg.cp_length
-    for g in range(cfg.n_transmissions):
-        ramp = 2 * np.pi * real.cfo * samples / k
-        common = 2 * np.pi * real.cfo * (g + 1) * total / k
-        diag = np.exp(1j * (common + ramp + real.pn_phases[g]))
-        out[g] = (f * diag[None, :]) @ fh
+    for g, diag in enumerate(rotation):
+        np.matmul(f * diag, fh, out=out[g])
     return out
 
 
-def ring_powers(cfg: SystemConfig) -> np.ndarray:
+@lru_cache(maxsize=16)
+def ring_powers(n_subcarriers: int, spacing_hz: float) -> np.ndarray:
     """[1, r, r^2] with r = -2j*pi*k*df in delay_vector's order, (K, 3):
-    r^n d is the n-th delay derivative of the delay phasors d."""
-    k = np.arange(1, cfg.n_subcarriers + 1)
-    ring = -2j * np.pi * k * cfg.subcarrier_spacing_hz
-    return np.stack((np.ones_like(ring), ring, ring * ring), axis=1)
+    r^n d is the n-th delay derivative of the delay phasors d. Built once
+    per link and shared, so the returned array is read-only."""
+    k = np.arange(1, n_subcarriers + 1)
+    ring = -2j * np.pi * k * spacing_hz
+    out = np.stack((np.ones_like(ring), ring, ring * ring), axis=1)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -124,7 +130,7 @@ class ProjectionModel:
     def __post_init__(self) -> None:
         self.row_matrix = self.combiners @ self.coupling
         self.pilot_energies = np.sum(np.abs(self.eff_pilots) ** 2, axis=1)
-        self.ring_powers = ring_powers(self.cfg)
+        self.ring_powers = ring_powers(self.cfg.n_subcarriers, self.cfg.subcarrier_spacing_hz)
 
     @staticmethod
     def clean(cfg: SystemConfig, block: PilotBlock, coupling: tuple = ()) -> "ProjectionModel":
@@ -139,10 +145,18 @@ class ProjectionModel:
         block: PilotBlock,
         imp: ImpairmentConfig,
         real: ImpairmentRealization,
+        sent: np.ndarray | None = None,
     ) -> "ProjectionModel":
-        """The hardware's model for one realization."""
+        """The hardware's model for one realization.
+
+        sent is the block's pilots after the PA, transmit_pilots(block, imp,
+        cfg), where the caller already holds them: they depend on the block
+        and the amplifier only, so realizations of one block share them.
+        """
+        if sent is None:
+            sent = transmit_pilots(block, imp, cfg)
         c_full = mc_matrix(imp.coupling, real.mc_residual, cfg.n_antennas)
-        return ProjectionModel(cfg, block.combiners, c_full, transmit_pilots(block, imp, cfg), real)
+        return ProjectionModel(cfg, block.combiners, c_full, sent, real)
 
     @cached_property
     def sandwich(self) -> np.ndarray | None:
@@ -181,18 +195,25 @@ class ProjectionModel:
         """Projection objective on the (angle, range) grid, shape (n_a, n_r).
 
         u is the pulled observation. Uses the separable structure: the
-        captured energy is |sum_k conj(d_k) z_k(aoa)|^2 / den(aoa) with
-        z(aoa) = sum_g conj(b_g x~_g) u_g and den = sum_g |b_g|^2 ||x~_g||^2.
+        captured energy is |s|^2 / den with s(aoa, r) = sum_g conj(b_g)
+        sum_k w_{g,k} conj(d_k(r)), w = conj(x~) * u, and den(aoa) = sum_g
+        |b_g|^2 ||x~_g||^2; where den is not positive nothing is captured.
+
+        s is contracted over subcarriers first, b^H (w conj(D)): G n_r (K +
+        n_a) complex multiply-adds against n_a K (G + n_r) for (b^H w)
+        conj(D), as there are fewer transmissions and ranges than angles and
+        subcarriers (desk.cfg: 21,300 against 144,800). The order moves the
+        values by rounding only; :meth:`FitData.objective` keeps the other.
         """
         b = self.row_matrix @ grid.steering  # (G, n_a)
         w = np.conj(self.eff_pilots) * u  # (G, K)
-        z = b.conj().T @ w  # (n_a, K)
-        s = z @ grid.delay_conj  # (n_a, n_r)
+        s = b.conj().T @ (w @ grid.delay_conj)  # (n_a, n_r)
         den = (np.abs(b) ** 2).T @ self.pilot_energies  # (n_a,)
-        yy = np.vdot(u, u).real
-        captured = np.zeros_like(s, dtype=float)
-        np.divide(np.abs(s) ** 2, den[:, None], out=captured, where=den[:, None] > 0)
-        return yy - captured
+        inv = np.zeros_like(den)
+        np.divide(1.0, den, out=inv, where=den > 0)
+        out = s.real**2 + s.imag**2
+        out *= inv[:, None]
+        return np.subtract(np.vdot(u, u).real, out, out=out)
 
     def factors(self, aoa: float, delay: float) -> tuple[np.ndarray, np.ndarray]:
         """The mean's factors and their derivatives: the row gains [b, b', b'']
@@ -256,7 +277,7 @@ class FitData:
             np.empty((size, g)),
             np.empty((size, g, k), dtype=complex),
             np.empty(size),
-            ring_powers(cfg),
+            ring_powers(k, cfg.subcarrier_spacing_hz),
             cfg.subcarrier_spacing_hz,
         )
 
@@ -282,11 +303,12 @@ class FitData:
         Cartesian positions (px, py), both (..., T): one position per fit in
         each leading slice.
 
-        Each value rounds as a 1x1 :meth:`ProjectionModel.objective_grid` at
-        (arctan2(py, px), hypot(px, py)), bit for bit: each slot is the same
-        matrix-vector and dot products on the same shapes, and ||u||^2 where
-        D is not positive. Stacking several positions of one fit into one
-        (N, n) product would round differently.
+        Each value rounds as s = (b^H w) conj(d) on its own, ||u||^2 where D
+        is not positive: one matrix-vector and two dot products per slot.
+        The pseudo-true descent's stalls, and with them the benchmark's lb
+        reference, depend on this rounding; stacking several positions of
+        one fit into one (N, n) product, or the subcarrier-first order of
+        :meth:`ProjectionModel.objective_grid`, would round differently.
         """
         k = self.ring_powers.shape[0]
         aoa = np.arctan2(py, px)[..., None]

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from hwiloc.estimation import (
@@ -52,6 +53,19 @@ def fit_data(model, u):
     data = FitData.empty(model.cfg, 1)
     data.put(0, model, u)
     return data
+
+
+def angle_first_grid(model, u, grid):
+    """The projection objective on a grid contracted over transmissions
+    first, s = (b^H w) conj(D), with one division per point: the scan's
+    former order, and the rounding that FitData.objective keeps."""
+    b = model.row_matrix @ grid.steering
+    w = np.conj(model.eff_pilots) * u
+    s = (b.conj().T @ w) @ grid.delay_conj
+    den = (np.abs(b) ** 2).T @ model.pilot_energies
+    captured = np.zeros_like(s, dtype=float)
+    np.divide(np.abs(s) ** 2, den[:, None], out=captured, where=den[:, None] > 0)
+    return np.vdot(u, u).real - captured
 
 
 def refine_one(y, model, p_start, est):
@@ -193,9 +207,10 @@ def test_grid_objective_matches_direct_projection(impaired):
 
 @pytest.mark.parametrize("impaired", [False, True])
 def test_fit_objective_matches_grid_bitwise(impaired):
-    """The pseudo-true descent's objective rounds exactly as a 1x1 grid scan
-    at its (angle, range), at points from 1e-9 m to 100 m off the truth,
-    evaluated all at once."""
+    """The pseudo-true descent's objective rounds exactly as a 1x1 grid
+    contracted over transmissions first (angle_first_grid) at its (angle,
+    range), at points from 1e-9 m to 100 m off the truth, evaluated all at
+    once."""
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     imp = ImpairmentConfig()
@@ -214,10 +229,35 @@ def test_fit_objective_matches_grid_bitwise(impaired):
     px, py = np.array(points)[:, :, None].transpose(1, 0, 2)  # (500, T=1) each
     values = fit_data(model, u).objective(px, py)[:, 0]
     for p, value in zip(points, values):
-        grid = model.objective_grid(
-            u, ScanGrid.build(cfg, np.arctan2(p[1:], p[:1]), np.hypot(p[:1], p[1:]))
+        grid = angle_first_grid(
+            model, u, ScanGrid.build(cfg, np.arctan2(p[1:], p[:1]), np.hypot(p[:1], p[1:]))
         )
         assert value == grid[0, 0]
+
+
+@pytest.mark.parametrize("impaired", [False, True])
+@pytest.mark.parametrize("sizes", [{}, {"n_transmissions": 10, "n_subcarriers": 100}])
+def test_grid_scan_matches_angle_first_order(impaired, sizes):
+    """The subcarrier-first scan finds the argmin of the former
+    transmission-first order and agrees with its values to rounding, over
+    random observations near and far from the model, at the estimators' own
+    grid."""
+    cfg = desk_cfg(**sizes)
+    blk = PilotBlock.from_config(cfg)
+    imp = ImpairmentConfig()
+    grid = scan_grid(cfg, EstimatorConfig())
+    rng = np.random.default_rng(11)
+    for trial in range(8):
+        real = sample_realization(imp, cfg, rng)
+        truth = ProjectionModel.impaired(cfg, blk, imp, real)
+        model = truth if impaired else ProjectionModel.clean(cfg, blk, coupling=imp.coupling)
+        aoa, rng_m = rng.uniform(-1.2, 1.2), rng.uniform(1.0, 6.0)
+        theta = true_state(cfg, rng_m * np.array([np.cos(aoa), np.sin(aoa)]))
+        y = observe(truth.mean(theta), 10.0 ** rng.uniform(-9.0, -5.0), rng)
+        u = model.pulled_observation(y)
+        new, old = model.objective_grid(u, grid), angle_first_grid(model, u, grid)
+        assert np.argmin(new) == np.argmin(old), trial
+        npt.assert_allclose(new, old, rtol=1e-12, atol=0)
 
 
 def test_fit_objective_without_row_gain_is_observation_energy():

@@ -4,6 +4,7 @@ import importlib.util
 import logging
 import math
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,9 @@ from hwiloc.harness import (
     run_estimator_trials,
     sort_rows,
 )
-from hwiloc.impairments import ImpairmentConfig
+from hwiloc.impairments import ImpairmentConfig, sample_realization
 from hwiloc.model import ConfigError, SystemConfig, geometric_params, noise_std
+from hwiloc.observation import ProjectionModel
 
 DESK_OVERRIDES = {
     "n_antennas": "10",
@@ -618,6 +620,26 @@ def test_point_fit_matches_one_observation_estimators(
     assert forced in np.concatenate([fits[m].stops for m in metrics])
 
 
+def test_draws_of_a_point_share_its_pilots_after_the_pa():
+    """Off the amplifier axis the draws of a point share the PA's output,
+    built once; each draw's impaired mean is bit for bit that of its model
+    built on its own."""
+    spec = desk_spec()
+    sys_cfg, imp = apply_sweep_value(spec, 30.0)
+    theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
+    shared = hwiloc.harness._shared_models(spec, sys_cfg, imp)
+    block, _, sent = shared
+    assert not np.array_equal(sent, block.symbols)
+    stream = hwiloc.harness._TRIAL_STREAM
+    for t in range(3):
+        _, _, impaired = hwiloc.harness._draw(spec, sys_cfg, imp, shared, t, stream)
+        assert impaired.eff_pilots is sent
+        real = sample_realization(imp, sys_cfg, hwiloc.harness._rng(spec.master_seed, t, stream))
+        npt.assert_array_equal(
+            impaired.mean(theta), ProjectionModel.impaired(sys_cfg, block, imp, real).mean(theta)
+        )
+
+
 @pytest.mark.parametrize("axis, values", [("tx_power_dbm", "10,30"), ("pa", "0,1")])
 def test_estimator_trials_parallel_matches_serial(monkeypatch, axis, values):
     spec = desk_spec(outputs="mmle_rmse,mle_m1_rmse", sweep_axis=axis, sweep_values=values)
@@ -799,6 +821,47 @@ def test_cli_estimate_rejects_an_unidentifiable_coordinate(
     err = capsys.readouterr().err
     assert err.startswith("config error: the estimators need n_")
     assert f"objective is flat in {coordinate}" in err
+    assert not out.exists()
+
+
+def test_cli_bounds_lb_on_a_flat_angle_is_a_config_error(tmp_path, monkeypatch, capsys):
+    """With one antenna the angle leaves the model, so no draw has an lb:
+    the run names that cause and exits 1; the matched bounds alone still
+    run, with inf angle bounds."""
+    one_antenna = {"n_antennas": "1", "mc_c1": "0", "mc_c2": "0"}
+    cfg = _desk_cfg(tmp_path, sweep_values="0,20", n_realizations="3", **one_antenna)
+    out = tmp_path / "b.csv"
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the misspecified bound lb needs n_antennas >= 2")
+    assert "flat in angle" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+    crb_only = _desk_cfg(
+        tmp_path, sweep_values="0,20", n_realizations="3", outputs="crb_m2,crb_m1,aeb,peb",
+        **one_antenna,
+    )
+    assert main(["bounds", "--config", crb_only, "--out", str(out)]) == 0
+    assert {line.split(",")[3] for line in out.read_text().splitlines()[1:]} == {"inf"}
+
+
+@pytest.mark.parametrize(
+    "error", [BrokenProcessPool("A process in the pool\nwas terminated abruptly"), MemoryError()]
+)
+@pytest.mark.parametrize("command", ["bounds", "estimate"])
+def test_cli_lost_worker_or_memory_exits_2_with_one_line(
+    tmp_path, monkeypatch, capsys, error, command
+):
+    def lost(spec, worker):
+        raise error
+
+    monkeypatch.setattr("hwiloc.harness._run_points", lost)
+    out = tmp_path / "r.csv"
+    assert main([command, "--config", _desk_cfg(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"run failure: {type(error).__name__}")
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -1030,9 +1093,10 @@ def test_benchmark_tracer_finds_every_layer(tmp_path, monkeypatch):
     assert {name: bounds[name] + estimate[name] for name in skipped} == dict.fromkeys(skipped, 0)
     assert [n for n in tracer.SPAN_TARGETS if n not in t.names and n not in skipped] == []
     assert t.counts[tracer.OBJECTIVE] > 0
-    # one impaired model per trial (2 points x 3 trials), one scan per trial
-    # and estimator, one Newton fit per point and estimator
-    assert estimate["observation.transmit_pilots"] == 6
+    # one PA pass per point (2 points), its pilots shared by the point's
+    # trials; one impaired model per trial (2 points x 3 trials), one scan
+    # per trial and estimator, one Newton fit per point and estimator
+    assert estimate["observation.transmit_pilots"] == 2
     assert estimate["observation.sandwich_matrices"] == 6
     assert estimate["estimation.grid_search"] == 12
     assert estimate["estimation.refine"] == 4

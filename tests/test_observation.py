@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hwiloc.impairments import ImpairmentConfig, ImpairmentRealization, sample_realization
-from hwiloc.model import ChannelParams, PilotBlock, SystemConfig
+from hwiloc.model import ChannelParams, PilotBlock, SystemConfig, dft_matrix
 from hwiloc.observation import (
     ProjectionModel,
     mu_m1,
@@ -120,6 +120,24 @@ def test_sandwich_matrices_are_unitary():
     m = sandwich_matrices(real, cfg)
     for g in range(3):
         assert np.allclose(m[g] @ m[g].conj().T, np.eye(16), atol=1e-12)
+
+
+@pytest.mark.parametrize("g, k, cp", [(5, 32, 7), (10, 100, 7)])
+def test_sandwich_matrices_match_per_row_loop_bitwise(g, k, cp):
+    """The sandwich equals, bit for bit, one rotation and one product per
+    transmission built row by row, at desk.cfg and full.cfg shapes."""
+    cfg = SystemConfig(n_antennas=2, n_transmissions=g, n_subcarriers=k, cp_length=cp)
+    imp = replace(ImpairmentConfig(), sigma_cfo=0.05)
+    real = sample_realization(imp, cfg, np.random.default_rng(21))
+    assert real.cfo != 0.0 and np.all(real.pn_phases != 0.0)
+    f = dft_matrix(k)
+    samples = np.arange(k)
+    out = sandwich_matrices(real, cfg)
+    for row in range(g):
+        ramp = 2 * np.pi * real.cfo * samples / k
+        common = 2 * np.pi * real.cfo * (row + 1) * (k + cp) / k
+        diag = np.exp(1j * (common + ramp + real.pn_phases[row]))
+        assert np.array_equal(out[row], (f * diag[None, :]) @ f.conj().T)
 
 
 def test_pn_cfo_preserve_per_transmission_energy():
