@@ -382,7 +382,7 @@ def pseudo_true(
     cleans, ybars = ([clean], [ybar]) if one else (clean, ybar)
     data = FitData.empty(cleans[0].cfg, len(cleans))
     for i, (model, y) in enumerate(zip(cleans, ybars)):
-        data.put(i, model, model.pulled_observation(y))
+        data.put(i, model.row_matrix, model.eff_pilots, model.pulled_observation(y)[None])
     fits = _descend(data, np.tile(params_to_state(theta_bar).position, (len(cleans), 1)))
     params: list[ChannelParams | None] = [None] * len(cleans)
     for i, (model, y, error) in enumerate(zip(cleans, ybars, fits.errors)):

@@ -15,23 +15,23 @@ the variable-projection form of separable least squares (Golub & Pereyra,
 Inverse Problems 19, 2003).
 
 Both stages work on the pulled observation u_g = M_g^H y_g (the unitary
-phase-noise/CFO sandwich moved onto the data once per observation) and use
-the model's factorization eta_{g,k} = b_g(aoa) d_k(delay) x~_{g,k}, which
-makes the objective separable in angle and range: one pilot block is
+phase-noise/CFO rotation moved onto the data once per observation, by FFT)
+and use the model's factorization eta_{g,k} = b_g(aoa) d_k(delay) x~_{g,k},
+which makes the objective separable in angle and range: one pilot block is
 scanned over the whole grid with three matrix products
-(:meth:`ProjectionModel.objective_grid`: the row gains for every angle, the
-subcarrier sums for every range, then their combination over transmissions)
-on bases built once per grid (:class:`ScanGrid`), and every derivative the
-Newton fit needs comes from two (:meth:`FitData.captured_energy`).
+(:meth:`ScanGrid.objective`: the row gains for every angle, the subcarrier
+sums for every range, then their combination over transmissions) on bases
+built once per grid, and every derivative the Newton fit needs comes from
+two (:meth:`FitData.captured_energy`).
 
 The Newton fit runs on many observations at once. A :class:`TrialBatch`
-takes observations one at a time, each with the model that fits it: it
-scans the grid at once and keeps only what the fit reads
-(:class:`FitData`) and the grid start, so no model outlives its
-observation. :func:`refine` then fits every kept observation together on
-(T,) arrays, each with its own stop rules and line search; a fit that stops
-leaves the active set. The sweep harness batches all trials of a sweep
-point, and ``mmle_m2``/``mle_m1`` are a batch of one.
+takes stacked pulled observations, n at a time, with the row matrices and
+pilots they are fitted with, not model objects: it writes them straight
+into the slots of a :class:`FitData` and scans each slot on the grid for
+its start. :func:`refine` then fits every kept observation together on (T,)
+arrays, each with its own stop rules and line search; a fit that stops
+leaves the active set. The sweep harness adds a point's trials chunk by
+chunk, and ``mmle_m2``/``mle_m1`` are a batch of one.
 """
 
 from __future__ import annotations
@@ -178,16 +178,14 @@ def scan_grid(cfg: SystemConfig, est: EstimatorConfig) -> ScanGrid:
     return ScanGrid.build(cfg, est.grid_angles(), kept if kept.size else ranges[:1])
 
 
-def grid_search(
-    u: np.ndarray, model: ProjectionModel, grid: ScanGrid
-) -> tuple[np.ndarray, float]:
-    """Coarse polar scan of the pulled observation u; returns (position,
+def grid_search(data: FitData, index: int, grid: ScanGrid) -> tuple[np.ndarray, float]:
+    """Coarse polar scan of the fit index of data; returns (position,
     objective) of the grid argmin.
 
     Ties break deterministically to the lowest angle index, then the lowest
     range index (row-major argmin).
     """
-    obj = model.objective_grid(u, grid)
+    obj = grid.objective(data.rows[index], data.energies[index], data.w[index], data.yy[index])
     if not np.any(np.isfinite(obj)):
         raise NumericError("projection objective is non-finite over the whole grid")
     flat = np.argmin(obj)  # first minimum in row-major order
@@ -319,15 +317,15 @@ def fitted_params(y: np.ndarray, model: ProjectionModel, position: np.ndarray) -
 
 
 class TrialBatch:
-    """Up to size observations, gathered one at a time for one Newton fit
-    over all of them.
+    """Up to size pulled observations, gathered n at a time for one Newton
+    fit over all of them.
 
-    :meth:`add` pulls each observation through the model that fits it,
-    scans the grid and keeps only what the fit reads (a slot of
-    :class:`FitData`) and the grid start, so the model can go once add
-    returns. :meth:`fit` runs :func:`refine` on every observation whose
-    scan succeeded. A NumericError of one scan or fit fails that
-    observation only.
+    :meth:`add` writes stacked observations into slots of a
+    :class:`FitData`, which keeps only what the fit reads, and scans each
+    slot on the grid for its start, one (n_a, n_r) objective at a time.
+    :meth:`fit` runs :func:`refine` on every observation whose scan
+    succeeded. A NumericError of one scan or fit fails that observation
+    only.
     """
 
     def __init__(self, cfg: SystemConfig, size: int, est: EstimatorConfig | None = None) -> None:
@@ -337,20 +335,22 @@ class TrialBatch:
         self._starts = np.full((size, 2), np.nan)
         self._errors: list[str | None] = []  # one per observation added: its scan's error
 
-    def add(self, y: np.ndarray, model: ProjectionModel) -> None:
-        """Add the observation y, to be fitted with model."""
-        y = np.asarray(y, dtype=complex)
-        if not np.all(np.isfinite(y)):
+    def add(self, rows: np.ndarray, pilots: np.ndarray, u: np.ndarray) -> None:
+        """Add the pulled observations u, (n, G, K), each to be fitted with
+        its row matrix W C and pilots x~ (shapes as for :meth:`FitData.put`).
+        """
+        u = np.asarray(u, dtype=complex)
+        if not np.all(np.isfinite(u)):
             raise ValueError("observation contains non-finite samples")
-        index = len(self._errors)
-        u = model.pulled_observation(y)
-        try:
-            self._starts[index], _ = grid_search(u, model, self.grid)
-        except NumericError as exc:
-            self._errors.append(str(exc))
-            return
-        self._data.put(index, model, u)
-        self._errors.append(None)
+        start = len(self._errors)
+        self._data.put(start, rows, pilots, u)
+        for index in range(start, start + len(u)):
+            try:
+                self._starts[index], _ = grid_search(self._data, index, self.grid)
+            except NumericError as exc:
+                self._errors.append(str(exc))
+                continue
+            self._errors.append(None)
 
     def fit(self) -> Fits:
         """The fits of every observation added, in order. This spends the
@@ -372,7 +372,7 @@ class TrialBatch:
 def _estimate(y: np.ndarray, model: ProjectionModel, est: EstimatorConfig | None) -> Estimate:
     """One observation's fit: a batch of one."""
     batch = TrialBatch(model.cfg, 1, est)
-    batch.add(y, model)
+    batch.add(model.row_matrix, model.eff_pilots, model.pulled_observation(y)[None])
     fit = batch.fit()
     if fit.errors[0] is not None:
         raise NumericError(fit.errors[0])

@@ -6,9 +6,13 @@ runner draws hardware realizations and reports mean/min/max of every
 requested bound scalar across them; the trials runner draws full
 observations and reports the position RMSE of the requested estimators.
 Both build a point's pilot block, its clean model and its pilots after the
-PA once (per draw on the amplifier axis, which resamples the pilots), the
-bounds runner takes the clean CRB once per clean model, and the trials
-runner fits all trials of a point together, in one batch per estimator.
+PA once (per draw on the amplifier axis, which resamples the pilots), and
+the bounds runner takes the clean CRB once per clean model. The trials
+runner builds no model per trial: it draws each trial from its own
+generator, then takes the rotations, couplings, means, observations and
+pulled observations of TRIAL_CHUNK trials at a time as stacked arrays
+(the rotations by FFT), writes them into one batch per estimator and fits
+all trials of a point together.
 
 Determinism: every random draw derives from
 SeedSequence((master_seed, draw_index, stream_tag)), so output is
@@ -50,7 +54,7 @@ from .estimation import (
     TrialBatch,
     scan_limit_m,
 )
-from .impairments import ImpairmentConfig, sample_realization
+from .impairments import ImpairmentConfig, mc_matrix, sample_realization
 from .model import (
     SPEED_OF_LIGHT,
     ChannelParams,
@@ -63,7 +67,14 @@ from .model import (
     noise_std,
     params_to_state,
 )
-from .observation import ProjectionModel, observe, transmit_pilots
+from .observation import (
+    ProjectionModel,
+    impaired_means,
+    phase_rotations,
+    rotate,
+    transmit_pilots,
+    unit_noise,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -74,6 +85,9 @@ _STAT_ORDER = {"mean": 0, "min": 1, "max": 2}
 # random streams even when indices collide
 _REALIZATION_STREAM = 0
 _TRIAL_STREAM = 1
+# trials drawn, observed and pulled as one stack; a trial's results do not
+# depend on the chunk it falls in
+TRIAL_CHUNK = 16
 
 
 @dataclass
@@ -171,7 +185,7 @@ def _shared_models(
     if spec.sweep_axis == "pa":
         return None
     block = PilotBlock.from_config(sys_cfg)
-    sent = transmit_pilots(block, imp, sys_cfg)
+    sent = transmit_pilots(block.symbols, imp, sys_cfg)
     sent.flags.writeable = False
     return block, ProjectionModel.clean(sys_cfg, block, imp.coupling), sent
 
@@ -217,7 +231,10 @@ def _bound_scalar(family: str, scalar: str, rep: BoundsReport) -> float:
 
 def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     """Bound rows of one sweep point. A draw whose bound fails drops out of
-    that family only: each family counts its own surviving draws.
+    that family only: each family counts its own surviving draws, and one
+    WARNING line per family counts the failed draws by reason. A scalar
+    whose coordinate the link cannot identify (:func:`_flat_scalars`) is
+    inf in every family.
 
     Two passes. Each draw builds its models, takes its impaired CRB and
     keeps only its clean model and impaired mean for the misspecified bound,
@@ -233,20 +250,13 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     families = [f for f in ("lb", "crb_m2", "crb_m1") if f in spec.outputs]
     scalars = [s for s in BOUND_SCALARS if s in spec.outputs]
     reports: dict[str, list[BoundsReport]] = {f: [] for f in families}
+    failures: dict[str, Counter] = {f: Counter() for f in families}
 
-    def failed(family: str, r: int, error) -> None:
-        logger.warning(
-            "bounds: sweep value %r realization %d %s failed: %s", value, r, family, error
-        )
-
-    def attempt(family: str, r: int, bound, *args) -> BoundsReport | None:
+    def attempt(family: str, bound, *args) -> None:
         try:
-            rep = bound(*args)
+            reports[family].append(bound(*args))
         except NumericError as exc:
-            failed(family, r, exc)
-            return None
-        reports[family].append(rep)
-        return rep
+            failures[family][str(exc)] += 1
 
     shared = _shared_models(spec, sys_cfg, imp)
     # the draws' impaired means in one block: one (G, K) array per draw,
@@ -260,7 +270,7 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
         _, clean, impaired = _draw(spec, sys_cfg, imp, shared, r, _REALIZATION_STREAM)
         cleans.append(clean)
         if "crb_m1" in families:
-            attempt("crb_m1", r, crb_m1_numeric, theta, impaired, sigma)
+            attempt("crb_m1", crb_m1_numeric, theta, impaired, sigma)
         if "lb" in families:
             means[r] = impaired.mean(theta)
         del impaired  # with its cached sandwich, before the next draw
@@ -280,11 +290,19 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
                 reports["crb_m2"].append(crb)
             if "lb" in families:
                 if theta0s[r] is None:
-                    failed("lb", r, fits.errors[r])
+                    failures["lb"][fits.errors[r]] += 1
                 else:
-                    attempt(
-                        "lb", r, mismatch_report, theta, theta0s[r], clean, means[r], sigma, crb
-                    )
+                    attempt("lb", mismatch_report, theta, theta0s[r], clean, means[r], sigma, crb)
+    for family, reasons in failures.items():
+        if reasons:
+            logger.warning(
+                "bounds: sweep value %r %s failed for %d of %d realizations: %s",
+                value,
+                family,
+                sum(reasons.values()),
+                spec.n_realizations,
+                "; ".join(f"{reason}={n}" for reason, n in sorted(reasons.items())),
+            )
     empty = [f for f in families if not reports[f]]
     if "lb" in empty:
         # every draw's lb failing on a link that cannot identify a
@@ -294,11 +312,16 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
         names = ", ".join(empty)
         logger.warning("bounds: no surviving realizations for %s at %r", names, value)
         raise NumericError(f"no surviving realizations for {names} at sweep value {value!r}")
+    flat = _flat_scalars(sys_cfg)
     rows: list[ResultRow] = []
     for family in families:
         for scalar in scalars:
             metric = f"{family}_{scalar}"
             arr = np.array([_bound_scalar(family, scalar, rep) for rep in reports[family]])
+            if scalar in flat:
+                # a numerically singular matrix may still invert to finite
+                # diagonals; the coordinate is not identifiable on this link
+                arr[:] = np.inf
             for stat, v in (("mean", arr.mean()), ("min", arr.min()), ("max", arr.max())):
                 rows.append(
                     ResultRow(
@@ -314,6 +337,63 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     return rows
 
 
+@dataclass
+class Trials:
+    """Trials of one sweep point as stacked arrays: what both estimators
+    fit, with no model object per trial. Pilots of shape (G, K) are shared
+    by every trial (off the amplifier axis)."""
+
+    pilots: np.ndarray  # as sent, the clean chain's x~, (n, G, K) or (G, K)
+    sent: np.ndarray  # after the PA, the impaired chain's x~, likewise
+    rows: np.ndarray  # W C of each trial's full coupling, (n, G, N)
+    rotations: np.ndarray  # phase-noise/CFO rotations, (n, G, K)
+    y: np.ndarray  # observations, (n, G, K)
+
+
+def _observe_trials(
+    spec: ExperimentSpec,
+    sys_cfg: SystemConfig,
+    imp: ImpairmentConfig,
+    shared: tuple[PilotBlock, ProjectionModel, np.ndarray] | None,
+    trials: range,
+) -> Trials:
+    """The given trials of a sweep point, observed.
+
+    Each trial's generator draws what :func:`_draw` draws, in its order
+    (the pilots on the amplifier axis, then the realization), and then the
+    noise, as :func:`~hwiloc.observation.observe` draws it: a given mean
+    gives a bit-identical observation. The rest is computed once for the
+    stack: the full couplings, the rotations, the means and the
+    observations.
+    """
+    g, k, n_ant = sys_cfg.n_transmissions, sys_cfg.n_subcarriers, sys_cfg.n_antennas
+    n = len(trials)
+    if shared is None:
+        combiners = generate_combiners(sys_cfg)
+        pilots = np.empty((n, g, k), dtype=complex)
+    else:
+        block, _, sent = shared
+        combiners, pilots = block.combiners, block.symbols
+    pn, cfo = np.empty((n, g, k)), np.empty(n)
+    residual = np.empty((n, n_ant, n_ant))
+    noise = np.empty((n, g, k), dtype=complex)
+    for i, t in enumerate(trials):
+        rng = _rng(spec.master_seed, t, _TRIAL_STREAM)
+        if shared is None:
+            pilots[i] = generate_pilots(sys_cfg, rng)
+        real = sample_realization(imp, sys_cfg, rng)
+        pn[i], cfo[i], residual[i] = real.pn_phases, real.cfo, real.mc_residual
+        noise[i] = unit_noise((g, k), rng)
+    if shared is None:
+        sent = transmit_pilots(pilots, imp, sys_cfg)
+    rows = combiners @ mc_matrix(imp.coupling, residual, n_ant)
+    rotations = phase_rotations(cfo, pn, sys_cfg)
+    theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
+    mean = impaired_means(theta, sys_cfg, rows, sent, rotations)
+    y = mean + (noise_std(sys_cfg) / np.sqrt(2.0)) * noise
+    return Trials(pilots, sent, rows, rotations, y)
+
+
 def _fit_point(
     spec: ExperimentSpec,
     sys_cfg: SystemConfig,
@@ -323,22 +403,25 @@ def _fit_point(
 ) -> dict[str, Fits]:
     """Every trial of one sweep point, fitted by each requested estimator.
 
-    Each trial observes its impaired model's mean plus noise. The
-    observation joins one batch per estimator, with the model that
-    estimator fits: the clean one for ``mmle_rmse``, the trial's impaired
-    one for ``mle_m1_rmse``. Each batch keeps only what its fit reads, so a
-    trial's impaired model lives only while the trial is drawn; then each
-    batch runs one Newton fit over all trials.
+    The trials are observed TRIAL_CHUNK at a time (:func:`_observe_trials`)
+    and each chunk joins one batch per estimator, with what that estimator
+    fits: the clean chain's rows and pilots and the observations themselves
+    for ``mmle_rmse``, each trial's impaired rows and pilots and its
+    observation pulled back through its rotation for ``mle_m1_rmse``. Then
+    each batch runs one Newton fit over all trials.
     """
-    sigma = noise_std(sys_cfg)
-    theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
     shared = _shared_models(spec, sys_cfg, imp)
+    combiners = generate_combiners(sys_cfg) if shared is None else shared[0].combiners
+    clean_rows = combiners @ mc_matrix(imp.coupling, None, sys_cfg.n_antennas)
     batches = {m: TrialBatch(sys_cfg, spec.n_trials, est) for m in metrics}
-    for t in range(spec.n_trials):
-        rng, clean, impaired = _draw(spec, sys_cfg, imp, shared, t, _TRIAL_STREAM)
-        y = observe(impaired.mean(theta), sigma, rng)
+    for start in range(0, spec.n_trials, TRIAL_CHUNK):
+        trials = range(start, min(start + TRIAL_CHUNK, spec.n_trials))
+        chunk = _observe_trials(spec, sys_cfg, imp, shared, trials)
         for m, batch in batches.items():
-            batch.add(y, clean if m == "mmle_rmse" else impaired)
+            if m == "mmle_rmse":
+                batch.add(clean_rows, chunk.pilots, chunk.y)
+            else:
+                batch.add(chunk.rows, chunk.sent, rotate(chunk.y, np.conj(chunk.rotations)))
     return {m: batch.fit() for m, batch in batches.items()}
 
 
@@ -413,18 +496,29 @@ def _run_points(spec: ExperimentSpec, worker) -> list[ResultRow]:
     return sort_rows([row for rows in per_point for row in rows])
 
 
+def _flat_scalars(cfg: SystemConfig) -> set[str]:
+    """The bound scalars that the link cfg cannot identify. With one antenna
+    or one transmission the projection objective is flat in angle (the row
+    gain |b_g|^2 cancels between the captured energy and its norm): aeb and
+    peb. With one subcarrier it is flat in range (|d_1| = 1): deb and peb."""
+    flat = set()
+    if min(cfg.n_antennas, cfg.n_transmissions) < 2:
+        flat |= {"aeb", "peb"}
+    if cfg.n_subcarriers < 2:
+        flat |= {"deb", "peb"}
+    return flat
+
+
 def _require_identifiable(cfg: SystemConfig, subject: str) -> None:
     """Raise ConfigError, led by subject ("the estimators need"), when the
-    link cfg cannot identify both coordinates: with one antenna or one
-    transmission the projection objective is flat in angle (the row gain
-    |b_g|^2 cancels between the captured energy and its norm), and with one
-    subcarrier it is flat in range (|d_1| = 1)."""
-    if min(cfg.n_antennas, cfg.n_transmissions) < 2:
+    link cfg cannot identify both coordinates (:func:`_flat_scalars`)."""
+    flat = _flat_scalars(cfg)
+    if "aeb" in flat:
         raise ConfigError(
             f"{subject} n_antennas >= 2 and n_transmissions >= 2: with one "
             "antenna or one transmission the projection objective is flat in angle"
         )
-    if cfg.n_subcarriers < 2:
+    if "deb" in flat:
         raise ConfigError(
             f"{subject} n_subcarriers >= 2: with one subcarrier the "
             "projection objective is flat in range"
@@ -436,8 +530,9 @@ def run_bounds_sweep(spec: ExperimentSpec) -> list[ResultRow]:
 
     A draw whose bound fails drops out of that family. When no draw of a
     point has an lb and the link cannot identify a coordinate
-    (:func:`_require_identifiable`), the run is a ConfigError naming it; the
-    matched bounds of such a link are finite where defined and inf where not.
+    (:func:`_require_identifiable`), the run is a ConfigError naming it;
+    otherwise the scalars of that coordinate, and the position bound, are
+    inf in every family.
     """
     if not any(f in spec.outputs for f in BOUND_FAMILIES):
         raise ConfigError("outputs request no bound family (crb_m2, crb_m1, lb)")

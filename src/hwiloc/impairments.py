@@ -15,7 +15,8 @@ Four impairments distort the nominal uplink pilot model:
 
 The random parts are bundled per Monte-Carlo draw in ImpairmentRealization;
 levels live in ImpairmentConfig. The phase-noise and CFO rotations are
-applied by :func:`hwiloc.observation.sandwich_matrices`. Zero levels reproduce the clean model.
+built by :func:`hwiloc.observation.phase_rotations`. Zero levels reproduce
+the clean model.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def mc_matrix(
 
     The Toeplitz part has first row [1, c_1, ..., c_n, 0, ...] and entries
     t[|i - j|]; the band must be narrower than the array. Passing None for
-    the residual returns the known part alone (the receiver's model).
+    the residual returns the known part alone (the receiver's model); n
+    stacked residuals, (n, N, N), give n matrices.
     """
     taps = tuple(coupling)
     if len(taps) >= n_antennas:
@@ -127,8 +129,8 @@ def mc_matrix(
     c = t[np.abs(idx[:, None] - idx[None, :])]
     if mc_residual is not None:
         res = np.asarray(mc_residual)
-        if res.shape != (n_antennas, n_antennas):
-            raise ValueError("coupling residual must be (N, N)")
+        if res.shape[-2:] != (n_antennas, n_antennas):
+            raise ValueError("coupling residual must be (N, N) or (n, N, N)")
         c = c + res
     return c
 

@@ -9,10 +9,17 @@ held by :class:`ProjectionModel`:
 * the impaired chain (the signal the hardware actually produces): x~ are
   the pilots after the PA (time-domain distortion), C is the full coupling
   matrix (known Toeplitz part plus unknown residual), and M_g is the
-  unitary time-domain phase-noise/CFO sandwich F E_g Xi_g F^H of one
-  impairment realization;
+  unitary time-domain phase-noise/CFO rotation F diag(exp(j phi_g)) F^H of
+  one impairment realization, the common-phase/ICI form of OFDM phase
+  noise and CFO (Pollet et al., IEEE Trans. Commun. 43, 1995);
 * the clean chain assumed by a mismatched receiver: x~ are the pilots
   themselves, C is only the known Toeplitz coupling and M_g is the identity.
+
+M_g and M_g^H act by FFT (:func:`rotate`) on one draw or on many stacked
+draws at once: :func:`impaired_means` gives the noise-free means of n
+realizations without a model object per draw. The dense (G, K, K) form
+(:func:`sandwich_matrices`) is kept for one use, the impaired mean of
+:meth:`ProjectionModel.eta` that the bounds read.
 
 Means are (G, K) arrays of subcarrier-domain samples for one pilot block.
 Flattening row-major gives the g-major stacked vector used by estimators and
@@ -21,10 +28,10 @@ estimators search over. Its factors b_g and d_k, with their first two
 derivatives in aoa and delay (:meth:`ProjectionModel.factors`), are the
 source of derivatives for the Fisher information and the misspecified
 bound. The estimators read a model through two reductions of a pulled
-observation: a scan over an (angle, range) grid whose bases are built once
-per grid (:class:`ScanGrid`), and the captured energy with its exact
-derivatives, on the same factors, for many observations at once
-(:class:`FitData`).
+observation u_g = M_g^H y_g, stacked over many observations in
+:class:`FitData`: a scan over an (angle, range) grid whose bases are built
+once per grid (:class:`ScanGrid`), and the captured energy with its exact
+derivatives, on the same factors.
 """
 
 from __future__ import annotations
@@ -47,39 +54,64 @@ from .model import (
 )
 
 
-def transmit_pilots(block: PilotBlock, imp: ImpairmentConfig, cfg: SystemConfig) -> np.ndarray:
-    """Frequency-domain pilots after the PA: F pa(F^H x_g) per row, (G, K).
+def transmit_pilots(symbols: np.ndarray, imp: ImpairmentConfig, cfg: SystemConfig) -> np.ndarray:
+    """Frequency-domain pilots after the PA: F pa(F^H x_g) per row, of one
+    pilot block's symbols, (G, K), or of n stacked blocks, (n, G, K).
 
     The PA acts on the K non-oversampled time-domain samples of each
     transmission. A linear PA returns the pilots unchanged.
     """
     if imp.pa_is_linear:
-        return block.symbols.copy()
+        return symbols.copy()
     f = dft_matrix(cfg.n_subcarriers)
-    time = block.symbols @ f.conj()  # rows are F^H x_g
+    time = symbols @ f.conj()  # rows are F^H x_g
     distorted = pa_apply(time, imp.pa_coeffs, imp.pa_clip)
     return distorted @ f
+
+
+def phase_rotations(cfo, pn_phases: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """The diagonal time-domain rotations exp(1j*(common_g + ramp + pn_g))
+    of one realization's CFO, a scalar, and phase noise, (G, K), or of n
+    stacked ones, (n,) and (n, G, K); same shape as pn_phases.
+
+    The CFO ramp is 2*pi*cfo*k/K over samples k = 0 .. K-1, the common CFO
+    phase 2*pi*cfo*g*(K + K_cp)/K accumulates over the g previous symbols
+    and their cyclic prefixes (g is 1-based).
+    """
+    k = cfg.n_subcarriers
+    cfo = np.asarray(cfo, dtype=float)[..., None]
+    ramp = 2 * np.pi * cfo * np.arange(k) / k  # (..., K)
+    common = 2 * np.pi * cfo * np.arange(1, cfg.n_transmissions + 1) * (k + cfg.cp_length) / k
+    return np.exp(1j * (common[..., :, None] + ramp[..., None, :] + pn_phases))
+
+
+def rotate(v: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """M_g v_g = F diag(rotation_g) F^H v_g for every row of v, (..., K),
+    by FFT over the last axis; conj(rotation) applies M_g^H.
+
+    F is the unitary DFT of :func:`~hwiloc.model.dft_matrix`, so F v is
+    fft(v, norm="ortho") and F^H v its inverse: K log K work per row
+    against K^2 for a (K, K) sandwich, and none to build it.
+    """
+    from numpy import fft  # loaded on first use: the bounds sweep never needs it
+
+    return fft.fft(rotation * fft.ifft(v, norm="ortho"), norm="ortho")
 
 
 def sandwich_matrices(real: ImpairmentRealization, cfg: SystemConfig) -> np.ndarray:
     """Per-transmission unitary phase-noise/CFO sandwich F E_g Xi_g F^H, (G, K, K).
 
-    E_g Xi_g is the diagonal time-domain rotation exp(1j*(common_g + ramp +
-    pn_g)): the CFO ramp 2*pi*cfo*k/K over samples k = 0 .. K-1, the common
-    CFO phase 2*pi*cfo*g*(K + K_cp)/K accumulated over the g previous
-    symbols and their cyclic prefixes (g is 1-based), and the phase noise.
+    E_g Xi_g is the diagonal time-domain rotation of :func:`phase_rotations`.
     Each slice is unitary and preserves per-transmission energy.
+    :func:`rotate` applies the same operator without building it.
 
-    The (G, K) rotations are built at once, then one (K, K) product per
-    transmission: one stacked (G, K, K) product ran slower at K = 100 and
-    needed a second (G, K, K) buffer.
+    One (K, K) product per transmission: one stacked (G, K, K) product ran
+    slower at K = 100 and needed a second (G, K, K) buffer.
     """
     k = cfg.n_subcarriers
     f = dft_matrix(k)
     fh = f.conj().T
-    ramp = 2 * np.pi * real.cfo * np.arange(k) / k
-    common = 2 * np.pi * real.cfo * np.arange(1, cfg.n_transmissions + 1) * (k + cfg.cp_length) / k
-    rotation = np.exp(1j * (common[:, None] + ramp + real.pn_phases))
+    rotation = phase_rotations(real.cfo, real.pn_phases, cfg)
     out = np.empty((cfg.n_transmissions, k, k), dtype=complex)
     for g, diag in enumerate(rotation):
         np.matmul(f * diag, fh, out=out[g])
@@ -104,7 +136,7 @@ class ProjectionModel:
 
     Holds the combiners W, the coupling C, the effective pilots x~ and,
     for the impaired chain, the realization whose phase noise and CFO make
-    up the sandwich (None for the clean chain). It gives the mean, the
+    up the rotation M_g (None for the clean chain). It gives the mean, the
     pulled observation, the projection objective on a grid
     (:meth:`objective_grid`), and the factor derivatives (:meth:`factors`)
     that the derivatives of the mean in :mod:`hwiloc.bounds` build on. What
@@ -149,18 +181,27 @@ class ProjectionModel:
     ) -> "ProjectionModel":
         """The hardware's model for one realization.
 
-        sent is the block's pilots after the PA, transmit_pilots(block, imp,
-        cfg), where the caller already holds them: they depend on the block
+        sent is the block's pilots after the PA, transmit_pilots(block.symbols,
+        imp, cfg), where the caller already holds them: they depend on the block
         and the amplifier only, so realizations of one block share them.
         """
         if sent is None:
-            sent = transmit_pilots(block, imp, cfg)
+            sent = transmit_pilots(block.symbols, imp, cfg)
         c_full = mc_matrix(imp.coupling, real.mc_residual, cfg.n_antennas)
         return ProjectionModel(cfg, block.combiners, c_full, sent, real)
 
     @cached_property
+    def rotation(self) -> np.ndarray | None:
+        """The (G, K) phase-noise/CFO rotation of :func:`phase_rotations`,
+        built on first use; None if clean."""
+        if self.realization is None:
+            return None
+        return phase_rotations(self.realization.cfo, self.realization.pn_phases, self.cfg)
+
+    @cached_property
     def sandwich(self) -> np.ndarray | None:
-        """The dense (G, K, K) sandwich, built on first use; None if clean."""
+        """The dense (G, K, K) sandwich, built on first use; None if clean.
+        Only :meth:`eta` reads it."""
         if self.realization is None:
             return None
         return sandwich_matrices(self.realization, self.cfg)
@@ -176,6 +217,12 @@ class ProjectionModel:
         v = b[:, None] * (d[None, :] * self.eff_pilots)
         if self.sandwich is None:
             return v
+        # The impaired mean is the bounds' ybar, and the benchmark's lb
+        # reference encodes where the pseudo-true descent stalls on it:
+        # rotate(v, self.rotation) moves full.cfg lb rows by up to 4.42e-6,
+        # past that reference's 1e-6 gate. The dense sandwich stays here
+        # until the reference is regenerated from a converged fit (ROADMAP
+        # item 1).
         return np.einsum("gij,gj->gi", self.sandwich, v)
 
     def mean(self, theta: ChannelParams) -> np.ndarray:
@@ -185,35 +232,19 @@ class ProjectionModel:
     # -- objective machinery ------------------------------------------------
 
     def pulled_observation(self, y: np.ndarray) -> np.ndarray:
-        """Pull the unitary sandwich onto the observation: u_g = M_g^H y_g."""
+        """Pull the unitary rotation onto the observation: u_g = M_g^H y_g,
+        by FFT (:func:`rotate`)."""
         y = np.asarray(y, dtype=complex)
-        if self.sandwich is None:
+        if self.rotation is None:
             return y
-        return np.einsum("gji,gj->gi", np.conj(self.sandwich), y)
+        return rotate(y, np.conj(self.rotation))
 
     def objective_grid(self, u: np.ndarray, grid: "ScanGrid") -> np.ndarray:
-        """Projection objective on the (angle, range) grid, shape (n_a, n_r).
-
-        u is the pulled observation. Uses the separable structure: the
-        captured energy is |s|^2 / den with s(aoa, r) = sum_g conj(b_g)
-        sum_k w_{g,k} conj(d_k(r)), w = conj(x~) * u, and den(aoa) = sum_g
-        |b_g|^2 ||x~_g||^2; where den is not positive nothing is captured.
-
-        s is contracted over subcarriers first, b^H (w conj(D)): G n_r (K +
-        n_a) complex multiply-adds against n_a K (G + n_r) for (b^H w)
-        conj(D), as there are fewer transmissions and ranges than angles and
-        subcarriers (desk.cfg: 21,300 against 144,800). The order moves the
-        values by rounding only; :meth:`FitData.objective` keeps the other.
-        """
-        b = self.row_matrix @ grid.steering  # (G, n_a)
-        w = np.conj(self.eff_pilots) * u  # (G, K)
-        s = b.conj().T @ (w @ grid.delay_conj)  # (n_a, n_r)
-        den = (np.abs(b) ** 2).T @ self.pilot_energies  # (n_a,)
-        inv = np.zeros_like(den)
-        np.divide(1.0, den, out=inv, where=den > 0)
-        out = s.real**2 + s.imag**2
-        out *= inv[:, None]
-        return np.subtract(np.vdot(u, u).real, out, out=out)
+        """Projection objective of the pulled observation u on the (angle,
+        range) grid, shape (n_a, n_r): :meth:`ScanGrid.objective` with this
+        model's rows and pilots."""
+        w = np.conj(self.eff_pilots) * u
+        return grid.objective(self.row_matrix, self.pilot_energies, w, np.vdot(u, u).real)
 
     def factors(self, aoa: float, delay: float) -> tuple[np.ndarray, np.ndarray]:
         """The mean's factors and their derivatives: the row gains [b, b', b'']
@@ -251,13 +282,41 @@ class ScanGrid:
             np.exp(2j * np.pi * cfg.subcarrier_spacing_hz * np.outer(k, tau)),
         )
 
+    def objective(
+        self, rows: np.ndarray, energies: np.ndarray, w: np.ndarray, yy: float
+    ) -> np.ndarray:
+        """Projection objective of one pulled observation u on the grid,
+        shape (n_a, n_r), from what a slot of :class:`FitData` keeps: the
+        row matrix W C, (G, N), the pilot energies ||x~_g||^2, (G,), w =
+        conj(x~) * u, (G, K), and ||u||^2.
+
+        Uses the separable structure: the captured energy is |s|^2 / den
+        with s(aoa, r) = sum_g conj(b_g) sum_k w_{g,k} conj(d_k(r)) and
+        den(aoa) = sum_g |b_g|^2 ||x~_g||^2; where den is not positive
+        nothing is captured.
+
+        s is contracted over subcarriers first, b^H (w conj(D)): G n_r (K +
+        n_a) complex multiply-adds against n_a K (G + n_r) for (b^H w)
+        conj(D), as there are fewer transmissions and ranges than angles and
+        subcarriers (desk.cfg: 21,300 against 144,800). The order moves the
+        values by rounding only; :meth:`FitData.objective` keeps the other.
+        """
+        b = rows @ self.steering  # (G, n_a)
+        s = b.conj().T @ (w @ self.delay_conj)  # (n_a, n_r)
+        den = (np.abs(b) ** 2).T @ energies  # (n_a,)
+        inv = np.zeros_like(den)
+        np.divide(1.0, den, out=inv, where=den > 0)
+        out = s.real**2 + s.imag**2
+        out *= inv[:, None]
+        return np.subtract(yy, out, out=out)
+
 
 @dataclass
 class FitData:
     """Pulled observations u reduced to what the projection objective reads
     at any position, stacked over T fits: the row matrix W C and the pilot
     energies ||x~_g||^2 of the model each is fitted with, w = conj(x~) * u
-    and ||u||^2. The sandwich is not kept: it acted once, when u was pulled,
+    and ||u||^2. The rotation is not kept: it acted once, when u was pulled,
     so T of these weigh a few rows each, not T models.
     """
 
@@ -281,12 +340,16 @@ class FitData:
             cfg.subcarrier_spacing_hz,
         )
 
-    def put(self, index: int, model: ProjectionModel, u: np.ndarray) -> None:
-        """Fill slot index with the pulled observation u, fitted with model."""
-        self.rows[index] = model.row_matrix
-        self.energies[index] = model.pilot_energies
-        np.multiply(np.conj(model.eff_pilots), u, out=self.w[index])
-        self.yy[index] = np.vdot(u, u).real
+    def put(self, start: int, rows: np.ndarray, pilots: np.ndarray, u: np.ndarray) -> None:
+        """Fill the n slots from start with the pulled observations u, (n,
+        G, K), each fitted with its row matrix W C, (n, G, N), and pilots
+        x~, (n, G, K); rows or pilots of shape (G, N) or (G, K) serve all n.
+        """
+        index = slice(start, start + len(u))
+        self.rows[index] = rows
+        self.energies[index] = np.sum(np.abs(pilots) ** 2, axis=-1)
+        np.multiply(np.conj(pilots), u, out=self.w[index])
+        self.yy[index] = [np.vdot(v, v).real for v in u]
 
     def take(self, index: np.ndarray) -> "FitData":
         """The fits selected by an index or mask array."""
@@ -364,6 +427,26 @@ class FitData:
         return np.array([e, e_a, p_r / den, e_aa, e_ar, p_rr / den])
 
 
+def impaired_means(
+    theta: ChannelParams,
+    cfg: SystemConfig,
+    rows: np.ndarray,
+    sent: np.ndarray,
+    rotations: np.ndarray,
+) -> np.ndarray:
+    """Noise-free impaired means at theta of n stacked draws, (n, G, K):
+    alpha * M_g(b_g * d * x~_g) with b = W C a(aoa) from each draw's row
+    matrix W C, (n, G, N), its pilots after the PA x~, (n, G, K) or (G, K)
+    shared, and its rotations, (n, G, K), applied by :func:`rotate`.
+
+    The mean of :meth:`ProjectionModel.mean` for each draw, up to rounding:
+    b is one product (W C) a, not W (C a), and M_g acts by FFT.
+    """
+    b = rows @ steering_vector(theta.aoa, rows.shape[-1])  # (n, G)
+    d = delay_vector(theta.delay, cfg.n_subcarriers, cfg.subcarrier_spacing_hz)
+    return theta.gain * rotate(b[..., None] * (d * sent), rotations)
+
+
 def mu_m1(
     theta: ChannelParams,
     cfg: SystemConfig,
@@ -373,6 +456,13 @@ def mu_m1(
 ) -> np.ndarray:
     """Impaired-chain mean, (G, K), of one realization."""
     return ProjectionModel.impaired(cfg, block, imp, real).mean(theta)
+
+
+def unit_noise(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian samples whose real and imaginary parts are each
+    N(0, 1), drawn real parts first: :func:`observe` scales them by
+    sigma_n / sqrt(2)."""
+    return rng.normal(0.0, 1.0, shape) + 1j * rng.normal(0.0, 1.0, shape)
 
 
 def observe(mu: np.ndarray, sigma_n: float, rng: np.random.Generator) -> np.ndarray:
@@ -386,5 +476,4 @@ def observe(mu: np.ndarray, sigma_n: float, rng: np.random.Generator) -> np.ndar
     mu = np.asarray(mu, dtype=complex)
     if sigma_n == 0:
         return mu.copy()
-    noise = rng.normal(0.0, 1.0, mu.shape) + 1j * rng.normal(0.0, 1.0, mu.shape)
-    return mu + (sigma_n / np.sqrt(2.0)) * noise
+    return mu + (sigma_n / np.sqrt(2.0)) * unit_noise(mu.shape, rng)

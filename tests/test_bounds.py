@@ -424,7 +424,7 @@ def test_numeric_fim_matches_oracle_with_all_impairments():
     real = sample_realization(imp, cfg, np.random.default_rng(5))
     # every impairment is active: nonlinear PA, phase noise, CFO, residual
     assert not imp.pa_is_linear
-    assert np.abs(transmit_pilots(block, imp, cfg) - block.symbols).max() > 1e-3
+    assert np.abs(transmit_pilots(block.symbols, imp, cfg) - block.symbols).max() > 1e-3
     assert np.abs(real.pn_phases).max() > 0 and real.cfo != 0
     assert np.abs(real.mc_residual).max() > 0
     closed = fim_m1_numeric(theta, ProjectionModel.impaired(cfg, block, imp, real), sigma)

@@ -51,7 +51,7 @@ def true_state(cfg, pos=(3.0, 2.0), phase=0.3):
 def fit_data(model, u):
     """FitData of the one pulled observation u, fitted with model."""
     data = FitData.empty(model.cfg, 1)
-    data.put(0, model, u)
+    data.put(0, model.row_matrix, model.eff_pilots, np.asarray(u)[None])
     return data
 
 
@@ -301,7 +301,7 @@ def test_grid_search_recovers_grid_node():
         aoa=aoa, delay=rng_m / SPEED_OF_LIGHT, gain_amp=1e-4, gain_phase=0.1
     )
     y = ProjectionModel.clean(cfg, blk).mean(th)
-    p0, obj0 = grid_search(y, ProjectionModel.clean(cfg, blk), scan_grid(cfg, est))
+    p0, obj0 = grid_search(fit_data(ProjectionModel.clean(cfg, blk), y), 0, scan_grid(cfg, est))
     assert np.allclose(p0, rng_m * np.array([np.cos(aoa), np.sin(aoa)]), atol=1e-9)
     assert obj0 == pytest.approx(0.0, abs=1e-12 * np.vdot(y, y).real)
 
@@ -314,7 +314,7 @@ def test_grid_search_matches_brute_force_argmin():
     y = observe(ProjectionModel.clean(cfg, blk).mean(th), 5e-6, np.random.default_rng(11))
     model = ProjectionModel.clean(cfg, blk)
     grid = scan_grid(cfg, est)
-    p0, _ = grid_search(y, model, grid)
+    p0, _ = grid_search(fit_data(model, y), 0, grid)
     best, best_p = np.inf, None
     for a in est.grid_angles():
         for r in grid.ranges_m:
@@ -332,7 +332,7 @@ def test_grid_search_tie_breaks_to_lowest_angle_index():
     th = ChannelParams(aoa=0.0, delay=2e-8, gain_amp=1e-4, gain_phase=0.0)
     y = ProjectionModel.clean(cfg, blk).mean(th)
     est = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15)
-    p0, _ = grid_search(y, ProjectionModel.clean(cfg, blk), scan_grid(cfg, est))
+    p0, _ = grid_search(fit_data(ProjectionModel.clean(cfg, blk), y), 0, scan_grid(cfg, est))
     aoa0 = float(np.arctan2(p0[1], p0[0]))
     assert aoa0 == pytest.approx(est.grid_angles()[0])
 
@@ -361,7 +361,7 @@ def test_refine_improves_on_grid_point():
     y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     est = EstimatorConfig()
-    p0, obj0 = grid_search(y, model, scan_grid(cfg, est))
+    p0, obj0 = grid_search(fit_data(model, y), 0, scan_grid(cfg, est))
     p_hat, obj, stop, _ = refine_one(y, model, p0, est)
     assert stop in CONVERGED_STOPS
     assert obj <= obj0 + 1e-15
@@ -376,7 +376,7 @@ def test_refine_noise_free_reaches_truth():
     y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     est = EstimatorConfig()
-    p0, _ = grid_search(y, model, scan_grid(cfg, est))
+    p0, _ = grid_search(fit_data(model, y), 0, scan_grid(cfg, est))
     p_hat, obj, stop, _ = refine_one(y, model, p0, est)
     assert stop in CONVERGED_STOPS
     assert np.linalg.norm(p_hat - p_true) < 1e-4

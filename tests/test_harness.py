@@ -38,7 +38,7 @@ from hwiloc.harness import (
 )
 from hwiloc.impairments import ImpairmentConfig, sample_realization
 from hwiloc.model import ConfigError, SystemConfig, geometric_params, noise_std
-from hwiloc.observation import ProjectionModel
+from hwiloc.observation import ProjectionModel, observe
 
 DESK_OVERRIDES = {
     "n_antennas": "10",
@@ -522,18 +522,19 @@ def test_estimator_trials_log_one_stop_count_line_per_point(monkeypatch, caplog)
 
 
 def test_estimator_trials_numeric_error_fails_one_trial_only(monkeypatch, caplog):
-    # the third scan of the point (trial 1 of the mismatched fit) fails;
-    # the other trials of both estimators still fit and count
+    # the second scan of the point (trial 1 of the mismatched fit, which
+    # scans its trials of a chunk before the matched fit does) fails; the
+    # other trials of both estimators still fit and count
     real_scan = hwiloc.estimation.grid_search
     calls = []
 
-    def third_fails(*args, **kwargs):
+    def second_fails(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise NumericError("synthetic failure")
         return real_scan(*args, **kwargs)
 
-    monkeypatch.setattr("hwiloc.estimation.grid_search", third_fails)
+    monkeypatch.setattr("hwiloc.estimation.grid_search", second_fails)
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     spec = desk_spec(outputs="mmle_rmse,mle_m1_rmse", sweep_values="30")
     with caplog.at_level(logging.DEBUG, logger="hwiloc.harness"):
@@ -572,9 +573,12 @@ def test_point_fit_matches_one_observation_estimators(
 ):
     """The per-point fit gives each trial the stop, iteration count and
     position (within 1e-9 m) that mmle_m2 and mle_m1 give it alone, on
-    desk.cfg draws. Trial 2 observes nothing, so both its fits end in a
-    NumericError, and only its fits."""
+    desk.cfg draws in chunks of 4 trials. Each trial's observation is read
+    from the stacked draw; it matches the trial's impaired model plus the
+    noise that observe draws from the trial's generator. Trial 2 observes
+    nothing, so both its fits end in a NumericError, and only its fits."""
     monkeypatch.setattr("hwiloc.estimation.MAX_BACKTRACKS", backtracks)
+    monkeypatch.setattr("hwiloc.harness.TRIAL_CHUNK", 4)
     desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
     keys = parse_config_text(desk.read_text(encoding="utf-8"))
     keys.update(sweep_axis=axis, sweep_values=repr(value), n_trials="10")
@@ -582,17 +586,21 @@ def test_point_fit_matches_one_observation_estimators(
     sys_cfg, imp = apply_sweep_value(spec, value)
     est = EstimatorConfig(max_iterations=max_iterations)
     blank = 2
-    real_observe = hwiloc.harness.observe
+    real_observe = hwiloc.harness._observe_trials
     observed = []
 
-    def observe_with_blank(mu, sigma, rng):
-        y = real_observe(mu, sigma, rng)
-        observed.append(y)
-        return 0.0 * y if len(observed) == blank + 1 else y
+    def observe_with_blank(*args):
+        trials = real_observe(*args)
+        observed.extend(trials.y.copy())
+        index = args[-1]
+        if blank in index:
+            trials.y[index.index(blank)] = 0.0
+        return trials
 
-    monkeypatch.setattr("hwiloc.harness.observe", observe_with_blank)
+    monkeypatch.setattr("hwiloc.harness._observe_trials", observe_with_blank)
     metrics = ["mmle_rmse", "mle_m1_rmse"]
     fits = hwiloc.harness._fit_point(spec, sys_cfg, imp, metrics, est)
+    assert len(observed) == spec.n_trials
 
     theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
     shared = hwiloc.harness._shared_models(spec, sys_cfg, imp)
@@ -600,8 +608,9 @@ def test_point_fit_matches_one_observation_estimators(
         rng, clean, impaired = hwiloc.harness._draw(
             spec, sys_cfg, imp, shared, t, hwiloc.harness._TRIAL_STREAM
         )
-        y = real_observe(impaired.mean(theta), noise_std(sys_cfg), rng)
-        npt.assert_array_equal(y, observed[t])
+        y = observed[t]
+        alone = observe(impaired.mean(theta), noise_std(sys_cfg), rng)
+        assert np.abs(y - alone).max() <= 1e-12 * np.abs(alone).max()
         if t == blank:
             y = 0.0 * y
         for m in metrics:
@@ -638,6 +647,28 @@ def test_draws_of_a_point_share_its_pilots_after_the_pa():
         npt.assert_array_equal(
             impaired.mean(theta), ProjectionModel.impaired(sys_cfg, block, imp, real).mean(theta)
         )
+
+
+@pytest.mark.parametrize("axis, values", [("tx_power_dbm", "10,30"), ("pa", "0,1")])
+def test_estimator_trials_do_not_depend_on_the_chunk_size(monkeypatch, axis, values):
+    """Chunks of 1 and 3 trials give the fits of the default chunk bit for
+    bit, and so the same CSV bytes; 7 trials leave a partial last chunk."""
+    spec = desk_spec(
+        outputs="mmle_rmse,mle_m1_rmse", sweep_axis=axis, sweep_values=values, n_trials="7"
+    )
+    sys_cfg, imp = apply_sweep_value(spec, spec.sweep_values[1])
+    metrics = ["mmle_rmse", "mle_m1_rmse"]
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    csv = rows_to_csv(run_estimator_trials(spec))
+    fits = hwiloc.harness._fit_point(spec, sys_cfg, imp, metrics, EstimatorConfig())
+    assert hwiloc.harness.TRIAL_CHUNK >= spec.n_trials
+    for size in (1, 3):
+        monkeypatch.setattr("hwiloc.harness.TRIAL_CHUNK", size)
+        assert rows_to_csv(run_estimator_trials(spec)) == csv
+        chunked = hwiloc.harness._fit_point(spec, sys_cfg, imp, metrics, EstimatorConfig())
+        for m in metrics:
+            for name in ("positions", "stops", "n_iterations", "starts"):
+                npt.assert_array_equal(getattr(chunked[m], name), getattr(fits[m], name))
 
 
 @pytest.mark.parametrize("axis, values", [("tx_power_dbm", "10,30"), ("pa", "0,1")])
@@ -800,7 +831,16 @@ def test_cli_lb_failure_drops_the_draw_from_lb_only(tmp_path, monkeypatch, caplo
     assert realizations("crb_m2") == {10}
     assert realizations("crb_m1") == {10}
     assert min(realizations("lb")) < 10
-    assert "lb failed: curvature matrix A is singular" in caplog.text
+    # one line per point with failures, counting them by reason
+    lines = [r.getMessage() for r in caplog.records if "failed for" in r.getMessage()]
+    lb = {float(r[0]): int(r[5]) for r in rows if r[1] == "lb_deb"}
+    expected = [
+        f"bounds: sweep value {v!r} lb failed for {10 - n} of 10 realizations: "
+        f"curvature matrix A is singular={10 - n}"
+        for v, n in sorted(lb.items())
+        if n < 10
+    ]
+    assert lines == expected
 
 
 @pytest.mark.parametrize(
@@ -992,13 +1032,21 @@ def _assert_csv_values_positive(path: Path) -> None:
 @pytest.mark.parametrize("key", ["n_transmissions", "n_subcarriers"])
 def test_cli_bounds_unidentifiable_parameter_is_infinite(tmp_path, monkeypatch, key):
     # one transmission leaves the angle unidentifiable, one subcarrier the
-    # delay: the affected bounds are inf, never NaN or a clipped zero
+    # delay: every row of the affected scalars, and of the position bound,
+    # is inf in every family, never NaN, a clipped zero or the finite
+    # diagonal of a numerically singular inverse
+    flat = {"n_transmissions": ("aeb", "peb"), "n_subcarriers": ("deb", "peb")}[key]
     cfg = _desk_cfg(tmp_path, **{key: "1"}, n_realizations="2", sweep_values="0,20")
     out = tmp_path / "r.csv"
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
     _assert_csv_values_positive(out)
-    assert ",inf," in out.read_text(encoding="utf-8")
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    affected = [r for r in rows if r[1].rsplit("_", 1)[1] in flat]
+    families = {r[1].rsplit("_", 1)[0] for r in affected}
+    assert families == {"crb_m2", "crb_m1", "lb"}
+    assert len(affected) == 2 * 3 * len(flat) * 3  # points, families, scalars, statistics
+    assert {r[3] for r in affected} == {"inf"}
 
 
 @st.composite
@@ -1083,21 +1131,27 @@ def test_benchmark_tracer_finds_every_layer(tmp_path, monkeypatch):
     # form, is not called
     bounds = Counter(t.names[:first])
     assert bounds["bounds.pseudo_true"] == 2
-    # the estimate run draws each observation from the trial's impaired
-    # model and fits all trials of a point in one batch per estimator: it
-    # never calls mu_m1 or the one-observation estimators, and nothing else does
+    # the estimate run draws a point's trials as stacked arrays, observes
+    # and pulls them by FFT and fits all trials of a point in one batch per
+    # estimator: it never calls mu_m1, observe or the one-observation
+    # estimators, and nothing else does
     skipped = (
-        "observation.mu_m1", "estimation.mmle_m2", "estimation.mle_m1", "bounds.lb_report"
+        "observation.mu_m1",
+        "observation.observe",
+        "estimation.mmle_m2",
+        "estimation.mle_m1",
+        "bounds.lb_report",
     )
     estimate = Counter(t.names[first:])
     assert {name: bounds[name] + estimate[name] for name in skipped} == dict.fromkeys(skipped, 0)
     assert [n for n in tracer.SPAN_TARGETS if n not in t.names and n not in skipped] == []
-    assert t.counts[tracer.OBJECTIVE] > 0
+    # the scans read slots of the batch's FitData, not a model per trial
+    assert t.counts[tracer.OBJECTIVE] == 0
     # one PA pass per point (2 points), its pilots shared by the point's
-    # trials; one impaired model per trial (2 points x 3 trials), one scan
-    # per trial and estimator, one Newton fit per point and estimator
+    # trials; no model and no dense sandwich per trial; one scan per trial
+    # and estimator, one Newton fit per point and estimator
     assert estimate["observation.transmit_pilots"] == 2
-    assert estimate["observation.sandwich_matrices"] == 6
+    assert estimate["observation.sandwich_matrices"] == 0
     assert estimate["estimation.grid_search"] == 12
     assert estimate["estimation.refine"] == 4
 

@@ -6,12 +6,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hwiloc.impairments import ImpairmentConfig, ImpairmentRealization, sample_realization
+from hwiloc.impairments import (
+    ImpairmentConfig,
+    ImpairmentRealization,
+    mc_matrix,
+    sample_realization,
+)
 from hwiloc.model import ChannelParams, PilotBlock, SystemConfig, dft_matrix
 from hwiloc.observation import (
     ProjectionModel,
+    impaired_means,
     mu_m1,
     observe,
+    phase_rotations,
+    rotate,
     sandwich_matrices,
     transmit_pilots,
 )
@@ -140,6 +148,49 @@ def test_sandwich_matrices_match_per_row_loop_bitwise(g, k, cp):
         assert np.array_equal(out[row], (f * diag[None, :]) @ f.conj().T)
 
 
+@pytest.mark.parametrize("g, k, cp", [(5, 32, 7), (10, 100, 7)])
+def test_rotate_applies_the_dense_sandwich(g, k, cp):
+    """The FFT operator M v matches the dense sandwich's product within
+    1e-12 relative, at desk.cfg and full.cfg shapes, and its adjoint (the
+    conjugate rotation) undoes it within 1e-12."""
+    cfg = SystemConfig(n_antennas=2, n_transmissions=g, n_subcarriers=k, cp_length=cp)
+    imp = replace(ImpairmentConfig(), sigma_cfo=0.05)
+    real = sample_realization(imp, cfg, np.random.default_rng(21))
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal((g, k)) + 1j * rng.standard_normal((g, k))
+    rotation = phase_rotations(real.cfo, real.pn_phases, cfg)
+    dense = np.einsum("gij,gj->gi", sandwich_matrices(real, cfg), v)
+    mv = rotate(v, rotation)
+    assert np.abs(mv - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.abs(rotate(mv, np.conj(rotation)) - v).max() <= 1e-12 * np.abs(v).max()
+
+
+def test_stacked_draws_match_one_draw_at_a_time():
+    """Rotations and rotated rows of n stacked realizations are, bit for
+    bit, those of each realization alone; their impaired means match each
+    realization's model within 1e-12 relative."""
+    cfg = SystemConfig(n_antennas=4, n_transmissions=5, n_subcarriers=32, cp_length=7)
+    imp = replace(ImpairmentConfig(), sigma_cfo=0.05)
+    blk = PilotBlock.from_config(cfg)
+    th = ChannelParams(aoa=0.4, delay=1.2e-8, gain_amp=2e-4, gain_phase=0.3)
+    reals = [sample_realization(imp, cfg, np.random.default_rng(s)) for s in range(3)]
+    cfo = np.array([r.cfo for r in reals])
+    pn = np.array([r.pn_phases for r in reals])
+    rotations = phase_rotations(cfo, pn, cfg)
+    v = np.random.default_rng(5).standard_normal((3, 5, 32)) + 0j
+    rotated = rotate(v, rotations)
+    rows = blk.combiners @ mc_matrix(imp.coupling, np.array([r.mc_residual for r in reals]), 4)
+    sent = transmit_pilots(blk.symbols, imp, cfg)
+    means = impaired_means(th, cfg, rows, sent, rotations)
+    for i, real in enumerate(reals):
+        assert np.array_equal(rotations[i], phase_rotations(real.cfo, real.pn_phases, cfg))
+        assert np.array_equal(rotated[i], rotate(v[i], rotations[i]))
+        model = ProjectionModel.impaired(cfg, blk, imp, real)
+        assert np.array_equal(rows[i], model.row_matrix)
+        expect = model.mean(th)
+        assert np.abs(means[i] - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 def test_pn_cfo_preserve_per_transmission_energy():
     cfg = SystemConfig(n_antennas=4, n_transmissions=3, n_subcarriers=16)
     blk = PilotBlock.from_config(cfg)
@@ -156,14 +207,14 @@ def test_pn_cfo_preserve_per_transmission_energy():
 def test_transmit_pilots_linear_pa_passthrough():
     cfg = SystemConfig(n_antennas=2, n_transmissions=2, n_subcarriers=8)
     blk = PilotBlock.from_config(cfg)
-    out = transmit_pilots(blk, ImpairmentConfig.neutral(), cfg)
+    out = transmit_pilots(blk.symbols, ImpairmentConfig.neutral(), cfg)
     assert np.array_equal(out, blk.symbols)
 
 
 def test_transmit_pilots_nonlinear_pa_changes_spectrum():
     cfg = SystemConfig(n_antennas=2, n_transmissions=1, n_subcarriers=16, tx_power_dbm=40.0)
     blk = PilotBlock.from_config(cfg)
-    out = transmit_pilots(blk, ImpairmentConfig(), cfg)
+    out = transmit_pilots(blk.symbols, ImpairmentConfig(), cfg)
     assert out.shape == blk.symbols.shape
     assert not np.allclose(out, blk.symbols, rtol=1e-3)
 
