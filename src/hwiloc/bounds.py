@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimation import GRAD_TOLERANCE, INITIAL_STEP_M, Fits, NumericError, fitted_params
-from .model import SPEED_OF_LIGHT, ChannelParams, params_to_state
+from .model import SPEED_OF_LIGHT, ChannelParams, SystemConfig, params_to_state
 from .observation import FitData, ProjectionModel
 
 N_PARAMS = 4
@@ -199,35 +199,65 @@ def root_bound(v: float) -> float:
     return float(np.sqrt(v)) if np.isfinite(v) and v > 0.0 else np.inf
 
 
-def scalar_bounds(info: np.ndarray, crb: np.ndarray | None) -> tuple[float, float, float]:
+def flat_scalars(cfg: SystemConfig) -> set[str]:
+    """The bound scalars that the link cfg cannot identify. With one antenna
+    or one transmission the projection objective is flat in angle (the row
+    gain |b_g|^2 cancels between the captured energy and its norm): aeb and
+    peb. With one subcarrier it is flat in range (|d_1| = 1): deb and peb.
+    The FIM of such a link is singular in exact arithmetic."""
+    flat = set()
+    if min(cfg.n_antennas, cfg.n_transmissions) < 2:
+        flat |= {"aeb", "peb"}
+    if cfg.n_subcarriers < 2:
+        flat |= {"deb", "peb"}
+    return flat
+
+
+def scalar_bounds(
+    info: np.ndarray, crb: np.ndarray | None, flat: Sequence[int] = ()
+) -> tuple[float, float, float]:
     """Root bounds (aeb rad, deb s, peb m): AEB/DEB from the
     channel-coordinate bound, PEB from the state one.
 
-    A singular information matrix means some component is unidentifiable;
-    the affected scalars come out infinite (see :func:`root_bound`) rather
-    than raising.
+    The channel coordinates in flat (0 the angle, 1 the delay) are left
+    out: their rows and columns are dropped before info is inverted, and
+    their scalars are inf. A singular information matrix means some
+    component is unidentifiable; the affected scalars come out infinite
+    (see :func:`root_bound`) rather than raising.
     """
+    keep = [i for i in range(N_PARAMS) if i not in flat]
+    var = np.full(N_PARAMS, np.inf)
     try:
-        cov = np.linalg.inv(info)
-        aeb, deb = root_bound(cov[0, 0]), root_bound(cov[1, 1])
+        var[keep] = np.linalg.inv(info[keep][:, keep]).diagonal()
+        aeb, deb = root_bound(var[0]), root_bound(var[1])
     except np.linalg.LinAlgError:
         aeb = deb = np.inf
     peb = root_bound(np.trace(crb[:2, :2])) if crb is not None else np.inf
     return aeb, deb, peb
 
 
-def _crb_report(info: np.ndarray, theta: ChannelParams) -> BoundsReport:
-    """Matched-bound report from a channel-coordinate FIM at theta."""
-    try:
-        crb = crb_state(info, jacobian_state(theta))
-    except NumericError:
-        crb = None
-    return BoundsReport(info, crb, *scalar_bounds(info, crb))
+def _crb_report(info: np.ndarray, theta: ChannelParams, cfg: SystemConfig) -> BoundsReport:
+    """Matched-bound report from a channel-coordinate FIM at theta on the
+    link cfg.
+
+    A coordinate that the link cannot identify (:func:`flat_scalars`) is
+    left out of the inverse, where any finite diagonal would be rounding:
+    its scalar and peb are inf. Its derivative of the mean is a complex
+    multiple of the mean, which the gain pair absorbs, so leaving it out
+    does not change the other coordinate's bound."""
+    flat = [i for i, scalar in enumerate(("aeb", "deb")) if scalar in flat_scalars(cfg)]
+    crb = None
+    if not flat:
+        try:
+            crb = crb_state(info, jacobian_state(theta))
+        except NumericError:
+            pass
+    return BoundsReport(info, crb, *scalar_bounds(info, crb, flat))
 
 
 def crb_m2_report(theta: ChannelParams, clean: ProjectionModel, sigma_n: float) -> BoundsReport:
     """Analytic clean-model CRB report at theta."""
-    return _crb_report(fim(theta, clean, sigma_n), theta)
+    return _crb_report(fim(theta, clean, sigma_n), theta, clean.cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +275,7 @@ def fim_m1_numeric(theta: ChannelParams, impaired: ProjectionModel, sigma_n: flo
 
 def crb_m1_numeric(theta: ChannelParams, impaired: ProjectionModel, sigma_n: float) -> BoundsReport:
     """Impaired-model CRB report at theta (one realization)."""
-    return _crb_report(fim_m1_numeric(theta, impaired, sigma_n), theta)
+    return _crb_report(fim_m1_numeric(theta, impaired, sigma_n), theta, impaired.cfg)
 
 
 # ---------------------------------------------------------------------------

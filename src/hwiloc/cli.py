@@ -9,7 +9,7 @@ Subcommands:
 Shared flags: --config PATH (flat key=value file; defaults apply when
 omitted), --seed U64 (overrides master_seed), --out PATH (stdout when
 omitted), --sweep AXIS (switches the sweep axis to its default value
-list), --format csv.
+list).
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numeric failure,
 failed validation, or a run that lost a worker process or ran out of memory.
@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SWEEP_AXES,
         help=f"override sweep axis ({', '.join(SWEEP_AXES)})",
     )
-    common.add_argument("--format", choices=("csv",), default="csv", help="output format")
 
     parser = _Parser(
         prog="hwiloc",

@@ -140,16 +140,6 @@ class Fits:
             self.errors[i] = message
 
 
-def projection_objective(y: np.ndarray, eta: np.ndarray) -> float:
-    """||y||^2 minus the energy of y captured by the eta direction."""
-    y = np.asarray(y).ravel()
-    eta = np.asarray(eta).ravel()
-    ee = np.vdot(eta, eta).real
-    if ee <= 0.0:
-        raise ValueError("eta must be non-zero")
-    return float(np.vdot(y, y).real - np.abs(np.vdot(eta, y)) ** 2 / ee)
-
-
 def plug_in_gain(y: np.ndarray, eta: np.ndarray) -> complex:
     """Closed-form gain estimate eta^H y / ||eta||^2 given a position."""
     y = np.asarray(y).ravel()

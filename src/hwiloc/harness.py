@@ -5,14 +5,18 @@ the amplifier switch) across its value list. At each point the bounds
 runner draws hardware realizations and reports mean/min/max of every
 requested bound scalar across them; the trials runner draws full
 observations and reports the position RMSE of the requested estimators.
-Both build a point's pilot block, its clean model and its pilots after the
-PA once (per draw on the amplifier axis, which resamples the pilots), and
-the bounds runner takes the clean CRB once per clean model. The trials
-runner builds no model per trial: it draws each trial from its own
-generator, then takes the rotations, couplings, means, observations and
-pulled observations of TRIAL_CHUNK trials at a time as stacked arrays
-(the rotations by FFT), writes them into one batch per estimator and fits
-all trials of a point together.
+Both draw a point's hardware the same way, with one routine
+(:func:`_draws`): each draw's generator draws the draw's pilots (on the
+amplifier axis only, which resamples them) and its realization, and the
+couplings and the pilots after the PA are computed once for the stack, so
+off the amplifier axis the PA runs once per point. The bounds runner
+builds each draw's impaired model from its slot, one at a time, and the
+clean model and its CRB once per point off the amplifier axis. The trials
+runner builds no model per trial: it draws each trial's noise from the
+trial's generator, takes the rotations, means, observations and pulled
+observations of TRIAL_CHUNK trials at a time as stacked arrays (the
+rotations by FFT), writes them into one batch per estimator and fits all
+trials of a point together.
 
 Determinism: every random draw derives from
 SeedSequence((master_seed, draw_index, stream_tag)), so output is
@@ -39,7 +43,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import BoundsReport, crb_m1_numeric, crb_m2_report, mismatch_report, pseudo_true
+from .bounds import (
+    BoundsReport,
+    crb_m1_numeric,
+    crb_m2_report,
+    flat_scalars,
+    mismatch_report,
+    pseudo_true,
+)
 from .config_io import (
     BOUND_FAMILIES,
     BOUND_SCALARS,
@@ -57,7 +68,6 @@ from .estimation import (
 from .impairments import ImpairmentConfig, mc_matrix, sample_realization
 from .model import (
     SPEED_OF_LIGHT,
-    ChannelParams,
     ConfigError,
     PilotBlock,
     SystemConfig,
@@ -164,57 +174,74 @@ def apply_sweep_value(
     return sys_cfg, imp
 
 
-def _rng(master_seed: int, draw_index: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence((master_seed, draw_index, stream))
-    )
+@dataclass
+class Draws:
+    """The hardware of some draws of one sweep point as stacked arrays
+    (:func:`_draws`). Off the amplifier axis every draw has the point's
+    pilots, and pilots and sent are (G, K); on it they are (n, G, K)."""
+
+    combiners: np.ndarray  # W, (G, N)
+    pilots: np.ndarray  # as sent, the clean chain's x~
+    sent: np.ndarray  # after the PA, the impaired chain's x~
+    couplings: np.ndarray  # full couplings C, (n, N, N)
+    pn: np.ndarray  # phase-noise phases, (n, G, K)
+    cfo: np.ndarray  # (n,)
+    rngs: list[np.random.Generator]  # each positioned after its realization
+
+    def slot(self, array: np.ndarray, index: int | slice) -> np.ndarray:
+        """pilots or sent (array) of the draws at index."""
+        return array if array.ndim == 2 else array[index]
+
+    def clean(self, cfg: SystemConfig, coupling: tuple, r: int) -> ProjectionModel:
+        """Draw r's clean model."""
+        block = PilotBlock(self.slot(self.pilots, r), self.combiners)
+        return ProjectionModel.clean(cfg, block, coupling)
+
+    def impaired(self, cfg: SystemConfig, r: int) -> ProjectionModel:
+        """Draw r's impaired model, with its rotation built here: a point's
+        rotations held stacked would outweigh one model's."""
+        rotation = phase_rotations(self.cfo[r], self.pn[r], cfg)
+        return ProjectionModel(
+            cfg, self.combiners, self.couplings[r], self.slot(self.sent, r), rotation
+        )
 
 
-def _shared_models(
-    spec: ExperimentSpec, sys_cfg: SystemConfig, imp: ImpairmentConfig
-) -> tuple[PilotBlock, ProjectionModel, np.ndarray] | None:
-    """What every draw of a sweep point shares, built once per point: the
-    pilot block, its clean model and its pilots after the PA (read-only);
-    None on the amplifier axis.
-
-    The amplifier axis resamples the pilot symbols per draw (the
-    nonlinearity's effect depends on the transmitted waveform); every other
-    axis keeps the seeded pilot block fixed and varies only the hardware, and
-    the PA is deterministic in the pilots. Combiners stay fixed either way.
-    """
-    if spec.sweep_axis == "pa":
-        return None
-    block = PilotBlock.from_config(sys_cfg)
-    sent = transmit_pilots(block.symbols, imp, sys_cfg)
-    sent.flags.writeable = False
-    return block, ProjectionModel.clean(sys_cfg, block, imp.coupling), sent
-
-
-def _draw(
+def _draws(
     spec: ExperimentSpec,
     sys_cfg: SystemConfig,
     imp: ImpairmentConfig,
-    shared: tuple[PilotBlock, ProjectionModel, np.ndarray] | None,
-    index: int,
+    indices: range,
     stream: int,
-) -> tuple[np.random.Generator, ProjectionModel, ProjectionModel]:
-    """One draw: its generator and the clean and impaired models of its
-    pilot block and hardware realization (see :func:`_shared_models`).
+) -> Draws:
+    """The draws of the given indices at a sweep point, for both sweeps.
 
-    The generator is returned after the pilots and the realization have
-    been drawn from it, so noise drawn next stays in the same order.
+    Each index has its own generator, seeded by (master_seed, index,
+    stream), which draws the pilot symbols on the amplifier axis only, then
+    the realization. The amplifier axis resamples the pilots per draw (the
+    nonlinearity's effect depends on the transmitted waveform); every other
+    axis keeps the point's seeded pilot block and varies only the hardware.
+    Combiners stay fixed either way. The couplings and the pilots after the
+    PA are computed once for the stack, so off the amplifier axis the PA
+    runs once per call. The generators are returned after the realization:
+    noise drawn from them next is the noise of
+    :func:`~hwiloc.observation.observe`.
     """
-    rng = _rng(spec.master_seed, index, stream)
-    if shared is None:
-        block = PilotBlock(
-            symbols=generate_pilots(sys_cfg, rng), combiners=generate_combiners(sys_cfg)
-        )
-        clean = ProjectionModel.clean(sys_cfg, block, imp.coupling)
-        sent = None  # the draw's own pilots go through the PA in impaired()
-    else:
-        block, clean, sent = shared
-    real = sample_realization(imp, sys_cfg, rng)
-    return rng, clean, ProjectionModel.impaired(sys_cfg, block, imp, real, sent)
+    g, k, n_ant = sys_cfg.n_transmissions, sys_cfg.n_subcarriers, sys_cfg.n_antennas
+    n = len(indices)
+    resample = spec.sweep_axis == "pa"
+    pilots = np.empty((n, g, k), dtype=complex) if resample else generate_pilots(sys_cfg)
+    pn, cfo, residual = np.empty((n, g, k)), np.empty(n), np.empty((n, n_ant, n_ant))
+    rngs = []
+    for i, index in enumerate(indices):
+        rng = np.random.default_rng(np.random.SeedSequence((spec.master_seed, index, stream)))
+        if resample:
+            pilots[i] = generate_pilots(sys_cfg, rng)
+        real = sample_realization(imp, sys_cfg, rng)
+        pn[i], cfo[i], residual[i] = real.pn_phases, real.cfo, real.mc_residual
+        rngs.append(rng)
+    sent = transmit_pilots(pilots, imp, sys_cfg)
+    couplings = mc_matrix(imp.coupling, residual, n_ant)
+    return Draws(generate_combiners(sys_cfg), pilots, sent, couplings, pn, cfo, rngs)
 
 
 def _bound_scalar(family: str, scalar: str, rep: BoundsReport) -> float:
@@ -233,15 +260,16 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     """Bound rows of one sweep point. A draw whose bound fails drops out of
     that family only: each family counts its own surviving draws, and one
     WARNING line per family counts the failed draws by reason. A scalar
-    whose coordinate the link cannot identify (:func:`_flat_scalars`) is
-    inf in every family.
+    whose coordinate the link cannot identify
+    (:func:`~hwiloc.bounds.flat_scalars`) is inf in every family.
 
-    Two passes. Each draw builds its models, takes its impaired CRB and
-    keeps only its clean model and impaired mean for the misspecified bound,
-    so no impaired model (with its dense sandwich) outlives its draw. Then
-    one descent fits the pseudo-trues of all draws together, and each
-    draw's lb follows from its own and from the clean CRB, which is taken
-    once per clean model: once per point off the amplifier axis.
+    Two passes over the point's draws (:func:`_draws`). Each draw builds
+    its impaired model from its slot, takes its impaired CRB and keeps only
+    its impaired mean for the misspecified bound, so no impaired model
+    (with its dense sandwich) outlives its draw. Then one descent fits the
+    pseudo-trues of all draws together, and each draw's lb follows from its
+    own and from the clean CRB, which is taken once per clean model: once
+    per point off the amplifier axis.
     """
     value = spec.sweep_values[axis_index]
     sys_cfg, imp = apply_sweep_value(spec, value)
@@ -258,17 +286,20 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
         except NumericError as exc:
             failures[family][str(exc)] += 1
 
-    shared = _shared_models(spec, sys_cfg, imp)
+    n = spec.n_realizations
+    draws = _draws(spec, sys_cfg, imp, range(n), _REALIZATION_STREAM)
+
+    def per_draw(make) -> list:
+        # one for all draws where they share the point's pilots
+        return [make(0)] * n if draws.pilots.ndim == 2 else [make(r) for r in range(n)]
+
+    cleans = per_draw(lambda r: draws.clean(sys_cfg, imp.coupling, r))
     # the draws' impaired means in one block: one (G, K) array per draw,
     # interleaved with the sandwich builds, raised full.cfg's peak RSS by
     # about 0.2 MB
-    cleans = []
-    means = np.empty(
-        (spec.n_realizations, sys_cfg.n_transmissions, sys_cfg.n_subcarriers), dtype=complex
-    )
-    for r in range(spec.n_realizations):
-        _, clean, impaired = _draw(spec, sys_cfg, imp, shared, r, _REALIZATION_STREAM)
-        cleans.append(clean)
+    means = np.empty((n, sys_cfg.n_transmissions, sys_cfg.n_subcarriers), dtype=complex)
+    for r in range(n):
+        impaired = draws.impaired(sys_cfg, r)
         if "crb_m1" in families:
             attempt("crb_m1", crb_m1_numeric, theta, impaired, sigma)
         if "lb" in families:
@@ -280,12 +311,11 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
         logger.info(
             "bounds: sweep value %r pseudo-true stops: %s",
             value,
-            " ".join(f"{reason}={n}" for reason, n in sorted(stops.items())),
+            " ".join(f"{reason}={count}" for reason, count in sorted(stops.items())),
         )
     if "lb" in families or "crb_m2" in families:
-        shared_crb = None if shared is None else crb_m2_report(theta, shared[1], sigma)
-        for r, clean in enumerate(cleans):
-            crb = crb_m2_report(theta, clean, sigma) if shared_crb is None else shared_crb
+        crbs = per_draw(lambda r: crb_m2_report(theta, cleans[r], sigma))
+        for r, (clean, crb) in enumerate(zip(cleans, crbs)):
             if "crb_m2" in families:
                 reports["crb_m2"].append(crb)
             if "lb" in families:
@@ -301,7 +331,7 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
                 family,
                 sum(reasons.values()),
                 spec.n_realizations,
-                "; ".join(f"{reason}={n}" for reason, n in sorted(reasons.items())),
+                "; ".join(f"{reason}={count}" for reason, count in sorted(reasons.items())),
             )
     empty = [f for f in families if not reports[f]]
     if "lb" in empty:
@@ -312,15 +342,15 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
         names = ", ".join(empty)
         logger.warning("bounds: no surviving realizations for %s at %r", names, value)
         raise NumericError(f"no surviving realizations for {names} at sweep value {value!r}")
-    flat = _flat_scalars(sys_cfg)
+    flat = flat_scalars(sys_cfg)
     rows: list[ResultRow] = []
     for family in families:
         for scalar in scalars:
             metric = f"{family}_{scalar}"
             arr = np.array([_bound_scalar(family, scalar, rep) for rep in reports[family]])
-            if scalar in flat:
-                # a numerically singular matrix may still invert to finite
-                # diagonals; the coordinate is not identifiable on this link
+            if family == "lb" and scalar in flat:
+                # lb inverts its whole curvature matrix, which may round to
+                # finite diagonals where the coordinate is not identifiable
                 arr[:] = np.inf
             for stat, v in (("mean", arr.mean()), ("min", arr.min()), ("max", arr.max())):
                 rows.append(
@@ -337,63 +367,6 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     return rows
 
 
-@dataclass
-class Trials:
-    """Trials of one sweep point as stacked arrays: what both estimators
-    fit, with no model object per trial. Pilots of shape (G, K) are shared
-    by every trial (off the amplifier axis)."""
-
-    pilots: np.ndarray  # as sent, the clean chain's x~, (n, G, K) or (G, K)
-    sent: np.ndarray  # after the PA, the impaired chain's x~, likewise
-    rows: np.ndarray  # W C of each trial's full coupling, (n, G, N)
-    rotations: np.ndarray  # phase-noise/CFO rotations, (n, G, K)
-    y: np.ndarray  # observations, (n, G, K)
-
-
-def _observe_trials(
-    spec: ExperimentSpec,
-    sys_cfg: SystemConfig,
-    imp: ImpairmentConfig,
-    shared: tuple[PilotBlock, ProjectionModel, np.ndarray] | None,
-    trials: range,
-) -> Trials:
-    """The given trials of a sweep point, observed.
-
-    Each trial's generator draws what :func:`_draw` draws, in its order
-    (the pilots on the amplifier axis, then the realization), and then the
-    noise, as :func:`~hwiloc.observation.observe` draws it: a given mean
-    gives a bit-identical observation. The rest is computed once for the
-    stack: the full couplings, the rotations, the means and the
-    observations.
-    """
-    g, k, n_ant = sys_cfg.n_transmissions, sys_cfg.n_subcarriers, sys_cfg.n_antennas
-    n = len(trials)
-    if shared is None:
-        combiners = generate_combiners(sys_cfg)
-        pilots = np.empty((n, g, k), dtype=complex)
-    else:
-        block, _, sent = shared
-        combiners, pilots = block.combiners, block.symbols
-    pn, cfo = np.empty((n, g, k)), np.empty(n)
-    residual = np.empty((n, n_ant, n_ant))
-    noise = np.empty((n, g, k), dtype=complex)
-    for i, t in enumerate(trials):
-        rng = _rng(spec.master_seed, t, _TRIAL_STREAM)
-        if shared is None:
-            pilots[i] = generate_pilots(sys_cfg, rng)
-        real = sample_realization(imp, sys_cfg, rng)
-        pn[i], cfo[i], residual[i] = real.pn_phases, real.cfo, real.mc_residual
-        noise[i] = unit_noise((g, k), rng)
-    if shared is None:
-        sent = transmit_pilots(pilots, imp, sys_cfg)
-    rows = combiners @ mc_matrix(imp.coupling, residual, n_ant)
-    rotations = phase_rotations(cfo, pn, sys_cfg)
-    theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
-    mean = impaired_means(theta, sys_cfg, rows, sent, rotations)
-    y = mean + (noise_std(sys_cfg) / np.sqrt(2.0)) * noise
-    return Trials(pilots, sent, rows, rotations, y)
-
-
 def _fit_point(
     spec: ExperimentSpec,
     sys_cfg: SystemConfig,
@@ -403,25 +376,35 @@ def _fit_point(
 ) -> dict[str, Fits]:
     """Every trial of one sweep point, fitted by each requested estimator.
 
-    The trials are observed TRIAL_CHUNK at a time (:func:`_observe_trials`)
-    and each chunk joins one batch per estimator, with what that estimator
-    fits: the clean chain's rows and pilots and the observations themselves
-    for ``mmle_rmse``, each trial's impaired rows and pilots and its
-    observation pulled back through its rotation for ``mle_m1_rmse``. Then
-    each batch runs one Newton fit over all trials.
+    The point's trials are drawn once (:func:`_draws`). Then TRIAL_CHUNK
+    trials at a time get their rotations, means, noise, observations and
+    pulled observations as stacked arrays, and join one batch per
+    estimator with what that estimator fits: the clean chain's rows and
+    pilots and the observations themselves for ``mmle_rmse``, each trial's
+    impaired rows and pilots and its observation pulled back through its
+    rotation for ``mle_m1_rmse``. Then each batch runs one Newton fit over
+    all trials. A trial's observation is bit for bit the one that
+    :func:`~hwiloc.observation.observe` draws from its generator for a
+    given mean.
     """
-    shared = _shared_models(spec, sys_cfg, imp)
-    combiners = generate_combiners(sys_cfg) if shared is None else shared[0].combiners
-    clean_rows = combiners @ mc_matrix(imp.coupling, None, sys_cfg.n_antennas)
+    g, k = sys_cfg.n_transmissions, sys_cfg.n_subcarriers
+    draws = _draws(spec, sys_cfg, imp, range(spec.n_trials), _TRIAL_STREAM)
+    clean_rows = draws.combiners @ mc_matrix(imp.coupling, None, sys_cfg.n_antennas)
+    theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
+    scale = noise_std(sys_cfg) / np.sqrt(2.0)
     batches = {m: TrialBatch(sys_cfg, spec.n_trials, est) for m in metrics}
     for start in range(0, spec.n_trials, TRIAL_CHUNK):
-        trials = range(start, min(start + TRIAL_CHUNK, spec.n_trials))
-        chunk = _observe_trials(spec, sys_cfg, imp, shared, trials)
+        chunk = slice(start, start + TRIAL_CHUNK)
+        rows = draws.combiners @ draws.couplings[chunk]
+        sent = draws.slot(draws.sent, chunk)
+        rotations = phase_rotations(draws.cfo[chunk], draws.pn[chunk], sys_cfg)
+        noise = np.array([unit_noise((g, k), rng) for rng in draws.rngs[chunk]])
+        y = impaired_means(theta, sys_cfg, rows, sent, rotations) + scale * noise
         for m, batch in batches.items():
             if m == "mmle_rmse":
-                batch.add(clean_rows, chunk.pilots, chunk.y)
+                batch.add(clean_rows, draws.slot(draws.pilots, chunk), y)
             else:
-                batch.add(chunk.rows, chunk.sent, rotate(chunk.y, np.conj(chunk.rotations)))
+                batch.add(rows, sent, rotate(y, np.conj(rotations)))
     return {m: batch.fit() for m, batch in batches.items()}
 
 
@@ -496,23 +479,11 @@ def _run_points(spec: ExperimentSpec, worker) -> list[ResultRow]:
     return sort_rows([row for rows in per_point for row in rows])
 
 
-def _flat_scalars(cfg: SystemConfig) -> set[str]:
-    """The bound scalars that the link cfg cannot identify. With one antenna
-    or one transmission the projection objective is flat in angle (the row
-    gain |b_g|^2 cancels between the captured energy and its norm): aeb and
-    peb. With one subcarrier it is flat in range (|d_1| = 1): deb and peb."""
-    flat = set()
-    if min(cfg.n_antennas, cfg.n_transmissions) < 2:
-        flat |= {"aeb", "peb"}
-    if cfg.n_subcarriers < 2:
-        flat |= {"deb", "peb"}
-    return flat
-
-
 def _require_identifiable(cfg: SystemConfig, subject: str) -> None:
     """Raise ConfigError, led by subject ("the estimators need"), when the
-    link cfg cannot identify both coordinates (:func:`_flat_scalars`)."""
-    flat = _flat_scalars(cfg)
+    link cfg cannot identify both coordinates
+    (:func:`~hwiloc.bounds.flat_scalars`)."""
+    flat = flat_scalars(cfg)
     if "aeb" in flat:
         raise ConfigError(
             f"{subject} n_antennas >= 2 and n_transmissions >= 2: with one "

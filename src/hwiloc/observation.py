@@ -15,6 +15,10 @@ held by :class:`ProjectionModel`:
 * the clean chain assumed by a mismatched receiver: x~ are the pilots
   themselves, C is only the known Toeplitz coupling and M_g is the identity.
 
+Of a realization's phase noise and CFO the model reads only the diagonal
+of F^H M_g F, the (G, K) rotation of :func:`phase_rotations`, so an
+impaired model carries that rotation, not the realization: a caller that
+holds n draws as stacked arrays builds any draw's model from its slot.
 M_g and M_g^H act by FFT (:func:`rotate`) on one draw or on many stacked
 draws at once: :func:`impaired_means` gives the noise-free means of n
 realizations without a model object per draw. The dense (G, K, K) form
@@ -98,23 +102,23 @@ def rotate(v: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     return fft.fft(rotation * fft.ifft(v, norm="ortho"), norm="ortho")
 
 
-def sandwich_matrices(real: ImpairmentRealization, cfg: SystemConfig) -> np.ndarray:
-    """Per-transmission unitary phase-noise/CFO sandwich F E_g Xi_g F^H, (G, K, K).
+def sandwich_matrices(rotation: np.ndarray) -> np.ndarray:
+    """Per-transmission unitary phase-noise/CFO sandwich F E_g Xi_g F^H,
+    (G, K, K), of a (G, K) rotation of :func:`phase_rotations`.
 
-    E_g Xi_g is the diagonal time-domain rotation of :func:`phase_rotations`.
-    Each slice is unitary and preserves per-transmission energy.
-    :func:`rotate` applies the same operator without building it.
+    E_g Xi_g = diag(rotation_g). Each slice is unitary and preserves
+    per-transmission energy. :func:`rotate` applies the same operator
+    without building it.
 
     One (K, K) product per transmission: one stacked (G, K, K) product ran
     slower at K = 100 and needed a second (G, K, K) buffer.
     """
-    k = cfg.n_subcarriers
+    g, k = rotation.shape
     f = dft_matrix(k)
     fh = f.conj().T
-    rotation = phase_rotations(real.cfo, real.pn_phases, cfg)
-    out = np.empty((cfg.n_transmissions, k, k), dtype=complex)
-    for g, diag in enumerate(rotation):
-        np.matmul(f * diag, fh, out=out[g])
+    out = np.empty((g, k, k), dtype=complex)
+    for row, diag in enumerate(rotation):
+        np.matmul(f * diag, fh, out=out[row])
     return out
 
 
@@ -135,8 +139,9 @@ class ProjectionModel:
     """The factorized link model of one pilot block and one receiver chain.
 
     Holds the combiners W, the coupling C, the effective pilots x~ and,
-    for the impaired chain, the realization whose phase noise and CFO make
-    up the rotation M_g (None for the clean chain). It gives the mean, the
+    for the impaired chain, the (G, K) rotation of :func:`phase_rotations`
+    that makes up M_g (None for the clean chain): of a realization's phase
+    noise and CFO the model keeps only this rotation. It gives the mean, the
     pulled observation, the projection objective on a grid
     (:meth:`objective_grid`), and the factor derivatives (:meth:`factors`)
     that the derivatives of the mean in :mod:`hwiloc.bounds` build on. What
@@ -148,7 +153,7 @@ class ProjectionModel:
     combiners: np.ndarray  # W, (G, N)
     coupling: np.ndarray  # C, (N, N)
     eff_pilots: np.ndarray  # x~, (G, K)
-    realization: ImpairmentRealization | None = None
+    rotation: np.ndarray | None = None  # diagonal of F^H M_g F, (G, K)
     # eta and factors round as W (C a), one steering vector at a time; the
     # scans, the Newton fit and the pseudo-true descent (FitData) round as
     # (W C) a. The benchmark's lb reference was computed this way: stacking
@@ -173,38 +178,24 @@ class ProjectionModel:
 
     @staticmethod
     def impaired(
-        cfg: SystemConfig,
-        block: PilotBlock,
-        imp: ImpairmentConfig,
-        real: ImpairmentRealization,
-        sent: np.ndarray | None = None,
+        cfg: SystemConfig, block: PilotBlock, imp: ImpairmentConfig, real: ImpairmentRealization
     ) -> "ProjectionModel":
-        """The hardware's model for one realization.
-
-        sent is the block's pilots after the PA, transmit_pilots(block.symbols,
-        imp, cfg), where the caller already holds them: they depend on the block
-        and the amplifier only, so realizations of one block share them.
-        """
-        if sent is None:
-            sent = transmit_pilots(block.symbols, imp, cfg)
-        c_full = mc_matrix(imp.coupling, real.mc_residual, cfg.n_antennas)
-        return ProjectionModel(cfg, block.combiners, c_full, sent, real)
-
-    @cached_property
-    def rotation(self) -> np.ndarray | None:
-        """The (G, K) phase-noise/CFO rotation of :func:`phase_rotations`,
-        built on first use; None if clean."""
-        if self.realization is None:
-            return None
-        return phase_rotations(self.realization.cfo, self.realization.pn_phases, self.cfg)
+        """The hardware's model for one realization."""
+        return ProjectionModel(
+            cfg,
+            block.combiners,
+            mc_matrix(imp.coupling, real.mc_residual, cfg.n_antennas),
+            transmit_pilots(block.symbols, imp, cfg),
+            phase_rotations(real.cfo, real.pn_phases, cfg),
+        )
 
     @cached_property
     def sandwich(self) -> np.ndarray | None:
         """The dense (G, K, K) sandwich, built on first use; None if clean.
         Only :meth:`eta` reads it."""
-        if self.realization is None:
+        if self.rotation is None:
             return None
-        return sandwich_matrices(self.realization, self.cfg)
+        return sandwich_matrices(self.rotation)
 
     # -- model mean ---------------------------------------------------------
 

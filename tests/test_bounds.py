@@ -355,6 +355,17 @@ def test_scalar_bounds_degenerate_inputs():
     assert np.isinf(aeb) and np.isinf(deb) and np.isinf(peb)
 
 
+def test_scalar_bounds_leave_out_a_flat_coordinate():
+    # the delay's derivative is twice the phase's, so info is singular; the
+    # delay's row and column are dropped before the inverse
+    reduced = np.array([[4.0, 0.5, 1.0], [0.5, 9.0, 0.0], [1.0, 0.0, 2.0]])  # aoa, amp, phase
+    lift = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0]])
+    info = lift.T @ reduced @ lift
+    aeb, deb, peb = scalar_bounds(info, None, flat=[1])
+    npt.assert_allclose(aeb, np.sqrt(np.linalg.inv(reduced)[0, 0]), rtol=1e-15)
+    assert np.isinf(deb) and np.isinf(peb)
+
+
 def test_scalar_bounds_indefinite_matrix_gives_inf_not_nan():
     # a numerically singular inverse can carry negative diagonals: the
     # component is unidentifiable, not NaN, and no sqrt warning is raised

@@ -16,7 +16,6 @@ from hwiloc.estimation import (
     mle_m1,
     mmle_m2,
     plug_in_gain,
-    projection_objective,
     refine,
     scan_grid,
 )
@@ -30,6 +29,17 @@ from hwiloc.model import (
     state_to_params,
 )
 from hwiloc.observation import FitData, ScanGrid, mu_m1, observe
+
+
+def projection_objective(y: np.ndarray, eta: np.ndarray) -> float:
+    """The oracle of the projection objective: ||y||^2 minus the energy of
+    y captured by the eta direction."""
+    y = np.asarray(y).ravel()
+    eta = np.asarray(eta).ravel()
+    ee = np.vdot(eta, eta).real
+    if ee <= 0.0:
+        raise ValueError("eta must be non-zero")
+    return float(np.vdot(y, y).real - np.abs(np.vdot(eta, y)) ** 2 / ee)
 
 
 def desk_cfg(**kw):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import hwiloc.estimation
 import hwiloc.harness
+from hwiloc.bounds import pseudo_true
 from hwiloc.cli import main
 from hwiloc.config_io import (
     DEFAULT_SWEEP_VALUES,
@@ -37,8 +38,15 @@ from hwiloc.harness import (
     sort_rows,
 )
 from hwiloc.impairments import ImpairmentConfig, sample_realization
-from hwiloc.model import ConfigError, SystemConfig, geometric_params, noise_std
-from hwiloc.observation import ProjectionModel, observe
+from hwiloc.model import (
+    ConfigError,
+    PilotBlock,
+    SystemConfig,
+    generate_pilots,
+    geometric_params,
+    noise_std,
+)
+from hwiloc.observation import ProjectionModel, observe, transmit_pilots
 
 DESK_OVERRIDES = {
     "n_antennas": "10",
@@ -574,9 +582,10 @@ def test_point_fit_matches_one_observation_estimators(
     """The per-point fit gives each trial the stop, iteration count and
     position (within 1e-9 m) that mmle_m2 and mle_m1 give it alone, on
     desk.cfg draws in chunks of 4 trials. Each trial's observation is read
-    from the stacked draw; it matches the trial's impaired model plus the
-    noise that observe draws from the trial's generator. Trial 2 observes
-    nothing, so both its fits end in a NumericError, and only its fits."""
+    as the mismatched batch takes it; it matches the trial's impaired model
+    (from its slot of the point's draws) plus the noise that observe draws
+    from the trial's generator. Trial 2 observes nothing in either batch, so
+    both its fits end in a NumericError, and only its fits."""
     monkeypatch.setattr("hwiloc.estimation.MAX_BACKTRACKS", backtracks)
     monkeypatch.setattr("hwiloc.harness.TRIAL_CHUNK", 4)
     desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
@@ -586,30 +595,33 @@ def test_point_fit_matches_one_observation_estimators(
     sys_cfg, imp = apply_sweep_value(spec, value)
     est = EstimatorConfig(max_iterations=max_iterations)
     blank = 2
-    real_observe = hwiloc.harness._observe_trials
+    real_add = hwiloc.estimation.TrialBatch.add
+    filled = Counter()  # observations added so far, by batch
     observed = []
 
-    def observe_with_blank(*args):
-        trials = real_observe(*args)
-        observed.extend(trials.y.copy())
-        index = args[-1]
-        if blank in index:
-            trials.y[index.index(blank)] = 0.0
-        return trials
+    def add_with_blank(batch, rows, pilots, u):
+        start = filled[id(batch)]
+        filled[id(batch)] += len(u)
+        u = np.array(u)
+        if rows.ndim == 2:  # the clean chain's rows: the observations themselves
+            observed.extend(u.copy())
+        if start <= blank < start + len(u):
+            u[blank - start] = 0.0
+        real_add(batch, rows, pilots, u)
 
-    monkeypatch.setattr("hwiloc.harness._observe_trials", observe_with_blank)
+    monkeypatch.setattr(hwiloc.estimation.TrialBatch, "add", add_with_blank)
     metrics = ["mmle_rmse", "mle_m1_rmse"]
     fits = hwiloc.harness._fit_point(spec, sys_cfg, imp, metrics, est)
     assert len(observed) == spec.n_trials
+    monkeypatch.setattr(hwiloc.estimation.TrialBatch, "add", real_add)  # for the estimators
 
     theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
-    shared = hwiloc.harness._shared_models(spec, sys_cfg, imp)
+    stream = hwiloc.harness._TRIAL_STREAM
+    draws = hwiloc.harness._draws(spec, sys_cfg, imp, range(spec.n_trials), stream)
     for t in range(spec.n_trials):
-        rng, clean, impaired = hwiloc.harness._draw(
-            spec, sys_cfg, imp, shared, t, hwiloc.harness._TRIAL_STREAM
-        )
+        clean, impaired = draws.clean(sys_cfg, imp.coupling, t), draws.impaired(sys_cfg, t)
         y = observed[t]
-        alone = observe(impaired.mean(theta), noise_std(sys_cfg), rng)
+        alone = observe(impaired.mean(theta), noise_std(sys_cfg), draws.rngs[t])
         assert np.abs(y - alone).max() <= 1e-12 * np.abs(alone).max()
         if t == blank:
             y = 0.0 * y
@@ -629,24 +641,54 @@ def test_point_fit_matches_one_observation_estimators(
     assert forced in np.concatenate([fits[m].stops for m in metrics])
 
 
-def test_draws_of_a_point_share_its_pilots_after_the_pa():
-    """Off the amplifier axis the draws of a point share the PA's output,
-    built once; each draw's impaired mean is bit for bit that of its model
-    built on its own."""
-    spec = desk_spec()
-    sys_cfg, imp = apply_sweep_value(spec, 30.0)
-    theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
-    shared = hwiloc.harness._shared_models(spec, sys_cfg, imp)
-    block, _, sent = shared
-    assert not np.array_equal(sent, block.symbols)
-    stream = hwiloc.harness._TRIAL_STREAM
-    for t in range(3):
-        _, _, impaired = hwiloc.harness._draw(spec, sys_cfg, imp, shared, t, stream)
-        assert impaired.eff_pilots is sent
-        real = sample_realization(imp, sys_cfg, hwiloc.harness._rng(spec.master_seed, t, stream))
-        npt.assert_array_equal(
-            impaired.mean(theta), ProjectionModel.impaired(sys_cfg, block, imp, real).mean(theta)
-        )
+@pytest.mark.parametrize("axis, values", [("tx_power_dbm", "10,30"), ("pa", "0,1")])
+def test_bounds_draws_match_their_own_generators(monkeypatch, axis, values):
+    """Each bounds draw's impaired mean is bit for bit that of the model
+    built on its own from what its own generator draws: the pilots on the
+    amplifier axis, then the realization."""
+    spec = desk_spec(sweep_axis=axis, sweep_values=values, n_realizations="3")
+    means = []
+
+    def keep_means(theta, cleans, ybars):
+        means.append(ybars.copy())
+        return pseudo_true(theta, cleans, ybars)
+
+    monkeypatch.setattr("hwiloc.harness.pseudo_true", keep_means)
+    for i, value in enumerate(spec.sweep_values):
+        hwiloc.harness._bounds_point(spec, i)
+        sys_cfg, imp = apply_sweep_value(spec, value)
+        theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
+        for r in range(spec.n_realizations):
+            seed = (spec.master_seed, r, hwiloc.harness._REALIZATION_STREAM)
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            block = PilotBlock.from_config(sys_cfg)
+            if axis == "pa":
+                block = PilotBlock(generate_pilots(sys_cfg, rng), block.combiners)
+            model = ProjectionModel.impaired(
+                sys_cfg, block, imp, sample_realization(imp, sys_cfg, rng)
+            )
+            npt.assert_array_equal(means[i][r], model.mean(theta))
+
+
+@pytest.mark.parametrize("axis, values", [("tx_power_dbm", "10,30"), ("pa", "0,1")])
+def test_pilots_pass_the_pa_once_per_point(monkeypatch, axis, values):
+    """Both sweeps put a point's pilots through the PA in one call, also
+    with one trial per chunk."""
+    spec = desk_spec(sweep_axis=axis, sweep_values=values, n_trials="3")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transmit_pilots(*args)
+
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    monkeypatch.setattr("hwiloc.harness.TRIAL_CHUNK", 1)
+    monkeypatch.setattr("hwiloc.harness.transmit_pilots", counted)
+    monkeypatch.setattr("hwiloc.observation.transmit_pilots", counted)
+    run_estimator_trials(spec)
+    assert len(calls) == len(spec.sweep_values)
+    run_bounds_sweep(spec)
+    assert len(calls) == 2 * len(spec.sweep_values)
 
 
 @pytest.mark.parametrize("axis, values", [("tx_power_dbm", "10,30"), ("pa", "0,1")])
@@ -1047,6 +1089,32 @@ def test_cli_bounds_unidentifiable_parameter_is_infinite(tmp_path, monkeypatch, 
     assert families == {"crb_m2", "crb_m1", "lb"}
     assert len(affected) == 2 * 3 * len(flat) * 3  # points, families, scalars, statistics
     assert {r[3] for r in affected} == {"inf"}
+
+
+@pytest.mark.parametrize(
+    "overrides, scalar",
+    [
+        ({"n_subcarriers": "1"}, "aeb"),
+        ({"n_antennas": "1", "mc_c1": "0", "mc_c2": "0"}, "deb"),
+    ],
+)
+def test_cli_bounds_crb_of_the_identifiable_coordinate_is_finite(
+    tmp_path, monkeypatch, overrides, scalar
+):
+    """On desk.cfg with one subcarrier (flat in range) the CRBs of the angle,
+    and with one antenna (flat in angle) those of the range, are finite on
+    every draw: the FIM is inverted without the flat coordinate, so no draw
+    reads the rounding of a singular inverse."""
+    cfg = _desk_cfg(tmp_path, outputs=f"crb_m2,crb_m1,{scalar}", **overrides)
+    out = tmp_path / "r.csv"
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert {r[1] for r in rows} == {f"crb_m2_{scalar}", f"crb_m1_{scalar}"}
+    assert len(rows) == 6 * 2 * 3  # points, families, statistics
+    for r in rows:
+        assert np.isfinite(float(r[3])) and float(r[3]) > 0, r
+        assert int(r[5]) == 10
 
 
 @st.composite

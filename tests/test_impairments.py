@@ -11,7 +11,7 @@ from hwiloc.impairments import (
     sample_realization,
 )
 from hwiloc.model import ConfigError, SystemConfig, dft_matrix
-from hwiloc.observation import sandwich_matrices
+from hwiloc.observation import phase_rotations, sandwich_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +46,14 @@ def test_negative_spread_rejected():
 def time_domain_rotations(real, cfg):
     """F^H M_g F per transmission: the diagonal rotation of each sandwich."""
     f = dft_matrix(cfg.n_subcarriers)
-    return f.conj().T @ sandwich_matrices(real, cfg) @ f
+    rotation = phase_rotations(real.cfo, real.pn_phases, cfg)
+    return f.conj().T @ sandwich_matrices(rotation) @ f
 
 
 def test_sandwich_zero_phases_is_identity():
     cfg = SystemConfig(n_antennas=2, n_transmissions=1, n_subcarriers=6)
-    m = sandwich_matrices(ImpairmentRealization.neutral(cfg), cfg)
+    real = ImpairmentRealization.neutral(cfg)
+    m = sandwich_matrices(phase_rotations(real.cfo, real.pn_phases, cfg))
     assert np.allclose(m, np.eye(6))
 
 
@@ -90,7 +92,7 @@ def test_cfo_common_phase_accumulates_over_transmissions():
     real = ImpairmentRealization(
         pn_phases=np.zeros((2, 16)), cfo=0.01, mc_residual=np.zeros((2, 2))
     )
-    e1, e2 = sandwich_matrices(real, cfg)
+    e1, e2 = sandwich_matrices(phase_rotations(real.cfo, real.pn_phases, cfg))
     step = np.exp(1j * 2 * np.pi * 0.01 * 20 / 16)
     assert np.allclose(e2, step * e1)
 
