@@ -42,9 +42,12 @@ N_PARAMS = 4
 # and each second derivative, [order, i, j]
 _FIRST_ORDERS = np.eye(N_PARAMS, dtype=int)
 _SECOND_ORDERS = _FIRST_ORDERS[:, :, None] + _FIRST_ORDERS[:, None, :]
-# the (aoa, delay) orders i + j <= 2 that those derivatives read, and the
-# slot of each order pair among them
-_PRODUCT_AOA, _PRODUCT_DELAY = np.nonzero(np.add.outer(np.arange(3), np.arange(3)) <= 2)
+# the (aoa, delay) orders i + j <= 2 that those derivatives read, by total
+# order (the first three serve the first derivatives), and the slot of each
+# order pair among them
+_PRODUCT_AOA = np.array([0, 0, 1, 0, 1, 2])
+_PRODUCT_DELAY = np.array([0, 1, 0, 2, 1, 0])
+_FIRST_PRODUCTS = 3
 _PRODUCT_SLOT = np.zeros((3, 3), dtype=int)
 _PRODUCT_SLOT[_PRODUCT_AOA, _PRODUCT_DELAY] = np.arange(_PRODUCT_AOA.size)
 
@@ -109,11 +112,24 @@ def model_derivatives(theta: ChannelParams, model: ProjectionModel) -> ModelDeri
     (1, -1j, -1)[n_phase] * exp(-1j*gain_phase), read from tables so the
     amp-amp derivative is exactly zero and second is exactly symmetric.
     """
+    return ModelDerivatives(*_derivatives(theta, model, second=True))
+
+
+def first_derivatives(theta: ChannelParams, model: ProjectionModel) -> np.ndarray:
+    """The first derivatives of :func:`model_derivatives`, (4, G, K), bit for
+    bit, from the three products n_aoa + n_delay <= 1 alone."""
+    return _derivatives(theta, model, second=False)[0]
+
+
+def _derivatives(
+    theta: ChannelParams, model: ProjectionModel, second: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
     if theta.delay < 0:
         raise ValueError("delay must be non-negative")
     b, d = model.factors(theta.aoa, theta.delay)
-    dx = d.T[:, None, :] * model.eff_pilots  # (3, G, K)
-    e = b.T[_PRODUCT_AOA, :, None] * dx[_PRODUCT_DELAY]  # (6, G, K)
+    n = _PRODUCT_AOA.size if second else _FIRST_PRODUCTS
+    dx = d.T[: 3 if second else 2, None, :] * model.eff_pilots  # (delay order, G, K)
+    e = b.T[_PRODUCT_AOA[:n], :, None] * dx[_PRODUCT_DELAY[:n]]  # (n, G, K)
     amp = np.array([theta.gain_amp, 1.0, 0.0])
     phase = np.array([1.0, -1j, -1.0])
     rotation = np.exp(-1j * theta.gain_phase)
@@ -124,7 +140,7 @@ def model_derivatives(theta: ChannelParams, model: ProjectionModel) -> ModelDeri
         out = e[_PRODUCT_SLOT[n_aoa, n_delay]]  # a copy: advanced indexing
         return np.multiply(gain[..., None, None], out, out=out)
 
-    return ModelDerivatives(first=derivative(_FIRST_ORDERS), second=derivative(_SECOND_ORDERS))
+    return derivative(_FIRST_ORDERS), derivative(_SECOND_ORDERS) if second else None
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +162,12 @@ def fim(theta: ChannelParams, model: ProjectionModel, sigma_n: float) -> np.ndar
     The impaired mean is M_g v_g(theta) per transmission, with M_g the
     phase-noise/CFO sandwich. M_g is unitary and does not depend on theta,
     so <M_g dv_i, M_g dv_j> = <dv_i, dv_j>: the derivatives of v_g give the
-    information of either chain, and the sandwich is never built. Singular
+    information of either chain, and the sandwich is never built. Only the
+    first derivatives are built (:func:`first_derivatives`). Singular
     matrices are legitimate (e.g. a single antenna carries no angle
     information) and are returned as-is.
     """
-    return fim_from_first_derivatives(model_derivatives(theta, model).first, sigma_n)
+    return fim_from_first_derivatives(first_derivatives(theta, model), sigma_n)
 
 
 def jacobian_state(theta: ChannelParams) -> np.ndarray:
@@ -388,7 +405,7 @@ def _descend(data: FitData, starts: np.ndarray) -> Fits:
 
 
 def pseudo_true(
-    theta_bar: ChannelParams,
+    theta_bar: ChannelParams | Sequence[ChannelParams],
     clean: ProjectionModel | Sequence[ProjectionModel],
     ybar: np.ndarray | Sequence[np.ndarray],
 ) -> ChannelParams | tuple[list[ChannelParams | None], Fits]:
@@ -404,21 +421,24 @@ def pseudo_true(
     For one draw, clean is its model and ybar its mean; returns the
     pseudo-true, or raises NumericError if the fit fails. R draws are fitted
     together in one descent (:func:`_descend`) when clean and ybar are
-    sequences of R models and means: returns the R pseudo-trues, None for a
-    failed fit, and the descent's :class:`~hwiloc.estimation.Fits`, whose
-    stops and errors say how each fit ended. One draw is a batch of one.
+    sequences of R models and means, and theta_bar is one true parameter for
+    all or a sequence of R: returns the R pseudo-trues, None for a failed
+    fit, and the descent's :class:`~hwiloc.estimation.Fits`, whose stops and
+    errors say how each fit ended. One draw is a batch of one.
     """
     one = isinstance(clean, ProjectionModel)
     cleans, ybars = ([clean], [ybar]) if one else (clean, ybar)
+    shared = isinstance(theta_bar, ChannelParams)
+    thetas = [theta_bar] * len(cleans) if shared else theta_bar
     data = FitData.empty(cleans[0].cfg, len(cleans))
     for i, (model, y) in enumerate(zip(cleans, ybars)):
         data.put(i, model.row_matrix, model.eff_pilots, model.pulled_observation(y)[None])
-    fits = _descend(data, np.tile(params_to_state(theta_bar).position, (len(cleans), 1)))
+    fits = _descend(data, np.array([params_to_state(t).position for t in thetas]))
     params: list[ChannelParams | None] = [None] * len(cleans)
-    for i, (model, y, error) in enumerate(zip(cleans, ybars, fits.errors)):
+    for i, (model, y, error, theta) in enumerate(zip(cleans, ybars, fits.errors, thetas)):
         if error is None:
             fit = fitted_params(y, model, fits.positions[i])
-            phase = theta_bar.gain_phase + _wrap_phase(fit.gain_phase - theta_bar.gain_phase)
+            phase = theta.gain_phase + _wrap_phase(fit.gain_phase - theta.gain_phase)
             params[i] = replace(fit, gain_phase=float(phase))
     if not one:
         return params, fits

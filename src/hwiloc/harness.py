@@ -8,10 +8,16 @@ observations and reports the position RMSE of the requested estimators.
 Both draw a point's hardware the same way, with one routine
 (:func:`_draws`): each draw's generator draws the draw's pilots (on the
 amplifier axis only, which resamples them) and its realization, and the
-couplings and the pilots after the PA are computed once for the stack, so
-off the amplifier axis the PA runs once per point. The bounds runner
-builds each draw's impaired model from its slot, one at a time, and the
-clean model and its CRB once per point off the amplifier axis. The trials
+couplings are computed once for the stack. Off the amplifier axis a
+point's pilots pass the PA once (:func:`_point`).
+
+The bounds runner makes each point's clean model and its CRB once off the
+amplifier axis (:class:`BoundsPoint`) and fits a task's (point, draw)
+pairs in one descent (:func:`_bounds_unit`). A draw's generator does not
+depend on the point, so off the phase-noise and CFO axes a draw has the
+same rotation at every point: there a task is a unit of draws that covers
+every point, and a draw's dense sandwich is built once for all of them; on
+those two axes a task is a point (:func:`_bounds_tasks`). The trials
 runner builds no model per trial: it draws each trial's noise from the
 trial's generator, takes the rotations, means, observations and pulled
 observations of TRIAL_CHUNK trials at a time as stacked arrays (the
@@ -20,12 +26,13 @@ trials of a point together.
 
 Determinism: every random draw derives from
 SeedSequence((master_seed, draw_index, stream_tag)), so output is
-byte-identical across runs, worker counts and platforms. The axis value is
-deliberately left out of the seed: sweep points share their underlying
-unit draws (common random numbers), so a sweep compares the same hardware
-scaled to different impairment levels and its mean curves are paired
-rather than independently noisy. Sweep points run in a process pool
-capped by the HWI_LOC_THREADS environment variable; rows are assembled
+byte-identical across runs, worker counts, bounds tasks and platforms. The
+axis value is deliberately left out of the seed: sweep points share their
+underlying unit draws (common random numbers), so a sweep compares the
+same hardware scaled to different impairment levels and its mean curves
+are paired rather than independently noisy. A process pool capped by the
+HWI_LOC_THREADS environment variable maps over the bounds tasks and over
+sweep points for the trials; rows are assembled per point, in draw order,
 and sorted single-threaded.
 
 Reporting units follow the plotting conventions of the study this package
@@ -68,6 +75,7 @@ from .estimation import (
 from .impairments import ImpairmentConfig, mc_matrix, sample_realization
 from .model import (
     SPEED_OF_LIGHT,
+    ChannelParams,
     ConfigError,
     PilotBlock,
     SystemConfig,
@@ -82,6 +90,7 @@ from .observation import (
     impaired_means,
     phase_rotations,
     rotate,
+    sandwich_matrices,
     transmit_pilots,
     unit_noise,
 )
@@ -175,6 +184,35 @@ def apply_sweep_value(
 
 
 @dataclass
+class Point:
+    """A sweep point: its configs, its true parameters and the hardware that
+    all its draws share (:func:`_point`)."""
+
+    value: float
+    sys_cfg: SystemConfig
+    imp: ImpairmentConfig
+    theta: ChannelParams
+    combiners: np.ndarray  # W, (G, N)
+    pilots: np.ndarray | None  # as sent, (G, K); None on the amplifier axis
+    sent: np.ndarray | None  # after the PA, (G, K); None on the amplifier axis
+
+
+def _point(spec: ExperimentSpec, axis_index: int) -> Point:
+    """Sweep point axis_index. Off the amplifier axis its draws keep the
+    seeded pilot block, which passes the PA here, once for all of them; on
+    it each draw draws its own pilots (:func:`_draws`). Combiners stay
+    fixed either way."""
+    value = spec.sweep_values[axis_index]
+    sys_cfg, imp = apply_sweep_value(spec, value)
+    pilots = sent = None
+    if spec.sweep_axis != "pa":
+        pilots = generate_pilots(sys_cfg)
+        sent = transmit_pilots(pilots, imp, sys_cfg)
+    theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
+    return Point(value, sys_cfg, imp, theta, generate_combiners(sys_cfg), pilots, sent)
+
+
+@dataclass
 class Draws:
     """The hardware of some draws of one sweep point as stacked arrays
     (:func:`_draws`). Off the amplifier axis every draw has the point's
@@ -198,38 +236,32 @@ class Draws:
         return ProjectionModel.clean(cfg, block, coupling)
 
     def impaired(self, cfg: SystemConfig, r: int) -> ProjectionModel:
-        """Draw r's impaired model, with its rotation built here: a point's
-        rotations held stacked would outweigh one model's."""
+        """Draw r's impaired model, with its (G, K) rotation built here from
+        the draw's phases."""
         rotation = phase_rotations(self.cfo[r], self.pn[r], cfg)
         return ProjectionModel(
             cfg, self.combiners, self.couplings[r], self.slot(self.sent, r), rotation
         )
 
 
-def _draws(
-    spec: ExperimentSpec,
-    sys_cfg: SystemConfig,
-    imp: ImpairmentConfig,
-    indices: range,
-    stream: int,
-) -> Draws:
+def _draws(spec: ExperimentSpec, point: Point, indices: range, stream: int) -> Draws:
     """The draws of the given indices at a sweep point, for both sweeps.
 
     Each index has its own generator, seeded by (master_seed, index,
     stream), which draws the pilot symbols on the amplifier axis only, then
     the realization. The amplifier axis resamples the pilots per draw (the
-    nonlinearity's effect depends on the transmitted waveform); every other
-    axis keeps the point's seeded pilot block and varies only the hardware.
-    Combiners stay fixed either way. The couplings and the pilots after the
-    PA are computed once for the stack, so off the amplifier axis the PA
-    runs once per call. The generators are returned after the realization:
+    nonlinearity's effect depends on the transmitted waveform) and puts
+    them through the PA here, once for the stack; every other axis keeps the
+    point's pilots and varies only the hardware. The couplings are computed
+    once for the stack. The generators are returned after the realization:
     noise drawn from them next is the noise of
     :func:`~hwiloc.observation.observe`.
     """
+    sys_cfg, imp = point.sys_cfg, point.imp
     g, k, n_ant = sys_cfg.n_transmissions, sys_cfg.n_subcarriers, sys_cfg.n_antennas
     n = len(indices)
-    resample = spec.sweep_axis == "pa"
-    pilots = np.empty((n, g, k), dtype=complex) if resample else generate_pilots(sys_cfg)
+    resample = point.pilots is None
+    pilots = np.empty((n, g, k), dtype=complex) if resample else point.pilots
     pn, cfo, residual = np.empty((n, g, k)), np.empty(n), np.empty((n, n_ant, n_ant))
     rngs = []
     for i, index in enumerate(indices):
@@ -239,90 +271,166 @@ def _draws(
         real = sample_realization(imp, sys_cfg, rng)
         pn[i], cfo[i], residual[i] = real.pn_phases, real.cfo, real.mc_residual
         rngs.append(rng)
-    sent = transmit_pilots(pilots, imp, sys_cfg)
+    sent = transmit_pilots(pilots, imp, sys_cfg) if resample else point.sent
     couplings = mc_matrix(imp.coupling, residual, n_ant)
-    return Draws(generate_combiners(sys_cfg), pilots, sent, couplings, pn, cfo, rngs)
+    return Draws(point.combiners, pilots, sent, couplings, pn, cfo, rngs)
 
 
-def _bound_scalar(family: str, scalar: str, rep: BoundsReport) -> float:
+def _bound_scalars(family: str, rep: BoundsReport) -> dict[str, float]:
+    """A report's scalars in the CSV's units, by scalar name."""
     if family == "lb":
         aeb, deb, peb = rep.lb_aeb_rad, rep.lb_deb_s, rep.lb_peb_m
     else:
         aeb, deb, peb = rep.aeb_rad, rep.deb_s, rep.peb_m
-    if scalar == "aeb":
-        return float(np.rad2deg(aeb))
-    if scalar == "deb":
-        return float(deb * SPEED_OF_LIGHT)
-    return float(peb)
+    return {
+        "aeb": float(np.rad2deg(aeb)),
+        "deb": float(deb * SPEED_OF_LIGHT),
+        "peb": float(peb),
+    }
 
 
-def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
-    """Bound rows of one sweep point. A draw whose bound fails drops out of
-    that family only: each family counts its own surviving draws, and one
-    WARNING line per family counts the failed draws by reason. A scalar
-    whose coordinate the link cannot identify
-    (:func:`~hwiloc.bounds.flat_scalars`) is inf in every family.
+def _families(spec: ExperimentSpec) -> list[str]:
+    return [f for f in ("lb", "crb_m2", "crb_m1") if f in spec.outputs]
 
-    Two passes over the point's draws (:func:`_draws`). Each draw builds
-    its impaired model from its slot, takes its impaired CRB and keeps only
-    its impaired mean for the misspecified bound, so no impaired model
-    (with its dense sandwich) outlives its draw. Then one descent fits the
-    pseudo-trues of all draws together, and each draw's lb follows from its
-    own and from the clean CRB, which is taken once per clean model: once
-    per point off the amplifier axis.
+
+@dataclass
+class BoundsPoint:
+    """A bounds sweep point with what its draws share off the amplifier
+    axis, made once per point: the clean model and its CRB report. Both are
+    None on the amplifier axis, where each draw has its own pilots, and the
+    CRB also when no requested family reads it."""
+
+    point: Point
+    clean: ProjectionModel | None
+    crb: BoundsReport | None
+
+    @staticmethod
+    def build(spec: ExperimentSpec, axis_index: int) -> "BoundsPoint":
+        point = _point(spec, axis_index)
+        clean = crb = None
+        if point.pilots is not None:
+            block = PilotBlock(point.pilots, point.combiners)
+            clean = ProjectionModel.clean(point.sys_cfg, block, point.imp.coupling)
+            if {"lb", "crb_m2"} & set(_families(spec)):
+                crb = crb_m2_report(point.theta, clean, noise_std(point.sys_cfg))
+        return BoundsPoint(point, clean, crb)
+
+
+@dataclass
+class Outcomes:
+    """What some draws of one sweep point gave, draw by draw: for each bound
+    family the draw's scalars (:func:`_bound_scalars`) or the reason its
+    bound failed, and the pseudo-true stops when lb is requested."""
+
+    bounds: dict[str, list[dict[str, float] | str]]
+    stops: list[str]
+
+
+def _attempt(family: str, bound, *args) -> dict[str, float] | str:
+    try:
+        return _bound_scalars(family, bound(*args))
+    except NumericError as exc:
+        return str(exc)
+
+
+def _bounds_unit(
+    spec: ExperimentSpec, points: list[BoundsPoint], indices: range
+) -> list[Outcomes]:
+    """The bounds of the draws of the given indices at each of the given
+    sweep points, one :class:`Outcomes` per point.
+
+    Each point draws these indices (:func:`_draws`); a draw's generator
+    does not depend on the point, so off the phase-noise and CFO axes a
+    draw has the same rotation at every point. Draw by draw, the points'
+    impaired models give each point's impaired CRB and impaired mean, the
+    latter through the draw's dense sandwich
+    (:func:`~hwiloc.observation.sandwich_matrices`, as in
+    :meth:`~hwiloc.observation.ProjectionModel.eta`), built again only for
+    a point whose rotation differs from the previous point's. Then one
+    descent fits the pseudo-trues of all (point, draw) pairs together, each
+    bit for bit as on its own, and each pair's lb follows from its own and
+    from the clean CRB, which is taken once per point off the amplifier
+    axis (:class:`BoundsPoint`).
     """
-    value = spec.sweep_values[axis_index]
-    sys_cfg, imp = apply_sweep_value(spec, value)
-    sigma = noise_std(sys_cfg)
-    theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
-    families = [f for f in ("lb", "crb_m2", "crb_m1") if f in spec.outputs]
-    scalars = [s for s in BOUND_SCALARS if s in spec.outputs]
-    reports: dict[str, list[BoundsReport]] = {f: [] for f in families}
-    failures: dict[str, Counter] = {f: Counter() for f in families}
-
-    def attempt(family: str, bound, *args) -> None:
-        try:
-            reports[family].append(bound(*args))
-        except NumericError as exc:
-            failures[family][str(exc)] += 1
-
-    n = spec.n_realizations
-    draws = _draws(spec, sys_cfg, imp, range(n), _REALIZATION_STREAM)
-
-    def per_draw(make) -> list:
-        # one for all draws where they share the point's pilots
-        return [make(0)] * n if draws.pilots.ndim == 2 else [make(r) for r in range(n)]
-
-    cleans = per_draw(lambda r: draws.clean(sys_cfg, imp.coupling, r))
-    # the draws' impaired means in one block: one (G, K) array per draw,
-    # interleaved with the sandwich builds, raised full.cfg's peak RSS by
-    # about 0.2 MB
-    means = np.empty((n, sys_cfg.n_transmissions, sys_cfg.n_subcarriers), dtype=complex)
+    families = _families(spec)
+    n = len(indices)
+    out = [Outcomes({f: [None] * n for f in families}, []) for _ in points]
+    draws = [_draws(spec, bp.point, indices, _REALIZATION_STREAM) for bp in points]
+    sigmas = [noise_std(bp.point.sys_cfg) for bp in points]
+    cleans = [
+        [bp.clean] * n
+        if bp.clean is not None
+        else [d.clean(bp.point.sys_cfg, bp.point.imp.coupling, r) for r in range(n)]
+        for bp, d in zip(points, draws)
+    ]
+    thetas = [bp.point.theta for bp in points]
+    cfg = points[0].point.sys_cfg
+    means = np.empty((len(points), n, cfg.n_transmissions, cfg.n_subcarriers), dtype=complex)
     for r in range(n):
-        impaired = draws.impaired(sys_cfg, r)
+        models = [d.impaired(bp.point.sys_cfg, r) for bp, d in zip(points, draws)]
         if "crb_m1" in families:
-            attempt("crb_m1", crb_m1_numeric, theta, impaired, sigma)
+            for p, model in enumerate(models):
+                out[p].bounds["crb_m1"][r] = _attempt(
+                    "crb_m1", crb_m1_numeric, thetas[p], model, sigmas[p]
+                )
         if "lb" in families:
-            means[r] = impaired.mean(theta)
-        del impaired  # with its cached sandwich, before the next draw
+            rotation = None
+            for p, (model, theta) in enumerate(zip(models, thetas)):
+                if rotation is None or not np.array_equal(model.rotation, rotation):
+                    rotation, sandwich = model.rotation, sandwich_matrices(model.rotation)
+                v = model.unrotated(theta.aoa, theta.delay)
+                means[p, r] = theta.gain * np.einsum("gij,gj->gi", sandwich, v)
+            # freed here: held over the next draw's bounds, it raised
+            # full.cfg's peak RSS by about 1.3 MB
+            del sandwich
     if "lb" in families:
-        theta0s, fits = pseudo_true(theta, cleans, means)
-        stops = Counter(fits.stops.tolist())
+        theta0s, fits = pseudo_true(
+            [t for t in thetas for _ in range(n)],
+            [c for per_point in cleans for c in per_point],
+            means.reshape(-1, *means.shape[2:]),
+        )
+        for o, stops in zip(out, fits.stops.reshape(len(points), n).tolist()):
+            o.stops = stops
+    if not {"lb", "crb_m2"} & set(families):
+        return out
+    for p, bp in enumerate(points):
+        for r, clean in enumerate(cleans[p]):
+            crb = bp.crb if bp.crb is not None else crb_m2_report(thetas[p], clean, sigmas[p])
+            if "crb_m2" in families:
+                out[p].bounds["crb_m2"][r] = _bound_scalars("crb_m2", crb)
+            if "lb" in families:
+                i = p * n + r
+                out[p].bounds["lb"][r] = (
+                    fits.errors[i]
+                    if theta0s[i] is None
+                    else _attempt(
+                        "lb", mismatch_report, thetas[p], theta0s[i], clean, means[p, r],
+                        sigmas[p], crb,
+                    )
+                )
+    return out
+
+
+def _bounds_rows(spec: ExperimentSpec, point: Point, outcomes: list[Outcomes]) -> list[ResultRow]:
+    """Bound rows of one sweep point from the outcomes of its draws, in draw
+    order. A draw whose bound fails drops out of that family only: each
+    family counts its own surviving draws, and one WARNING line per family
+    counts the failed draws by reason. A scalar whose coordinate the link
+    cannot identify (:func:`~hwiloc.bounds.flat_scalars`) is inf in every
+    family."""
+    value, sys_cfg = point.value, point.sys_cfg
+    families = _families(spec)
+    scalars = [s for s in BOUND_SCALARS if s in spec.outputs]
+    results = {f: [x for o in outcomes for x in o.bounds[f]] for f in families}
+    reports = {f: [x for x in results[f] if not isinstance(x, str)] for f in families}
+    failures = {f: Counter(x for x in results[f] if isinstance(x, str)) for f in families}
+    if "lb" in families:
+        stops = Counter(s for o in outcomes for s in o.stops)
         logger.info(
             "bounds: sweep value %r pseudo-true stops: %s",
             value,
             " ".join(f"{reason}={count}" for reason, count in sorted(stops.items())),
         )
-    if "lb" in families or "crb_m2" in families:
-        crbs = per_draw(lambda r: crb_m2_report(theta, cleans[r], sigma))
-        for r, (clean, crb) in enumerate(zip(cleans, crbs)):
-            if "crb_m2" in families:
-                reports["crb_m2"].append(crb)
-            if "lb" in families:
-                if theta0s[r] is None:
-                    failures["lb"][fits.errors[r]] += 1
-                else:
-                    attempt("lb", mismatch_report, theta, theta0s[r], clean, means[r], sigma, crb)
     for family, reasons in failures.items():
         if reasons:
             logger.warning(
@@ -347,7 +455,7 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     for family in families:
         for scalar in scalars:
             metric = f"{family}_{scalar}"
-            arr = np.array([_bound_scalar(family, scalar, rep) for rep in reports[family]])
+            arr = np.array([rep[scalar] for rep in reports[family]])
             if family == "lb" and scalar in flat:
                 # lb inverts its whole curvature matrix, which may round to
                 # finite diagonals where the coordinate is not identifiable
@@ -368,11 +476,7 @@ def _bounds_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
 
 
 def _fit_point(
-    spec: ExperimentSpec,
-    sys_cfg: SystemConfig,
-    imp: ImpairmentConfig,
-    metrics: list[str],
-    est: EstimatorConfig,
+    spec: ExperimentSpec, point: Point, metrics: list[str], est: EstimatorConfig
 ) -> dict[str, Fits]:
     """Every trial of one sweep point, fitted by each requested estimator.
 
@@ -387,10 +491,10 @@ def _fit_point(
     :func:`~hwiloc.observation.observe` draws from its generator for a
     given mean.
     """
+    sys_cfg, theta = point.sys_cfg, point.theta
     g, k = sys_cfg.n_transmissions, sys_cfg.n_subcarriers
-    draws = _draws(spec, sys_cfg, imp, range(spec.n_trials), _TRIAL_STREAM)
-    clean_rows = draws.combiners @ mc_matrix(imp.coupling, None, sys_cfg.n_antennas)
-    theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
+    draws = _draws(spec, point, range(spec.n_trials), _TRIAL_STREAM)
+    clean_rows = draws.combiners @ mc_matrix(point.imp.coupling, None, sys_cfg.n_antennas)
     scale = noise_std(sys_cfg) / np.sqrt(2.0)
     batches = {m: TrialBatch(sys_cfg, spec.n_trials, est) for m in metrics}
     for start in range(0, spec.n_trials, TRIAL_CHUNK):
@@ -409,12 +513,11 @@ def _fit_point(
 
 
 def _trials_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
-    value = spec.sweep_values[axis_index]
-    sys_cfg, imp = apply_sweep_value(spec, value)
-    theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
-    p_true = params_to_state(theta).position
+    point = _point(spec, axis_index)
+    value = point.value
+    p_true = params_to_state(point.theta).position
     metrics = [m for m in ESTIMATOR_METRICS if m in spec.outputs]
-    fits = _fit_point(spec, sys_cfg, imp, metrics, EstimatorConfig())
+    fits = _fit_point(spec, point, metrics, EstimatorConfig())
     squared: dict[str, np.ndarray] = {}
     stops: dict[str, Counter] = {}
     for m in metrics:
@@ -454,7 +557,7 @@ def _trials_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     return rows
 
 
-def _worker_count(n_points: int) -> int:
+def _worker_count(n_tasks: int) -> int:
     cap = os.environ.get("HWI_LOC_THREADS")
     if cap is None:
         limit = os.cpu_count() or 1
@@ -465,18 +568,44 @@ def _worker_count(n_points: int) -> int:
             raise ConfigError(f"HWI_LOC_THREADS must be an integer, got '{cap}'") from None
         if limit < 1:
             raise ConfigError("HWI_LOC_THREADS must be at least 1")
-    return max(1, min(limit, n_points))
+    return max(1, min(limit, n_tasks))
 
 
-def _run_points(spec: ExperimentSpec, worker) -> list[ResultRow]:
-    n = len(spec.sweep_values)
-    workers = _worker_count(n)
+def _map(worker, *args: list) -> list:
+    """[worker(*a) for a in zip(*args)], in a process pool capped by
+    HWI_LOC_THREADS (:func:`_worker_count`) when there is more than one
+    call; results come back in call order."""
+    workers = _worker_count(len(args[0]))
     if workers == 1:
-        per_point = [worker(spec, i) for i in range(n)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(worker, [spec] * n, range(n)))
-    return sort_rows([row for rows in per_point for row in rows])
+        return list(map(worker, *args))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, *args))
+
+
+# sweep axes that scale each draw's phase-noise or CFO rotation, so no two
+# of their points share a draw's dense sandwich
+_ROTATION_AXES = ("sigma_pn_deg", "sigma_cfo")
+
+
+def _bounds_tasks(spec: ExperimentSpec) -> list[tuple[list[int], range]]:
+    """The bounds sweep's pool tasks, (sweep point indices, draw indices),
+    in draw order. No row depends on them.
+
+    Where the points share each draw's rotation, min(R, P) units of nearly
+    equal runs of draws each cover every point. With R >= P that is as
+    many tasks as points, each of about as many (point, draw) pairs as a
+    point has, so a pool balances them as it balanced points, and a draw's
+    dense sandwich is built once for all points instead of once per point.
+    On the phase-noise and CFO axes, where units share nothing and ran
+    about 10% slower than points, and where fewer units than workers would
+    idle some, each point is a task with all its draws.
+    """
+    n_points, n_draws = len(spec.sweep_values), spec.n_realizations
+    n_units = min(n_draws, n_points)
+    if spec.sweep_axis in _ROTATION_AXES or n_units < _worker_count(n_points):
+        return [([i], range(n_draws)) for i in range(n_points)]
+    edges = [n_draws * u // n_units for u in range(n_units + 1)]
+    return [(list(range(n_points)), range(a, b)) for a, b in zip(edges, edges[1:])]
 
 
 def _require_identifiable(cfg: SystemConfig, subject: str) -> None:
@@ -509,7 +638,21 @@ def run_bounds_sweep(spec: ExperimentSpec) -> list[ResultRow]:
         raise ConfigError("outputs request no bound family (crb_m2, crb_m1, lb)")
     if not any(s in spec.outputs for s in BOUND_SCALARS):
         raise ConfigError("outputs request no bound scalar (aeb, deb, peb)")
-    return _run_points(spec, _bounds_point)
+    points = [BoundsPoint.build(spec, i) for i in range(len(spec.sweep_values))]
+    tasks = _bounds_tasks(spec)
+    per_task = _map(
+        _bounds_unit,
+        [spec] * len(tasks),
+        [[points[i] for i in indices] for indices, _ in tasks],
+        [draws for _, draws in tasks],
+    )
+    per_point: list[list[Outcomes]] = [[] for _ in points]
+    for (indices, _), outcomes in zip(tasks, per_task):
+        for i, o in zip(indices, outcomes):
+            per_point[i].append(o)
+    return sort_rows(
+        [row for bp, o in zip(points, per_point) for row in _bounds_rows(spec, bp.point, o)]
+    )
 
 
 def run_estimator_trials(spec: ExperimentSpec) -> list[ResultRow]:
@@ -531,4 +674,6 @@ def run_estimator_trials(spec: ExperimentSpec) -> list[ResultRow]:
             f"UE range {ue_range:.6g} m is outside the estimators' scan "
             f"[{RANGE_MIN_M:g}, {top:.6g}) m"
         )
-    return _run_points(spec, _trials_point)
+    n = len(spec.sweep_values)
+    per_point = _map(_trials_point, [spec] * n, range(n))
+    return sort_rows([row for rows in per_point for row in rows])

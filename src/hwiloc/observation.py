@@ -22,8 +22,10 @@ holds n draws as stacked arrays builds any draw's model from its slot.
 M_g and M_g^H act by FFT (:func:`rotate`) on one draw or on many stacked
 draws at once: :func:`impaired_means` gives the noise-free means of n
 realizations without a model object per draw. The dense (G, K, K) form
-(:func:`sandwich_matrices`) is kept for one use, the impaired mean of
-:meth:`ProjectionModel.eta` that the bounds read.
+(:func:`sandwich_matrices`) is kept for one use, the impaired mean that
+the bounds read: :meth:`ProjectionModel.eta` builds it on each call, so
+no model holds one, and the bounds sweep builds it once per draw for
+every sweep point that shares the draw's rotation.
 
 Means are (G, K) arrays of subcarrier-domain samples for one pilot block.
 Flattening row-major gives the g-major stacked vector used by estimators and
@@ -41,7 +43,7 @@ derivatives, on the same factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -189,32 +191,29 @@ class ProjectionModel:
             phase_rotations(real.cfo, real.pn_phases, cfg),
         )
 
-    @cached_property
-    def sandwich(self) -> np.ndarray | None:
-        """The dense (G, K, K) sandwich, built on first use; None if clean.
-        Only :meth:`eta` reads it."""
-        if self.rotation is None:
-            return None
-        return sandwich_matrices(self.rotation)
-
     # -- model mean ---------------------------------------------------------
 
-    def eta(self, aoa: float, delay: float) -> np.ndarray:
-        """Gain-free mean, (G, K)."""
+    def unrotated(self, aoa: float, delay: float) -> np.ndarray:
+        """Gain-free mean before M_g, b_g d x~_g, (G, K): the clean chain's
+        :meth:`eta`."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
         b = self.combiners @ (self.coupling @ steering_vector(aoa, self.coupling.shape[0]))
         d = delay_vector(delay, self.cfg.n_subcarriers, self.cfg.subcarrier_spacing_hz)
-        v = b[:, None] * (d[None, :] * self.eff_pilots)
-        if self.sandwich is None:
+        return b[:, None] * (d[None, :] * self.eff_pilots)
+
+    def eta(self, aoa: float, delay: float) -> np.ndarray:
+        """Gain-free mean, (G, K): :meth:`unrotated` under M_g."""
+        v = self.unrotated(aoa, delay)
+        if self.rotation is None:
             return v
         # The impaired mean is the bounds' ybar, and the benchmark's lb
         # reference encodes where the pseudo-true descent stalls on it:
         # rotate(v, self.rotation) moves full.cfg lb rows by up to 4.42e-6,
         # past that reference's 1e-6 gate. The dense sandwich stays here
         # until the reference is regenerated from a converged fit (ROADMAP
-        # item 1).
-        return np.einsum("gij,gj->gi", self.sandwich, v)
+        # item 1); it is built on each call, so a model holds none.
+        return np.einsum("gij,gj->gi", sandwich_matrices(self.rotation), v)
 
     def mean(self, theta: ChannelParams) -> np.ndarray:
         """Noise-free mean at theta, (G, K): gain times :meth:`eta`."""

@@ -28,6 +28,7 @@ from hwiloc.bounds import (
     fim_from_first_derivatives,
     fim,
     fim_m1_numeric,
+    first_derivatives,
     jacobian_state,
     lb_matrix,
     lb_position,
@@ -188,6 +189,24 @@ def test_model_derivatives_match_full_product_table_bitwise(impaired):
         first, second = full_table_derivatives(theta, model)
         assert np.array_equal(derivs.first, first)
         assert np.array_equal(derivs.second, second)
+
+
+@pytest.mark.parametrize("impaired", [False, True])
+def test_first_derivatives_alone_match_model_derivatives_bitwise(impaired):
+    """The FIM's first derivatives, built without the second, are those of
+    model_derivatives bit for bit, and so is the FIM."""
+    block = PilotBlock.from_config(DESK)
+    imp = ImpairmentConfig()
+    if impaired:
+        real = sample_realization(imp, DESK, np.random.default_rng(4))
+        model = ProjectionModel.impaired(DESK, block, imp, real)
+    else:
+        model = clean_model(DESK, block, MEASURED_COUPLING)
+    for seed in range(20):
+        theta = random_params(200 + seed)
+        first = model_derivatives(theta, model).first
+        assert np.array_equal(first_derivatives(theta, model), first)
+        assert np.array_equal(fim(theta, model, 0.3), fim_from_first_derivatives(first, 0.3))
 
 
 # ---------------------------------------------------------------------------

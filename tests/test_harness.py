@@ -46,7 +46,7 @@ from hwiloc.model import (
     geometric_params,
     noise_std,
 )
-from hwiloc.observation import ProjectionModel, observe, transmit_pilots
+from hwiloc.observation import ProjectionModel, observe, sandwich_matrices, transmit_pilots
 
 DESK_OVERRIDES = {
     "n_antennas": "10",
@@ -592,7 +592,8 @@ def test_point_fit_matches_one_observation_estimators(
     keys = parse_config_text(desk.read_text(encoding="utf-8"))
     keys.update(sweep_axis=axis, sweep_values=repr(value), n_trials="10")
     spec = resolve_spec(keys)
-    sys_cfg, imp = apply_sweep_value(spec, value)
+    point = hwiloc.harness._point(spec, 0)
+    sys_cfg, imp = point.sys_cfg, point.imp
     est = EstimatorConfig(max_iterations=max_iterations)
     blank = 2
     real_add = hwiloc.estimation.TrialBatch.add
@@ -611,13 +612,13 @@ def test_point_fit_matches_one_observation_estimators(
 
     monkeypatch.setattr(hwiloc.estimation.TrialBatch, "add", add_with_blank)
     metrics = ["mmle_rmse", "mle_m1_rmse"]
-    fits = hwiloc.harness._fit_point(spec, sys_cfg, imp, metrics, est)
+    fits = hwiloc.harness._fit_point(spec, point, metrics, est)
     assert len(observed) == spec.n_trials
     monkeypatch.setattr(hwiloc.estimation.TrialBatch, "add", real_add)  # for the estimators
 
     theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
     stream = hwiloc.harness._TRIAL_STREAM
-    draws = hwiloc.harness._draws(spec, sys_cfg, imp, range(spec.n_trials), stream)
+    draws = hwiloc.harness._draws(spec, point, range(spec.n_trials), stream)
     for t in range(spec.n_trials):
         clean, impaired = draws.clean(sys_cfg, imp.coupling, t), draws.impaired(sys_cfg, t)
         y = observed[t]
@@ -641,21 +642,40 @@ def test_point_fit_matches_one_observation_estimators(
     assert forced in np.concatenate([fits[m].stops for m in metrics])
 
 
-@pytest.mark.parametrize("axis, values", [("tx_power_dbm", "10,30"), ("pa", "0,1")])
-def test_bounds_draws_match_their_own_generators(monkeypatch, axis, values):
-    """Each bounds draw's impaired mean is bit for bit that of the model
-    built on its own from what its own generator draws: the pilots on the
-    amplifier axis, then the realization."""
-    spec = desk_spec(sweep_axis=axis, sweep_values=values, n_realizations="3")
-    means = []
+ALL_AXES = [
+    ("tx_power_dbm", "10,30"),
+    ("sigma_pn_deg", "5,10"),
+    ("sigma_cfo", "0.01,0.05"),
+    ("sigma_mc", "0.01,0.05"),
+    ("pa", "0,1"),
+]
+# the axes whose points share each draw's phase-noise/CFO rotation
+ROTATION_SHARED = {"tx_power_dbm", "sigma_mc", "pa"}
 
-    def keep_means(theta, cleans, ybars):
-        means.append(ybars.copy())
-        return pseudo_true(theta, cleans, ybars)
+
+@pytest.mark.parametrize("axis, values", ALL_AXES)
+def test_bounds_draws_match_their_own_generators(monkeypatch, axis, values):
+    """In units of draws, each draw's impaired mean at each sweep point is
+    bit for bit that of the model built on its own from what its own
+    generator draws: the pilots on the amplifier axis, then the
+    realization."""
+    spec = desk_spec(sweep_axis=axis, sweep_values=values, n_realizations="3")
+    fitted = []
+
+    def keep_means(thetas, cleans, ybars):
+        fitted.append(np.array(ybars))
+        return pseudo_true(thetas, cleans, ybars)
 
     monkeypatch.setattr("hwiloc.harness.pseudo_true", keep_means)
+    points = [hwiloc.harness.BoundsPoint.build(spec, i) for i in range(len(spec.sweep_values))]
+    units = [range(0, 1), range(1, 3)]  # the second does not start at draw 0
+    for unit in units:
+        hwiloc.harness._bounds_unit(spec, points, unit)
+    means = np.concatenate(
+        [m.reshape(len(points), len(u), *m.shape[1:]) for m, u in zip(fitted, units)],
+        axis=1,
+    )
     for i, value in enumerate(spec.sweep_values):
-        hwiloc.harness._bounds_point(spec, i)
         sys_cfg, imp = apply_sweep_value(spec, value)
         theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
         for r in range(spec.n_realizations):
@@ -667,13 +687,68 @@ def test_bounds_draws_match_their_own_generators(monkeypatch, axis, values):
             model = ProjectionModel.impaired(
                 sys_cfg, block, imp, sample_realization(imp, sys_cfg, rng)
             )
-            npt.assert_array_equal(means[i][r], model.mean(theta))
+            npt.assert_array_equal(means[i, r], model.mean(theta))
+
+
+@pytest.mark.parametrize("axis, values", ALL_AXES)
+def test_bounds_build_each_dense_sandwich_once_per_rotation(monkeypatch, axis, values):
+    """A draw's dense sandwich is built once for every sweep point that
+    shares its rotation: G R rows per sweep where the axis leaves the
+    rotation alone, G R P on the phase-noise and CFO axes."""
+    spec = desk_spec(sweep_axis=axis, sweep_values=values, n_realizations="3", outputs="lb,peb")
+    built = []
+
+    def counted(rotation):
+        built.append(len(rotation))
+        return sandwich_matrices(rotation)
+
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    monkeypatch.setattr("hwiloc.harness.sandwich_matrices", counted)
+    monkeypatch.setattr("hwiloc.observation.sandwich_matrices", counted)
+    run_bounds_sweep(spec)
+    rows = spec.system.n_transmissions * spec.n_realizations
+    assert sum(built) == rows * (1 if axis in ROTATION_SHARED else len(spec.sweep_values))
+
+
+@pytest.mark.parametrize("axis, values", ALL_AXES)
+def test_bounds_do_not_depend_on_the_tasks(monkeypatch, axis, values):
+    """Units of one draw, one unit of all R draws, one task per point and
+    tasks that split a point's draws out of order give the CSV bytes of the
+    default tasks: units of 2 and 3 of the 5 draws over both points where
+    they share each draw's rotation, one task per point otherwise."""
+    spec = desk_spec(sweep_axis=axis, sweep_values=values, n_realizations="5")
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    csv = rows_to_csv(run_bounds_sweep(spec))
+    both, draws = [0, 1], range(5)
+    per_point = [([0], draws), ([1], draws)]
+    units = [(both, range(0, 2)), (both, range(2, 5))]
+    assert hwiloc.harness._bounds_tasks(spec) == (units if axis in ROTATION_SHARED else per_point)
+    for tasks in (
+        [(both, range(r, r + 1)) for r in draws],
+        [(both, draws)],
+        per_point,
+        [([1], range(0, 2)), ([0], draws), ([1], range(2, 5))],
+    ):
+        monkeypatch.setattr("hwiloc.harness._bounds_tasks", lambda spec, tasks=tasks: tasks)
+        assert rows_to_csv(run_bounds_sweep(spec)) == csv
+
+
+def test_bounds_tasks_leave_no_worker_idle(monkeypatch):
+    """Where there are fewer draws than workers, each point is a task, so a
+    sweep of one draw still runs on every worker."""
+    spec = desk_spec(sweep_values="10,20,30", n_realizations="1")
+    monkeypatch.setenv("HWI_LOC_THREADS", "2")
+    assert hwiloc.harness._bounds_tasks(spec) == [([i], range(1)) for i in range(3)]
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    assert hwiloc.harness._bounds_tasks(spec) == [([0, 1, 2], range(1))]
 
 
 @pytest.mark.parametrize("axis, values", [("tx_power_dbm", "10,30"), ("pa", "0,1")])
 def test_pilots_pass_the_pa_once_per_point(monkeypatch, axis, values):
     """Both sweeps put a point's pilots through the PA in one call, also
-    with one trial per chunk."""
+    with one trial per chunk. On the amplifier axis, where each draw has
+    its own pilots, the bounds sweep does so once per point and unit of
+    draws."""
     spec = desk_spec(sweep_axis=axis, sweep_values=values, n_trials="3")
     calls = []
 
@@ -688,7 +763,9 @@ def test_pilots_pass_the_pa_once_per_point(monkeypatch, axis, values):
     run_estimator_trials(spec)
     assert len(calls) == len(spec.sweep_values)
     run_bounds_sweep(spec)
-    assert len(calls) == 2 * len(spec.sweep_values)
+    units = 2 if axis == "pa" else 1  # two units of one draw
+    assert [draws for _, draws in hwiloc.harness._bounds_tasks(spec)] == [range(1), range(1, 2)]
+    assert len(calls) == (1 + units) * len(spec.sweep_values)
 
 
 @pytest.mark.parametrize("axis, values", [("tx_power_dbm", "10,30"), ("pa", "0,1")])
@@ -698,16 +775,16 @@ def test_estimator_trials_do_not_depend_on_the_chunk_size(monkeypatch, axis, val
     spec = desk_spec(
         outputs="mmle_rmse,mle_m1_rmse", sweep_axis=axis, sweep_values=values, n_trials="7"
     )
-    sys_cfg, imp = apply_sweep_value(spec, spec.sweep_values[1])
+    point = hwiloc.harness._point(spec, 1)
     metrics = ["mmle_rmse", "mle_m1_rmse"]
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     csv = rows_to_csv(run_estimator_trials(spec))
-    fits = hwiloc.harness._fit_point(spec, sys_cfg, imp, metrics, EstimatorConfig())
+    fits = hwiloc.harness._fit_point(spec, point, metrics, EstimatorConfig())
     assert hwiloc.harness.TRIAL_CHUNK >= spec.n_trials
     for size in (1, 3):
         monkeypatch.setattr("hwiloc.harness.TRIAL_CHUNK", size)
         assert rows_to_csv(run_estimator_trials(spec)) == csv
-        chunked = hwiloc.harness._fit_point(spec, sys_cfg, imp, metrics, EstimatorConfig())
+        chunked = hwiloc.harness._fit_point(spec, point, metrics, EstimatorConfig())
         for m in metrics:
             for name in ("positions", "stops", "n_iterations", "starts"):
                 npt.assert_array_equal(getattr(chunked[m], name), getattr(fits[m], name))
@@ -935,10 +1012,10 @@ def test_cli_bounds_lb_on_a_flat_angle_is_a_config_error(tmp_path, monkeypatch, 
 def test_cli_lost_worker_or_memory_exits_2_with_one_line(
     tmp_path, monkeypatch, capsys, error, command
 ):
-    def lost(spec, worker):
+    def lost(worker, *args):
         raise error
 
-    monkeypatch.setattr("hwiloc.harness._run_points", lost)
+    monkeypatch.setattr("hwiloc.harness._map", lost)
     out = tmp_path / "r.csv"
     assert main([command, "--config", _desk_cfg(tmp_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -1194,11 +1271,14 @@ def test_benchmark_tracer_finds_every_layer(tmp_path, monkeypatch):
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 0
     assert t.absent == []
     assert t.leftovers() == []
-    # the bounds run fits the pseudo-trues of all draws of a point in one
-    # call and takes each draw's lb from its own; lb_report, the one-draw
-    # form, is not called
+    # the bounds run fits the pseudo-trues of every (point, draw) pair of a
+    # unit of draws in one call, here two units of one draw, and takes each
+    # pair's lb from its own; lb_report, the one-draw form, is not called.
+    # Both points share each draw's rotation: one dense sandwich per draw
+    # (2 draws)
     bounds = Counter(t.names[:first])
     assert bounds["bounds.pseudo_true"] == 2
+    assert bounds["observation.sandwich_matrices"] == 2
     # the estimate run draws a point's trials as stacked arrays, observes
     # and pulls them by FFT and fits all trials of a point in one batch per
     # estimator: it never calls mu_m1, observe or the one-observation
