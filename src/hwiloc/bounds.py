@@ -16,10 +16,12 @@ Three bound families are computed for the uplink localization problem:
   A^-1 B A^-1 plus the squared pseudo-true bias.
 
 Every bound takes the link models (:class:`ProjectionModel`) it needs,
-built once per pilot block and realization by the caller. The first and
-second derivatives of a mean (:func:`model_derivatives`) are products of the
-model's factor derivatives (:meth:`ProjectionModel.factors`) and a gain
-factor; the FIM and both MCRB matrices A and B are contractions of them.
+built by the caller, for one (theta, model) pair or a stack of n, each
+pair's values independent of the stack. Every derivative of a mean is a
+gain factor times a product of its factors, the row gains W C [a, a', a'']
+and the delay phasors (:func:`model_derivatives`), and every bound
+contracts these factors: the FIM with each model's pilot moments, A and B
+with one (3, 3) product with the mismatch per pair.
 
 Parameters are ordered theta = [aoa, delay, gain_amp, gain_phase]
 throughout; positional bounds use the state s = [p_x, p_y, gain_amp,
@@ -29,39 +31,31 @@ gain_phase] through the chain-rule Jacobian d theta / d s.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .estimation import GRAD_TOLERANCE, INITIAL_STEP_M, Fits, NumericError, fitted_params
-from .model import SPEED_OF_LIGHT, ChannelParams, SystemConfig, params_to_state
+from .model import (
+    SPEED_OF_LIGHT,
+    ChannelParams,
+    SystemConfig,
+    params_to_state,
+    steering_derivatives,
+)
 from .observation import FitData, ProjectionModel
 
 N_PARAMS = 4
-# orders in (aoa, delay, amp, phase) of each first derivative, [order, i],
-# and each second derivative, [order, i, j]
+# orders in (aoa, delay, amp, phase) of each first derivative, [i, order],
+# and of each second derivative, [i, j, order]
 _FIRST_ORDERS = np.eye(N_PARAMS, dtype=int)
-_SECOND_ORDERS = _FIRST_ORDERS[:, :, None] + _FIRST_ORDERS[:, None, :]
-# the (aoa, delay) orders i + j <= 2 that those derivatives read, by total
-# order (the first three serve the first derivatives), and the slot of each
-# order pair among them
-_PRODUCT_AOA = np.array([0, 0, 1, 0, 1, 2])
-_PRODUCT_DELAY = np.array([0, 1, 0, 2, 1, 0])
-_FIRST_PRODUCTS = 3
-_PRODUCT_SLOT = np.zeros((3, 3), dtype=int)
-_PRODUCT_SLOT[_PRODUCT_AOA, _PRODUCT_DELAY] = np.arange(_PRODUCT_AOA.size)
-
-
-@dataclass
-class ModelDerivatives:
-    """Closed-form derivatives of a link mean at one parameter point.
-
-    first[i] is d mu / d theta_i, second[i, j] the symmetric second
-    derivative, both as (G, K) arrays.
-    """
-
-    first: np.ndarray  # (4, G, K)
-    second: np.ndarray  # (4, 4, G, K)
+_SECOND_ORDERS = _FIRST_ORDERS[:, None, :] + _FIRST_ORDERS[None, :, :]
+# FIM entry (i, j) reads first derivatives (lo, hi) = (min, max)(i, j), so it
+# is exactly symmetric, at their (aoa, delay) orders' slots of the gram
+_ROW, _COL = np.indices((N_PARAMS, N_PARAMS))
+_LO, _HI = np.minimum(_ROW, _COL), np.maximum(_ROW, _COL)
+_GRAM = tuple(2 * _FIRST_ORDERS[_LO, k] + _FIRST_ORDERS[_HI, k] for k in (0, 1))
 
 
 @dataclass
@@ -95,79 +89,82 @@ class BoundsReport:
 
 
 # ---------------------------------------------------------------------------
-# closed-form derivatives of the link mean
+# the factors of the link mean and the information matrix
 
 
-def model_derivatives(theta: ChannelParams, model: ProjectionModel) -> ModelDerivatives:
-    """All first and second derivatives of the link mean before its sandwich.
-
-    The mean factorizes per sample as alpha * b_g(aoa) * d_k(delay) *
-    x~_{g,k}, so a derivative of orders (n_aoa, n_delay, n_amp, n_phase)
-    is the gain factor times e[n_aoa, n_delay] = b^(n_aoa) d^(n_delay) x~,
-    built from :meth:`ProjectionModel.factors` for the six pairs n_aoa +
-    n_delay <= 2 that a second derivative reaches. For the clean model these
-    are the derivatives of its mean; the impaired mean is M_g times this
-    one, with M_g unitary and theta-free. With alpha = gain_amp *
-    exp(-1j*gain_phase) the gain factor is (gain_amp, 1, 0)[n_amp] *
-    (1, -1j, -1)[n_phase] * exp(-1j*gain_phase), read from tables so the
-    amp-amp derivative is exactly zero and second is exactly symmetric.
-    """
-    return ModelDerivatives(*_derivatives(theta, model, second=True))
-
-
-def first_derivatives(theta: ChannelParams, model: ProjectionModel) -> np.ndarray:
-    """The first derivatives of :func:`model_derivatives`, (4, G, K), bit for
-    bit, from the three products n_aoa + n_delay <= 1 alone."""
-    return _derivatives(theta, model, second=False)[0]
-
-
-def _derivatives(
-    theta: ChannelParams, model: ProjectionModel, second: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    if theta.delay < 0:
-        raise ValueError("delay must be non-negative")
-    b, d = model.factors(theta.aoa, theta.delay)
-    n = _PRODUCT_AOA.size if second else _FIRST_PRODUCTS
-    dx = d.T[: 3 if second else 2, None, :] * model.eff_pilots  # (delay order, G, K)
-    e = b.T[_PRODUCT_AOA[:n], :, None] * dx[_PRODUCT_DELAY[:n]]  # (n, G, K)
-    amp = np.array([theta.gain_amp, 1.0, 0.0])
-    phase = np.array([1.0, -1j, -1.0])
-    rotation = np.exp(-1j * theta.gain_phase)
-
-    def derivative(orders: np.ndarray) -> np.ndarray:
-        n_aoa, n_delay, n_amp, n_phase = orders
-        gain = amp[n_amp] * phase[n_phase] * rotation
-        out = e[_PRODUCT_SLOT[n_aoa, n_delay]]  # a copy: advanced indexing
-        return np.multiply(gain[..., None, None], out, out=out)
-
-    return derivative(_FIRST_ORDERS), derivative(_SECOND_ORDERS) if second else None
-
-
-# ---------------------------------------------------------------------------
-# information matrices and the CRB
-
-
-def fim_from_first_derivatives(first: np.ndarray, sigma_n: float) -> np.ndarray:
-    """I_ij = (2/sigma^2) sum Re[conj(d mu_i) d mu_j] over all samples."""
-    if sigma_n <= 0:
+def _stack(theta, model, sigma_n=1.0) -> tuple[bool, list, list, np.ndarray]:
+    """(one, thetas, models, sigmas) of one (theta, model) pair, or of n:
+    model a sequence of n, theta and sigma_n one for all or n each."""
+    one = isinstance(model, ProjectionModel)
+    models = [model] if one else list(model)
+    thetas = [theta] * len(models) if isinstance(theta, ChannelParams) else list(theta)
+    sigmas = np.broadcast_to(np.asarray(sigma_n, dtype=float), (len(models),))
+    if np.any(sigmas <= 0):
         raise ValueError("noise std must be positive")
-    flat = first.reshape(N_PARAMS, -1)
-    gram = flat.conj() @ flat.T
-    return (2.0 / sigma_n**2) * gram.real
+    return one, thetas, models, sigmas
 
 
-def fim(theta: ChannelParams, model: ProjectionModel, sigma_n: float) -> np.ndarray:
-    """Fisher information of a link model in channel coordinates, (4, 4).
+def model_derivatives(thetas, models) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of the means of n (theta, model) pairs before their
+    sandwich: the row gains b = W C [a, a', a''], (n, G, 3), each product
+    (W C) v as in :meth:`~hwiloc.observation.FitData.captured_energy`, and
+    the delay phasors d, (n, K), whose j-th delay derivative is
+    ring_powers[:, j] * d. The mean's derivative of orders (i, j, n_amp,
+    n_phase) is :func:`gain_factors` times b[:, i] * ring_powers[:, j] * d
+    * x~; M_g, unitary and theta-free, multiplies it on the impaired chain."""
+    rows = np.array([m.row_matrix for m in models])  # (n, G, N)
+    aoa = np.array([t.aoa for t in thetas])[:, None]
+    steer = np.stack(steering_derivatives(aoa, rows.shape[-1]), axis=-1)  # (n, N, 3)
+    ring = np.array([m.ring_powers[:, 1] for m in models])
+    return rows @ steer, np.exp(ring * np.array([t.delay for t in thetas])[:, None])
+
+
+def gain_factors(thetas: Sequence[ChannelParams], orders: np.ndarray) -> np.ndarray:
+    """Derivatives of alpha = gain_amp * exp(-1j*gain_phase) of n thetas,
+    (n, ...), of orders (..., 4) in (aoa, delay, amp, phase): (gain_amp, 1,
+    0)[n_amp] * (1, -1j, -1)[n_phase] * exp(-1j*gain_phase), read from tables
+    so the amp-amp factor is exactly zero."""
+    amp = np.array([[t.gain_amp, 1.0, 0.0] for t in thetas])[:, orders[..., 2]]
+    phase = np.array([1.0, -1j, -1.0])[orders[..., 3]]
+    rotation = np.exp(-1j * np.array([t.gain_phase for t in thetas]))
+    return amp * phase * rotation.reshape((-1,) + (1,) * phase.ndim)
+
+
+def mean_derivatives(theta: ChannelParams, model: ProjectionModel, orders: np.ndarray):
+    """Derivatives of orders (..., 4) of one pair's mean before its sandwich,
+    (..., G, K), from the factors as :func:`model_derivatives` says: what the
+    bounds contract without forming, for `validate` to check."""
+    b, d = model_derivatives([theta], [model])
+    delays = (model.ring_powers * d[0][:, None]).T  # (3, K)
+    table = b[0].T[:, None, :, None] * (delays[None, :, None, :] * model.eff_pilots)
+    return gain_factors([theta], orders)[0][..., None, None] * table[orders[..., 0], orders[..., 1]]
+
+
+def fim(theta, model, sigma_n) -> np.ndarray:
+    """Fisher information of a link model in channel coordinates, (4, 4),
+    or of n (theta, model) pairs, (n, 4, 4) (see :func:`_stack`): (2/sigma^2)
+    Re[conj(c_i) c_j sum_g conj(b_g^(p_i)) b_g^(p_j) P_g[q_i, q_j]] for first
+    derivatives of gain factors c and (aoa, delay) orders (p, q), with the
+    factors b of :func:`model_derivatives` and the pilot moments P_g of the
+    model.
 
     The impaired mean is M_g v_g(theta) per transmission, with M_g the
     phase-noise/CFO sandwich. M_g is unitary and does not depend on theta,
     so <M_g dv_i, M_g dv_j> = <dv_i, dv_j>: the derivatives of v_g give the
-    information of either chain, and the sandwich is never built. Only the
-    first derivatives are built (:func:`first_derivatives`). Singular
+    information of either chain, and the sandwich is never built. Singular
     matrices are legitimate (e.g. a single antenna carries no angle
     information) and are returned as-is.
     """
-    return fim_from_first_derivatives(first_derivatives(theta, model), sigma_n)
+    one, thetas, models, sigmas = _stack(theta, model, sigma_n)
+    b = model_derivatives(thetas, models)[0]
+    n, g = b.shape[:2]
+    c = gain_factors(thetas, _FIRST_ORDERS)  # (n, 4)
+    moments = np.array([m.pilot_moments for m in models]).reshape(n, g, 4)
+    pairs = (b[..., :2, None].conj() * b[..., None, :2]).reshape(n, g, 4)
+    gram = pairs.swapaxes(-1, -2) @ moments  # [2 p_i + p_j, 2 q_i + q_j], (n, 4, 4)
+    products = c[:, _LO].conj() * c[:, _HI] * gram[:, _GRAM[0], _GRAM[1]]
+    info = (2.0 / sigmas**2)[:, None, None] * products.real
+    return info[0] if one else info
 
 
 def jacobian_state(theta: ChannelParams) -> np.ndarray:
@@ -216,18 +213,14 @@ def root_bound(v: float) -> float:
     return float(np.sqrt(v)) if np.isfinite(v) and v > 0.0 else np.inf
 
 
-def flat_scalars(cfg: SystemConfig) -> set[str]:
-    """The bound scalars that the link cfg cannot identify. With one antenna
-    or one transmission the projection objective is flat in angle (the row
-    gain |b_g|^2 cancels between the captured energy and its norm): aeb and
-    peb. With one subcarrier it is flat in range (|d_1| = 1): deb and peb.
-    The FIM of such a link is singular in exact arithmetic."""
-    flat = set()
-    if min(cfg.n_antennas, cfg.n_transmissions) < 2:
-        flat |= {"aeb", "peb"}
-    if cfg.n_subcarriers < 2:
-        flat |= {"deb", "peb"}
-    return flat
+def flat_coordinates(cfg: SystemConfig) -> list[int]:
+    """The channel coordinates (0 the angle, 1 the delay) that the link cfg
+    cannot identify, where its FIM is singular in exact arithmetic. With one
+    antenna or one transmission the projection objective is flat in angle
+    (the row gain |b_g|^2 cancels between the captured energy and its
+    norm), with one subcarrier in range (|d_1| = 1)."""
+    counts = (min(cfg.n_antennas, cfg.n_transmissions), cfg.n_subcarriers)
+    return [i for i, count in enumerate(counts) if count < 2]
 
 
 def scalar_bounds(
@@ -253,46 +246,52 @@ def scalar_bounds(
     return aeb, deb, peb
 
 
-def _crb_report(info: np.ndarray, theta: ChannelParams, cfg: SystemConfig) -> BoundsReport:
-    """Matched-bound report from a channel-coordinate FIM at theta on the
-    link cfg.
+def _crb_reports(info: np.ndarray, theta, model) -> BoundsReport | list:
+    """Matched-bound reports from the channel-coordinate FIMs info, (4, 4)
+    or (n, 4, 4), of the pairs that :func:`_stack` reads from theta and
+    model: one report, or a list of n.
 
-    A coordinate that the link cannot identify (:func:`flat_scalars`) is
-    left out of the inverse, where any finite diagonal would be rounding:
-    its scalar and peb are inf. Its derivative of the mean is a complex
-    multiple of the mean, which the gain pair absorbs, so leaving it out
-    does not change the other coordinate's bound."""
-    flat = [i for i, scalar in enumerate(("aeb", "deb")) if scalar in flat_scalars(cfg)]
-    crb = None
-    if not flat:
-        try:
-            crb = crb_state(info, jacobian_state(theta))
-        except NumericError:
-            pass
-    return BoundsReport(info, crb, *scalar_bounds(info, crb, flat))
+    A coordinate that the link cannot identify (:func:`flat_coordinates`)
+    is left out of the inverse, where any finite diagonal would be
+    rounding: its scalar and peb are inf. Its derivative of the mean is a
+    complex multiple of the mean, which the gain pair absorbs, so leaving it
+    out does not change the other coordinate's bound."""
+    one, thetas, models, _ = _stack(theta, model)
+    reports = []
+    for info_i, theta_i, model_i in zip(info.reshape(-1, N_PARAMS, N_PARAMS), thetas, models):
+        flat, crb = flat_coordinates(model_i.cfg), None
+        if not flat:
+            try:
+                crb = crb_state(info_i, jacobian_state(theta_i))
+            except NumericError:
+                pass
+        reports.append(BoundsReport(info_i, crb, *scalar_bounds(info_i, crb, flat)))
+    return reports[0] if one else reports
 
 
-def crb_m2_report(theta: ChannelParams, clean: ProjectionModel, sigma_n: float) -> BoundsReport:
-    """Analytic clean-model CRB report at theta."""
-    return _crb_report(fim(theta, clean, sigma_n), theta, clean.cfg)
+def crb_m2_report(theta, clean, sigma_n) -> BoundsReport | list[BoundsReport]:
+    """Analytic clean-model CRB report at theta, or the list of reports of
+    n (theta, clean model) pairs (see :func:`fim`)."""
+    return _crb_reports(fim(theta, clean, sigma_n), theta, clean)
 
 
 # ---------------------------------------------------------------------------
 # CRB of the impaired model
 
 
-def fim_m1_numeric(theta: ChannelParams, impaired: ProjectionModel, sigma_n: float) -> np.ndarray:
-    """Impaired-model Fisher information, (4, 4): the closed form of
-    :func:`fim` with rows W C_full and the PA-distorted pilots. The delay
-    must be positive, as for the position-domain bound built on top."""
-    if theta.delay <= 0:
+def fim_m1_numeric(theta, impaired, sigma_n) -> np.ndarray:
+    """Impaired-model Fisher information, (4, 4) or (n, 4, 4): :func:`fim`
+    with rows W C_full and the PA-distorted pilots. The delays must be
+    positive, as for the position-domain bound built on top."""
+    if any(t.delay <= 0 for t in _stack(theta, impaired, sigma_n)[1]):
         raise ValueError("delay must be positive")
     return fim(theta, impaired, sigma_n)
 
 
-def crb_m1_numeric(theta: ChannelParams, impaired: ProjectionModel, sigma_n: float) -> BoundsReport:
-    """Impaired-model CRB report at theta (one realization)."""
-    return _crb_report(fim_m1_numeric(theta, impaired, sigma_n), theta, impaired.cfg)
+def crb_m1_numeric(theta, impaired, sigma_n) -> BoundsReport | list[BoundsReport]:
+    """Impaired-model CRB report at theta (one realization), or the list of
+    reports of n (theta, impaired model) pairs."""
+    return _crb_reports(fim_m1_numeric(theta, impaired, sigma_n), theta, impaired)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +425,8 @@ def pseudo_true(
     fit, and the descent's :class:`~hwiloc.estimation.Fits`, whose stops and
     errors say how each fit ended. One draw is a batch of one.
     """
-    one = isinstance(clean, ProjectionModel)
-    cleans, ybars = ([clean], [ybar]) if one else (clean, ybar)
-    shared = isinstance(theta_bar, ChannelParams)
-    thetas = [theta_bar] * len(cleans) if shared else theta_bar
+    one, thetas, cleans, _ = _stack(theta_bar, clean)
+    ybars = [ybar] if one else ybar
     data = FitData.empty(cleans[0].cfg, len(cleans))
     for i, (model, y) in enumerate(zip(cleans, ybars)):
         data.put(i, model.row_matrix, model.eff_pilots, model.pulled_observation(y)[None])
@@ -447,37 +444,60 @@ def pseudo_true(
     return params[0]
 
 
-def matrix_a(derivs: ModelDerivatives, eps: np.ndarray, sigma_n: float) -> np.ndarray:
-    """Expected curvature of the mismatched log-likelihood at theta0.
+def mismatch_matrices(thetas, models, ybars, sigmas) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices A and B, each (n, 4, 4), of n (theta, model) pairs with
+    data means ybars and noise stds sigmas, eps = ybar - mean:
 
-    A_ij = (2/sigma^2) Re[<d2 mu_ij, eps> - <d mu_i, d mu_j>] with
-    <u, v> = sum conj(u) v and eps the noise-free model mismatch. At zero
-    mismatch this is minus the information matrix.
+        A_ij = (2/sigma^2) Re<d2 mu_ij, eps> - I_ij,
+        B_ij = (4/sigma^4) Re<d mu_i, eps> Re<d mu_j, eps> + I_ij,
+
+    <u, v> = sum conj(u) v; at zero mismatch A = -I and B = I. Each eps,
+    pulled through its model's rotation, is formed on its own (a stack holds
+    no (n, G, K) array beyond its means) into one (3, 3) product S = b^H
+    ((conj(x~) * eps) conj([d, r d, r^2 d])): <b^(i) r^j d x~, eps> = conj(S_ij).
     """
-    curv = (derivs.second.reshape(N_PARAMS, N_PARAMS, -1) @ np.conj(eps).ravel()).real
-    return (2.0 / sigma_n**2) * curv - fim_from_first_derivatives(derivs.first, sigma_n)
+    sigmas = np.asarray(sigmas, dtype=float)
+    b, d = model_derivatives(thetas, models)
+    s = np.empty((len(models), 3, 3), dtype=complex)
+    for i, (theta, model, ybar) in enumerate(zip(thetas, models, ybars)):
+        x = model.eff_pilots
+        eps = model.pulled_observation(ybar) - theta.gain * (b[i, :, :1] * (d[i] * x))
+        delay = model.ring_powers * d[i][:, None]  # (K, 3)
+        s[i] = b[i].conj().T @ ((np.conj(x) * eps) @ delay.conj())
+    c = gain_factors(thetas, _FIRST_ORDERS)
+    c2 = gain_factors(thetas, _SECOND_ORDERS)
+    score = (c.conj() * s[:, _FIRST_ORDERS[:, 0], _FIRST_ORDERS[:, 1]]).real  # (n, 4)
+    curv = (c2.conj() * s[:, _SECOND_ORDERS[..., 0], _SECOND_ORDERS[..., 1]]).real
+    info = fim(thetas, models, sigmas)
+    a_mat = (2.0 / sigmas**2)[:, None, None] * curv - info
+    b_mat = (4.0 / sigmas**4)[:, None, None] * (score[:, :, None] * score[:, None, :]) + info
+    return a_mat, b_mat
 
 
-def matrix_b(derivs: ModelDerivatives, eps: np.ndarray, sigma_n: float) -> np.ndarray:
-    """Covariance of the mismatched score at theta0.
+def mismatch_covariance(a_mat: np.ndarray, b_mat: np.ndarray, flat=()) -> np.ndarray:
+    """Asymptotic covariances A^-1 B A^-1 of the mismatched estimator,
+    (n, 4, 4), of stacked A and B, (n, 4, 4).
 
-    B_ij = (4/sigma^4) Re<d mu_i, eps> Re<d mu_j, eps>
-         + (2/sigma^2) Re<d mu_i, d mu_j>; at zero mismatch this is the
-    information matrix.
+    The coordinates in flat (:func:`flat_coordinates`) are left out, as
+    :func:`scalar_bounds` leaves them out of the CRBs: their rows and
+    columns are dropped before A is inverted and are NaN in the result. A
+    slice whose A is singular or not finite is NaN throughout; no slice
+    depends on the others.
     """
-    score = (derivs.first.reshape(N_PARAMS, -1) @ np.conj(eps).ravel()).real
-    return (4.0 / sigma_n**4) * np.outer(score, score) + fim_from_first_derivatives(
-        derivs.first, sigma_n
-    )
-
-
-def mismatch_covariance(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
-    """Asymptotic covariance A^-1 B A^-1 of the mismatched estimator."""
+    keep = [i for i in range(N_PARAMS) if i not in flat]
+    block = np.ix_(range(len(a_mat)), keep, keep)
+    a = a_mat[block]
+    a_inv = np.full_like(a, np.nan)
+    ok = np.flatnonzero(np.isfinite(a).all(axis=(1, 2)))
     try:
-        a_inv = np.linalg.inv(a_mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("curvature matrix A is singular") from exc
-    return a_inv @ b_mat @ a_inv
+        a_inv[ok] = np.linalg.inv(a[ok])
+    except np.linalg.LinAlgError:  # one by one, to leave out the singular ones
+        for i in ok:
+            with suppress(np.linalg.LinAlgError):
+                a_inv[i] = np.linalg.inv(a[i])
+    out = np.full(a_mat.shape, np.nan)
+    out[block] = a_inv @ b_mat[block] @ a_inv
+    return out
 
 
 def bias_vector(theta_bar: ChannelParams, theta0: ChannelParams) -> np.ndarray:
@@ -512,36 +532,46 @@ def lb_position(
     return root_bound(np.trace(pos_cov) + np.sum((p_bar - p0) ** 2))
 
 
-def mismatch_report(
-    theta_bar: ChannelParams,
-    theta0: ChannelParams,
-    clean: ProjectionModel,
-    ybar: np.ndarray,
-    sigma_n: float,
-    clean_crb: BoundsReport,
-) -> BoundsReport:
+def mismatch_report(theta_bar, theta0, clean, ybar, sigma_n, clean_crb) -> BoundsReport | list:
     """Misspecified-bound report of one draw whose impaired mean ybar and
     pseudo-true theta0 are known: the matrices A and B at theta0, the MCRB
     and the total lower bound about theta_bar. Also carries clean_crb, the
     clean model's CRB report at theta_bar (:func:`crb_m2_report`), so the
-    caller can form inflation ratios from a single object; draws that share
-    a clean model share it.
+    caller can form inflation ratios from a single object. A coordinate that
+    the link cannot identify is left out (:func:`mismatch_covariance`).
+
+    n draws take sequences of n (theta_bar and sigma_n may be one for all;
+    the models share one link) and give a list of n: each draw's report or
+    the reason its bound failed, a singular A or a non-finite A or B. One
+    draw raises NumericError with its reason.
     """
-    derivs = model_derivatives(theta0, clean)
-    eps = ybar - clean.mean(theta0)
-    a_mat = matrix_a(derivs, eps, sigma_n)
-    b_mat = matrix_b(derivs, eps, sigma_n)
-    mcrb = mismatch_covariance(a_mat, b_mat)
-    total = lb_matrix(theta_bar, theta0, mcrb)
-    return replace(
-        clean_crb,
-        theta0=theta0,
-        mcrb=mcrb,
-        lb_matrix=total,
-        lb_aeb_rad=root_bound(total[0, 0]),
-        lb_deb_s=root_bound(total[1, 1]),
-        lb_peb_m=lb_position(theta_bar, theta0, mcrb),
-    )
+    one, theta_bars, models, sigmas = _stack(theta_bar, clean, sigma_n)
+    theta0s, ybars, crbs = ([theta0], [ybar], [clean_crb]) if one else (theta0, ybar, clean_crb)
+    a_mat, b_mat = mismatch_matrices(theta0s, models, ybars, sigmas)
+    mcrbs = mismatch_covariance(a_mat, b_mat, flat_coordinates(models[0].cfg))
+    finite = np.isfinite(a_mat).all(axis=(1, 2)) & np.isfinite(b_mat).all(axis=(1, 2))
+    out: list[BoundsReport | str] = []
+    for bar, t0, mcrb, crb, ok in zip(theta_bars, theta0s, mcrbs, crbs, finite):
+        if not ok:
+            out.append("curvature or score matrix is non-finite")
+        elif np.isnan(mcrb).all():
+            out.append("curvature matrix A is singular")
+        else:
+            total = lb_matrix(bar, t0, mcrb)
+            out.append(
+                replace(
+                    crb,
+                    theta0=t0,
+                    mcrb=mcrb,
+                    lb_matrix=total,
+                    lb_aeb_rad=root_bound(total[0, 0]),
+                    lb_deb_s=root_bound(total[1, 1]),
+                    lb_peb_m=lb_position(bar, t0, mcrb),
+                )
+            )
+    if one and isinstance(out[0], str):
+        raise NumericError(out[0])
+    return out[0] if one else out
 
 
 def lb_report(

@@ -12,8 +12,9 @@ couplings are computed once for the stack. Off the amplifier axis a
 point's pilots pass the PA once (:func:`_point`).
 
 The bounds runner makes each point's clean model and its CRB once off the
-amplifier axis (:class:`BoundsPoint`) and fits a task's (point, draw)
-pairs in one descent (:func:`_bounds_unit`). A draw's generator does not
+amplifier axis (:class:`BoundsPoint`), and takes each bound of a task's
+(point, draw) pairs in one call, the pseudo-trues in one descent
+(:func:`_bounds_unit`). A draw's generator does not
 depend on the point, so off the phase-noise and CFO axes a draw has the
 same rotation at every point: there a task is a unit of draws that covers
 every point, and a draw's dense sandwich is built once for all of them; on
@@ -54,7 +55,7 @@ from .bounds import (
     BoundsReport,
     crb_m1_numeric,
     crb_m2_report,
-    flat_scalars,
+    flat_coordinates,
     mismatch_report,
     pseudo_true,
 )
@@ -236,12 +237,11 @@ class Draws:
         return ProjectionModel.clean(cfg, block, coupling)
 
     def impaired(self, cfg: SystemConfig, r: int) -> ProjectionModel:
-        """Draw r's impaired model, with its (G, K) rotation built here from
-        the draw's phases."""
-        rotation = phase_rotations(self.cfo[r], self.pn[r], cfg)
-        return ProjectionModel(
-            cfg, self.combiners, self.couplings[r], self.slot(self.sent, r), rotation
-        )
+        """Draw r's impaired model without M_g. M_g is unitary and
+        theta-free, so this model's FIM and unrotated mean are the impaired
+        model's; the draw's rotation, where needed, is
+        phase_rotations(cfo[r], pn[r], cfg)."""
+        return ProjectionModel(cfg, self.combiners, self.couplings[r], self.slot(self.sent, r))
 
 
 def _draws(spec: ExperimentSpec, point: Point, indices: range, stream: int) -> Draws:
@@ -326,89 +326,75 @@ class Outcomes:
     stops: list[str]
 
 
-def _attempt(family: str, bound, *args) -> dict[str, float] | str:
-    try:
-        return _bound_scalars(family, bound(*args))
-    except NumericError as exc:
-        return str(exc)
-
-
 def _bounds_unit(
     spec: ExperimentSpec, points: list[BoundsPoint], indices: range
 ) -> list[Outcomes]:
     """The bounds of the draws of the given indices at each of the given
     sweep points, one :class:`Outcomes` per point.
 
-    Each point draws these indices (:func:`_draws`); a draw's generator
-    does not depend on the point, so off the phase-noise and CFO axes a
-    draw has the same rotation at every point. Draw by draw, the points'
-    impaired models give each point's impaired CRB and impaired mean, the
-    latter through the draw's dense sandwich
-    (:func:`~hwiloc.observation.sandwich_matrices`, as in
-    :meth:`~hwiloc.observation.ProjectionModel.eta`), built again only for
-    a point whose rotation differs from the previous point's. Then one
-    descent fits the pseudo-trues of all (point, draw) pairs together, each
-    bit for bit as on its own, and each pair's lb follows from its own and
-    from the clean CRB, which is taken once per point off the amplifier
-    axis (:class:`BoundsPoint`).
+    Each point draws these indices (:func:`_draws`). Every bound takes all
+    (point, draw) pairs of the task in one call, each pair bit for bit as on
+    its own: the impaired and the clean CRBs (the latter once per point off
+    the amplifier axis, :class:`BoundsPoint`), one descent for the
+    pseudo-trues and the lb of every pair whose fit succeeded. A draw's
+    generator does not depend on the point, so off the phase-noise and CFO
+    axes a draw has the same rotation at every point: its dense sandwich
+    (:func:`~hwiloc.observation.sandwich_matrices`, as
+    :meth:`~hwiloc.observation.ProjectionModel.eta` applies it) is built
+    again only for a point whose rotation differs from the previous one's.
     """
     families = _families(spec)
     n = len(indices)
-    out = [Outcomes({f: [None] * n for f in families}, []) for _ in points]
     draws = [_draws(spec, bp.point, indices, _REALIZATION_STREAM) for bp in points]
-    sigmas = [noise_std(bp.point.sys_cfg) for bp in points]
+    # the (point, draw) pairs, point-major
+    pairs = [(bp, d, r) for bp, d in zip(points, draws) for r in range(n)]
+    thetas = [bp.point.theta for bp, _, _ in pairs]
+    sigmas = [noise_std(bp.point.sys_cfg) for bp, _, _ in pairs]
     cleans = [
-        [bp.clean] * n
-        if bp.clean is not None
-        else [d.clean(bp.point.sys_cfg, bp.point.imp.coupling, r) for r in range(n)]
-        for bp, d in zip(points, draws)
+        bp.clean if bp.clean is not None else d.clean(bp.point.sys_cfg, bp.point.imp.coupling, r)
+        for bp, d, r in pairs
     ]
-    thetas = [bp.point.theta for bp in points]
-    cfg = points[0].point.sys_cfg
-    means = np.empty((len(points), n, cfg.n_transmissions, cfg.n_subcarriers), dtype=complex)
-    for r in range(n):
-        models = [d.impaired(bp.point.sys_cfg, r) for bp, d in zip(points, draws)]
-        if "crb_m1" in families:
-            for p, model in enumerate(models):
-                out[p].bounds["crb_m1"][r] = _attempt(
-                    "crb_m1", crb_m1_numeric, thetas[p], model, sigmas[p]
-                )
-        if "lb" in families:
+    bounds: dict[str, list[dict[str, float] | str]] = {}
+    stops: list[str] = []
+    if "crb_m1" in families:
+        # the lb makes each impaired model again: all of them held over its
+        # sandwiches raised full.cfg's peak RSS by about 0.25 MB
+        models = [d.impaired(bp.point.sys_cfg, r) for bp, d, r in pairs]
+        reports = crb_m1_numeric(thetas, models, sigmas)
+        bounds["crb_m1"] = [_bound_scalars("crb_m1", rep) for rep in reports]
+        del models, reports
+    if {"lb", "crb_m2"} & set(families):
+        crbs = [bp.crb for bp, _, _ in pairs]
+        if points[0].crb is None:
+            crbs = crb_m2_report(thetas, cleans, sigmas)
+        if "crb_m2" in families:
+            bounds["crb_m2"] = [_bound_scalars("crb_m2", rep) for rep in crbs]
+    if "lb" in families:
+        means = np.empty((len(pairs), *cleans[0].eff_pilots.shape), dtype=complex)
+        for r in range(n):
             rotation = None
-            for p, (model, theta) in enumerate(zip(models, thetas)):
-                if rotation is None or not np.array_equal(model.rotation, rotation):
-                    rotation, sandwich = model.rotation, sandwich_matrices(model.rotation)
-                v = model.unrotated(theta.aoa, theta.delay)
-                means[p, r] = theta.gain * np.einsum("gij,gj->gi", sandwich, v)
+            for i in range(r, len(pairs), n):
+                bp, d, _ = pairs[i]
+                this = phase_rotations(d.cfo[r], d.pn[r], bp.point.sys_cfg)
+                if rotation is None or not np.array_equal(this, rotation):
+                    rotation, sandwich = this, sandwich_matrices(this)
+                v = d.impaired(bp.point.sys_cfg, r).unrotated(thetas[i].aoa, thetas[i].delay)
+                means[i] = thetas[i].gain * np.einsum("gij,gj->gi", sandwich, v)
             # freed here: held over the next draw's bounds, it raised
             # full.cfg's peak RSS by about 1.3 MB
             del sandwich
-    if "lb" in families:
-        theta0s, fits = pseudo_true(
-            [t for t in thetas for _ in range(n)],
-            [c for per_point in cleans for c in per_point],
-            means.reshape(-1, *means.shape[2:]),
-        )
-        for o, stops in zip(out, fits.stops.reshape(len(points), n).tolist()):
-            o.stops = stops
-    if not {"lb", "crb_m2"} & set(families):
-        return out
-    for p, bp in enumerate(points):
-        for r, clean in enumerate(cleans[p]):
-            crb = bp.crb if bp.crb is not None else crb_m2_report(thetas[p], clean, sigmas[p])
-            if "crb_m2" in families:
-                out[p].bounds["crb_m2"][r] = _bound_scalars("crb_m2", crb)
-            if "lb" in families:
-                i = p * n + r
-                out[p].bounds["lb"][r] = (
-                    fits.errors[i]
-                    if theta0s[i] is None
-                    else _attempt(
-                        "lb", mismatch_report, thetas[p], theta0s[i], clean, means[p, r],
-                        sigmas[p], crb,
-                    )
-                )
-    return out
+        theta0s, fits = pseudo_true(thetas, cleans, means)
+        stops = fits.stops.tolist()
+        bounds["lb"] = list(fits.errors)
+        fitted = [i for i, theta0 in enumerate(theta0s) if theta0 is not None]
+        reports = []
+        if fitted:
+            args = (thetas, theta0s, cleans, means, sigmas, crbs)
+            reports = mismatch_report(*([arg[i] for i in fitted] for arg in args))
+        for i, rep in zip(fitted, reports):
+            bounds["lb"][i] = rep if isinstance(rep, str) else _bound_scalars("lb", rep)
+    per_point = [slice(p * n, (p + 1) * n) for p in range(len(points))]
+    return [Outcomes({f: v[own] for f, v in bounds.items()}, stops[own]) for own in per_point]
 
 
 def _bounds_rows(spec: ExperimentSpec, point: Point, outcomes: list[Outcomes]) -> list[ResultRow]:
@@ -416,9 +402,9 @@ def _bounds_rows(spec: ExperimentSpec, point: Point, outcomes: list[Outcomes]) -
     order. A draw whose bound fails drops out of that family only: each
     family counts its own surviving draws, and one WARNING line per family
     counts the failed draws by reason. A scalar whose coordinate the link
-    cannot identify (:func:`~hwiloc.bounds.flat_scalars`) is inf in every
+    cannot identify (:func:`~hwiloc.bounds.flat_coordinates`) is inf in every
     family."""
-    value, sys_cfg = point.value, point.sys_cfg
+    value = point.value
     families = _families(spec)
     scalars = [s for s in BOUND_SCALARS if s in spec.outputs]
     results = {f: [x for o in outcomes for x in o.bounds[f]] for f in families}
@@ -442,24 +428,15 @@ def _bounds_rows(spec: ExperimentSpec, point: Point, outcomes: list[Outcomes]) -
                 "; ".join(f"{reason}={count}" for reason, count in sorted(reasons.items())),
             )
     empty = [f for f in families if not reports[f]]
-    if "lb" in empty:
-        # every draw's lb failing on a link that cannot identify a
-        # coordinate is the configuration's doing, not a numeric failure
-        _require_identifiable(sys_cfg, "the misspecified bound lb needs")
     if empty:
         names = ", ".join(empty)
         logger.warning("bounds: no surviving realizations for %s at %r", names, value)
         raise NumericError(f"no surviving realizations for {names} at sweep value {value!r}")
-    flat = flat_scalars(sys_cfg)
     rows: list[ResultRow] = []
     for family in families:
         for scalar in scalars:
             metric = f"{family}_{scalar}"
             arr = np.array([rep[scalar] for rep in reports[family]])
-            if family == "lb" and scalar in flat:
-                # lb inverts its whole curvature matrix, which may round to
-                # finite diagonals where the coordinate is not identifiable
-                arr[:] = np.inf
             for stat, v in (("mean", arr.mean()), ("min", arr.min()), ("max", arr.max())):
                 rows.append(
                     ResultRow(
@@ -608,31 +585,14 @@ def _bounds_tasks(spec: ExperimentSpec) -> list[tuple[list[int], range]]:
     return [(list(range(n_points)), range(a, b)) for a, b in zip(edges, edges[1:])]
 
 
-def _require_identifiable(cfg: SystemConfig, subject: str) -> None:
-    """Raise ConfigError, led by subject ("the estimators need"), when the
-    link cfg cannot identify both coordinates
-    (:func:`~hwiloc.bounds.flat_scalars`)."""
-    flat = flat_scalars(cfg)
-    if "aeb" in flat:
-        raise ConfigError(
-            f"{subject} n_antennas >= 2 and n_transmissions >= 2: with one "
-            "antenna or one transmission the projection objective is flat in angle"
-        )
-    if "deb" in flat:
-        raise ConfigError(
-            f"{subject} n_subcarriers >= 2: with one subcarrier the "
-            "projection objective is flat in range"
-        )
-
-
 def run_bounds_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     """Bound statistics over hardware realizations at each sweep point.
 
-    A draw whose bound fails drops out of that family. When no draw of a
-    point has an lb and the link cannot identify a coordinate
-    (:func:`_require_identifiable`), the run is a ConfigError naming it;
-    otherwise the scalars of that coordinate, and the position bound, are
-    inf in every family.
+    A draw whose bound fails drops out of that family. Where the link
+    cannot identify a coordinate (:func:`~hwiloc.bounds.flat_coordinates`),
+    every family leaves it out of its inverse: the scalars of that
+    coordinate, and the position bound, are inf, and those of the other
+    coordinate are finite.
     """
     if not any(f in spec.outputs for f in BOUND_FAMILIES):
         raise ConfigError("outputs request no bound family (crb_m2, crb_m1, lb)")
@@ -662,11 +622,22 @@ def run_estimator_trials(spec: ExperimentSpec) -> list[ResultRow]:
     to :func:`~hwiloc.estimation.scan_limit_m`. Beyond one delay-ambiguity
     span the delay phasors repeat, so a fit lands on an alias of the true
     range. The link must identify both coordinates
-    (:func:`_require_identifiable`), or a fit would report an arbitrary point.
+    (:func:`~hwiloc.bounds.flat_coordinates`), or a fit would report an
+    arbitrary point.
     """
     if not any(m in spec.outputs for m in ESTIMATOR_METRICS):
         raise ConfigError("outputs request no estimator metric (mmle_rmse, mle_m1_rmse)")
-    _require_identifiable(spec.system, "the estimators need")
+    flat = flat_coordinates(spec.system)
+    if 0 in flat:
+        raise ConfigError(
+            "the estimators need n_antennas >= 2 and n_transmissions >= 2: with one "
+            "antenna or one transmission the projection objective is flat in angle"
+        )
+    if 1 in flat:
+        raise ConfigError(
+            "the estimators need n_subcarriers >= 2: with one subcarrier the "
+            "projection objective is flat in range"
+        )
     ue_range = float(np.hypot(*spec.ue_position))
     top = scan_limit_m(spec.system.subcarrier_spacing_hz)
     if not RANGE_MIN_M <= ue_range < top:

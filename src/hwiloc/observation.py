@@ -31,13 +31,13 @@ Means are (G, K) arrays of subcarrier-domain samples for one pilot block.
 Flattening row-major gives the g-major stacked vector used by estimators and
 bounds. The gain-free mean (alpha = 1) is what the projection-based
 estimators search over. Its factors b_g and d_k, with their first two
-derivatives in aoa and delay (:meth:`ProjectionModel.factors`), are the
-source of derivatives for the Fisher information and the misspecified
-bound. The estimators read a model through two reductions of a pulled
-observation u_g = M_g^H y_g, stacked over many observations in
-:class:`FitData`: a scan over an (angle, range) grid whose bases are built
-once per grid (:class:`ScanGrid`), and the captured energy with its exact
-derivatives, on the same factors.
+derivatives in aoa and delay, are the one source of derivatives: the Fisher
+information and the misspecified bound contract them in
+:mod:`hwiloc.bounds`, and the estimators read a model through two
+reductions of a pulled observation u_g = M_g^H y_g, stacked over many
+observations in :class:`FitData`: a scan over an (angle, range) grid whose
+bases are built once per grid (:class:`ScanGrid`), and the captured energy
+with its exact derivatives, on the same factors.
 """
 
 from __future__ import annotations
@@ -145,10 +145,10 @@ class ProjectionModel:
     that makes up M_g (None for the clean chain): of a realization's phase
     noise and CFO the model keeps only this rotation. It gives the mean, the
     pulled observation, the projection objective on a grid
-    (:meth:`objective_grid`), and the factor derivatives (:meth:`factors`)
-    that the derivatives of the mean in :mod:`hwiloc.bounds` build on. What
-    the Newton fit and the pseudo-true descent read of it is a slot of
-    :class:`FitData`.
+    (:meth:`objective_grid`), and what the derivatives of the mean in
+    :mod:`hwiloc.bounds` read: the row matrix, the ring powers and the pilot
+    moments. What the Newton fit and the pseudo-true descent read of it is
+    a slot of :class:`FitData`.
     """
 
     cfg: SystemConfig
@@ -156,20 +156,26 @@ class ProjectionModel:
     coupling: np.ndarray  # C, (N, N)
     eff_pilots: np.ndarray  # x~, (G, K)
     rotation: np.ndarray | None = None  # diagonal of F^H M_g F, (G, K)
-    # eta and factors round as W (C a), one steering vector at a time; the
-    # scans, the Newton fit and the pseudo-true descent (FitData) round as
-    # (W C) a. The benchmark's lb reference was computed this way: stacking
-    # eta's product (W (C S) or (W C) a) moves full.cfg lb rows by 8.45e-6
-    # or 2.0e-5, past its 1e-6 gate. Both stay until that reference is
-    # regenerated.
+    # eta rounds as W (C a), one steering vector at a time; the scans, the
+    # Newton fit, the pseudo-true descent (FitData) and the bounds'
+    # derivatives round as (W C) a. Only eta's order is pinned: the lb
+    # reference of the benchmark was computed with it, and stacking eta's
+    # product (W (C S) or (W C) a) moves full.cfg lb rows by 8.45e-6 or
+    # 2.0e-5, past its 1e-6 gate, until that reference is regenerated.
     row_matrix: np.ndarray = field(init=False)  # W C, (G, N)
     pilot_energies: np.ndarray = field(init=False)  # (G,)
     ring_powers: np.ndarray = field(init=False)  # see ring_powers(), (K, 3)
+    # P_g[m, n] = sum_k |x~_gk|^2 conj(r_k)^m r_k^n for m, n < 2, with r the
+    # root of ring_powers: the theta-free part of the FIM, (G, 2, 2)
+    pilot_moments: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.row_matrix = self.combiners @ self.coupling
         self.pilot_energies = np.sum(np.abs(self.eff_pilots) ** 2, axis=1)
         self.ring_powers = ring_powers(self.cfg.n_subcarriers, self.cfg.subcarrier_spacing_hz)
+        r = self.ring_powers[:, :2]
+        products = (r.conj()[:, :, None] * r[:, None, :]).reshape(-1, 4)  # (K, 4)
+        self.pilot_moments = (np.abs(self.eff_pilots) ** 2 @ products).reshape(-1, 2, 2)
 
     @staticmethod
     def clean(cfg: SystemConfig, block: PilotBlock, coupling: tuple = ()) -> "ProjectionModel":
@@ -235,16 +241,6 @@ class ProjectionModel:
         model's rows and pilots."""
         w = np.conj(self.eff_pilots) * u
         return grid.objective(self.row_matrix, self.pilot_energies, w, np.vdot(u, u).real)
-
-    def factors(self, aoa: float, delay: float) -> tuple[np.ndarray, np.ndarray]:
-        """The mean's factors and their derivatives: the row gains [b, b', b'']
-        in aoa, (G, 3), and the delay phasors [d, d', d''] in delay, (K, 3).
-
-        Each column of b is one product W (C v), rounding as :meth:`eta` does.
-        """
-        steer = steering_derivatives(aoa, self.coupling.shape[0])
-        b = np.array([self.combiners @ (self.coupling @ v) for v in steer]).T
-        return b, self.ring_powers * np.exp(self.ring_powers[:, 1] * delay)[:, None]
 
 
 @dataclass(frozen=True)
@@ -381,10 +377,10 @@ class FitData:
 
         s = eta^H u = sum_{g,k} conj(b_g) w_{g,k} conj(d_k) and D = ||eta||^2
         = sum_g |b_g|^2 ||x~_g||^2, with b = W C [a, a', a''] and d = [d, d',
-        d''] the factors of :meth:`ProjectionModel.factors`. One product
-        b^H w conj(d) per fit gives every mixed derivative of s in (aoa,
-        delay); range derivatives divide by c per order. D does not depend on
-        range. Returns the rows (e, e_a, e_r, e_aa, e_ar, e_rr), (6, T): the
+        d''] the factors of :func:`hwiloc.bounds.model_derivatives`. One
+        product b^H w conj(d) per fit gives every mixed derivative of s in
+        (aoa, delay); range derivatives divide by c per order. D does not
+        depend on range. Returns the rows (e, e_a, e_r, e_aa, e_ar, e_rr), (6, T): the
         energy, its gradient and its Hessian; all NaN for a fit whose D
         vanishes.
         """

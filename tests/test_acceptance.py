@@ -11,12 +11,11 @@ import time
 
 import numpy as np
 
+from dense_oracle import factored_derivatives
 from hwiloc.bounds import (
     fim,
     lb_report,
-    matrix_a,
-    matrix_b,
-    model_derivatives,
+    mismatch_matrices,
     pseudo_true,
     scalar_bounds,
 )
@@ -149,9 +148,9 @@ def test_2_derivatives_match_finite_differences():
         theta = _random_params(seed)
         t = theta.as_array()
         model = ProjectionModel.clean(DESK, block, coupling)
-        derivs = model_derivatives(theta, model)
+        first, second = factored_derivatives(theta, model)
         scale = max(
-            np.linalg.norm(derivs.second[i, j]) for i in range(4) for j in range(4)
+            np.linalg.norm(second[i, j]) for i in range(4) for j in range(4)
         )
         for i in range(4):
             h = _component_step(t, i)
@@ -163,15 +162,15 @@ def test_2_derivatives_match_finite_differences():
             ) / (2.0 * h)
             worst_first = max(
                 worst_first,
-                np.linalg.norm(fd_mu - derivs.first[i]) / np.linalg.norm(derivs.first[i]),
+                np.linalg.norm(fd_mu - first[i]) / np.linalg.norm(first[i]),
             )
             fd_first = (
-                model_derivatives(ChannelParams.from_array(tp), model).first
-                - model_derivatives(ChannelParams.from_array(tm), model).first
+                factored_derivatives(ChannelParams.from_array(tp), model)[0]
+                - factored_derivatives(ChannelParams.from_array(tm), model)[0]
             ) / (2.0 * h)
             for j in range(4):
-                err = np.linalg.norm(fd_first[j] - derivs.second[i, j])
-                ref = np.linalg.norm(derivs.second[i, j])
+                err = np.linalg.norm(fd_first[j] - second[i, j])
+                ref = np.linalg.norm(second[i, j])
                 worst_second = max(worst_second, err / ref if ref > 0 else err / scale)
     dt = time.perf_counter() - t0
     ok = worst_first <= 1e-6 and worst_second <= 1e-6 and dt < 10.0
@@ -202,11 +201,10 @@ def test_3_sandwich_matrices_match_monte_carlo():
     clean = ProjectionModel.clean(cfg, block, imp.coupling)
     ybar = mu_m1(theta_bar, cfg, block, imp, real)
     theta0 = pseudo_true(theta_bar, clean, ybar)
+    (a_ref,), (b_ref,) = mismatch_matrices([theta0], [clean], [ybar], [sigma])
     ybar = ybar.ravel()
     eps = ybar - clean.mean(theta0).ravel()
-    derivs = model_derivatives(theta0, clean)
-    a_ref = matrix_a(derivs, eps, sigma)
-    b_ref = matrix_b(derivs, eps, sigma)
+    first, _ = factored_derivatives(theta0, clean)
 
     m_draws = 100_000
     rng = np.random.default_rng(np.random.SeedSequence((999, 1)))
@@ -215,7 +213,7 @@ def test_3_sandwich_matrices_match_monte_carlo():
         rng.standard_normal((gk, m_draws)) + 1j * rng.standard_normal((gk, m_draws))
     ) * (sigma / np.sqrt(2.0))
 
-    flat1 = derivs.first.reshape(4, -1)
+    flat1 = first.reshape(4, -1)
     score = (2.0 / sigma**2) * (flat1.conj() @ (eps[:, None] + noise)).real
     b_hat = score @ score.T / m_draws
 

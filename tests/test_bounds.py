@@ -1,15 +1,19 @@
 """Tests for the bound computations.
 
-Derivative oracles are central finite differences: first derivatives are
-checked against differences of the model mean, second derivatives against
+The bounds contract the factors of the mean; the derivatives they stand
+for are assembled as dense tensors in tests/dense_oracle.py. Derivative
+oracles are central finite differences: first derivatives are checked
+against differences of the model mean, second derivatives against
 differences of the analytic first derivatives (differencing the mean twice
-loses too many digits to roundoff). The closed-form impaired information
-matrix is checked against central differences of the impaired mean. The
+loses too many digits to roundoff). The factored FIM, A and B are checked
+against the dense contractions, and a stack of (theta, model) pairs
+against batches of one. The closed-form impaired information matrix is
+checked against central differences of the impaired mean. The
 single-sample information matrix is checked against a hand-expanded closed
-form. Mismatch machinery is checked
-through its exact degenerate limits: with no impairments the pseudo-true
-parameter is the true one, A and B collapse to -I and +I, and every
-misspecified bound equals its matched counterpart.
+form. Mismatch machinery is checked through its exact degenerate limits:
+with no impairments the pseudo-true parameter is the true one, A and B
+collapse to -I and +I, and every misspecified bound equals its matched
+counterpart.
 """
 
 import warnings
@@ -19,23 +23,31 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import hwiloc.bounds
+from dense_oracle import (
+    dense_a,
+    dense_b,
+    dense_derivatives,
+    dense_fim,
+    factor_table,
+    factored_derivatives,
+    table_derivatives,
+)
 from hwiloc.bounds import (
     BoundsReport,
     bias_vector,
     crb_m1_numeric,
     crb_m2_report,
     crb_state,
-    fim_from_first_derivatives,
     fim,
     fim_m1_numeric,
-    first_derivatives,
     jacobian_state,
     lb_matrix,
     lb_position,
     lb_report,
-    matrix_a,
-    matrix_b,
     mismatch_covariance,
+    mismatch_matrices,
+    mismatch_report,
     model_derivatives,
     pseudo_true,
     scalar_bounds,
@@ -53,7 +65,7 @@ from hwiloc.model import (
     params_to_state,
     state_to_params,
 )
-from hwiloc.observation import ProjectionModel, mu_m1, transmit_pilots
+from hwiloc.observation import ProjectionModel, mu_m1, sandwich_matrices, transmit_pilots
 
 SMALL = SystemConfig(n_antennas=5, n_transmissions=3, n_subcarriers=8, cp_length=2)
 DESK = SystemConfig(n_antennas=10, n_transmissions=5, n_subcarriers=32, cp_length=7)
@@ -92,7 +104,7 @@ def test_first_derivatives_match_mean_differences(seed):
     theta = random_params(seed)
     t = theta.as_array()
     model = clean_model(SMALL, block, coupling)
-    derivs = model_derivatives(theta, model)
+    first, _ = factored_derivatives(theta, model)
     for i in range(4):
         h = component_step(t, i)
         tp, tm = t.copy(), t.copy()
@@ -101,8 +113,8 @@ def test_first_derivatives_match_mean_differences(seed):
         fd = (
             model.mean(ChannelParams.from_array(tp)) - model.mean(ChannelParams.from_array(tm))
         ) / (2.0 * h)
-        err = np.linalg.norm(fd - derivs.first[i])
-        assert err <= 1e-6 * np.linalg.norm(derivs.first[i])
+        err = np.linalg.norm(fd - first[i])
+        assert err <= 1e-6 * np.linalg.norm(first[i])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -112,9 +124,9 @@ def test_second_derivatives_match_first_derivative_differences(seed):
     theta = random_params(seed)
     t = theta.as_array()
     model = clean_model(SMALL, block, coupling)
-    derivs = model_derivatives(theta, model)
+    _, second = factored_derivatives(theta, model)
     scale = max(
-        np.linalg.norm(derivs.second[i, j]) for i in range(4) for j in range(4)
+        np.linalg.norm(second[i, j]) for i in range(4) for j in range(4)
     )
     for i in range(4):
         h = component_step(t, i)
@@ -122,12 +134,12 @@ def test_second_derivatives_match_first_derivative_differences(seed):
         tp[i] += h
         tm[i] -= h
         fd_all = (
-            model_derivatives(ChannelParams.from_array(tp), model).first
-            - model_derivatives(ChannelParams.from_array(tm), model).first
+            factored_derivatives(ChannelParams.from_array(tp), model)[0]
+            - factored_derivatives(ChannelParams.from_array(tm), model)[0]
         ) / (2.0 * h)
         for j in range(4):
-            err = np.linalg.norm(fd_all[j] - derivs.second[i, j])
-            ref = np.linalg.norm(derivs.second[i, j])
+            err = np.linalg.norm(fd_all[j] - second[i, j])
+            ref = np.linalg.norm(second[i, j])
             if ref > 0:
                 assert err <= 1e-6 * ref
             else:
@@ -142,71 +154,159 @@ def test_derivative_identities(seed):
     block = PilotBlock.from_config(SMALL)
     theta = random_params(seed)
     model = clean_model(SMALL, block)
-    derivs = model_derivatives(theta, model)
+    first, _ = factored_derivatives(theta, model)
     mu = model.mean(theta)
-    npt.assert_allclose(theta.gain_amp * derivs.first[2], mu, rtol=1e-14)
-    npt.assert_allclose(derivs.first[3], -1j * mu, rtol=1e-14)
+    npt.assert_allclose(theta.gain_amp * first[2], mu, rtol=1e-14)
+    npt.assert_allclose(first[3], -1j * mu, rtol=1e-14)
 
 
 def test_second_derivative_symmetry():
     block = PilotBlock.from_config(SMALL)
-    derivs = model_derivatives(random_params(5), clean_model(SMALL, block, MEASURED_COUPLING))
+    model = clean_model(SMALL, block, MEASURED_COUPLING)
+    _, second = factored_derivatives(random_params(5), model)
     for i in range(4):
         for j in range(4):
-            npt.assert_array_equal(derivs.second[i, j], derivs.second[j, i])
+            npt.assert_array_equal(second[i, j], second[j, i])
 
 
-def full_table_derivatives(theta: ChannelParams, model: ProjectionModel):
-    """Oracle: first and second derivatives read from the full (3, 3, G, K)
-    table of factor products b^(i) d^(j) x~, every (aoa, delay) order pair."""
-    b, d = model.factors(theta.aoa, theta.delay)
-    e = b.T[:, None, :, None] * (d.T[:, None, :] * model.eff_pilots)
-    amp = np.array([theta.gain_amp, 1.0, 0.0])
-    phase = np.array([1.0, -1j, -1.0])
-    rotation = np.exp(-1j * theta.gain_phase)
-    eye = np.eye(4, dtype=int)
-
-    def derivative(orders):
-        n_aoa, n_delay, n_amp, n_phase = orders
-        gain = amp[n_amp] * phase[n_phase] * rotation
-        return gain[..., None, None] * e[n_aoa, n_delay]
-
-    return derivative(eye), derivative(eye[:, :, None] + eye[:, None, :])
+def impaired_or_clean(impaired: bool, cfg=DESK, seed: int = 4) -> ProjectionModel:
+    """An impaired model with the PA, phase noise, CFO and coupling residual
+    all on, or the clean model with the known coupling."""
+    block = PilotBlock.from_config(cfg)
+    if not impaired:
+        return clean_model(cfg, block, MEASURED_COUPLING)
+    imp = ImpairmentConfig()
+    real = sample_realization(imp, cfg, np.random.default_rng(seed))
+    return ProjectionModel.impaired(cfg, block, imp, real)
 
 
 @pytest.mark.parametrize("impaired", [False, True])
 def test_model_derivatives_match_full_product_table_bitwise(impaired):
-    block = PilotBlock.from_config(DESK)
-    imp = ImpairmentConfig()
-    if impaired:
-        real = sample_realization(imp, DESK, np.random.default_rng(4))
-        model = ProjectionModel.impaired(DESK, block, imp, real)
-    else:
-        model = clean_model(DESK, block, MEASURED_COUPLING)
+    """The derivatives the bounds contract (mean_derivatives: the package's
+    gain factors times the factors of model_derivatives) are those of the
+    full table of factor products with hand-written gain factors, bit for
+    bit."""
+    model = impaired_or_clean(impaired)
     for seed in range(20):
         theta = random_params(100 + seed)
-        derivs = model_derivatives(theta, model)
-        first, second = full_table_derivatives(theta, model)
-        assert np.array_equal(derivs.first, first)
-        assert np.array_equal(derivs.second, second)
+        first, second = factored_derivatives(theta, model)
+        table_first, table_second = table_derivatives(factor_table(theta, model), theta)
+        assert np.array_equal(first, table_first)
+        assert np.array_equal(second, table_second)
+
+
+def _normalized(x: np.ndarray, ref: np.ndarray) -> float:
+    """Largest gap of x from ref, entry (i, j) relative to
+    sqrt(|ref_ii ref_jj|): the scale of a 4 x 4 bound matrix whose entries
+    span many orders of magnitude and whose cross terms can vanish."""
+    d = np.sqrt(np.abs(np.diag(ref)))
+    return float(np.max(np.abs(x - ref) / np.outer(d, d)))
 
 
 @pytest.mark.parametrize("impaired", [False, True])
-def test_first_derivatives_alone_match_model_derivatives_bitwise(impaired):
-    """The FIM's first derivatives, built without the second, are those of
-    model_derivatives bit for bit, and so is the FIM."""
-    block = PilotBlock.from_config(DESK)
+def test_factored_bounds_match_the_dense_oracle(impaired):
+    """The FIM, A and B contracted from the factors equal the dense
+    sample-by-sample contractions within 1e-12 (see _normalized). The
+    fitted model is the clean one or an impaired one with every impairment
+    on, whose derivatives are the dense ones under its sandwich; the data
+    come from another realization."""
+    cfg = replace(DESK, tx_power_dbm=30.0)
+    model = impaired_or_clean(impaired, cfg, seed=5)
     imp = ImpairmentConfig()
-    if impaired:
-        real = sample_realization(imp, DESK, np.random.default_rng(4))
-        model = ProjectionModel.impaired(DESK, block, imp, real)
-    else:
-        model = clean_model(DESK, block, MEASURED_COUPLING)
-    for seed in range(20):
-        theta = random_params(200 + seed)
-        first = model_derivatives(theta, model).first
-        assert np.array_equal(first_derivatives(theta, model), first)
-        assert np.array_equal(fim(theta, model, 0.3), fim_from_first_derivatives(first, 0.3))
+    real = sample_realization(imp, cfg, np.random.default_rng(6))
+    data = ProjectionModel.impaired(cfg, PilotBlock.from_config(cfg), imp, real)
+    sigma = noise_std(cfg)
+    theta_bar = geometric_params(np.array([3.0, 2.0]), 0.3, cfg)
+    ybar = data.mean(theta_bar)
+    # the true parameter, where the score is not zero, and the pseudo-true
+    for theta in (theta_bar, pseudo_true(theta_bar, model, ybar)):
+        first, second = dense_derivatives(theta, model)
+        if impaired:
+            sandwich = sandwich_matrices(model.rotation)
+            first = np.einsum("gij,...gj->...gi", sandwich, first)
+            second = np.einsum("gij,...gj->...gi", sandwich, second)
+        eps = ybar - model.mean(theta)
+        info = dense_fim(first, sigma)
+        a_mat, b_mat = mismatch_matrices([theta], [model], [ybar], [sigma])
+        assert _normalized(fim(theta, model, sigma), info) < 1e-12
+        assert _normalized(a_mat[0], dense_a(first, second, eps, sigma)) < 1e-12
+        assert _normalized(b_mat[0], dense_b(first, eps, sigma)) < 1e-12
+
+
+def _stack_inputs(n: int, seed: int):
+    """n (theta_bar, theta0, clean model, impaired model, impaired mean)
+    draws at 30 dBm with different thetas, couplings and realizations."""
+    cfg = replace(DESK, tx_power_dbm=30.0)
+    block = PilotBlock.from_config(cfg)
+    imp = ImpairmentConfig()
+    rng = np.random.default_rng(seed)
+    out = []
+    for r in range(n):
+        theta_bar = geometric_params(np.array([3.0 + 0.1 * r, 2.0 - 0.2 * r]), 0.3 * r, cfg)
+        clean = clean_model(cfg, block, imp.coupling if r % 2 else ())
+        impaired = ProjectionModel.impaired(cfg, block, imp, sample_realization(imp, cfg, rng))
+        ybar = impaired.mean(theta_bar)
+        out.append((theta_bar, pseudo_true(theta_bar, clean, ybar), clean, impaired, ybar))
+    return out, noise_std(cfg)
+
+
+def _assert_reports_equal(stacked, alone):
+    for name in ("fim", "crb", "mcrb", "lb_matrix"):
+        x, y = getattr(stacked, name), getattr(alone, name)
+        assert (x is None and y is None) or np.array_equal(x, y, equal_nan=True), name
+    for name in ("aeb_rad", "deb_s", "peb_m", "lb_aeb_rad", "lb_deb_s", "lb_peb_m"):
+        assert getattr(stacked, name) == getattr(alone, name), name
+
+
+@pytest.mark.parametrize("impaired", [False, True])
+def test_stacked_bounds_match_batches_of_one_bitwise(impaired):
+    """n (theta, model) pairs in one stack give, bit for bit, what n
+    batches of one give: the factors, the FIMs, the CRB reports and the
+    misspecified-bound reports."""
+    draws, sigma = _stack_inputs(5, 31)
+    thetas, theta0s, cleans, impaireds, ybars = map(list, zip(*draws))
+    models = impaireds if impaired else cleans
+    b, d = model_derivatives(thetas, models)
+    for r, (theta, model) in enumerate(zip(thetas, models)):
+        b1, d1 = model_derivatives([theta], [model])
+        assert np.array_equal(b[r], b1[0]) and np.array_equal(d[r], d1[0])
+    assert np.array_equal(
+        fim(thetas, models, sigma), np.array([fim(t, m, sigma) for t, m in zip(thetas, models)])
+    )
+    report = crb_m1_numeric if impaired else crb_m2_report
+    for stacked, theta, model in zip(report(thetas, models, sigma), thetas, models):
+        _assert_reports_equal(stacked, report(theta, model, sigma))
+    crbs = crb_m2_report(thetas, cleans, sigma)
+    lbs = mismatch_report(thetas, theta0s, cleans, np.array(ybars), sigma, crbs)
+    for stacked, args in zip(lbs, zip(thetas, theta0s, cleans, ybars, [sigma] * 5, crbs)):
+        _assert_reports_equal(stacked, mismatch_report(*args))
+
+
+def test_mismatch_report_fails_a_draw_alone(monkeypatch):
+    """In a stack where one draw's A or B is not finite and another's A is
+    singular, those two fail with their reasons, and every other draw is
+    bit for bit its batch of one."""
+    draws, sigma = _stack_inputs(5, 32)
+    thetas, theta0s, cleans, _, ybars = map(list, zip(*draws))
+    crbs = crb_m2_report(thetas, cleans, sigma)
+    pairs = zip(thetas, theta0s, cleans, ybars, [sigma] * 5, crbs)
+    alone = [mismatch_report(*args) for args in pairs]
+    ybars[1] = np.full_like(ybars[1], np.nan)
+
+    def singular_fourth(a_mat, b_mat, flat=()):
+        a_mat = a_mat.copy()
+        if len(a_mat) == 5:
+            a_mat[3] = 0.0
+        return mismatch_covariance(a_mat, b_mat, flat)
+
+    monkeypatch.setattr(hwiloc.bounds, "mismatch_covariance", singular_fourth)
+    out = mismatch_report(thetas, theta0s, cleans, ybars, sigma, crbs)
+    assert out[1] == "curvature or score matrix is non-finite"
+    assert out[3] == "curvature matrix A is singular"
+    for r in (0, 2, 4):
+        _assert_reports_equal(out[r], alone[r])
+    with pytest.raises(NumericError, match="non-finite"):
+        mismatch_report(thetas[1], theta0s[1], cleans[1], ybars[1], sigma, crbs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +383,9 @@ def test_fim_noise_scaling_exact():
 
 
 def test_fim_rejects_bad_noise():
-    first = np.zeros((4, 2, 3), dtype=complex)
+    theta = geometric_params(np.array([3.0, 2.0]), 0.3, SMALL)
     with pytest.raises(ValueError):
-        fim_from_first_derivatives(first, 0.0)
+        fim(theta, clean_model(SMALL), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +519,7 @@ def fd_fim_m1(theta, cfg, block, imp, real, sigma_n, step=1e-6):
         mp = mu_m1(ChannelParams.from_array(tp), cfg, block, imp, real)
         mm = mu_m1(ChannelParams.from_array(tm), cfg, block, imp, real)
         first.append((mp - mm) / (2.0 * h))
-    return fim_from_first_derivatives(np.stack(first), sigma_n)
+    return dense_fim(np.stack(first), sigma_n)
 
 
 def test_numeric_fim_matches_analytic_without_impairments():
@@ -572,16 +672,17 @@ def test_ab_matrices_reduce_to_information():
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, DESK)
     sigma = noise_std(DESK)
     model = clean_model(DESK, block)
-    derivs = model_derivatives(theta, model)
     info = fim(theta, model, sigma)
-    eps = np.zeros((DESK.n_transmissions, DESK.n_subcarriers), dtype=complex)
-    a_mat = matrix_a(derivs, eps, sigma)
-    b_mat = matrix_b(derivs, eps, sigma)
-    npt.assert_allclose(a_mat, -info, rtol=1e-12)
-    npt.assert_allclose(b_mat, info, rtol=1e-12)
+    # the data are the model's own mean, formed from the factors as the
+    # mismatch is: zero to the last bit
+    b, d = model_derivatives([theta], [model])
+    ybar = theta.gain * (b[0, :, :1] * (d[0] * model.eff_pilots))
+    a_mat, b_mat = mismatch_matrices([theta], [model], [ybar], [sigma])
+    npt.assert_allclose(a_mat[0], -info, rtol=1e-12)
+    npt.assert_allclose(b_mat[0], info, rtol=1e-12)
     inv = np.linalg.inv(info)
     npt.assert_allclose(
-        mismatch_covariance(a_mat, b_mat), inv, rtol=1e-9, atol=1e-12 * np.abs(inv).max()
+        mismatch_covariance(a_mat, b_mat)[0], inv, rtol=1e-9, atol=1e-12 * np.abs(inv).max()
     )
 
 

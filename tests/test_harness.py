@@ -5,6 +5,7 @@ import logging
 import math
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import hwiloc.estimation
 import hwiloc.harness
-from hwiloc.bounds import pseudo_true
+from hwiloc.bounds import mismatch_covariance, pseudo_true
 from hwiloc.cli import main
 from hwiloc.config_io import (
     DEFAULT_SWEEP_VALUES,
@@ -46,7 +47,13 @@ from hwiloc.model import (
     geometric_params,
     noise_std,
 )
-from hwiloc.observation import ProjectionModel, observe, sandwich_matrices, transmit_pilots
+from hwiloc.observation import (
+    ProjectionModel,
+    observe,
+    phase_rotations,
+    sandwich_matrices,
+    transmit_pilots,
+)
 
 DESK_OVERRIDES = {
     "n_antennas": "10",
@@ -620,7 +627,9 @@ def test_point_fit_matches_one_observation_estimators(
     stream = hwiloc.harness._TRIAL_STREAM
     draws = hwiloc.harness._draws(spec, point, range(spec.n_trials), stream)
     for t in range(spec.n_trials):
-        clean, impaired = draws.clean(sys_cfg, imp.coupling, t), draws.impaired(sys_cfg, t)
+        clean = draws.clean(sys_cfg, imp.coupling, t)
+        rotation = phase_rotations(draws.cfo[t], draws.pn[t], sys_cfg)
+        impaired = replace(draws.impaired(sys_cfg, t), rotation=rotation)
         y = observed[t]
         alone = observe(impaired.mean(theta), noise_std(sys_cfg), draws.rngs[t])
         assert np.abs(y - alone).max() <= 1e-12 * np.abs(alone).max()
@@ -921,11 +930,12 @@ def _desk_cfg(tmp_path, **overrides):
 
 
 def test_cli_no_surviving_realizations_exits_2(tmp_path, monkeypatch, capsys):
-    # every realization fails numerically
-    def singular(*args, **kwargs):
-        raise NumericError("curvature matrix A is singular")
+    # every realization fails numerically: each pair's curvature matrix A
+    # is singular
+    def singular(a_mat, b_mat, flat=()):
+        return np.full(a_mat.shape, np.nan)
 
-    monkeypatch.setattr("hwiloc.harness.mismatch_report", singular)
+    monkeypatch.setattr("hwiloc.bounds.mismatch_covariance", singular)
     cfg = _desk_cfg(tmp_path, n_realizations="3", sweep_values="0,10")
     out = tmp_path / "r.csv"
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
@@ -935,10 +945,17 @@ def test_cli_no_surviving_realizations_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_lb_failure_drops_the_draw_from_lb_only(tmp_path, monkeypatch, caplog):
-    # with one transmission the lb curvature matrix A of some draws is
-    # singular; the clean and impaired CRBs stay defined on every draw
-    cfg = _desk_cfg(tmp_path, n_transmissions="1")
-    out = tmp_path / "g1.csv"
+    # the first (point, draw) pair of every lb call gets a singular
+    # curvature matrix A; the clean and impaired CRBs stay defined on every
+    # draw, and so does the lb of every other pair
+    def singular_first(a_mat, b_mat, flat=()):
+        a_mat = a_mat.copy()
+        a_mat[0] = 0.0
+        return mismatch_covariance(a_mat, b_mat, flat)
+
+    monkeypatch.setattr("hwiloc.bounds.mismatch_covariance", singular_first)
+    cfg = _desk_cfg(tmp_path)
+    out = tmp_path / "g.csv"
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     with caplog.at_level(logging.WARNING, logger="hwiloc.harness"):
         assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
@@ -983,26 +1000,22 @@ def test_cli_estimate_rejects_an_unidentifiable_coordinate(
     assert not out.exists()
 
 
-def test_cli_bounds_lb_on_a_flat_angle_is_a_config_error(tmp_path, monkeypatch, capsys):
-    """With one antenna the angle leaves the model, so no draw has an lb:
-    the run names that cause and exits 1; the matched bounds alone still
-    run, with inf angle bounds."""
+def test_cli_bounds_lb_on_a_flat_angle_bounds_the_range(tmp_path, monkeypatch):
+    """With one antenna the angle leaves the model: lb leaves it out of A
+    and B, as the CRBs leave it out of the FIM, so every draw has an lb,
+    inf for the angle and the position and finite for the range."""
     one_antenna = {"n_antennas": "1", "mc_c1": "0", "mc_c2": "0"}
     cfg = _desk_cfg(tmp_path, sweep_values="0,20", n_realizations="3", **one_antenna)
     out = tmp_path / "b.csv"
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
-    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: the misspecified bound lb needs n_antennas >= 2")
-    assert "flat in angle" in err and "Traceback" not in err
-    assert len(err.splitlines()) == 1
-    assert not out.exists()
-    crb_only = _desk_cfg(
-        tmp_path, sweep_values="0,20", n_realizations="3", outputs="crb_m2,crb_m1,aeb,peb",
-        **one_antenna,
-    )
-    assert main(["bounds", "--config", crb_only, "--out", str(out)]) == 0
-    assert {line.split(",")[3] for line in out.read_text().splitlines()[1:]} == {"inf"}
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    lb = [r for r in rows if r[1].startswith("lb_")]
+    assert len(lb) == 2 * 3 * 3  # points, scalars, statistics
+    for r in lb:
+        assert int(r[5]) == 3
+        value = float(r[3])
+        assert (np.isfinite(value) and value > 0) if r[1] == "lb_deb" else value == np.inf, r
 
 
 @pytest.mark.parametrize(
@@ -1178,17 +1191,17 @@ def test_cli_bounds_unidentifiable_parameter_is_infinite(tmp_path, monkeypatch, 
 def test_cli_bounds_crb_of_the_identifiable_coordinate_is_finite(
     tmp_path, monkeypatch, overrides, scalar
 ):
-    """On desk.cfg with one subcarrier (flat in range) the CRBs of the angle,
-    and with one antenna (flat in angle) those of the range, are finite on
-    every draw: the FIM is inverted without the flat coordinate, so no draw
-    reads the rounding of a singular inverse."""
-    cfg = _desk_cfg(tmp_path, outputs=f"crb_m2,crb_m1,{scalar}", **overrides)
+    """On desk.cfg with one subcarrier (flat in range) the CRBs and lb of the
+    angle, and with one antenna (flat in angle) those of the range, are
+    finite on every draw: the FIM, and A and B, are inverted without the
+    flat coordinate, so no draw reads the rounding of a singular inverse."""
+    cfg = _desk_cfg(tmp_path, outputs=f"crb_m2,crb_m1,lb,{scalar}", **overrides)
     out = tmp_path / "r.csv"
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
-    assert {r[1] for r in rows} == {f"crb_m2_{scalar}", f"crb_m1_{scalar}"}
-    assert len(rows) == 6 * 2 * 3  # points, families, statistics
+    assert {r[1] for r in rows} == {f"crb_m2_{scalar}", f"crb_m1_{scalar}", f"lb_{scalar}"}
+    assert len(rows) == 6 * 3 * 3  # points, families, statistics
     for r in rows:
         assert np.isfinite(float(r[3])) and float(r[3]) > 0, r
         assert int(r[5]) == 10
