@@ -17,25 +17,29 @@ Inverse Problems 19, 2003).
 Both stages work on the pulled observation u_g = M_g^H y_g (the unitary
 phase-noise/CFO rotation moved onto the data once per observation, by FFT)
 and use the model's factorization eta_{g,k} = b_g(aoa) d_k(delay) x~_{g,k},
-which makes the objective separable in angle and range: one pilot block is
-scanned over the whole grid with three matrix products
-(:meth:`ScanGrid.objective`: the row gains for every angle, the subcarrier
-sums for every range, then their combination over transmissions) on bases
-built once per grid, and every derivative the Newton fit needs comes from
-two (:meth:`FitData.captured_energy`).
+which makes the objective separable in angle and range. The scan
+(:func:`grid_search`) takes n observations at once on bases built once per
+grid: the subcarrier sums for every range of all n in one product, the
+row gains for every angle once when the n share their rows, then one
+combination over transmissions per observation, the products of
+:meth:`ScanGrid.objective`. Every derivative the Newton fit needs comes
+from one product over transmissions per fit and one (K, 3) product shared
+by all fits (:meth:`FitData.captured_energy`).
 
 The Newton fit runs on many observations at once. A :class:`TrialBatch`
 takes stacked pulled observations, n at a time, with the row matrices and
 pilots they are fitted with, not model objects: it writes them straight
-into the slots of a :class:`FitData` and scans each slot on the grid for
-its start. :func:`refine` then fits every kept observation together on (T,)
-arrays, each with its own stop rules and line search; a fit that stops
-leaves the active set. The sweep harness adds a point's trials chunk by
-chunk, and ``mmle_m2``/``mle_m1`` are a batch of one.
+into the slots of a :class:`FitData` and scans the n slots together for
+their starts. :func:`refine` then fits every kept observation together on
+(T,) arrays, each with its own stop rules and line search; a fit that
+stops leaves the active set, so no fit depends on the others in its
+batch. The sweep harness adds both estimators' trials of a point chunk by
+chunk to one batch, and ``mmle_m2``/``mle_m1`` are a batch of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +58,8 @@ SUFFICIENT_DECREASE = 1e-4  # Armijo slope
 MAX_BACKTRACKS = 40  # step halvings before the line search counts as stalled
 # stop reasons of refine that count as converged
 CONVERGED_STOPS = ("gradient", "decrement")
-FAILED = "failed"  # the stop of a fit that ended in a NumericError
+FAILED = "failed"  # the stop of a fit that failed numerically, its reason in Fits.errors
+SCAN_FAILED = "projection objective is non-finite over the whole grid"
 
 
 class NumericError(RuntimeError):
@@ -95,7 +100,7 @@ class Estimate:
 @dataclass
 class Fits:
     """Results of T fits, in the order their observations were added. A
-    failed fit has NaN position and objective; its NumericError message is
+    failed fit has NaN position and objective; the reason it failed is
     in ``errors``."""
 
     positions: np.ndarray  # (T, 2) refined positions
@@ -131,6 +136,17 @@ class Fits:
         self.positions[index] = (rng * np.array([np.cos(aoa), np.sin(aoa)])).T
         self.objectives[index] = objective
         self.stops[index] = stop
+
+    def take(self, index: np.ndarray) -> "Fits":
+        """The fits at index, an index array."""
+        return Fits(
+            self.positions[index],
+            self.objectives[index],
+            self.stops[index],
+            self.n_iterations[index],
+            self.starts[index],
+            [self.errors[i] for i in index],
+        )
 
     def put(self, index: np.ndarray, other: "Fits") -> None:
         """Write the fits of other into the slots index."""
@@ -168,20 +184,66 @@ def scan_grid(cfg: SystemConfig, est: EstimatorConfig) -> ScanGrid:
     return ScanGrid.build(cfg, est.grid_angles(), kept if kept.size else ranges[:1])
 
 
-def grid_search(data: FitData, index: int, grid: ScanGrid) -> tuple[np.ndarray, float]:
-    """Coarse polar scan of the fit index of data; returns (position,
-    objective) of the grid argmin.
+def grid_search(
+    data: FitData, index: int | slice, grid: ScanGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse polar scan of the fits index of data, one slot or a slice of
+    them: the positions, (..., 2), and projection objectives, (...), of
+    their grid argmins, shaped as data.yy[index]. A fit whose objective is
+    non-finite over the whole grid gets NaN in both.
 
     Ties break deterministically to the lowest angle index, then the lowest
     range index (row-major argmin).
+
+    The slots are scanned together with the products of
+    :meth:`~hwiloc.observation.ScanGrid.objective`, and each slot's
+    captured energy |s|^2 / den is bit for bit the one that method
+    subtracts from ||u||^2. The subcarrier sums w conj(D) take one product
+    for all slots. The row gains b = (W C) a on the grid angles, with den,
+    take one product for all slots when their rows are equal (the clean
+    chain), else one per slot: a stacked (n, G, n_a) product and its |b|^2
+    would raise the desk.cfg estimate sweep's peak RSS by about 0.2 MB.
+    Each slot then takes one (n_a, G) by (G, n_r) product, conj(s) = b^T
+    (conj(w) D). The start is the argmax of the captured energy, which is
+    the argmin of the objective up to ties that only rounding
+    ||u||^2 - |s|^2 / den would make; the objective is formed there only.
     """
-    obj = grid.objective(data.rows[index], data.energies[index], data.w[index], data.yy[index])
-    if not np.any(np.isfinite(obj)):
-        raise NumericError("projection objective is non-finite over the whole grid")
-    flat = np.argmin(obj)  # first minimum in row-major order
-    ia, ir = np.unravel_index(flat, obj.shape)
-    p0 = grid.ranges_m[ir] * np.array([np.cos(grid.aoas[ia]), np.sin(grid.aoas[ia])])
-    return p0, float(obj[ia, ir])
+    single = not isinstance(index, slice)
+    if single:
+        index = slice(index, index + 1)
+    rows, energies, yy = data.rows[index], data.energies[index], data.yy[index]
+    n, n_a, n_r = yy.size, grid.aoas.size, grid.ranges_m.size
+    shared = bool(np.all(rows == rows[:1]))
+    wd = data.w[index] @ grid.delay_conj  # (n, G, n_r)
+    np.conjugate(wd, out=wd)
+    s = np.empty((n_a, n_r), dtype=complex)  # conj(s) of one slot
+    parts = s.view(float)  # (n_a, 2 n_r): real and imaginary parts interleaved
+    captured = np.empty((n_a, n_r))
+    best, top = np.empty(n, dtype=int), np.empty(n)
+    failed = ~np.isfinite(yy)
+    for i in range(n):
+        if i == 0 or not shared:
+            b = rows[i] @ grid.steering  # (G, n_a)
+            readers = slice(i, n if shared else i + 1)  # the slots that read b
+            den = (energies[readers, None, :] @ (np.abs(b) ** 2))[:, 0]  # (m, n_a)
+            inv = np.zeros_like(den)
+            np.divide(1.0, den, out=inv, where=den > 0)
+        np.matmul(b.T, wd[i], out=s)
+        np.square(parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=captured)
+        captured *= inv[i - readers.start, :, None]
+        best[i] = flat = captured.argmax()  # the first maximum in row-major order
+        top[i] = captured.flat[flat]
+        if not math.isfinite(top[i]):
+            failed[i] |= not np.isfinite(captured).any()
+    ia, ir = np.divmod(best, n_r)
+    aoas = grid.aoas[ia]
+    positions = grid.ranges_m[ir, None] * np.stack((np.cos(aoas), np.sin(aoas)), axis=1)
+    objectives = yy - top
+    positions[failed], objectives[failed] = np.nan, np.nan
+    if single:
+        return positions[0], objectives[0]
+    return positions, objectives
 
 
 def _normalized(data: FitData, aoa: np.ndarray, rng: np.ndarray) -> np.ndarray:
@@ -262,19 +324,27 @@ def refine(data: FitData, starts: np.ndarray, est: EstimatorConfig) -> Fits:
             newton & ~(broken | small)
             & (-0.5 * slope <= DECREMENT_TOLERANCE) & (rng + step[1] > 0.0)
         )
-        if last.any():
-            j = np.flatnonzero(last)
-            cand = pos[:, j] + step[:, j]
-            c_f = _normalized(data.take(j), *cand)[0]
-            moved = np.isfinite(c_f)
-            pos[:, j[moved]], val[0, j[moved]] = cand[:, moved], c_f[moved]
-            out.settle(ids[j], pos[:, j], val[0, j] * data.yy[j], "decrement")
+        if broken.any() or small.any():
+            keep = ~(broken | small)
+            ids, data, pos, val = ids[keep], data.take(keep), pos[:, keep], val[:, keep]
+            step, slope, last = step[:, keep], slope[keep], last[keep]
 
+        # the full step, evaluated for every active fit at once: a fit whose
+        # decrement is below tolerance takes it as is where its objective is
+        # finite, the others test it like any step of the line search
+        f = val[0].copy()
+        cand = pos + step
+        c_val = _normalized(data, *cand)
+        ok = ~last & (cand[1] > 0.0) & (c_val[0] <= f + SUFFICIENT_DECREASE * slope)
+        moved = ok | (last & np.isfinite(c_val[0]))
+        pos[:, moved], val[:, moved] = cand[:, moved], c_val[:, moved]
+        if last.any():
+            out.settle(ids[last], pos[:, last], val[0, last] * data.yy[last], "decrement")
         # backtracking line search: every fit still searching halves the
         # same step length t, so one t serves them all
-        pending = ~(broken | small | last)
-        t = 1.0
-        for _ in range(MAX_BACKTRACKS):
+        pending = ~(last | ok)
+        t = 0.5
+        for _ in range(MAX_BACKTRACKS - 1):
             j = np.flatnonzero(pending)
             if not j.size:
                 break
@@ -286,10 +356,8 @@ def refine(data: FitData, starts: np.ndarray, est: EstimatorConfig) -> Fits:
             t *= 0.5
         if pending.any():
             out.settle(ids[pending], pos[:, pending], f[pending] * data.yy[pending], "stalled")
-
-        done = broken | small | last | pending
-        if done.any():
-            keep = ~done
+        if last.any() or pending.any():
+            keep = ~(last | pending)
             ids, data, pos, val = ids[keep], data.take(keep), pos[:, keep], val[:, keep]
     out.settle(ids, pos, val[0] * data.yy, "max_iter")
     return out
@@ -311,11 +379,12 @@ class TrialBatch:
     fit over all of them.
 
     :meth:`add` writes stacked observations into slots of a
-    :class:`FitData`, which keeps only what the fit reads, and scans each
-    slot on the grid for its start, one (n_a, n_r) objective at a time.
-    :meth:`fit` runs :func:`refine` on every observation whose scan
-    succeeded. A NumericError of one scan or fit fails that observation
-    only.
+    :class:`FitData`, which keeps only what the fit reads, and scans the n
+    slots together for their starts (:func:`grid_search`). Each slot
+    carries its own row matrix and pilots, so one batch can hold
+    observations fitted with different models, such as both estimators'
+    trials. :meth:`fit` runs :func:`refine` on every observation whose scan
+    succeeded. A failed scan or fit fails that observation only.
     """
 
     def __init__(self, cfg: SystemConfig, size: int, est: EstimatorConfig | None = None) -> None:
@@ -325,22 +394,20 @@ class TrialBatch:
         self._starts = np.full((size, 2), np.nan)
         self._errors: list[str | None] = []  # one per observation added: its scan's error
 
-    def add(self, rows: np.ndarray, pilots: np.ndarray, u: np.ndarray) -> None:
+    def add(self, rows: np.ndarray, pilots: np.ndarray, u: np.ndarray) -> range:
         """Add the pulled observations u, (n, G, K), each to be fitted with
-        its row matrix W C and pilots x~ (shapes as for :meth:`FitData.put`).
+        its row matrix W C and pilots x~ (shapes as for :meth:`FitData.put`),
+        and scan them for their starts; returns their slots.
         """
         u = np.asarray(u, dtype=complex)
         if not np.all(np.isfinite(u)):
             raise ValueError("observation contains non-finite samples")
-        start = len(self._errors)
-        self._data.put(start, rows, pilots, u)
-        for index in range(start, start + len(u)):
-            try:
-                self._starts[index], _ = grid_search(self._data, index, self.grid)
-            except NumericError as exc:
-                self._errors.append(str(exc))
-                continue
-            self._errors.append(None)
+        slots = range(len(self._errors), len(self._errors) + len(u))
+        self._data.put(slots.start, rows, pilots, u)
+        index = slice(slots.start, slots.stop)
+        self._starts[index], _ = grid_search(self._data, index, self.grid)
+        self._errors.extend(SCAN_FAILED if np.isnan(p) else None for p in self._starts[index, 0])
+        return slots
 
     def fit(self) -> Fits:
         """The fits of every observation added, in order. This spends the

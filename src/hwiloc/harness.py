@@ -22,8 +22,8 @@ those two axes a task is a point (:func:`_bounds_tasks`). The trials
 runner builds no model per trial: it draws each trial's noise from the
 trial's generator, takes the rotations, means, observations and pulled
 observations of TRIAL_CHUNK trials at a time as stacked arrays (the
-rotations by FFT), writes them into one batch per estimator and fits all
-trials of a point together.
+rotations by FFT), writes both estimators' trials of a point into one
+batch and fits them all in one Newton fit.
 
 Determinism: every random draw derives from
 SeedSequence((master_seed, draw_index, stream_tag)), so output is
@@ -459,21 +459,23 @@ def _fit_point(
 
     The point's trials are drawn once (:func:`_draws`). Then TRIAL_CHUNK
     trials at a time get their rotations, means, noise, observations and
-    pulled observations as stacked arrays, and join one batch per
+    pulled observations as stacked arrays, and join one batch, once per
     estimator with what that estimator fits: the clean chain's rows and
     pilots and the observations themselves for ``mmle_rmse``, each trial's
     impaired rows and pilots and its observation pulled back through its
-    rotation for ``mle_m1_rmse``. Then each batch runs one Newton fit over
-    all trials. A trial's observation is bit for bit the one that
-    :func:`~hwiloc.observation.observe` draws from its generator for a
-    given mean.
+    rotation for ``mle_m1_rmse``. Then the batch runs one Newton fit over
+    every trial of both; each estimator's fits are its own slots, and no
+    fit depends on the others in the batch. A trial's observation is bit
+    for bit the one that :func:`~hwiloc.observation.observe` draws from
+    its generator for a given mean.
     """
     sys_cfg, theta = point.sys_cfg, point.theta
     g, k = sys_cfg.n_transmissions, sys_cfg.n_subcarriers
     draws = _draws(spec, point, range(spec.n_trials), _TRIAL_STREAM)
     clean_rows = draws.combiners @ mc_matrix(point.imp.coupling, None, sys_cfg.n_antennas)
     scale = noise_std(sys_cfg) / np.sqrt(2.0)
-    batches = {m: TrialBatch(sys_cfg, spec.n_trials, est) for m in metrics}
+    batch = TrialBatch(sys_cfg, len(metrics) * spec.n_trials, est)
+    slots: dict[str, list[int]] = {m: [] for m in metrics}
     for start in range(0, spec.n_trials, TRIAL_CHUNK):
         chunk = slice(start, start + TRIAL_CHUNK)
         rows = draws.combiners @ draws.couplings[chunk]
@@ -481,12 +483,13 @@ def _fit_point(
         rotations = phase_rotations(draws.cfo[chunk], draws.pn[chunk], sys_cfg)
         noise = np.array([unit_noise((g, k), rng) for rng in draws.rngs[chunk]])
         y = impaired_means(theta, sys_cfg, rows, sent, rotations) + scale * noise
-        for m, batch in batches.items():
+        for m in metrics:
             if m == "mmle_rmse":
-                batch.add(clean_rows, draws.slot(draws.pilots, chunk), y)
+                slots[m] += batch.add(clean_rows, draws.slot(draws.pilots, chunk), y)
             else:
-                batch.add(rows, sent, rotate(y, np.conj(rotations)))
-    return {m: batch.fit() for m, batch in batches.items()}
+                slots[m] += batch.add(rows, sent, rotate(y, np.conj(rotations)))
+    fits = batch.fit()
+    return {m: fits.take(np.array(own)) for m, own in slots.items()}
 
 
 def _trials_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:

@@ -297,6 +297,14 @@ class ScanGrid:
         return np.subtract(yy, out, out=out)
 
 
+# The pairs (x, y) whose Re(conj(s_x) s_y) make |s|^2 and its derivatives
+# in FitData.captured_energy: (s, s), (s, s_a), (s, s_r), (s, s_aa),
+# (s, s_ar), (s, s_rr), (s_a, s_a), (s_a, s_r), (s_r, s_r), where s_x is
+# entry 3 * (aoa order) + (range order) of its products
+_PAIR_LEFT = np.array([0, 0, 0, 0, 0, 0, 3, 3, 1])
+_PAIR_RIGHT = np.array([0, 3, 1, 6, 4, 2, 3, 1, 1])
+
+
 @dataclass
 class FitData:
     """Pulled observations u reduced to what the projection objective reads
@@ -311,18 +319,24 @@ class FitData:
     w: np.ndarray  # (T, G, K)
     yy: np.ndarray  # (T,)
     ring_powers: np.ndarray  # (K, 3), shared: see ring_powers()
+    # conj(ring_powers) / [1, c, c^2], (K, 3), shared: column n times
+    # conj(d) is the n-th range derivative of the conjugate delay phasors
+    range_orders: np.ndarray
     spacing_hz: float  # subcarrier spacing
 
     @staticmethod
     def empty(cfg: SystemConfig, size: int) -> "FitData":
         """Room for size fits on the link cfg, to be filled by :meth:`put`."""
         g, n, k = cfg.n_transmissions, cfg.n_antennas, cfg.n_subcarriers
+        ring = ring_powers(k, cfg.subcarrier_spacing_hz)
+        c = SPEED_OF_LIGHT
         return FitData(
             np.empty((size, g, n), dtype=complex),
             np.empty((size, g)),
             np.empty((size, g, k), dtype=complex),
             np.empty(size),
-            ring_powers(k, cfg.subcarrier_spacing_hz),
+            ring,
+            np.conj(ring) / np.array([1.0, c, c * c]),
             cfg.subcarrier_spacing_hz,
         )
 
@@ -376,32 +390,34 @@ class FitData:
         range_m), both (T,), with their exact derivatives in (aoa, range).
 
         s = eta^H u = sum_{g,k} conj(b_g) w_{g,k} conj(d_k) and D = ||eta||^2
-        = sum_g |b_g|^2 ||x~_g||^2, with b = W C [a, a', a''] and d = [d, d',
-        d''] the factors of :func:`hwiloc.bounds.model_derivatives`. One
-        product b^H w conj(d) per fit gives every mixed derivative of s in
-        (aoa, delay); range derivatives divide by c per order. D does not
-        depend on range. Returns the rows (e, e_a, e_r, e_aa, e_ar, e_rr), (6, T): the
-        energy, its gradient and its Hessian; all NaN for a fit whose D
-        vanishes.
+        = sum_g |b_g|^2 ||x~_g||^2, with b = W C [a, a', a''] and d the delay
+        phasors, factors of :func:`hwiloc.bounds.model_derivatives`. The
+        range derivatives of conj(d) are conj(d) times the columns of
+        :attr:`range_orders`, so v = b^H w, (T, 3, K), times conj(d) and
+        then one (K, 3) product shared by all fits give every mixed
+        derivative of s in (aoa, range), with no (T, G, K) temporary. D
+        does not depend on range. Returns the rows (e, e_a, e_r, e_aa, e_ar,
+        e_rr), (6, T): the energy, its gradient and its Hessian; all NaN for
+        a fit whose D vanishes.
         """
-        c = SPEED_OF_LIGHT
+        k = self.ring_powers.shape[0]
         steer = np.stack(steering_derivatives(aoa[:, None], self.rows.shape[-1]), axis=-1)
         b = self.rows @ steer  # (T, G, 3)
-        # d = [d, d', d''], (T, K, 3); einsum's product needs no broadcast
-        # buffers, which for a batch outweigh the result
-        d = np.einsum(
-            "tk,kn->tkn", np.exp(self.ring_powers[:, 1] * (range_m / c)[:, None]), self.ring_powers
-        )
         bh = b.conj().swapaxes(-1, -2)  # (T, 3, G)
-        # [aoa order, range order], the delay orders divided by c per order
-        prods = bh @ (self.w @ np.conjugate(d, out=d)) / np.array([1.0, c, c * c])
-        # s, s_a, s_r, s_aa, s_ar, s_rr
-        s = prods[:, (0, 1, 0, 2, 1, 0), (0, 0, 1, 0, 1, 2)]
-        # |s|^2 and Re(conj(s) s_x) for the others; |s_a|^2, Re(conj(s_a) s_r), |s_r|^2
-        p = (s[:, :1].conj() * s).real
-        cross = (s[:, (1, 1, 2)].conj() * s[:, (1, 2, 2)]).real
-        p_a, p_r = 2.0 * p[:, 1], 2.0 * p[:, 2]
-        p_aa, p_ar, p_rr = (2.0 * (cross + p[:, 3:])).T
+        # over transmissions first, v = b^H w, (T, 3, K), then times conj(d)
+        v = bh @ self.w
+        d = np.exp(self.ring_powers[:, 1] * (range_m / SPEED_OF_LIGHT)[:, None])  # (T, K)
+        v *= np.conjugate(d, out=d)[:, None, :]
+        # s by [aoa order, range order], flattened: one (K, 3) product
+        # serves every fit
+        prods = (v.reshape(-1, k) @ self.range_orders).reshape(-1, 9)
+        # Re(conj(s_x) s_y) for the pairs of _PAIR_LEFT and _PAIR_RIGHT
+        p = (prods[:, _PAIR_LEFT].conj() * prods[:, _PAIR_RIGHT]).real  # (T, 9)
+        # p_a, p_r, p_aa, p_ar, p_rr: the derivatives of |s|^2
+        p_x = p[:, 1:6].copy()
+        p_x[:, 2:] += p[:, 6:]
+        p_x *= 2.0
+        p_a, p_r, p_aa, p_ar, p_rr = p_x.T
         q = ((bh[:, :2] * self.energies[:, None, :]) @ b).real  # (T, 2, 3)
         den = np.where(q[:, 0, 0] > 0.0, q[:, 0, 0], np.nan)
         den_a, den_aa = 2.0 * q[:, 0, 1], 2.0 * (q[:, 1, 1] + q[:, 0, 2])

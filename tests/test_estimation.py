@@ -12,6 +12,7 @@ from hwiloc.estimation import (
     EstimatorConfig,
     NumericError,
     ProjectionModel,
+    TrialBatch,
     grid_search,
     mle_m1,
     mmle_m2,
@@ -316,6 +317,30 @@ def test_grid_search_recovers_grid_node():
     assert obj0 == pytest.approx(0.0, abs=1e-12 * np.vdot(y, y).real)
 
 
+def grid_argmin(data, index, grid):
+    """The start of slot index from its own ScanGrid.objective: the
+    row-major argmin, as a position."""
+    obj = grid.objective(data.rows[index], data.energies[index], data.w[index], data.yy[index])
+    ia, ir = np.unravel_index(np.argmin(obj), obj.shape)
+    return grid.ranges_m[ir] * np.array([np.cos(grid.aoas[ia]), np.sin(grid.aoas[ia])])
+
+
+def chunk_data(cfg, rows, pilots, u):
+    """FitData of the stacked observations u, (n, G, K), with rows (G, N)
+    shared or (n, G, N) and pilots (n, G, K)."""
+    data = FitData.empty(cfg, len(u))
+    data.put(0, rows, pilots, u)
+    return data
+
+
+def scaled_pilots(blk, n, seed):
+    """n copies of blk's pilots, each transmission scaled by its own gain,
+    so each slot has its own pilot energies."""
+    gains = np.random.default_rng(seed).uniform(0.3, 2.0, (n, blk.symbols.shape[0], 1))
+    gains[0] = 1.0
+    return gains * blk.symbols
+
+
 def test_grid_search_matches_brute_force_argmin():
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
@@ -332,6 +357,25 @@ def test_grid_search_matches_brute_force_argmin():
             if val < best - 1e-15:
                 best, best_p = val, r * np.array([np.cos(a), np.sin(a)])
     assert np.allclose(p0, best_p)
+    # a chunk that shares the rows, with pilots (and so energies) of its
+    # own per slot: each start is the argmin of its own objective, and the
+    # first slot, fitted with the model's pilots, starts where it does alone
+    n = 6
+    pilots = scaled_pilots(blk, n, 12)
+    noise = observe(np.zeros((n, *y.shape)), 5e-6, np.random.default_rng(13))
+    u = np.array([model.mean(th) * x / blk.symbols for x in pilots]) + noise
+    u[0] = y
+    data = chunk_data(cfg, model.row_matrix, pilots, u)
+    starts, objectives = grid_search(data, slice(0, n), grid)
+    assert starts.shape == (n, 2) and objectives.shape == (n,)
+    assert len({float(e) for e in data.energies[:, 0]}) == n
+    for i in range(n):
+        npt.assert_array_equal(starts[i], grid_argmin(data, i, grid))
+    npt.assert_array_equal(starts[0], p0)
+    # the same slots one at a time, and inside a larger batch
+    for i in range(n):
+        npt.assert_array_equal(grid_search(data, i, grid)[0], starts[i])
+    npt.assert_array_equal(grid_search(data, slice(2, 5), grid)[0], starts[2:5])
 
 
 def test_grid_search_tie_breaks_to_lowest_angle_index():
@@ -342,9 +386,55 @@ def test_grid_search_tie_breaks_to_lowest_angle_index():
     th = ChannelParams(aoa=0.0, delay=2e-8, gain_amp=1e-4, gain_phase=0.0)
     y = ProjectionModel.clean(cfg, blk).mean(th)
     est = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15)
-    p0, _ = grid_search(fit_data(ProjectionModel.clean(cfg, blk), y), 0, scan_grid(cfg, est))
+    grid = scan_grid(cfg, est)
+    model = ProjectionModel.clean(cfg, blk)
+    p0, _ = grid_search(fit_data(model, y), 0, grid)
     aoa0 = float(np.arctan2(p0[1], p0[0]))
     assert aoa0 == pytest.approx(est.grid_angles()[0])
+    # a chunk with its own pilots per slot ties on every angle too; a slot
+    # that observes nothing ties everywhere and starts at the lowest angle
+    # index, then the lowest range index
+    n = 4
+    pilots = scaled_pilots(blk, n, 14)
+    u = np.array([y * x / blk.symbols for x in pilots])
+    u[2] = 0.0
+    data = chunk_data(cfg, model.row_matrix, pilots, u)
+    starts, _ = grid_search(data, slice(0, n), grid)
+    for i in range(n):
+        npt.assert_array_equal(starts[i], grid_argmin(data, i, grid))
+        assert float(np.arctan2(starts[i, 1], starts[i, 0])) == pytest.approx(grid.aoas[0])
+    npt.assert_array_equal(
+        starts[2], grid.ranges_m[0] * np.array([np.cos(grid.aoas[0]), np.sin(grid.aoas[0])])
+    )
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_grid_search_fails_a_non_finite_slot_alone(shared):
+    """A slot whose objective is non-finite over the whole grid fails its
+    scan with the message it always had; the other slots of its chunk get
+    the starts they get alone, and fit."""
+    cfg = desk_cfg()
+    blk = PilotBlock.from_config(cfg)
+    model = ProjectionModel.clean(cfg, blk)
+    est = EstimatorConfig(n_grid_angles=31, n_grid_ranges=20)
+    n, bad = 4, 1
+    pilots = scaled_pilots(blk, n, 15)
+    pilots[bad] = np.nan
+    th = true_state(cfg)
+    u = observe(np.array([model.mean(th)] * n), 1e-6, np.random.default_rng(16))
+    # unshared rows differ per slot by a complex scale, which the captured
+    # energy does not see
+    scales = (1.0 + np.arange(n)) * np.exp(1j * np.arange(n))
+    rows = model.row_matrix if shared else scales[:, None, None] * model.row_matrix
+    batch = TrialBatch(cfg, n, est)
+    assert list(batch.add(rows, pilots, u)) == list(range(n))
+    fit = batch.fit()
+    assert fit.errors[bad] == "projection objective is non-finite over the whole grid"
+    assert fit.stops[bad] == "failed" and np.isnan(fit.starts[bad]).all()
+    data = chunk_data(cfg, rows, pilots, u)
+    for i in set(range(n)) - {bad}:
+        assert fit.errors[i] is None and fit.stops[i] in CONVERGED_STOPS
+        npt.assert_array_equal(fit.starts[i], grid_argmin(data, i, scan_grid(cfg, est)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +498,57 @@ def test_refine_iteration_cap_is_not_converged():
     coarse = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15, max_iterations=1)
     out = mmle_m2(y, model, coarse)
     assert out.stop == "max_iter" and not out.converged
+
+
+def test_refine_slot_does_not_depend_on_its_batch():
+    """One FitData holds both estimators' slots, with their own rows and
+    pilots, in mixed order; each slot gets bit for bit the fit it gets in a
+    batch of its own estimator only. One slot observes nothing, and one runs
+    out of iterations."""
+    cfg = desk_cfg(tx_power_dbm=10.0)
+    blk = PilotBlock.from_config(cfg)
+    imp = ImpairmentConfig()
+    th = true_state(cfg)
+    clean = ProjectionModel.clean(cfg, blk, imp.coupling)
+    n = 5
+    slots = {"mmle": [], "mle_m1": []}  # (rows, pilots, u) per trial
+    for t in range(n):
+        impaired = ProjectionModel.impaired(
+            cfg, blk, imp, sample_realization(imp, cfg, np.random.default_rng(40 + t))
+        )
+        mu = impaired.mean(th)
+        y = observe(mu, float(np.sqrt(np.mean(np.abs(mu) ** 2) * 1e-2)), np.random.default_rng(t))
+        slots["mmle"].append((clean.row_matrix, clean.eff_pilots, 0.0 * y if t == 1 else y))
+        slots["mle_m1"].append(
+            (impaired.row_matrix, impaired.eff_pilots, impaired.pulled_observation(y))
+        )
+    est = EstimatorConfig(n_grid_angles=41, n_grid_ranges=30, max_iterations=6)
+    grid = scan_grid(cfg, est)
+
+    def batch(entries):
+        data = FitData.empty(cfg, len(entries))
+        for i, (rows, pilots, u) in enumerate(entries):
+            data.put(i, rows, pilots, np.asarray(u)[None])
+        starts = grid_search(data, slice(0, len(entries)), grid)[0]
+        return data, starts
+
+    alone = {m: refine(*batch(entries), est) for m, entries in slots.items()}
+    order = [("mle_m1", 2), ("mmle", 0), ("mmle", 3), ("mle_m1", 0), ("mle_m1", 4),
+             ("mmle", 1), ("mle_m1", 1), ("mmle", 4), ("mle_m1", 3), ("mmle", 2)]
+    together = refine(*batch([slots[m][t] for m, t in order]), est)
+    for i, (m, t) in enumerate(order):
+        one = alone[m]
+        # the mixed chunk's scan gives each slot its own start too
+        npt.assert_array_equal(together.starts[i], one.starts[t])
+        npt.assert_array_equal(together.positions[i], one.positions[t])
+        npt.assert_array_equal(together.objectives[i], one.objectives[t])
+        assert together.stops[i] == one.stops[t]
+        assert together.n_iterations[i] == one.n_iterations[t]
+        assert together.errors[i] == one.errors[t]
+    stops = together.stops.tolist()
+    assert alone["mmle"].stops[1] == "failed" and stops.count("failed") == 1
+    assert alone["mmle"].stops[0] == "max_iter"
+    assert sum(stop in CONVERGED_STOPS for stop in stops) >= 6
 
 
 def fd_objective_derivatives(model, u, aoa, rng_m, h=1e-5):

@@ -537,19 +537,20 @@ def test_estimator_trials_log_one_stop_count_line_per_point(monkeypatch, caplog)
 
 
 def test_estimator_trials_numeric_error_fails_one_trial_only(monkeypatch, caplog):
-    # the second scan of the point (trial 1 of the mismatched fit, which
-    # scans its trials of a chunk before the matched fit does) fails; the
-    # other trials of both estimators still fit and count
+    # the first scan of the point covers the chunk of the mismatched fit,
+    # which the batch takes before the matched fit's; trial 1 of it gets a
+    # non-finite objective and fails that scan alone. The other trials of
+    # both estimators still fit and count
     real_scan = hwiloc.estimation.grid_search
     calls = []
 
-    def second_fails(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 2:
-            raise NumericError("synthetic failure")
-        return real_scan(*args, **kwargs)
+    def second_slot_fails(data, index, grid):
+        calls.append(index)
+        if len(calls) == 1:
+            data.w[index.start + 1] = np.nan
+        return real_scan(data, index, grid)
 
-    monkeypatch.setattr("hwiloc.estimation.grid_search", second_fails)
+    monkeypatch.setattr("hwiloc.estimation.grid_search", second_slot_fails)
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     spec = desk_spec(outputs="mmle_rmse,mle_m1_rmse", sweep_values="30")
     with caplog.at_level(logging.DEBUG, logger="hwiloc.harness"):
@@ -560,7 +561,11 @@ def test_estimator_trials_numeric_error_fails_one_trial_only(monkeypatch, caplog
     }
     line = next(r.getMessage() for r in caplog.records if "stops:" in r.getMessage())
     assert "mmle_rmse failed=1 " in line and "mle_m1_rmse failed" not in line
-    assert "trial 1 mmle_rmse failed: synthetic failure" in caplog.text
+    assert (
+        "trial 1 mmle_rmse failed: projection objective is non-finite over the whole grid"
+        in caplog.text
+    )
+    assert calls == [slice(0, 2), slice(2, 4)]
 
 
 def test_estimator_trials_stop_counts_cover_every_trial(monkeypatch, caplog):
@@ -588,11 +593,12 @@ def test_point_fit_matches_one_observation_estimators(
 ):
     """The per-point fit gives each trial the stop, iteration count and
     position (within 1e-9 m) that mmle_m2 and mle_m1 give it alone, on
-    desk.cfg draws in chunks of 4 trials. Each trial's observation is read
-    as the mismatched batch takes it; it matches the trial's impaired model
-    (from its slot of the point's draws) plus the noise that observe draws
-    from the trial's generator. Trial 2 observes nothing in either batch, so
-    both its fits end in a NumericError, and only its fits."""
+    desk.cfg draws in chunks of 4 trials, both estimators' trials in one
+    batch. Each trial's observation is read as the batch takes it for the
+    mismatched fit; it matches the trial's impaired model (from its slot of
+    the point's draws) plus the noise that observe draws from the trial's
+    generator. Trial 2 observes nothing for either estimator, so both its
+    fits end in a NumericError, and only its fits."""
     monkeypatch.setattr("hwiloc.estimation.MAX_BACKTRACKS", backtracks)
     monkeypatch.setattr("hwiloc.harness.TRIAL_CHUNK", 4)
     desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
@@ -604,23 +610,27 @@ def test_point_fit_matches_one_observation_estimators(
     est = EstimatorConfig(max_iterations=max_iterations)
     blank = 2
     real_add = hwiloc.estimation.TrialBatch.add
-    filled = Counter()  # observations added so far, by batch
+    # observations added so far by estimator: the clean chain's rows are
+    # one (G, N) matrix, and its observations are the observations themselves
+    filled = Counter()
+    batches = set()
     observed = []
 
     def add_with_blank(batch, rows, pilots, u):
-        start = filled[id(batch)]
-        filled[id(batch)] += len(u)
+        batches.add(id(batch))
+        start = filled[rows.ndim]
+        filled[rows.ndim] += len(u)
         u = np.array(u)
-        if rows.ndim == 2:  # the clean chain's rows: the observations themselves
+        if rows.ndim == 2:
             observed.extend(u.copy())
         if start <= blank < start + len(u):
             u[blank - start] = 0.0
-        real_add(batch, rows, pilots, u)
+        return real_add(batch, rows, pilots, u)
 
     monkeypatch.setattr(hwiloc.estimation.TrialBatch, "add", add_with_blank)
     metrics = ["mmle_rmse", "mle_m1_rmse"]
     fits = hwiloc.harness._fit_point(spec, point, metrics, est)
-    assert len(observed) == spec.n_trials
+    assert len(observed) == spec.n_trials and len(batches) == 1
     monkeypatch.setattr(hwiloc.estimation.TrialBatch, "add", real_add)  # for the estimators
 
     theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
@@ -1293,8 +1303,8 @@ def test_benchmark_tracer_finds_every_layer(tmp_path, monkeypatch):
     assert bounds["bounds.pseudo_true"] == 2
     assert bounds["observation.sandwich_matrices"] == 2
     # the estimate run draws a point's trials as stacked arrays, observes
-    # and pulls them by FFT and fits all trials of a point in one batch per
-    # estimator: it never calls mu_m1, observe or the one-observation
+    # and pulls them by FFT and fits both estimators' trials of a point in
+    # one batch: it never calls mu_m1, observe or the one-observation
     # estimators, and nothing else does
     skipped = (
         "observation.mu_m1",
@@ -1309,12 +1319,13 @@ def test_benchmark_tracer_finds_every_layer(tmp_path, monkeypatch):
     # the scans read slots of the batch's FitData, not a model per trial
     assert t.counts[tracer.OBJECTIVE] == 0
     # one PA pass per point (2 points), its pilots shared by the point's
-    # trials; no model and no dense sandwich per trial; one scan per trial
-    # and estimator, one Newton fit per point and estimator
+    # trials; no model and no dense sandwich per trial; one scan per chunk
+    # (one chunk of 3 trials per point) and estimator, one Newton fit per
+    # point
     assert estimate["observation.transmit_pilots"] == 2
     assert estimate["observation.sandwich_matrices"] == 0
-    assert estimate["estimation.grid_search"] == 12
-    assert estimate["estimation.refine"] == 4
+    assert estimate["estimation.grid_search"] == 4
+    assert estimate["estimation.refine"] == 2
 
 
 def test_cli_rejects_negative_seed(tmp_path, capsys):
