@@ -21,7 +21,9 @@ pair's values independent of the stack. Every derivative of a mean is a
 gain factor times a product of its factors, the row gains W C [a, a', a'']
 and the delay phasors (:func:`model_derivatives`), and every bound
 contracts these factors: the FIM with each model's pilot moments, A and B
-with one (3, 3) product with the mismatch per pair.
+with one (3, 3) product with the mismatch per pair. A stack's report is
+one :class:`BoundsReport` of stacked arrays, and one guarded inverse
+(:func:`_guarded_inverse`) serves the CRBs and the MCRB.
 
 Parameters are ordered theta = [aoa, delay, gain_amp, gain_phase]
 throughout; positional bounds use the state s = [p_x, p_y, gain_amp,
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -60,32 +62,49 @@ _GRAM = tuple(2 * _FIRST_ORDERS[_LO, k] + _FIRST_ORDERS[_HI, k] for k in (0, 1))
 
 @dataclass
 class BoundsReport:
-    """Bound matrices and scalar summaries at one operating point.
+    """Bound matrices and scalar summaries of one (theta, model) pair, or of
+    a stack of n pairs: there every array field has a leading axis of n, a
+    scalar is an (n,) array, and theta0 and errors are lists of n.
 
-    The matched/clean CRB part is always present. The mismatch part
-    (pseudo-true parameter, misspecified covariance and total lower bound)
-    is filled only by :func:`mismatch_report` (through :func:`lb_report`).
+    The matched/clean CRB part is always present; where the CRB is
+    undefined (a singular FIM) crb is NaN. The mismatch part (pseudo-true
+    parameter, misspecified covariance and total lower bound) is filled only
+    by :func:`mismatch_report` (through :func:`lb_report`); a draw of a
+    stack whose misspecified bound failed has NaN there and the reason in
+    errors.
     """
 
-    fim: np.ndarray  # (4, 4) information matrix in channel coordinates
-    crb: np.ndarray | None  # (4, 4) in state coordinates, None if singular
-    aeb_rad: float
-    deb_s: float
-    peb_m: float
-    theta0: ChannelParams | None = None
-    mcrb: np.ndarray | None = None  # (4, 4) A^-1 B A^-1 in channel coordinates
+    fim: np.ndarray  # (..., 4, 4) information matrix in channel coordinates
+    crb: np.ndarray  # (..., 4, 4) in state coordinates
+    aeb_rad: float | np.ndarray
+    deb_s: float | np.ndarray
+    peb_m: float | np.ndarray
+    theta0: ChannelParams | list[ChannelParams] | None = None
+    mcrb: np.ndarray | None = None  # (..., 4, 4) A^-1 B A^-1 in channel coordinates
     lb_matrix: np.ndarray | None = None  # mcrb plus pseudo-true bias outer product
-    lb_aeb_rad: float | None = None
-    lb_deb_s: float | None = None
-    lb_peb_m: float | None = None
+    lb_aeb_rad: float | np.ndarray | None = None
+    lb_deb_s: float | np.ndarray | None = None
+    lb_peb_m: float | np.ndarray | None = None
+    errors: list[str | None] | None = None  # why each draw's lb failed, or None
 
     @property
-    def aeb_deg(self) -> float:
-        return float(np.rad2deg(self.aeb_rad))
+    def aeb_deg(self) -> float | np.ndarray:
+        return np.rad2deg(self.aeb_rad)
 
     @property
-    def deb_m(self) -> float:
-        return float(self.deb_s * SPEED_OF_LIGHT)
+    def deb_m(self) -> float | np.ndarray:
+        return self.deb_s * SPEED_OF_LIGHT
+
+    def take(self, index: int | np.ndarray) -> "BoundsReport":
+        """The report of one pair of a stack (index an integer), or the
+        stack of the pairs at index (an integer array)."""
+
+        def pick(v):
+            if isinstance(v, list):
+                return v[index] if np.ndim(index) == 0 else [v[i] for i in index]
+            return None if v is None else v[index]
+
+        return BoundsReport(**{f.name: pick(getattr(self, f.name)) for f in fields(self)})
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +118,8 @@ def _stack(theta, model, sigma_n=1.0) -> tuple[bool, list, list, np.ndarray]:
     models = [model] if one else list(model)
     thetas = [theta] * len(models) if isinstance(theta, ChannelParams) else list(theta)
     sigmas = np.broadcast_to(np.asarray(sigma_n, dtype=float), (len(models),))
-    if np.any(sigmas <= 0):
-        raise ValueError("noise std must be positive")
+    if not np.all(np.isfinite(sigmas) & (sigmas > 0)):
+        raise ValueError("noise std must be positive and finite")
     return one, thetas, models, sigmas
 
 
@@ -167,50 +186,35 @@ def fim(theta, model, sigma_n) -> np.ndarray:
     return info[0] if one else info
 
 
-def jacobian_state(theta: ChannelParams) -> np.ndarray:
-    """Chain-rule Jacobian J[i, j] = d theta_i / d s_j, (4, 4).
+def _params(thetas: Sequence[ChannelParams]) -> np.ndarray:
+    """n thetas as one (n, 4) array."""
+    return np.array([t.as_array() for t in thetas])
+
+
+def jacobian_state(thetas: Sequence[ChannelParams]) -> np.ndarray:
+    """Chain-rule Jacobians J[i, j] = d theta_i / d s_j of n thetas,
+    (n, 4, 4).
 
     With p = c*delay*(cos aoa, sin aoa):
         d aoa / d p   = (-sin aoa, cos aoa) / (c*delay)
         d delay / d p = (cos aoa, sin aoa) / c
     """
-    if theta.delay <= 0:
+    aoa, tau = _params(thetas)[:, :2].T
+    if np.any(tau <= 0):
         raise ValueError("delay must be positive")
-    c, tau = SPEED_OF_LIGHT, theta.delay
-    sa, ca = np.sin(theta.aoa), np.cos(theta.aoa)
-    jac = np.zeros((N_PARAMS, N_PARAMS))
-    jac[0, 0] = -sa / (c * tau)
-    jac[0, 1] = ca / (c * tau)
-    jac[1, 0] = ca / c
-    jac[1, 1] = sa / c
-    jac[2, 2] = 1.0
-    jac[3, 3] = 1.0
+    c, sa, ca = SPEED_OF_LIGHT, np.sin(aoa), np.cos(aoa)
+    jac = np.zeros((len(aoa), N_PARAMS, N_PARAMS))
+    jac[:, :2, :2] = np.moveaxis([[-sa / (c * tau), ca / (c * tau)], [ca / c, sa / c]], -1, 0)
+    jac[:, 2, 2] = jac[:, 3, 3] = 1.0
     return jac
 
 
-def crb_state(info: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """CRB in state coordinates, inv(J^T I J), formed as T inv(I) T^T with
-    T = inv(J): for :func:`jacobian_state`, the inverse polar Jacobian that
-    :func:`lb_position` maps the MCRB with. Inverting the channel-coordinate
-    information first keeps the bound when the angle and delay information
-    lie many orders of magnitude apart (a very narrow band), where J^T I J
-    mixes them into a numerically singular matrix. Raises on singularity.
-    """
-    try:
-        t = np.linalg.inv(jac)
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"information matrix is singular (cond {np.linalg.cond(info):.3e})"
-        ) from exc
-    return t @ cov @ t.T
-
-
-def root_bound(v: float) -> float:
-    """sqrt(v) when the variance v is finite and positive, else inf: an
-    inverse of a numerically singular information matrix can carry NaN or
-    non-positive diagonals, and the component is then unidentifiable."""
-    return float(np.sqrt(v)) if np.isfinite(v) and v > 0.0 else np.inf
+def root_bound(v: np.ndarray) -> np.ndarray:
+    """sqrt(v) element-wise where the variance v is finite and positive,
+    else inf: an inverse of a numerically singular information matrix can
+    carry NaN or non-positive diagonals, and the component is then
+    unidentifiable."""
+    return np.sqrt(v, out=np.full(v.shape, np.inf), where=np.isfinite(v) & (v > 0.0))
 
 
 def flat_coordinates(cfg: SystemConfig) -> list[int]:
@@ -223,55 +227,58 @@ def flat_coordinates(cfg: SystemConfig) -> list[int]:
     return [i for i, count in enumerate(counts) if count < 2]
 
 
-def scalar_bounds(
-    info: np.ndarray, crb: np.ndarray | None, flat: Sequence[int] = ()
-) -> tuple[float, float, float]:
-    """Root bounds (aeb rad, deb s, peb m): AEB/DEB from the
-    channel-coordinate bound, PEB from the state one.
-
-    The channel coordinates in flat (0 the angle, 1 the delay) are left
-    out: their rows and columns are dropped before info is inverted, and
-    their scalars are inf. A singular information matrix means some
-    component is unidentifiable; the affected scalars come out infinite
-    (see :func:`root_bound`) rather than raising.
-    """
+def _guarded_inverse(mats: np.ndarray, flat=(), middle: np.ndarray | None = None) -> np.ndarray:
+    """Inverses M^-1 of a stack of matrices M, (n, 4, 4), or the sandwiches
+    M^-1 middle M^-1 with middle a stack of the same shape. The coordinates
+    in flat (:func:`flat_coordinates`) are dropped before M is inverted and
+    are NaN in the result. A slice whose M is singular or not finite is NaN
+    throughout, and no slice depends on the others: the stack is inverted
+    in one call, slice by slice only when that call finds a singular one."""
     keep = [i for i in range(N_PARAMS) if i not in flat]
-    var = np.full(N_PARAMS, np.inf)
+    block = np.ix_(range(len(mats)), keep, keep)
+    m = mats[block]
+    inv = np.full_like(m, np.nan)
+    ok = np.flatnonzero(np.isfinite(m).all(axis=(1, 2)))
     try:
-        var[keep] = np.linalg.inv(info[keep][:, keep]).diagonal()
-        aeb, deb = root_bound(var[0]), root_bound(var[1])
-    except np.linalg.LinAlgError:
-        aeb = deb = np.inf
-    peb = root_bound(np.trace(crb[:2, :2])) if crb is not None else np.inf
-    return aeb, deb, peb
+        inv[ok] = np.linalg.inv(m[ok])
+    except np.linalg.LinAlgError:  # one by one, to leave out the singular ones
+        for i in ok:
+            with suppress(np.linalg.LinAlgError):
+                inv[i] = np.linalg.inv(m[i])
+    out = np.full(mats.shape, np.nan)
+    out[block] = inv if middle is None else inv @ middle[block] @ inv
+    return out
 
 
-def _crb_reports(info: np.ndarray, theta, model) -> BoundsReport | list:
-    """Matched-bound reports from the channel-coordinate FIMs info, (4, 4)
+def _crb_reports(info: np.ndarray, theta, model) -> BoundsReport:
+    """Matched-bound report from the channel-coordinate FIMs info, (4, 4)
     or (n, 4, 4), of the pairs that :func:`_stack` reads from theta and
-    model: one report, or a list of n.
+    model: one pair's report, or the stacked report of n. The models share
+    one link's dimensions, as their stacked factors do.
 
-    A coordinate that the link cannot identify (:func:`flat_coordinates`)
-    is left out of the inverse, where any finite diagonal would be
-    rounding: its scalar and peb are inf. Its derivative of the mean is a
-    complex multiple of the mean, which the gain pair absorbs, so leaving it
-    out does not change the other coordinate's bound."""
+    Each FIM's inverse (:func:`_guarded_inverse`) gives the AEB and DEB
+    and, through T = inv(J) (:func:`jacobian_state`), the state CRB
+    T inv(I) T^T = inv(J^T I J) and the PEB. Inverting I first keeps the
+    bound where the angle and delay information lie many orders of
+    magnitude apart (a very narrow band) and J^T I J would be numerically
+    singular. A coordinate that the link cannot identify
+    (:func:`flat_coordinates`) is left out of the inverse, where any finite
+    diagonal would be rounding: its scalar and the peb are inf. Its
+    derivative of the mean is a complex multiple of the mean, which the gain
+    pair absorbs, so the other coordinate's bound stands."""
     one, thetas, models, _ = _stack(theta, model)
-    reports = []
-    for info_i, theta_i, model_i in zip(info.reshape(-1, N_PARAMS, N_PARAMS), thetas, models):
-        flat, crb = flat_coordinates(model_i.cfg), None
-        if not flat:
-            try:
-                crb = crb_state(info_i, jacobian_state(theta_i))
-            except NumericError:
-                pass
-        reports.append(BoundsReport(info_i, crb, *scalar_bounds(info_i, crb, flat)))
-    return reports[0] if one else reports
+    info = info.reshape(-1, N_PARAMS, N_PARAMS)
+    cov = _guarded_inverse(info, flat_coordinates(models[0].cfg))
+    t = np.linalg.inv(jacobian_state(thetas))
+    crb = t @ cov @ t.swapaxes(-1, -2)
+    variances = (cov[:, 0, 0], cov[:, 1, 1], np.trace(crb[:, :2, :2], axis1=1, axis2=2))
+    report = BoundsReport(info, crb, *map(root_bound, variances))
+    return report.take(0) if one else report
 
 
-def crb_m2_report(theta, clean, sigma_n) -> BoundsReport | list[BoundsReport]:
-    """Analytic clean-model CRB report at theta, or the list of reports of
-    n (theta, clean model) pairs (see :func:`fim`)."""
+def crb_m2_report(theta, clean, sigma_n) -> BoundsReport:
+    """Analytic clean-model CRB report at theta, or the stacked report of n
+    (theta, clean model) pairs (see :func:`fim`)."""
     return _crb_reports(fim(theta, clean, sigma_n), theta, clean)
 
 
@@ -282,15 +289,19 @@ def crb_m2_report(theta, clean, sigma_n) -> BoundsReport | list[BoundsReport]:
 def fim_m1_numeric(theta, impaired, sigma_n) -> np.ndarray:
     """Impaired-model Fisher information, (4, 4) or (n, 4, 4): :func:`fim`
     with rows W C_full and the PA-distorted pilots. The delays must be
-    positive, as for the position-domain bound built on top."""
+    positive, as for the position-domain bound built on top.
+
+    It is closed form, as :func:`crb_m1_numeric` is; both keep their names
+    only because perfbench/tracer.py wraps them by name."""
     if any(t.delay <= 0 for t in _stack(theta, impaired, sigma_n)[1]):
         raise ValueError("delay must be positive")
     return fim(theta, impaired, sigma_n)
 
 
-def crb_m1_numeric(theta, impaired, sigma_n) -> BoundsReport | list[BoundsReport]:
-    """Impaired-model CRB report at theta (one realization), or the list of
-    reports of n (theta, impaired model) pairs."""
+def crb_m1_numeric(theta, impaired, sigma_n) -> BoundsReport:
+    """Impaired-model CRB report at theta (one realization), or the stacked
+    report of n (theta, impaired model) pairs; closed form, like
+    :func:`fim_m1_numeric`."""
     return _crb_reports(fim_m1_numeric(theta, impaired, sigma_n), theta, impaired)
 
 
@@ -298,8 +309,9 @@ def crb_m1_numeric(theta, impaired, sigma_n) -> BoundsReport | list[BoundsReport
 # misspecified analysis
 
 
-def _wrap_phase(x: float) -> float:
-    return float(np.angle(np.exp(1j * x)))
+def _wrap_phase(x):
+    """x wrapped to (-pi, pi], element-wise."""
+    return np.angle(np.exp(1j * x))
 
 
 # The pseudo-true fit keeps the estimators' former central-difference
@@ -476,109 +488,66 @@ def mismatch_matrices(thetas, models, ybars, sigmas) -> tuple[np.ndarray, np.nda
 
 def mismatch_covariance(a_mat: np.ndarray, b_mat: np.ndarray, flat=()) -> np.ndarray:
     """Asymptotic covariances A^-1 B A^-1 of the mismatched estimator,
-    (n, 4, 4), of stacked A and B, (n, 4, 4).
-
-    The coordinates in flat (:func:`flat_coordinates`) are left out, as
-    :func:`scalar_bounds` leaves them out of the CRBs: their rows and
-    columns are dropped before A is inverted and are NaN in the result. A
-    slice whose A is singular or not finite is NaN throughout; no slice
-    depends on the others.
-    """
-    keep = [i for i in range(N_PARAMS) if i not in flat]
-    block = np.ix_(range(len(a_mat)), keep, keep)
-    a = a_mat[block]
-    a_inv = np.full_like(a, np.nan)
-    ok = np.flatnonzero(np.isfinite(a).all(axis=(1, 2)))
-    try:
-        a_inv[ok] = np.linalg.inv(a[ok])
-    except np.linalg.LinAlgError:  # one by one, to leave out the singular ones
-        for i in ok:
-            with suppress(np.linalg.LinAlgError):
-                a_inv[i] = np.linalg.inv(a[i])
-    out = np.full(a_mat.shape, np.nan)
-    out[block] = a_inv @ b_mat[block] @ a_inv
-    return out
+    (n, 4, 4), of stacked A and B, (n, 4, 4), with the coordinates in flat
+    left out and a singular or non-finite A NaN (:func:`_guarded_inverse`)."""
+    return _guarded_inverse(a_mat, flat, b_mat)
 
 
-def bias_vector(theta_bar: ChannelParams, theta0: ChannelParams) -> np.ndarray:
-    """Pseudo-true bias theta_bar - theta0 with the phase component wrapped."""
-    diff = theta_bar.as_array() - theta0.as_array()
-    diff[3] = _wrap_phase(diff[3])
-    return diff
-
-
-def lb_matrix(
-    theta_bar: ChannelParams, theta0: ChannelParams, mcrb: np.ndarray
-) -> np.ndarray:
-    """Total lower bound about the true parameter: MCRB plus bias outer."""
-    d = bias_vector(theta_bar, theta0)
-    return mcrb + np.outer(d, d)
-
-
-def lb_position(
-    theta_bar: ChannelParams, theta0: ChannelParams, mcrb: np.ndarray
-) -> float:
-    """Positional lower bound in metres.
-
-    The 2x2 angle/delay block of the MCRB is mapped to position covariance
-    through the inverse polar Jacobian at the pseudo-true point; the squared
-    pseudo-true position offset adds on top.
-    """
-    jac2 = jacobian_state(theta0)[:2, :2]
-    t = np.linalg.inv(jac2)
-    pos_cov = t @ mcrb[:2, :2] @ t.T
-    p_bar = params_to_state(theta_bar).position
-    p0 = params_to_state(theta0).position
-    return root_bound(np.trace(pos_cov) + np.sum((p_bar - p0) ** 2))
-
-
-def mismatch_report(theta_bar, theta0, clean, ybar, sigma_n, clean_crb) -> BoundsReport | list:
+def mismatch_report(theta_bar, theta0, clean, ybar, sigma_n, clean_crb) -> BoundsReport:
     """Misspecified-bound report of one draw whose impaired mean ybar and
-    pseudo-true theta0 are known: the matrices A and B at theta0, the MCRB
-    and the total lower bound about theta_bar. Also carries clean_crb, the
-    clean model's CRB report at theta_bar (:func:`crb_m2_report`), so the
-    caller can form inflation ratios from a single object. A coordinate that
-    the link cannot identify is left out (:func:`mismatch_covariance`).
+    pseudo-true theta0 are known: A and B at theta0, the MCRB and the total
+    lower bound about theta_bar, the MCRB plus the outer product of the
+    pseudo-true bias (phase wrapped), whose position bound maps the MCRB's
+    angle/delay block through the inverse polar Jacobian at theta0 and adds
+    the squared position offset. It carries clean_crb, the clean CRB report
+    at theta_bar (:func:`crb_m2_report`), for inflation ratios. A coordinate
+    that the link cannot identify is left out (:func:`mismatch_covariance`).
 
-    n draws take sequences of n (theta_bar and sigma_n may be one for all;
-    the models share one link) and give a list of n: each draw's report or
-    the reason its bound failed, a singular A or a non-finite A or B. One
-    draw raises NumericError with its reason.
+    n draws take sequences of n and clean_crb's stacked report (theta_bar
+    and sigma_n may be one for all; the models share one link's
+    dimensions) and give a stacked report: a draw whose bound failed (a
+    singular A, a non-finite A or B) has NaN mismatch fields and its reason
+    in errors. One draw raises NumericError with its reason.
     """
     one, theta_bars, models, sigmas = _stack(theta_bar, clean, sigma_n)
-    theta0s, ybars, crbs = ([theta0], [ybar], [clean_crb]) if one else (theta0, ybar, clean_crb)
+    theta0s, ybars = ([theta0], [ybar]) if one else (list(theta0), ybar)
     a_mat, b_mat = mismatch_matrices(theta0s, models, ybars, sigmas)
-    mcrbs = mismatch_covariance(a_mat, b_mat, flat_coordinates(models[0].cfg))
+    mcrb = mismatch_covariance(a_mat, b_mat, flat_coordinates(models[0].cfg))
     finite = np.isfinite(a_mat).all(axis=(1, 2)) & np.isfinite(b_mat).all(axis=(1, 2))
-    out: list[BoundsReport | str] = []
-    for bar, t0, mcrb, crb, ok in zip(theta_bars, theta0s, mcrbs, crbs, finite):
-        if not ok:
-            out.append("curvature or score matrix is non-finite")
-        elif np.isnan(mcrb).all():
-            out.append("curvature matrix A is singular")
-        else:
-            total = lb_matrix(bar, t0, mcrb)
-            out.append(
-                replace(
-                    crb,
-                    theta0=t0,
-                    mcrb=mcrb,
-                    lb_matrix=total,
-                    lb_aeb_rad=root_bound(total[0, 0]),
-                    lb_deb_s=root_bound(total[1, 1]),
-                    lb_peb_m=lb_position(bar, t0, mcrb),
-                )
-            )
-    if one and isinstance(out[0], str):
-        raise NumericError(out[0])
-    return out[0] if one else out
+    singular = np.isnan(mcrb).all(axis=(1, 2))
+    singular_or_none = np.where(singular, "curvature matrix A is singular", None)
+    errors = np.where(finite, singular_or_none, "curvature or score matrix is non-finite").tolist()
+    if one and errors[0] is not None:
+        raise NumericError(errors[0])
+    failed = ~finite | singular
+    mcrb[failed] = np.nan
+    bar, est = _params(theta_bars), _params(theta0s)
+    bias = bar - est
+    bias[:, 3] = _wrap_phase(bias[:, 3])
+    total = mcrb + bias[:, :, None] * bias[:, None, :]
+    t = np.linalg.inv(jacobian_state(theta0s)[:, :2, :2])
+    pos_cov = t @ mcrb[:, :2, :2] @ t.swapaxes(-1, -2)
+    # p = c * delay * (cos aoa, sin aoa), as params_to_state places it
+    p_bar, p0 = (
+        (SPEED_OF_LIGHT * p[:, 1])[:, None] * np.stack([np.cos(p[:, 0]), np.sin(p[:, 0])], axis=-1)
+        for p in (bar, est)
+    )
+    offset = np.sum((p_bar - p0) ** 2, axis=-1)
+    aeb, deb, peb = (
+        np.where(failed, np.nan, root_bound(v))
+        for v in (total[:, 0, 0], total[:, 1, 1], np.trace(pos_cov, axis1=1, axis2=2) + offset)
+    )
+    mismatch = dict(
+        theta0=theta0s, mcrb=mcrb, lb_matrix=total, lb_aeb_rad=aeb, lb_deb_s=deb, lb_peb_m=peb,
+        errors=errors,
+    )
+    if one:
+        mismatch = {name: v[0] for name, v in mismatch.items()}
+    return replace(clean_crb, **mismatch)
 
 
 def lb_report(
-    theta_bar: ChannelParams,
-    clean: ProjectionModel,
-    impaired: ProjectionModel,
-    sigma_n: float,
+    theta_bar: ChannelParams, clean: ProjectionModel, impaired: ProjectionModel, sigma_n: float
 ) -> BoundsReport:
     """Full misspecified-bound report for one impairment realization.
 

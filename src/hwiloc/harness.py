@@ -11,14 +11,14 @@ amplifier axis only, which resamples them) and its realization, and the
 couplings are computed once for the stack. Off the amplifier axis a
 point's pilots pass the PA once (:func:`_point`).
 
-The bounds runner makes each point's clean model and its CRB once off the
-amplifier axis (:class:`BoundsPoint`), and takes each bound of a task's
-(point, draw) pairs in one call, the pseudo-trues in one descent
-(:func:`_bounds_unit`). A draw's generator does not
-depend on the point, so off the phase-noise and CFO axes a draw has the
-same rotation at every point: there a task is a unit of draws that covers
-every point, and a draw's dense sandwich is built once for all of them; on
-those two axes a task is a point (:func:`_bounds_tasks`). The trials
+The bounds runner makes each point's clean model once off the amplifier
+axis (:class:`BoundsPoint`), and takes each bound of a task's (point,
+draw) pairs in one call as one stacked report, the pseudo-trues in one
+descent (:func:`_bounds_unit`). A draw's generator does not depend on the
+point, so off the phase-noise and CFO axes a draw has the same rotation at
+every point: there a task is a unit of draws that covers every point, and
+a draw's dense sandwich is built once for all of them; on those two axes a
+task is a point (:func:`_bounds_tasks`). The trials
 runner builds no model per trial: it draws each trial's noise from the
 trial's generator, takes the rotations, means, observations and pulled
 observations of TRIAL_CHUNK trials at a time as stacked arrays (the
@@ -276,17 +276,12 @@ def _draws(spec: ExperimentSpec, point: Point, indices: range, stream: int) -> D
     return Draws(point.combiners, pilots, sent, couplings, pn, cfo, rngs)
 
 
-def _bound_scalars(family: str, rep: BoundsReport) -> dict[str, float]:
-    """A report's scalars in the CSV's units, by scalar name."""
-    if family == "lb":
-        aeb, deb, peb = rep.lb_aeb_rad, rep.lb_deb_s, rep.lb_peb_m
-    else:
-        aeb, deb, peb = rep.aeb_rad, rep.deb_s, rep.peb_m
-    return {
-        "aeb": float(np.rad2deg(aeb)),
-        "deb": float(deb * SPEED_OF_LIGHT),
-        "peb": float(peb),
-    }
+def _bound_scalars(family: str, rep: BoundsReport) -> np.ndarray:
+    """A stacked report's scalars in the CSV's units, (n, 3): aeb in
+    degrees, deb and peb in metres (BOUND_SCALARS' order)."""
+    prefix = "lb_" if family == "lb" else ""
+    aeb, deb, peb = (getattr(rep, prefix + name) for name in ("aeb_rad", "deb_s", "peb_m"))
+    return np.stack([np.rad2deg(aeb), deb * SPEED_OF_LIGHT, peb], axis=-1)
 
 
 def _families(spec: ExperimentSpec) -> list[str]:
@@ -295,34 +290,32 @@ def _families(spec: ExperimentSpec) -> list[str]:
 
 @dataclass
 class BoundsPoint:
-    """A bounds sweep point with what its draws share off the amplifier
-    axis, made once per point: the clean model and its CRB report. Both are
-    None on the amplifier axis, where each draw has its own pilots, and the
-    CRB also when no requested family reads it."""
+    """A bounds sweep point with the clean model that its draws share off
+    the amplifier axis, made once per point; None on the amplifier axis,
+    where each draw has its own pilots."""
 
     point: Point
     clean: ProjectionModel | None
-    crb: BoundsReport | None
 
     @staticmethod
     def build(spec: ExperimentSpec, axis_index: int) -> "BoundsPoint":
         point = _point(spec, axis_index)
-        clean = crb = None
+        clean = None
         if point.pilots is not None:
             block = PilotBlock(point.pilots, point.combiners)
             clean = ProjectionModel.clean(point.sys_cfg, block, point.imp.coupling)
-            if {"lb", "crb_m2"} & set(_families(spec)):
-                crb = crb_m2_report(point.theta, clean, noise_std(point.sys_cfg))
-        return BoundsPoint(point, clean, crb)
+        return BoundsPoint(point, clean)
 
 
 @dataclass
 class Outcomes:
     """What some draws of one sweep point gave, draw by draw: for each bound
-    family the draw's scalars (:func:`_bound_scalars`) or the reason its
-    bound failed, and the pseudo-true stops when lb is requested."""
+    family the draws' scalars (:func:`_bound_scalars`), NaN where a draw's
+    bound failed, and when lb is requested the reason each draw's lb failed
+    (None where it did not) and the pseudo-true stops."""
 
-    bounds: dict[str, list[dict[str, float] | str]]
+    scalars: dict[str, np.ndarray]  # (n, 3) per family
+    errors: list[str | None]
     stops: list[str]
 
 
@@ -334,8 +327,7 @@ def _bounds_unit(
 
     Each point draws these indices (:func:`_draws`). Every bound takes all
     (point, draw) pairs of the task in one call, each pair bit for bit as on
-    its own: the impaired and the clean CRBs (the latter once per point off
-    the amplifier axis, :class:`BoundsPoint`), one descent for the
+    its own: the impaired and the clean CRBs, one descent for the
     pseudo-trues and the lb of every pair whose fit succeeded. A draw's
     generator does not depend on the point, so off the phase-noise and CFO
     axes a draw has the same rotation at every point: its dense sandwich
@@ -354,21 +346,19 @@ def _bounds_unit(
         bp.clean if bp.clean is not None else d.clean(bp.point.sys_cfg, bp.point.imp.coupling, r)
         for bp, d, r in pairs
     ]
-    bounds: dict[str, list[dict[str, float] | str]] = {}
+    scalars: dict[str, np.ndarray] = {}
+    errors: list[str | None] = []
     stops: list[str] = []
     if "crb_m1" in families:
         # the lb makes each impaired model again: all of them held over its
         # sandwiches raised full.cfg's peak RSS by about 0.25 MB
         models = [d.impaired(bp.point.sys_cfg, r) for bp, d, r in pairs]
-        reports = crb_m1_numeric(thetas, models, sigmas)
-        bounds["crb_m1"] = [_bound_scalars("crb_m1", rep) for rep in reports]
-        del models, reports
+        scalars["crb_m1"] = _bound_scalars("crb_m1", crb_m1_numeric(thetas, models, sigmas))
+        del models
     if {"lb", "crb_m2"} & set(families):
-        crbs = [bp.crb for bp, _, _ in pairs]
-        if points[0].crb is None:
-            crbs = crb_m2_report(thetas, cleans, sigmas)
+        crbs = crb_m2_report(thetas, cleans, sigmas)
         if "crb_m2" in families:
-            bounds["crb_m2"] = [_bound_scalars("crb_m2", rep) for rep in crbs]
+            scalars["crb_m2"] = _bound_scalars("crb_m2", crbs)
     if "lb" in families:
         means = np.empty((len(pairs), *cleans[0].eff_pilots.shape), dtype=complex)
         for r in range(n):
@@ -384,32 +374,31 @@ def _bounds_unit(
             # full.cfg's peak RSS by about 1.3 MB
             del sandwich
         theta0s, fits = pseudo_true(thetas, cleans, means)
-        stops = fits.stops.tolist()
-        bounds["lb"] = list(fits.errors)
-        fitted = [i for i, theta0 in enumerate(theta0s) if theta0 is not None]
-        reports = []
-        if fitted:
-            args = (thetas, theta0s, cleans, means, sigmas, crbs)
-            reports = mismatch_report(*([arg[i] for i in fitted] for arg in args))
-        for i, rep in zip(fitted, reports):
-            bounds["lb"][i] = rep if isinstance(rep, str) else _bound_scalars("lb", rep)
+        stops, errors = fits.stops.tolist(), list(fits.errors)
+        fitted = np.flatnonzero([theta0 is not None for theta0 in theta0s])
+        scalars["lb"] = np.full((len(pairs), 3), np.nan)
+        if fitted.size:
+            args = (thetas, theta0s, cleans, means, sigmas)
+            rep = mismatch_report(*([arg[i] for i in fitted] for arg in args), crbs.take(fitted))
+            scalars["lb"][fitted] = _bound_scalars("lb", rep)
+            for i, error in zip(fitted, rep.errors):
+                errors[i] = error
     per_point = [slice(p * n, (p + 1) * n) for p in range(len(points))]
-    return [Outcomes({f: v[own] for f, v in bounds.items()}, stops[own]) for own in per_point]
+    return [Outcomes({f: v[o] for f, v in scalars.items()}, errors[o], stops[o]) for o in per_point]
 
 
 def _bounds_rows(spec: ExperimentSpec, point: Point, outcomes: list[Outcomes]) -> list[ResultRow]:
     """Bound rows of one sweep point from the outcomes of its draws, in draw
     order. A draw whose bound fails drops out of that family only: each
-    family counts its own surviving draws, and one WARNING line per family
-    counts the failed draws by reason. A scalar whose coordinate the link
-    cannot identify (:func:`~hwiloc.bounds.flat_coordinates`) is inf in every
+    family counts its own surviving draws, and one WARNING line counts the
+    failed draws by reason. A scalar whose coordinate the link cannot
+    identify (:func:`~hwiloc.bounds.flat_coordinates`) is inf in every
     family."""
     value = point.value
     families = _families(spec)
     scalars = [s for s in BOUND_SCALARS if s in spec.outputs]
-    results = {f: [x for o in outcomes for x in o.bounds[f]] for f in families}
-    reports = {f: [x for x in results[f] if not isinstance(x, str)] for f in families}
-    failures = {f: Counter(x for x in results[f] if isinstance(x, str)) for f in families}
+    results = {f: np.concatenate([o.scalars[f] for o in outcomes]) for f in families}
+    survivors = {f: r[~np.isnan(r).any(axis=1)] for f, r in results.items()}
     if "lb" in families:
         stops = Counter(s for o in outcomes for s in o.stops)
         logger.info(
@@ -417,17 +406,16 @@ def _bounds_rows(spec: ExperimentSpec, point: Point, outcomes: list[Outcomes]) -
             value,
             " ".join(f"{reason}={count}" for reason, count in sorted(stops.items())),
         )
-    for family, reasons in failures.items():
+        reasons = Counter(e for o in outcomes for e in o.errors if e is not None)
         if reasons:
             logger.warning(
-                "bounds: sweep value %r %s failed for %d of %d realizations: %s",
+                "bounds: sweep value %r lb failed for %d of %d realizations: %s",
                 value,
-                family,
                 sum(reasons.values()),
                 spec.n_realizations,
                 "; ".join(f"{reason}={count}" for reason, count in sorted(reasons.items())),
             )
-    empty = [f for f in families if not reports[f]]
+    empty = [f for f in families if not len(survivors[f])]
     if empty:
         names = ", ".join(empty)
         logger.warning("bounds: no surviving realizations for %s at %r", names, value)
@@ -436,7 +424,7 @@ def _bounds_rows(spec: ExperimentSpec, point: Point, outcomes: list[Outcomes]) -
     for family in families:
         for scalar in scalars:
             metric = f"{family}_{scalar}"
-            arr = np.array([rep[scalar] for rep in reports[family]])
+            arr = survivors[family][:, BOUND_SCALARS.index(scalar)]
             for stat, v in (("mean", arr.mean()), ("min", arr.min()), ("max", arr.max())):
                 rows.append(
                     ResultRow(
@@ -445,7 +433,7 @@ def _bounds_rows(spec: ExperimentSpec, point: Point, outcomes: list[Outcomes]) -
                         statistic=stat,
                         value=float(v),
                         units=metric_units(metric),
-                        realizations=len(reports[family]),
+                        realizations=len(arr),
                         trials=0,
                     )
                 )

@@ -473,8 +473,8 @@ def observe(mu: np.ndarray, sigma_n: float, rng: np.random.Generator) -> np.ndar
     Real and imaginary parts each get variance sigma_n^2 / 2 per element.
     sigma_n = 0 returns the mean unchanged (up to a copy).
     """
-    if sigma_n < 0:
-        raise ValueError("noise std must be non-negative")
+    if not (np.isfinite(sigma_n) and sigma_n >= 0):
+        raise ValueError("noise std must be finite and non-negative")
     mu = np.asarray(mu, dtype=complex)
     if sigma_n == 0:
         return mu.copy()

@@ -18,6 +18,7 @@ from .estimation import mmle_m2
 from .harness import rows_to_csv, run_bounds_sweep, run_estimator_trials
 from .impairments import ImpairmentConfig, ImpairmentRealization
 from .model import (
+    SPEED_OF_LIGHT,
     ChannelParams,
     PilotBlock,
     SystemConfig,
@@ -71,7 +72,7 @@ def _check_derivative_consistency() -> str:
         rng = np.random.default_rng(seed)
         theta = ChannelParams(
             aoa=float(rng.uniform(-1.2, 1.2)),
-            delay=float(rng.uniform(1.0, 20.0)) / 299792458.0,
+            delay=float(rng.uniform(1.0, 20.0)) / SPEED_OF_LIGHT,
             gain_amp=float(rng.uniform(1e-5, 1e-3)),
             gain_phase=float(rng.uniform(-np.pi, np.pi)),
         )

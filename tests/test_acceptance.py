@@ -13,11 +13,10 @@ import numpy as np
 
 from dense_oracle import factored_derivatives
 from hwiloc.bounds import (
-    fim,
+    crb_m2_report,
     lb_report,
     mismatch_matrices,
     pseudo_true,
-    scalar_bounds,
 )
 from hwiloc.cli import main
 from hwiloc.config_io import resolve_spec
@@ -416,7 +415,8 @@ def test_7_scaling_laws():
     theta = geometric_params(UE, GAIN_PHASE, DESK)
     block = PilotBlock.from_config(DESK)
     sigma = noise_std(DESK)
-    aeb1, deb1, _ = scalar_bounds(fim(theta, ProjectionModel.clean(DESK, block), sigma), None)
+    rep1 = crb_m2_report(theta, ProjectionModel.clean(DESK, block), sigma)
+    aeb1, deb1 = rep1.aeb_rad, rep1.deb_s
 
     from dataclasses import replace
 
@@ -424,12 +424,13 @@ def test_7_scaling_laws():
     block4 = PilotBlock(
         symbols=np.tile(block.symbols, (4, 1)), combiners=np.tile(block.combiners, (4, 1))
     )
-    aeb4, deb4, _ = scalar_bounds(fim(theta, ProjectionModel.clean(cfg4, block4), sigma), None)
+    rep4 = crb_m2_report(theta, ProjectionModel.clean(cfg4, block4), sigma)
+    aeb4, deb4 = rep4.aeb_rad, rep4.deb_s
     tile_aeb = aeb1 / aeb4
     tile_deb = deb1 / deb4
 
-    info2 = fim(theta, ProjectionModel.clean(DESK, block), 2.0 * sigma)
-    aeb2, deb2, _ = scalar_bounds(info2, None)
+    rep2 = crb_m2_report(theta, ProjectionModel.clean(DESK, block), 2.0 * sigma)
+    aeb2, deb2 = rep2.aeb_rad, rep2.deb_s
     noise_aeb = aeb2 / aeb1
     noise_deb = deb2 / deb1
     dt = time.perf_counter() - t0
@@ -461,8 +462,6 @@ def test_8_matched_estimator_is_efficient_on_clean_data():
     sigma = noise_std(cfg)
     clean = ProjectionModel.clean(cfg, block)
     mu = clean.mean(theta)
-    from hwiloc.bounds import crb_m2_report
-
     peb = crb_m2_report(theta, clean, sigma).peb_m
 
     squares = []

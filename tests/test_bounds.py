@@ -35,22 +35,17 @@ from dense_oracle import (
 )
 from hwiloc.bounds import (
     BoundsReport,
-    bias_vector,
     crb_m1_numeric,
     crb_m2_report,
-    crb_state,
     fim,
     fim_m1_numeric,
     jacobian_state,
-    lb_matrix,
-    lb_position,
     lb_report,
     mismatch_covariance,
     mismatch_matrices,
     mismatch_report,
     model_derivatives,
     pseudo_true,
-    scalar_bounds,
 )
 from hwiloc.estimation import NumericError
 from hwiloc.impairments import MEASURED_COUPLING, ImpairmentConfig, ImpairmentRealization, sample_realization
@@ -254,7 +249,7 @@ def _assert_reports_equal(stacked, alone):
     for name in ("fim", "crb", "mcrb", "lb_matrix"):
         x, y = getattr(stacked, name), getattr(alone, name)
         assert (x is None and y is None) or np.array_equal(x, y, equal_nan=True), name
-    for name in ("aeb_rad", "deb_s", "peb_m", "lb_aeb_rad", "lb_deb_s", "lb_peb_m"):
+    for name in ("aeb_rad", "deb_s", "peb_m", "lb_aeb_rad", "lb_deb_s", "lb_peb_m", "errors"):
         assert getattr(stacked, name) == getattr(alone, name), name
 
 
@@ -262,7 +257,8 @@ def _assert_reports_equal(stacked, alone):
 def test_stacked_bounds_match_batches_of_one_bitwise(impaired):
     """n (theta, model) pairs in one stack give, bit for bit, what n
     batches of one give: the factors, the FIMs, the CRB reports and the
-    misspecified-bound reports."""
+    misspecified-bound reports. A pair whose FIM is singular has inf
+    scalars and leaves the others as they are."""
     draws, sigma = _stack_inputs(5, 31)
     thetas, theta0s, cleans, impaireds, ybars = map(list, zip(*draws))
     models = impaireds if impaired else cleans
@@ -274,12 +270,23 @@ def test_stacked_bounds_match_batches_of_one_bitwise(impaired):
         fim(thetas, models, sigma), np.array([fim(t, m, sigma) for t, m in zip(thetas, models)])
     )
     report = crb_m1_numeric if impaired else crb_m2_report
-    for stacked, theta, model in zip(report(thetas, models, sigma), thetas, models):
-        _assert_reports_equal(stacked, report(theta, model, sigma))
+    stacked = report(thetas, models, sigma)
+    assert stacked.fim.shape == stacked.crb.shape == (5, 4, 4) and stacked.peb_m.shape == (5,)
+    for r, (theta, model) in enumerate(zip(thetas, models)):
+        _assert_reports_equal(stacked.take(r), report(theta, model, sigma))
     crbs = crb_m2_report(thetas, cleans, sigma)
     lbs = mismatch_report(thetas, theta0s, cleans, np.array(ybars), sigma, crbs)
-    for stacked, args in zip(lbs, zip(thetas, theta0s, cleans, ybars, [sigma] * 5, crbs)):
-        _assert_reports_equal(stacked, mismatch_report(*args))
+    assert lbs.errors == [None] * 5
+    for r, args in enumerate(zip(thetas, theta0s, cleans, ybars)):
+        _assert_reports_equal(lbs.take(r), mismatch_report(*args, sigma, crbs.take(r)))
+    # with zero gain only the amplitude is informative: that pair's FIM is
+    # singular, so the stack is inverted slice by slice
+    thetas[2] = replace(thetas[2], gain_amp=0.0)
+    stacked = report(thetas, models, sigma)
+    assert np.isinf([stacked.aeb_rad[2], stacked.deb_s[2], stacked.peb_m[2]]).all()
+    assert np.isnan(stacked.crb[2]).all()
+    for r, (theta, model) in enumerate(zip(thetas, models)):
+        _assert_reports_equal(stacked.take(r), report(theta, model, sigma))
 
 
 def test_mismatch_report_fails_a_draw_alone(monkeypatch):
@@ -289,8 +296,8 @@ def test_mismatch_report_fails_a_draw_alone(monkeypatch):
     draws, sigma = _stack_inputs(5, 32)
     thetas, theta0s, cleans, _, ybars = map(list, zip(*draws))
     crbs = crb_m2_report(thetas, cleans, sigma)
-    pairs = zip(thetas, theta0s, cleans, ybars, [sigma] * 5, crbs)
-    alone = [mismatch_report(*args) for args in pairs]
+    pairs = zip(thetas, theta0s, cleans, ybars)
+    alone = [mismatch_report(*args, sigma, crbs.take(r)) for r, args in enumerate(pairs)]
     ybars[1] = np.full_like(ybars[1], np.nan)
 
     def singular_fourth(a_mat, b_mat, flat=()):
@@ -301,12 +308,20 @@ def test_mismatch_report_fails_a_draw_alone(monkeypatch):
 
     monkeypatch.setattr(hwiloc.bounds, "mismatch_covariance", singular_fourth)
     out = mismatch_report(thetas, theta0s, cleans, ybars, sigma, crbs)
-    assert out[1] == "curvature or score matrix is non-finite"
-    assert out[3] == "curvature matrix A is singular"
+    assert out.errors == [
+        None,
+        "curvature or score matrix is non-finite",
+        None,
+        "curvature matrix A is singular",
+        None,
+    ]
+    for r in (1, 3):
+        assert np.isnan(out.mcrb[r]).all() and np.isnan(out.lb_matrix[r]).all()
+        assert np.isnan([out.lb_aeb_rad[r], out.lb_deb_s[r], out.lb_peb_m[r]]).all()
     for r in (0, 2, 4):
-        _assert_reports_equal(out[r], alone[r])
+        _assert_reports_equal(out.take(r), alone[r])
     with pytest.raises(NumericError, match="non-finite"):
-        mismatch_report(thetas[1], theta0s[1], cleans[1], ybars[1], sigma, crbs[1])
+        mismatch_report(thetas[1], theta0s[1], cleans[1], ybars[1], sigma, crbs.take(1))
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +403,24 @@ def test_fim_rejects_bad_noise():
         fim(theta, clean_model(SMALL), 0.0)
 
 
+@pytest.mark.parametrize("sigma_n", [np.nan, np.inf])
+def test_bounds_reject_non_finite_noise(sigma_n):
+    # a NaN std would give an all-NaN FIM, an infinite one inf bounds
+    theta = geometric_params(np.array([3.0, 2.0]), 0.3, SMALL)
+    model = clean_model(SMALL)
+    with pytest.raises(ValueError, match="noise std"):
+        fim(theta, model, sigma_n)
+    with pytest.raises(ValueError, match="noise std"):
+        crb_m2_report([theta, theta], [model, model], [1.0, sigma_n])
+
+
 # ---------------------------------------------------------------------------
 # coordinate change and CRB
 
 
 def test_jacobian_broadside_values():
     theta = ChannelParams(aoa=0.0, delay=1e-8, gain_amp=1.0, gain_phase=0.0)
-    jac = jacobian_state(theta)
+    jac = jacobian_state([theta])[0]
     # d aoa/d p = (0, 1/(c tau)), d delay/d p = (1/c, 0) at broadside
     npt.assert_allclose(jac[0], [0.0, 0.33356409519815206, 0.0, 0.0], atol=1e-15)
     npt.assert_allclose(jac[1], [3.3356409519815204e-09, 0.0, 0.0, 0.0], atol=1e-24)
@@ -405,7 +431,7 @@ def test_jacobian_broadside_values():
 def test_jacobian_matches_position_differences():
     pos = np.array([3.0, 2.0])
     theta = state_to_params(UeState(position=pos, gain_amp=1e-4, gain_phase=0.3))
-    jac = jacobian_state(theta)
+    jac = jacobian_state([theta])[0]
     h = 1e-6
     fd = np.zeros((2, 2))
     for j in range(2):
@@ -422,21 +448,37 @@ def test_jacobian_matches_position_differences():
 def test_jacobian_rejects_zero_delay():
     theta = ChannelParams(aoa=0.0, delay=0.0, gain_amp=1.0, gain_phase=0.0)
     with pytest.raises(ValueError):
-        jacobian_state(theta)
+        jacobian_state([theta])
+
+
+# a UE 1 m out at broadside: J = [[0, 1], [1/c, 0]] in position, so the
+# position variances are c^2 var(delay) and var(aoa)
+BROADSIDE = ChannelParams(aoa=0.0, delay=1.0 / SPEED_OF_LIGHT, gain_amp=1.0, gain_phase=0.0)
+
+
+def _crb(info, theta=BROADSIDE, model=None):
+    """The CRB report of a given channel-coordinate FIM at theta."""
+    return hwiloc.bounds._crb_reports(info, theta, model or clean_model(SMALL))
 
 
 def test_crb_state_matches_direct_inverse():
+    # a random state-coordinate information S, mapped to channel
+    # coordinates: I = T^T S T with T = inv(J), whose state CRB is inv(S)
     rng = np.random.default_rng(7)
     m = rng.normal(size=(4, 4))
-    fim = m @ m.T + 4.0 * np.eye(4)
-    jac = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
-    expected = np.linalg.inv(jac.T @ fim @ jac)
-    npt.assert_allclose(crb_state(fim, jac), expected, rtol=1e-10)
+    state_info = m @ m.T + 4.0 * np.eye(4)
+    theta = geometric_params(np.array([3.0, 2.0]), 0.3, SMALL)
+    jac = jacobian_state([theta])[0]
+    t = np.linalg.inv(jac)
+    info = t.T @ state_info @ t
+    expected = np.linalg.inv(jac.T @ info @ jac)
+    npt.assert_allclose(_crb(info, theta).crb, expected, rtol=1e-10)
 
 
 def test_crb_state_raises_on_singularity():
-    with pytest.raises(NumericError):
-        crb_state(np.diag([0.0, 1.0, 1.0, 1.0]), np.eye(4))
+    # a singular FIM leaves the state CRB undefined: NaN, and its scalars inf
+    rep = _crb(np.diag([0.0, 1.0, 1.0, 1.0]))
+    assert np.isnan(rep.crb).all()
 
 
 def test_peb_invariant_under_rotation():
@@ -445,56 +487,58 @@ def test_peb_invariant_under_rotation():
     block = PilotBlock.from_config(DESK)
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, DESK)
     sigma = noise_std(DESK)
-    info = fim(theta, clean_model(DESK, block), sigma)
+    model = clean_model(DESK, block)
+    info = fim(theta, model, sigma)
     rotated = ChannelParams(
         aoa=theta.aoa + 0.4,
         delay=theta.delay,
         gain_amp=theta.gain_amp,
         gain_phase=theta.gain_phase,
     )
-    peb = np.sqrt(np.trace(crb_state(info, jacobian_state(theta))[:2, :2]))
-    peb_rot = np.sqrt(np.trace(crb_state(info, jacobian_state(rotated))[:2, :2]))
+    peb = _crb(info, theta, model).peb_m
+    peb_rot = _crb(info, rotated, model).peb_m
     npt.assert_allclose(peb_rot, peb, rtol=1e-12)
 
 
 def test_scalar_bounds_frozen_diagonal():
-    fim = np.diag([4.0, 9.0, 16.0, 25.0])
-    crb = np.diag([0.09, 0.16, 1.0, 1.0])
-    aeb, deb, peb = scalar_bounds(fim, crb)
-    npt.assert_allclose(aeb, 0.5, rtol=1e-15)
-    npt.assert_allclose(deb, 1.0 / 3.0, rtol=1e-15)
-    npt.assert_allclose(peb, 0.5, rtol=1e-15)
-    rep = BoundsReport(fim, crb, aeb, deb, peb)
-    npt.assert_allclose(rep.aeb_deg, np.rad2deg(0.5), rtol=1e-15)
-    npt.assert_allclose(rep.deb_m, SPEED_OF_LIGHT / 3.0, rtol=1e-15)
+    # var(aoa) 0.09 rad^2 and var(delay) 0.16 m^2 / c^2: peb = sqrt(0.09 + 0.16)
+    info = np.diag([1.0 / 0.09, SPEED_OF_LIGHT**2 / 0.16, 16.0, 25.0])
+    rep = _crb(info)
+    npt.assert_allclose(rep.aeb_rad, 0.3, rtol=1e-15)
+    npt.assert_allclose(rep.deb_s, 0.4 / SPEED_OF_LIGHT, rtol=1e-15)
+    npt.assert_allclose(rep.peb_m, 0.5, rtol=1e-15)
+    assert isinstance(rep, BoundsReport)
+    npt.assert_allclose(rep.aeb_deg, np.rad2deg(0.3), rtol=1e-15)
+    npt.assert_allclose(rep.deb_m, 0.4, rtol=1e-15)
 
 
 def test_scalar_bounds_degenerate_inputs():
-    aeb, deb, peb = scalar_bounds(np.diag([0.0, 1.0, 1.0, 1.0]), None)
-    assert np.isinf(aeb) and np.isinf(deb) and np.isinf(peb)
+    rep = _crb(np.diag([0.0, 1.0, 1.0, 1.0]))
+    assert np.isinf(rep.aeb_rad) and np.isinf(rep.deb_s) and np.isinf(rep.peb_m)
 
 
 def test_scalar_bounds_leave_out_a_flat_coordinate():
-    # the delay's derivative is twice the phase's, so info is singular; the
-    # delay's row and column are dropped before the inverse
+    # the delay's derivative is twice the phase's, so info is singular; with
+    # one subcarrier the delay's row and column are dropped before the inverse
     reduced = np.array([[4.0, 0.5, 1.0], [0.5, 9.0, 0.0], [1.0, 0.0, 2.0]])  # aoa, amp, phase
     lift = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0]])
     info = lift.T @ reduced @ lift
-    aeb, deb, peb = scalar_bounds(info, None, flat=[1])
-    npt.assert_allclose(aeb, np.sqrt(np.linalg.inv(reduced)[0, 0]), rtol=1e-15)
-    assert np.isinf(deb) and np.isinf(peb)
+    rep = _crb(info, model=clean_model(replace(SMALL, n_subcarriers=1, cp_length=0)))
+    npt.assert_allclose(rep.aeb_rad, np.sqrt(np.linalg.inv(reduced)[0, 0]), rtol=1e-15)
+    assert np.isinf(rep.deb_s) and np.isinf(rep.peb_m)
 
 
 def test_scalar_bounds_indefinite_matrix_gives_inf_not_nan():
     # a numerically singular inverse can carry negative diagonals: the
-    # component is unidentifiable, not NaN, and no sqrt warning is raised
-    fim = np.diag([-4.0, 9.0, 16.0, 25.0])
-    crb = np.diag([-0.09, -0.16, 1.0, 1.0])
+    # component is unidentifiable, not NaN, and no sqrt warning is raised.
+    # Here var(aoa) is negative and c^2 var(delay) = 1/9 m^2 smaller than
+    # its magnitude, so the position variance is negative too
+    info = np.diag([-4.0, 9.0 * SPEED_OF_LIGHT**2, 16.0, 25.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        aeb, deb, peb = scalar_bounds(fim, crb)
-    assert np.isinf(aeb) and np.isinf(peb)
-    npt.assert_allclose(deb, 1.0 / 3.0, rtol=1e-15)
+        rep = _crb(info)
+    assert np.isinf(rep.aeb_rad) and np.isinf(rep.peb_m)
+    npt.assert_allclose(rep.deb_m, 1.0 / 3.0, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -686,22 +730,34 @@ def test_ab_matrices_reduce_to_information():
     )
 
 
+def _mismatch_at(theta_bar, theta0):
+    """The misspecified-bound report of a draw at a given pseudo-true, with
+    data that the clean model fits exactly there."""
+    model = clean_model(DESK)
+    sigma = noise_std(DESK)
+    crb = crb_m2_report(theta_bar, model, sigma)
+    return mismatch_report(theta_bar, theta0, model, model.mean(theta0), sigma, crb)
+
+
 def test_bias_vector_wraps_phase():
     a = ChannelParams(aoa=0.1, delay=1e-8, gain_amp=1e-4, gain_phase=3.0)
     b = ChannelParams(aoa=0.1, delay=1e-8, gain_amp=1e-4, gain_phase=-3.0)
-    d = bias_vector(a, b)
-    npt.assert_allclose(d[3], 6.0 - 2.0 * np.pi, atol=1e-12)
-    npt.assert_allclose(d[:3], 0.0, atol=1e-20)
+    rep = _mismatch_at(a, b)
+    bias_outer = rep.lb_matrix - rep.mcrb  # outer(d, d), d the pseudo-true bias
+    npt.assert_allclose(np.sqrt(bias_outer[3, 3]), 2.0 * np.pi - 6.0, atol=1e-12)
+    npt.assert_allclose(bias_outer[:3], 0.0, atol=1e-20)
 
 
-def test_lb_matrix_and_position_bias_only():
+def test_lb_matrix_and_position_bias_only(monkeypatch):
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, DESK)
     shifted = geometric_params(np.array([3.1, 2.0]), 0.3, DESK)
-    zero = np.zeros((4, 4))
-    lbm = lb_matrix(theta, shifted, zero)
-    d = bias_vector(theta, shifted)
-    npt.assert_allclose(lbm, np.outer(d, d), rtol=1e-12)
-    npt.assert_allclose(lb_position(theta, shifted, zero), 0.1, rtol=1e-9)
+    monkeypatch.setattr(
+        hwiloc.bounds, "mismatch_covariance", lambda a_mat, b_mat, flat=(): np.zeros(a_mat.shape)
+    )
+    rep = _mismatch_at(theta, shifted)
+    d = theta.as_array() - shifted.as_array()
+    npt.assert_allclose(rep.lb_matrix, np.outer(d, d), rtol=1e-12)
+    npt.assert_allclose(rep.lb_peb_m, 0.1, rtol=1e-9)
 
 
 def test_lb_report_zero_mismatch_equals_matched_bounds():

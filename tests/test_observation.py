@@ -255,6 +255,13 @@ def test_observe_noise_statistics():
     assert np.mean(y.real * y.imag) == pytest.approx(0.0, abs=0.02)
 
 
+@pytest.mark.parametrize("sigma_n", [-1.0, np.nan, np.inf])
+def test_observe_rejects_bad_noise(sigma_n):
+    # a NaN or infinite std would give an all-NaN or infinite observation
+    with pytest.raises(ValueError, match="noise std"):
+        observe(np.ones((2, 3), dtype=complex), sigma_n, np.random.default_rng(0))
+
+
 def test_observe_reproducible():
     mu = np.ones((2, 3), dtype=complex)
     a = observe(mu, 0.5, np.random.default_rng(7))
