@@ -43,7 +43,7 @@ from .model import (
     SPEED_OF_LIGHT,
     ChannelParams,
     SystemConfig,
-    params_to_state,
+    params_to_positions,
     steering_derivatives,
 )
 from .observation import FitData, ProjectionModel
@@ -442,7 +442,7 @@ def pseudo_true(
     data = FitData.empty(cleans[0].cfg, len(cleans))
     for i, (model, y) in enumerate(zip(cleans, ybars)):
         data.put(i, model.row_matrix, model.eff_pilots, model.pulled_observation(y)[None])
-    fits = _descend(data, np.array([params_to_state(t).position for t in thetas]))
+    fits = _descend(data, params_to_positions(_params(thetas)))
     params: list[ChannelParams | None] = [None] * len(cleans)
     for i, (model, y, error, theta) in enumerate(zip(cleans, ybars, fits.errors, thetas)):
         if error is None:
@@ -527,12 +527,7 @@ def mismatch_report(theta_bar, theta0, clean, ybar, sigma_n, clean_crb) -> Bound
     total = mcrb + bias[:, :, None] * bias[:, None, :]
     t = np.linalg.inv(jacobian_state(theta0s)[:, :2, :2])
     pos_cov = t @ mcrb[:, :2, :2] @ t.swapaxes(-1, -2)
-    # p = c * delay * (cos aoa, sin aoa), as params_to_state places it
-    p_bar, p0 = (
-        (SPEED_OF_LIGHT * p[:, 1])[:, None] * np.stack([np.cos(p[:, 0]), np.sin(p[:, 0])], axis=-1)
-        for p in (bar, est)
-    )
-    offset = np.sum((p_bar - p0) ** 2, axis=-1)
+    offset = np.sum((params_to_positions(bar) - params_to_positions(est)) ** 2, axis=-1)
     aeb, deb, peb = (
         np.where(failed, np.nan, root_bound(v))
         for v in (total[:, 0, 0], total[:, 1, 1], np.trace(pos_cov, axis1=1, axis2=2) + offset)

@@ -167,13 +167,19 @@ def state_to_params(state: UeState) -> ChannelParams:
     )
 
 
-def params_to_state(params: ChannelParams) -> UeState:
-    """Inverse of :func:`state_to_params`: p = c * delay * [cos aoa, sin aoa]."""
-    if params.delay <= 0:
+def params_to_positions(params: np.ndarray) -> np.ndarray:
+    """Positions p = c * delay * [cos aoa, sin aoa], (..., 2), of stacked
+    (aoa, delay, gain_amp, gain_phase) rows, (..., 4)."""
+    aoa, delay = np.moveaxis(np.asarray(params, dtype=float)[..., :2], -1, 0)
+    if np.any(delay <= 0):
         raise ValueError("delay must be positive to place the user")
-    d = SPEED_OF_LIGHT * params.delay
+    return (SPEED_OF_LIGHT * delay)[..., None] * np.stack([np.cos(aoa), np.sin(aoa)], axis=-1)
+
+
+def params_to_state(params: ChannelParams) -> UeState:
+    """Inverse of :func:`state_to_params` (:func:`params_to_positions`)."""
     return UeState(
-        position=d * np.array([np.cos(params.aoa), np.sin(params.aoa)]),
+        position=params_to_positions(params.as_array()),
         gain_amp=params.gain_amp,
         gain_phase=params.gain_phase,
     )

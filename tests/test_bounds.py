@@ -740,12 +740,16 @@ def _mismatch_at(theta_bar, theta0):
 
 
 def test_bias_vector_wraps_phase():
-    a = ChannelParams(aoa=0.1, delay=1e-8, gain_amp=1e-4, gain_phase=3.0)
+    a = ChannelParams(aoa=0.15, delay=1e-8, gain_amp=1e-4, gain_phase=3.0)
     b = ChannelParams(aoa=0.1, delay=1e-8, gain_amp=1e-4, gain_phase=-3.0)
     rep = _mismatch_at(a, b)
     bias_outer = rep.lb_matrix - rep.mcrb  # outer(d, d), d the pseudo-true bias
+    d_aoa = a.aoa - b.aoa
     npt.assert_allclose(np.sqrt(bias_outer[3, 3]), 2.0 * np.pi - 6.0, atol=1e-12)
-    npt.assert_allclose(bias_outer[:3], 0.0, atol=1e-20)
+    # the sign of the wrapped phase bias, read from its cross term with the angle's
+    npt.assert_allclose(bias_outer[0, 3] / d_aoa, 6.0 - 2.0 * np.pi, atol=1e-12)
+    npt.assert_allclose(bias_outer[0, 0], d_aoa**2, rtol=1e-12)
+    npt.assert_allclose(bias_outer[1:3], 0.0, atol=1e-20)
 
 
 def test_lb_matrix_and_position_bias_only(monkeypatch):

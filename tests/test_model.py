@@ -16,6 +16,7 @@ from hwiloc.model import (
     generate_combiners,
     generate_pilots,
     noise_std,
+    params_to_positions,
     params_to_state,
     state_to_params,
     steering_derivatives,
@@ -135,6 +136,21 @@ def test_state_behind_array_rejected():
     st = UeState(position=np.array([-1.0, 2.0]), gain_amp=1.0, gain_phase=0.0)
     with pytest.raises(ValueError):
         state_to_params(st)
+
+
+def test_params_to_positions_stacks_params_to_state():
+    rng = np.random.default_rng(7)
+    positions = rng.uniform([0.5, -5.0], [10.0, 5.0], size=(5, 2))
+    thetas = [state_to_params(UeState(p, 1.0, 0.0)) for p in positions]
+    stacked = params_to_positions(np.array([t.as_array() for t in thetas]))
+    assert stacked.shape == (5, 2)
+    for row, theta in zip(stacked, thetas):
+        assert np.array_equal(row, params_to_state(theta).position)
+    bad = ChannelParams(aoa=0.1, delay=0.0, gain_amp=1.0, gain_phase=0.0)
+    with pytest.raises(ValueError, match="delay must be positive"):
+        params_to_positions(np.array([thetas[0].as_array(), bad.as_array()]))
+    with pytest.raises(ValueError, match="delay must be positive"):
+        params_to_state(bad)
 
 
 def test_channel_params_array_round_trip():
