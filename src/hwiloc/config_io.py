@@ -1,12 +1,13 @@
 """Experiment configuration: flat key=value files and the resolved spec.
 
-The config format is a plain text file of `key=value` lines in UTF-8.
-Blank lines and `#` comments are ignored, keys may appear at most once,
-and unknown keys are rejected. Every key has a default, so an empty file
-(or no file at all) resolves to the full-scale profile. The defaults live
-on the dataclasses (`SystemConfig`, `ImpairmentConfig` and
-`ExperimentSpec`): `ExperimentSpec()` is the default experiment, and
-`DEFAULTS` is that spec written as config keys. The key set:
+The config format is a plain text file of `key=value` lines in UTF-8,
+with or without a leading byte-order mark. Blank lines and `#` comments
+are ignored, keys may appear at most once, and unknown keys are rejected.
+Every key has a default, so an empty file (or no file at all) resolves to
+the full-scale profile. The defaults live on the dataclasses
+(`SystemConfig`, `ImpairmentConfig` and `ExperimentSpec`):
+`ExperimentSpec()` is the default experiment, and `DEFAULTS` is that spec
+written as config keys. The key set:
 
 system:
     n_antennas, n_transmissions, n_subcarriers, cp_length,
@@ -20,11 +21,12 @@ experiment:
     n_trials, master_seed, outputs
 
 Complex values are written like `0.6+0.5j`. `sweep_values` and `outputs`
-are comma-separated lists. Setting both coupling taps (or the trailing PA
-coefficients) to zero drops them, so `mc_c1=0, mc_c2=0` disables the known
-coupling and `pa_beta0=1, pa_beta1=0, pa_beta2=0, pa_clip=inf` makes the
-amplifier ideal. When `sweep_values` is not given, a built-in default list
-for the chosen axis is used.
+are comma-separated lists; the sweep values must be distinct. Setting
+both coupling taps (or the trailing PA coefficients) to zero drops them,
+so `mc_c1=0, mc_c2=0` disables the known coupling and `pa_beta0=1,
+pa_beta1=0, pa_beta2=0, pa_clip=inf` makes the amplifier ideal. When
+`sweep_values` is not given, a built-in default list for the chosen axis
+is used.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ class ExperimentSpec:
             )
         if not self.sweep_values:
             raise ConfigError("sweep_values must be non-empty")
+        if len(set(self.sweep_values)) < len(self.sweep_values):  # -0.0 == 0.0
+            raise ConfigError("sweep_values must be distinct")
         if self.sweep_axis == "pa" and any(v not in (0.0, 1.0) for v in self.sweep_values):
             raise ConfigError("pa sweep values must be 0 or 1")
         if self.sweep_axis.startswith("sigma") and any(v < 0 for v in self.sweep_values):
@@ -253,7 +257,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def read_config(path: str) -> dict[str, str]:
     """Overrides from a config file; raises OSError or ConfigError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which editors may save
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

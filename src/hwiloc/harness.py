@@ -9,21 +9,23 @@ Both draw a point's hardware the same way, with one routine
 (:func:`_draws`): each draw's generator draws the draw's pilots (on the
 amplifier axis only, which resamples them) and its realization, and the
 couplings are computed once for the stack. Off the amplifier axis a
-point's pilots pass the PA once (:func:`_point`).
+point's pilots pass the PA once and its draws share one clean model
+(:func:`_point`).
 
-The bounds runner makes each point's clean model once off the amplifier
-axis (:class:`BoundsPoint`), and takes each bound of a task's (point,
-draw) pairs in one call as one stacked report, the pseudo-trues in one
-descent (:func:`_bounds_unit`). A draw's generator does not depend on the
-point, so off the phase-noise and CFO axes a draw has the same rotation at
-every point: there a task is a unit of draws that covers every point, and
-a draw's dense sandwich is built once for all of them; on those two axes a
-task is a point (:func:`_bounds_tasks`). The trials
-runner builds no model per trial: it draws each trial's noise from the
-trial's generator, takes the rotations, means, observations and pulled
-observations of TRIAL_CHUNK trials at a time as stacked arrays (the
-rotations by FFT), writes both estimators' trials of a point into one
-batch and fits them all in one Newton fit.
+The bounds runner fills one (point, draw) grid of results. A task takes
+each bound of its (point, draw) pairs in one call as one stacked report,
+the pseudo-trues in one descent, and returns its block of the grid
+(:func:`_bounds_unit`); the sweep writes each block into its place and
+reads each point's rows off the grid (:func:`_bounds_rows`). A draw's
+generator does not depend on the point, so off the phase-noise and CFO
+axes a draw has the same rotation at every point: there a task is a unit
+of draws that covers every point, and a draw's dense sandwich is built
+once for all of them; on those two axes a task is a point
+(:func:`_bounds_tasks`). The trials runner builds no model per trial: it
+draws each trial's noise from the trial's generator, takes the rotations,
+means, observations and pulled observations of TRIAL_CHUNK trials at a
+time as stacked arrays (the rotations by FFT), writes both estimators'
+trials of a point into one batch and fits them all in one Newton fit.
 
 Determinism: every random draw derives from
 SeedSequence((master_seed, draw_index, stream_tag)), so output is
@@ -196,52 +198,50 @@ class Point:
     combiners: np.ndarray  # W, (G, N)
     pilots: np.ndarray | None  # as sent, (G, K); None on the amplifier axis
     sent: np.ndarray | None  # after the PA, (G, K); None on the amplifier axis
+    clean: ProjectionModel | None  # the draws' clean model; None on the amplifier axis
 
 
 def _point(spec: ExperimentSpec, axis_index: int) -> Point:
     """Sweep point axis_index. Off the amplifier axis its draws keep the
-    seeded pilot block, which passes the PA here, once for all of them; on
-    it each draw draws its own pilots (:func:`_draws`). Combiners stay
-    fixed either way."""
+    seeded pilot block, which passes the PA here, once for all of them, and
+    share one clean model; on it each draw draws its own pilots
+    (:func:`_draws`). Combiners stay fixed either way."""
     value = spec.sweep_values[axis_index]
     sys_cfg, imp = apply_sweep_value(spec, value)
-    pilots = sent = None
+    combiners = generate_combiners(sys_cfg)
+    pilots = sent = clean = None
     if spec.sweep_axis != "pa":
         pilots = generate_pilots(sys_cfg)
         sent = transmit_pilots(pilots, imp, sys_cfg)
+        clean = ProjectionModel.clean(sys_cfg, PilotBlock(pilots, combiners), imp.coupling)
     theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
-    return Point(value, sys_cfg, imp, theta, generate_combiners(sys_cfg), pilots, sent)
+    return Point(value, sys_cfg, imp, theta, combiners, pilots, sent, clean)
 
 
 @dataclass
 class Draws:
-    """The hardware of some draws of one sweep point as stacked arrays
-    (:func:`_draws`). Off the amplifier axis every draw has the point's
-    pilots, and pilots and sent are (G, K); on it they are (n, G, K)."""
+    """The hardware of n draws of one sweep point as stacked arrays
+    (:func:`_draws`). pilots and sent are (n, G, K): off the amplifier axis
+    read-only views of the point's (G, K) arrays, on it each draw's own."""
 
     combiners: np.ndarray  # W, (G, N)
-    pilots: np.ndarray  # as sent, the clean chain's x~
-    sent: np.ndarray  # after the PA, the impaired chain's x~
+    pilots: np.ndarray  # as sent, the clean chain's x~, (n, G, K)
+    sent: np.ndarray  # after the PA, the impaired chain's x~, (n, G, K)
     couplings: np.ndarray  # full couplings C, (n, N, N)
     pn: np.ndarray  # phase-noise phases, (n, G, K)
     cfo: np.ndarray  # (n,)
     rngs: list[np.random.Generator]  # each positioned after its realization
 
-    def slot(self, array: np.ndarray, index: int | slice) -> np.ndarray:
-        """pilots or sent (array) of the draws at index."""
-        return array if array.ndim == 2 else array[index]
-
     def clean(self, cfg: SystemConfig, coupling: tuple, r: int) -> ProjectionModel:
         """Draw r's clean model."""
-        block = PilotBlock(self.slot(self.pilots, r), self.combiners)
-        return ProjectionModel.clean(cfg, block, coupling)
+        return ProjectionModel.clean(cfg, PilotBlock(self.pilots[r], self.combiners), coupling)
 
     def impaired(self, cfg: SystemConfig, r: int) -> ProjectionModel:
         """Draw r's impaired model without M_g. M_g is unitary and
         theta-free, so this model's FIM and unrotated mean are the impaired
         model's; the draw's rotation, where needed, is
         phase_rotations(cfo[r], pn[r], cfg)."""
-        return ProjectionModel(cfg, self.combiners, self.couplings[r], self.slot(self.sent, r))
+        return ProjectionModel(cfg, self.combiners, self.couplings[r], self.sent[r])
 
 
 def _draws(spec: ExperimentSpec, point: Point, indices: range, stream: int) -> Draws:
@@ -272,6 +272,7 @@ def _draws(spec: ExperimentSpec, point: Point, indices: range, stream: int) -> D
         pn[i], cfo[i], residual[i] = real.pn_phases, real.cfo, real.mc_residual
         rngs.append(rng)
     sent = transmit_pilots(pilots, imp, sys_cfg) if resample else point.sent
+    pilots, sent = (np.broadcast_to(a, (n, g, k)) for a in (pilots, sent))
     couplings = mc_matrix(imp.coupling, residual, n_ant)
     return Draws(point.combiners, pilots, sent, couplings, pn, cfo, rngs)
 
@@ -288,125 +289,109 @@ def _families(spec: ExperimentSpec) -> list[str]:
     return [f for f in ("lb", "crb_m2", "crb_m1") if f in spec.outputs]
 
 
-@dataclass
-class BoundsPoint:
-    """A bounds sweep point with the clean model that its draws share off
-    the amplifier axis, made once per point; None on the amplifier axis,
-    where each draw has its own pilots."""
-
-    point: Point
-    clean: ProjectionModel | None
-
-    @staticmethod
-    def build(spec: ExperimentSpec, axis_index: int) -> "BoundsPoint":
-        point = _point(spec, axis_index)
-        clean = None
-        if point.pilots is not None:
-            block = PilotBlock(point.pilots, point.combiners)
-            clean = ProjectionModel.clean(point.sys_cfg, block, point.imp.coupling)
-        return BoundsPoint(point, clean)
-
-
-@dataclass
-class Outcomes:
-    """What some draws of one sweep point gave, draw by draw: for each bound
-    family the draws' scalars (:func:`_bound_scalars`), NaN where a draw's
-    bound failed, and when lb is requested the reason each draw's lb failed
-    (None where it did not) and the pseudo-true stops."""
-
-    scalars: dict[str, np.ndarray]  # (n, 3) per family
-    errors: list[str | None]
-    stops: list[str]
-
-
 def _bounds_unit(
-    spec: ExperimentSpec, points: list[BoundsPoint], indices: range
-) -> list[Outcomes]:
-    """The bounds of the draws of the given indices at each of the given
-    sweep points, one :class:`Outcomes` per point.
+    spec: ExperimentSpec, points: list[Point], indices: range
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """The block of the sweep's (point, draw) grid at the given sweep points
+    and the draws of the given indices, p points by n draws: for each bound
+    family the scalars (:func:`_bound_scalars`), (p, n, 3), NaN where a
+    draw's bound failed, and when lb is requested the reason each draw's lb
+    failed (None where it did not) and the pseudo-true stops, each (p, n).
 
     Each point draws these indices (:func:`_draws`). Every bound takes all
     (point, draw) pairs of the task in one call, each pair bit for bit as on
     its own: the impaired and the clean CRBs, one descent for the
-    pseudo-trues and the lb of every pair whose fit succeeded. A draw's
-    generator does not depend on the point, so off the phase-noise and CFO
-    axes a draw has the same rotation at every point: its dense sandwich
-    (:func:`~hwiloc.observation.sandwich_matrices`, as
+    pseudo-trues and the lb of every pair whose fit succeeded. Each pair's
+    impaired model without M_g is made once and serves its CRB and its lb
+    mean. A draw's generator does not depend on the point, so off the
+    phase-noise and CFO axes a draw has the same rotation at every point:
+    its dense sandwich (:func:`~hwiloc.observation.sandwich_matrices`, as
     :meth:`~hwiloc.observation.ProjectionModel.eta` applies it) is built
     again only for a point whose rotation differs from the previous one's.
     """
     families = _families(spec)
     n = len(indices)
-    draws = [_draws(spec, bp.point, indices, _REALIZATION_STREAM) for bp in points]
+    draws = [_draws(spec, point, indices, _REALIZATION_STREAM) for point in points]
     # the (point, draw) pairs, point-major
-    pairs = [(bp, d, r) for bp, d in zip(points, draws) for r in range(n)]
-    thetas = [bp.point.theta for bp, _, _ in pairs]
-    sigmas = [noise_std(bp.point.sys_cfg) for bp, _, _ in pairs]
+    pairs = [(point, d, r) for point, d in zip(points, draws) for r in range(n)]
+    thetas = [point.theta for point, _, _ in pairs]
+    sigmas = [noise_std(point.sys_cfg) for point, _, _ in pairs]
     cleans = [
-        bp.clean if bp.clean is not None else d.clean(bp.point.sys_cfg, bp.point.imp.coupling, r)
-        for bp, d, r in pairs
+        point.clean if point.clean is not None else d.clean(point.sys_cfg, point.imp.coupling, r)
+        for point, d, r in pairs
     ]
     scalars: dict[str, np.ndarray] = {}
-    errors: list[str | None] = []
-    stops: list[str] = []
+    errors = np.full(len(pairs), None, dtype=object)
+    stops = errors.copy()
+    if {"lb", "crb_m1"} & set(families):
+        models = [d.impaired(point.sys_cfg, r) for point, d, r in pairs]
     if "crb_m1" in families:
-        # the lb makes each impaired model again: all of them held over its
-        # sandwiches raised full.cfg's peak RSS by about 0.25 MB
-        models = [d.impaired(bp.point.sys_cfg, r) for bp, d, r in pairs]
         scalars["crb_m1"] = _bound_scalars("crb_m1", crb_m1_numeric(thetas, models, sigmas))
-        del models
     if {"lb", "crb_m2"} & set(families):
         crbs = crb_m2_report(thetas, cleans, sigmas)
         if "crb_m2" in families:
             scalars["crb_m2"] = _bound_scalars("crb_m2", crbs)
     if "lb" in families:
-        means = np.empty((len(pairs), *cleans[0].eff_pilots.shape), dtype=complex)
+        # the means before M_g; the models are freed before the sandwiches:
+        # held over them, they raised full.cfg's peak allocation by 0.1 MB
+        means = np.array([m.unrotated(t.aoa, t.delay) for m, t in zip(models, thetas)])
+        del models
         for r in range(n):
             rotation = None
             for i in range(r, len(pairs), n):
-                bp, d, _ = pairs[i]
-                this = phase_rotations(d.cfo[r], d.pn[r], bp.point.sys_cfg)
+                point, d, _ = pairs[i]
+                this = phase_rotations(d.cfo[r], d.pn[r], point.sys_cfg)
                 if rotation is None or not np.array_equal(this, rotation):
                     rotation, sandwich = this, sandwich_matrices(this)
-                v = d.impaired(bp.point.sys_cfg, r).unrotated(thetas[i].aoa, thetas[i].delay)
-                means[i] = thetas[i].gain * np.einsum("gij,gj->gi", sandwich, v)
+                means[i] = thetas[i].gain * np.einsum("gij,gj->gi", sandwich, means[i])
             # freed here: held over the next draw's bounds, it raised
             # full.cfg's peak RSS by about 1.3 MB
             del sandwich
         theta0s, fits = pseudo_true(thetas, cleans, means)
-        stops, errors = fits.stops.tolist(), list(fits.errors)
+        stops[:], errors[:] = fits.stops, fits.errors
         fitted = np.flatnonzero([theta0 is not None for theta0 in theta0s])
         scalars["lb"] = np.full((len(pairs), 3), np.nan)
         if fitted.size:
             args = (thetas, theta0s, cleans, means, sigmas)
             rep = mismatch_report(*([arg[i] for i in fitted] for arg in args), crbs.take(fitted))
             scalars["lb"][fitted] = _bound_scalars("lb", rep)
-            for i, error in zip(fitted, rep.errors):
-                errors[i] = error
-    per_point = [slice(p * n, (p + 1) * n) for p in range(len(points))]
-    return [Outcomes({f: v[o] for f, v in scalars.items()}, errors[o], stops[o]) for o in per_point]
+            errors[fitted] = rep.errors
+    shape = (len(points), n)
+    blocks = {f: v.reshape(*shape, 3) for f, v in scalars.items()}
+    return blocks, errors.reshape(shape), stops.reshape(shape)
 
 
-def _bounds_rows(spec: ExperimentSpec, point: Point, outcomes: list[Outcomes]) -> list[ResultRow]:
-    """Bound rows of one sweep point from the outcomes of its draws, in draw
-    order. A draw whose bound fails drops out of that family only: each
-    family counts its own surviving draws, and one WARNING line counts the
-    failed draws by reason. A scalar whose coordinate the link cannot
-    identify (:func:`~hwiloc.bounds.flat_coordinates`) is inf in every
-    family."""
+def _rows(
+    value: float, metric: str, stats: dict, realizations: int, trials: int
+) -> list[ResultRow]:
+    """The rows of one metric at one sweep point, one per statistic."""
+    units = metric_units(metric)
+    return [
+        ResultRow(float(value), metric, stat, float(v), units, realizations, trials)
+        for stat, v in stats.items()
+    ]
+
+
+def _bounds_rows(
+    spec: ExperimentSpec, point: Point, scalars: dict, errors: np.ndarray, stops: np.ndarray
+) -> list[ResultRow]:
+    """Bound rows of one sweep point from its row of the (point, draw) grid:
+    each family's scalars, (R, 3), and the lb errors and pseudo-true stops,
+    (R,), in draw order. A draw whose bound fails drops out of that family
+    only: each family counts its own surviving draws, and one WARNING line
+    counts the failed draws by reason. A scalar whose coordinate the link
+    cannot identify (:func:`~hwiloc.bounds.flat_coordinates`) is inf in
+    every family."""
     value = point.value
     families = _families(spec)
-    scalars = [s for s in BOUND_SCALARS if s in spec.outputs]
-    results = {f: np.concatenate([o.scalars[f] for o in outcomes]) for f in families}
-    survivors = {f: r[~np.isnan(r).any(axis=1)] for f, r in results.items()}
+    survivors = {f: r[~np.isnan(r).any(axis=1)] for f, r in scalars.items()}
     if "lb" in families:
-        stops = Counter(s for o in outcomes for s in o.stops)
         logger.info(
             "bounds: sweep value %r pseudo-true stops: %s",
             value,
-            " ".join(f"{reason}={count}" for reason, count in sorted(stops.items())),
+            " ".join(f"{reason}={count}" for reason, count in sorted(Counter(stops).items())),
         )
-        reasons = Counter(e for o in outcomes for e in o.errors if e is not None)
+        reasons = Counter(e for e in errors if e is not None)
         if reasons:
             logger.warning(
                 "bounds: sweep value %r lb failed for %d of %d realizations: %s",
@@ -422,21 +407,10 @@ def _bounds_rows(spec: ExperimentSpec, point: Point, outcomes: list[Outcomes]) -
         raise NumericError(f"no surviving realizations for {names} at sweep value {value!r}")
     rows: list[ResultRow] = []
     for family in families:
-        for scalar in scalars:
-            metric = f"{family}_{scalar}"
+        for scalar in (s for s in BOUND_SCALARS if s in spec.outputs):
             arr = survivors[family][:, BOUND_SCALARS.index(scalar)]
-            for stat, v in (("mean", arr.mean()), ("min", arr.min()), ("max", arr.max())):
-                rows.append(
-                    ResultRow(
-                        sweep_value=float(value),
-                        metric=metric,
-                        statistic=stat,
-                        value=float(v),
-                        units=metric_units(metric),
-                        realizations=len(arr),
-                        trials=0,
-                    )
-                )
+            stats = {"mean": arr.mean(), "min": arr.min(), "max": arr.max()}
+            rows += _rows(value, f"{family}_{scalar}", stats, len(arr), 0)
     return rows
 
 
@@ -467,13 +441,13 @@ def _fit_point(
     for start in range(0, spec.n_trials, TRIAL_CHUNK):
         chunk = slice(start, start + TRIAL_CHUNK)
         rows = draws.combiners @ draws.couplings[chunk]
-        sent = draws.slot(draws.sent, chunk)
+        sent = draws.sent[chunk]
         rotations = phase_rotations(draws.cfo[chunk], draws.pn[chunk], sys_cfg)
         noise = np.array([unit_noise((g, k), rng) for rng in draws.rngs[chunk]])
         y = impaired_means(theta, sys_cfg, rows, sent, rotations) + scale * noise
         for m in metrics:
             if m == "mmle_rmse":
-                slots[m] += batch.add(clean_rows, draws.slot(draws.pilots, chunk), y)
+                slots[m] += batch.add(clean_rows, draws.pilots[chunk], y)
             else:
                 slots[m] += batch.add(rows, sent, rotate(y, np.conj(rotations)))
     fits = batch.fit()
@@ -511,17 +485,8 @@ def _trials_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
         raise NumericError(f"no converged trials for {empty} at sweep value {value!r}")
     rows: list[ResultRow] = []
     for m in metrics:
-        rows.append(
-            ResultRow(
-                sweep_value=float(value),
-                metric=m,
-                statistic="mean",
-                value=float(np.sqrt(np.mean(squared[m]))),
-                units="m",
-                realizations=spec.n_trials,
-                trials=squared[m].size,
-            )
-        )
+        rmse = float(np.sqrt(np.mean(squared[m])))
+        rows += _rows(value, m, {"mean": rmse}, spec.n_trials, squared[m].size)
     return rows
 
 
@@ -589,21 +554,28 @@ def run_bounds_sweep(spec: ExperimentSpec) -> list[ResultRow]:
         raise ConfigError("outputs request no bound family (crb_m2, crb_m1, lb)")
     if not any(s in spec.outputs for s in BOUND_SCALARS):
         raise ConfigError("outputs request no bound scalar (aeb, deb, peb)")
-    points = [BoundsPoint.build(spec, i) for i in range(len(spec.sweep_values))]
+    points = [_point(spec, i) for i in range(len(spec.sweep_values))]
     tasks = _bounds_tasks(spec)
-    per_task = _map(
+    blocks = _map(
         _bounds_unit,
         [spec] * len(tasks),
         [[points[i] for i in indices] for indices, _ in tasks],
         [draws for _, draws in tasks],
     )
-    per_point: list[list[Outcomes]] = [[] for _ in points]
-    for (indices, _), outcomes in zip(tasks, per_task):
-        for i, o in zip(indices, outcomes):
-            per_point[i].append(o)
-    return sort_rows(
-        [row for bp, o in zip(points, per_point) for row in _bounds_rows(spec, bp.point, o)]
-    )
+    # the (point, draw) grid, P by R, each task's block written into its place
+    shape = (len(points), spec.n_realizations)
+    scalars = {f: np.empty((*shape, 3)) for f in _families(spec)}
+    errors, stops = np.empty(shape, dtype=object), np.empty(shape, dtype=object)
+    for (indices, draws), (block, block_errors, block_stops) in zip(tasks, blocks):
+        at = np.ix_(indices, draws)
+        for f, v in block.items():
+            scalars[f][at] = v
+        errors[at], stops[at] = block_errors, block_stops
+    rows: list[ResultRow] = []
+    for i, point in enumerate(points):
+        per_family = {f: v[i] for f, v in scalars.items()}
+        rows += _bounds_rows(spec, point, per_family, errors[i], stops[i])
+    return sort_rows(rows)
 
 
 def run_estimator_trials(spec: ExperimentSpec) -> list[ResultRow]:

@@ -1,5 +1,6 @@
 """Tests for configuration handling, the sweep harness and the CLI."""
 
+import codecs
 import importlib.util
 import logging
 import math
@@ -24,6 +25,7 @@ from hwiloc.config_io import (
     SWEEP_AXES,
     ExperimentSpec,
     parse_config_text,
+    read_config,
     resolve_spec,
     spec_to_text,
 )
@@ -259,7 +261,7 @@ def _config_overrides(draw) -> dict[str, str]:
         axis = draw(st.sampled_from(SWEEP_AXES))
         overrides["sweep_axis"] = axis
         if draw(st.booleans()):
-            values = draw(st.lists(_SWEEP_VALUES[axis], min_size=1, max_size=6))
+            values = draw(st.lists(_SWEEP_VALUES[axis], min_size=1, max_size=6, unique=True))
             overrides["sweep_values"] = ",".join(_text(v) for v in values)
     return overrides
 
@@ -686,7 +688,7 @@ def test_bounds_draws_match_their_own_generators(monkeypatch, axis, values):
         return pseudo_true(thetas, cleans, ybars)
 
     monkeypatch.setattr("hwiloc.harness.pseudo_true", keep_means)
-    points = [hwiloc.harness.BoundsPoint.build(spec, i) for i in range(len(spec.sweep_values))]
+    points = [hwiloc.harness._point(spec, i) for i in range(len(spec.sweep_values))]
     units = [range(0, 1), range(1, 3)]  # the second does not start at draw 0
     for unit in units:
         hwiloc.harness._bounds_unit(spec, points, unit)
@@ -730,14 +732,47 @@ def test_bounds_build_each_dense_sandwich_once_per_rotation(monkeypatch, axis, v
 
 
 @pytest.mark.parametrize("axis, values", ALL_AXES)
-def test_bounds_do_not_depend_on_the_tasks(monkeypatch, axis, values):
+def test_bounds_do_not_depend_on_the_tasks(monkeypatch, caplog, axis, values):
     """Units of one draw, one unit of all R draws, one task per point and
-    tasks that split a point's draws out of order give the CSV bytes of the
-    default tasks: units of 2 and 3 of the 5 draws over both points where
-    they share each draw's rotation, one task per point otherwise."""
+    tasks that split a point's draws out of order give the CSV bytes and
+    the INFO and WARNING records of the default tasks: units of 2 and 3 of
+    the 5 draws over both points where they share each draw's rotation, one
+    task per point otherwise. Draw 3's lb fails at the second point only,
+    so a block written to the wrong place in the (point, draw) grid would
+    move its WARNING line. Every layout makes each pair's impaired model
+    once, and none without crb_m1 or lb."""
     spec = desk_spec(sweep_axis=axis, sweep_values=values, n_realizations="5")
+    real_draws, real_impaired = hwiloc.harness._draws, hwiloc.harness.Draws.impaired
+    impaired = []
+
+    def failing_draws(spec, point, indices, stream):
+        d = real_draws(spec, point, indices, stream)
+        if point.value == spec.sweep_values[1] and 3 in indices:
+            d.cfo[indices.index(3)] = np.nan  # a NaN lb mean: its pseudo-true fit fails
+        return d
+
+    def counted(self, cfg, r):
+        impaired.append(r)
+        return real_impaired(self, cfg, r)
+
+    monkeypatch.setattr("hwiloc.harness._draws", failing_draws)
+    monkeypatch.setattr(hwiloc.harness.Draws, "impaired", counted)
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
-    csv = rows_to_csv(run_bounds_sweep(spec))
+    caplog.set_level(logging.INFO, logger="hwiloc.harness")
+
+    def run():
+        caplog.clear()
+        impaired.clear()
+        csv = rows_to_csv(run_bounds_sweep(spec))
+        assert len(impaired) == len(spec.sweep_values) * spec.n_realizations
+        return csv, [(r.levelname, r.getMessage()) for r in caplog.records]
+
+    csv, records = run()
+    failed = "observation energy must be positive and finite=1"
+    value = spec.sweep_values[1]
+    warning = f"bounds: sweep value {value!r} lb failed for 1 of 5 realizations: {failed}"
+    assert [r for r in records if r[0] != "INFO"] == [("WARNING", warning)]
+    assert len(records) == 3
     both, draws = [0, 1], range(5)
     per_point = [([0], draws), ([1], draws)]
     units = [(both, range(0, 2)), (both, range(2, 5))]
@@ -749,7 +784,10 @@ def test_bounds_do_not_depend_on_the_tasks(monkeypatch, axis, values):
         [([1], range(0, 2)), ([0], draws), ([1], range(2, 5))],
     ):
         monkeypatch.setattr("hwiloc.harness._bounds_tasks", lambda spec, tasks=tasks: tasks)
-        assert rows_to_csv(run_bounds_sweep(spec)) == csv
+        assert run() == (csv, records)
+    impaired.clear()
+    run_bounds_sweep(replace(spec, outputs=("crb_m2", "peb")))
+    assert impaired == []
 
 
 def test_bounds_tasks_leave_no_worker_idle(monkeypatch):
@@ -937,6 +975,29 @@ def _desk_cfg(tmp_path, **overrides):
     cfg = tmp_path / "desk_variant.cfg"
     cfg.write_text("".join(f"{k}={v}\n" for k, v in keys.items()), encoding="utf-8")
     return str(cfg)
+
+
+@pytest.mark.parametrize("values", ["10,10,20", "0,-0"])
+def test_cli_duplicate_sweep_values_exit_1_and_write_no_csv(tmp_path, capsys, values):
+    """A sweep value given twice (-0 and 0 are one value) would write its
+    rows twice: both sweeps reject it as a config error and write no CSV."""
+    cfg = _desk_cfg(tmp_path, sweep_values=values)
+    for command in ("bounds", "estimate"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: sweep_values must be distinct"
+        ]
+        assert not out.exists()
+
+
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path):
+    """A config that an editor saved with a UTF-8 byte-order mark resolves
+    to the spec of the same file without one."""
+    desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(codecs.BOM_UTF8 + desk.read_bytes())
+    assert resolve_spec(read_config(str(marked))) == resolve_spec(read_config(str(desk)))
 
 
 def test_cli_no_surviving_realizations_exits_2(tmp_path, monkeypatch, capsys):
