@@ -318,14 +318,19 @@ def _wrap_phase(x):
 # descent, because perfbench/reference/bounds_full.csv encodes the point
 # where it stalls (a converged fit moves lb rows by up to 4.5e-6, past the
 # 1e-6 gate). Its objective is FitData.objective, whose rounding is fixed
-# with it: a 1-ulp change there moves the stall. The descent goes once that
-# reference is regenerated from a converged fit (ROADMAP item 1); the same
-# FitData then goes to estimation.refine.
+# with it: a 1-ulp change there moves the stall. Its line search tests
+# LINE_SEARCH_BLOCK halvings of a step per objective call, which leaves
+# every iterate as it was with one halving per call: each slot of a stacked
+# call rounds as it would alone. The descent goes once that reference is
+# regenerated from a converged fit (ROADMAP item 1); the same FitData then
+# goes to estimation.refine.
 FD_STEP = 1e-6  # relative central-difference step
 MAX_DESCENT_ITERATIONS = 1000
 ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
 STEP_FLOOR_M = 1e-12  # line-search stall threshold
+LINE_SEARCH_BLOCK = 4  # halvings tried per objective evaluation
+_HALVINGS = ARMIJO_SHRINK ** np.arange(LINE_SEARCH_BLOCK)  # 1, 1/2, 1/4, 1/8
 
 
 def _descend(data: FitData, starts: np.ndarray) -> Fits:
@@ -335,7 +340,13 @@ def _descend(data: FitData, starts: np.ndarray) -> Fits:
     Each objective is :meth:`FitData.objective` normalized by ||u||^2 so
     the gradient tolerance is scale-free. Gradients come from central
     differences with relative step FD_STEP, the four points of every fit in
-    one evaluation. A fit stops with one of these reasons:
+    one evaluation. The line search evaluates LINE_SEARCH_BLOCK halvings of
+    every pending fit's step at once, (block, T) positions, and takes the
+    first that is finite, passes Armijo and is at least STEP_FLOOR_M; a fit
+    with none searches on from its step times 2^-LINE_SEARCH_BLOCK. The
+    halvings are exact, so the step taken is the one that a search testing
+    one halving per evaluation reaches. A fit stops with one of these
+    reasons:
 
     * ``gradient``: the gradient norm is below GRAD_TOLERANCE;
     * ``stalled``: the line search found no decrease at any step down to
@@ -394,19 +405,23 @@ def _descend(data: FitData, starts: np.ndarray) -> Fits:
             ids, data, p, fp = ids[keep], data.take(keep), p[keep], fp[keep]
             step, grad, gnorm = step[keep], grad[keep], gnorm[keep]
         direction = -grad / gnorm[:, None]
-        # each fit halves its own trial step s until the Armijo condition
-        # holds; one that reaches the floor has stalled
+        # each fit searches from its own step s, a block of halvings per
+        # evaluation; one whose s falls below the floor has stalled
         s = np.minimum(INITIAL_STEP_M, 2.0 * step)
         pending = np.ones(ids.size, dtype=bool)
         while (j := np.flatnonzero(pending & (s >= STEP_FLOOR_M))).size:
-            cand = p[j] + s[j, None] * direction[j]
+            trial = _HALVINGS[:, None] * s[j]  # (block, n)
+            cand = p[j] + trial[..., None] * direction[j]
             c_data = data if j.size == ids.size else data.take(j)
-            fc = c_data.objective(*cand.T) / c_data.yy
-            ok = np.isfinite(fc) & (fc <= fp[j] - ARMIJO_SLOPE * s[j] * gnorm[j])
-            moved = j[ok]
-            p[moved], fp[moved], step[moved] = cand[ok], fc[ok], s[moved]
+            fc = c_data.objective(cand[..., 0], cand[..., 1]) / c_data.yy
+            ok = np.isfinite(fc) & (fc <= fp[j] - ARMIJO_SLOPE * trial * gnorm[j])
+            ok &= trial >= STEP_FLOOR_M
+            hit, first = ok.any(axis=0), ok.argmax(axis=0)
+            at = first[hit], np.flatnonzero(hit)
+            moved = j[hit]
+            p[moved], fp[moved], step[moved] = cand[at], fc[at], trial[at]
             pending[moved] = False
-            s[j[~ok]] *= ARMIJO_SHRINK
+            s[j[~hit]] *= ARMIJO_SHRINK**LINE_SEARCH_BLOCK
         if pending.any():
             settle(pending, "stalled")
             keep = ~pending

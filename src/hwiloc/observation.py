@@ -367,7 +367,9 @@ class FitData:
         each leading slice.
 
         Each value rounds as s = (b^H w) conj(d) on its own, ||u||^2 where D
-        is not positive: one matrix-vector and two dot products per slot.
+        is not positive: one matrix-vector and two dot products per slot,
+        whatever else the call holds (the descent's stencil and its blocks
+        of line-search halvings rely on this).
         The pseudo-true descent's stalls, and with them the benchmark's lb
         reference, depend on this rounding; stacking several positions of
         one fit into one (N, n) product, or the subcarrier-first order of

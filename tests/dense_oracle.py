@@ -6,11 +6,23 @@ build every first and second derivative of the mean before its sandwich as
 (4, G, K) and (4, 4, G, K) tensors and contract them sample by sample into
 the FIM and the misspecified bound's A and B, the textbook forms the
 factored algebra must reproduce.
+
+sequential_descent is the pseudo-true descent with the plain line search,
+one halving per objective call, that the blocked search must reproduce.
 """
 
 import numpy as np
 
-from hwiloc.bounds import mean_derivatives, model_derivatives
+from hwiloc.bounds import (
+    ARMIJO_SHRINK,
+    ARMIJO_SLOPE,
+    FD_STEP,
+    MAX_DESCENT_ITERATIONS,
+    STEP_FLOOR_M,
+    mean_derivatives,
+    model_derivatives,
+)
+from hwiloc.estimation import GRAD_TOLERANCE, INITIAL_STEP_M, Fits
 from hwiloc.model import delay_vector, steering_derivatives
 
 EYE = np.eye(4, dtype=int)
@@ -81,3 +93,73 @@ def dense_b(first, eps, sigma_n):
     """B_ij = (4/sigma^4) Re<d mu_i, eps> Re<d mu_j, eps> + I_ij."""
     score = (first.reshape(4, -1).conj() @ np.ravel(eps)).real
     return (4.0 / sigma_n**4) * np.outer(score, score) + dense_fim(first, sigma_n)
+
+
+def sequential_descent(data, starts):
+    """The descent of hwiloc.bounds._descend with a line search that tests
+    one halving of each pending fit's step per objective call. Returns the
+    Fits and the most halvings that any accepted step took."""
+    out = Fits.empty(data.yy.size)
+    out.starts[:] = starts
+    ids = np.arange(data.yy.size)
+    usable = np.isfinite(data.yy) & (data.yy > 0.0)
+    if not usable.all():
+        out.fail(ids[~usable], "observation energy must be positive and finite")
+        ids, data = ids[usable], data.take(usable)
+    p = out.starts[ids]
+    fp = data.objective(*p.T) / data.yy
+    ok = np.isfinite(fp)
+    if not ok.all():
+        out.fail(ids[~ok], "objective is non-finite at the starting point")
+        ids, data, p, fp = ids[ok], data.take(ok), p[ok], fp[ok]
+    step = np.full(ids.size, INITIAL_STEP_M)
+    most_halvings = 0
+
+    def settle(done, reason):
+        out.positions[ids[done]] = p[done]
+        out.objectives[ids[done]] = fp[done] * data.yy[done]
+        out.stops[ids[done]] = reason
+
+    for it in range(1, MAX_DESCENT_ITERATIONS + 1):
+        if not ids.size:
+            break
+        out.n_iterations[ids] = it
+        h = FD_STEP * np.maximum(np.abs(p), 1.0)
+        (px, py), (hx, hy) = p.T, h.T
+        f = data.objective(
+            np.array([px + hx, px - hx, px, px]), np.array([py, py, py + hy, py - hy])
+        ) / data.yy
+        grad = np.ascontiguousarray(((f[0::2] - f[1::2]) / (2.0 * h.T)).T)
+        gnorm = np.sqrt(grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
+        broken = ~np.isfinite(gnorm)
+        if broken.any():
+            out.fail(ids[broken], "gradient is non-finite during refinement")
+        small = gnorm < GRAD_TOLERANCE
+        if small.any():
+            settle(small, "gradient")
+        done = broken | small
+        if done.any():
+            keep = ~done
+            ids, data, p, fp = ids[keep], data.take(keep), p[keep], fp[keep]
+            step, grad, gnorm = step[keep], grad[keep], gnorm[keep]
+        direction = -grad / gnorm[:, None]
+        s = np.minimum(INITIAL_STEP_M, 2.0 * step)
+        halvings = np.zeros(ids.size, dtype=int)
+        pending = np.ones(ids.size, dtype=bool)
+        while (j := np.flatnonzero(pending & (s >= STEP_FLOOR_M))).size:
+            cand = p[j] + s[j, None] * direction[j]
+            c_data = data if j.size == ids.size else data.take(j)
+            fc = c_data.objective(*cand.T) / c_data.yy
+            ok = np.isfinite(fc) & (fc <= fp[j] - ARMIJO_SLOPE * s[j] * gnorm[j])
+            moved = j[ok]
+            p[moved], fp[moved], step[moved] = cand[ok], fc[ok], s[moved]
+            pending[moved] = False
+            most_halvings = max(most_halvings, halvings[moved].max(initial=0))
+            s[j[~ok]] *= ARMIJO_SHRINK
+            halvings[j[~ok]] += 1
+        if pending.any():
+            settle(pending, "stalled")
+            keep = ~pending
+            ids, data, p, fp, step = ids[keep], data.take(keep), p[keep], fp[keep], step[keep]
+    settle(np.ones(ids.size, dtype=bool), "max_iter")
+    return out, most_halvings

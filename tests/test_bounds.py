@@ -31,9 +31,11 @@ from dense_oracle import (
     dense_fim,
     factor_table,
     factored_derivatives,
+    sequential_descent,
     table_derivatives,
 )
 from hwiloc.bounds import (
+    LINE_SEARCH_BLOCK,
     BoundsReport,
     crb_m1_numeric,
     crb_m2_report,
@@ -57,10 +59,11 @@ from hwiloc.model import (
     UeState,
     geometric_params,
     noise_std,
+    params_to_positions,
     params_to_state,
     state_to_params,
 )
-from hwiloc.observation import ProjectionModel, mu_m1, sandwich_matrices, transmit_pilots
+from hwiloc.observation import FitData, ProjectionModel, mu_m1, sandwich_matrices, transmit_pilots
 
 SMALL = SystemConfig(n_antennas=5, n_transmissions=3, n_subcarriers=8, cp_length=2)
 DESK = SystemConfig(n_antennas=10, n_transmissions=5, n_subcarriers=32, cp_length=7)
@@ -694,8 +697,66 @@ def test_pseudo_true_batch_matches_batches_of_one_bitwise():
     assert fits.errors == [None] * 6
     assert set(fits.stops) <= {"gradient", "stalled", "max_iter"}
     assert len(set(fits.n_iterations)) > 1
-    for theta0, clean, ybar in zip(theta0s, cleans, means):
+    for r, (theta0, clean, ybar) in enumerate(zip(theta0s, cleans, means)):
         assert np.array_equal(theta0.as_array(), pseudo_true(theta, clean, ybar).as_array())
+        _, alone = pseudo_true(theta, [clean], [ybar])
+        assert (alone.stops[0], alone.n_iterations[0]) == (fits.stops[r], fits.n_iterations[r])
+
+
+def _descent_data(cleans, means) -> FitData:
+    """The FitData that pseudo_true descends on: each draw's pulled mean,
+    fitted with its clean model."""
+    data = FitData.empty(cleans[0].cfg, len(cleans))
+    for i, (model, y) in enumerate(zip(cleans, means)):
+        data.put(i, model.row_matrix, model.eff_pilots, model.pulled_observation(y)[None])
+    return data
+
+
+@pytest.mark.parametrize("case", ["batch", "zero_energy", "far_start", "nan_wall"])
+def test_descent_matches_one_halving_per_call_bitwise(case, monkeypatch):
+    """The descent's line search tests a block of halvings per objective
+    call and takes the first that passes: its positions, objectives, stops,
+    iteration counts and errors are bit for bit those of a search that
+    tests one halving per call (sequential_descent). Cases: six draws from
+    the true position, where fits stall on the step floor; the same with a
+    draw without energy; a start 0.5 m off, where fits also stop on the
+    gradient; and that start with an objective that is NaN more than 0.15 m
+    from it for every other draw, so that from the second iteration on the
+    longer trial steps of those fits are NaN and they end failed."""
+    theta, cleans, means = _pseudo_true_batch(6, 21)
+    starts = params_to_positions(hwiloc.bounds._params([theta] * 6))
+    if case == "zero_energy":
+        means[2] = np.zeros_like(means[2])
+    if case in ("far_start", "nan_wall"):
+        starts = starts + 0.5 * np.array([0.6, -0.8])
+    if case == "nan_wall":
+        walled = _descent_data(cleans, means).yy[::2]
+        objective = FitData.objective
+
+        def nan_past_wall(self, px, py):
+            far = np.hypot(px - starts[0, 0], py - starts[0, 1]) > 0.15
+            return np.where(far & np.isin(self.yy, walled), np.nan, objective(self, px, py))
+
+        monkeypatch.setattr(FitData, "objective", nan_past_wall)
+    expected, most_halvings = sequential_descent(_descent_data(cleans, means), starts)
+    fits = hwiloc.bounds._descend(_descent_data(cleans, means), starts)
+    for field in ("positions", "objectives", "stops", "n_iterations", "starts"):
+        got, want = getattr(fits, field), getattr(expected, field)
+        assert np.array_equal(got, want, equal_nan=field != "stops"), field
+    assert fits.errors == expected.errors
+    # some accepted step lies past the first block of halvings
+    assert most_halvings >= LINE_SEARCH_BLOCK
+    stops = list(fits.stops)
+    if case == "batch":
+        assert "stalled" in stops and fits.errors == [None] * 6
+    elif case == "zero_energy":
+        assert fits.errors[2] == "observation energy must be positive and finite"
+        assert stops.count("failed") == 1
+    elif case == "far_start":
+        assert "gradient" in stops and "stalled" in stops
+    else:
+        assert stops[::2] == ["failed"] * 3 and "failed" not in stops[1::2]
+        assert set(fits.errors[::2]) == {"gradient is non-finite during refinement"}
 
 
 def test_pseudo_true_batch_fails_a_draw_without_energy_alone():

@@ -246,6 +246,45 @@ def test_fit_objective_matches_grid_bitwise(impaired):
         assert value == grid[0, 0]
 
 
+def test_fit_objective_stacked_positions_match_one_call_per_slice_bitwise():
+    """FitData.objective on (B, T) positions gives bit for bit the B calls
+    on (T,) positions, and each fit's value is the one it has alone or in
+    any subset made by take: the pseudo-true line search evaluates a block
+    of halvings as one (block, T) call. The fits are a clean model with and
+    without coupling, an impaired model, and a model without row gain,
+    whose D is 0 and whose objective is ||u||^2."""
+    cfg = desk_cfg()
+    blk = PilotBlock.from_config(cfg)
+    imp = ImpairmentConfig()
+    real = sample_realization(imp, cfg, np.random.default_rng(12))
+    models = [
+        ProjectionModel.clean(cfg, blk, coupling=(0.3 + 0.2j,)),
+        ProjectionModel.impaired(cfg, blk, imp, real),
+        ProjectionModel(cfg, np.zeros_like(blk.combiners), np.eye(cfg.n_antennas), blk.symbols),
+        ProjectionModel.clean(cfg, blk),
+    ]
+    y = observe(mu_m1(true_state(cfg), cfg, blk, imp, real), 1e-6, np.random.default_rng(13))
+    data = FitData.empty(cfg, len(models))
+    for t, model in enumerate(models):
+        data.put(t, model.row_matrix, model.eff_pilots, model.pulled_observation(y)[None])
+    rng = np.random.default_rng(14)
+    # (B, T, 2): strided (B, T) coordinates, as the line search passes them
+    offsets = 10 ** rng.uniform(-9.0, 0.0, (5, 4, 1)) * rng.normal(size=(5, 4, 2))
+    points = np.array([3.0, 2.0]) + offsets
+    px, py = points[..., 0], points[..., 1]
+    stacked = data.objective(px, py)
+    assert stacked.shape == (5, 4)
+    assert np.array_equal(stacked, [data.objective(px[b], py[b]) for b in range(5)])
+    assert np.all(stacked[:, 2] == data.yy[2])
+    for index in (np.array([3, 1]), np.array([True, False, True, True]), np.array([0])):
+        subset = data.take(index).objective(px[:, index], py[:, index])
+        assert np.array_equal(subset, stacked[:, index])
+    for b in range(5):
+        for t in range(4):
+            alone = data.take(np.array([t])).objective(px[b, t : t + 1], py[b, t : t + 1])
+            assert alone[0] == stacked[b, t]
+
+
 @pytest.mark.parametrize("impaired", [False, True])
 @pytest.mark.parametrize("sizes", [{}, {"n_transmissions": 10, "n_subcarriers": 100}])
 def test_grid_scan_matches_angle_first_order(impaired, sizes):
