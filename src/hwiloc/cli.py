@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 
 from .config_io import SWEEP_AXES, ExperimentSpec, read_config, resolve_spec, spec_to_text
 from .estimation import NumericError
@@ -125,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 2
-    except (BrokenProcessPool, MemoryError) as exc:
+    except (BrokenExecutor, MemoryError) as exc:
         # a sweep worker died or memory ran out: no rows to trust
         name, detail = type(exc).__name__, " ".join(str(exc).split())
         sys.stderr.write(f"run failure: {name}: {detail}\n" if detail else f"run failure: {name}\n")

@@ -5,35 +5,36 @@ the amplifier switch) across its value list. At each point the bounds
 runner draws hardware realizations and reports mean/min/max of every
 requested bound scalar across them; the trials runner draws full
 observations and reports the position RMSE of the requested estimators.
-Both draw a point's hardware the same way, with one routine
-(:func:`_draws`): each draw's generator draws the draw's pilots (on the
-amplifier axis only, which resamples them) and its realization, and the
-couplings are computed once for the stack. Off the amplifier axis a
-point's pilots pass the PA once and its draws share one clean model
-(:func:`_point`).
+Both draw each index's random numbers once per sweep, in the parent, at
+unit spread (:func:`_units`): the index's generator draws its pilots (on
+the amplifier axis only, which resamples them), its realization and, for
+a trial, its noise. Every point scales the same units by its own levels
+(:func:`_draws`), computes the couplings once for the stack and puts
+resampled pilots through its PA. Off the amplifier axis a point's pilots
+pass the PA once and its draws share one clean model (:func:`_point`).
 
 The bounds runner fills one (point, draw) grid of results. A task takes
 each bound of its (point, draw) pairs in one call as one stacked report,
 the pseudo-trues in one descent, and returns its block of the grid
 (:func:`_bounds_unit`); the sweep writes each block into its place and
 reads each point's rows off the grid (:func:`_bounds_rows`). A draw's
-generator does not depend on the point, so off the phase-noise and CFO
-axes a draw has the same rotation at every point: there a task is a unit
-of draws that covers every point, and a draw's dense sandwich is built
-once for all of them; on those two axes a task is a point
-(:func:`_bounds_tasks`). The trials runner builds no model per trial: it
-draws each trial's noise from the trial's generator, takes the rotations,
-means, observations and pulled observations of TRIAL_CHUNK trials at a
+units do not depend on the point, so off the phase-noise and CFO axes a
+draw has the same rotation at every point: there a task is a unit of
+draws that covers every point, and a draw's dense sandwich is built once
+for all of them; on those two axes a task is a point
+(:func:`_bounds_tasks`). A task gets the units of its draws. The trials
+runner builds no model per trial: it takes the rotations, means, scaled
+noise, observations and pulled observations of TRIAL_CHUNK trials at a
 time as stacked arrays (the rotations by FFT), writes both estimators'
 trials of a point into one batch and fits them all in one Newton fit.
 
 Determinism: every random draw derives from
 SeedSequence((master_seed, draw_index, stream_tag)), so output is
 byte-identical across runs, worker counts, bounds tasks and platforms. The
-axis value is deliberately left out of the seed: sweep points share their
-underlying unit draws (common random numbers), so a sweep compares the
-same hardware scaled to different impairment levels and its mean curves
-are paired rather than independently noisy. A process pool capped by the
+axis value is deliberately left out of the seed: sweep points share each
+index's units (common random numbers), so a sweep compares the same
+hardware and noise scaled to different levels and its mean curves are
+paired rather than independently noisy. A process pool capped by the
 HWI_LOC_THREADS environment variable maps over the bounds tasks and over
 sweep points for the trials; rows are assembled per point, in draw order,
 and sorted single-threaded.
@@ -48,7 +49,6 @@ from __future__ import annotations
 import logging
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -205,7 +205,7 @@ def _point(spec: ExperimentSpec, axis_index: int) -> Point:
     """Sweep point axis_index. Off the amplifier axis its draws keep the
     seeded pilot block, which passes the PA here, once for all of them, and
     share one clean model; on it each draw draws its own pilots
-    (:func:`_draws`). Combiners stay fixed either way."""
+    (:func:`_units`). Combiners stay fixed either way."""
     value = spec.sweep_values[axis_index]
     sys_cfg, imp = apply_sweep_value(spec, value)
     combiners = generate_combiners(sys_cfg)
@@ -216,6 +216,55 @@ def _point(spec: ExperimentSpec, axis_index: int) -> Point:
         clean = ProjectionModel.clean(sys_cfg, PilotBlock(pilots, combiners), imp.coupling)
     theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
     return Point(value, sys_cfg, imp, theta, combiners, pilots, sent, clean)
+
+
+@dataclass
+class Units:
+    """The random numbers of a run of draw indices at unit spread, drawn once
+    per sweep (:func:`_units`) and scaled by each point (:func:`_draws`)."""
+
+    indices: range
+    pilots: np.ndarray | None  # as sent, (n, G, K); on the amplifier axis only
+    pn: np.ndarray  # standard-normal phase-noise phases, (n, G, K)
+    cfo: np.ndarray  # standard-normal CFOs, (n,)
+    mc: np.ndarray  # standard-normal coupling residuals, (n, N, N)
+    noise: np.ndarray | None  # unit complex noise, (n, G, K); trials only
+
+    def __getitem__(self, at: slice) -> "Units":
+        arrays = (self.pilots, self.pn, self.cfo, self.mc, self.noise)
+        return Units(self.indices[at], *(None if a is None else a[at] for a in arrays))
+
+
+def _units(spec: ExperimentSpec, stream: int) -> Units:
+    """The units of every draw index of a sweep: of its n_realizations on
+    the realization stream, of its n_trials, noise included, on the trial
+    stream.
+
+    Each index has its own generator, seeded by (master_seed, index,
+    stream), which draws the pilot symbols on the amplifier axis only, then
+    the realization at unit spreads, then a trial's noise. x * 1.0 = x, so
+    the realization holds the standard normals that
+    :func:`~hwiloc.impairments.sample_realization` scales by the spreads,
+    and the noise is what :func:`~hwiloc.observation.observe` scales by
+    sigma_n / sqrt(2).
+    """
+    trials = stream == _TRIAL_STREAM
+    sys_cfg = spec.system
+    n, n_ant = spec.n_trials if trials else spec.n_realizations, sys_cfg.n_antennas
+    unit = replace(spec.impairments, sigma_pn=1.0, sigma_cfo=1.0, sigma_mc=1.0)
+    shape = (n, sys_cfg.n_transmissions, sys_cfg.n_subcarriers)
+    pilots = np.empty(shape, dtype=complex) if spec.sweep_axis == "pa" else None
+    noise = np.empty(shape, dtype=complex) if trials else None
+    pn, cfo, mc = np.empty(shape), np.empty(n), np.empty((n, n_ant, n_ant))
+    for index in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence((spec.master_seed, index, stream)))
+        if pilots is not None:
+            pilots[index] = generate_pilots(sys_cfg, rng)
+        real = sample_realization(unit, sys_cfg, rng)
+        pn[index], cfo[index], mc[index] = real.pn_phases, real.cfo, real.mc_residual
+        if noise is not None:
+            noise[index] = unit_noise(shape[1:], rng)
+    return Units(range(n), pilots, pn, cfo, mc, noise)
 
 
 @dataclass
@@ -230,7 +279,6 @@ class Draws:
     couplings: np.ndarray  # full couplings C, (n, N, N)
     pn: np.ndarray  # phase-noise phases, (n, G, K)
     cfo: np.ndarray  # (n,)
-    rngs: list[np.random.Generator]  # each positioned after its realization
 
     def clean(self, cfg: SystemConfig, coupling: tuple, r: int) -> ProjectionModel:
         """Draw r's clean model."""
@@ -244,37 +292,30 @@ class Draws:
         return ProjectionModel(cfg, self.combiners, self.couplings[r], self.sent[r])
 
 
-def _draws(spec: ExperimentSpec, point: Point, indices: range, stream: int) -> Draws:
-    """The draws of the given indices at a sweep point, for both sweeps.
+def _draws(point: Point, units: Units) -> Draws:
+    """The draws of a sweep point, for both sweeps: the units scaled by the
+    point's levels.
 
-    Each index has its own generator, seeded by (master_seed, index,
-    stream), which draws the pilot symbols on the amplifier axis only, then
-    the realization. The amplifier axis resamples the pilots per draw (the
-    nonlinearity's effect depends on the transmitted waveform) and puts
-    them through the PA here, once for the stack; every other axis keeps the
-    point's pilots and varies only the hardware. The couplings are computed
-    once for the stack. The generators are returned after the realization:
-    noise drawn from them next is the noise of
-    :func:`~hwiloc.observation.observe`.
+    The phase noise, the CFO and the coupling residual are the units times
+    the point's spreads, the product that
+    :func:`~hwiloc.impairments.sample_realization` forms, and the couplings
+    are computed once for the stack. The amplifier axis resamples the
+    pilots per draw (the nonlinearity's effect depends on the transmitted
+    waveform) and puts the units' pilots through the point's PA here, once
+    for the stack; every other axis keeps the point's pilots and varies
+    only the hardware.
     """
     sys_cfg, imp = point.sys_cfg, point.imp
-    g, k, n_ant = sys_cfg.n_transmissions, sys_cfg.n_subcarriers, sys_cfg.n_antennas
-    n = len(indices)
-    resample = point.pilots is None
-    pilots = np.empty((n, g, k), dtype=complex) if resample else point.pilots
-    pn, cfo, residual = np.empty((n, g, k)), np.empty(n), np.empty((n, n_ant, n_ant))
-    rngs = []
-    for i, index in enumerate(indices):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.master_seed, index, stream)))
-        if resample:
-            pilots[i] = generate_pilots(sys_cfg, rng)
-        real = sample_realization(imp, sys_cfg, rng)
-        pn[i], cfo[i], residual[i] = real.pn_phases, real.cfo, real.mc_residual
-        rngs.append(rng)
-    sent = transmit_pilots(pilots, imp, sys_cfg) if resample else point.sent
-    pilots, sent = (np.broadcast_to(a, (n, g, k)) for a in (pilots, sent))
-    couplings = mc_matrix(imp.coupling, residual, n_ant)
-    return Draws(point.combiners, pilots, sent, couplings, pn, cfo, rngs)
+    if units.pilots is None:
+        pilots, sent = point.pilots, point.sent
+    else:
+        pilots, sent = units.pilots, transmit_pilots(units.pilots, imp, sys_cfg)
+    shape = units.pn.shape
+    pilots, sent = (np.broadcast_to(a, shape) for a in (pilots, sent))
+    couplings = mc_matrix(imp.coupling, units.mc * imp.sigma_mc, sys_cfg.n_antennas)
+    return Draws(
+        point.combiners, pilots, sent, couplings, units.pn * imp.sigma_pn, units.cfo * imp.sigma_cfo
+    )
 
 
 def _bound_scalars(family: str, rep: BoundsReport) -> np.ndarray:
@@ -290,28 +331,28 @@ def _families(spec: ExperimentSpec) -> list[str]:
 
 
 def _bounds_unit(
-    spec: ExperimentSpec, points: list[Point], indices: range
+    spec: ExperimentSpec, points: list[Point], units: Units
 ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """The block of the sweep's (point, draw) grid at the given sweep points
-    and the draws of the given indices, p points by n draws: for each bound
+    and the draws of the given units, p points by n draws: for each bound
     family the scalars (:func:`_bound_scalars`), (p, n, 3), NaN where a
     draw's bound failed, and when lb is requested the reason each draw's lb
     failed (None where it did not) and the pseudo-true stops, each (p, n).
 
-    Each point draws these indices (:func:`_draws`). Every bound takes all
+    Each point scales these units (:func:`_draws`). Every bound takes all
     (point, draw) pairs of the task in one call, each pair bit for bit as on
     its own: the impaired and the clean CRBs, one descent for the
     pseudo-trues and the lb of every pair whose fit succeeded. Each pair's
     impaired model without M_g is made once and serves its CRB and its lb
-    mean. A draw's generator does not depend on the point, so off the
+    mean. A draw's units do not depend on the point, so off the
     phase-noise and CFO axes a draw has the same rotation at every point:
     its dense sandwich (:func:`~hwiloc.observation.sandwich_matrices`, as
     :meth:`~hwiloc.observation.ProjectionModel.eta` applies it) is built
     again only for a point whose rotation differs from the previous one's.
     """
     families = _families(spec)
-    n = len(indices)
-    draws = [_draws(spec, point, indices, _REALIZATION_STREAM) for point in points]
+    n = len(units.indices)
+    draws = [_draws(point, units) for point in points]
     # the (point, draw) pairs, point-major
     pairs = [(point, d, r) for point, d in zip(points, draws) for r in range(n)]
     thetas = [point.theta for point, _, _ in pairs]
@@ -415,25 +456,25 @@ def _bounds_rows(
 
 
 def _fit_point(
-    spec: ExperimentSpec, point: Point, metrics: list[str], est: EstimatorConfig
+    spec: ExperimentSpec, point: Point, units: Units, metrics: list[str], est: EstimatorConfig
 ) -> dict[str, Fits]:
     """Every trial of one sweep point, fitted by each requested estimator.
 
-    The point's trials are drawn once (:func:`_draws`). Then TRIAL_CHUNK
-    trials at a time get their rotations, means, noise, observations and
-    pulled observations as stacked arrays, and join one batch, once per
-    estimator with what that estimator fits: the clean chain's rows and
-    pilots and the observations themselves for ``mmle_rmse``, each trial's
-    impaired rows and pilots and its observation pulled back through its
-    rotation for ``mle_m1_rmse``. Then the batch runs one Newton fit over
-    every trial of both; each estimator's fits are its own slots, and no
-    fit depends on the others in the batch. A trial's observation is bit
-    for bit the one that :func:`~hwiloc.observation.observe` draws from
-    its generator for a given mean.
+    The point scales the trials' units once (:func:`_draws`). Then
+    TRIAL_CHUNK trials at a time get their rotations, means, noise,
+    observations and pulled observations as stacked arrays, and join one
+    batch, once per estimator with what that estimator fits: the clean
+    chain's rows and pilots and the observations themselves for
+    ``mmle_rmse``, each trial's impaired rows and pilots and its
+    observation pulled back through its rotation for ``mle_m1_rmse``. Then
+    the batch runs one Newton fit over every trial of both; each
+    estimator's fits are its own slots, and no fit depends on the others in
+    the batch. A trial's observation is bit
+    for bit the one that :func:`~hwiloc.observation.observe` draws for a
+    given mean from the trial's generator after its realization.
     """
     sys_cfg, theta = point.sys_cfg, point.theta
-    g, k = sys_cfg.n_transmissions, sys_cfg.n_subcarriers
-    draws = _draws(spec, point, range(spec.n_trials), _TRIAL_STREAM)
+    draws = _draws(point, units)
     clean_rows = draws.combiners @ mc_matrix(point.imp.coupling, None, sys_cfg.n_antennas)
     scale = noise_std(sys_cfg) / np.sqrt(2.0)
     batch = TrialBatch(sys_cfg, len(metrics) * spec.n_trials, est)
@@ -443,8 +484,7 @@ def _fit_point(
         rows = draws.combiners @ draws.couplings[chunk]
         sent = draws.sent[chunk]
         rotations = phase_rotations(draws.cfo[chunk], draws.pn[chunk], sys_cfg)
-        noise = np.array([unit_noise((g, k), rng) for rng in draws.rngs[chunk]])
-        y = impaired_means(theta, sys_cfg, rows, sent, rotations) + scale * noise
+        y = impaired_means(theta, sys_cfg, rows, sent, rotations) + scale * units.noise[chunk]
         for m in metrics:
             if m == "mmle_rmse":
                 slots[m] += batch.add(clean_rows, draws.pilots[chunk], y)
@@ -454,12 +494,12 @@ def _fit_point(
     return {m: fits.take(np.array(own)) for m, own in slots.items()}
 
 
-def _trials_point(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
+def _trials_point(spec: ExperimentSpec, axis_index: int, units: Units) -> list[ResultRow]:
     point = _point(spec, axis_index)
     value = point.value
     p_true = params_to_state(point.theta).position
     metrics = [m for m in ESTIMATOR_METRICS if m in spec.outputs]
-    fits = _fit_point(spec, point, metrics, EstimatorConfig())
+    fits = _fit_point(spec, point, units, metrics, EstimatorConfig())
     squared: dict[str, np.ndarray] = {}
     stops: dict[str, Counter] = {}
     for m in metrics:
@@ -511,6 +551,9 @@ def _map(worker, *args: list) -> list:
     workers = _worker_count(len(args[0]))
     if workers == 1:
         return list(map(worker, *args))
+    # imported here: a one-worker run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, *args))
 
@@ -555,12 +598,13 @@ def run_bounds_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     if not any(s in spec.outputs for s in BOUND_SCALARS):
         raise ConfigError("outputs request no bound scalar (aeb, deb, peb)")
     points = [_point(spec, i) for i in range(len(spec.sweep_values))]
+    units = _units(spec, _REALIZATION_STREAM)
     tasks = _bounds_tasks(spec)
     blocks = _map(
         _bounds_unit,
         [spec] * len(tasks),
         [[points[i] for i in indices] for indices, _ in tasks],
-        [draws for _, draws in tasks],
+        [units[draws.start : draws.stop] for _, draws in tasks],
     )
     # the (point, draw) grid, P by R, each task's block written into its place
     shape = (len(points), spec.n_realizations)
@@ -609,5 +653,6 @@ def run_estimator_trials(spec: ExperimentSpec) -> list[ResultRow]:
             f"[{RANGE_MIN_M:g}, {top:.6g}) m"
         )
     n = len(spec.sweep_values)
-    per_point = _map(_trials_point, [spec] * n, range(n))
+    units = _units(spec, _TRIAL_STREAM)
+    per_point = _map(_trials_point, [spec] * n, range(n), [units] * n)
     return sort_rows([row for rows in per_point for row in rows])

@@ -9,6 +9,11 @@ factored algebra must reproduce.
 
 sequential_descent is the pseudo-true descent with the plain line search,
 one halving per objective call, that the blocked search must reproduce.
+
+generator_draws is the sweep points' draws from one generator per index
+and point, each realization drawn at the point's own spreads, that the
+harness's units, drawn once per sweep and scaled per point, must
+reproduce.
 """
 
 import numpy as np
@@ -23,7 +28,9 @@ from hwiloc.bounds import (
     model_derivatives,
 )
 from hwiloc.estimation import GRAD_TOLERANCE, INITIAL_STEP_M, Fits
-from hwiloc.model import delay_vector, steering_derivatives
+from hwiloc.impairments import mc_matrix, sample_realization
+from hwiloc.model import delay_vector, generate_pilots, steering_derivatives
+from hwiloc.observation import transmit_pilots, unit_noise
 
 EYE = np.eye(4, dtype=int)
 # orders in (aoa, delay, amp, phase) of each first derivative, [i, order],
@@ -163,3 +170,34 @@ def sequential_descent(data, starts):
             ids, data, p, fp, step = ids[keep], data.take(keep), p[keep], fp[keep], step[keep]
     settle(np.ones(ids.size, dtype=bool), "max_iter")
     return out, most_halvings
+
+
+def generator_draws(master_seed, point, indices, stream, noise):
+    """The draws of the given indices at a sweep point, each from its own
+    generator seeded by (master_seed, index, stream): the pilots on the
+    amplifier axis (point.pilots is None), then the realization at the
+    point's spreads, then, with noise, the trial's unit noise. Returns the
+    pilots as sent and after the PA, the couplings, the phase-noise phases,
+    the CFOs, each stacked over the indices, and the noise or None."""
+    sys_cfg, imp = point.sys_cfg, point.imp
+    pilots, pn, cfo, residuals, unit = [], [], [], [], []
+    for index in indices:
+        rng = np.random.default_rng(np.random.SeedSequence((master_seed, index, stream)))
+        pilots.append(point.pilots if point.pilots is not None else generate_pilots(sys_cfg, rng))
+        real = sample_realization(imp, sys_cfg, rng)
+        pn.append(real.pn_phases)
+        cfo.append(real.cfo)
+        residuals.append(real.mc_residual)
+        if noise:
+            unit.append(unit_noise(real.pn_phases.shape, rng))
+    pilots = np.array(pilots)
+    sent = transmit_pilots(pilots, imp, sys_cfg) if point.pilots is None else point.sent
+    couplings = mc_matrix(imp.coupling, np.array(residuals), sys_cfg.n_antennas)
+    return (
+        pilots,
+        np.broadcast_to(sent, pilots.shape),
+        couplings,
+        np.array(pn),
+        np.array(cfo),
+        np.array(unit) if noise else None,
+    )

@@ -4,6 +4,9 @@ import codecs
 import importlib.util
 import logging
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 import hwiloc.estimation
 import hwiloc.harness
+from dense_oracle import generator_draws
 from hwiloc.bounds import mismatch_covariance, pseudo_true
 from hwiloc.cli import main
 from hwiloc.config_io import (
@@ -52,7 +56,6 @@ from hwiloc.model import (
 from hwiloc.observation import (
     ProjectionModel,
     observe,
-    phase_rotations,
     sandwich_matrices,
     transmit_pilots,
 )
@@ -597,9 +600,9 @@ def test_point_fit_matches_one_observation_estimators(
     position (within 1e-9 m) that mmle_m2 and mle_m1 give it alone, on
     desk.cfg draws in chunks of 4 trials, both estimators' trials in one
     batch. Each trial's observation is read as the batch takes it for the
-    mismatched fit; it matches the trial's impaired model (from its slot of
-    the point's draws) plus the noise that observe draws from the trial's
-    generator. Trial 2 observes nothing for either estimator, so both its
+    mismatched fit; it matches the trial's impaired model plus the noise
+    that observe draws, both rebuilt from the trial's own generator: the
+    pilots on the amplifier axis, the realization, then the noise. Trial 2 observes nothing for either estimator, so both its
     fits end in a NumericError, and only its fits."""
     monkeypatch.setattr("hwiloc.estimation.MAX_BACKTRACKS", backtracks)
     monkeypatch.setattr("hwiloc.harness.TRIAL_CHUNK", 4)
@@ -631,19 +634,23 @@ def test_point_fit_matches_one_observation_estimators(
 
     monkeypatch.setattr(hwiloc.estimation.TrialBatch, "add", add_with_blank)
     metrics = ["mmle_rmse", "mle_m1_rmse"]
-    fits = hwiloc.harness._fit_point(spec, point, metrics, est)
+    units = hwiloc.harness._units(spec, hwiloc.harness._TRIAL_STREAM)
+    fits = hwiloc.harness._fit_point(spec, point, units, metrics, est)
     assert len(observed) == spec.n_trials and len(batches) == 1
     monkeypatch.setattr(hwiloc.estimation.TrialBatch, "add", real_add)  # for the estimators
 
     theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
-    stream = hwiloc.harness._TRIAL_STREAM
-    draws = hwiloc.harness._draws(spec, point, range(spec.n_trials), stream)
     for t in range(spec.n_trials):
-        clean = draws.clean(sys_cfg, imp.coupling, t)
-        rotation = phase_rotations(draws.cfo[t], draws.pn[t], sys_cfg)
-        impaired = replace(draws.impaired(sys_cfg, t), rotation=rotation)
+        seed = (spec.master_seed, t, hwiloc.harness._TRIAL_STREAM)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        block = PilotBlock.from_config(sys_cfg)
+        if axis == "pa":
+            block = PilotBlock(generate_pilots(sys_cfg, rng), block.combiners)
+        clean = ProjectionModel.clean(sys_cfg, block, imp.coupling)
+        real = sample_realization(imp, sys_cfg, rng)
+        impaired = ProjectionModel.impaired(sys_cfg, block, imp, real)
         y = observed[t]
-        alone = observe(impaired.mean(theta), noise_std(sys_cfg), draws.rngs[t])
+        alone = observe(impaired.mean(theta), noise_std(sys_cfg), rng)
         assert np.abs(y - alone).max() <= 1e-12 * np.abs(alone).max()
         if t == blank:
             y = 0.0 * y
@@ -689,9 +696,10 @@ def test_bounds_draws_match_their_own_generators(monkeypatch, axis, values):
 
     monkeypatch.setattr("hwiloc.harness.pseudo_true", keep_means)
     points = [hwiloc.harness._point(spec, i) for i in range(len(spec.sweep_values))]
+    drawn = hwiloc.harness._units(spec, hwiloc.harness._REALIZATION_STREAM)
     units = [range(0, 1), range(1, 3)]  # the second does not start at draw 0
     for unit in units:
-        hwiloc.harness._bounds_unit(spec, points, unit)
+        hwiloc.harness._bounds_unit(spec, points, drawn[unit.start : unit.stop])
     means = np.concatenate(
         [m.reshape(len(points), len(u), *m.shape[1:]) for m, u in zip(fitted, units)],
         axis=1,
@@ -709,6 +717,54 @@ def test_bounds_draws_match_their_own_generators(monkeypatch, axis, values):
                 sys_cfg, block, imp, sample_realization(imp, sys_cfg, rng)
             )
             npt.assert_array_equal(means[i, r], model.mean(theta))
+
+
+@pytest.mark.parametrize("axis, values", ALL_AXES)
+@pytest.mark.parametrize("stream", ["realization", "trial"])
+def test_scaled_units_match_a_generator_per_point(axis, values, stream):
+    """At every sweep point the draws scaled from the sweep's units, and a
+    task's slice of them, are bit for bit the draws of one generator per
+    index and point at the point's own levels: the realizations, the
+    amplifier axis's pilots and the trials' noise."""
+    spec = desk_spec(sweep_axis=axis, sweep_values=values, n_realizations="3", n_trials="3")
+    tag = getattr(hwiloc.harness, f"_{stream.upper()}_STREAM")
+    units = hwiloc.harness._units(spec, tag)
+    for i in range(len(spec.sweep_values)):
+        point = hwiloc.harness._point(spec, i)
+        for indices in (range(3), range(1, 3)):
+            part = units[indices.start : indices.stop]
+            assert part.indices == indices
+            d = hwiloc.harness._draws(point, part)
+            *oracle, noise = generator_draws(
+                spec.master_seed, point, indices, tag, stream == "trial"
+            )
+            for got, want in zip((d.pilots, d.sent, d.couplings, d.pn, d.cfo), oracle):
+                npt.assert_array_equal(got, want)
+            if noise is None:
+                assert part.noise is None
+            else:
+                npt.assert_array_equal(part.noise, noise)
+
+
+@pytest.mark.parametrize("axis, values", [("tx_power_dbm", "10,20,30"), ("sigma_pn_deg", "5,10,15")])
+def test_sweeps_draw_each_realization_once(monkeypatch, axis, values):
+    """With one worker, a sweep of P points draws each index's realization
+    once, not once per point: n_trials calls for the trials, n_realizations
+    for the bounds, with one task per point or units over all points."""
+    spec = desk_spec(sweep_axis=axis, sweep_values=values, n_realizations="4", n_trials="3")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_realization(*args)
+
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    monkeypatch.setattr("hwiloc.harness.sample_realization", counted)
+    run_estimator_trials(spec)
+    assert len(calls) == spec.n_trials
+    calls.clear()
+    run_bounds_sweep(spec)
+    assert len(calls) == spec.n_realizations
 
 
 @pytest.mark.parametrize("axis, values", ALL_AXES)
@@ -745,10 +801,10 @@ def test_bounds_do_not_depend_on_the_tasks(monkeypatch, caplog, axis, values):
     real_draws, real_impaired = hwiloc.harness._draws, hwiloc.harness.Draws.impaired
     impaired = []
 
-    def failing_draws(spec, point, indices, stream):
-        d = real_draws(spec, point, indices, stream)
-        if point.value == spec.sweep_values[1] and 3 in indices:
-            d.cfo[indices.index(3)] = np.nan  # a NaN lb mean: its pseudo-true fit fails
+    def failing_draws(point, units):
+        d = real_draws(point, units)
+        if point.value == spec.sweep_values[1] and 3 in units.indices:
+            d.cfo[units.indices.index(3)] = np.nan  # a NaN lb mean: its pseudo-true fit fails
         return d
 
     def counted(self, cfg, r):
@@ -834,14 +890,15 @@ def test_estimator_trials_do_not_depend_on_the_chunk_size(monkeypatch, axis, val
     )
     point = hwiloc.harness._point(spec, 1)
     metrics = ["mmle_rmse", "mle_m1_rmse"]
+    units = hwiloc.harness._units(spec, hwiloc.harness._TRIAL_STREAM)
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     csv = rows_to_csv(run_estimator_trials(spec))
-    fits = hwiloc.harness._fit_point(spec, point, metrics, EstimatorConfig())
+    fits = hwiloc.harness._fit_point(spec, point, units, metrics, EstimatorConfig())
     assert hwiloc.harness.TRIAL_CHUNK >= spec.n_trials
     for size in (1, 3):
         monkeypatch.setattr("hwiloc.harness.TRIAL_CHUNK", size)
         assert rows_to_csv(run_estimator_trials(spec)) == csv
-        chunked = hwiloc.harness._fit_point(spec, point, metrics, EstimatorConfig())
+        chunked = hwiloc.harness._fit_point(spec, point, units, metrics, EstimatorConfig())
         for m in metrics:
             for name in ("positions", "stops", "n_iterations", "starts"):
                 npt.assert_array_equal(getattr(chunked[m], name), getattr(fits[m], name))
@@ -1106,6 +1163,21 @@ def test_cli_lost_worker_or_memory_exits_2_with_one_line(
     assert err.startswith(f"run failure: {type(error).__name__}")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_cli_import_loads_no_process_pool():
+    """A fresh interpreter that imports the CLI loads neither
+    concurrent.futures.process nor multiprocessing: only a sweep that starts
+    a pool does."""
+    src = str(Path(hwiloc.harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, hwiloc.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
 def test_cli_bounds_logs_pseudo_true_stops_once_per_point(tmp_path, monkeypatch, caplog):
