@@ -15,12 +15,13 @@ Three bound families are computed for the uplink localization problem:
   parameter, and its covariance about the true parameter is bounded by
   A^-1 B A^-1 plus the squared pseudo-true bias.
 
-Every bound takes the link models (:class:`ProjectionModel`) it needs,
-built by the caller, for one (theta, model) pair or a stack of n, each
-pair's values independent of the stack. Every derivative of a mean is a
-gain factor times a product of its factors, the row gains W C [a, a', a'']
-and the delay phasors (:func:`model_derivatives`), and every bound
-contracts these factors: the FIM with each model's pilot moments, A and B
+Every bound takes the link model (:class:`ProjectionModel`) it needs,
+built by the caller: one (theta, link) pair, or the n links of a stack
+(leading axes flattened) with one theta for all or n, each pair's values
+independent of the stack. Every derivative of a mean is a gain factor
+times a product of its factors, the row gains W C [a, a', a''] and the
+delay phasors (:func:`model_derivatives`), and every bound contracts these
+factors for all pairs at once: the FIM with the pilot moments, A and B
 with one (3, 3) product with the mismatch per pair. A stack's report is
 one :class:`BoundsReport` of stacked arrays, and one guarded inverse
 (:func:`_guarded_inverse`) serves the CRBs and the MCRB.
@@ -32,6 +33,7 @@ gain_phase] through the chain-rule Jacobian d theta / d s.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
@@ -111,31 +113,33 @@ class BoundsReport:
 # the factors of the link mean and the information matrix
 
 
-def _stack(theta, model, sigma_n=1.0) -> tuple[bool, list, list, np.ndarray]:
-    """(one, thetas, models, sigmas) of one (theta, model) pair, or of n:
-    model a sequence of n, theta and sigma_n one for all or n each."""
-    one = isinstance(model, ProjectionModel)
-    models = [model] if one else list(model)
-    thetas = [theta] * len(models) if isinstance(theta, ChannelParams) else list(theta)
-    sigmas = np.broadcast_to(np.asarray(sigma_n, dtype=float), (len(models),))
+def _pairs(theta, model: ProjectionModel, sigma_n=1.0) -> tuple[bool, list, np.ndarray]:
+    """(one, thetas, sigmas) of the (theta, link) pairs of a model: one
+    link, or the n links of a stack; theta and sigma_n one for all or n
+    each."""
+    n = math.prod(model.shape)
+    thetas = [theta] * n if isinstance(theta, ChannelParams) else list(theta)
+    if len(thetas) != n:
+        raise ValueError(f"{len(thetas)} parameters for a stack of {n} links")
+    sigmas = np.broadcast_to(np.asarray(sigma_n, dtype=float), (n,))
     if not np.all(np.isfinite(sigmas) & (sigmas > 0)):
         raise ValueError("noise std must be positive and finite")
-    return one, thetas, models, sigmas
+    return model.shape == (), thetas, sigmas
 
 
-def model_derivatives(thetas, models) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of the means of n (theta, model) pairs before their
-    sandwich: the row gains b = W C [a, a', a''], (n, G, 3), each product
-    (W C) v as in :meth:`~hwiloc.observation.FitData.captured_energy`, and
-    the delay phasors d, (n, K), whose j-th delay derivative is
+def model_derivatives(thetas, model: ProjectionModel) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of the means of a model's n (theta, link) pairs before
+    their sandwich: the row gains b = W C [a, a', a''], (n, G, 3), each
+    product (W C) v as in :meth:`~hwiloc.observation.FitData.captured_energy`,
+    and the delay phasors d, (n, K), whose j-th delay derivative is
     ring_powers[:, j] * d. The mean's derivative of orders (i, j, n_amp,
     n_phase) is :func:`gain_factors` times b[:, i] * ring_powers[:, j] * d
     * x~; M_g, unitary and theta-free, multiplies it on the impaired chain."""
-    rows = np.array([m.row_matrix for m in models])  # (n, G, N)
+    rows = model.row_matrix.reshape(-1, *model.combiners.shape)  # (n, G, N)
     aoa = np.array([t.aoa for t in thetas])[:, None]
     steer = np.stack(steering_derivatives(aoa, rows.shape[-1]), axis=-1)  # (n, N, 3)
-    ring = np.array([m.ring_powers[:, 1] for m in models])
-    return rows @ steer, np.exp(ring * np.array([t.delay for t in thetas])[:, None])
+    delays = np.array([t.delay for t in thetas])[:, None]
+    return rows @ steer, np.exp(model.ring_powers[:, 1] * delays)
 
 
 def gain_factors(thetas: Sequence[ChannelParams], orders: np.ndarray) -> np.ndarray:
@@ -150,18 +154,18 @@ def gain_factors(thetas: Sequence[ChannelParams], orders: np.ndarray) -> np.ndar
 
 
 def mean_derivatives(theta: ChannelParams, model: ProjectionModel, orders: np.ndarray):
-    """Derivatives of orders (..., 4) of one pair's mean before its sandwich,
+    """Derivatives of orders (..., 4) of one link's mean before its sandwich,
     (..., G, K), from the factors as :func:`model_derivatives` says: what the
     bounds contract without forming, for `validate` to check."""
-    b, d = model_derivatives([theta], [model])
+    b, d = model_derivatives([theta], model)
     delays = (model.ring_powers * d[0][:, None]).T  # (3, K)
     table = b[0].T[:, None, :, None] * (delays[None, :, None, :] * model.eff_pilots)
     return gain_factors([theta], orders)[0][..., None, None] * table[orders[..., 0], orders[..., 1]]
 
 
 def fim(theta, model, sigma_n) -> np.ndarray:
-    """Fisher information of a link model in channel coordinates, (4, 4),
-    or of n (theta, model) pairs, (n, 4, 4) (see :func:`_stack`): (2/sigma^2)
+    """Fisher information of a link in channel coordinates, (4, 4), or of
+    a stack's n (theta, link) pairs, (n, 4, 4) (see :func:`_pairs`): (2/sigma^2)
     Re[conj(c_i) c_j sum_g conj(b_g^(p_i)) b_g^(p_j) P_g[q_i, q_j]] for first
     derivatives of gain factors c and (aoa, delay) orders (p, q), with the
     factors b of :func:`model_derivatives` and the pilot moments P_g of the
@@ -174,11 +178,11 @@ def fim(theta, model, sigma_n) -> np.ndarray:
     matrices are legitimate (e.g. a single antenna carries no angle
     information) and are returned as-is.
     """
-    one, thetas, models, sigmas = _stack(theta, model, sigma_n)
-    b = model_derivatives(thetas, models)[0]
+    one, thetas, sigmas = _pairs(theta, model, sigma_n)
+    b = model_derivatives(thetas, model)[0]
     n, g = b.shape[:2]
     c = gain_factors(thetas, _FIRST_ORDERS)  # (n, 4)
-    moments = np.array([m.pilot_moments for m in models]).reshape(n, g, 4)
+    moments = model.pilot_moments.reshape(n, g, 4)
     pairs = (b[..., :2, None].conj() * b[..., None, :2]).reshape(n, g, 4)
     gram = pairs.swapaxes(-1, -2) @ moments  # [2 p_i + p_j, 2 q_i + q_j], (n, 4, 4)
     products = c[:, _LO].conj() * c[:, _HI] * gram[:, _GRAM[0], _GRAM[1]]
@@ -252,9 +256,8 @@ def _guarded_inverse(mats: np.ndarray, flat=(), middle: np.ndarray | None = None
 
 def _crb_reports(info: np.ndarray, theta, model) -> BoundsReport:
     """Matched-bound report from the channel-coordinate FIMs info, (4, 4)
-    or (n, 4, 4), of the pairs that :func:`_stack` reads from theta and
-    model: one pair's report, or the stacked report of n. The models share
-    one link's dimensions, as their stacked factors do.
+    or (n, 4, 4), of the pairs that :func:`_pairs` reads from theta and
+    model: one pair's report, or the stacked report of n.
 
     Each FIM's inverse (:func:`_guarded_inverse`) gives the AEB and DEB
     and, through T = inv(J) (:func:`jacobian_state`), the state CRB
@@ -266,9 +269,9 @@ def _crb_reports(info: np.ndarray, theta, model) -> BoundsReport:
     diagonal would be rounding: its scalar and the peb are inf. Its
     derivative of the mean is a complex multiple of the mean, which the gain
     pair absorbs, so the other coordinate's bound stands."""
-    one, thetas, models, _ = _stack(theta, model)
+    one, thetas, _ = _pairs(theta, model)
     info = info.reshape(-1, N_PARAMS, N_PARAMS)
-    cov = _guarded_inverse(info, flat_coordinates(models[0].cfg))
+    cov = _guarded_inverse(info, flat_coordinates(model.cfg))
     t = np.linalg.inv(jacobian_state(thetas))
     crb = t @ cov @ t.swapaxes(-1, -2)
     variances = (cov[:, 0, 0], cov[:, 1, 1], np.trace(crb[:, :2, :2], axis1=1, axis2=2))
@@ -277,8 +280,8 @@ def _crb_reports(info: np.ndarray, theta, model) -> BoundsReport:
 
 
 def crb_m2_report(theta, clean, sigma_n) -> BoundsReport:
-    """Analytic clean-model CRB report at theta, or the stacked report of n
-    (theta, clean model) pairs (see :func:`fim`)."""
+    """Analytic clean-model CRB report at theta, or the stacked report of a
+    clean stack's n (theta, link) pairs (see :func:`fim`)."""
     return _crb_reports(fim(theta, clean, sigma_n), theta, clean)
 
 
@@ -293,14 +296,14 @@ def fim_m1_numeric(theta, impaired, sigma_n) -> np.ndarray:
 
     It is closed form, as :func:`crb_m1_numeric` is; both keep their names
     only because perfbench/tracer.py wraps them by name."""
-    if any(t.delay <= 0 for t in _stack(theta, impaired, sigma_n)[1]):
+    if any(t.delay <= 0 for t in _pairs(theta, impaired, sigma_n)[1]):
         raise ValueError("delay must be positive")
     return fim(theta, impaired, sigma_n)
 
 
 def crb_m1_numeric(theta, impaired, sigma_n) -> BoundsReport:
     """Impaired-model CRB report at theta (one realization), or the stacked
-    report of n (theta, impaired model) pairs; closed form, like
+    report of an impaired stack's n (theta, link) pairs; closed form, like
     :func:`fim_m1_numeric`."""
     return _crb_reports(fim_m1_numeric(theta, impaired, sigma_n), theta, impaired)
 
@@ -432,8 +435,8 @@ def _descend(data: FitData, starts: np.ndarray) -> Fits:
 
 def pseudo_true(
     theta_bar: ChannelParams | Sequence[ChannelParams],
-    clean: ProjectionModel | Sequence[ProjectionModel],
-    ybar: np.ndarray | Sequence[np.ndarray],
+    clean: ProjectionModel,
+    ybar: np.ndarray,
 ) -> ChannelParams | tuple[list[ChannelParams | None], Fits]:
     """Parameter the mismatched receiver converges to without noise.
 
@@ -444,26 +447,27 @@ def pseudo_true(
     its phase is unwrapped to the branch nearest the true phase so
     downstream bias terms stay wrap-free.
 
-    For one draw, clean is its model and ybar its mean; returns the
-    pseudo-true, or raises NumericError if the fit fails. R draws are fitted
-    together in one descent (:func:`_descend`) when clean and ybar are
-    sequences of R models and means, and theta_bar is one true parameter for
-    all or a sequence of R: returns the R pseudo-trues, None for a failed
-    fit, and the descent's :class:`~hwiloc.estimation.Fits`, whose stops and
-    errors say how each fit ended. One draw is a batch of one.
+    For one draw, clean is its link and ybar its mean; returns the
+    pseudo-true, or raises NumericError if the fit fails. The R links of a
+    clean stack are fitted together in one descent (:func:`_descend`), with
+    ybar their R means and theta_bar one true parameter for all or R:
+    returns the R pseudo-trues, None for a failed fit, and the descent's
+    :class:`~hwiloc.estimation.Fits`, whose stops and errors say how each
+    fit ended. One draw is a batch of one.
     """
-    one, thetas, cleans, _ = _stack(theta_bar, clean)
-    ybars = [ybar] if one else ybar
-    data = FitData.empty(cleans[0].cfg, len(cleans))
-    for i, (model, y) in enumerate(zip(cleans, ybars)):
-        data.put(i, model.row_matrix, model.eff_pilots, model.pulled_observation(y)[None])
+    one, thetas, _ = _pairs(theta_bar, clean)
+    ybar = np.reshape(ybar, clean.shape + clean.eff_pilots.shape[-2:])
+    data = FitData.empty(clean.cfg, len(thetas))
+    data.put(0, clean.row_matrix, clean.eff_pilots, clean.pulled_observation(ybar))
     fits = _descend(data, params_to_positions(_params(thetas)))
-    params: list[ChannelParams | None] = [None] * len(cleans)
-    for i, (model, y, error, theta) in enumerate(zip(cleans, ybars, fits.errors, thetas)):
-        if error is None:
-            fit = fitted_params(y, model, fits.positions[i])
-            phase = theta.gain_phase + _wrap_phase(fit.gain_phase - theta.gain_phase)
-            params[i] = replace(fit, gain_phase=float(phase))
+    del data  # freed before the gains' means are formed
+    # a failed fit's gain is taken at its start, and dropped
+    failed = np.array([[error is not None] for error in fits.errors])
+    fitted = fitted_params(ybar, clean, np.where(failed, fits.starts, fits.positions))
+    params: list[ChannelParams | None] = [None] * len(thetas)
+    for i in np.flatnonzero(~failed):
+        phase = thetas[i].gain_phase + _wrap_phase(fitted[i].gain_phase - thetas[i].gain_phase)
+        params[i] = replace(fitted[i], gain_phase=float(phase))
     if not one:
         return params, fits
     if params[0] is None:
@@ -471,31 +475,37 @@ def pseudo_true(
     return params[0]
 
 
-def mismatch_matrices(thetas, models, ybars, sigmas) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices A and B, each (n, 4, 4), of n (theta, model) pairs with
-    data means ybars and noise stds sigmas, eps = ybar - mean:
+def mismatch_matrices(thetas, model, ybars, sigmas) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices A and B, each (n, 4, 4), of a model's n (theta, link)
+    pairs with data means ybars, (n, G, K) or of the stack's shape, and
+    noise stds sigmas, eps = ybar - mean:
 
         A_ij = (2/sigma^2) Re<d2 mu_ij, eps> - I_ij,
         B_ij = (4/sigma^4) Re<d mu_i, eps> Re<d mu_j, eps> + I_ij,
 
-    <u, v> = sum conj(u) v; at zero mismatch A = -I and B = I. Each eps,
-    pulled through its model's rotation, is formed on its own (a stack holds
-    no (n, G, K) array beyond its means) into one (3, 3) product S = b^H
-    ((conj(x~) * eps) conj([d, r d, r^2 d])): <b^(i) r^j d x~, eps> = conj(S_ij).
+    <u, v> = sum conj(u) v; at zero mismatch A = -I and B = I. The eps of
+    all pairs, pulled through the model's rotation, enter one (3, 3)
+    product per pair, S = b^H ((conj(x~) * eps) conj([d, r d, r^2 d])):
+    <b^(i) r^j d x~, eps> = conj(S_ij). No (n, G, K, 3) array is formed.
     """
     sigmas = np.asarray(sigmas, dtype=float)
-    b, d = model_derivatives(thetas, models)
-    s = np.empty((len(models), 3, 3), dtype=complex)
-    for i, (theta, model, ybar) in enumerate(zip(thetas, models, ybars)):
-        x = model.eff_pilots
-        eps = model.pulled_observation(ybar) - theta.gain * (b[i, :, :1] * (d[i] * x))
-        delay = model.ring_powers * d[i][:, None]  # (K, 3)
-        s[i] = b[i].conj().T @ ((np.conj(x) * eps) @ delay.conj())
+    b, d = model_derivatives(thetas, model)  # (n, G, 3), (n, K)
+    lead, (g, k) = model.shape, model.eff_pilots.shape[-2:]
+    x = model.eff_pilots
+    gains = np.reshape([t.gain for t in thetas], (*lead, 1, 1))
+    # the means, then eps, then conj(x~) * eps, all in one (n, G, K) array
+    eps = d.reshape(*lead, 1, k) * x
+    np.multiply(b.reshape(*lead, g, 3)[..., :1], eps, out=eps)
+    np.multiply(gains, eps, out=eps)
+    np.subtract(model.pulled_observation(np.reshape(ybars, (*lead, g, k))), eps, out=eps)
+    np.multiply(np.conj(x), eps, out=eps)
+    delay = model.ring_powers * d[:, :, None]  # (n, K, 3)
+    s = b.conj().swapaxes(-1, -2) @ (eps.reshape(-1, g, k) @ delay.conj())
     c = gain_factors(thetas, _FIRST_ORDERS)
     c2 = gain_factors(thetas, _SECOND_ORDERS)
     score = (c.conj() * s[:, _FIRST_ORDERS[:, 0], _FIRST_ORDERS[:, 1]]).real  # (n, 4)
     curv = (c2.conj() * s[:, _SECOND_ORDERS[..., 0], _SECOND_ORDERS[..., 1]]).real
-    info = fim(thetas, models, sigmas)
+    info = fim(thetas, model, sigmas)
     a_mat = (2.0 / sigmas**2)[:, None, None] * curv - info
     b_mat = (4.0 / sigmas**4)[:, None, None] * (score[:, :, None] * score[:, None, :]) + info
     return a_mat, b_mat
@@ -518,16 +528,16 @@ def mismatch_report(theta_bar, theta0, clean, ybar, sigma_n, clean_crb) -> Bound
     at theta_bar (:func:`crb_m2_report`), for inflation ratios. A coordinate
     that the link cannot identify is left out (:func:`mismatch_covariance`).
 
-    n draws take sequences of n and clean_crb's stacked report (theta_bar
-    and sigma_n may be one for all; the models share one link's
-    dimensions) and give a stacked report: a draw whose bound failed (a
-    singular A, a non-finite A or B) has NaN mismatch fields and its reason
-    in errors. One draw raises NumericError with its reason.
+    The n draws of a clean stack take sequences of n theta0, their means
+    and clean_crb's stacked report (theta_bar and sigma_n may be one for
+    all) and give a stacked report: a draw whose bound failed (a singular A,
+    a non-finite A or B) has NaN mismatch fields and its reason in errors.
+    One draw raises NumericError with its reason.
     """
-    one, theta_bars, models, sigmas = _stack(theta_bar, clean, sigma_n)
-    theta0s, ybars = ([theta0], [ybar]) if one else (list(theta0), ybar)
-    a_mat, b_mat = mismatch_matrices(theta0s, models, ybars, sigmas)
-    mcrb = mismatch_covariance(a_mat, b_mat, flat_coordinates(models[0].cfg))
+    one, theta_bars, sigmas = _pairs(theta_bar, clean, sigma_n)
+    theta0s = [theta0] if one else list(theta0)
+    a_mat, b_mat = mismatch_matrices(theta0s, clean, ybar, sigmas)
+    mcrb = mismatch_covariance(a_mat, b_mat, flat_coordinates(clean.cfg))
     finite = np.isfinite(a_mat).all(axis=(1, 2)) & np.isfinite(b_mat).all(axis=(1, 2))
     singular = np.isnan(mcrb).all(axis=(1, 2))
     singular_or_none = np.where(singular, "curvature matrix A is singular", None)

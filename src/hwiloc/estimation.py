@@ -363,15 +363,21 @@ def refine(data: FitData, starts: np.ndarray, est: EstimatorConfig) -> Fits:
     return out
 
 
-def fitted_params(y: np.ndarray, model: ProjectionModel, position: np.ndarray) -> ChannelParams:
+def fitted_params(
+    y: np.ndarray, model: ProjectionModel, position: np.ndarray
+) -> ChannelParams | list[ChannelParams]:
     """Channel parameters of a fitted position: its (aoa, delay) and the
-    plug-in gain of y against the model's mean there."""
-    aoa = float(np.arctan2(position[1], position[0]))
-    delay = float(np.hypot(position[0], position[1])) / SPEED_OF_LIGHT
-    alpha = plug_in_gain(y, model.eta(aoa, delay))
-    return ChannelParams(
-        aoa=aoa, delay=delay, gain_amp=abs(alpha), gain_phase=float(-np.angle(alpha))
-    )
+    plug-in gain of y against the model's mean there; for a stack of n
+    links, of n positions, (n, 2), and observations, (n, G, K)."""
+    position = np.asarray(position, dtype=float)
+    polar = [
+        (float(np.arctan2(py, px)), float(np.hypot(px, py)) / SPEED_OF_LIGHT)
+        for px, py in position.reshape(-1, 2)
+    ]
+    etas = model.eta(*(np.reshape(v, model.shape) for v in zip(*polar))).reshape(len(polar), -1)
+    gains = [plug_in_gain(obs, eta) for obs, eta in zip(np.reshape(y, etas.shape), etas)]
+    out = [ChannelParams(*at, abs(a), float(-np.angle(a))) for at, a in zip(polar, gains)]
+    return out[0] if position.ndim == 1 else out
 
 
 class TrialBatch:

@@ -11,22 +11,23 @@ the amplifier axis only, which resamples them), its realization and, for
 a trial, its noise. Every point scales the same units by its own levels
 (:func:`_draws`), computes the couplings once for the stack and puts
 resampled pilots through its PA. Off the amplifier axis a point's pilots
-pass the PA once and its draws share one clean model (:func:`_point`).
+pass the PA once and serve all its draws (:func:`_point`).
 
-The bounds runner fills one (point, draw) grid of results. A task takes
-each bound of its (point, draw) pairs in one call as one stacked report,
-the pseudo-trues in one descent, and returns its block of the grid
+Both sweeps read their links from model stacks, not from a model per
+draw. The bounds runner fills one (point, draw) grid of results. A task
+makes one clean and one impaired model stack of its (point, draw) pairs,
+takes each bound of all pairs in one call as one stacked report and the
+pseudo-trues in one descent, and returns its block of the grid
 (:func:`_bounds_unit`); the sweep writes each block into its place and
 reads each point's rows off the grid (:func:`_bounds_rows`). A draw's
 units do not depend on the point, so off the phase-noise and CFO axes a
 draw has the same rotation at every point: there a task is a unit of
-draws that covers every point, and a draw's dense sandwich is built once
-for all of them; on those two axes a task is a point
-(:func:`_bounds_tasks`). A task gets the units of its draws. The trials
-runner builds no model per trial: it takes the rotations, means, scaled
-noise, observations and pulled observations of TRIAL_CHUNK trials at a
-time as stacked arrays (the rotations by FFT), writes both estimators'
-trials of a point into one batch and fits them all in one Newton fit.
+draws that covers every point, and the dense sandwich that forms a draw's
+impaired means for the lb is built once for all of them; on those two
+axes a task is a point (:func:`_bounds_tasks`). The trials runner makes
+one impaired model stack per TRIAL_CHUNK trials, whose FFT means and
+pulled observations are stacked arrays, writes both estimators' trials
+of a point into one batch and fits them all in one Newton fit.
 
 Determinism: every random draw derives from
 SeedSequence((master_seed, draw_index, stream_tag)), so output is
@@ -36,8 +37,9 @@ index's units (common random numbers), so a sweep compares the same
 hardware and noise scaled to different levels and its mean curves are
 paired rather than independently noisy. A process pool capped by the
 HWI_LOC_THREADS environment variable maps over the bounds tasks and over
-sweep points for the trials; rows are assembled per point, in draw order,
-and sorted single-threaded.
+runs of consecutive sweep points for the trials, one run per worker, so
+each worker receives the trials' units once; rows are assembled per
+point, in draw order, and sorted single-threaded.
 
 Reporting units follow the plotting conventions of the study this package
 supports: angle bounds in degrees, delay bounds converted to metres
@@ -80,7 +82,6 @@ from .model import (
     SPEED_OF_LIGHT,
     ChannelParams,
     ConfigError,
-    PilotBlock,
     SystemConfig,
     generate_combiners,
     generate_pilots,
@@ -90,9 +91,7 @@ from .model import (
 )
 from .observation import (
     ProjectionModel,
-    impaired_means,
     phase_rotations,
-    rotate,
     sandwich_matrices,
     transmit_pilots,
     unit_noise,
@@ -196,26 +195,25 @@ class Point:
     imp: ImpairmentConfig
     theta: ChannelParams
     combiners: np.ndarray  # W, (G, N)
+    known: np.ndarray  # the known coupling, the clean chain's C, (N, N)
     pilots: np.ndarray | None  # as sent, (G, K); None on the amplifier axis
     sent: np.ndarray | None  # after the PA, (G, K); None on the amplifier axis
-    clean: ProjectionModel | None  # the draws' clean model; None on the amplifier axis
 
 
 def _point(spec: ExperimentSpec, axis_index: int) -> Point:
     """Sweep point axis_index. Off the amplifier axis its draws keep the
-    seeded pilot block, which passes the PA here, once for all of them, and
-    share one clean model; on it each draw draws its own pilots
-    (:func:`_units`). Combiners stay fixed either way."""
+    seeded pilot block, which passes the PA here, once for all of them; on
+    it each draw draws its own pilots (:func:`_units`). Combiners stay fixed
+    either way."""
     value = spec.sweep_values[axis_index]
     sys_cfg, imp = apply_sweep_value(spec, value)
-    combiners = generate_combiners(sys_cfg)
-    pilots = sent = clean = None
+    known = mc_matrix(imp.coupling, None, sys_cfg.n_antennas)
+    pilots = sent = None
     if spec.sweep_axis != "pa":
         pilots = generate_pilots(sys_cfg)
         sent = transmit_pilots(pilots, imp, sys_cfg)
-        clean = ProjectionModel.clean(sys_cfg, PilotBlock(pilots, combiners), imp.coupling)
     theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
-    return Point(value, sys_cfg, imp, theta, combiners, pilots, sent, clean)
+    return Point(value, sys_cfg, imp, theta, generate_combiners(sys_cfg), known, pilots, sent)
 
 
 @dataclass
@@ -280,17 +278,6 @@ class Draws:
     pn: np.ndarray  # phase-noise phases, (n, G, K)
     cfo: np.ndarray  # (n,)
 
-    def clean(self, cfg: SystemConfig, coupling: tuple, r: int) -> ProjectionModel:
-        """Draw r's clean model."""
-        return ProjectionModel.clean(cfg, PilotBlock(self.pilots[r], self.combiners), coupling)
-
-    def impaired(self, cfg: SystemConfig, r: int) -> ProjectionModel:
-        """Draw r's impaired model without M_g. M_g is unitary and
-        theta-free, so this model's FIM and unrotated mean are the impaired
-        model's; the draw's rotation, where needed, is
-        phase_rotations(cfo[r], pn[r], cfg)."""
-        return ProjectionModel(cfg, self.combiners, self.couplings[r], self.sent[r])
-
 
 def _draws(point: Point, units: Units) -> Draws:
     """The draws of a sweep point, for both sweeps: the units scaled by the
@@ -339,65 +326,74 @@ def _bounds_unit(
     draw's bound failed, and when lb is requested the reason each draw's lb
     failed (None where it did not) and the pseudo-true stops, each (p, n).
 
-    Each point scales these units (:func:`_draws`). Every bound takes all
-    (point, draw) pairs of the task in one call, each pair bit for bit as on
-    its own: the impaired and the clean CRBs, one descent for the
-    pseudo-trues and the lb of every pair whose fit succeeded. Each pair's
-    impaired model without M_g is made once and serves its CRB and its lb
-    mean. A draw's units do not depend on the point, so off the
-    phase-noise and CFO axes a draw has the same rotation at every point:
-    its dense sandwich (:func:`~hwiloc.observation.sandwich_matrices`, as
-    :meth:`~hwiloc.observation.ProjectionModel.eta` applies it) is built
-    again only for a point whose rotation differs from the previous one's.
+    Each point scales these units (:func:`_draws`). The block's pairs make
+    one clean and one impaired model stack of shape (p, n), the impaired one
+    without M_g, which is unitary and theta-free: its FIM and its unrotated
+    means are the impaired chain's. A point's pilots stay one (G, K) array
+    for all its draws. Every bound takes all pairs in one call, each pair
+    bit for bit as on its own: the impaired and the clean CRBs, one descent
+    for the pseudo-trues and the lb. The lb's impaired means are the
+    unrotated means under a dense sandwich
+    (:func:`~hwiloc.observation.sandwich_matrices`), the form that the
+    benchmark's lb reference encodes. A draw's units do not depend on the
+    point, so off the phase-noise and CFO axes a draw has the same rotation
+    at every point: its sandwich is built again only for a point whose
+    rotation differs from the previous one's.
     """
     families = _families(spec)
-    n = len(units.indices)
     draws = [_draws(point, units) for point in points]
-    # the (point, draw) pairs, point-major
-    pairs = [(point, d, r) for point, d in zip(points, draws) for r in range(n)]
-    thetas = [point.theta for point, _, _ in pairs]
-    sigmas = [noise_std(point.sys_cfg) for point, _, _ in pairs]
-    cleans = [
-        point.clean if point.clean is not None else d.clean(point.sys_cfg, point.imp.coupling, r)
-        for point, d, r in pairs
-    ]
+    first = points[0]
+    shape = (len(points), len(units.indices))
+    thetas = [point.theta for point in points for _ in units.indices]
+    sigmas = np.repeat([noise_std(point.sys_cfg) for point in points], shape[1])
+    # off the amplifier axis a point's (G, K) pilots serve all its draws: (p, 1, G, K)
+    shared = units.pilots is None
     scalars: dict[str, np.ndarray] = {}
-    errors = np.full(len(pairs), None, dtype=object)
+    errors = np.full(len(thetas), None, dtype=object)
     stops = errors.copy()
     if {"lb", "crb_m1"} & set(families):
-        models = [d.impaired(point.sys_cfg, r) for point, d, r in pairs]
-    if "crb_m1" in families:
-        scalars["crb_m1"] = _bound_scalars("crb_m1", crb_m1_numeric(thetas, models, sigmas))
-    if {"lb", "crb_m2"} & set(families):
-        crbs = crb_m2_report(thetas, cleans, sigmas)
-        if "crb_m2" in families:
-            scalars["crb_m2"] = _bound_scalars("crb_m2", crbs)
+        couplings = np.stack([d.couplings for d in draws])
+        sent = np.stack([p.sent[None] for p in points] if shared else [d.sent for d in draws])
+        impaired = ProjectionModel(first.sys_cfg, first.combiners, couplings, sent)
+        if "crb_m1" in families:
+            scalars["crb_m1"] = _bound_scalars("crb_m1", crb_m1_numeric(thetas, impaired, sigmas))
+        if "lb" in families:
+            aoa, delay = ([[getattr(p.theta, k)] for p in points] for k in ("aoa", "delay"))
+            means = impaired.unrotated(aoa, delay)  # (p, n, G, K)
+        # the stacks are freed before the sandwiches, and the clean one is
+        # built after them: held over them, they raised full.cfg's peak
+        # allocation by 0.3 MB
+        del impaired, couplings, sent
     if "lb" in families:
-        # the means before M_g; the models are freed before the sandwiches:
-        # held over them, they raised full.cfg's peak allocation by 0.1 MB
-        means = np.array([m.unrotated(t.aoa, t.delay) for m, t in zip(models, thetas)])
-        del models
-        for r in range(n):
+        for r in range(shape[1]):
             rotation = None
-            for i in range(r, len(pairs), n):
-                point, d, _ = pairs[i]
+            for point, d, mean in zip(points, draws, means[:, r]):
                 this = phase_rotations(d.cfo[r], d.pn[r], point.sys_cfg)
                 if rotation is None or not np.array_equal(this, rotation):
                     rotation, sandwich = this, sandwich_matrices(this)
-                means[i] = thetas[i].gain * np.einsum("gij,gj->gi", sandwich, means[i])
+                mean[...] = point.theta.gain * np.einsum("gij,gj->gi", sandwich, mean)
             # freed here: held over the next draw's bounds, it raised
             # full.cfg's peak RSS by about 1.3 MB
             del sandwich
-        theta0s, fits = pseudo_true(thetas, cleans, means)
+    if {"lb", "crb_m2"} & set(families):
+        pilots = np.stack([p.pilots[None] for p in points]) if shared else units.pilots
+        # the one clean coupling as a view over the axis that the pilots lack:
+        # no derived array of the stack is formed per pair
+        lead = (1, shape[1]) if shared else (shape[0], 1)
+        known = np.broadcast_to(first.known, lead + first.known.shape)
+        clean = ProjectionModel(first.sys_cfg, first.combiners, known, pilots)
+        crbs = crb_m2_report(thetas, clean, sigmas)
+        if "crb_m2" in families:
+            scalars["crb_m2"] = _bound_scalars("crb_m2", crbs)
+    if "lb" in families:
+        theta0s, fits = pseudo_true(thetas, clean, means)
         stops[:], errors[:] = fits.stops, fits.errors
-        fitted = np.flatnonzero([theta0 is not None for theta0 in theta0s])
-        scalars["lb"] = np.full((len(pairs), 3), np.nan)
-        if fitted.size:
-            args = (thetas, theta0s, cleans, means, sigmas)
-            rep = mismatch_report(*([arg[i] for i in fitted] for arg in args), crbs.take(fitted))
-            scalars["lb"][fitted] = _bound_scalars("lb", rep)
-            errors[fitted] = rep.errors
-    shape = (len(points), n)
+        fitted = np.array([theta0 is not None for theta0 in theta0s])
+        # a pair whose fit failed takes its true parameter here; its lb is dropped
+        theta0s = [t0 if t0 is not None else t for t0, t in zip(theta0s, thetas)]
+        rep = mismatch_report(thetas, theta0s, clean, means, sigmas, crbs)
+        scalars["lb"] = np.where(fitted[:, None], _bound_scalars("lb", rep), np.nan)
+        errors[fitted] = np.array(rep.errors, dtype=object)[fitted]
     blocks = {f: v.reshape(*shape, 3) for f, v in scalars.items()}
     return blocks, errors.reshape(shape), stops.reshape(shape)
 
@@ -461,35 +457,37 @@ def _fit_point(
     """Every trial of one sweep point, fitted by each requested estimator.
 
     The point scales the trials' units once (:func:`_draws`). Then
-    TRIAL_CHUNK trials at a time get their rotations, means, noise,
-    observations and pulled observations as stacked arrays, and join one
-    batch, once per estimator with what that estimator fits: the clean
+    TRIAL_CHUNK trials at a time make one impaired model stack, whose means
+    (rotated by FFT), plus the scaled noise, are the observations, and join
+    one batch, once per estimator with what that estimator fits: the clean
     chain's rows and pilots and the observations themselves for
-    ``mmle_rmse``, each trial's impaired rows and pilots and its
-    observation pulled back through its rotation for ``mle_m1_rmse``. Then
-    the batch runs one Newton fit over every trial of both; each
-    estimator's fits are its own slots, and no fit depends on the others in
-    the batch. A trial's observation is bit
-    for bit the one that :func:`~hwiloc.observation.observe` draws for a
-    given mean from the trial's generator after its realization.
+    ``mmle_rmse``, the stack's rows and pilots and the observations pulled
+    back through its rotations for ``mle_m1_rmse``. Then the batch runs one
+    Newton fit over every trial of both; each estimator's fits are its own
+    slots, and no fit depends on the others in the batch. A trial's
+    observation is, up to rounding, the one that
+    :func:`~hwiloc.observation.observe` draws for its impaired mean from the
+    trial's generator after its realization.
     """
-    sys_cfg, theta = point.sys_cfg, point.theta
+    sys_cfg = point.sys_cfg
     draws = _draws(point, units)
-    clean_rows = draws.combiners @ mc_matrix(point.imp.coupling, None, sys_cfg.n_antennas)
+    clean_rows = draws.combiners @ point.known
     scale = noise_std(sys_cfg) / np.sqrt(2.0)
     batch = TrialBatch(sys_cfg, len(metrics) * spec.n_trials, est)
     slots: dict[str, list[int]] = {m: [] for m in metrics}
     for start in range(0, spec.n_trials, TRIAL_CHUNK):
         chunk = slice(start, start + TRIAL_CHUNK)
-        rows = draws.combiners @ draws.couplings[chunk]
-        sent = draws.sent[chunk]
         rotations = phase_rotations(draws.cfo[chunk], draws.pn[chunk], sys_cfg)
-        y = impaired_means(theta, sys_cfg, rows, sent, rotations) + scale * units.noise[chunk]
+        model = ProjectionModel(
+            sys_cfg, draws.combiners, draws.couplings[chunk], draws.sent[chunk], rotations
+        )
+        y = model.mean(point.theta) + scale * units.noise[chunk]
         for m in metrics:
             if m == "mmle_rmse":
                 slots[m] += batch.add(clean_rows, draws.pilots[chunk], y)
             else:
-                slots[m] += batch.add(rows, sent, rotate(y, np.conj(rotations)))
+                u = model.pulled_observation(y)
+                slots[m] += batch.add(model.row_matrix, model.eff_pilots, u)
     fits = batch.fit()
     return {m: fits.take(np.array(own)) for m, own in slots.items()}
 
@@ -528,6 +526,17 @@ def _trials_point(spec: ExperimentSpec, axis_index: int, units: Units) -> list[R
         rmse = float(np.sqrt(np.mean(squared[m])))
         rows += _rows(value, m, {"mean": rmse}, spec.n_trials, squared[m].size)
     return rows
+
+
+def _trials_points(spec: ExperimentSpec, indices: range, units: Units) -> list[ResultRow]:
+    """The rows of a run of sweep points, one point after the other."""
+    return [row for i in indices for row in _trials_point(spec, i, units)]
+
+
+def _runs(n: int, parts: int) -> list[range]:
+    """range(n) cut into parts runs of nearly equal length, in order."""
+    edges = [n * part // parts for part in range(parts + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -580,8 +589,7 @@ def _bounds_tasks(spec: ExperimentSpec) -> list[tuple[list[int], range]]:
     n_units = min(n_draws, n_points)
     if spec.sweep_axis in _ROTATION_AXES or n_units < _worker_count(n_points):
         return [([i], range(n_draws)) for i in range(n_points)]
-    edges = [n_draws * u // n_units for u in range(n_units + 1)]
-    return [(list(range(n_points)), range(a, b)) for a, b in zip(edges, edges[1:])]
+    return [(list(range(n_points)), draws) for draws in _runs(n_draws, n_units)]
 
 
 def run_bounds_sweep(spec: ExperimentSpec) -> list[ResultRow]:
@@ -652,7 +660,8 @@ def run_estimator_trials(spec: ExperimentSpec) -> list[ResultRow]:
             f"UE range {ue_range:.6g} m is outside the estimators' scan "
             f"[{RANGE_MIN_M:g}, {top:.6g}) m"
         )
-    n = len(spec.sweep_values)
     units = _units(spec, _TRIAL_STREAM)
-    per_point = _map(_trials_point, [spec] * n, range(n), [units] * n)
-    return sort_rows([row for rows in per_point for row in rows])
+    n = len(spec.sweep_values)
+    runs = _runs(n, _worker_count(n))
+    per_run = _map(_trials_points, [spec] * len(runs), runs, [units] * len(runs))
+    return sort_rows([row for rows in per_run for row in rows])

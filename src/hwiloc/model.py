@@ -63,6 +63,10 @@ class SystemConfig:
             raise ConfigError("frequencies, load impedance and power levels must be finite")
         if self.carrier_freq_hz <= 0 or self.bandwidth_hz <= 0:
             raise ConfigError("carrier frequency and bandwidth must be positive")
+        if not np.isfinite(self.wavelength_m):
+            raise ConfigError("carrier frequency is too low: its wavelength c / f is not finite")
+        if self.pilot_seed < 0 or self.combiner_seed < 0:
+            raise ConfigError("pilot_seed and combiner_seed must be non-negative")
         if self.load_impedance_ohm <= 0:
             raise ConfigError("load impedance must be positive")
         try:

@@ -17,15 +17,14 @@ held by :class:`ProjectionModel`:
 
 Of a realization's phase noise and CFO the model reads only the diagonal
 of F^H M_g F, the (G, K) rotation of :func:`phase_rotations`, so an
-impaired model carries that rotation, not the realization: a caller that
-holds n draws as stacked arrays builds any draw's model from its slot.
-M_g and M_g^H act by FFT (:func:`rotate`) on one draw or on many stacked
-draws at once: :func:`impaired_means` gives the noise-free means of n
-realizations without a model object per draw. The dense (G, K, K) form
-(:func:`sandwich_matrices`) is kept for one use, the impaired mean that
-the bounds read: :meth:`ProjectionModel.eta` builds it on each call, so
-no model holds one, and the bounds sweep builds it once per draw for
-every sweep point that shares the draw's rotation.
+impaired model carries that rotation, not the realization. A model is a
+stack of links: its coupling, pilots and rotation may carry leading axes,
+which broadcast against each other, so one model holds every draw of a
+sweep point, or every (point, draw) pair of a bounds task, and pilots that
+the draws share stay one (G, K) array. A single link is a stack with no
+leading axes. M_g and M_g^H act by FFT (:func:`rotate`) on every link of a
+stack at once. The dense (G, K, K) form (:func:`sandwich_matrices`) is left
+to the bounds sweep, which applies its own to the impaired means it fits.
 
 Means are (G, K) arrays of subcarrier-domain samples for one pilot block.
 Flattening row-major gives the g-major stacked vector used by estimators and
@@ -42,6 +41,7 @@ with its exact derivatives, on the same factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -138,44 +138,53 @@ def ring_powers(n_subcarriers: int, spacing_hz: float) -> np.ndarray:
 
 @dataclass
 class ProjectionModel:
-    """The factorized link model of one pilot block and one receiver chain.
+    """The factorized link model of one receiver chain: one pilot block, or
+    a stack of them whose leading axes (:attr:`shape`) C, x~ and the
+    rotation may carry and broadcast to; the links share W and cfg.
 
     Holds the combiners W, the coupling C, the effective pilots x~ and,
     for the impaired chain, the (G, K) rotation of :func:`phase_rotations`
     that makes up M_g (None for the clean chain): of a realization's phase
     noise and CFO the model keeps only this rotation. It gives the mean, the
     pulled observation, the projection objective on a grid
-    (:meth:`objective_grid`), and what the derivatives of the mean in
-    :mod:`hwiloc.bounds` read: the row matrix, the ring powers and the pilot
-    moments. What the Newton fit and the pseudo-true descent read of it is
-    a slot of :class:`FitData`.
+    (:meth:`objective_grid`, one link), and what the derivatives of the mean
+    in :mod:`hwiloc.bounds` read: the row matrix, the ring powers and the
+    pilot moments, each with the stack's leading axes. What the Newton fit
+    and the pseudo-true descent read of it is a slot of :class:`FitData`.
     """
 
     cfg: SystemConfig
     combiners: np.ndarray  # W, (G, N)
-    coupling: np.ndarray  # C, (N, N)
-    eff_pilots: np.ndarray  # x~, (G, K)
-    rotation: np.ndarray | None = None  # diagonal of F^H M_g F, (G, K)
-    # eta rounds as W (C a), one steering vector at a time; the scans, the
-    # Newton fit, the pseudo-true descent (FitData) and the bounds'
-    # derivatives round as (W C) a. Only eta's order is pinned: the lb
-    # reference of the benchmark was computed with it, and stacking eta's
-    # product (W (C S) or (W C) a) moves full.cfg lb rows by 8.45e-6 or
-    # 2.0e-5, past its 1e-6 gate, until that reference is regenerated.
-    row_matrix: np.ndarray = field(init=False)  # W C, (G, N)
-    pilot_energies: np.ndarray = field(init=False)  # (G,)
+    coupling: np.ndarray  # C, (..., N, N)
+    eff_pilots: np.ndarray  # x~, (..., G, K)
+    rotation: np.ndarray | None = None  # diagonal of F^H M_g F, (..., G, K)
+    shape: tuple[int, ...] = field(init=False)  # the stack's leading axes; () for one link
+    # W C, (..., G, N): the scans, the Newton fit, the pseudo-true descent
+    # (FitData) and the bounds' derivatives round as (W C) a. The mean
+    # (unrotated) rounds as W (C a), link by link: the bounds sweep's ybar,
+    # built from it in harness._bounds_unit, is what the benchmark's lb
+    # reference encodes, and (W C) a moves full.cfg lb rows by 2.0e-5, past
+    # that reference's 1e-6 gate, until it is regenerated (ROADMAP item 1).
+    row_matrix: np.ndarray = field(init=False)
+    pilot_energies: np.ndarray = field(init=False)  # (..., G)
     ring_powers: np.ndarray = field(init=False)  # see ring_powers(), (K, 3)
     # P_g[m, n] = sum_k |x~_gk|^2 conj(r_k)^m r_k^n for m, n < 2, with r the
-    # root of ring_powers: the theta-free part of the FIM, (G, 2, 2)
+    # root of ring_powers: the theta-free part of the FIM, (..., G, 2, 2)
     pilot_moments: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.row_matrix = self.combiners @ self.coupling
-        self.pilot_energies = np.sum(np.abs(self.eff_pilots) ** 2, axis=1)
+        arrays = (self.coupling, self.eff_pilots, self.rotation)
+        self.shape = np.broadcast_shapes(*(a.shape[:-2] for a in arrays if a is not None))
+        lead, (g, n) = self.shape, self.combiners.shape
+        power = np.abs(self.eff_pilots) ** 2
         self.ring_powers = ring_powers(self.cfg.n_subcarriers, self.cfg.subcarrier_spacing_hz)
         r = self.ring_powers[:, :2]
         products = (r.conj()[:, :, None] * r[:, None, :]).reshape(-1, 4)  # (K, 4)
-        self.pilot_moments = (np.abs(self.eff_pilots) ** 2 @ products).reshape(-1, 2, 2)
+        # each broadcast to the stack's shape: shared pilots stay one block
+        self.row_matrix = np.broadcast_to(self.combiners @ self.coupling, (*lead, g, n))
+        self.pilot_energies = np.broadcast_to(np.sum(power, axis=-1), (*lead, g))
+        moments = np.broadcast_to(power @ products, (*lead, g, 4))
+        self.pilot_moments = moments.reshape(*lead, g, 2, 2)
 
     @staticmethod
     def clean(cfg: SystemConfig, block: PilotBlock, coupling: tuple = ()) -> "ProjectionModel":
@@ -199,36 +208,34 @@ class ProjectionModel:
 
     # -- model mean ---------------------------------------------------------
 
-    def unrotated(self, aoa: float, delay: float) -> np.ndarray:
-        """Gain-free mean before M_g, b_g d x~_g, (G, K): the clean chain's
-        :meth:`eta`."""
-        if delay < 0:
+    def unrotated(self, aoa, delay) -> np.ndarray:
+        """Gain-free means before M_g, b_g d x~_g, (..., G, K), at an aoa and
+        delay, or arrays of them per link: the clean chain's :meth:`eta`."""
+        aoa, delay = np.asarray(aoa, dtype=float), np.asarray(delay, dtype=float)
+        if np.any(delay < 0):
             raise ValueError("delay must be non-negative")
-        b = self.combiners @ (self.coupling @ steering_vector(aoa, self.coupling.shape[0]))
-        d = delay_vector(delay, self.cfg.n_subcarriers, self.cfg.subcarrier_spacing_hz)
-        return b[:, None] * (d[None, :] * self.eff_pilots)
+        a = steering_vector(aoa[..., None], self.coupling.shape[-1])  # (..., N)
+        b = self.combiners @ (self.coupling @ a[..., None])  # (..., G, 1)
+        cfg = self.cfg
+        d = delay_vector(delay[..., None, None], cfg.n_subcarriers, cfg.subcarrier_spacing_hz)
+        # d x~, then b times it, in the one array of the means
+        shape = np.broadcast_shapes(b.shape, d.shape, self.eff_pilots.shape)
+        out = np.multiply(d, self.eff_pilots, out=np.empty(shape, dtype=complex))
+        return np.multiply(b, out, out=out)
 
-    def eta(self, aoa: float, delay: float) -> np.ndarray:
-        """Gain-free mean, (G, K): :meth:`unrotated` under M_g."""
+    def eta(self, aoa, delay) -> np.ndarray:
+        """Gain-free means, (..., G, K): :meth:`unrotated` under M_g, by FFT."""
         v = self.unrotated(aoa, delay)
-        if self.rotation is None:
-            return v
-        # The impaired mean is the bounds' ybar, and the benchmark's lb
-        # reference encodes where the pseudo-true descent stalls on it:
-        # rotate(v, self.rotation) moves full.cfg lb rows by up to 4.42e-6,
-        # past that reference's 1e-6 gate. The dense sandwich stays here
-        # until the reference is regenerated from a converged fit (ROADMAP
-        # item 1); it is built on each call, so a model holds none.
-        return np.einsum("gij,gj->gi", sandwich_matrices(self.rotation), v)
+        return v if self.rotation is None else rotate(v, self.rotation)
 
     def mean(self, theta: ChannelParams) -> np.ndarray:
-        """Noise-free mean at theta, (G, K): gain times :meth:`eta`."""
+        """Noise-free means at theta, (..., G, K): gain times :meth:`eta`."""
         return theta.gain * self.eta(theta.aoa, theta.delay)
 
     # -- objective machinery ------------------------------------------------
 
     def pulled_observation(self, y: np.ndarray) -> np.ndarray:
-        """Pull the unitary rotation onto the observation: u_g = M_g^H y_g,
+        """Pull the unitary rotation onto the observations: u_g = M_g^H y_g,
         by FFT (:func:`rotate`)."""
         y = np.asarray(y, dtype=complex)
         if self.rotation is None:
@@ -236,9 +243,9 @@ class ProjectionModel:
         return rotate(y, np.conj(self.rotation))
 
     def objective_grid(self, u: np.ndarray, grid: "ScanGrid") -> np.ndarray:
-        """Projection objective of the pulled observation u on the (angle,
-        range) grid, shape (n_a, n_r): :meth:`ScanGrid.objective` with this
-        model's rows and pilots."""
+        """Projection objective of one link's pulled observation u on the
+        (angle, range) grid, shape (n_a, n_r): :meth:`ScanGrid.objective`
+        with this model's rows and pilots."""
         w = np.conj(self.eff_pilots) * u
         return grid.objective(self.row_matrix, self.pilot_energies, w, np.vdot(u, u).real)
 
@@ -341,15 +348,17 @@ class FitData:
         )
 
     def put(self, start: int, rows: np.ndarray, pilots: np.ndarray, u: np.ndarray) -> None:
-        """Fill the n slots from start with the pulled observations u, (n,
-        G, K), each fitted with its row matrix W C, (n, G, N), and pilots
-        x~, (n, G, K); rows or pilots of shape (G, N) or (G, K) serve all n.
+        """Fill slots from start with the pulled observations u, (..., G,
+        K), one slot each in row-major order, each fitted with its row
+        matrix W C, (..., G, N), and pilots x~, (..., G, K); rows and pilots
+        broadcast against u's leading axes, so (G, N) or (G, K) serve all.
         """
-        index = slice(start, start + len(u))
-        self.rows[index] = rows
-        self.energies[index] = np.sum(np.abs(pilots) ** 2, axis=-1)
-        np.multiply(np.conj(pilots), u, out=self.w[index])
-        self.yy[index] = [np.vdot(v, v).real for v in u]
+        lead, (g, k) = u.shape[:-2], u.shape[-2:]
+        index = slice(start, start + math.prod(lead))
+        self.rows[index].reshape(*lead, *self.rows.shape[1:])[...] = rows
+        self.energies[index].reshape(*lead, g)[...] = np.sum(np.abs(pilots) ** 2, axis=-1)
+        np.multiply(np.conj(pilots), u, out=self.w[index].reshape(u.shape))
+        self.yy[index] = [np.vdot(v, v).real for v in u.reshape(-1, g, k)]
 
     def take(self, index: np.ndarray) -> "FitData":
         """The fits selected by an index or mask array."""
@@ -429,26 +438,6 @@ class FitData:
         e_aa = (p_aa - 2.0 * p_a * rel_a) / den - e * (den_aa / den - 2.0 * rel_a * rel_a)
         e_ar = (p_ar - p_r * rel_a) / den
         return np.array([e, e_a, p_r / den, e_aa, e_ar, p_rr / den])
-
-
-def impaired_means(
-    theta: ChannelParams,
-    cfg: SystemConfig,
-    rows: np.ndarray,
-    sent: np.ndarray,
-    rotations: np.ndarray,
-) -> np.ndarray:
-    """Noise-free impaired means at theta of n stacked draws, (n, G, K):
-    alpha * M_g(b_g * d * x~_g) with b = W C a(aoa) from each draw's row
-    matrix W C, (n, G, N), its pilots after the PA x~, (n, G, K) or (G, K)
-    shared, and its rotations, (n, G, K), applied by :func:`rotate`.
-
-    The mean of :meth:`ProjectionModel.mean` for each draw, up to rounding:
-    b is one product (W C) a, not W (C a), and M_g acts by FFT.
-    """
-    b = rows @ steering_vector(theta.aoa, rows.shape[-1])  # (n, G)
-    d = delay_vector(theta.delay, cfg.n_subcarriers, cfg.subcarrier_spacing_hz)
-    return theta.gain * rotate(b[..., None] * (d * sent), rotations)
 
 
 def mu_m1(

@@ -7,6 +7,11 @@ build every first and second derivative of the mean before its sandwich as
 the FIM and the misspecified bound's A and B, the textbook forms the
 factored algebra must reproduce.
 
+dense_mean is one link's mean as the bounds sweep forms the impaired
+means it fits: b = W (C a) one matrix-vector product at a time, and M_g as
+the dense (G, K, K) sandwich, not by FFT. stack_links makes one model
+stack of single links.
+
 sequential_descent is the pseudo-true descent with the plain line search,
 one halving per objective call, that the blocked search must reproduce.
 
@@ -29,8 +34,8 @@ from hwiloc.bounds import (
 )
 from hwiloc.estimation import GRAD_TOLERANCE, INITIAL_STEP_M, Fits
 from hwiloc.impairments import mc_matrix, sample_realization
-from hwiloc.model import delay_vector, generate_pilots, steering_derivatives
-from hwiloc.observation import transmit_pilots, unit_noise
+from hwiloc.model import delay_vector, generate_pilots, steering_derivatives, steering_vector
+from hwiloc.observation import ProjectionModel, sandwich_matrices, transmit_pilots, unit_noise
 
 EYE = np.eye(4, dtype=int)
 # orders in (aoa, delay, amp, phase) of each first derivative, [i, order],
@@ -72,9 +77,41 @@ def dense_derivatives(theta, model):
 def factor_table(theta, model):
     """The (3, 3, G, K) table b^(i) r^j d x~ of the factors that
     model_derivatives gives for one (theta, model) pair."""
-    b, d = model_derivatives([theta], [model])
+    b, d = model_derivatives([theta], model)
     delays = (model.ring_powers * d[0][:, None]).T  # (3, K)
     return b[0].T[:, None, :, None] * (delays[None, :, None, :] * model.eff_pilots)
+
+
+def dense_unrotated(model, aoa, delay):
+    """One link's gain-free mean before M_g, b_g d x~_g, with b = W (C a)."""
+    cfg = model.cfg
+    b = model.combiners @ (model.coupling @ steering_vector(aoa, cfg.n_antennas))
+    d = delay_vector(delay, cfg.n_subcarriers, cfg.subcarrier_spacing_hz)
+    return b[:, None] * (d[None, :] * model.eff_pilots)
+
+
+def dense_mean(model, theta):
+    """One link's mean at theta with M_g applied as the dense sandwich."""
+    v = dense_unrotated(model, theta.aoa, theta.delay)
+    if model.rotation is not None:
+        v = np.einsum("gij,gj->gi", sandwich_matrices(model.rotation), v)
+    return theta.gain * v
+
+
+def stack_links(models, shape=None, shared_pilots=False):
+    """One model stack of single links that share their combiners, in the
+    given leading shape (default (n,)); with shared_pilots it keeps the first
+    link's (G, K) pilots for all."""
+    first = models[0]
+    shape = shape or (len(models),)
+
+    def stacked(name):
+        one = getattr(first, name)
+        return np.stack([getattr(m, name) for m in models]).reshape(*shape, *one.shape)
+
+    pilots = first.eff_pilots if shared_pilots else stacked("eff_pilots")
+    rotation = None if first.rotation is None else stacked("rotation")
+    return ProjectionModel(first.cfg, first.combiners, stacked("coupling"), pilots, rotation)
 
 
 def factored_derivatives(theta, model):

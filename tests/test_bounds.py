@@ -29,9 +29,12 @@ from dense_oracle import (
     dense_b,
     dense_derivatives,
     dense_fim,
+    dense_mean,
+    dense_unrotated,
     factor_table,
     factored_derivatives,
     sequential_descent,
+    stack_links,
     table_derivatives,
 )
 from hwiloc.bounds import (
@@ -225,7 +228,7 @@ def test_factored_bounds_match_the_dense_oracle(impaired):
             second = np.einsum("gij,...gj->...gi", sandwich, second)
         eps = ybar - model.mean(theta)
         info = dense_fim(first, sigma)
-        a_mat, b_mat = mismatch_matrices([theta], [model], [ybar], [sigma])
+        a_mat, b_mat = mismatch_matrices([theta], model, ybar, [sigma])
         assert _normalized(fim(theta, model, sigma), info) < 1e-12
         assert _normalized(a_mat[0], dense_a(first, second, eps, sigma)) < 1e-12
         assert _normalized(b_mat[0], dense_b(first, eps, sigma)) < 1e-12
@@ -258,38 +261,72 @@ def _assert_reports_equal(stacked, alone):
 
 @pytest.mark.parametrize("impaired", [False, True])
 def test_stacked_bounds_match_batches_of_one_bitwise(impaired):
-    """n (theta, model) pairs in one stack give, bit for bit, what n
-    batches of one give: the factors, the FIMs, the CRB reports and the
-    misspecified-bound reports. A pair whose FIM is singular has inf
-    scalars and leaves the others as they are."""
-    draws, sigma = _stack_inputs(5, 31)
+    """A stack of six links of one chain, shaped (2, 3), gives for each
+    link bit for bit what that link alone gives: its row matrix and pilot
+    moments, its unrotated mean and its mean at per-link parameters, the
+    factors, the FIMs, the CRB reports, A and B, the pseudo-trues and the
+    misspecified-bound reports. The stack holds each link's pilots, one
+    (G, K) block for all links, or one per row. Each link's unrotated mean
+    rounds as the dense oracle's W (C a). A pair whose FIM is singular has
+    inf scalars and leaves the others as they are."""
+    draws, sigma = _stack_inputs(6, 31)
     thetas, theta0s, cleans, impaireds, ybars = map(list, zip(*draws))
-    models = impaireds if impaired else cleans
-    b, d = model_derivatives(thetas, models)
-    for r, (theta, model) in enumerate(zip(thetas, models)):
-        b1, d1 = model_derivatives([theta], [model])
-        assert np.array_equal(b[r], b1[0]) and np.array_equal(d[r], d1[0])
-    assert np.array_equal(
-        fim(thetas, models, sigma), np.array([fim(t, m, sigma) for t, m in zip(thetas, models)])
-    )
-    report = crb_m1_numeric if impaired else crb_m2_report
-    stacked = report(thetas, models, sigma)
-    assert stacked.fim.shape == stacked.crb.shape == (5, 4, 4) and stacked.peb_m.shape == (5,)
-    for r, (theta, model) in enumerate(zip(thetas, models)):
-        _assert_reports_equal(stacked.take(r), report(theta, model, sigma))
-    crbs = crb_m2_report(thetas, cleans, sigma)
-    lbs = mismatch_report(thetas, theta0s, cleans, np.array(ybars), sigma, crbs)
-    assert lbs.errors == [None] * 5
-    for r, args in enumerate(zip(thetas, theta0s, cleans, ybars)):
-        _assert_reports_equal(lbs.take(r), mismatch_report(*args, sigma, crbs.take(r)))
+    links = impaireds if impaired else cleans
+    per_link = stack_links(links, (2, 3))
+    for stack in (
+        per_link,
+        stack_links(links, (2, 3), shared_pilots=True),
+        replace(per_link, eff_pilots=per_link.eff_pilots[:, :1]),
+    ):
+        assert stack.shape == (2, 3)
+        _assert_stack_matches_links(stack, links, thetas, theta0s, ybars, sigma, impaired)
     # with zero gain only the amplitude is informative: that pair's FIM is
     # singular, so the stack is inverted slice by slice
     thetas[2] = replace(thetas[2], gain_amp=0.0)
-    stacked = report(thetas, models, sigma)
+    report = crb_m1_numeric if impaired else crb_m2_report
+    stacked = report(thetas, per_link, sigma)
     assert np.isinf([stacked.aeb_rad[2], stacked.deb_s[2], stacked.peb_m[2]]).all()
     assert np.isnan(stacked.crb[2]).all()
-    for r, (theta, model) in enumerate(zip(thetas, models)):
-        _assert_reports_equal(stacked.take(r), report(theta, model, sigma))
+    for r, (theta, link) in enumerate(zip(thetas, links)):
+        _assert_reports_equal(stacked.take(r), report(theta, link, sigma))
+
+
+def _assert_stack_matches_links(stack, links, thetas, theta0s, ybars, sigma, impaired):
+    aoa, delay = (np.reshape([getattr(t, k) for t in thetas], (2, 3)) for k in ("aoa", "delay"))
+    unrotated, eta = stack.unrotated(aoa, delay), stack.eta(aoa, delay)
+    for r, (theta, link) in enumerate(zip(thetas, links)):
+        at = np.unravel_index(r, (2, 3))
+        assert np.array_equal(stack.row_matrix[at], link.row_matrix)
+        assert np.array_equal(stack.pilot_moments[at], link.pilot_moments)
+        alone = link.unrotated(theta.aoa, theta.delay)
+        assert np.array_equal(alone, dense_unrotated(link, theta.aoa, theta.delay))
+        assert np.array_equal(unrotated[at], alone)
+        assert np.array_equal(eta[at], link.eta(theta.aoa, theta.delay))
+    b, d = model_derivatives(thetas, stack)
+    for r, (theta, link) in enumerate(zip(thetas, links)):
+        b1, d1 = model_derivatives([theta], link)
+        assert np.array_equal(b[r], b1[0]) and np.array_equal(d[r], d1[0])
+    assert np.array_equal(
+        fim(thetas, stack, sigma), np.array([fim(t, m, sigma) for t, m in zip(thetas, links)])
+    )
+    a_mat, b_mat = mismatch_matrices(theta0s, stack, ybars, [sigma] * 6)
+    for r, (theta0, link, ybar) in enumerate(zip(theta0s, links, ybars)):
+        (a1,), (b1,) = mismatch_matrices([theta0], link, ybar, [sigma])
+        assert np.array_equal(a_mat[r], a1) and np.array_equal(b_mat[r], b1)
+    fitted, fits = pseudo_true(thetas, stack, ybars)
+    assert fits.errors == [None] * 6
+    for r, (theta, link, ybar) in enumerate(zip(thetas, links, ybars)):
+        assert np.array_equal(fitted[r].as_array(), pseudo_true(theta, link, ybar).as_array())
+    report = crb_m1_numeric if impaired else crb_m2_report
+    stacked = report(thetas, stack, sigma)
+    assert stacked.fim.shape == stacked.crb.shape == (6, 4, 4) and stacked.peb_m.shape == (6,)
+    for r, (theta, link) in enumerate(zip(thetas, links)):
+        _assert_reports_equal(stacked.take(r), report(theta, link, sigma))
+    crbs = crb_m2_report(thetas, stack, sigma)
+    lbs = mismatch_report(thetas, theta0s, stack, np.array(ybars), sigma, crbs)
+    assert lbs.errors == [None] * 6
+    for r, args in enumerate(zip(thetas, theta0s, links, ybars)):
+        _assert_reports_equal(lbs.take(r), mismatch_report(*args, sigma, crbs.take(r)))
 
 
 def test_mismatch_report_fails_a_draw_alone(monkeypatch):
@@ -298,7 +335,8 @@ def test_mismatch_report_fails_a_draw_alone(monkeypatch):
     bit for bit its batch of one."""
     draws, sigma = _stack_inputs(5, 32)
     thetas, theta0s, cleans, _, ybars = map(list, zip(*draws))
-    crbs = crb_m2_report(thetas, cleans, sigma)
+    stack = stack_links(cleans)
+    crbs = crb_m2_report(thetas, stack, sigma)
     pairs = zip(thetas, theta0s, cleans, ybars)
     alone = [mismatch_report(*args, sigma, crbs.take(r)) for r, args in enumerate(pairs)]
     ybars[1] = np.full_like(ybars[1], np.nan)
@@ -310,7 +348,7 @@ def test_mismatch_report_fails_a_draw_alone(monkeypatch):
         return mismatch_covariance(a_mat, b_mat, flat)
 
     monkeypatch.setattr(hwiloc.bounds, "mismatch_covariance", singular_fourth)
-    out = mismatch_report(thetas, theta0s, cleans, ybars, sigma, crbs)
+    out = mismatch_report(thetas, theta0s, stack, ybars, sigma, crbs)
     assert out.errors == [
         None,
         "curvature or score matrix is non-finite",
@@ -414,7 +452,7 @@ def test_bounds_reject_non_finite_noise(sigma_n):
     with pytest.raises(ValueError, match="noise std"):
         fim(theta, model, sigma_n)
     with pytest.raises(ValueError, match="noise std"):
-        crb_m2_report([theta, theta], [model, model], [1.0, sigma_n])
+        crb_m2_report([theta, theta], stack_links([model, model]), [1.0, sigma_n])
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +711,8 @@ def test_pseudo_true_degenerates_without_mismatch():
 
 
 def _pseudo_true_batch(n: int, seed: int):
-    """theta, the clean models and the impaired means of n draws at 30 dBm;
+    """theta, the clean models and the impaired means of n draws at 30 dBm,
+    the means formed as the bounds sweep forms those it fits (dense_mean);
     every other draw fits the clean model without the known coupling, so
     the slots of the batch hold different models."""
     cfg = replace(DESK, tx_power_dbm=30.0)
@@ -682,10 +721,11 @@ def _pseudo_true_batch(n: int, seed: int):
     imp = ImpairmentConfig()
     rng = np.random.default_rng(seed)
     cleans = [clean_model(cfg, block, imp.coupling if r % 2 else ()) for r in range(n)]
-    means = [
-        ProjectionModel.impaired(cfg, block, imp, sample_realization(imp, cfg, rng)).mean(theta)
+    impaireds = [
+        ProjectionModel.impaired(cfg, block, imp, sample_realization(imp, cfg, rng))
         for _ in range(n)
     ]
+    means = [dense_mean(model, theta) for model in impaireds]
     return theta, cleans, means
 
 
@@ -693,13 +733,13 @@ def test_pseudo_true_batch_matches_batches_of_one_bitwise():
     """R draws fitted in lockstep land bit for bit where R batches of one
     land, although their descents take different numbers of iterations."""
     theta, cleans, means = _pseudo_true_batch(6, 21)
-    theta0s, fits = pseudo_true(theta, cleans, means)
+    theta0s, fits = pseudo_true(theta, stack_links(cleans), means)
     assert fits.errors == [None] * 6
     assert set(fits.stops) <= {"gradient", "stalled", "max_iter"}
     assert len(set(fits.n_iterations)) > 1
     for r, (theta0, clean, ybar) in enumerate(zip(theta0s, cleans, means)):
         assert np.array_equal(theta0.as_array(), pseudo_true(theta, clean, ybar).as_array())
-        _, alone = pseudo_true(theta, [clean], [ybar])
+        _, alone = pseudo_true(theta, stack_links([clean]), [ybar])
         assert (alone.stops[0], alone.n_iterations[0]) == (fits.stops[r], fits.n_iterations[r])
 
 
@@ -763,7 +803,7 @@ def test_pseudo_true_batch_fails_a_draw_without_energy_alone():
     theta, cleans, means = _pseudo_true_batch(4, 22)
     alone = [pseudo_true(theta, clean, ybar) for clean, ybar in zip(cleans, means)]
     means[2] = np.zeros_like(means[2])
-    theta0s, fits = pseudo_true(theta, cleans, means)
+    theta0s, fits = pseudo_true(theta, stack_links(cleans), means)
     assert theta0s[2] is None and fits.stops[2] == "failed"
     assert fits.errors == [None, None, "observation energy must be positive and finite", None]
     for r in (0, 1, 3):
@@ -780,9 +820,9 @@ def test_ab_matrices_reduce_to_information():
     info = fim(theta, model, sigma)
     # the data are the model's own mean, formed from the factors as the
     # mismatch is: zero to the last bit
-    b, d = model_derivatives([theta], [model])
+    b, d = model_derivatives([theta], model)
     ybar = theta.gain * (b[0, :, :1] * (d[0] * model.eff_pilots))
-    a_mat, b_mat = mismatch_matrices([theta], [model], [ybar], [sigma])
+    a_mat, b_mat = mismatch_matrices([theta], model, ybar, [sigma])
     npt.assert_allclose(a_mat[0], -info, rtol=1e-12)
     npt.assert_allclose(b_mat[0], info, rtol=1e-12)
     inv = np.linalg.inv(info)

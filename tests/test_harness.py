@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import hwiloc.estimation
 import hwiloc.harness
-from dense_oracle import generator_draws
+from dense_oracle import dense_mean, generator_draws
 from hwiloc.bounds import mismatch_covariance, pseudo_true
 from hwiloc.cli import main
 from hwiloc.config_io import (
@@ -684,15 +684,15 @@ ROTATION_SHARED = {"tx_power_dbm", "sigma_mc", "pa"}
 @pytest.mark.parametrize("axis, values", ALL_AXES)
 def test_bounds_draws_match_their_own_generators(monkeypatch, axis, values):
     """In units of draws, each draw's impaired mean at each sweep point is
-    bit for bit that of the model built on its own from what its own
-    generator draws: the pilots on the amplifier axis, then the
-    realization."""
+    bit for bit the dense mean (W (C a) under the dense sandwich) of the
+    model built on its own from what its own generator draws: the pilots on
+    the amplifier axis, then the realization."""
     spec = desk_spec(sweep_axis=axis, sweep_values=values, n_realizations="3")
     fitted = []
 
-    def keep_means(thetas, cleans, ybars):
+    def keep_means(thetas, clean, ybars):
         fitted.append(np.array(ybars))
-        return pseudo_true(thetas, cleans, ybars)
+        return pseudo_true(thetas, clean, ybars)
 
     monkeypatch.setattr("hwiloc.harness.pseudo_true", keep_means)
     points = [hwiloc.harness._point(spec, i) for i in range(len(spec.sweep_values))]
@@ -701,7 +701,7 @@ def test_bounds_draws_match_their_own_generators(monkeypatch, axis, values):
     for unit in units:
         hwiloc.harness._bounds_unit(spec, points, drawn[unit.start : unit.stop])
     means = np.concatenate(
-        [m.reshape(len(points), len(u), *m.shape[1:]) for m, u in zip(fitted, units)],
+        [m.reshape(len(points), len(u), *m.shape[-2:]) for m, u in zip(fitted, units)],
         axis=1,
     )
     for i, value in enumerate(spec.sweep_values):
@@ -716,7 +716,7 @@ def test_bounds_draws_match_their_own_generators(monkeypatch, axis, values):
             model = ProjectionModel.impaired(
                 sys_cfg, block, imp, sample_realization(imp, sys_cfg, rng)
             )
-            npt.assert_array_equal(means[i, r], model.mean(theta))
+            npt.assert_array_equal(means[i, r], dense_mean(model, theta))
 
 
 @pytest.mark.parametrize("axis, values", ALL_AXES)
@@ -795,11 +795,12 @@ def test_bounds_do_not_depend_on_the_tasks(monkeypatch, caplog, axis, values):
     the 5 draws over both points where they share each draw's rotation, one
     task per point otherwise. Draw 3's lb fails at the second point only,
     so a block written to the wrong place in the (point, draw) grid would
-    move its WARNING line. Every layout makes each pair's impaired model
-    once, and none without crb_m1 or lb."""
+    move its WARNING line. Every layout makes one clean and one impaired
+    model stack per task, each over the task's (point, draw) pairs, and no
+    impaired one without crb_m1 or lb."""
     spec = desk_spec(sweep_axis=axis, sweep_values=values, n_realizations="5")
-    real_draws, real_impaired = hwiloc.harness._draws, hwiloc.harness.Draws.impaired
-    impaired = []
+    real_draws, real_build = hwiloc.harness._draws, ProjectionModel.__post_init__
+    built = []
 
     def failing_draws(point, units):
         d = real_draws(point, units)
@@ -807,20 +808,21 @@ def test_bounds_do_not_depend_on_the_tasks(monkeypatch, caplog, axis, values):
             d.cfo[units.indices.index(3)] = np.nan  # a NaN lb mean: its pseudo-true fit fails
         return d
 
-    def counted(self, cfg, r):
-        impaired.append(r)
-        return real_impaired(self, cfg, r)
+    def counted(self):
+        real_build(self)
+        built.append(self.shape)
 
     monkeypatch.setattr("hwiloc.harness._draws", failing_draws)
-    monkeypatch.setattr(hwiloc.harness.Draws, "impaired", counted)
+    monkeypatch.setattr(ProjectionModel, "__post_init__", counted)
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     caplog.set_level(logging.INFO, logger="hwiloc.harness")
 
     def run():
         caplog.clear()
-        impaired.clear()
+        built.clear()
         csv = rows_to_csv(run_bounds_sweep(spec))
-        assert len(impaired) == len(spec.sweep_values) * spec.n_realizations
+        tasks = hwiloc.harness._bounds_tasks(spec)
+        assert sorted(built) == sorted(2 * [(len(points), len(draws)) for points, draws in tasks])
         return csv, [(r.levelname, r.getMessage()) for r in caplog.records]
 
     csv, records = run()
@@ -841,9 +843,28 @@ def test_bounds_do_not_depend_on_the_tasks(monkeypatch, caplog, axis, values):
     ):
         monkeypatch.setattr("hwiloc.harness._bounds_tasks", lambda spec, tasks=tasks: tasks)
         assert run() == (csv, records)
-    impaired.clear()
+    built.clear()
     run_bounds_sweep(replace(spec, outputs=("crb_m2", "peb")))
-    assert impaired == []
+    assert len(built) == len(hwiloc.harness._bounds_tasks(spec))
+
+
+@pytest.mark.parametrize("axis, values", ALL_AXES)
+def test_bounds_build_a_model_stack_per_task_not_per_pair(monkeypatch, axis, values):
+    """A bounds sweep builds at most two link models per task plus one per
+    sweep point, not one per (point, draw) pair: each task's pairs share one
+    clean and one impaired model stack."""
+    spec = desk_spec(sweep_axis=axis, sweep_values=values, n_realizations="4")
+    real_build, built = ProjectionModel.__post_init__, []
+
+    def counted(self):
+        real_build(self)
+        built.append(self.shape)
+
+    monkeypatch.setenv("HWI_LOC_THREADS", "1")
+    monkeypatch.setattr(ProjectionModel, "__post_init__", counted)
+    run_bounds_sweep(spec)
+    tasks = hwiloc.harness._bounds_tasks(spec)
+    assert len(built) <= 2 * len(tasks) + len(spec.sweep_values)
 
 
 def test_bounds_tasks_leave_no_worker_idle(monkeypatch):
@@ -1045,6 +1066,28 @@ def test_cli_duplicate_sweep_values_exit_1_and_write_no_csv(tmp_path, capsys, va
         assert capsys.readouterr().err.splitlines() == [
             "config error: sweep_values must be distinct"
         ]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("pilot_seed", "-1", "pilot_seed and combiner_seed must be non-negative"),
+        ("combiner_seed", "-3", "pilot_seed and combiner_seed must be non-negative"),
+        ("carrier_freq_hz", "1e-300", "carrier frequency is too low"),
+    ],
+)
+def test_cli_bad_link_config_exits_1_and_writes_no_csv(tmp_path, capsys, key, value, message):
+    """A negative pilot or combiner seed, which the generator cannot take,
+    and a carrier frequency whose wavelength c / f overflows are config
+    errors: bounds, estimate and show-config exit 1 with one line and write
+    nothing."""
+    cfg = _desk_cfg(tmp_path, **{key: value})
+    for command in ("bounds", "estimate", "show-config"):
+        out = tmp_path / f"{command}.out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: " + message)
         assert not out.exists()
 
 

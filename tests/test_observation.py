@@ -15,7 +15,6 @@ from hwiloc.impairments import (
 from hwiloc.model import ChannelParams, PilotBlock, SystemConfig, dft_matrix
 from hwiloc.observation import (
     ProjectionModel,
-    impaired_means,
     mu_m1,
     observe,
     phase_rotations,
@@ -167,8 +166,9 @@ def test_rotate_applies_the_dense_sandwich(g, k, cp):
 
 def test_stacked_draws_match_one_draw_at_a_time():
     """Rotations and rotated rows of n stacked realizations are, bit for
-    bit, those of each realization alone; their impaired means match each
-    realization's model within 1e-12 relative."""
+    bit, those of each realization alone, and so are the row matrices and
+    means of their impaired model stack, whose pilots the draws share, and
+    its pulled observations: each equals that realization's own model."""
     cfg = SystemConfig(n_antennas=4, n_transmissions=5, n_subcarriers=32, cp_length=7)
     imp = replace(ImpairmentConfig(), sigma_cfo=0.05)
     blk = PilotBlock.from_config(cfg)
@@ -179,16 +179,18 @@ def test_stacked_draws_match_one_draw_at_a_time():
     rotations = phase_rotations(cfo, pn, cfg)
     v = np.random.default_rng(5).standard_normal((3, 5, 32)) + 0j
     rotated = rotate(v, rotations)
-    rows = blk.combiners @ mc_matrix(imp.coupling, np.array([r.mc_residual for r in reals]), 4)
+    couplings = mc_matrix(imp.coupling, np.array([r.mc_residual for r in reals]), 4)
     sent = transmit_pilots(blk.symbols, imp, cfg)
-    means = impaired_means(th, cfg, rows, sent, rotations)
+    stack = ProjectionModel(cfg, blk.combiners, couplings, sent, rotations)
+    assert stack.shape == (3,)
+    means, pulled = stack.mean(th), stack.pulled_observation(v)
     for i, real in enumerate(reals):
         assert np.array_equal(rotations[i], phase_rotations(real.cfo, real.pn_phases, cfg))
         assert np.array_equal(rotated[i], rotate(v[i], rotations[i]))
         model = ProjectionModel.impaired(cfg, blk, imp, real)
-        assert np.array_equal(rows[i], model.row_matrix)
-        expect = model.mean(th)
-        assert np.abs(means[i] - expect).max() <= 1e-12 * np.abs(expect).max()
+        assert np.array_equal(stack.row_matrix[i], model.row_matrix)
+        assert np.array_equal(means[i], model.mean(th))
+        assert np.array_equal(pulled[i], model.pulled_observation(v[i]))
 
 
 def test_pn_cfo_preserve_per_transmission_energy():
