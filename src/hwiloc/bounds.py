@@ -16,13 +16,14 @@ Three bound families are computed for the uplink localization problem:
   A^-1 B A^-1 plus the squared pseudo-true bias.
 
 Every bound takes the link model (:class:`ProjectionModel`) it needs,
-built by the caller: one (theta, link) pair, or the n links of a stack
-(leading axes flattened) with one theta for all or n, each pair's values
-independent of the stack. Every derivative of a mean is a gain factor
-times a product of its factors, the row gains W C [a, a', a''] and the
-delay phasors (:func:`model_derivatives`), and every bound contracts these
-factors for all pairs at once: the FIM with the pilot moments, A and B
-with one (3, 3) product with the mismatch per pair. A stack's report is
+built by the caller: one (theta, link) pair, theta a
+:class:`~hwiloc.model.ChannelParams`, or the n links of a stack (leading
+axes flattened) with theta one (4,) row for all or (n, 4) rows, each
+pair's values independent of the stack. Every derivative of a mean is a
+gain factor times a product of its factors, the row gains W C [a, a', a'']
+and the delay phasors (:func:`model_derivatives`), and every bound
+contracts these factors for all pairs at once: the FIM with the pilot
+moments, A and B with one (3, 3) product with the mismatch per pair. A stack's report is
 one :class:`BoundsReport` of stacked arrays, and one guarded inverse
 (:func:`_guarded_inverse`) serves the CRBs and the MCRB.
 
@@ -34,13 +35,12 @@ gain_phase] through the chain-rule Jacobian d theta / d s.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .estimation import GRAD_TOLERANCE, INITIAL_STEP_M, Fits, NumericError, fitted_params
+from .estimation import FAILED, GRAD_TOLERANCE, INITIAL_STEP_M, Fits, NumericError, fitted_params
 from .model import (
     SPEED_OF_LIGHT,
     ChannelParams,
@@ -65,8 +65,8 @@ _GRAM = tuple(2 * _FIRST_ORDERS[_LO, k] + _FIRST_ORDERS[_HI, k] for k in (0, 1))
 @dataclass
 class BoundsReport:
     """Bound matrices and scalar summaries of one (theta, model) pair, or of
-    a stack of n pairs: there every array field has a leading axis of n, a
-    scalar is an (n,) array, and theta0 and errors are lists of n.
+    a stack of n pairs: there every field has a leading axis of n, a scalar
+    is an (n,) array, theta0 is (n, 4) rows and errors an (n,) object array.
 
     The matched/clean CRB part is always present; where the CRB is
     undefined (a singular FIM) crb is NaN. The mismatch part (pseudo-true
@@ -81,13 +81,13 @@ class BoundsReport:
     aeb_rad: float | np.ndarray
     deb_s: float | np.ndarray
     peb_m: float | np.ndarray
-    theta0: ChannelParams | list[ChannelParams] | None = None
+    theta0: ChannelParams | np.ndarray | None = None
     mcrb: np.ndarray | None = None  # (..., 4, 4) A^-1 B A^-1 in channel coordinates
     lb_matrix: np.ndarray | None = None  # mcrb plus pseudo-true bias outer product
     lb_aeb_rad: float | np.ndarray | None = None
     lb_deb_s: float | np.ndarray | None = None
     lb_peb_m: float | np.ndarray | None = None
-    errors: list[str | None] | None = None  # why each draw's lb failed, or None
+    errors: str | np.ndarray | None = None  # why each draw's lb failed, or None
 
     @property
     def aeb_deg(self) -> float | np.ndarray:
@@ -100,56 +100,53 @@ class BoundsReport:
     def take(self, index: int | np.ndarray) -> "BoundsReport":
         """The report of one pair of a stack (index an integer), or the
         stack of the pairs at index (an integer array)."""
-
-        def pick(v):
-            if isinstance(v, list):
-                return v[index] if np.ndim(index) == 0 else [v[i] for i in index]
-            return None if v is None else v[index]
-
-        return BoundsReport(**{f.name: pick(getattr(self, f.name)) for f in fields(self)})
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return BoundsReport(**{k: None if v is None else v[index] for k, v in values.items()})
 
 
 # ---------------------------------------------------------------------------
 # the factors of the link mean and the information matrix
 
 
-def _pairs(theta, model: ProjectionModel, sigma_n=1.0) -> tuple[bool, list, np.ndarray]:
-    """(one, thetas, sigmas) of the (theta, link) pairs of a model: one
-    link, or the n links of a stack; theta and sigma_n one for all or n
-    each."""
+def _pairs(theta, model: ProjectionModel, sigma_n=1.0) -> tuple[bool, np.ndarray, np.ndarray]:
+    """(one, params, sigmas) of the (theta, link) pairs of a model: one
+    link, or the n links of a stack; theta a ChannelParams or (4,) row for
+    all, or (n, 4) rows, and sigma_n one for all or n each. params is (n, 4),
+    sigmas (n,)."""
     n = math.prod(model.shape)
-    thetas = [theta] * n if isinstance(theta, ChannelParams) else list(theta)
-    if len(thetas) != n:
-        raise ValueError(f"{len(thetas)} parameters for a stack of {n} links")
+    if isinstance(theta, ChannelParams):
+        theta = theta.as_array()
+    rows = np.reshape(np.asarray(theta, dtype=float), (-1, N_PARAMS))
+    if len(rows) not in (1, n):
+        raise ValueError(f"{len(rows)} parameters for a stack of {n} links")
     sigmas = np.broadcast_to(np.asarray(sigma_n, dtype=float), (n,))
     if not np.all(np.isfinite(sigmas) & (sigmas > 0)):
         raise ValueError("noise std must be positive and finite")
-    return model.shape == (), thetas, sigmas
+    return model.shape == (), np.broadcast_to(rows, (n, N_PARAMS)), sigmas
 
 
-def model_derivatives(thetas, model: ProjectionModel) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of the means of a model's n (theta, link) pairs before
-    their sandwich: the row gains b = W C [a, a', a''], (n, G, 3), each
-    product (W C) v as in :meth:`~hwiloc.observation.FitData.captured_energy`,
-    and the delay phasors d, (n, K), whose j-th delay derivative is
-    ring_powers[:, j] * d. The mean's derivative of orders (i, j, n_amp,
-    n_phase) is :func:`gain_factors` times b[:, i] * ring_powers[:, j] * d
-    * x~; M_g, unitary and theta-free, multiplies it on the impaired chain."""
+def model_derivatives(params: np.ndarray, model: ProjectionModel) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of the means of a model's n (theta, link) pairs, with
+    params their (n, 4) rows, before their sandwich: the row gains b = W C
+    [a, a', a''], (n, G, 3), each product (W C) v as in
+    :meth:`~hwiloc.observation.FitData.captured_energy`, and the delay
+    phasors d, (n, K), whose j-th delay derivative is ring_powers[:, j] * d.
+    The mean's derivative of orders (i, j, n_amp, n_phase) is
+    :func:`gain_factors` times b[:, i] * ring_powers[:, j] * d * x~; M_g,
+    unitary and theta-free, multiplies it on the impaired chain."""
     rows = model.row_matrix.reshape(-1, *model.combiners.shape)  # (n, G, N)
-    aoa = np.array([t.aoa for t in thetas])[:, None]
-    steer = np.stack(steering_derivatives(aoa, rows.shape[-1]), axis=-1)  # (n, N, 3)
-    delays = np.array([t.delay for t in thetas])[:, None]
-    return rows @ steer, np.exp(model.ring_powers[:, 1] * delays)
+    steer = np.stack(steering_derivatives(params[:, :1], rows.shape[-1]), axis=-1)  # (n, N, 3)
+    return rows @ steer, np.exp(model.ring_powers[:, 1] * params[:, 1:2])
 
 
-def gain_factors(thetas: Sequence[ChannelParams], orders: np.ndarray) -> np.ndarray:
-    """Derivatives of alpha = gain_amp * exp(-1j*gain_phase) of n thetas,
-    (n, ...), of orders (..., 4) in (aoa, delay, amp, phase): (gain_amp, 1,
-    0)[n_amp] * (1, -1j, -1)[n_phase] * exp(-1j*gain_phase), read from tables
-    so the amp-amp factor is exactly zero."""
-    amp = np.array([[t.gain_amp, 1.0, 0.0] for t in thetas])[:, orders[..., 2]]
+def gain_factors(params: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Derivatives of alpha = gain_amp * exp(-1j*gain_phase) of n (n, 4)
+    rows params, (n, ...), of orders (..., 4) in (aoa, delay, amp, phase):
+    (gain_amp, 1, 0)[n_amp] * (1, -1j, -1)[n_phase] * exp(-1j*gain_phase),
+    read from tables so the amp-amp factor is exactly zero."""
+    amp = np.stack(np.broadcast_arrays(params[:, 2], 1.0, 0.0), axis=-1)[:, orders[..., 2]]
     phase = np.array([1.0, -1j, -1.0])[orders[..., 3]]
-    rotation = np.exp(-1j * np.array([t.gain_phase for t in thetas]))
+    rotation = np.exp(-1j * params[:, 3])
     return amp * phase * rotation.reshape((-1,) + (1,) * phase.ndim)
 
 
@@ -157,10 +154,11 @@ def mean_derivatives(theta: ChannelParams, model: ProjectionModel, orders: np.nd
     """Derivatives of orders (..., 4) of one link's mean before its sandwich,
     (..., G, K), from the factors as :func:`model_derivatives` says: what the
     bounds contract without forming, for `validate` to check."""
-    b, d = model_derivatives([theta], model)
+    params = theta.as_array()[None]
+    b, d = model_derivatives(params, model)
     delays = (model.ring_powers * d[0][:, None]).T  # (3, K)
     table = b[0].T[:, None, :, None] * (delays[None, :, None, :] * model.eff_pilots)
-    return gain_factors([theta], orders)[0][..., None, None] * table[orders[..., 0], orders[..., 1]]
+    return gain_factors(params, orders)[0][..., None, None] * table[orders[..., 0], orders[..., 1]]
 
 
 def fim(theta, model, sigma_n) -> np.ndarray:
@@ -178,10 +176,10 @@ def fim(theta, model, sigma_n) -> np.ndarray:
     matrices are legitimate (e.g. a single antenna carries no angle
     information) and are returned as-is.
     """
-    one, thetas, sigmas = _pairs(theta, model, sigma_n)
-    b = model_derivatives(thetas, model)[0]
+    one, params, sigmas = _pairs(theta, model, sigma_n)
+    b = model_derivatives(params, model)[0]
     n, g = b.shape[:2]
-    c = gain_factors(thetas, _FIRST_ORDERS)  # (n, 4)
+    c = gain_factors(params, _FIRST_ORDERS)  # (n, 4)
     moments = model.pilot_moments.reshape(n, g, 4)
     pairs = (b[..., :2, None].conj() * b[..., None, :2]).reshape(n, g, 4)
     gram = pairs.swapaxes(-1, -2) @ moments  # [2 p_i + p_j, 2 q_i + q_j], (n, 4, 4)
@@ -190,20 +188,15 @@ def fim(theta, model, sigma_n) -> np.ndarray:
     return info[0] if one else info
 
 
-def _params(thetas: Sequence[ChannelParams]) -> np.ndarray:
-    """n thetas as one (n, 4) array."""
-    return np.array([t.as_array() for t in thetas])
-
-
-def jacobian_state(thetas: Sequence[ChannelParams]) -> np.ndarray:
-    """Chain-rule Jacobians J[i, j] = d theta_i / d s_j of n thetas,
-    (n, 4, 4).
+def jacobian_state(params: np.ndarray) -> np.ndarray:
+    """Chain-rule Jacobians J[i, j] = d theta_i / d s_j of n (n, 4) rows
+    params, (n, 4, 4).
 
     With p = c*delay*(cos aoa, sin aoa):
         d aoa / d p   = (-sin aoa, cos aoa) / (c*delay)
         d delay / d p = (cos aoa, sin aoa) / c
     """
-    aoa, tau = _params(thetas)[:, :2].T
+    aoa, tau = np.asarray(params, dtype=float)[:, :2].T
     if np.any(tau <= 0):
         raise ValueError("delay must be positive")
     c, sa, ca = SPEED_OF_LIGHT, np.sin(aoa), np.cos(aoa)
@@ -269,10 +262,10 @@ def _crb_reports(info: np.ndarray, theta, model) -> BoundsReport:
     diagonal would be rounding: its scalar and the peb are inf. Its
     derivative of the mean is a complex multiple of the mean, which the gain
     pair absorbs, so the other coordinate's bound stands."""
-    one, thetas, _ = _pairs(theta, model)
+    one, params, _ = _pairs(theta, model)
     info = info.reshape(-1, N_PARAMS, N_PARAMS)
     cov = _guarded_inverse(info, flat_coordinates(model.cfg))
-    t = np.linalg.inv(jacobian_state(thetas))
+    t = np.linalg.inv(jacobian_state(params))
     crb = t @ cov @ t.swapaxes(-1, -2)
     variances = (cov[:, 0, 0], cov[:, 1, 1], np.trace(crb[:, :2, :2], axis1=1, axis2=2))
     report = BoundsReport(info, crb, *map(root_bound, variances))
@@ -296,7 +289,7 @@ def fim_m1_numeric(theta, impaired, sigma_n) -> np.ndarray:
 
     It is closed form, as :func:`crb_m1_numeric` is; both keep their names
     only because perfbench/tracer.py wraps them by name."""
-    if any(t.delay <= 0 for t in _pairs(theta, impaired, sigma_n)[1]):
+    if np.any(_pairs(theta, impaired, sigma_n)[1][:, 1] <= 0):
         raise ValueError("delay must be positive")
     return fim(theta, impaired, sigma_n)
 
@@ -434,51 +427,48 @@ def _descend(data: FitData, starts: np.ndarray) -> Fits:
 
 
 def pseudo_true(
-    theta_bar: ChannelParams | Sequence[ChannelParams],
-    clean: ProjectionModel,
-    ybar: np.ndarray,
-) -> ChannelParams | tuple[list[ChannelParams | None], Fits]:
+    theta_bar: ChannelParams | np.ndarray, clean: ProjectionModel, ybar: np.ndarray
+) -> ChannelParams | tuple[np.ndarray, Fits]:
     """Parameter the mismatched receiver converges to without noise.
 
     Minimizes the clean model's projection objective against the noise-free
     impaired mean ybar at theta_bar, descending from the true parameter
     (the mismatch offsets are small, so the global basin is the local one).
-    The gain pair comes from the plug-in estimate at the refined position;
-    its phase is unwrapped to the branch nearest the true phase so
-    downstream bias terms stay wrap-free.
+    The gain pair comes from the plug-in estimate at the refined position
+    (:func:`~hwiloc.estimation.fitted_params`); its phase is unwrapped to
+    the branch nearest the true phase so downstream bias terms stay
+    wrap-free.
 
     For one draw, clean is its link and ybar its mean; returns the
     pseudo-true, or raises NumericError if the fit fails. The R links of a
     clean stack are fitted together in one descent (:func:`_descend`), with
-    ybar their R means and theta_bar one true parameter for all or R:
-    returns the R pseudo-trues, None for a failed fit, and the descent's
-    :class:`~hwiloc.estimation.Fits`, whose stops and errors say how each
-    fit ended. One draw is a batch of one.
+    ybar their R means and theta_bar one true parameter for all or (R, 4)
+    rows: returns the R pseudo-trues as (R, 4) rows, NaN for a failed fit,
+    and the descent's :class:`~hwiloc.estimation.Fits`, whose stops and
+    errors say how each fit ended. One draw is a batch of one.
     """
-    one, thetas, _ = _pairs(theta_bar, clean)
+    one, params, _ = _pairs(theta_bar, clean)
     ybar = np.reshape(ybar, clean.shape + clean.eff_pilots.shape[-2:])
-    data = FitData.empty(clean.cfg, len(thetas))
+    data = FitData.empty(clean.cfg, len(params))
     data.put(0, clean.row_matrix, clean.eff_pilots, clean.pulled_observation(ybar))
-    fits = _descend(data, params_to_positions(_params(thetas)))
+    fits = _descend(data, params_to_positions(params))
     del data  # freed before the gains' means are formed
     # a failed fit's gain is taken at its start, and dropped
-    failed = np.array([[error is not None] for error in fits.errors])
-    fitted = fitted_params(ybar, clean, np.where(failed, fits.starts, fits.positions))
-    params: list[ChannelParams | None] = [None] * len(thetas)
-    for i in np.flatnonzero(~failed):
-        phase = thetas[i].gain_phase + _wrap_phase(fitted[i].gain_phase - thetas[i].gain_phase)
-        params[i] = replace(fitted[i], gain_phase=float(phase))
+    failed = fits.stops == FAILED
+    fitted = fitted_params(ybar, clean, np.where(failed[:, None], fits.starts, fits.positions))
+    fitted[:, 3] = params[:, 3] + _wrap_phase(fitted[:, 3] - params[:, 3])
+    fitted[failed] = np.nan
     if not one:
-        return params, fits
-    if params[0] is None:
+        return fitted, fits
+    if failed[0]:
         raise NumericError(fits.errors[0])
-    return params[0]
+    return ChannelParams.from_array(fitted[0])
 
 
-def mismatch_matrices(thetas, model, ybars, sigmas) -> tuple[np.ndarray, np.ndarray]:
+def mismatch_matrices(params, model, ybars, sigmas) -> tuple[np.ndarray, np.ndarray]:
     """The matrices A and B, each (n, 4, 4), of a model's n (theta, link)
-    pairs with data means ybars, (n, G, K) or of the stack's shape, and
-    noise stds sigmas, eps = ybar - mean:
+    pairs with (n, 4) rows params, data means ybars, (n, G, K) or of the
+    stack's shape, and noise stds sigmas, eps = ybar - mean:
 
         A_ij = (2/sigma^2) Re<d2 mu_ij, eps> - I_ij,
         B_ij = (4/sigma^4) Re<d mu_i, eps> Re<d mu_j, eps> + I_ij,
@@ -489,10 +479,10 @@ def mismatch_matrices(thetas, model, ybars, sigmas) -> tuple[np.ndarray, np.ndar
     <b^(i) r^j d x~, eps> = conj(S_ij). No (n, G, K, 3) array is formed.
     """
     sigmas = np.asarray(sigmas, dtype=float)
-    b, d = model_derivatives(thetas, model)  # (n, G, 3), (n, K)
+    b, d = model_derivatives(params, model)  # (n, G, 3), (n, K)
     lead, (g, k) = model.shape, model.eff_pilots.shape[-2:]
     x = model.eff_pilots
-    gains = np.reshape([t.gain for t in thetas], (*lead, 1, 1))
+    gains = np.reshape(params[:, 2] * np.exp(-1j * params[:, 3]), (*lead, 1, 1))
     # the means, then eps, then conj(x~) * eps, all in one (n, G, K) array
     eps = d.reshape(*lead, 1, k) * x
     np.multiply(b.reshape(*lead, g, 3)[..., :1], eps, out=eps)
@@ -501,11 +491,11 @@ def mismatch_matrices(thetas, model, ybars, sigmas) -> tuple[np.ndarray, np.ndar
     np.multiply(np.conj(x), eps, out=eps)
     delay = model.ring_powers * d[:, :, None]  # (n, K, 3)
     s = b.conj().swapaxes(-1, -2) @ (eps.reshape(-1, g, k) @ delay.conj())
-    c = gain_factors(thetas, _FIRST_ORDERS)
-    c2 = gain_factors(thetas, _SECOND_ORDERS)
+    c = gain_factors(params, _FIRST_ORDERS)
+    c2 = gain_factors(params, _SECOND_ORDERS)
     score = (c.conj() * s[:, _FIRST_ORDERS[:, 0], _FIRST_ORDERS[:, 1]]).real  # (n, 4)
     curv = (c2.conj() * s[:, _SECOND_ORDERS[..., 0], _SECOND_ORDERS[..., 1]]).real
-    info = fim(thetas, model, sigmas)
+    info = fim(params, model, sigmas)
     a_mat = (2.0 / sigmas**2)[:, None, None] * curv - info
     b_mat = (4.0 / sigmas**4)[:, None, None] * (score[:, :, None] * score[:, None, :]) + info
     return a_mat, b_mat
@@ -528,29 +518,28 @@ def mismatch_report(theta_bar, theta0, clean, ybar, sigma_n, clean_crb) -> Bound
     at theta_bar (:func:`crb_m2_report`), for inflation ratios. A coordinate
     that the link cannot identify is left out (:func:`mismatch_covariance`).
 
-    The n draws of a clean stack take sequences of n theta0, their means
-    and clean_crb's stacked report (theta_bar and sigma_n may be one for
-    all) and give a stacked report: a draw whose bound failed (a singular A,
+    The n draws of a clean stack take (n, 4) rows theta0, their means and
+    clean_crb's stacked report (theta_bar and sigma_n may be one for all)
+    and give a stacked report: a draw whose bound failed (a singular A,
     a non-finite A or B) has NaN mismatch fields and its reason in errors.
     One draw raises NumericError with its reason.
     """
-    one, theta_bars, sigmas = _pairs(theta_bar, clean, sigma_n)
-    theta0s = [theta0] if one else list(theta0)
-    a_mat, b_mat = mismatch_matrices(theta0s, clean, ybar, sigmas)
+    one, bar, sigmas = _pairs(theta_bar, clean, sigma_n)
+    est = _pairs(theta0, clean)[1]
+    a_mat, b_mat = mismatch_matrices(est, clean, ybar, sigmas)
     mcrb = mismatch_covariance(a_mat, b_mat, flat_coordinates(clean.cfg))
     finite = np.isfinite(a_mat).all(axis=(1, 2)) & np.isfinite(b_mat).all(axis=(1, 2))
     singular = np.isnan(mcrb).all(axis=(1, 2))
     singular_or_none = np.where(singular, "curvature matrix A is singular", None)
-    errors = np.where(finite, singular_or_none, "curvature or score matrix is non-finite").tolist()
+    errors = np.where(finite, singular_or_none, "curvature or score matrix is non-finite")
     if one and errors[0] is not None:
         raise NumericError(errors[0])
     failed = ~finite | singular
     mcrb[failed] = np.nan
-    bar, est = _params(theta_bars), _params(theta0s)
     bias = bar - est
     bias[:, 3] = _wrap_phase(bias[:, 3])
     total = mcrb + bias[:, :, None] * bias[:, None, :]
-    t = np.linalg.inv(jacobian_state(theta0s)[:, :2, :2])
+    t = np.linalg.inv(jacobian_state(est)[:, :2, :2])
     pos_cov = t @ mcrb[:, :2, :2] @ t.swapaxes(-1, -2)
     offset = np.sum((params_to_positions(bar) - params_to_positions(est)) ** 2, axis=-1)
     aeb, deb, peb = (
@@ -558,11 +547,11 @@ def mismatch_report(theta_bar, theta0, clean, ybar, sigma_n, clean_crb) -> Bound
         for v in (total[:, 0, 0], total[:, 1, 1], np.trace(pos_cov, axis1=1, axis2=2) + offset)
     )
     mismatch = dict(
-        theta0=theta0s, mcrb=mcrb, lb_matrix=total, lb_aeb_rad=aeb, lb_deb_s=deb, lb_peb_m=peb,
+        theta0=est, mcrb=mcrb, lb_matrix=total, lb_aeb_rad=aeb, lb_deb_s=deb, lb_peb_m=peb,
         errors=errors,
     )
     if one:
-        mismatch = {name: v[0] for name, v in mismatch.items()}
+        mismatch = {name: v[0] for name, v in mismatch.items()} | {"theta0": theta0}
     return replace(clean_crb, **mismatch)
 
 

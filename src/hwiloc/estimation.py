@@ -44,7 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SPEED_OF_LIGHT, ChannelParams, SystemConfig
+from .model import (
+    SPEED_OF_LIGHT, ChannelParams, SystemConfig, polar_to_positions, positions_to_polar
+)
 from .observation import FitData, ProjectionModel, ScanGrid
 
 # scanned ranges, metres
@@ -132,8 +134,7 @@ class Fits:
 
     def settle(self, index: np.ndarray, pos: np.ndarray, objective: np.ndarray, stop: str) -> None:
         """Record fits that stopped at polar positions pos = (aoa, range), (2, k)."""
-        aoa, rng = pos
-        self.positions[index] = (rng * np.array([np.cos(aoa), np.sin(aoa)])).T
+        self.positions[index] = polar_to_positions(*pos)
         self.objectives[index] = objective
         self.stops[index] = stop
 
@@ -154,16 +155,6 @@ class Fits:
             getattr(self, name)[index] = getattr(other, name)
         for i, message in zip(index, other.errors):
             self.errors[i] = message
-
-
-def plug_in_gain(y: np.ndarray, eta: np.ndarray) -> complex:
-    """Closed-form gain estimate eta^H y / ||eta||^2 given a position."""
-    y = np.asarray(y).ravel()
-    eta = np.asarray(eta).ravel()
-    ee = np.vdot(eta, eta).real
-    if ee <= 0.0:
-        raise ValueError("eta must be non-zero")
-    return complex(np.vdot(eta, y) / ee)
 
 
 def scan_limit_m(subcarrier_spacing_hz: float) -> float:
@@ -237,8 +228,7 @@ def grid_search(
         if not math.isfinite(top[i]):
             failed[i] |= not np.isfinite(captured).any()
     ia, ir = np.divmod(best, n_r)
-    aoas = grid.aoas[ia]
-    positions = grid.ranges_m[ir, None] * np.stack((np.cos(aoas), np.sin(aoas)), axis=1)
+    positions = polar_to_positions(grid.aoas[ia], grid.ranges_m[ir])
     objectives = yy - top
     positions[failed], objectives[failed] = np.nan, np.nan
     if single:
@@ -289,7 +279,7 @@ def refine(data: FitData, starts: np.ndarray, est: EstimatorConfig) -> Fits:
         out.fail(ids[~usable], "observation energy must be positive and finite")
         ids, data = ids[usable], data.take(usable)
     # per active fit: pos = (aoa, range), val = (f, g_a, g_r, h_aa, h_ar, h_rr)
-    pos = np.array([np.arctan2(starts[ids, 1], starts[ids, 0]), np.hypot(*starts[ids].T)])
+    pos = np.array(positions_to_polar(starts[ids]))
     val = _normalized(data, *pos)
     ok = np.isfinite(val[0])
     if not ok.all():
@@ -363,21 +353,24 @@ def refine(data: FitData, starts: np.ndarray, est: EstimatorConfig) -> Fits:
     return out
 
 
-def fitted_params(
-    y: np.ndarray, model: ProjectionModel, position: np.ndarray
-) -> ChannelParams | list[ChannelParams]:
-    """Channel parameters of a fitted position: its (aoa, delay) and the
-    plug-in gain of y against the model's mean there; for a stack of n
-    links, of n positions, (n, 2), and observations, (n, G, K)."""
-    position = np.asarray(position, dtype=float)
-    polar = [
-        (float(np.arctan2(py, px)), float(np.hypot(px, py)) / SPEED_OF_LIGHT)
-        for px, py in position.reshape(-1, 2)
-    ]
-    etas = model.eta(*(np.reshape(v, model.shape) for v in zip(*polar))).reshape(len(polar), -1)
-    gains = [plug_in_gain(obs, eta) for obs, eta in zip(np.reshape(y, etas.shape), etas)]
-    out = [ChannelParams(*at, abs(a), float(-np.angle(a))) for at, a in zip(polar, gains)]
-    return out[0] if position.ndim == 1 else out
+def fitted_params(y: np.ndarray, model: ProjectionModel, position: np.ndarray) -> np.ndarray:
+    """Channel parameters of fitted positions, (..., 4) rows (aoa, delay,
+    gain_amp, gain_phase): the (aoa, delay) of each position, (..., 2), and
+    the plug-in gain eta^H y / ||eta||^2 of its observation y against the
+    model's mean eta there; one link's position is (2,), a stack of n links'
+    positions (n, 2) with observations (n, G, K). Each link's row rounds as
+    it would alone."""
+    aoa, rng = positions_to_polar(position)
+    delay = rng / SPEED_OF_LIGHT
+    etas = model.eta(np.reshape(aoa, model.shape), np.reshape(delay, model.shape))
+    etas = etas.reshape(-1, 1, etas.shape[-2] * etas.shape[-1])  # (n, 1, G K)
+    conj = np.conjugate(etas)
+    # one (1, G K) by (G K, 1) product per link, the dot product of np.vdot
+    ee = (conj @ etas.swapaxes(-1, -2)).real[:, 0, 0]
+    if np.any(ee <= 0.0):
+        raise ValueError("eta must be non-zero")
+    gains = ((conj @ np.reshape(y, etas.shape).swapaxes(-1, -2))[:, 0, 0] / ee).reshape(aoa.shape)
+    return np.stack([aoa, delay, np.hypot(gains.real, gains.imag), -np.angle(gains)], axis=-1)
 
 
 class TrialBatch:
@@ -441,7 +434,7 @@ def _estimate(y: np.ndarray, model: ProjectionModel, est: EstimatorConfig | None
         raise NumericError(fit.errors[0])
     position = fit.positions[0]
     return Estimate(
-        params=fitted_params(y, model, position),
+        params=ChannelParams.from_array(fitted_params(y, model, position)),
         position=position,
         objective=float(fit.objectives[0]),
         stop=str(fit.stops[0]),

@@ -31,8 +31,10 @@ of a point into one batch and fits them all in one Newton fit.
 
 Determinism: every random draw derives from
 SeedSequence((master_seed, draw_index, stream_tag)), so output is
-byte-identical across runs, worker counts, bounds tasks and platforms. The
-axis value is deliberately left out of the seed: sweep points share each
+byte-identical across runs, worker counts and bounds task layouts; the
+tests check this on one machine with one numpy/BLAS build (BLAS builds
+round differently, so no cross-platform identity is claimed). The axis
+value is deliberately left out of the seed: sweep points share each
 index's units (common random numbers), so a sweep compares the same
 hardware and noise scaled to different levels and its mean curves are
 paired rather than independently noisy. A process pool capped by the
@@ -87,7 +89,7 @@ from .model import (
     generate_pilots,
     geometric_params,
     noise_std,
-    params_to_state,
+    params_to_positions,
 )
 from .observation import (
     ProjectionModel,
@@ -344,22 +346,23 @@ def _bounds_unit(
     draws = [_draws(point, units) for point in points]
     first = points[0]
     shape = (len(points), len(units.indices))
-    thetas = [point.theta for point in points for _ in units.indices]
+    # the pairs' (p n, 4) rows: each point's true parameter, repeated over its draws
+    truths = np.array([point.theta.as_array() for point in points])
+    params = np.repeat(truths, shape[1], axis=0)
     sigmas = np.repeat([noise_std(point.sys_cfg) for point in points], shape[1])
     # off the amplifier axis a point's (G, K) pilots serve all its draws: (p, 1, G, K)
     shared = units.pilots is None
     scalars: dict[str, np.ndarray] = {}
-    errors = np.full(len(thetas), None, dtype=object)
+    errors = np.full(len(params), None, dtype=object)
     stops = errors.copy()
     if {"lb", "crb_m1"} & set(families):
         couplings = np.stack([d.couplings for d in draws])
         sent = np.stack([p.sent[None] for p in points] if shared else [d.sent for d in draws])
         impaired = ProjectionModel(first.sys_cfg, first.combiners, couplings, sent)
         if "crb_m1" in families:
-            scalars["crb_m1"] = _bound_scalars("crb_m1", crb_m1_numeric(thetas, impaired, sigmas))
+            scalars["crb_m1"] = _bound_scalars("crb_m1", crb_m1_numeric(params, impaired, sigmas))
         if "lb" in families:
-            aoa, delay = ([[getattr(p.theta, k)] for p in points] for k in ("aoa", "delay"))
-            means = impaired.unrotated(aoa, delay)  # (p, n, G, K)
+            means = impaired.unrotated(truths[:, :1], truths[:, 1:2])  # (p, n, G, K)
         # the stacks are freed before the sandwiches, and the clean one is
         # built after them: held over them, they raised full.cfg's peak
         # allocation by 0.3 MB
@@ -382,18 +385,18 @@ def _bounds_unit(
         lead = (1, shape[1]) if shared else (shape[0], 1)
         known = np.broadcast_to(first.known, lead + first.known.shape)
         clean = ProjectionModel(first.sys_cfg, first.combiners, known, pilots)
-        crbs = crb_m2_report(thetas, clean, sigmas)
+        crbs = crb_m2_report(params, clean, sigmas)
         if "crb_m2" in families:
             scalars["crb_m2"] = _bound_scalars("crb_m2", crbs)
     if "lb" in families:
-        theta0s, fits = pseudo_true(thetas, clean, means)
+        theta0s, fits = pseudo_true(params, clean, means)
         stops[:], errors[:] = fits.stops, fits.errors
-        fitted = np.array([theta0 is not None for theta0 in theta0s])
+        fitted = ~np.isnan(theta0s[:, 0])
         # a pair whose fit failed takes its true parameter here; its lb is dropped
-        theta0s = [t0 if t0 is not None else t for t0, t in zip(theta0s, thetas)]
-        rep = mismatch_report(thetas, theta0s, clean, means, sigmas, crbs)
+        theta0s = np.where(fitted[:, None], theta0s, params)
+        rep = mismatch_report(params, theta0s, clean, means, sigmas, crbs)
         scalars["lb"] = np.where(fitted[:, None], _bound_scalars("lb", rep), np.nan)
-        errors[fitted] = np.array(rep.errors, dtype=object)[fitted]
+        errors[fitted] = rep.errors[fitted]
     blocks = {f: v.reshape(*shape, 3) for f, v in scalars.items()}
     return blocks, errors.reshape(shape), stops.reshape(shape)
 
@@ -495,7 +498,7 @@ def _fit_point(
 def _trials_point(spec: ExperimentSpec, axis_index: int, units: Units) -> list[ResultRow]:
     point = _point(spec, axis_index)
     value = point.value
-    p_true = params_to_state(point.theta).position
+    p_true = params_to_positions(point.theta.as_array())
     metrics = [m for m in ESTIMATOR_METRICS if m in spec.outputs]
     fits = _fit_point(spec, point, units, metrics, EstimatorConfig())
     squared: dict[str, np.ndarray] = {}

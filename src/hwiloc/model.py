@@ -17,7 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -131,44 +131,18 @@ class ChannelParams:
         return ChannelParams(*(float(v) for v in np.asarray(theta)))
 
 
-@dataclass
-class UeState:
-    """Positional parameter vector s = [p_x, p_y, gain_amp, gain_phase]."""
-
-    position: np.ndarray  # shape (2,), metres
-    gain_amp: float
-    gain_phase: float
-
-    def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=float)
-        if self.position.shape != (2,):
-            raise ValueError("position must be a 2-vector")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.position[0], self.position[1], self.gain_amp, self.gain_phase]
-        )
+def polar_to_positions(aoa, range_m) -> np.ndarray:
+    """Positions range_m * (cos aoa, sin aoa), (..., 2), of polar coordinates
+    aoa and range_m, both (...)."""
+    return np.asarray(range_m)[..., None] * np.stack([np.cos(aoa), np.sin(aoa)], axis=-1)
 
 
-def state_to_params(state: UeState) -> ChannelParams:
-    """Map positional parameters to channel parameters.
-
-    aoa = atan2(p_y, p_x), delay = |p| / c; the gain pair passes through.
-    The position must lie strictly in the array's front half-plane
-    (p_x > 0) so the angle stays inside the unambiguous sector.
-    """
-    px, py = float(state.position[0]), float(state.position[1])
-    rng = float(np.hypot(px, py))
-    if rng <= 0.0:
-        raise ValueError("position must be away from the array origin")
-    if px <= 0.0:
-        raise ValueError("position must lie in the front half-plane (p_x > 0)")
-    return ChannelParams(
-        aoa=float(np.arctan2(py, px)),
-        delay=rng / SPEED_OF_LIGHT,
-        gain_amp=state.gain_amp,
-        gain_phase=state.gain_phase,
-    )
+def positions_to_polar(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The polar coordinates (aoa, range) = (atan2(p_y, p_x), |p|), each
+    (...), of positions (..., 2): the inverse of :func:`polar_to_positions`,
+    and with delay = range / c of :func:`params_to_positions`."""
+    px, py = np.moveaxis(np.asarray(positions, dtype=float), -1, 0)
+    return np.arctan2(py, px), np.hypot(px, py)
 
 
 def params_to_positions(params: np.ndarray) -> np.ndarray:
@@ -177,16 +151,7 @@ def params_to_positions(params: np.ndarray) -> np.ndarray:
     aoa, delay = np.moveaxis(np.asarray(params, dtype=float)[..., :2], -1, 0)
     if np.any(delay <= 0):
         raise ValueError("delay must be positive to place the user")
-    return (SPEED_OF_LIGHT * delay)[..., None] * np.stack([np.cos(aoa), np.sin(aoa)], axis=-1)
-
-
-def params_to_state(params: ChannelParams) -> UeState:
-    """Inverse of :func:`state_to_params` (:func:`params_to_positions`)."""
-    return UeState(
-        position=params_to_positions(params.as_array()),
-        gain_amp=params.gain_amp,
-        gain_phase=params.gain_phase,
-    )
+    return polar_to_positions(aoa, SPEED_OF_LIGHT * delay)
 
 
 def steering_vector(aoa: float, n_antennas: int) -> np.ndarray:
@@ -240,12 +205,21 @@ def geometric_params(position: np.ndarray, gain_phase: float, cfg: SystemConfig)
     """Channel parameters of a user at `position` with free-space path gain.
 
     The gain amplitude follows from the geometry (wavelength over 4*pi times
-    the path length); only the phase is free.
+    the path length); only the phase is free. The position must lie away
+    from the array and strictly in its front half-plane (p_x > 0), so the
+    angle stays inside the unambiguous sector.
     """
-    st = UeState(position=np.asarray(position, dtype=float), gain_amp=0.0, gain_phase=gain_phase)
-    th = state_to_params(st)
-    alpha = gain_from_geometry(th.delay, cfg.wavelength_m, gain_phase)
-    return ChannelParams(aoa=th.aoa, delay=th.delay, gain_amp=abs(alpha), gain_phase=gain_phase)
+    position = np.asarray(position, dtype=float)
+    if position.shape != (2,):
+        raise ValueError("position must be a 2-vector")
+    aoa, rng = positions_to_polar(position)
+    if rng <= 0.0:
+        raise ValueError("position must be away from the array origin")
+    if position[0] <= 0.0:
+        raise ValueError("position must lie in the front half-plane (p_x > 0)")
+    delay = float(rng) / SPEED_OF_LIGHT
+    alpha = gain_from_geometry(delay, cfg.wavelength_m, gain_phase)
+    return ChannelParams(aoa=float(aoa), delay=delay, gain_amp=abs(alpha), gain_phase=gain_phase)
 
 
 @lru_cache(maxsize=16)

@@ -97,11 +97,17 @@ def rotate(v: np.ndarray, rotation: np.ndarray) -> np.ndarray:
 
     F is the unitary DFT of :func:`~hwiloc.model.dft_matrix`, so F v is
     fft(v, norm="ortho") and F^H v its inverse: K log K work per row
-    against K^2 for a (K, K) sandwich, and none to build it.
+    against K^2 for a (K, K) sandwich, and none to build it. Each row rounds
+    as it would alone, whatever the stack's size.
     """
     from numpy import fft  # loaded on first use: the bounds sweep never needs it
 
-    return fft.fft(rotation * fft.ifft(v, norm="ortho"), norm="ortho")
+    t = fft.ifft(np.broadcast_to(v, np.broadcast_shapes(v.shape, rotation.shape)), norm="ortho")
+    # written into t: a complex product rounds by its operand order, and
+    # numpy's temporary elision turns rotation * tmp into tmp *= rotation
+    # once tmp reaches 256 KiB, so the stack's size would pick the order
+    np.multiply(rotation, t, out=t)
+    return fft.fft(t, norm="ortho")
 
 
 def sandwich_matrices(rotation: np.ndarray) -> np.ndarray:
@@ -229,8 +235,10 @@ class ProjectionModel:
         return v if self.rotation is None else rotate(v, self.rotation)
 
     def mean(self, theta: ChannelParams) -> np.ndarray:
-        """Noise-free means at theta, (..., G, K): gain times :meth:`eta`."""
-        return theta.gain * self.eta(theta.aoa, theta.delay)
+        """Noise-free means at theta, (..., G, K): gain times :meth:`eta`, in
+        place, so a stack rounds as its links at any size (see :func:`rotate`)."""
+        eta = self.eta(theta.aoa, theta.delay)
+        return np.multiply(theta.gain, eta, out=eta)
 
     # -- objective machinery ------------------------------------------------
 
@@ -358,6 +366,7 @@ class FitData:
         self.rows[index].reshape(*lead, *self.rows.shape[1:])[...] = rows
         self.energies[index].reshape(*lead, g)[...] = np.sum(np.abs(pilots) ** 2, axis=-1)
         np.multiply(np.conj(pilots), u, out=self.w[index].reshape(u.shape))
+        # kept until ROADMAP item 1: a vectorized sum moved full.cfg lb_deb min at 40 dBm by 7.1e-6
         self.yy[index] = [np.vdot(v, v).real for v in u.reshape(-1, g, k)]
 
     def take(self, index: np.ndarray) -> "FitData":

@@ -24,7 +24,7 @@ from .model import (
     SystemConfig,
     geometric_params,
     noise_std,
-    params_to_state,
+    params_to_positions,
 )
 from .observation import ProjectionModel
 
@@ -48,10 +48,8 @@ def _check_mismatch_free_degeneration() -> str:
         cfg, block, ImpairmentConfig.neutral(), ImpairmentRealization.neutral(cfg)
     )
     rep = lb_report(theta, ProjectionModel.clean(cfg, block), impaired, noise_std(cfg))
-    drift = np.max(
-        np.abs(rep.theta0.as_array() - theta.as_array())
-        / np.maximum(np.abs(theta.as_array()), 1e-300)
-    )
+    t = theta.as_array()
+    drift = np.max(np.abs(rep.theta0.as_array() - t) / np.maximum(np.abs(t), 1e-300))
     _require(drift < 1e-8, f"pseudo-true drift {drift:.3e} exceeds 1e-8")
     for name, lb, crb in (
         ("aeb", rep.lb_aeb_rad, rep.aeb_rad),
@@ -79,19 +77,13 @@ def _check_derivative_consistency() -> str:
         t = theta.as_array()
         first = mean_derivatives(theta, model, eye)
         second = mean_derivatives(theta, model, eye[:, None] + eye[None, :])
-        steps = [1e-6 * max(abs(t[0]), 1.0), 1e-6 * t[1], 1e-6 * t[2], 1e-6]
-        for i in range(4):
-            tp, tm = t.copy(), t.copy()
-            tp[i] += steps[i]
-            tm[i] -= steps[i]
-            fd1 = (
-                model.mean(ChannelParams.from_array(tp)) - model.mean(ChannelParams.from_array(tm))
-            ) / (2 * steps[i])
+        steps = np.diag([1e-6 * max(abs(t[0]), 1.0), 1e-6 * t[1], 1e-6 * t[2], 1e-6])
+        for i, step in enumerate(steps):
+            tp, tm = ChannelParams.from_array(t + step), ChannelParams.from_array(t - step)
+            fd1 = (model.mean(tp) - model.mean(tm)) / (2 * step[i])
             worst = max(worst, np.linalg.norm(fd1 - first[i]) / np.linalg.norm(first[i]))
-            fd2 = (
-                mean_derivatives(ChannelParams.from_array(tp), model, eye)
-                - mean_derivatives(ChannelParams.from_array(tm), model, eye)
-            ) / (2 * steps[i])
+            fd2 = mean_derivatives(tp, model, eye) - mean_derivatives(tm, model, eye)
+            fd2 /= 2 * step[i]
             for j in range(4):
                 ref = np.linalg.norm(second[i, j])
                 if ref > 0:
@@ -129,7 +121,7 @@ def _check_noise_free_recovery() -> str:
     theta = geometric_params(np.array([3.0, 2.0]), 0.3, cfg)
     clean = ProjectionModel.clean(cfg, block)
     est = mmle_m2(clean.mean(theta), clean)
-    err = float(np.linalg.norm(est.position - params_to_state(theta).position))
+    err = float(np.linalg.norm(est.position - params_to_positions(theta.as_array())))
     _require(err < 1e-4, f"noise-free position error {err:.3e} m exceeds 1e-4")
     return f"noise-free position error {err:.2e} m"
 

@@ -15,6 +15,9 @@ stack of single links.
 sequential_descent is the pseudo-true descent with the plain line search,
 one halving per objective call, that the blocked search must reproduce.
 
+plug_in_gain is the closed-form gain of one observation at one mean, as
+np.vdot gives it, that the stacked gains of fitted_params reproduce.
+
 generator_draws is the sweep points' draws from one generator per index
 and point, each realization drawn at the point's own spreads, that the
 harness's units, drawn once per sweep and scaled per point, must
@@ -77,7 +80,7 @@ def dense_derivatives(theta, model):
 def factor_table(theta, model):
     """The (3, 3, G, K) table b^(i) r^j d x~ of the factors that
     model_derivatives gives for one (theta, model) pair."""
-    b, d = model_derivatives([theta], model)
+    b, d = model_derivatives(theta.as_array()[None], model)
     delays = (model.ring_powers * d[0][:, None]).T  # (3, K)
     return b[0].T[:, None, :, None] * (delays[None, :, None, :] * model.eff_pilots)
 
@@ -207,6 +210,16 @@ def sequential_descent(data, starts):
             ids, data, p, fp, step = ids[keep], data.take(keep), p[keep], fp[keep], step[keep]
     settle(np.ones(ids.size, dtype=bool), "max_iter")
     return out, most_halvings
+
+
+def plug_in_gain(y, eta):
+    """Closed-form gain estimate eta^H y / ||eta||^2 given a position."""
+    y = np.asarray(y).ravel()
+    eta = np.asarray(eta).ravel()
+    ee = np.vdot(eta, eta).real
+    if ee <= 0.0:
+        raise ValueError("eta must be non-zero")
+    return complex(np.vdot(eta, y) / ee)
 
 
 def generator_draws(master_seed, point, indices, stream, noise):

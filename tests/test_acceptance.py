@@ -200,7 +200,7 @@ def test_3_sandwich_matrices_match_monte_carlo():
     clean = ProjectionModel.clean(cfg, block, imp.coupling)
     ybar = mu_m1(theta_bar, cfg, block, imp, real)
     theta0 = pseudo_true(theta_bar, clean, ybar)
-    (a_ref,), (b_ref,) = mismatch_matrices([theta0], clean, ybar, [sigma])
+    (a_ref,), (b_ref,) = mismatch_matrices(theta0.as_array()[None], clean, ybar, [sigma])
     ybar = ybar.ravel()
     eps = ybar - clean.mean(theta0).ravel()
     first, _ = factored_derivatives(theta0, clean)

@@ -13,10 +13,10 @@ from hwiloc.estimation import (
     NumericError,
     ProjectionModel,
     TrialBatch,
+    fitted_params,
     grid_search,
     mle_m1,
     mmle_m2,
-    plug_in_gain,
     refine,
     scan_grid,
 )
@@ -26,10 +26,10 @@ from hwiloc.model import (
     ChannelParams,
     PilotBlock,
     SystemConfig,
-    UeState,
-    state_to_params,
+    positions_to_polar,
 )
 from hwiloc.observation import FitData, ScanGrid, mu_m1, observe
+from dense_oracle import plug_in_gain, stack_links
 
 
 def projection_objective(y: np.ndarray, eta: np.ndarray) -> float:
@@ -52,11 +52,10 @@ def desk_cfg(**kw):
 
 
 def true_state(cfg, pos=(3.0, 2.0), phase=0.3):
-    p = np.asarray(pos, dtype=float)
-    st = UeState(position=p, gain_amp=1.0, gain_phase=phase)
-    th = state_to_params(st)
-    amp = cfg.wavelength_m / (4 * np.pi * SPEED_OF_LIGHT * th.delay)
-    return ChannelParams(aoa=th.aoa, delay=th.delay, gain_amp=amp, gain_phase=phase)
+    aoa, rng = positions_to_polar(np.asarray(pos, dtype=float))
+    delay = float(rng) / SPEED_OF_LIGHT
+    amp = cfg.wavelength_m / (4 * np.pi * SPEED_OF_LIGHT * delay)
+    return ChannelParams(aoa=float(aoa), delay=delay, gain_amp=amp, gain_phase=phase)
 
 
 def fit_data(model, u):
@@ -111,23 +110,68 @@ def test_projection_objective_zero_eta_rejected():
         projection_objective(np.ones(3), np.zeros(3))
 
 
+def _fitted_gain(y, model, position):
+    """The plug-in gain alpha = gain_amp * exp(-1j * gain_phase) that
+    fitted_params reports at a position."""
+    _, _, amp, phase = fitted_params(y, model, position)
+    return amp * np.exp(-1j * phase)
+
+
 def test_plug_in_gain_scaled_copy():
-    eta = np.array([1.0 + 1j, -2.0, 0.5j])
-    assert plug_in_gain((2.0 - 0.5j) * eta, eta) == pytest.approx(2.0 - 0.5j)
+    """fitted_params reads a scaled copy of the model's mean as its gain,
+    and the (aoa, delay) of its position."""
+    model = ProjectionModel.clean(desk_cfg(), PilotBlock.from_config(desk_cfg()))
+    position = np.array([3.0, 2.0])
+    aoa, rng = positions_to_polar(position)
+    eta = model.eta(aoa, rng / SPEED_OF_LIGHT)
+    out = fitted_params((2.0 - 0.5j) * eta, model, position)
+    assert out.shape == (4,)
+    assert out[:2].tolist() == [aoa, rng / SPEED_OF_LIGHT]
+    assert _fitted_gain((2.0 - 0.5j) * eta, model, position) == pytest.approx(2.0 - 0.5j)
 
 
 def test_plug_in_gain_beats_dense_scan():
     # no complex gain on a dense grid does better than the closed form
-    rng = np.random.default_rng(3)
-    eta = rng.normal(size=8) + 1j * rng.normal(size=8)
-    y = rng.normal(size=8) + 1j * rng.normal(size=8)
-    a_hat = plug_in_gain(y, eta)
+    cfg = desk_cfg()
+    model = ProjectionModel.clean(cfg, PilotBlock.from_config(cfg))
+    position = np.array([2.0, -1.0])
+    aoa, rng = positions_to_polar(position)
+    eta = model.eta(aoa, rng / SPEED_OF_LIGHT)
+    noise = np.random.default_rng(3)
+    y = noise.normal(size=eta.shape) + 1j * noise.normal(size=eta.shape)
+    a_hat = _fitted_gain(y, model, position)
+    assert a_hat == pytest.approx(plug_in_gain(y, eta), rel=1e-12)
     best = np.linalg.norm(y - a_hat * eta) ** 2
-    offsets = np.linspace(-0.2, 0.2, 21)
+    scale = abs(a_hat)
+    offsets = np.linspace(-0.2, 0.2, 21) * scale
     for dr in offsets:
         for di in offsets:
             trial = a_hat + dr + 1j * di
-            assert np.linalg.norm(y - trial * eta) ** 2 >= best - 1e-12
+            assert np.linalg.norm(y - trial * eta) ** 2 >= best * (1 - 1e-12)
+
+
+def test_fitted_params_of_a_stack_match_one_link_calls_bitwise():
+    """fitted_params of a (2, 3) impaired stack's six positions and
+    observations equals, row for row and bit for bit, its call on each link
+    alone; a link whose mean vanishes is rejected."""
+    cfg = desk_cfg()
+    blk = PilotBlock.from_config(cfg)
+    imp = ImpairmentConfig()
+    rng = np.random.default_rng(17)
+    links = [
+        ProjectionModel.impaired(cfg, blk, imp, sample_realization(imp, cfg, rng))
+        for _ in range(6)
+    ]
+    stack = stack_links(links, (2, 3))
+    positions = rng.uniform([1.0, -3.0], [6.0, 3.0], (6, 2))
+    y = rng.normal(size=(6, 3, 16)) + 1j * rng.normal(size=(6, 3, 16))
+    stacked = fitted_params(y, stack, positions)
+    assert stacked.shape == (6, 4)
+    for r, link in enumerate(links):
+        assert np.array_equal(stacked[r], fitted_params(y[r], link, positions[r]))
+    silent = replace(stack, eff_pilots=np.zeros_like(stack.eff_pilots))
+    with pytest.raises(ValueError, match="eta must be non-zero"):
+        fitted_params(y, silent, positions)
 
 
 def test_residual_energy_identity():

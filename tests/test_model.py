@@ -1,27 +1,32 @@
 """Unit tests for the geometry, pilot and noise primitives."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hwiloc.config_io import read_config, resolve_spec
 from hwiloc.model import (
     SPEED_OF_LIGHT,
     ChannelParams,
     ConfigError,
     PilotBlock,
     SystemConfig,
-    UeState,
     delay_vector,
     dft_matrix,
     gain_from_geometry,
     generate_combiners,
     generate_pilots,
+    geometric_params,
     noise_std,
     params_to_positions,
-    params_to_state,
-    state_to_params,
+    polar_to_positions,
+    positions_to_polar,
     steering_derivatives,
     steering_vector,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 RNG = np.random.default_rng(20240811)
 
@@ -112,45 +117,82 @@ def test_gain_rejects_nonpositive_delay():
 
 
 # ---------------------------------------------------------------------------
-# state <-> params
+# positions <-> (aoa, range) and channel parameters
 
 
 def test_state_to_params_on_axis():
-    st = UeState(position=np.array([3.0, 0.0]), gain_amp=1.0, gain_phase=0.2)
-    th = state_to_params(st)
-    assert th.aoa == pytest.approx(0.0)
-    assert th.delay == pytest.approx(1.0006922855944561e-08, rel=1e-12)
+    aoa, rng = positions_to_polar(np.array([3.0, 0.0]))
+    assert aoa == 0.0 and rng == 3.0
+    theta = geometric_params(np.array([3.0, 0.0]), 0.2, SystemConfig())
+    assert theta.aoa == 0.0
+    assert theta.delay == pytest.approx(1.0006922855944561e-08, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_state_params_round_trip(seed):
+    """A position through its polar coordinates, and through channel
+    parameters, comes back; in front of the array the angle stays inside
+    the unambiguous sector."""
     rng = np.random.default_rng(100 + seed)
     p = rng.uniform([0.5, -5.0], [10.0, 5.0])
-    st = UeState(position=p, gain_amp=rng.uniform(0.1, 2.0), gain_phase=rng.uniform(-3, 3))
-    back = params_to_state(state_to_params(st))
-    assert np.allclose(back.position, p, rtol=1e-12)
-    assert abs(state_to_params(st).aoa) < np.pi / 2
+    aoa, r = positions_to_polar(p)
+    assert abs(aoa) < np.pi / 2
+    np.testing.assert_allclose(polar_to_positions(aoa, r), p, rtol=1e-12)
+    params = np.array([aoa, r / SPEED_OF_LIGHT, rng.uniform(0.1, 2.0), rng.uniform(-3, 3)])
+    np.testing.assert_allclose(params_to_positions(params), p, rtol=1e-12)
 
 
 def test_state_behind_array_rejected():
-    st = UeState(position=np.array([-1.0, 2.0]), gain_amp=1.0, gain_phase=0.0)
-    with pytest.raises(ValueError):
-        state_to_params(st)
+    for position in ((-1.0, 2.0), (0.0, 2.0)):
+        with pytest.raises(ValueError, match="front half-plane"):
+            geometric_params(np.array(position), 0.0, SystemConfig())
+    with pytest.raises(ValueError, match="away from the array"):
+        geometric_params(np.zeros(2), 0.0, SystemConfig())
 
 
-def test_params_to_positions_stacks_params_to_state():
+def test_params_to_positions_stacks_one_row_calls():
+    """Stacked rows convert bit for bit as each row alone, and a row with a
+    non-positive delay cannot be placed."""
     rng = np.random.default_rng(7)
     positions = rng.uniform([0.5, -5.0], [10.0, 5.0], size=(5, 2))
-    thetas = [state_to_params(UeState(p, 1.0, 0.0)) for p in positions]
-    stacked = params_to_positions(np.array([t.as_array() for t in thetas]))
-    assert stacked.shape == (5, 2)
-    for row, theta in zip(stacked, thetas):
-        assert np.array_equal(row, params_to_state(theta).position)
-    bad = ChannelParams(aoa=0.1, delay=0.0, gain_amp=1.0, gain_phase=0.0)
+    aoa, r = positions_to_polar(positions)
+    params = np.column_stack([aoa, r / SPEED_OF_LIGHT, np.ones(5), np.zeros(5)])
+    stacked = params_to_positions(params)
+    assert stacked.shape == (5, 2) and aoa.shape == r.shape == (5,)
+    for i, p in enumerate(positions):
+        assert np.array_equal(stacked[i], params_to_positions(params[i]))
+        assert np.array_equal(polar_to_positions(aoa, r)[i], polar_to_positions(aoa[i], r[i]))
+        assert (aoa[i], r[i]) == positions_to_polar(p)
+    bad = params.copy()
+    bad[1, 1] = 0.0
     with pytest.raises(ValueError, match="delay must be positive"):
-        params_to_positions(np.array([thetas[0].as_array(), bad.as_array()]))
+        params_to_positions(bad)
     with pytest.raises(ValueError, match="delay must be positive"):
-        params_to_state(bad)
+        params_to_positions(bad[1])
+
+
+def scalar_geometric_params(position, gain_phase, cfg):
+    """The scalar formula that geometric_params must reproduce: atan2 and
+    hypot of the position's two floats, the delay |p| / c and the
+    free-space gain."""
+    px, py = float(position[0]), float(position[1])
+    delay = float(np.hypot(px, py)) / SPEED_OF_LIGHT
+    alpha = gain_from_geometry(delay, cfg.wavelength_m, gain_phase)
+    return [float(np.arctan2(py, px)), delay, abs(alpha), gain_phase]
+
+
+def test_geometric_params_match_the_scalar_formula_bitwise():
+    """On the shipped configs and on random positions in front of the array."""
+    cases = []
+    for name in ("desk.cfg", "full.cfg"):
+        spec = resolve_spec(read_config(str(CONFIGS / name)))
+        cases.append((np.asarray(spec.ue_position), spec.gain_phase, spec.system))
+    rng = np.random.default_rng(11)
+    positions, phases = rng.uniform([1e-3, -30.0], [30.0, 30.0], (200, 2)), rng.uniform(-4, 4, 200)
+    cases += [(p, float(phase), SystemConfig()) for p, phase in zip(positions, phases)]
+    for position, phase, cfg in cases:
+        theta = geometric_params(position, phase, cfg)
+        assert theta.as_array().tolist() == scalar_geometric_params(position, phase, cfg)
 
 
 def test_channel_params_array_round_trip():

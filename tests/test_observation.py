@@ -164,6 +164,30 @@ def test_rotate_applies_the_dense_sandwich(g, k, cp):
     assert np.abs(rotate(mv, np.conj(rotation)) - v).max() <= 1e-12 * np.abs(v).max()
 
 
+def test_rotate_rounds_a_large_stack_as_its_links_alone():
+    """A 20-link stack at G=10, K=100 (320 KB, past numpy's 256 KiB
+    temporary-elision threshold) rotates bit for bit as each link alone,
+    and its impaired model stack's means are each link's own."""
+    cfg = SystemConfig(n_antennas=4, n_transmissions=10, n_subcarriers=100, cp_length=7)
+    imp = replace(ImpairmentConfig(), sigma_cfo=0.05)
+    reals = [sample_realization(imp, cfg, np.random.default_rng(s)) for s in range(20)]
+    rotations = phase_rotations(
+        np.array([r.cfo for r in reals]), np.array([r.pn_phases for r in reals]), cfg
+    )
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal((20, 10, 100)) + 1j * rng.standard_normal((20, 10, 100))
+    rotated = rotate(v, rotations)
+    blk = PilotBlock.from_config(cfg)
+    couplings = mc_matrix(imp.coupling, np.array([r.mc_residual for r in reals]), 4)
+    stack = ProjectionModel(cfg, blk.combiners, couplings, blk.symbols, rotations)
+    th = ChannelParams(aoa=0.4, delay=1.2e-8, gain_amp=2e-4, gain_phase=0.3)
+    means = stack.mean(th)
+    for i, real in enumerate(reals):
+        assert np.array_equal(rotated[i], rotate(v[i], rotations[i]))
+        link = ProjectionModel(cfg, blk.combiners, couplings[i], blk.symbols, rotations[i])
+        assert np.array_equal(means[i], link.mean(th))
+
+
 def test_stacked_draws_match_one_draw_at_a_time():
     """Rotations and rotated rows of n stacked realizations are, bit for
     bit, those of each realization alone, and so are the row matrices and
