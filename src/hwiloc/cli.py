@@ -6,10 +6,11 @@ Subcommands:
     validate     run the built-in invariant suite, report pass/fail lines
     show-config  print the fully resolved configuration
 
-Shared flags: --config PATH (flat key=value file; defaults apply when
-omitted), --seed U64 (overrides master_seed), --out PATH (stdout when
-omitted), --sweep AXIS (switches the sweep axis to its default value
-list).
+Flags: --out PATH (stdout when omitted; its directory must exist) on
+every subcommand. bounds, estimate and show-config also take --config
+PATH (flat key=value file; defaults apply when omitted), --seed U64
+(overrides master_seed) and --sweep AXIS (switches the sweep axis to its
+default value list); validate takes no other flag.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numeric failure,
 failed validation, or a run that lost a worker process or ran out of memory.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import BrokenExecutor
+from pathlib import Path
 
 from .config_io import SWEEP_AXES, ExperimentSpec, read_config, resolve_spec, spec_to_text
 from .estimation import NumericError
@@ -39,10 +41,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
+    output = _Parser(add_help=False)
+    output.add_argument("--out", metavar="PATH", help="output path (default stdout)")
+    common = _Parser(add_help=False, parents=[output])
     common.add_argument("--config", metavar="PATH", help="experiment config file")
     common.add_argument("--seed", type=int, metavar="U64", help="override master_seed")
-    common.add_argument("--out", metavar="PATH", help="output path (default stdout)")
     common.add_argument(
         "--sweep",
         metavar="AXIS",
@@ -57,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     sub.add_parser("bounds", parents=[common], help="bounds sweep to CSV")
     sub.add_parser("estimate", parents=[common], help="Monte-Carlo estimator trials to CSV")
-    sub.add_parser("validate", parents=[common], help="run the invariant suite")
+    sub.add_parser("validate", parents=[output], help="run the invariant suite")
     sub.add_parser("show-config", parents=[common], help="print the resolved config")
     return parser
 
@@ -73,6 +76,17 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     return resolve_spec(overrides)
 
 
+def _check_out(out: str | None) -> None:
+    """Reject an --out that cannot be written before any work is done."""
+    if out is None:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise ConfigError(f"--out {out} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out {out}: directory {path.parent} does not exist")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -82,6 +96,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     if args.command == "bounds":
         _emit(rows_to_csv(run_bounds_sweep(_load_spec(args))), args.out)
         return 0

@@ -30,11 +30,13 @@ The Newton fit runs on many observations at once. A :class:`TrialBatch`
 takes stacked pulled observations, n at a time, with the row matrices and
 pilots they are fitted with, not model objects: it writes them straight
 into the slots of a :class:`FitData` and scans the n slots together for
-their starts. :func:`refine` then fits every kept observation together on
-(T,) arrays, each with its own stop rules and line search; a fit that
-stops leaves the active set, so no fit depends on the others in its
-batch. The sweep harness adds both estimators' trials of a point chunk by
-chunk to one batch, and ``mmle_m2``/``mle_m1`` are a batch of one.
+their starts, NaN where a scan failed. :func:`refine` then fits every
+slot together on (T,) arrays, each with its own stop rules and line
+search; a fit that stops or fails leaves the active set, so no fit
+depends on the others in its batch, and every failure, of the scan or of
+the fit, is recorded in one place. The sweep harness adds both
+estimators' trials of a point chunk by chunk to one batch, and
+``mmle_m2``/``mle_m1`` are a batch of one.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class Fits:
     objectives: np.ndarray  # (T,) projection objective at the optimum (unnormalized)
     stops: np.ndarray  # (T,) str: gradient | decrement | stalled | max_iter | failed
     n_iterations: np.ndarray  # (T,) int
-    starts: np.ndarray  # (T, 2) starting positions: the grid argmins, for a TrialBatch
+    starts: np.ndarray  # (T, 2) starting positions, NaN where a TrialBatch's scan failed
     errors: list[str | None]
 
     @staticmethod
@@ -149,13 +151,6 @@ class Fits:
             [self.errors[i] for i in index],
         )
 
-    def put(self, index: np.ndarray, other: "Fits") -> None:
-        """Write the fits of other into the slots index."""
-        for name in ("positions", "objectives", "stops", "n_iterations", "starts"):
-            getattr(self, name)[index] = getattr(other, name)
-        for i, message in zip(index, other.errors):
-            self.errors[i] = message
-
 
 def scan_limit_m(subcarrier_spacing_hz: float) -> float:
     """Open upper end of the estimators' range window: RANGE_MAX_M, or one
@@ -175,13 +170,11 @@ def scan_grid(cfg: SystemConfig, est: EstimatorConfig) -> ScanGrid:
     return ScanGrid.build(cfg, est.grid_angles(), kept if kept.size else ranges[:1])
 
 
-def grid_search(
-    data: FitData, index: int | slice, grid: ScanGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coarse polar scan of the fits index of data, one slot or a slice of
-    them: the positions, (..., 2), and projection objectives, (...), of
-    their grid argmins, shaped as data.yy[index]. A fit whose objective is
-    non-finite over the whole grid gets NaN in both.
+def grid_search(data: FitData, index: slice, grid: ScanGrid) -> np.ndarray:
+    """Coarse polar scan of the fits in the slice index of data: the
+    positions of their grid argmins, (n, 2), the starts of :func:`refine`.
+    A fit whose objective is non-finite over the whole grid gets a NaN
+    start, which refine fails with SCAN_FAILED.
 
     Ties break deterministically to the lowest angle index, then the lowest
     range index (row-major argmin).
@@ -197,11 +190,8 @@ def grid_search(
     Each slot then takes one (n_a, G) by (G, n_r) product, conj(s) = b^T
     (conj(w) D). The start is the argmax of the captured energy, which is
     the argmin of the objective up to ties that only rounding
-    ||u||^2 - |s|^2 / den would make; the objective is formed there only.
+    ||u||^2 - |s|^2 / den would make; the objective itself is not formed.
     """
-    single = not isinstance(index, slice)
-    if single:
-        index = slice(index, index + 1)
     rows, energies, yy = data.rows[index], data.energies[index], data.yy[index]
     n, n_a, n_r = yy.size, grid.aoas.size, grid.ranges_m.size
     shared = bool(np.all(rows == rows[:1]))
@@ -210,7 +200,7 @@ def grid_search(
     s = np.empty((n_a, n_r), dtype=complex)  # conj(s) of one slot
     parts = s.view(float)  # (n_a, 2 n_r): real and imaginary parts interleaved
     captured = np.empty((n_a, n_r))
-    best, top = np.empty(n, dtype=int), np.empty(n)
+    best = np.empty(n, dtype=int)
     failed = ~np.isfinite(yy)
     for i in range(n):
         if i == 0 or not shared:
@@ -224,16 +214,12 @@ def grid_search(
         np.add(parts[:, 0::2], parts[:, 1::2], out=captured)
         captured *= inv[i - readers.start, :, None]
         best[i] = flat = captured.argmax()  # the first maximum in row-major order
-        top[i] = captured.flat[flat]
-        if not math.isfinite(top[i]):
+        if not math.isfinite(captured.flat[flat]):
             failed[i] |= not np.isfinite(captured).any()
     ia, ir = np.divmod(best, n_r)
-    positions = polar_to_positions(grid.aoas[ia], grid.ranges_m[ir])
-    objectives = yy - top
-    positions[failed], objectives[failed] = np.nan, np.nan
-    if single:
-        return positions[0], objectives[0]
-    return positions, objectives
+    starts = polar_to_positions(grid.aoas[ia], grid.ranges_m[ir])
+    starts[failed] = np.nan
+    return starts
 
 
 def _normalized(data: FitData, aoa: np.ndarray, rng: np.ndarray) -> np.ndarray:
@@ -266,17 +252,20 @@ def refine(data: FitData, starts: np.ndarray, est: EstimatorConfig) -> Fits:
 
     The fits share array operations but not their steps: each follows the
     rules above on its own, and one that stops leaves the active set. A fit
-    whose observation has no energy, or whose objective or gradient turns
-    non-finite, ends as ``failed`` with the reason in ``errors``; the others
-    go on.
+    ends as ``failed``, with the reason in ``errors``, when its start is not
+    finite (SCAN_FAILED: the scan found no start), else when its
+    observation has no energy, or when its objective or gradient turns
+    non-finite; the others go on.
     """
     starts = np.asarray(starts, dtype=float)
     out = Fits.empty(data.yy.size)
     out.starts[:] = starts
     ids = np.arange(data.yy.size)
-    usable = np.isfinite(data.yy) & (data.yy > 0.0)
+    scanned = np.isfinite(starts).all(axis=1)
+    usable = scanned & np.isfinite(data.yy) & (data.yy > 0.0)
+    out.fail(ids[~scanned], SCAN_FAILED)
+    out.fail(ids[scanned & ~usable], "observation energy must be positive and finite")
     if not usable.all():
-        out.fail(ids[~usable], "observation energy must be positive and finite")
         ids, data = ids[usable], data.take(usable)
     # per active fit: pos = (aoa, range), val = (f, g_a, g_r, h_aa, h_ar, h_rr)
     pos = np.array(positions_to_polar(starts[ids]))
@@ -382,8 +371,8 @@ class TrialBatch:
     slots together for their starts (:func:`grid_search`). Each slot
     carries its own row matrix and pilots, so one batch can hold
     observations fitted with different models, such as both estimators'
-    trials. :meth:`fit` runs :func:`refine` on every observation whose scan
-    succeeded. A failed scan or fit fails that observation only.
+    trials. :meth:`fit` runs one :func:`refine` over every slot filled,
+    which fails a slot whose scan or fit failed, and that slot only.
     """
 
     def __init__(self, cfg: SystemConfig, size: int, est: EstimatorConfig | None = None) -> None:
@@ -391,7 +380,7 @@ class TrialBatch:
         self.grid = scan_grid(cfg, self.est)
         self._data = FitData.empty(cfg, size)
         self._starts = np.full((size, 2), np.nan)
-        self._errors: list[str | None] = []  # one per observation added: its scan's error
+        self._filled = 0  # slots written so far
 
     def add(self, rows: np.ndarray, pilots: np.ndarray, u: np.ndarray) -> range:
         """Add the pulled observations u, (n, G, K), each to be fitted with
@@ -401,28 +390,19 @@ class TrialBatch:
         u = np.asarray(u, dtype=complex)
         if not np.all(np.isfinite(u)):
             raise ValueError("observation contains non-finite samples")
-        slots = range(len(self._errors), len(self._errors) + len(u))
+        slots = range(self._filled, self._filled + len(u))
         self._data.put(slots.start, rows, pilots, u)
         index = slice(slots.start, slots.stop)
-        self._starts[index], _ = grid_search(self._data, index, self.grid)
-        self._errors.extend(SCAN_FAILED if np.isnan(p) else None for p in self._starts[index, 0])
+        self._starts[index] = grid_search(self._data, index, self.grid)
+        self._filled = slots.stop
         return slots
 
     def fit(self) -> Fits:
         """The fits of every observation added, in order. This spends the
-        batch: refine takes over its storage and frees what it is done with."""
-        out = Fits.empty(len(self._errors))
-        kept = np.array([i for i, e in enumerate(self._errors) if e is None], dtype=int)
-        for i, message in enumerate(self._errors):
-            if message is not None:
-                out.fail(i, message)
-        if kept.size:
-            out.put(kept, refine(self._spend(kept), self._starts[kept], self.est))
-        return out
-
-    def _spend(self, kept: np.ndarray) -> FitData:
-        data, self._data = self._data, None
-        return data if kept.size == data.yy.size else data.take(kept)
+        batch: popped straight into the call, its storage is held by refine
+        alone, which frees the slots of the fits that stop."""
+        filled = slice(0, self._filled)
+        return refine(vars(self).pop("_data").take(filled), self._starts[filled], self.est)
 
 
 def _estimate(y: np.ndarray, model: ProjectionModel, est: EstimatorConfig | None) -> Estimate:

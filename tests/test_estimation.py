@@ -8,6 +8,7 @@ import pytest
 
 from hwiloc.estimation import (
     CONVERGED_STOPS,
+    SCAN_FAILED,
     Estimate,
     EstimatorConfig,
     NumericError,
@@ -394,10 +395,12 @@ def test_grid_search_recovers_grid_node():
     th = ChannelParams(
         aoa=aoa, delay=rng_m / SPEED_OF_LIGHT, gain_amp=1e-4, gain_phase=0.1
     )
-    y = ProjectionModel.clean(cfg, blk).mean(th)
-    p0, obj0 = grid_search(fit_data(ProjectionModel.clean(cfg, blk), y), 0, scan_grid(cfg, est))
+    model = ProjectionModel.clean(cfg, blk)
+    y = model.mean(th)
+    grid = scan_grid(cfg, est)
+    p0 = grid_search(fit_data(model, y), slice(0, 1), grid)[0]
     assert np.allclose(p0, rng_m * np.array([np.cos(aoa), np.sin(aoa)]), atol=1e-9)
-    assert obj0 == pytest.approx(0.0, abs=1e-12 * np.vdot(y, y).real)
+    assert model.objective_grid(y, grid).min() == pytest.approx(0.0, abs=1e-12 * np.vdot(y, y).real)
 
 
 def grid_argmin(data, index, grid):
@@ -432,7 +435,7 @@ def test_grid_search_matches_brute_force_argmin():
     y = observe(ProjectionModel.clean(cfg, blk).mean(th), 5e-6, np.random.default_rng(11))
     model = ProjectionModel.clean(cfg, blk)
     grid = scan_grid(cfg, est)
-    p0, _ = grid_search(fit_data(model, y), 0, grid)
+    p0 = grid_search(fit_data(model, y), slice(0, 1), grid)[0]
     best, best_p = np.inf, None
     for a in est.grid_angles():
         for r in grid.ranges_m:
@@ -449,16 +452,16 @@ def test_grid_search_matches_brute_force_argmin():
     u = np.array([model.mean(th) * x / blk.symbols for x in pilots]) + noise
     u[0] = y
     data = chunk_data(cfg, model.row_matrix, pilots, u)
-    starts, objectives = grid_search(data, slice(0, n), grid)
-    assert starts.shape == (n, 2) and objectives.shape == (n,)
+    starts = grid_search(data, slice(0, n), grid)
+    assert starts.shape == (n, 2)
     assert len({float(e) for e in data.energies[:, 0]}) == n
     for i in range(n):
         npt.assert_array_equal(starts[i], grid_argmin(data, i, grid))
     npt.assert_array_equal(starts[0], p0)
     # the same slots one at a time, and inside a larger batch
     for i in range(n):
-        npt.assert_array_equal(grid_search(data, i, grid)[0], starts[i])
-    npt.assert_array_equal(grid_search(data, slice(2, 5), grid)[0], starts[2:5])
+        npt.assert_array_equal(grid_search(data, slice(i, i + 1), grid)[0], starts[i])
+    npt.assert_array_equal(grid_search(data, slice(2, 5), grid), starts[2:5])
 
 
 def test_grid_search_tie_breaks_to_lowest_angle_index():
@@ -471,7 +474,7 @@ def test_grid_search_tie_breaks_to_lowest_angle_index():
     est = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15)
     grid = scan_grid(cfg, est)
     model = ProjectionModel.clean(cfg, blk)
-    p0, _ = grid_search(fit_data(model, y), 0, grid)
+    p0 = grid_search(fit_data(model, y), slice(0, 1), grid)[0]
     aoa0 = float(np.arctan2(p0[1], p0[0]))
     assert aoa0 == pytest.approx(est.grid_angles()[0])
     # a chunk with its own pilots per slot ties on every angle too; a slot
@@ -482,7 +485,7 @@ def test_grid_search_tie_breaks_to_lowest_angle_index():
     u = np.array([y * x / blk.symbols for x in pilots])
     u[2] = 0.0
     data = chunk_data(cfg, model.row_matrix, pilots, u)
-    starts, _ = grid_search(data, slice(0, n), grid)
+    starts = grid_search(data, slice(0, n), grid)
     for i in range(n):
         npt.assert_array_equal(starts[i], grid_argmin(data, i, grid))
         assert float(np.arctan2(starts[i, 1], starts[i, 0])) == pytest.approx(grid.aoas[0])
@@ -514,6 +517,7 @@ def test_grid_search_fails_a_non_finite_slot_alone(shared):
     fit = batch.fit()
     assert fit.errors[bad] == "projection objective is non-finite over the whole grid"
     assert fit.stops[bad] == "failed" and np.isnan(fit.starts[bad]).all()
+    assert fit.n_iterations[bad] == 0
     data = chunk_data(cfg, rows, pilots, u)
     for i in set(range(n)) - {bad}:
         assert fit.errors[i] is None and fit.stops[i] in CONVERGED_STOPS
@@ -522,6 +526,33 @@ def test_grid_search_fails_a_non_finite_slot_alone(shared):
 
 # ---------------------------------------------------------------------------
 # refinement
+
+
+def test_refine_fails_a_slot_without_a_start_alone():
+    """refine fails a slot whose start is not finite, as a failed scan
+    leaves it, with SCAN_FAILED after 0 iterations, before it checks the
+    slot's energy; every other slot is bit for bit its fit in a batch
+    without the failed slots."""
+    cfg = desk_cfg()
+    blk = PilotBlock.from_config(cfg)
+    model = ProjectionModel.clean(cfg, blk)
+    est = EstimatorConfig(n_grid_angles=31, n_grid_ranges=20)
+    n, bad = 5, [1, 3]
+    u = observe(np.array([model.mean(true_state(cfg))] * n), 1e-6, np.random.default_rng(17))
+    u[3] = 0.0  # no energy either
+    data = chunk_data(cfg, model.row_matrix, model.eff_pilots, u)
+    starts = grid_search(data, slice(0, n), scan_grid(cfg, est))
+    starts[bad] = np.nan
+    fit = refine(data, starts, est)
+    for i in bad:
+        assert (fit.stops[i], fit.errors[i], fit.n_iterations[i]) == ("failed", SCAN_FAILED, 0)
+        assert np.isnan(fit.positions[i]).all() and np.isnan(fit.objectives[i])
+    rest = np.array([0, 2, 4])
+    alone = refine(data.take(rest), starts[rest], est)
+    for field in ("positions", "objectives", "stops", "n_iterations", "starts"):
+        npt.assert_array_equal(getattr(fit, field)[rest], getattr(alone, field))
+    assert [fit.errors[i] for i in rest] == alone.errors == [None] * 3
+    assert all(stop in CONVERGED_STOPS for stop in alone.stops)
 
 
 def test_refine_at_optimum_stops_immediately():
@@ -544,7 +575,9 @@ def test_refine_improves_on_grid_point():
     y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     est = EstimatorConfig()
-    p0, obj0 = grid_search(fit_data(model, y), 0, scan_grid(cfg, est))
+    grid = scan_grid(cfg, est)
+    p0 = grid_search(fit_data(model, y), slice(0, 1), grid)[0]
+    obj0 = model.objective_grid(y, grid).min()
     p_hat, obj, stop, _ = refine_one(y, model, p0, est)
     assert stop in CONVERGED_STOPS
     assert obj <= obj0 + 1e-15
@@ -559,7 +592,7 @@ def test_refine_noise_free_reaches_truth():
     y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     est = EstimatorConfig()
-    p0, _ = grid_search(fit_data(model, y), 0, scan_grid(cfg, est))
+    p0 = grid_search(fit_data(model, y), slice(0, 1), scan_grid(cfg, est))[0]
     p_hat, obj, stop, _ = refine_one(y, model, p0, est)
     assert stop in CONVERGED_STOPS
     assert np.linalg.norm(p_hat - p_true) < 1e-4
@@ -612,8 +645,7 @@ def test_refine_slot_does_not_depend_on_its_batch():
         data = FitData.empty(cfg, len(entries))
         for i, (rows, pilots, u) in enumerate(entries):
             data.put(i, rows, pilots, np.asarray(u)[None])
-        starts = grid_search(data, slice(0, len(entries)), grid)[0]
-        return data, starts
+        return data, grid_search(data, slice(0, len(entries)), grid)
 
     alone = {m: refine(*batch(entries), est) for m, entries in slots.items()}
     order = [("mle_m1", 2), ("mmle", 0), ("mmle", 3), ("mle_m1", 0), ("mle_m1", 4),

@@ -1450,6 +1450,36 @@ def test_cli_validate_passes_every_check(capsys):
     assert all(line.startswith("ok ") for line in lines[:-1])
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--config", "/nonexistent.cfg"), ("--seed", "5"), ("--sweep", "pa")]
+)
+def test_cli_validate_rejects_sweep_flags(tmp_path, capsys, flag, value):
+    """validate reads no config, so a config, seed or sweep flag is a usage
+    error, not a flag it ignores; --out still writes its report."""
+    assert main(["validate", flag, value]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    out = tmp_path / "report.txt"
+    assert main(["validate", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[-1] == "6/6 checks passed"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_cli_unwritable_out_exits_1_before_any_sweep(tmp_path, monkeypatch, capsys, target):
+    """An --out that is a directory, or whose directory does not exist, is
+    a config error that names --out, raised before the sweep runs."""
+    calls = []
+    monkeypatch.setattr("hwiloc.cli.run_bounds_sweep", lambda spec: calls.append(spec))
+    monkeypatch.setattr("hwiloc.cli.run_estimator_trials", lambda spec: calls.append(spec))
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "r.csv"
+    cfg = _write_cfg(tmp_path)
+    for command in ("bounds", "estimate", "show-config", "validate"):
+        args = [command, "--out", str(out)]
+        assert main(args if command == "validate" else args + ["--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: --out {out}")
+    assert calls == []
+
+
 def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
