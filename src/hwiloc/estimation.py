@@ -17,26 +17,24 @@ Inverse Problems 19, 2003).
 Both stages work on the pulled observation u_g = M_g^H y_g (the unitary
 phase-noise/CFO rotation moved onto the data once per observation, by FFT)
 and use the model's factorization eta_{g,k} = b_g(aoa) d_k(delay) x~_{g,k},
-which makes the objective separable in angle and range. The scan
-(:func:`grid_search`) takes n observations at once on bases built once per
-grid: the subcarrier sums for every range of all n in one product, the
-row gains for every angle once when the n share their rows, then one
-combination over transmissions per observation, the products of
-:meth:`ScanGrid.objective`. Every derivative the Newton fit needs comes
-from one product over transmissions per fit and one (K, 3) product shared
-by all fits (:meth:`FitData.captured_energy`).
-
-The Newton fit runs on many observations at once. A :class:`TrialBatch`
-takes stacked pulled observations, n at a time, with the row matrices and
-pilots they are fitted with, not model objects: it writes them straight
-into the slots of a :class:`FitData` and scans the n slots together for
-their starts, NaN where a scan failed. :func:`refine` then fits every
-slot together on (T,) arrays, each with its own stop rules and line
-search; a fit that stops or fails leaves the active set, so no fit
-depends on the others in its batch, and every failure, of the scan or of
-the fit, is recorded in one place. The sweep harness adds both
-estimators' trials of a point chunk by chunk to one batch, and
-``mmle_m2``/``mle_m1`` are a batch of one.
+which makes the objective separable in angle and range. Both read the
+slots of a :class:`FitData`, which keeps of each pulled observation only
+what the objective reads, with the row matrix and pilots it is fitted
+with, so one FitData can hold observations of different models, such as
+both estimators' trials of a sweep point. The scan (:func:`grid_search`)
+takes every slot on bases built once per grid, with the products of
+:meth:`ScanGrid.objective`: the subcarrier sums for every range, then one
+combination over transmissions per slot, on row gains built again only
+where a slot's rows differ from the previous slot's. It gives each slot
+its start, NaN where the scan failed. :func:`refine` then fits every slot
+together on (T,) arrays, each with its own stop rules and line search; a
+fit that stops or fails leaves the active set, so no fit depends on the
+other slots, and every failure, of the scan or of the fit, is recorded
+in one place. Every derivative the Newton fit needs comes from one
+product over transmissions per fit and one (K, 3) product shared by all
+fits (:meth:`FitData.captured_energy`). The sweep harness fits a sweep
+point's trials of both estimators with one scan and one Newton fit, and
+``mmle_m2``/``mle_m1`` are the same path for one slot.
 """
 
 from __future__ import annotations
@@ -111,7 +109,7 @@ class Fits:
     objectives: np.ndarray  # (T,) projection objective at the optimum (unnormalized)
     stops: np.ndarray  # (T,) str: gradient | decrement | stalled | max_iter | failed
     n_iterations: np.ndarray  # (T,) int
-    starts: np.ndarray  # (T, 2) starting positions, NaN where a TrialBatch's scan failed
+    starts: np.ndarray  # (T, 2) grid_search's starts, NaN where the scan failed
     errors: list[str | None]
 
     @staticmethod
@@ -170,49 +168,46 @@ def scan_grid(cfg: SystemConfig, est: EstimatorConfig) -> ScanGrid:
     return ScanGrid.build(cfg, est.grid_angles(), kept if kept.size else ranges[:1])
 
 
-def grid_search(data: FitData, index: slice, grid: ScanGrid) -> np.ndarray:
-    """Coarse polar scan of the fits in the slice index of data: the
-    positions of their grid argmins, (n, 2), the starts of :func:`refine`.
-    A fit whose objective is non-finite over the whole grid gets a NaN
-    start, which refine fails with SCAN_FAILED.
+def grid_search(data: FitData, grid: ScanGrid) -> np.ndarray:
+    """Coarse polar scan of every fit in data: the positions of their grid
+    argmins, (T, 2), the starts of :func:`refine`. A fit whose objective is
+    non-finite over the whole grid gets a NaN start, which refine fails
+    with SCAN_FAILED.
 
     Ties break deterministically to the lowest angle index, then the lowest
     range index (row-major argmin).
 
-    The slots are scanned together with the products of
-    :meth:`~hwiloc.observation.ScanGrid.objective`, and each slot's
-    captured energy |s|^2 / den is bit for bit the one that method
-    subtracts from ||u||^2. The subcarrier sums w conj(D) take one product
-    for all slots. The row gains b = (W C) a on the grid angles, with den,
-    take one product for all slots when their rows are equal (the clean
-    chain), else one per slot: a stacked (n, G, n_a) product and its |b|^2
-    would raise the desk.cfg estimate sweep's peak RSS by about 0.2 MB.
-    Each slot then takes one (n_a, G) by (G, n_r) product, conj(s) = b^T
-    (conj(w) D). The start is the argmax of the captured energy, which is
-    the argmin of the objective up to ties that only rounding
-    ||u||^2 - |s|^2 / den would make; the objective itself is not formed.
+    Each slot is scanned with the products of
+    :meth:`~hwiloc.observation.ScanGrid.objective`, and its captured energy
+    |s|^2 / den is bit for bit the one that method subtracts from ||u||^2:
+    the subcarrier sums w conj(D), (G, n_r), then one (n_a, G) by (G, n_r)
+    product, conj(s) = b^T (conj(w) D). The row gains b = (W C) a on the
+    grid angles, and |b|^2, are built again only for a slot whose rows
+    differ from the previous slot's, so a run of clean-chain slots shares
+    them; den takes the slot's own pilot energies. The start is the argmax
+    of the captured energy, which is the argmin of the objective up to ties
+    that only rounding ||u||^2 - |s|^2 / den would make; the objective
+    itself is not formed.
     """
-    rows, energies, yy = data.rows[index], data.energies[index], data.yy[index]
-    n, n_a, n_r = yy.size, grid.aoas.size, grid.ranges_m.size
-    shared = bool(np.all(rows == rows[:1]))
-    wd = data.w[index] @ grid.delay_conj  # (n, G, n_r)
-    np.conjugate(wd, out=wd)
+    n, n_a, n_r = data.yy.size, grid.aoas.size, grid.ranges_m.size
+    wd = np.empty((data.w.shape[1], n_r), dtype=complex)  # conj(w conj(D)) of one slot
     s = np.empty((n_a, n_r), dtype=complex)  # conj(s) of one slot
     parts = s.view(float)  # (n_a, 2 n_r): real and imaginary parts interleaved
     captured = np.empty((n_a, n_r))
     best = np.empty(n, dtype=int)
-    failed = ~np.isfinite(yy)
+    failed = ~np.isfinite(data.yy)
     for i in range(n):
-        if i == 0 or not shared:
-            b = rows[i] @ grid.steering  # (G, n_a)
-            readers = slice(i, n if shared else i + 1)  # the slots that read b
-            den = (energies[readers, None, :] @ (np.abs(b) ** 2))[:, 0]  # (m, n_a)
-            inv = np.zeros_like(den)
-            np.divide(1.0, den, out=inv, where=den > 0)
-        np.matmul(b.T, wd[i], out=s)
+        if i == 0 or not np.array_equal(data.rows[i], data.rows[i - 1]):
+            b = data.rows[i] @ grid.steering  # (G, n_a)
+            b2 = np.abs(b) ** 2
+        den = data.energies[i] @ b2  # (n_a,)
+        inv = np.zeros_like(den)
+        np.divide(1.0, den, out=inv, where=den > 0)
+        np.matmul(data.w[i], grid.delay_conj, out=wd)
+        np.matmul(b.T, np.conjugate(wd, out=wd), out=s)
         np.square(parts, out=parts)
         np.add(parts[:, 0::2], parts[:, 1::2], out=captured)
-        captured *= inv[i - readers.start, :, None]
+        captured *= inv[:, None]
         best[i] = flat = captured.argmax()  # the first maximum in row-major order
         if not math.isfinite(captured.flat[flat]):
             failed[i] |= not np.isfinite(captured).any()
@@ -362,54 +357,15 @@ def fitted_params(y: np.ndarray, model: ProjectionModel, position: np.ndarray) -
     return np.stack([aoa, delay, np.hypot(gains.real, gains.imag), -np.angle(gains)], axis=-1)
 
 
-class TrialBatch:
-    """Up to size pulled observations, gathered n at a time for one Newton
-    fit over all of them.
-
-    :meth:`add` writes stacked observations into slots of a
-    :class:`FitData`, which keeps only what the fit reads, and scans the n
-    slots together for their starts (:func:`grid_search`). Each slot
-    carries its own row matrix and pilots, so one batch can hold
-    observations fitted with different models, such as both estimators'
-    trials. :meth:`fit` runs one :func:`refine` over every slot filled,
-    which fails a slot whose scan or fit failed, and that slot only.
-    """
-
-    def __init__(self, cfg: SystemConfig, size: int, est: EstimatorConfig | None = None) -> None:
-        self.est = est or EstimatorConfig()
-        self.grid = scan_grid(cfg, self.est)
-        self._data = FitData.empty(cfg, size)
-        self._starts = np.full((size, 2), np.nan)
-        self._filled = 0  # slots written so far
-
-    def add(self, rows: np.ndarray, pilots: np.ndarray, u: np.ndarray) -> range:
-        """Add the pulled observations u, (n, G, K), each to be fitted with
-        its row matrix W C and pilots x~ (shapes as for :meth:`FitData.put`),
-        and scan them for their starts; returns their slots.
-        """
-        u = np.asarray(u, dtype=complex)
-        if not np.all(np.isfinite(u)):
-            raise ValueError("observation contains non-finite samples")
-        slots = range(self._filled, self._filled + len(u))
-        self._data.put(slots.start, rows, pilots, u)
-        index = slice(slots.start, slots.stop)
-        self._starts[index] = grid_search(self._data, index, self.grid)
-        self._filled = slots.stop
-        return slots
-
-    def fit(self) -> Fits:
-        """The fits of every observation added, in order. This spends the
-        batch: popped straight into the call, its storage is held by refine
-        alone, which frees the slots of the fits that stop."""
-        filled = slice(0, self._filled)
-        return refine(vars(self).pop("_data").take(filled), self._starts[filled], self.est)
-
-
 def _estimate(y: np.ndarray, model: ProjectionModel, est: EstimatorConfig | None) -> Estimate:
-    """One observation's fit: a batch of one."""
-    batch = TrialBatch(model.cfg, 1, est)
-    batch.add(model.row_matrix, model.eff_pilots, model.pulled_observation(y)[None])
-    fit = batch.fit()
+    """One observation's fit: one slot scanned and refined."""
+    est = est or EstimatorConfig()
+    u = model.pulled_observation(y)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("observation contains non-finite samples")
+    data = FitData.empty(model.cfg, 1)
+    data.put(0, model.row_matrix, model.eff_pilots, u[None])
+    fit = refine(data, grid_search(data, scan_grid(model.cfg, est)), est)
     if fit.errors[0] is not None:
         raise NumericError(fit.errors[0])
     position = fit.positions[0]

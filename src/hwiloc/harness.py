@@ -27,7 +27,11 @@ impaired means for the lb is built once for all of them; on those two
 axes a task is a point (:func:`_bounds_tasks`). The trials runner makes
 one impaired model stack per TRIAL_CHUNK trials, whose FFT means and
 pulled observations are stacked arrays, writes both estimators' trials
-of a point into one batch and fits them all in one Newton fit.
+of a point into one :class:`~hwiloc.observation.FitData`, and scans and
+fits them all with one :func:`~hwiloc.estimation.grid_search` and one
+:func:`~hwiloc.estimation.refine` (:func:`_fit_point`). Each point logs
+one line that counts its trials' stops, and their failures by reason,
+per estimator.
 
 Determinism: every random draw derives from
 SeedSequence((master_seed, draw_index, stream_tag)), so output is
@@ -76,7 +80,9 @@ from .estimation import (
     EstimatorConfig,
     Fits,
     NumericError,
-    TrialBatch,
+    grid_search,
+    refine,
+    scan_grid,
     scan_limit_m,
 )
 from .impairments import ImpairmentConfig, mc_matrix, sample_realization
@@ -92,6 +98,7 @@ from .model import (
     params_to_positions,
 )
 from .observation import (
+    FitData,
     ProjectionModel,
     phase_rotations,
     sandwich_matrices,
@@ -461,38 +468,45 @@ def _fit_point(
 
     The point scales the trials' units once (:func:`_draws`). Then
     TRIAL_CHUNK trials at a time make one impaired model stack, whose means
-    (rotated by FFT), plus the scaled noise, are the observations, and join
-    one batch, once per estimator with what that estimator fits: the clean
+    (rotated by FFT), plus the scaled noise, are the observations. Each
+    estimator's trials fill their own run of slots of one
+    :class:`~hwiloc.observation.FitData`, the j-th requested estimator's
+    trial t slot j n_trials + t, with what that estimator fits: the clean
     chain's rows and pilots and the observations themselves for
     ``mmle_rmse``, the stack's rows and pilots and the observations pulled
-    back through its rotations for ``mle_m1_rmse``. Then the batch runs one
-    Newton fit over every trial of both; each estimator's fits are its own
-    slots, and no fit depends on the others in the batch. A trial's
-    observation is, up to rounding, the one that
-    :func:`~hwiloc.observation.observe` draws for its impaired mean from the
-    trial's generator after its realization.
+    back through its rotations for ``mle_m1_rmse``. One scan then gives
+    every slot its start and one Newton fit fits them all; no fit depends
+    on the other slots. A trial's observation is, up to rounding, the one
+    that :func:`~hwiloc.observation.observe` draws for its impaired mean
+    from the trial's generator after its realization.
     """
     sys_cfg = point.sys_cfg
     draws = _draws(point, units)
     clean_rows = draws.combiners @ point.known
     scale = noise_std(sys_cfg) / np.sqrt(2.0)
-    batch = TrialBatch(sys_cfg, len(metrics) * spec.n_trials, est)
-    slots: dict[str, list[int]] = {m: [] for m in metrics}
-    for start in range(0, spec.n_trials, TRIAL_CHUNK):
+    n = spec.n_trials
+    data = FitData.empty(sys_cfg, len(metrics) * n)
+    for start in range(0, n, TRIAL_CHUNK):
         chunk = slice(start, start + TRIAL_CHUNK)
         rotations = phase_rotations(draws.cfo[chunk], draws.pn[chunk], sys_cfg)
         model = ProjectionModel(
             sys_cfg, draws.combiners, draws.couplings[chunk], draws.sent[chunk], rotations
         )
         y = model.mean(point.theta) + scale * units.noise[chunk]
-        for m in metrics:
+        for j, m in enumerate(metrics):
+            at = j * n + start
             if m == "mmle_rmse":
-                slots[m] += batch.add(clean_rows, draws.pilots[chunk], y)
+                data.put(at, clean_rows, draws.pilots[chunk], y)
             else:
-                u = model.pulled_observation(y)
-                slots[m] += batch.add(model.row_matrix, model.eff_pilots, u)
-    fits = batch.fit()
-    return {m: fits.take(np.array(own)) for m, own in slots.items()}
+                data.put(at, model.row_matrix, model.eff_pilots, model.pulled_observation(y))
+    starts = grid_search(data, scan_grid(sys_cfg, est))
+    # refine gets the only reference, so the slots of the fits that stop are
+    # freed as it goes: held here as well, the storage raised the desk.cfg
+    # estimate's peak RSS by about 0.2 MB
+    held = [data]
+    del data
+    fits = refine(held.pop(), starts, est)
+    return {m: fits.take(np.arange(j * n, (j + 1) * n)) for j, m in enumerate(metrics)}
 
 
 def _trials_point(spec: ExperimentSpec, axis_index: int, units: Units) -> list[ResultRow]:
@@ -501,24 +515,19 @@ def _trials_point(spec: ExperimentSpec, axis_index: int, units: Units) -> list[R
     p_true = params_to_positions(point.theta.as_array())
     metrics = [m for m in ESTIMATOR_METRICS if m in spec.outputs]
     fits = _fit_point(spec, point, units, metrics, EstimatorConfig())
-    squared: dict[str, np.ndarray] = {}
-    stops: dict[str, Counter] = {}
+    squared = {m: np.sum((f.positions[f.converged] - p_true) ** 2, axis=1) for m, f in fits.items()}
+    counts = []
     for m in metrics:
-        fit = fits[m]
-        for t, error in enumerate(fit.errors):
-            if error is not None:
-                logger.debug("trials: sweep value %r trial %d %s failed: %s", value, t, m, error)
-        stops[m] = Counter(fit.stops.tolist())
-        squared[m] = np.sum((fit.positions[fit.converged] - p_true) ** 2, axis=1)
-    all_converged = all(sum(stops[m].values()) == squared[m].size for m in metrics)
+        stops = " ".join(f"{s}={n}" for s, n in sorted(Counter(fits[m].stops.tolist()).items()))
+        reasons = Counter(e for e in fits[m].errors if e is not None)
+        failed = ", ".join(f"{reason}={n}" for reason, n in sorted(reasons.items()))
+        counts.append(f"{m} {stops}" + (f" ({failed})" if failed else ""))
+    all_converged = all(squared[m].size == spec.n_trials for m in metrics)
     logger.log(
         logging.INFO if all_converged else logging.WARNING,
         "trials: sweep value %r stops: %s",
         value,
-        "; ".join(
-            f"{m} " + " ".join(f"{reason}={n}" for reason, n in sorted(stops[m].items()))
-            for m in metrics
-        ),
+        "; ".join(counts),
     )
     empty = ", ".join(m for m in metrics if not squared[m].size)
     if empty:

@@ -13,7 +13,6 @@ from hwiloc.estimation import (
     EstimatorConfig,
     NumericError,
     ProjectionModel,
-    TrialBatch,
     fitted_params,
     grid_search,
     mle_m1,
@@ -398,7 +397,7 @@ def test_grid_search_recovers_grid_node():
     model = ProjectionModel.clean(cfg, blk)
     y = model.mean(th)
     grid = scan_grid(cfg, est)
-    p0 = grid_search(fit_data(model, y), slice(0, 1), grid)[0]
+    p0 = grid_search(fit_data(model, y), grid)[0]
     assert np.allclose(p0, rng_m * np.array([np.cos(aoa), np.sin(aoa)]), atol=1e-9)
     assert model.objective_grid(y, grid).min() == pytest.approx(0.0, abs=1e-12 * np.vdot(y, y).real)
 
@@ -435,7 +434,7 @@ def test_grid_search_matches_brute_force_argmin():
     y = observe(ProjectionModel.clean(cfg, blk).mean(th), 5e-6, np.random.default_rng(11))
     model = ProjectionModel.clean(cfg, blk)
     grid = scan_grid(cfg, est)
-    p0 = grid_search(fit_data(model, y), slice(0, 1), grid)[0]
+    p0 = grid_search(fit_data(model, y), grid)[0]
     best, best_p = np.inf, None
     for a in est.grid_angles():
         for r in grid.ranges_m:
@@ -452,16 +451,30 @@ def test_grid_search_matches_brute_force_argmin():
     u = np.array([model.mean(th) * x / blk.symbols for x in pilots]) + noise
     u[0] = y
     data = chunk_data(cfg, model.row_matrix, pilots, u)
-    starts = grid_search(data, slice(0, n), grid)
+    starts = grid_search(data, grid)
     assert starts.shape == (n, 2)
     assert len({float(e) for e in data.energies[:, 0]}) == n
     for i in range(n):
         npt.assert_array_equal(starts[i], grid_argmin(data, i, grid))
     npt.assert_array_equal(starts[0], p0)
-    # the same slots one at a time, and inside a larger batch
+    # the same slots in a FitData of their own each, and inside a larger
+    # one whose slots run clean-chain rows, then rows of their own per slot,
+    # then the clean rows again: the scan builds the row gains again only
+    # where a slot's rows differ from the previous slot's, and each slot
+    # starts bit for bit where it starts alone
     for i in range(n):
-        npt.assert_array_equal(grid_search(data, slice(i, i + 1), grid)[0], starts[i])
-    npt.assert_array_equal(grid_search(data, slice(2, 5), grid), starts[2:5])
+        npt.assert_array_equal(grid_search(data.take([i]), grid)[0], starts[i])
+    shape = (n, cfg.n_antennas, cfg.n_antennas)
+    mixes = np.random.default_rng(18).standard_normal((*shape, 2)) @ [1.0, 1j]
+    clean = np.broadcast_to(model.row_matrix, (n, *model.row_matrix.shape))
+    rows = np.concatenate([clean, model.row_matrix @ (np.eye(shape[1]) + 0.3 * mixes), clean])
+    runs = chunk_data(cfg, rows, np.tile(pilots, (3, 1, 1)), np.tile(u, (3, 1, 1)))
+    mixed = grid_search(runs, grid)
+    npt.assert_array_equal(mixed[:n], starts)
+    npt.assert_array_equal(mixed[2 * n :], starts)
+    for i in range(3 * n):
+        npt.assert_array_equal(mixed[i], grid_search(runs.take([i]), grid)[0])
+    assert not np.array_equal(mixed[n : 2 * n], starts)
 
 
 def test_grid_search_tie_breaks_to_lowest_angle_index():
@@ -474,7 +487,7 @@ def test_grid_search_tie_breaks_to_lowest_angle_index():
     est = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15)
     grid = scan_grid(cfg, est)
     model = ProjectionModel.clean(cfg, blk)
-    p0 = grid_search(fit_data(model, y), slice(0, 1), grid)[0]
+    p0 = grid_search(fit_data(model, y), grid)[0]
     aoa0 = float(np.arctan2(p0[1], p0[0]))
     assert aoa0 == pytest.approx(est.grid_angles()[0])
     # a chunk with its own pilots per slot ties on every angle too; a slot
@@ -485,7 +498,7 @@ def test_grid_search_tie_breaks_to_lowest_angle_index():
     u = np.array([y * x / blk.symbols for x in pilots])
     u[2] = 0.0
     data = chunk_data(cfg, model.row_matrix, pilots, u)
-    starts = grid_search(data, slice(0, n), grid)
+    starts = grid_search(data, grid)
     for i in range(n):
         npt.assert_array_equal(starts[i], grid_argmin(data, i, grid))
         assert float(np.arctan2(starts[i, 1], starts[i, 0])) == pytest.approx(grid.aoas[0])
@@ -512,13 +525,11 @@ def test_grid_search_fails_a_non_finite_slot_alone(shared):
     # energy does not see
     scales = (1.0 + np.arange(n)) * np.exp(1j * np.arange(n))
     rows = model.row_matrix if shared else scales[:, None, None] * model.row_matrix
-    batch = TrialBatch(cfg, n, est)
-    assert list(batch.add(rows, pilots, u)) == list(range(n))
-    fit = batch.fit()
+    data = chunk_data(cfg, rows, pilots, u)
+    fit = refine(data, grid_search(data, scan_grid(cfg, est)), est)
     assert fit.errors[bad] == "projection objective is non-finite over the whole grid"
     assert fit.stops[bad] == "failed" and np.isnan(fit.starts[bad]).all()
     assert fit.n_iterations[bad] == 0
-    data = chunk_data(cfg, rows, pilots, u)
     for i in set(range(n)) - {bad}:
         assert fit.errors[i] is None and fit.stops[i] in CONVERGED_STOPS
         npt.assert_array_equal(fit.starts[i], grid_argmin(data, i, scan_grid(cfg, est)))
@@ -541,7 +552,7 @@ def test_refine_fails_a_slot_without_a_start_alone():
     u = observe(np.array([model.mean(true_state(cfg))] * n), 1e-6, np.random.default_rng(17))
     u[3] = 0.0  # no energy either
     data = chunk_data(cfg, model.row_matrix, model.eff_pilots, u)
-    starts = grid_search(data, slice(0, n), scan_grid(cfg, est))
+    starts = grid_search(data, scan_grid(cfg, est))
     starts[bad] = np.nan
     fit = refine(data, starts, est)
     for i in bad:
@@ -576,7 +587,7 @@ def test_refine_improves_on_grid_point():
     model = ProjectionModel.clean(cfg, blk)
     est = EstimatorConfig()
     grid = scan_grid(cfg, est)
-    p0 = grid_search(fit_data(model, y), slice(0, 1), grid)[0]
+    p0 = grid_search(fit_data(model, y), grid)[0]
     obj0 = model.objective_grid(y, grid).min()
     p_hat, obj, stop, _ = refine_one(y, model, p0, est)
     assert stop in CONVERGED_STOPS
@@ -592,7 +603,7 @@ def test_refine_noise_free_reaches_truth():
     y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     est = EstimatorConfig()
-    p0 = grid_search(fit_data(model, y), slice(0, 1), scan_grid(cfg, est))[0]
+    p0 = grid_search(fit_data(model, y), scan_grid(cfg, est))[0]
     p_hat, obj, stop, _ = refine_one(y, model, p0, est)
     assert stop in CONVERGED_STOPS
     assert np.linalg.norm(p_hat - p_true) < 1e-4
@@ -645,7 +656,7 @@ def test_refine_slot_does_not_depend_on_its_batch():
         data = FitData.empty(cfg, len(entries))
         for i, (rows, pilots, u) in enumerate(entries):
             data.put(i, rows, pilots, np.asarray(u)[None])
-        return data, grid_search(data, slice(0, len(entries)), grid)
+        return data, grid_search(data, grid)
 
     alone = {m: refine(*batch(entries), est) for m, entries in slots.items()}
     order = [("mle_m1", 2), ("mmle", 0), ("mmle", 3), ("mle_m1", 0), ("mle_m1", 4),
@@ -767,11 +778,21 @@ def test_mmle_under_noise_stays_near_truth():
 
 
 def test_estimators_reject_non_finite_observations():
+    """An observation that holds one NaN sample, or only NaNs, is a
+    ValueError for either estimator, before any fit."""
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
-    y = np.full((cfg.n_transmissions, cfg.n_subcarriers), np.nan, dtype=complex)
-    with pytest.raises(ValueError):
-        mmle_m2(y, ProjectionModel.clean(cfg, blk))
+    imp = ImpairmentConfig()
+    real = sample_realization(imp, cfg, np.random.default_rng(5))
+    for fit, model in [
+        (mmle_m2, ProjectionModel.clean(cfg, blk, imp.coupling)),
+        (mle_m1, ProjectionModel.impaired(cfg, blk, imp, real)),
+    ]:
+        y = model.mean(true_state(cfg))
+        y[1, 3] = np.nan
+        for bad in (y, np.full_like(y, np.nan)):
+            with pytest.raises(ValueError, match="observation contains non-finite samples"):
+                fit(bad, model)
 
 
 def test_estimate_records_grid_start():

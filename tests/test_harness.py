@@ -54,6 +54,7 @@ from hwiloc.model import (
     noise_std,
 )
 from hwiloc.observation import (
+    FitData,
     ProjectionModel,
     observe,
     sandwich_matrices,
@@ -535,27 +536,27 @@ def test_estimator_trials_log_one_stop_count_line_per_point(monkeypatch, caplog)
             run_estimator_trials(desk_spec(outputs="mmle_rmse,mle_m1_rmse", sweep_values="10"))
     stops = [r for r in caplog.records if "stops:" in r.getMessage()]
     assert [r.getMessage() for r in stops] == [
-        "trials: sweep value 10.0 stops: mmle_rmse max_iter=2; mle_m1_rmse failed=2"
+        "trials: sweep value 10.0 stops: mmle_rmse max_iter=2; "
+        "mle_m1_rmse failed=2 (synthetic failure=2)"
     ]
     assert stops[0].levelno == logging.WARNING
     assert not [r for r in caplog.records if r.levelno == logging.WARNING and "trial 0" in r.getMessage()]
 
 
 def test_estimator_trials_numeric_error_fails_one_trial_only(monkeypatch, caplog):
-    # the first scan of the point covers the chunk of the mismatched fit,
-    # which the batch takes before the matched fit's; trial 1 of it gets a
-    # non-finite objective and fails that scan alone. The other trials of
-    # both estimators still fit and count
-    real_scan = hwiloc.estimation.grid_search
+    # the point's one scan covers both estimators' slots, the mismatched
+    # fit's first; trial 1 of it gets a non-finite objective and fails that
+    # scan alone. The other trials of both estimators still fit and count,
+    # and the point's stops line counts the failure by its reason
+    real_scan = hwiloc.harness.grid_search
     calls = []
 
-    def second_slot_fails(data, index, grid):
-        calls.append(index)
-        if len(calls) == 1:
-            data.w[index.start + 1] = np.nan
-        return real_scan(data, index, grid)
+    def second_slot_fails(data, grid):
+        calls.append(data.yy.size)
+        data.w[1] = np.nan
+        return real_scan(data, grid)
 
-    monkeypatch.setattr("hwiloc.estimation.grid_search", second_slot_fails)
+    monkeypatch.setattr("hwiloc.harness.grid_search", second_slot_fails)
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     spec = desk_spec(outputs="mmle_rmse,mle_m1_rmse", sweep_values="30")
     with caplog.at_level(logging.DEBUG, logger="hwiloc.harness"):
@@ -564,13 +565,14 @@ def test_estimator_trials_numeric_error_fails_one_trial_only(monkeypatch, caplog
         "mmle_rmse": (2, 1),
         "mle_m1_rmse": (2, 2),
     }
-    line = next(r.getMessage() for r in caplog.records if "stops:" in r.getMessage())
-    assert "mmle_rmse failed=1 " in line and "mle_m1_rmse failed" not in line
-    assert (
-        "trial 1 mmle_rmse failed: projection objective is non-finite over the whole grid"
-        in caplog.text
-    )
-    assert calls == [slice(0, 2), slice(2, 4)]
+    # one line per point, none per trial
+    assert not [r for r in caplog.records if "trial 1" in r.getMessage()]
+    (line,) = [r.getMessage() for r in caplog.records if "stops:" in r.getMessage()]
+    mmle, mle_m1 = line.split("; ")
+    assert mmle.startswith("trials: sweep value 30.0 stops: mmle_rmse failed=1 ")
+    assert mmle.endswith(" (projection objective is non-finite over the whole grid=1)")
+    assert mle_m1.startswith("mle_m1_rmse ") and "failed" not in mle_m1
+    assert calls == [4]
 
 
 def test_estimator_trials_stop_counts_cover_every_trial(monkeypatch, caplog):
@@ -599,8 +601,8 @@ def test_point_fit_matches_one_observation_estimators(
     """The per-point fit gives each trial the stop, iteration count and
     position (within 1e-9 m) that mmle_m2 and mle_m1 give it alone, on
     desk.cfg draws in chunks of 4 trials, both estimators' trials in one
-    batch. Each trial's observation is read as the batch takes it for the
-    mismatched fit; it matches the trial's impaired model plus the noise
+    FitData. Each trial's observation is read as the FitData takes it for
+    the mismatched fit; it matches the trial's impaired model plus the noise
     that observe draws, both rebuilt from the trial's own generator: the
     pilots on the amplifier axis, the realization, then the noise. Trial 2 observes nothing for either estimator, so both its
     fits end in a NumericError, and only its fits."""
@@ -614,15 +616,15 @@ def test_point_fit_matches_one_observation_estimators(
     sys_cfg, imp = point.sys_cfg, point.imp
     est = EstimatorConfig(max_iterations=max_iterations)
     blank = 2
-    real_add = hwiloc.estimation.TrialBatch.add
-    # observations added so far by estimator: the clean chain's rows are
-    # one (G, N) matrix, and its observations are the observations themselves
+    real_put = FitData.put
+    # observations put so far by estimator: the clean chain's rows are one
+    # (G, N) matrix, and its observations are the observations themselves
     filled = Counter()
-    batches = set()
+    stores = set()
     observed = []
 
-    def add_with_blank(batch, rows, pilots, u):
-        batches.add(id(batch))
+    def put_with_blank(data, at, rows, pilots, u):
+        stores.add(id(data))
         start = filled[rows.ndim]
         filled[rows.ndim] += len(u)
         u = np.array(u)
@@ -630,14 +632,14 @@ def test_point_fit_matches_one_observation_estimators(
             observed.extend(u.copy())
         if start <= blank < start + len(u):
             u[blank - start] = 0.0
-        return real_add(batch, rows, pilots, u)
+        return real_put(data, at, rows, pilots, u)
 
-    monkeypatch.setattr(hwiloc.estimation.TrialBatch, "add", add_with_blank)
+    monkeypatch.setattr(FitData, "put", put_with_blank)
     metrics = ["mmle_rmse", "mle_m1_rmse"]
     units = hwiloc.harness._units(spec, hwiloc.harness._TRIAL_STREAM)
     fits = hwiloc.harness._fit_point(spec, point, units, metrics, est)
-    assert len(observed) == spec.n_trials and len(batches) == 1
-    monkeypatch.setattr(hwiloc.estimation.TrialBatch, "add", real_add)  # for the estimators
+    assert len(observed) == spec.n_trials and len(stores) == 1
+    monkeypatch.setattr(FitData, "put", real_put)  # for the estimators
 
     theta = geometric_params(spec.ue_position, spec.gain_phase, sys_cfg)
     for t in range(spec.n_trials):
@@ -1510,7 +1512,7 @@ def test_benchmark_tracer_finds_every_layer(tmp_path, monkeypatch):
     assert bounds["observation.sandwich_matrices"] == 2
     # the estimate run draws a point's trials as stacked arrays, observes
     # and pulls them by FFT and fits both estimators' trials of a point in
-    # one batch: it never calls mu_m1, observe or the one-observation
+    # one FitData: it never calls mu_m1, observe or the one-observation
     # estimators, and nothing else does
     skipped = (
         "observation.mu_m1",
@@ -1522,15 +1524,14 @@ def test_benchmark_tracer_finds_every_layer(tmp_path, monkeypatch):
     estimate = Counter(t.names[first:])
     assert {name: bounds[name] + estimate[name] for name in skipped} == dict.fromkeys(skipped, 0)
     assert [n for n in tracer.SPAN_TARGETS if n not in t.names and n not in skipped] == []
-    # the scans read slots of the batch's FitData, not a model per trial
+    # the scans read slots of the point's FitData, not a model per trial
     assert t.counts[tracer.OBJECTIVE] == 0
     # one PA pass per point (2 points), its pilots shared by the point's
-    # trials; no model and no dense sandwich per trial; one scan per chunk
-    # (one chunk of 3 trials per point) and estimator, one Newton fit per
-    # point
+    # trials; no model and no dense sandwich per trial; one scan and one
+    # Newton fit per point, over both estimators' trials
     assert estimate["observation.transmit_pilots"] == 2
     assert estimate["observation.sandwich_matrices"] == 0
-    assert estimate["estimation.grid_search"] == 4
+    assert estimate["estimation.grid_search"] == 2
     assert estimate["estimation.refine"] == 2
 
 
