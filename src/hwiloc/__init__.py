@@ -20,7 +20,7 @@ from .config_io import (
     resolve_spec,
     spec_to_text,
 )
-from .estimation import Estimate, EstimatorConfig, NumericError, mle_m1, mmle_m2
+from .estimation import Estimate, NumericError, mle_m1, mmle_m2
 from .harness import rows_to_csv, run_bounds_sweep, run_estimator_trials
 from .impairments import ImpairmentConfig, ImpairmentRealization, sample_realization
 from .model import (
@@ -42,7 +42,6 @@ __all__ = [
     "ChannelParams",
     "ConfigError",
     "Estimate",
-    "EstimatorConfig",
     "ExperimentSpec",
     "ImpairmentConfig",
     "ImpairmentRealization",

@@ -12,7 +12,9 @@ position p. Each estimator takes the model it fits: the matched
 minimize L(p) the same way: a coarse polar grid, then a damped Newton fit
 in (aoa, range) on the exact gradient and Hessian of the captured energy,
 the variable-projection form of separable least squares (Golub & Pereyra,
-Inverse Problems 19, 2003).
+Inverse Problems 19, 2003). Neither takes settings: the grid is
+N_GRID_ANGLES by N_GRID_RANGES (:func:`scan_grid`, built once per link)
+and a fit runs at most MAX_ITERATIONS Newton iterations.
 
 Both stages work on the pulled observation u_g = M_g^H y_g (the unitary
 phase-noise/CFO rotation moved onto the data once per observation, by FFT)
@@ -21,26 +23,23 @@ which makes the objective separable in angle and range. Both read the
 slots of a :class:`FitData`, which keeps of each pulled observation only
 what the objective reads, with the row matrix and pilots it is fitted
 with, so one FitData can hold observations of different models, such as
-both estimators' trials of a sweep point. The scan (:func:`grid_search`)
-takes every slot on bases built once per grid, with the products of
-:meth:`ScanGrid.objective`: the subcarrier sums for every range, then one
-combination over transmissions per slot, on row gains built again only
-where a slot's rows differ from the previous slot's. It gives each slot
-its start, NaN where the scan failed. :func:`refine` then fits every slot
-together on (T,) arrays, each with its own stop rules and line search; a
-fit that stops or fails leaves the active set, so no fit depends on the
-other slots, and every failure, of the scan or of the fit, is recorded
-in one place. Every derivative the Newton fit needs comes from one
-product over transmissions per fit and one (K, 3) product shared by all
-fits (:meth:`FitData.captured_energy`). The sweep harness fits a sweep
-point's trials of both estimators with one scan and one Newton fit, and
-``mmle_m2``/``mle_m1`` are the same path for one slot.
+both estimators' trials of a sweep point. :func:`grid_search` gives every
+slot its start, NaN where the scan failed; :func:`refine` then fits every
+slot together on (T,) arrays, each with its own stop rules and one line
+search per iteration that starts from the full step. A fit that stops or
+fails leaves the active set, so no fit depends on the other slots, and
+every failure, of the scan or of the fit, is recorded in one place. The
+sweep harness fits a sweep point's trials of both estimators with one
+scan and one Newton fit, and ``mmle_m2``/``mle_m1`` are the same path for
+one slot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,12 +51,16 @@ from .observation import FitData, ProjectionModel, ScanGrid
 # scanned ranges, metres
 RANGE_MIN_M = 0.5
 RANGE_MAX_M = 30.0
+# the scan grid: angles strictly inside (-pi/2, pi/2), ranges over [RANGE_MIN_M, RANGE_MAX_M]
+N_GRID_ANGLES = 181
+N_GRID_RANGES = 60
 # Newton fit settings
+MAX_ITERATIONS = 200  # Newton iterations before a fit stops as max_iter
 INITIAL_STEP_M = 0.1  # steepest-descent step where the Hessian is not definite
 GRAD_TOLERANCE = 1e-9  # on the Cartesian gradient of the normalized objective
 DECREMENT_TOLERANCE = 1e-14  # Newton decrement g^T H^-1 g / 2, normalized objective
 SUFFICIENT_DECREASE = 1e-4  # Armijo slope
-MAX_BACKTRACKS = 40  # step halvings before the line search counts as stalled
+MAX_BACKTRACKS = 40  # line-search trials, t = 1, 1/2, ..., before a fit stalls
 # stop reasons of refine that count as converged
 CONVERGED_STOPS = ("gradient", "decrement")
 FAILED = "failed"  # the stop of a fit that failed numerically, its reason in Fits.errors
@@ -68,19 +71,10 @@ class NumericError(RuntimeError):
     """Raised when a numeric procedure cannot produce a usable result."""
 
 
-@dataclass
-class EstimatorConfig:
-    """Grid size and iteration cap of the projection estimators."""
+class EstimatorConfig(NamedTuple):
+    """The iteration cap as perfbench/tracer.py reads it; no estimator takes it."""
 
-    n_grid_angles: int = 181  # angles strictly inside (-pi/2, pi/2)
-    n_grid_ranges: int = 60
-    max_iterations: int = 200
-
-    def grid_angles(self) -> np.ndarray:
-        return np.linspace(-np.pi / 2, np.pi / 2, self.n_grid_angles + 2)[1:-1]
-
-    def grid_ranges(self) -> np.ndarray:
-        return np.linspace(RANGE_MIN_M, RANGE_MAX_M, self.n_grid_ranges)
+    max_iterations: int = MAX_ITERATIONS
 
 
 @dataclass
@@ -132,8 +126,11 @@ class Fits:
         for i in np.atleast_1d(index):
             self.errors[i] = message
 
-    def settle(self, index: np.ndarray, pos: np.ndarray, objective: np.ndarray, stop: str) -> None:
-        """Record fits that stopped at polar positions pos = (aoa, range), (2, k)."""
+    def settle(
+        self, index: np.ndarray, pos: np.ndarray, objective: np.ndarray, stop: str | np.ndarray
+    ) -> None:
+        """Record fits that stopped at polar positions pos = (aoa, range), (2,
+        k), for the reason stop, one for all or (k,)."""
         self.positions[index] = polar_to_positions(*pos)
         self.objectives[index] = objective
         self.stops[index] = stop
@@ -160,12 +157,24 @@ def scan_limit_m(subcarrier_spacing_hz: float) -> float:
     return min(RANGE_MAX_M, RANGE_MIN_M + SPEED_OF_LIGHT / subcarrier_spacing_hz)
 
 
-def scan_grid(cfg: SystemConfig, est: EstimatorConfig) -> ScanGrid:
-    """The estimators' scan grid for a link: est's angles, and its ranges
-    below :func:`scan_limit_m` (at least the first one)."""
-    ranges = est.grid_ranges()
-    kept = ranges[ranges < scan_limit_m(cfg.subcarrier_spacing_hz)]
-    return ScanGrid.build(cfg, est.grid_angles(), kept if kept.size else ranges[:1])
+def scan_grid(cfg: SystemConfig) -> ScanGrid:
+    """The estimators' scan grid for a link: N_GRID_ANGLES angles strictly
+    inside (-pi/2, pi/2), and of N_GRID_RANGES ranges over [RANGE_MIN_M,
+    RANGE_MAX_M] those below :func:`scan_limit_m` (at least the first one).
+    Built once per link and shared, so its arrays are read-only."""
+    return _link_scan_grid(cfg.n_antennas, cfg.n_subcarriers, cfg.subcarrier_spacing_hz)
+
+
+@lru_cache(maxsize=16)
+def _link_scan_grid(n_antennas: int, n_subcarriers: int, spacing_hz: float) -> ScanGrid:
+    aoas = np.linspace(-np.pi / 2, np.pi / 2, N_GRID_ANGLES + 2)[1:-1]
+    ranges = np.linspace(RANGE_MIN_M, RANGE_MAX_M, N_GRID_RANGES)
+    kept = ranges[ranges < scan_limit_m(spacing_hz)]
+    ranges = kept if kept.size else ranges[:1]
+    grid = ScanGrid.build(n_antennas, n_subcarriers, spacing_hz, aoas, ranges)
+    for array in (grid.aoas, grid.ranges_m, grid.steering, grid.delay_conj):
+        array.flags.writeable = False
+    return grid
 
 
 def grid_search(data: FitData, grid: ScanGrid) -> np.ndarray:
@@ -225,7 +234,7 @@ def _normalized(data: FitData, aoa: np.ndarray, rng: np.ndarray) -> np.ndarray:
     return out
 
 
-def refine(data: FitData, starts: np.ndarray, est: EstimatorConfig) -> Fits:
+def refine(data: FitData, starts: np.ndarray) -> Fits:
     """Damped Newton fits of the projection objectives of T pulled
     observations in (aoa, range), from their starting positions (T, 2).
 
@@ -233,14 +242,15 @@ def refine(data: FitData, starts: np.ndarray, est: EstimatorConfig) -> Fits:
     scale-free; its exact gradient and Hessian come from
     :meth:`FitData.captured_energy`. Where the Hessian is positive definite
     the step is the Newton step, elsewhere a steepest-descent step of
-    INITIAL_STEP_M metres; either is halved until the Armijo condition holds
+    INITIAL_STEP_M metres. One backtracking line search tries the step at t
+    = 1, 1/2, 1/4, ... and takes the first that meets the Armijo condition
     at a positive range. A fit stops with one of these reasons:
 
     * ``gradient``: the Cartesian gradient is below GRAD_TOLERANCE;
-    * ``decrement``: the Newton decrement is below DECREMENT_TOLERANCE,
-      a decrease too small to test, so the last full step is taken as is;
-    * ``stalled``: no step passed the line search in MAX_BACKTRACKS halvings;
-    * ``max_iter``: est.max_iterations iterations ran out.
+    * ``decrement``: the Newton decrement is below DECREMENT_TOLERANCE, a
+      decrease too small to test: the full step is taken, untested, if finite;
+    * ``stalled``: no step passed the line search in MAX_BACKTRACKS trials;
+    * ``max_iter``: MAX_ITERATIONS iterations ran out.
 
     Only the first two count as converged. Except for the final full Newton
     step, each objective sequence is non-increasing.
@@ -248,9 +258,9 @@ def refine(data: FitData, starts: np.ndarray, est: EstimatorConfig) -> Fits:
     The fits share array operations but not their steps: each follows the
     rules above on its own, and one that stops leaves the active set. A fit
     ends as ``failed``, with the reason in ``errors``, when its start is not
-    finite (SCAN_FAILED: the scan found no start), else when its
-    observation has no energy, or when its objective or gradient turns
-    non-finite; the others go on.
+    finite (SCAN_FAILED: the scan found no start), else when its observation
+    has no energy, or when its objective or gradient turns non-finite; the
+    others go on.
     """
     starts = np.asarray(starts, dtype=float)
     out = Fits.empty(data.yy.size)
@@ -270,19 +280,27 @@ def refine(data: FitData, starts: np.ndarray, est: EstimatorConfig) -> Fits:
         out.fail(ids[~ok], "objective is non-finite at the starting point")
         ids, data, pos, val = ids[ok], data.take(ok), pos[:, ok], val[:, ok]
 
-    for it in range(1, est.max_iterations + 1):
+    # each active fit's stop, "" while it runs: a fit that a line search stops
+    # is settled and dropped with the next iteration's gradient stops, so the
+    # active set is compacted once per iteration, before its line search
+    stops = np.full(ids.size, "", dtype=out.stops.dtype)
+    for it in range(1, MAX_ITERATIONS + 1):
+        running = stops == ""
+        gnorm = np.hypot(val[1] / pos[1], val[2])  # the Cartesian gradient, rotated to polar
+        broken = running & ~np.isfinite(gnorm)
+        stops[running & (gnorm < GRAD_TOLERANCE)] = "gradient"
+        out.n_iterations[ids[running]] = it
+        keep = (stops == "") & ~broken
+        if not keep.all():
+            out.fail(ids[broken], "gradient is non-finite during refinement")
+            done = ~(keep | broken)
+            out.settle(ids[done], pos[:, done], val[0, done] * data.yy[done], stops[done])
+            ids, data, pos, val = ids[keep], data.take(keep), pos[:, keep], val[:, keep]
+            gnorm, stops = gnorm[keep], stops[keep]
         if not ids.size:
             break
-        out.n_iterations[ids] = it
         rng = pos[1]
-        f, g_a, g_r, h_aa, h_ar, h_rr = val
-        gnorm = np.hypot(g_a / rng, g_r)  # the Cartesian gradient, rotated to polar
-        broken = ~np.isfinite(gnorm)
-        if broken.any():
-            out.fail(ids[broken], "gradient is non-finite during refinement")
-        small = gnorm < GRAD_TOLERANCE
-        if small.any():
-            out.settle(ids[small], pos[:, small], f[small] * data.yy[small], "gradient")
+        f, g_a, g_r, h_aa, h_ar, h_rr = val[0].copy(), *val[1:]
         det = h_aa * h_rr - h_ar * h_ar
         newton = (h_aa > 0.0) & (det > 0.0)
         # each fit reads only the branch its Hessian selects, so the other
@@ -294,46 +312,27 @@ def refine(data: FitData, starts: np.ndarray, est: EstimatorConfig) -> Fits:
                 -INITIAL_STEP_M * np.array([g_a, g_r]) / np.array([rng * rng * gnorm, gnorm]),
             )
         slope = g_a * step[0] + g_r * step[1]
-        last = (
-            newton & ~(broken | small)
-            & (-0.5 * slope <= DECREMENT_TOLERANCE) & (rng + step[1] > 0.0)
-        )
-        if broken.any() or small.any():
-            keep = ~(broken | small)
-            ids, data, pos, val = ids[keep], data.take(keep), pos[:, keep], val[:, keep]
-            step, slope, last = step[:, keep], slope[keep], last[keep]
-
-        # the full step, evaluated for every active fit at once: a fit whose
-        # decrement is below tolerance takes it as is where its objective is
-        # finite, the others test it like any step of the line search
-        f = val[0].copy()
-        cand = pos + step
-        c_val = _normalized(data, *cand)
-        ok = ~last & (cand[1] > 0.0) & (c_val[0] <= f + SUFFICIENT_DECREASE * slope)
-        moved = ok | (last & np.isfinite(c_val[0]))
-        pos[:, moved], val[:, moved] = cand[:, moved], c_val[:, moved]
-        if last.any():
-            out.settle(ids[last], pos[:, last], val[0, last] * data.yy[last], "decrement")
-        # backtracking line search: every fit still searching halves the
-        # same step length t, so one t serves them all
-        pending = ~(last | ok)
-        t = 0.5
-        for _ in range(MAX_BACKTRACKS - 1):
+        last = newton & (-0.5 * slope <= DECREMENT_TOLERANCE) & (rng + step[1] > 0.0)
+        # backtracking line search: every fit still searching tries the same
+        # step length t, so one t serves them all; a decrement fit takes the
+        # full step where its objective is finite, and leaves
+        pending = np.ones(ids.size, dtype=bool)
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS):
             j = np.flatnonzero(pending)
             if not j.size:
                 break
             cand = pos[:, j] + t * step[:, j]
             c_val = _normalized(data if j.size == ids.size else data.take(j), *cand)
             ok = (cand[1] > 0.0) & (c_val[0] <= f[j] + SUFFICIENT_DECREASE * t * slope[j])
-            pos[:, j[ok]], val[:, j[ok]] = cand[:, ok], c_val[:, ok]
-            pending[j[ok]] = False
+            moved = ok | (last[j] & np.isfinite(c_val[0]))
+            pos[:, j[moved]], val[:, j[moved]] = cand[:, moved], c_val[:, moved]
+            pending[j[ok | last[j]]] = False
             t *= 0.5
-        if pending.any():
-            out.settle(ids[pending], pos[:, pending], f[pending] * data.yy[pending], "stalled")
-        if last.any() or pending.any():
-            keep = ~(last | pending)
-            ids, data, pos, val = ids[keep], data.take(keep), pos[:, keep], val[:, keep]
-    out.settle(ids, pos, val[0] * data.yy, "max_iter")
+        # settled at val[0], which a stalled fit has not left
+        stops[last], stops[pending] = "decrement", "stalled"
+    stops[stops == ""] = "max_iter"
+    out.settle(ids, pos, val[0] * data.yy, stops)
     return out
 
 
@@ -357,15 +356,14 @@ def fitted_params(y: np.ndarray, model: ProjectionModel, position: np.ndarray) -
     return np.stack([aoa, delay, np.hypot(gains.real, gains.imag), -np.angle(gains)], axis=-1)
 
 
-def _estimate(y: np.ndarray, model: ProjectionModel, est: EstimatorConfig | None) -> Estimate:
+def _estimate(y: np.ndarray, model: ProjectionModel) -> Estimate:
     """One observation's fit: one slot scanned and refined."""
-    est = est or EstimatorConfig()
     u = model.pulled_observation(y)
     if not np.all(np.isfinite(u)):
         raise ValueError("observation contains non-finite samples")
     data = FitData.empty(model.cfg, 1)
     data.put(0, model.row_matrix, model.eff_pilots, u[None])
-    fit = refine(data, grid_search(data, scan_grid(model.cfg, est)), est)
+    fit = refine(data, grid_search(data, scan_grid(model.cfg)))
     if fit.errors[0] is not None:
         raise NumericError(fit.errors[0])
     position = fit.positions[0]
@@ -379,16 +377,12 @@ def _estimate(y: np.ndarray, model: ProjectionModel, est: EstimatorConfig | None
     )
 
 
-def mmle_m2(
-    y: np.ndarray, clean: ProjectionModel, est: EstimatorConfig | None = None
-) -> Estimate:
+def mmle_m2(y: np.ndarray, clean: ProjectionModel) -> Estimate:
     """Mismatched estimator: fits the clean model to whatever y contains."""
-    return _estimate(y, clean, est)
+    return _estimate(y, clean)
 
 
-def mle_m1(
-    y: np.ndarray, impaired: ProjectionModel, est: EstimatorConfig | None = None
-) -> Estimate:
+def mle_m1(y: np.ndarray, impaired: ProjectionModel) -> Estimate:
     """Matched estimator: fits the impaired model of the realization that
     made y."""
-    return _estimate(y, impaired, est)
+    return _estimate(y, impaired)

@@ -77,7 +77,6 @@ from .config_io import (
 )
 from .estimation import (
     RANGE_MIN_M,
-    EstimatorConfig,
     Fits,
     NumericError,
     grid_search,
@@ -462,7 +461,7 @@ def _bounds_rows(
 
 
 def _fit_point(
-    spec: ExperimentSpec, point: Point, units: Units, metrics: list[str], est: EstimatorConfig
+    spec: ExperimentSpec, point: Point, units: Units, metrics: list[str]
 ) -> dict[str, Fits]:
     """Every trial of one sweep point, fitted by each requested estimator.
 
@@ -499,13 +498,13 @@ def _fit_point(
                 data.put(at, clean_rows, draws.pilots[chunk], y)
             else:
                 data.put(at, model.row_matrix, model.eff_pilots, model.pulled_observation(y))
-    starts = grid_search(data, scan_grid(sys_cfg, est))
+    starts = grid_search(data, scan_grid(sys_cfg))
     # refine gets the only reference, so the slots of the fits that stop are
     # freed as it goes: held here as well, the storage raised the desk.cfg
     # estimate's peak RSS by about 0.2 MB
     held = [data]
     del data
-    fits = refine(held.pop(), starts, est)
+    fits = refine(held.pop(), starts)
     return {m: fits.take(np.arange(j * n, (j + 1) * n)) for j, m in enumerate(metrics)}
 
 
@@ -514,7 +513,7 @@ def _trials_point(spec: ExperimentSpec, axis_index: int, units: Units) -> list[R
     value = point.value
     p_true = params_to_positions(point.theta.as_array())
     metrics = [m for m in ESTIMATOR_METRICS if m in spec.outputs]
-    fits = _fit_point(spec, point, units, metrics, EstimatorConfig())
+    fits = _fit_point(spec, point, units, metrics)
     squared = {m: np.sum((f.positions[f.converged] - p_true) ** 2, axis=1) for m, f in fits.items()}
     counts = []
     for m in metrics:

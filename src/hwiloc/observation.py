@@ -262,8 +262,9 @@ class ProjectionModel:
 class ScanGrid:
     """An (angle, range) grid with the scan bases that depend only on it and
     the link: the steering columns a(aoa), (N, n_a), and the conjugate delay
-    phasors conj(d(range / c)), (K, n_r). Built once, it serves every scan of
-    a sweep point, on either chain."""
+    phasors conj(d(range / c)), (K, n_r). The estimators' grid is built once
+    per link (:func:`hwiloc.estimation.scan_grid`) and serves every scan on
+    it, on either chain."""
 
     aoas: np.ndarray  # (n_a,) rad
     ranges_m: np.ndarray  # (n_r,)
@@ -271,16 +272,16 @@ class ScanGrid:
     delay_conj: np.ndarray  # (K, n_r)
 
     @staticmethod
-    def build(cfg: SystemConfig, aoas: np.ndarray, ranges_m: np.ndarray) -> "ScanGrid":
+    def build(n_antennas: int, n_subcarriers: int, spacing_hz: float, aoas, ranges_m) -> "ScanGrid":
         aoas, ranges_m = np.asarray(aoas, dtype=float), np.asarray(ranges_m, dtype=float)
-        n = np.arange(cfg.n_antennas)
-        k = np.arange(1, cfg.n_subcarriers + 1)
+        n = np.arange(n_antennas)
+        k = np.arange(1, n_subcarriers + 1)
         tau = ranges_m / SPEED_OF_LIGHT
         return ScanGrid(
             aoas,
             ranges_m,
             np.exp(1j * np.pi * np.outer(n, np.sin(aoas))),
-            np.exp(2j * np.pi * cfg.subcarrier_spacing_hz * np.outer(k, tau)),
+            np.exp(2j * np.pi * spacing_hz * np.outer(k, tau)),
         )
 
     def objective(

@@ -15,6 +15,12 @@ stack of single links.
 sequential_descent is the pseudo-true descent with the plain line search,
 one halving per objective call, that the blocked search must reproduce.
 
+two_block_refine is the estimators' Newton fit with its full step tried
+for every active fit in a block of its own, before a line search that
+starts at t = 1/2, and the active set compacted twice per iteration: the
+form whose fits hwiloc.estimation.refine, one line search from t = 1,
+must reproduce bit for bit.
+
 plug_in_gain is the closed-form gain of one observation at one mean, as
 np.vdot gives it, that the stacked gains of fitted_params reproduce.
 
@@ -35,9 +41,23 @@ from hwiloc.bounds import (
     mean_derivatives,
     model_derivatives,
 )
-from hwiloc.estimation import GRAD_TOLERANCE, INITIAL_STEP_M, Fits
+from hwiloc.estimation import (
+    DECREMENT_TOLERANCE,
+    GRAD_TOLERANCE,
+    INITIAL_STEP_M,
+    SCAN_FAILED,
+    SUFFICIENT_DECREASE,
+    Fits,
+    _normalized,
+)
 from hwiloc.impairments import mc_matrix, sample_realization
-from hwiloc.model import delay_vector, generate_pilots, steering_derivatives, steering_vector
+from hwiloc.model import (
+    delay_vector,
+    generate_pilots,
+    positions_to_polar,
+    steering_derivatives,
+    steering_vector,
+)
 from hwiloc.observation import ProjectionModel, sandwich_matrices, transmit_pilots, unit_noise
 
 EYE = np.eye(4, dtype=int)
@@ -210,6 +230,90 @@ def sequential_descent(data, starts):
             ids, data, p, fp, step = ids[keep], data.take(keep), p[keep], fp[keep], step[keep]
     settle(np.ones(ids.size, dtype=bool), "max_iter")
     return out, most_halvings
+
+
+def two_block_refine(data, starts, max_iterations, max_backtracks):
+    """hwiloc.estimation.refine with at most max_iterations iterations and
+    max_backtracks line-search trials, in its two-block form: each iteration
+    evaluates the full step of every active fit at once, where a fit whose
+    Newton decrement is below tolerance takes it as is if its objective is
+    finite, then halves the step of the fits still searching from t = 1/2,
+    and drops the fits that stopped before and after the line search."""
+    starts = np.asarray(starts, dtype=float)
+    out = Fits.empty(data.yy.size)
+    out.starts[:] = starts
+    ids = np.arange(data.yy.size)
+    scanned = np.isfinite(starts).all(axis=1)
+    usable = scanned & np.isfinite(data.yy) & (data.yy > 0.0)
+    out.fail(ids[~scanned], SCAN_FAILED)
+    out.fail(ids[scanned & ~usable], "observation energy must be positive and finite")
+    if not usable.all():
+        ids, data = ids[usable], data.take(usable)
+    pos = np.array(positions_to_polar(starts[ids]))
+    val = _normalized(data, *pos)
+    ok = np.isfinite(val[0])
+    if not ok.all():
+        out.fail(ids[~ok], "objective is non-finite at the starting point")
+        ids, data, pos, val = ids[ok], data.take(ok), pos[:, ok], val[:, ok]
+
+    for it in range(1, max_iterations + 1):
+        if not ids.size:
+            break
+        out.n_iterations[ids] = it
+        rng = pos[1]
+        f, g_a, g_r, h_aa, h_ar, h_rr = val
+        gnorm = np.hypot(g_a / rng, g_r)
+        broken = ~np.isfinite(gnorm)
+        if broken.any():
+            out.fail(ids[broken], "gradient is non-finite during refinement")
+        small = gnorm < GRAD_TOLERANCE
+        if small.any():
+            out.settle(ids[small], pos[:, small], f[small] * data.yy[small], "gradient")
+        det = h_aa * h_rr - h_ar * h_ar
+        newton = (h_aa > 0.0) & (det > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.where(
+                newton,
+                np.array([h_ar * g_r - h_rr * g_a, h_ar * g_a - h_aa * g_r]) / det,
+                -INITIAL_STEP_M * np.array([g_a, g_r]) / np.array([rng * rng * gnorm, gnorm]),
+            )
+        slope = g_a * step[0] + g_r * step[1]
+        last = (
+            newton & ~(broken | small)
+            & (-0.5 * slope <= DECREMENT_TOLERANCE) & (rng + step[1] > 0.0)
+        )
+        if broken.any() or small.any():
+            keep = ~(broken | small)
+            ids, data, pos, val = ids[keep], data.take(keep), pos[:, keep], val[:, keep]
+            step, slope, last = step[:, keep], slope[keep], last[keep]
+
+        f = val[0].copy()
+        cand = pos + step
+        c_val = _normalized(data, *cand)
+        ok = ~last & (cand[1] > 0.0) & (c_val[0] <= f + SUFFICIENT_DECREASE * slope)
+        moved = ok | (last & np.isfinite(c_val[0]))
+        pos[:, moved], val[:, moved] = cand[:, moved], c_val[:, moved]
+        if last.any():
+            out.settle(ids[last], pos[:, last], val[0, last] * data.yy[last], "decrement")
+        pending = ~(last | ok)
+        t = 0.5
+        for _ in range(max_backtracks - 1):
+            j = np.flatnonzero(pending)
+            if not j.size:
+                break
+            cand = pos[:, j] + t * step[:, j]
+            c_val = _normalized(data if j.size == ids.size else data.take(j), *cand)
+            ok = (cand[1] > 0.0) & (c_val[0] <= f[j] + SUFFICIENT_DECREASE * t * slope[j])
+            pos[:, j[ok]], val[:, j[ok]] = cand[:, ok], c_val[:, ok]
+            pending[j[ok]] = False
+            t *= 0.5
+        if pending.any():
+            out.settle(ids[pending], pos[:, pending], f[pending] * data.yy[pending], "stalled")
+        if last.any() or pending.any():
+            keep = ~(last | pending)
+            ids, data, pos, val = ids[keep], data.take(keep), pos[:, keep], val[:, keep]
+    out.settle(ids, pos, val[0] * data.yy, "max_iter")
+    return out
 
 
 def plug_in_gain(y, eta):

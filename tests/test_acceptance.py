@@ -13,6 +13,7 @@ import numpy as np
 
 from dense_oracle import factored_derivatives
 from hwiloc.bounds import (
+    crb_m1_numeric,
     crb_m2_report,
     lb_report,
     mismatch_matrices,
@@ -20,7 +21,7 @@ from hwiloc.bounds import (
 )
 from hwiloc.cli import main
 from hwiloc.config_io import resolve_spec
-from hwiloc.estimation import mmle_m2
+from hwiloc.estimation import grid_search, mmle_m2, refine, scan_grid
 from hwiloc.harness import run_bounds_sweep, run_estimator_trials
 from hwiloc.impairments import (
     MEASURED_COUPLING,
@@ -35,8 +36,9 @@ from hwiloc.model import (
     SystemConfig,
     geometric_params,
     noise_std,
+    positions_to_polar,
 )
-from hwiloc.observation import ProjectionModel, mu_m1, observe
+from hwiloc.observation import FitData, ProjectionModel, mu_m1, observe
 
 DESK = SystemConfig(n_antennas=10, n_transmissions=5, n_subcarriers=32, cp_length=7)
 DESK_KEYS = {
@@ -507,4 +509,75 @@ def test_9_csv_outputs_are_deterministic(tmp_path):
         ok,
         f"bounds byte-identical: {bounds_same}, estimate byte-identical: "
         f"{estimate_same}, {dt:.1f}s",
+    )
+
+
+# 10 ------------------------------------------------------------------------
+
+
+def test_10_estimators_match_their_bounds_draw_by_draw():
+    """For one hardware draw, the mismatched estimator's angle and delay are
+    centred on the pseudo-true theta0 with the MCRB's variances, and the
+    matched one's on the truth with crb_m1's: two fixed draws, 2,000 noise
+    trials per power, both estimators' fits of a (draw, power) in one
+    FitData. Each mean lies within 4 standard errors of its centre, and
+    each variance over its bound within 4 standard errors (sqrt(2 / (n -
+    1)), Gaussian fits) of 1."""
+    t0 = time.perf_counter()
+    from dataclasses import replace
+
+    imp = ImpairmentConfig()
+    n = 2000
+    se_ratio = np.sqrt(2.0 / (n - 1))
+    worst = {"mean": 0.0, "variance": 0.0}
+    worst_bias = 0.0
+    n_converged = 0
+    for draw in range(2):
+        for power in (10.0, 20.0, 30.0, 40.0):
+            cfg = replace(DESK, tx_power_dbm=power)
+            block = PilotBlock.from_config(cfg)
+            theta = geometric_params(UE, GAIN_PHASE, cfg)
+            seed = np.random.SeedSequence((2020, draw))
+            real = sample_realization(imp, cfg, np.random.default_rng(seed))
+            clean = ProjectionModel.clean(cfg, block, imp.coupling)
+            impaired = ProjectionModel.impaired(cfg, block, imp, real)
+            sigma = noise_std(cfg)
+            lb = lb_report(theta, clean, impaired, sigma)
+            crb = crb_m1_numeric(theta, impaired, sigma)
+            mean = np.broadcast_to(impaired.mean(theta), (n, *block.symbols.shape))
+            noise_seed = np.random.SeedSequence((2021, draw, int(power)))
+            y = observe(mean, sigma, np.random.default_rng(noise_seed))
+            data = FitData.empty(cfg, 2 * n)
+            data.put(0, clean.row_matrix, clean.eff_pilots, y)
+            data.put(n, impaired.row_matrix, impaired.eff_pilots, impaired.pulled_observation(y))
+            fits = refine(data, grid_search(data, scan_grid(cfg)))
+            n_converged += int(fits.converged.sum())
+            aoa, rng_m = positions_to_polar(fits.positions)
+            fitted = np.stack([aoa, rng_m / SPEED_OF_LIGHT], axis=1)  # (2 n, 2): angle, delay
+            truth, theta0 = theta.as_array()[:2], lb.theta0.as_array()[:2]
+            mcrb = np.diag(lb.mcrb)[:2]
+            worst_bias = max(worst_bias, float(np.abs((theta0 - truth) / np.sqrt(mcrb)).max()))
+            for part, centre, bound in (
+                (slice(0, n), theta0, mcrb),
+                (slice(n, 2 * n), truth, np.array([crb.aeb_rad, crb.deb_s]) ** 2),
+            ):
+                variance = fitted[part].var(axis=0, ddof=1)
+                z_mean = (fitted[part].mean(axis=0) - centre) / np.sqrt(variance / n)
+                z_variance = (variance / bound - 1.0) / se_ratio
+                worst["mean"] = max(worst["mean"], float(np.abs(z_mean).max()))
+                worst["variance"] = max(worst["variance"], float(np.abs(z_variance).max()))
+    dt = time.perf_counter() - t0
+    ok = (
+        worst["mean"] <= 4.0
+        and worst["variance"] <= 4.0
+        and n_converged == 2 * 4 * 2 * n
+        and dt < 60.0
+    )
+    _check(
+        "estimators match their bounds draw by draw",
+        ok,
+        f"|mean - centre| up to {worst['mean']:.2f} standard errors, "
+        f"|variance / bound - 1| up to {worst['variance']:.2f} standard errors (limits 4), "
+        f"mismatched bias up to {worst_bias:.0f} MCRB standard deviations, "
+        f"{n_converged}/{2 * 4 * 2 * n} converged, {dt:.1f}s (limit 60 s)",
     )

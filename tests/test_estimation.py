@@ -8,9 +8,12 @@ import pytest
 
 from hwiloc.estimation import (
     CONVERGED_STOPS,
+    N_GRID_ANGLES,
+    N_GRID_RANGES,
+    RANGE_MAX_M,
+    RANGE_MIN_M,
     SCAN_FAILED,
     Estimate,
-    EstimatorConfig,
     NumericError,
     ProjectionModel,
     fitted_params,
@@ -19,6 +22,7 @@ from hwiloc.estimation import (
     mmle_m2,
     refine,
     scan_grid,
+    scan_limit_m,
 )
 from hwiloc.impairments import ImpairmentConfig, mc_matrix, pa_apply, sample_realization
 from hwiloc.model import (
@@ -26,10 +30,11 @@ from hwiloc.model import (
     ChannelParams,
     PilotBlock,
     SystemConfig,
+    noise_std,
     positions_to_polar,
 )
 from hwiloc.observation import FitData, ScanGrid, mu_m1, observe
-from dense_oracle import plug_in_gain, stack_links
+from dense_oracle import plug_in_gain, stack_links, two_block_refine
 
 
 def projection_objective(y: np.ndarray, eta: np.ndarray) -> float:
@@ -78,9 +83,26 @@ def angle_first_grid(model, u, grid):
     return np.vdot(u, u).real - captured
 
 
-def refine_one(y, model, p_start, est):
+def small_grid(cfg, n_angles, n_ranges):
+    """A coarser grid than the estimators' own (scan_grid), laid out the
+    same way: n_angles angles strictly inside (-pi/2, pi/2), and of n_ranges
+    ranges over [RANGE_MIN_M, RANGE_MAX_M] those below the scan limit."""
+    aoas = np.linspace(-np.pi / 2, np.pi / 2, n_angles + 2)[1:-1]
+    ranges = np.linspace(RANGE_MIN_M, RANGE_MAX_M, n_ranges)
+    ranges = ranges[ranges < scan_limit_m(cfg.subcarrier_spacing_hz)]
+    return build_grid(cfg, aoas, ranges)
+
+
+def build_grid(cfg, aoas, ranges_m):
+    """ScanGrid.build on cfg's link."""
+    return ScanGrid.build(
+        cfg.n_antennas, cfg.n_subcarriers, cfg.subcarrier_spacing_hz, aoas, ranges_m
+    )
+
+
+def refine_one(y, model, p_start):
     """refine on one observation: (position, objective, stop, iterations)."""
-    fit = refine(fit_data(model, model.pulled_observation(y)), np.asarray(p_start)[None], est)
+    fit = refine(fit_data(model, model.pulled_observation(y)), np.asarray(p_start)[None])
     return fit.positions[0], fit.objectives[0], fit.stops[0], fit.n_iterations[0]
 
 
@@ -253,7 +275,7 @@ def test_grid_objective_matches_direct_projection(impaired):
     aoas = np.array([-0.7, 0.1, 0.9])
     ranges = np.array([2.0, 7.5, 18.0])
     u = model.pulled_observation(y)
-    grid = model.objective_grid(u, ScanGrid.build(cfg, aoas, ranges))
+    grid = model.objective_grid(u, build_grid(cfg, aoas, ranges))
     for i, a in enumerate(aoas):
         for j, r in enumerate(ranges):
             direct = projection_objective(y, model.eta(a, r / SPEED_OF_LIGHT))
@@ -285,7 +307,7 @@ def test_fit_objective_matches_grid_bitwise(impaired):
     values = fit_data(model, u).objective(px, py)[:, 0]
     for p, value in zip(points, values):
         grid = angle_first_grid(
-            model, u, ScanGrid.build(cfg, np.arctan2(p[1:], p[:1]), np.hypot(p[:1], p[1:]))
+            model, u, build_grid(cfg, np.arctan2(p[1:], p[:1]), np.hypot(p[:1], p[1:]))
         )
         assert value == grid[0, 0]
 
@@ -339,7 +361,7 @@ def test_grid_scan_matches_angle_first_order(impaired, sizes):
     cfg = desk_cfg(**sizes)
     blk = PilotBlock.from_config(cfg)
     imp = ImpairmentConfig()
-    grid = scan_grid(cfg, EstimatorConfig())
+    grid = scan_grid(cfg)
     rng = np.random.default_rng(11)
     for trial in range(8):
         real = sample_realization(imp, cfg, rng)
@@ -361,7 +383,7 @@ def test_fit_objective_without_row_gain_is_observation_energy():
     u = observe(blk.symbols, 1.0, np.random.default_rng(3))
     energy = np.vdot(u, u).real
     assert fit_data(model, u).objective(np.array([3.0]), np.array([2.0]))[0] == energy
-    assert model.objective_grid(u, ScanGrid.build(cfg, [0.5], [3.6]))[0, 0] == energy
+    assert model.objective_grid(u, build_grid(cfg, [0.5], [3.6]))[0, 0] == energy
 
 
 @pytest.mark.parametrize(
@@ -375,7 +397,7 @@ def test_objective_is_flat_in_an_unidentifiable_coordinate(sizes, flat_axis):
     cfg = desk_cfg(**sizes)
     model = ProjectionModel.clean(cfg, PilotBlock.from_config(cfg))
     y = observe(model.mean(true_state(cfg)), 1e-6, np.random.default_rng(4))
-    grid = ScanGrid.build(cfg, np.linspace(-1.2, 1.2, 7), np.linspace(1.0, 6.0, 7))
+    grid = build_grid(cfg, np.linspace(-1.2, 1.2, 7), np.linspace(1.0, 6.0, 7))
     obj = model.objective_grid(y, grid) / np.vdot(y, y).real
     assert np.ptp(obj, axis=flat_axis).max() < 1e-12
     assert np.ptp(obj, axis=1 - flat_axis).max() > 1e-3
@@ -388,15 +410,14 @@ def test_objective_is_flat_in_an_unidentifiable_coordinate(sizes, flat_axis):
 def test_grid_search_recovers_grid_node():
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
-    est = EstimatorConfig(n_grid_angles=41, n_grid_ranges=30)
-    aoa = est.grid_angles()[25]
-    rng_m = est.grid_ranges()[3]  # inside the delay-ambiguity window
+    grid = small_grid(cfg, 41, 30)
+    aoa = grid.aoas[25]
+    rng_m = grid.ranges_m[3]  # inside the delay-ambiguity window
     th = ChannelParams(
         aoa=aoa, delay=rng_m / SPEED_OF_LIGHT, gain_amp=1e-4, gain_phase=0.1
     )
     model = ProjectionModel.clean(cfg, blk)
     y = model.mean(th)
-    grid = scan_grid(cfg, est)
     p0 = grid_search(fit_data(model, y), grid)[0]
     assert np.allclose(p0, rng_m * np.array([np.cos(aoa), np.sin(aoa)]), atol=1e-9)
     assert model.objective_grid(y, grid).min() == pytest.approx(0.0, abs=1e-12 * np.vdot(y, y).real)
@@ -429,14 +450,13 @@ def scaled_pilots(blk, n, seed):
 def test_grid_search_matches_brute_force_argmin():
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
-    est = EstimatorConfig(n_grid_angles=31, n_grid_ranges=20)
     th = true_state(cfg, pos=(4.3, -1.7))
     y = observe(ProjectionModel.clean(cfg, blk).mean(th), 5e-6, np.random.default_rng(11))
     model = ProjectionModel.clean(cfg, blk)
-    grid = scan_grid(cfg, est)
+    grid = small_grid(cfg, 31, 20)
     p0 = grid_search(fit_data(model, y), grid)[0]
     best, best_p = np.inf, None
-    for a in est.grid_angles():
+    for a in grid.aoas:
         for r in grid.ranges_m:
             val = projection_objective(y, model.eta(a, r / SPEED_OF_LIGHT))
             if val < best - 1e-15:
@@ -484,12 +504,11 @@ def test_grid_search_tie_breaks_to_lowest_angle_index():
     blk = PilotBlock.from_config(cfg)
     th = ChannelParams(aoa=0.0, delay=2e-8, gain_amp=1e-4, gain_phase=0.0)
     y = ProjectionModel.clean(cfg, blk).mean(th)
-    est = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15)
-    grid = scan_grid(cfg, est)
+    grid = small_grid(cfg, 21, 15)
     model = ProjectionModel.clean(cfg, blk)
     p0 = grid_search(fit_data(model, y), grid)[0]
     aoa0 = float(np.arctan2(p0[1], p0[0]))
-    assert aoa0 == pytest.approx(est.grid_angles()[0])
+    assert aoa0 == pytest.approx(grid.aoas[0])
     # a chunk with its own pilots per slot ties on every angle too; a slot
     # that observes nothing ties everywhere and starts at the lowest angle
     # index, then the lowest range index
@@ -515,7 +534,7 @@ def test_grid_search_fails_a_non_finite_slot_alone(shared):
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     model = ProjectionModel.clean(cfg, blk)
-    est = EstimatorConfig(n_grid_angles=31, n_grid_ranges=20)
+    grid = small_grid(cfg, 31, 20)
     n, bad = 4, 1
     pilots = scaled_pilots(blk, n, 15)
     pilots[bad] = np.nan
@@ -526,13 +545,13 @@ def test_grid_search_fails_a_non_finite_slot_alone(shared):
     scales = (1.0 + np.arange(n)) * np.exp(1j * np.arange(n))
     rows = model.row_matrix if shared else scales[:, None, None] * model.row_matrix
     data = chunk_data(cfg, rows, pilots, u)
-    fit = refine(data, grid_search(data, scan_grid(cfg, est)), est)
+    fit = refine(data, grid_search(data, grid))
     assert fit.errors[bad] == "projection objective is non-finite over the whole grid"
     assert fit.stops[bad] == "failed" and np.isnan(fit.starts[bad]).all()
     assert fit.n_iterations[bad] == 0
     for i in set(range(n)) - {bad}:
         assert fit.errors[i] is None and fit.stops[i] in CONVERGED_STOPS
-        npt.assert_array_equal(fit.starts[i], grid_argmin(data, i, scan_grid(cfg, est)))
+        npt.assert_array_equal(fit.starts[i], grid_argmin(data, i, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -547,19 +566,18 @@ def test_refine_fails_a_slot_without_a_start_alone():
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     model = ProjectionModel.clean(cfg, blk)
-    est = EstimatorConfig(n_grid_angles=31, n_grid_ranges=20)
     n, bad = 5, [1, 3]
     u = observe(np.array([model.mean(true_state(cfg))] * n), 1e-6, np.random.default_rng(17))
     u[3] = 0.0  # no energy either
     data = chunk_data(cfg, model.row_matrix, model.eff_pilots, u)
-    starts = grid_search(data, scan_grid(cfg, est))
+    starts = grid_search(data, small_grid(cfg, 31, 20))
     starts[bad] = np.nan
-    fit = refine(data, starts, est)
+    fit = refine(data, starts)
     for i in bad:
         assert (fit.stops[i], fit.errors[i], fit.n_iterations[i]) == ("failed", SCAN_FAILED, 0)
         assert np.isnan(fit.positions[i]).all() and np.isnan(fit.objectives[i])
     rest = np.array([0, 2, 4])
-    alone = refine(data.take(rest), starts[rest], est)
+    alone = refine(data.take(rest), starts[rest])
     for field in ("positions", "objectives", "stops", "n_iterations", "starts"):
         npt.assert_array_equal(getattr(fit, field)[rest], getattr(alone, field))
     assert [fit.errors[i] for i in rest] == alone.errors == [None] * 3
@@ -573,7 +591,7 @@ def test_refine_at_optimum_stops_immediately():
     y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
     p_true = np.array([3.0, 2.0])
-    p_hat, obj, stop, iters = refine_one(y, model, p_true, EstimatorConfig())
+    p_hat, obj, stop, iters = refine_one(y, model, p_true)
     assert stop == "gradient"
     assert iters == 1
     assert np.allclose(p_hat, p_true)
@@ -585,11 +603,10 @@ def test_refine_improves_on_grid_point():
     th = true_state(cfg, pos=(3.1, 1.9))
     y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
-    est = EstimatorConfig()
-    grid = scan_grid(cfg, est)
+    grid = scan_grid(cfg)
     p0 = grid_search(fit_data(model, y), grid)[0]
     obj0 = model.objective_grid(y, grid).min()
-    p_hat, obj, stop, _ = refine_one(y, model, p0, est)
+    p_hat, obj, stop, _ = refine_one(y, model, p0)
     assert stop in CONVERGED_STOPS
     assert obj <= obj0 + 1e-15
     assert np.linalg.norm(p_hat - [3.1, 1.9]) < np.linalg.norm(p0 - [3.1, 1.9]) + 1e-12
@@ -602,32 +619,30 @@ def test_refine_noise_free_reaches_truth():
     th = true_state(cfg, pos=p_true)
     y = ProjectionModel.clean(cfg, blk).mean(th)
     model = ProjectionModel.clean(cfg, blk)
-    est = EstimatorConfig()
-    p0 = grid_search(fit_data(model, y), scan_grid(cfg, est))[0]
-    p_hat, obj, stop, _ = refine_one(y, model, p0, est)
+    p0 = grid_search(fit_data(model, y), scan_grid(cfg))[0]
+    p_hat, obj, stop, _ = refine_one(y, model, p0)
     assert stop in CONVERGED_STOPS
     assert np.linalg.norm(p_hat - p_true) < 1e-4
 
 
-def test_refine_iteration_cap_is_not_converged():
+def test_refine_iteration_cap_is_not_converged(monkeypatch):
     cfg = desk_cfg()
     blk = PilotBlock.from_config(cfg)
     th = true_state(cfg)
     model = ProjectionModel.clean(cfg, blk)
     y = model.mean(th)
     far = np.array([3.3, 1.6])  # 0.5 m off, inside the same basin
-    est = EstimatorConfig(max_iterations=1)
-    p_hat, obj, stop, iters = refine_one(y, model, far, est)
+    monkeypatch.setattr("hwiloc.estimation.MAX_ITERATIONS", 1)
+    p_hat, obj, stop, iters = refine_one(y, model, far)
     assert (stop, iters) == ("max_iter", 1)
     start = fit_data(model, model.pulled_observation(y)).objective(far[:1], far[1:])[0]
     assert obj < start
-    # a coarse grid starts the estimator far off too
-    coarse = EstimatorConfig(n_grid_angles=21, n_grid_ranges=15, max_iterations=1)
-    out = mmle_m2(y, model, coarse)
+    # one iteration from the estimator's own grid start is not enough either
+    out = mmle_m2(y, model)
     assert out.stop == "max_iter" and not out.converged
 
 
-def test_refine_slot_does_not_depend_on_its_batch():
+def test_refine_slot_does_not_depend_on_its_batch(monkeypatch):
     """One FitData holds both estimators' slots, with their own rows and
     pilots, in mixed order; each slot gets bit for bit the fit it gets in a
     batch of its own estimator only. One slot observes nothing, and one runs
@@ -649,8 +664,8 @@ def test_refine_slot_does_not_depend_on_its_batch():
         slots["mle_m1"].append(
             (impaired.row_matrix, impaired.eff_pilots, impaired.pulled_observation(y))
         )
-    est = EstimatorConfig(n_grid_angles=41, n_grid_ranges=30, max_iterations=6)
-    grid = scan_grid(cfg, est)
+    monkeypatch.setattr("hwiloc.estimation.MAX_ITERATIONS", 6)
+    grid = small_grid(cfg, 41, 30)
 
     def batch(entries):
         data = FitData.empty(cfg, len(entries))
@@ -658,10 +673,10 @@ def test_refine_slot_does_not_depend_on_its_batch():
             data.put(i, rows, pilots, np.asarray(u)[None])
         return data, grid_search(data, grid)
 
-    alone = {m: refine(*batch(entries), est) for m, entries in slots.items()}
+    alone = {m: refine(*batch(entries)) for m, entries in slots.items()}
     order = [("mle_m1", 2), ("mmle", 0), ("mmle", 3), ("mle_m1", 0), ("mle_m1", 4),
              ("mmle", 1), ("mle_m1", 1), ("mmle", 4), ("mle_m1", 3), ("mmle", 2)]
-    together = refine(*batch([slots[m][t] for m, t in order]), est)
+    together = refine(*batch([slots[m][t] for m, t in order]))
     for i, (m, t) in enumerate(order):
         one = alone[m]
         # the mixed chunk's scan gives each slot its own start too
@@ -675,6 +690,79 @@ def test_refine_slot_does_not_depend_on_its_batch():
     assert alone["mmle"].stops[1] == "failed" and stops.count("failed") == 1
     assert alone["mmle"].stops[0] == "max_iter"
     assert sum(stop in CONVERGED_STOPS for stop in stops) >= 6
+
+
+def desk_trials(power_dbm, n, seed):
+    """The desk.cfg link at power_dbm and a FitData of n trials fitted by
+    both estimators: slot t fits trial t's observation with the clean chain,
+    slot n + t its pulled observation with the trial's impaired model."""
+    cfg = SystemConfig(
+        n_antennas=10, n_transmissions=5, n_subcarriers=32, cp_length=7, tx_power_dbm=power_dbm
+    )
+    blk = PilotBlock.from_config(cfg)
+    imp = ImpairmentConfig()
+    clean = ProjectionModel.clean(cfg, blk, imp.coupling)
+    theta = true_state(cfg)
+    data = FitData.empty(cfg, 2 * n)
+    for t in range(n):
+        rng = np.random.default_rng([seed, t])
+        impaired = ProjectionModel.impaired(cfg, blk, imp, sample_realization(imp, cfg, rng))
+        y = observe(impaired.mean(theta), noise_std(cfg), rng)
+        data.put(t, clean.row_matrix, clean.eff_pilots, y[None])
+        u = impaired.pulled_observation(y)
+        data.put(n + t, impaired.row_matrix, impaired.eff_pilots, u[None])
+    return cfg, data
+
+
+@pytest.mark.parametrize(
+    "power_dbm, max_iterations, backtracks, reached",
+    [
+        (-30.0, 200, 40, {"gradient", "decrement", "failed"}),
+        (20.0, 200, 40, {"gradient", "decrement", "failed"}),
+        (-10.0, 3, 40, {"max_iter", "failed"}),
+        (0.0, 200, 2, {"gradient", "decrement", "stalled", "failed"}),
+    ],
+)
+def test_refine_matches_the_two_block_oracle_bitwise(
+    monkeypatch, power_dbm, max_iterations, backtracks, reached
+):
+    """refine's one line search from t = 1 gives every fit bit for bit what
+    the two-block form (a full-step block, then halvings from t = 1/2) gives
+    it: positions, objectives, stops, iteration counts and errors, on desk
+    trials of both estimators that reach every stop. In each batch one slot
+    observes nothing and one has no start (SCAN_FAILED)."""
+    monkeypatch.setattr("hwiloc.estimation.MAX_ITERATIONS", max_iterations)
+    monkeypatch.setattr("hwiloc.estimation.MAX_BACKTRACKS", backtracks)
+    cfg, data = desk_trials(power_dbm, 8, 5)
+    data.w[3] = 0.0
+    data.yy[3] = 0.0
+    starts = grid_search(data, scan_grid(cfg))
+    starts[10] = np.nan
+    fit = refine(data, starts)
+    oracle = two_block_refine(data, starts, max_iterations, backtracks)
+    for field in ("positions", "objectives", "stops", "n_iterations", "starts"):
+        npt.assert_array_equal(getattr(fit, field), getattr(oracle, field))
+    assert fit.errors == oracle.errors
+    assert fit.errors[10] == SCAN_FAILED
+    assert fit.errors[3] == "observation energy must be positive and finite"
+    assert reached <= set(fit.stops.tolist())
+
+
+def test_scan_grid_is_built_once_per_link():
+    """The estimators' grid is shared by every link with the same antennas,
+    subcarriers and spacing, whatever its power; it is read-only and equal
+    to a grid built afresh on the same angles and ranges."""
+    cfg = desk_cfg()
+    grid = scan_grid(cfg)
+    assert scan_grid(replace(cfg, tx_power_dbm=-30.0)) is grid
+    assert scan_grid(desk_cfg(n_subcarriers=32)) is not grid
+    assert grid.aoas.size == N_GRID_ANGLES
+    assert 0 < grid.ranges_m.size <= N_GRID_RANGES
+    assert grid.ranges_m.max() < scan_limit_m(cfg.subcarrier_spacing_hz)
+    fresh = build_grid(cfg, grid.aoas, grid.ranges_m)
+    for name in ("aoas", "ranges_m", "steering", "delay_conj"):
+        assert not getattr(grid, name).flags.writeable
+        npt.assert_array_equal(getattr(grid, name), getattr(fresh, name))
 
 
 def fd_objective_derivatives(model, u, aoa, rng_m, h=1e-5):

@@ -33,7 +33,7 @@ from hwiloc.config_io import (
     resolve_spec,
     spec_to_text,
 )
-from hwiloc.estimation import EstimatorConfig, NumericError, mle_m1, mmle_m2
+from hwiloc.estimation import NumericError, mle_m1, mmle_m2
 from hwiloc.harness import (
     CSV_HEADER,
     ResultRow,
@@ -607,6 +607,7 @@ def test_point_fit_matches_one_observation_estimators(
     pilots on the amplifier axis, the realization, then the noise. Trial 2 observes nothing for either estimator, so both its
     fits end in a NumericError, and only its fits."""
     monkeypatch.setattr("hwiloc.estimation.MAX_BACKTRACKS", backtracks)
+    monkeypatch.setattr("hwiloc.estimation.MAX_ITERATIONS", max_iterations)
     monkeypatch.setattr("hwiloc.harness.TRIAL_CHUNK", 4)
     desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
     keys = parse_config_text(desk.read_text(encoding="utf-8"))
@@ -614,7 +615,6 @@ def test_point_fit_matches_one_observation_estimators(
     spec = resolve_spec(keys)
     point = hwiloc.harness._point(spec, 0)
     sys_cfg, imp = point.sys_cfg, point.imp
-    est = EstimatorConfig(max_iterations=max_iterations)
     blank = 2
     real_put = FitData.put
     # observations put so far by estimator: the clean chain's rows are one
@@ -637,7 +637,7 @@ def test_point_fit_matches_one_observation_estimators(
     monkeypatch.setattr(FitData, "put", put_with_blank)
     metrics = ["mmle_rmse", "mle_m1_rmse"]
     units = hwiloc.harness._units(spec, hwiloc.harness._TRIAL_STREAM)
-    fits = hwiloc.harness._fit_point(spec, point, units, metrics, est)
+    fits = hwiloc.harness._fit_point(spec, point, units, metrics)
     assert len(observed) == spec.n_trials and len(stores) == 1
     monkeypatch.setattr(FitData, "put", real_put)  # for the estimators
 
@@ -659,7 +659,7 @@ def test_point_fit_matches_one_observation_estimators(
         for m in metrics:
             fit = fits[m]
             try:
-                one = mmle_m2(y, clean, est) if m == "mmle_rmse" else mle_m1(y, impaired, est)
+                one = mmle_m2(y, clean) if m == "mmle_rmse" else mle_m1(y, impaired)
             except NumericError as exc:
                 assert t == blank
                 assert (fit.stops[t], fit.errors[t]) == ("failed", str(exc))
@@ -916,12 +916,12 @@ def test_estimator_trials_do_not_depend_on_the_chunk_size(monkeypatch, axis, val
     units = hwiloc.harness._units(spec, hwiloc.harness._TRIAL_STREAM)
     monkeypatch.setenv("HWI_LOC_THREADS", "1")
     csv = rows_to_csv(run_estimator_trials(spec))
-    fits = hwiloc.harness._fit_point(spec, point, units, metrics, EstimatorConfig())
+    fits = hwiloc.harness._fit_point(spec, point, units, metrics)
     assert hwiloc.harness.TRIAL_CHUNK >= spec.n_trials
     for size in (1, 3):
         monkeypatch.setattr("hwiloc.harness.TRIAL_CHUNK", size)
         assert rows_to_csv(run_estimator_trials(spec)) == csv
-        chunked = hwiloc.harness._fit_point(spec, point, units, metrics, EstimatorConfig())
+        chunked = hwiloc.harness._fit_point(spec, point, units, metrics)
         for m in metrics:
             for name in ("positions", "stops", "n_iterations", "starts"):
                 npt.assert_array_equal(getattr(chunked[m], name), getattr(fits[m], name))
@@ -1488,6 +1488,12 @@ def _load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_tracer_reads_the_iteration_cap():
+    """The tracer's estimation.maxiter_share needs the estimators' iteration
+    cap, which it reads from the estimation module by name."""
+    assert _load_tracer()._max_iterations("hwiloc") == hwiloc.estimation.MAX_ITERATIONS
 
 
 def test_benchmark_tracer_finds_every_layer(tmp_path, monkeypatch):
